@@ -1,177 +1,45 @@
-"""Hot finite-field linear-algebra kernels.
+"""Finite-field linear-algebra kernels in numpy.
 
-Two interchangeable implementations are provided per kernel: a numba
-``@njit`` version and a pure-numpy fallback.  The backend is chosen at
-import time from the environment variable ``LRCDEC_BACKEND``:
-
-* unset or ``numba``  - use the jitted kernels (falls back to numpy if
-  numba cannot be imported),
-* ``numpy``           - force the pure-numpy path.
-
-Matrices are ``np.int64`` arrays of canonical field elements.  A kernel
-context describes the field:
-
-* mode 0: characteristic 2, multiplication through exp/log tables,
-* mode 1: prime field, modular arithmetic.
-
-Both backends run identical elimination orders, so results are
-bit-for-bit equal.
+Matrices are ``np.int64`` arrays of canonical field elements.  The
+kernels take the Field itself: for characteristic 2 (``field.p == 2``)
+addition is xor and multiplication goes through the field's int64
+exp/log tables; for a prime field both are taken mod p.
 """
 
 from __future__ import annotations
 
-import os
-from typing import NamedTuple
-
 import numpy as np
 
-BACKEND = os.environ.get("LRCDEC_BACKEND", "numba").strip().lower()
-if BACKEND not in ("numba", "numpy"):
-    raise ValueError(f"LRCDEC_BACKEND must be 'numba' or 'numpy', got {BACKEND!r}")
-
-if BACKEND == "numba":
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        BACKEND = "numpy"
+BACKEND = "numpy"  # the only implementation; recorded by the benchmark harness
 
 
-class KernelCtx(NamedTuple):
-    mode: int  # 0 = char-2 tables, 1 = prime modular
-    q: int
-    p: int
-    exp: np.ndarray  # length 2(q-1) antilog table (mode 0); dummy otherwise
-    log: np.ndarray  # length q log table (mode 0); dummy otherwise
-
-
-_DUMMY = np.zeros(1, dtype=np.int64)
-
-
-def make_ctx(field) -> KernelCtx:
-    """Kernel context for a Field; requires p = 2 or m = 1."""
-    if field.p == 2:
-        return KernelCtx(
-            0,
-            field.q,
-            2,
-            np.asarray(field._exp, dtype=np.int64),
-            np.asarray(field._log, dtype=np.int64),
-        )
-    if field.m == 1:
-        return KernelCtx(1, field.q, field.p, _DUMMY, _DUMMY)
-    raise NotImplementedError(
-        "vectorized kernels support characteristic 2 and prime fields only"
-    )
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if BACKEND == "numba":
-
-    @njit(cache=True)
-    def _rref_nb(M, piv_cols, mode, q, p, exp, log):
-        rows, cols = M.shape
-        r = 0
-        for c in range(cols):
-            pr = -1
-            for i in range(r, rows):
-                if M[i, c] != 0:
-                    pr = i
-                    break
-            if pr == -1:
-                continue
-            if pr != r:
-                for j in range(cols):
-                    tmp = M[r, j]
-                    M[r, j] = M[pr, j]
-                    M[pr, j] = tmp
-            pv = M[r, c]
-            if pv != 1:
-                if mode == 0:
-                    iv = exp[(q - 1) - log[pv]]
-                else:
-                    iv = 1
-                    b = pv
-                    e = p - 2
-                    while e:
-                        if e & 1:
-                            iv = (iv * b) % p
-                        b = (b * b) % p
-                        e >>= 1
-                for j in range(c, cols):
-                    v = M[r, j]
-                    if v != 0:
-                        if mode == 0:
-                            M[r, j] = exp[log[v] + log[iv]]
-                        else:
-                            M[r, j] = (v * iv) % p
-            for i in range(rows):
-                if i != r and M[i, c] != 0:
-                    f = M[i, c]
-                    for j in range(c, cols):
-                        v = M[r, j]
-                        if v != 0:
-                            if mode == 0:
-                                M[i, j] ^= exp[log[f] + log[v]]
-                            else:
-                                M[i, j] = (M[i, j] - f * v) % p
-            piv_cols[r] = c
-            r += 1
-            if r == rows:
-                break
-        return r
-
-    @njit(cache=True)
-    def _matmul_nb(A, B, out, mode, q, p, exp, log):
-        n, m = A.shape
-        k = B.shape[1]
-        for i in range(n):
-            for j in range(k):
-                acc = 0
-                for l in range(m):
-                    a = A[i, l]
-                    b = B[l, j]
-                    if a != 0 and b != 0:
-                        if mode == 0:
-                            acc ^= exp[log[a] + log[b]]
-                        else:
-                            acc = (acc + a * b) % p
-                out[i, j] = acc
-        return out
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-def _vec_mul_np(a, b, ctx: KernelCtx):
+def _vec_mul(a, b, field):
     """Elementwise product of broadcastable int64 arrays."""
-    if ctx.mode == 0:
+    if field.p == 2:
         nz = (a != 0) & (b != 0)
         out = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.int64)
-        la = ctx.log[np.broadcast_to(a, out.shape)[nz]]
-        lb = ctx.log[np.broadcast_to(b, out.shape)[nz]]
-        out[nz] = ctx.exp[la + lb]
+        la = field.log_table[np.broadcast_to(a, out.shape)[nz]]
+        lb = field.log_table[np.broadcast_to(b, out.shape)[nz]]
+        out[nz] = field.exp_table[la + lb]
         return out
-    return (np.asarray(a) * np.asarray(b)) % ctx.p
+    return (np.asarray(a) * np.asarray(b)) % field.p
 
 
-def _vec_sub_np(a, b, ctx: KernelCtx):
-    if ctx.mode == 0:
+def sub(a, b, field):
+    """Elementwise difference a - b of broadcastable int64 arrays."""
+    if field.p == 2:
         return a ^ b
-    return (a - b) % ctx.p
+    return (a - b) % field.p
 
 
-def _scalar_inv_np(a, ctx: KernelCtx):
-    if ctx.mode == 0:
-        return int(ctx.exp[(ctx.q - 1) - ctx.log[a]])
-    return pow(int(a), ctx.p - 2, ctx.p)
+def rref(M: np.ndarray, field):
+    """Reduced row echelon form in place.
 
-
-def _rref_np(M, piv_cols, ctx: KernelCtx):
+    Returns (rank, pivot_columns).  Pivoting picks the first nonzero row
+    per column, so the output is canonical.
+    """
     rows, cols = M.shape
+    piv_cols = np.full(rows, -1, dtype=np.int64)
     r = 0
     for c in range(cols):
         nz = np.nonzero(M[r:, c])[0]
@@ -182,61 +50,35 @@ def _rref_np(M, piv_cols, ctx: KernelCtx):
             M[[r, pr]] = M[[pr, r]]
         pv = int(M[r, c])
         if pv != 1:
-            M[r, c:] = _vec_mul_np(M[r, c:], _scalar_inv_np(pv, ctx), ctx)
+            M[r, c:] = _vec_mul(M[r, c:], field.inv(pv), field)
         factors = M[:, c].copy()
         factors[r] = 0
         hit = np.nonzero(factors)[0]
         if hit.size:
-            prod = _vec_mul_np(factors[hit, None], M[None, r, c:], ctx)
-            M[np.ix_(hit, np.arange(c, cols))] = _vec_sub_np(
-                M[np.ix_(hit, np.arange(c, cols))], prod, ctx
+            prod = _vec_mul(factors[hit, None], M[None, r, c:], field)
+            M[np.ix_(hit, np.arange(c, cols))] = sub(
+                M[np.ix_(hit, np.arange(c, cols))], prod, field
             )
         piv_cols[r] = c
         r += 1
         if r == rows:
             break
-    return r
+    return r, piv_cols[:r]
 
 
-def _matmul_np(A, B, out, ctx: KernelCtx):
+def matmul(A: np.ndarray, B: np.ndarray, field) -> np.ndarray:
+    if A.shape[1] != B.shape[0]:
+        raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
     for l in range(A.shape[1]):
         col = A[:, l]
         row = B[l, :]
         if not col.any() or not row.any():
             continue
-        prod = _vec_mul_np(col[:, None], row[None, :], ctx)
-        if ctx.mode == 0:
+        prod = _vec_mul(col[:, None], row[None, :], field)
+        if field.p == 2:
             out ^= prod
         else:
             out += prod
-            out %= ctx.p
-    return out
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-def rref(M: np.ndarray, ctx: KernelCtx):
-    """Reduced row echelon form in place.
-
-    Returns (rank, pivot_columns).  Pivoting picks the first nonzero row
-    per column, so the output is canonical and backend independent.
-    """
-    piv_cols = np.full(M.shape[0], -1, dtype=np.int64)
-    if BACKEND == "numba":
-        rank = _rref_nb(M, piv_cols, ctx.mode, ctx.q, ctx.p, ctx.exp, ctx.log)
-    else:
-        rank = _rref_np(M, piv_cols, ctx)
-    return int(rank), piv_cols[: int(rank)]
-
-
-def matmul(A: np.ndarray, B: np.ndarray, ctx: KernelCtx) -> np.ndarray:
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    if BACKEND == "numba":
-        _matmul_nb(A, B, out, ctx.mode, ctx.q, ctx.p, ctx.exp, ctx.log)
-    else:
-        _matmul_np(A, B, out, ctx)
+            out %= field.p
     return out

@@ -2,9 +2,9 @@
 curve data, code generation, and single-shot decoding.
 
 Exit codes: 0 success, 1 decode failure in single-shot mode, 2
-configuration error.  All randomness is driven by --seed; trial i uses
-the independent stream seeded by (seed, i), so results do not depend on
-scheduling or thread count.
+configuration error.  All randomness in ``simulate`` and ``gen-code
+random-pmds`` is driven by --seed; trial i uses the independent stream
+seeded by (seed, i), so results do not depend on the order of trials.
 """
 
 from __future__ import annotations
@@ -142,7 +142,8 @@ def cmd_radii(args) -> int:
 def cmd_tables(args) -> int:
     if args.table == "1":
         header = ["n", "k", "r", "rho", "q", "n_l", "d",
-                  "tau_j_local", "tau_j", "tau_g", "refined_t_g", "success_prob"]
+                  "tau_j_local", "tau_j", "tau_g", "refined_t_g", "success_prob",
+                  "one_minus_success_prob"]
         rows = []
         for n, k, r, rho, q in TABLE1_ROWS:
             s = CodeShape(n, k, r, rho, q=q)
@@ -151,7 +152,8 @@ def cmd_tables(args) -> int:
             bar = rep.refined_t_g
             pr = success_prob_grs(s, q, t_l, bar)
             rows.append([n, k, r, rho, q, s.n_l, s.d,
-                         rep.tau_j_local, rep.tau_j, rep.tau_g, bar, float(pr)])
+                         rep.tau_j_local, rep.tau_j, rep.tau_g, bar, float(pr),
+                         float(1 - pr)])
         _emit_rows(args, header, rows)
     elif args.table == "2":
         header = ["n", "k", "r", "rho", "n_l", "d", "rate_global", "rate_local",
@@ -348,10 +350,7 @@ def _simulate_mk(code: PmdsCode, ell, weights, trials, seed):
                 while not vals[:, j].any():
                     vals[:, j] = rng.integers(0, q, size=ell)
             err = BurstError(tuple(support), vals).to_matrix(ell, code.n)
-            if field.p == 2:
-                rec = cw ^ err
-            else:
-                rec = (cw + err) % field.p
+            rec = linalg.sub(cw, err, field)
             res = mk_decode(field, code.parity, InterleavedWord(field, rec))
             ok += res is not None and np.array_equal(res[0].matrix, cw)
         lo, hi = _binomial_interval(ok, trials)
@@ -395,8 +394,6 @@ def cmd_simulate(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lrcdec", description=__doc__)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker hint; results are identical for any value")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("radii", help="decoding radii for parameter shapes")
@@ -447,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tg", type=int, required=True)
     sp.add_argument("--mode", choices=["list", "unique"], default="list")
     sp.add_argument("--budget", type=int, default=10**6)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_decode)
 
     sp = sub.add_parser("simulate", help="seeded Monte-Carlo decoding trials")

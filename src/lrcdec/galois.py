@@ -1,11 +1,10 @@
-"""Finite-field arithmetic GF(p^m) and univariate polynomials.
+"""Finite-field arithmetic GF(q), q a power of 2 or a prime, and
+univariate polynomials.
 
-Field elements are plain Python ints in ``[0, q)``.  For extension fields
-the integer encodes the coefficient vector of the element in base ``p``
-(lowest degree digit first), so for ``p = 2`` this is the usual bit
-encoding.  Multiplication uses log/antilog tables for characteristic 2
-and plain modular arithmetic for prime fields; odd-characteristic
-extension fields fall back to naive polynomial arithmetic.
+Field elements are plain Python ints in ``[0, q)``.  For q = 2^m the
+integer is the bit vector of the element's coefficients (lowest degree
+bit first).  Multiplication uses log/antilog tables for characteristic 2
+and plain modular arithmetic for prime fields.
 
 Fields are immutable after construction and safe to share across
 threads; all operations are pure.
@@ -16,6 +15,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from typing import Iterable, Sequence
+
+import numpy as np
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -47,7 +48,7 @@ def _prime_factors(n: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # GF(p)[x] helpers on digit tuples (lowest degree first), used only for
-# modulus search and odd-characteristic extension arithmetic.
+# the modulus search.
 # ---------------------------------------------------------------------------
 
 def _int_to_digits(v: int, p: int) -> tuple[int, ...]:
@@ -56,13 +57,6 @@ def _int_to_digits(v: int, p: int) -> tuple[int, ...]:
         digits.append(v % p)
         v //= p
     return tuple(digits)
-
-
-def _digits_to_int(digits: Sequence[int], p: int) -> int:
-    v = 0
-    for d in reversed(digits):
-        v = v * p + d
-    return v
 
 
 def _poly_trim(a: Sequence[int]) -> tuple[int, ...]:
@@ -164,21 +158,29 @@ def default_modulus(p: int, m: int) -> int:
 
 
 class Field:
-    """The finite field GF(p^m) with q = p^m <= 2^20 elements.
+    """The finite field GF(q) with q = 2^m or q prime, q <= 2^20.
 
     Parameters
     ----------
     q : int
-        Field order, a prime power.
+        Field order, a power of 2 or a prime.
     modulus : int, optional
-        Digit-encoded (base p) monic irreducible of degree m.  Defaults
+        Bit-encoded monic irreducible of degree m over GF(2).  Defaults
         to the smallest such polynomial.
+
+    For q = 2^m the log/antilog tables exist both as Python lists (scalar
+    arithmetic) and as int64 arrays ``exp_table``/``log_table`` (the
+    numpy kernels); for a prime field all four are None.
     """
 
     def __init__(self, q: int, modulus: int | None = None):
         if q < 2 or q > _MAX_ORDER:
             raise ValueError(f"field order must be in [2, 2^20], got {q}")
         p, m = _factor_prime_power(q)
+        if p != 2 and m > 1:
+            raise ValueError(
+                f"field order {q} = {p}^{m} is not supported: it must be a power of 2 or a prime"
+            )
         self.p = p
         self.m = m
         self.q = q
@@ -190,19 +192,16 @@ class Field:
                 raise ValueError("modulus must be monic of degree m")
             if not _is_irreducible(digits, p):
                 raise ValueError(f"modulus {modulus} is reducible over GF({p})")
-            self._mod_digits = digits
-        else:
-            self._mod_digits = (0, 1)
         self.modulus = modulus
-
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        if p == 2:
-            self._build_tables()
+        # every attribute is set here, in one order, so that instances share
+        # one dict layout; adding one later slows scalar mul/add
+        self._exp, self._log = self._build_tables() if p == 2 else (None, None)
+        self.exp_table = None if self._exp is None else np.asarray(self._exp, dtype=np.int64)
+        self.log_table = None if self._log is None else np.asarray(self._log, dtype=np.int64)
 
     # -- construction helpers ---------------------------------------------
 
-    def _build_tables(self):
+    def _build_tables(self) -> tuple[list[int], list[int]]:
         q = self.q
         g = self.generator()
         exp = [1] * (2 * (q - 1) if q > 2 else 2)
@@ -214,8 +213,7 @@ class Field:
             v = self._mul_raw(v, g)
         for i in range(q - 1, len(exp)):
             exp[i] = exp[i - (q - 1)]
-        self._exp = exp
-        self._log = log
+        return exp, log
 
     def generator(self) -> int:
         """Smallest generator of the multiplicative group."""
@@ -231,24 +229,19 @@ class Field:
     # -- raw arithmetic (no tables) ----------------------------------------
 
     def _mul_raw(self, a: int, b: int) -> int:
-        p = self.p
         if self.m == 1:
-            return (a * b) % p
-        if p == 2:
-            mod = self.modulus
-            top = 1 << self.m
-            r = 0
-            while b:
-                if b & 1:
-                    r ^= a
-                b >>= 1
-                a <<= 1
-                if a & top:
-                    a ^= mod
-            return r
-        da = _int_to_digits(a, p)
-        db = _int_to_digits(b, p)
-        return _digits_to_int(_poly_mulmod(da, db, self._mod_digits, p), p)
+            return (a * b) % self.p
+        mod = self.modulus
+        top = 1 << self.m
+        r = 0
+        while b:
+            if b & 1:
+                r ^= a
+            b >>= 1
+            a <<= 1
+            if a & top:
+                a ^= mod
+        return r
 
     def _pow_raw(self, a: int, e: int) -> int:
         r = 1
@@ -269,24 +262,12 @@ class Field:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        if self.m == 1:
-            return (a + b) % self.p
-        p = self.p
-        da, db = _int_to_digits(a, p), _int_to_digits(b, p)
-        if len(da) < len(db):
-            da, db = db, da
-        out = list(da)
-        for i, d in enumerate(db):
-            out[i] = (out[i] + d) % p
-        return _digits_to_int(out, p)
+        return (a + b) % self.p
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
-        if self.m == 1:
-            return (-a) % self.p
-        p = self.p
-        return _digits_to_int([(-d) % p for d in _int_to_digits(a, p)], p)
+        return (-a) % self.p
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -508,9 +489,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = F.add(F.mul(acc, x), c)
         return acc
-
-    def eval_many(self, xs: Sequence[int]) -> list[int]:
-        return [self.eval(x) for x in xs]
 
 
 def lagrange_interpolate(field: Field, points: Sequence[tuple[int, int]]) -> Poly:

@@ -101,22 +101,10 @@ def mk_decode(field: Field, parity: np.ndarray, received: InterleavedWord):
     err = np.zeros((received.ell, n), dtype=np.int64)
     for j, pos in enumerate(support):
         err[:, pos] = x[j, :]
-    cw = _mat_sub(field, R, err)
+    cw = linalg.sub(R, err, field)
     if linalg.matmul(H, cw.T, field).any():
         return None
     return InterleavedWord(field, cw), support
-
-
-def _mat_sub(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if field.p == 2:
-        return a ^ b
-    if field.m == 1:
-        return (a - b) % field.p
-    out = np.empty_like(a)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            out[i, j] = field.sub(int(a[i, j]), int(b[i, j]))
-    return out
 
 
 # ---------------------------------------------------------------------------

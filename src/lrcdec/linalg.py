@@ -1,9 +1,7 @@
-"""Matrix operations over a Field, backed by the fast kernels.
+"""Matrix operations over a Field, backed by the numpy kernels.
 
 All functions take int64 numpy arrays of canonical field elements (use
-``as_matrix`` to convert nested sequences).  Requires a field with
-characteristic 2 or a prime field; odd-characteristic extension fields
-have no vectorized path.
+``as_matrix`` to convert nested sequences).
 """
 
 from __future__ import annotations
@@ -11,18 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
+from ._kernels import sub
 from .galois import Field
-
-_ctx_cache: dict[tuple[int, int], _kernels.KernelCtx] = {}
-
-
-def ctx_for(field: Field) -> _kernels.KernelCtx:
-    key = (field.q, field.modulus)
-    ctx = _ctx_cache.get(key)
-    if ctx is None:
-        ctx = _kernels.make_ctx(field)
-        _ctx_cache[key] = ctx
-    return ctx
 
 
 def as_matrix(rows) -> np.ndarray:
@@ -35,13 +23,13 @@ def as_matrix(rows) -> np.ndarray:
 def rref(a: np.ndarray, field: Field):
     """Reduced row echelon form (copy).  Returns (R, rank, pivot_cols)."""
     m = np.array(a, dtype=np.int64)
-    rank, piv = _kernels.rref(m, ctx_for(field))
+    rank, piv = _kernels.rref(m, field)
     return m, rank, piv
 
 
 def rank(a: np.ndarray, field: Field) -> int:
     m = np.array(a, dtype=np.int64)
-    rk, _ = _kernels.rref(m, ctx_for(field))
+    rk, _ = _kernels.rref(m, field)
     return rk
 
 
@@ -49,14 +37,8 @@ def matmul(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
     return _kernels.matmul(
         np.ascontiguousarray(a, dtype=np.int64),
         np.ascontiguousarray(b, dtype=np.int64),
-        ctx_for(field),
+        field,
     )
-
-
-def neg(a: np.ndarray, field: Field) -> np.ndarray:
-    if field.p == 2:
-        return a
-    return (-a) % field.p
 
 
 def solve(a: np.ndarray, b: np.ndarray, field: Field):
@@ -85,8 +67,6 @@ def right_nullspace(a: np.ndarray, field: Field) -> np.ndarray:
     piv_set = set(int(c) for c in piv)
     free = [c for c in range(ncols) if c not in piv_set]
     basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for row, pc in enumerate(piv):
-            basis[i, pc] = neg(red[row, fc], field)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, piv] = sub(0, red[:rk, free].T, field)
     return basis

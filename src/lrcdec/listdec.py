@@ -32,7 +32,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    """Radii and knobs for the local-global decoders.
+    """Radii and search budget for the local-global decoders.
 
     t_l must not exceed the local list decoder's guarantee radius and
     t_g must not exceed the refined global error count for that t_l.
@@ -40,9 +40,7 @@ class DecodeConfig:
 
     t_l: int
     t_g: int
-    local_decoder: str = "gs"  # "gs" or "bmd"
     budget: int = 10**6  # max shortened decodes before giving up
-    early_exit: bool = False  # stop after the first codeword found
 
 
 @dataclass
@@ -73,13 +71,8 @@ def _local_lists(code: LrcCode, received, cfg: DecodeConfig):
     for j in range(code.mu):
         local = code.local_code(j)
         w = code.restrict(received, j)
-        if cfg.local_decoder == "bmd":
-            res = local.bmd_decode(w)
-            cands = [] if res is None else [res[0]]
-        else:
-            cands = local.gs_list_decode(w, cfg.t_l)
         entries = []
-        for cw in cands:
+        for cw in local.gs_list_decode(w, cfg.t_l):
             dist = sum(1 for a, b in zip(cw, w) if a != b)
             if dist <= cfg.t_l:
                 entries.append((dist, cw))
@@ -99,8 +92,24 @@ def _validate_cfg(code: LrcCode, cfg: DecodeConfig):
         raise ValueError(f"t_g = {cfg.t_g} exceeds the refined error count {bar}")
 
 
-def _decode_shortened(code: LrcCode, received, cleaned, chosen_sets, chi, cfg, result):
-    """Shorten at the chosen repair sets and collect lifted candidates."""
+def _shortening_size(code: LrcCode, cfg: DecodeConfig) -> int:
+    """Repair sets to shorten away; 0 means decode the whole word globally."""
+    return max(0, code.mu - cfg.t_g // (cfg.t_l + 1))
+
+
+def _decode_shortened(code: LrcCode, received, chosen_sets, picks, cfg, result):
+    """Clean the chosen repair sets to their picked local codewords,
+    shorten the supercode there, decode, and lift the candidates.
+
+    picks holds one (distance, local codeword) entry per chosen set.
+    """
+    chi = sum(d for d, _ in picks)
+    if chi > cfg.t_g:
+        return []
+    cleaned = list(received)
+    for j, (_, cw) in zip(chosen_sets, picks):
+        for pos, sym in zip(code.repair_sets[j], cw):
+            cleaned[pos] = sym
     sup = code.supercode
     subset = tuple(
         sup.locators[i] for j in chosen_sets for i in code.repair_sets[j]
@@ -135,42 +144,15 @@ def list_decode_lrc(code: LrcCode, received, cfg: DecodeConfig) -> DecodingList:
     result = DecodingList()
     lists = _local_lists(code, received, cfg)
     result.local_list_sizes = [len(l) for l in lists]
-    s_short = code.mu - cfg.t_g // (cfg.t_l + 1)
     found: set[tuple[int, ...]] = set()
-
-    if s_short <= 0:
-        # no repair set is guaranteed decodable; decode globally
-        result.combinations_explored = 1
-        for cw in _decode_shortened(code, received, tuple(received), (), 0, cfg, result):
-            found.add(cw)
-        result.codewords = sorted(found)
-        return result
-
     nonempty = [j for j in range(code.mu) if lists[j]]
     nonempty.sort(key=lambda j: (len(lists[j]), j))
-    done = False
-    for combo in itertools.combinations(nonempty, s_short):
+    # with s_short = 0 the single empty combination decodes globally
+    for combo in itertools.combinations(nonempty, _shortening_size(code, cfg)):
         for picks in itertools.product(*(lists[j] for j in combo)):
             result.combinations_explored += 1
-            chi = sum(d for d, _ in picks)
-            if chi > cfg.t_g:
-                continue
-            cleaned = list(received)
-            for j, (_, cw) in zip(combo, picks):
-                for pos, sym in zip(code.repair_sets[j], cw):
-                    cleaned[pos] = sym
-            hits = _decode_shortened(
-                code, received, tuple(cleaned), combo, chi, cfg, result
-            )
-            found.update(hits)
-            if cfg.early_exit and found:
-                done = True
-                break
-        if done:
-            break
+            found.update(_decode_shortened(code, received, combo, picks, cfg, result))
     result.codewords = sorted(found)
-    if done:
-        result.complete = False
     return result
 
 
@@ -183,26 +165,15 @@ def unique_decode_probabilistic(code: LrcCode, received, cfg: DecodeConfig):
     the codeword or None.
     """
     _validate_cfg(code, cfg)
-    result = DecodingList()
     lists = _local_lists(code, received, cfg)
-    s_short = code.mu - cfg.t_g // (cfg.t_l + 1)
-    if s_short <= 0:
-        cands = _decode_shortened(code, received, tuple(received), (), 0, cfg, result)
-        return cands[0] if len(cands) == 1 else None
+    s_short = _shortening_size(code, cfg)
     nonempty = [j for j in range(code.mu) if lists[j]]
     if len(nonempty) < s_short:
         return None
     nonempty.sort(key=lambda j: (len(lists[j]), j))
     chosen = tuple(sorted(nonempty[:s_short]))
     picks = [lists[j][0] for j in chosen]
-    chi = sum(d for d, _ in picks)
-    if chi > cfg.t_g:
-        return None
-    cleaned = list(received)
-    for j, (_, cw) in zip(chosen, picks):
-        for pos, sym in zip(code.repair_sets[j], cw):
-            cleaned[pos] = sym
-    cands = _decode_shortened(code, received, tuple(cleaned), chosen, chi, cfg, result)
+    cands = _decode_shortened(code, received, chosen, picks, cfg, DecodingList())
     uniq = sorted(set(cands))
     return uniq[0] if len(uniq) == 1 else None
 

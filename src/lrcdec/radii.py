@@ -63,10 +63,20 @@ class CodeShape:
     d: int | None = None  # defaults to the optimal LRC distance
 
     def __post_init__(self):
+        if self.k > self.n:
+            raise ValueError(f"k = {self.k} exceeds n = {self.n}")
+        if not 1 <= self.r <= self.k:
+            raise ValueError(f"r = {self.r} must lie in [1, k = {self.k}]")
+        if self.rho < 2:
+            raise ValueError(f"rho = {self.rho} must be at least 2")
+        if not (self.q is None or self.q == math.inf or self.q >= 2):
+            raise ValueError(f"q = {self.q} must be at least 2 (or None/inf)")
         if self.n % self.n_l != 0:
             raise ValueError(f"repair set size {self.n_l} must divide n = {self.n}")
         if self.d is None:
             object.__setattr__(self, "d", optimal_distance(self.n, self.k, self.r, self.rho))
+        if self.d < 1:
+            raise ValueError(f"d = {self.d} must be at least 1")
 
     @property
     def n_l(self) -> int:

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from lrcdec import Field, construct_tamo_barg, random_pmds
@@ -24,7 +23,3 @@ def tb_15_6(gf16):
 def pmds_12_4():
     """Verified random [12, 4, 2, 2] PMDS instance over GF(2^10)."""
     return random_pmds(2**10, 12, 4, 2, 2, seed=1)
-
-
-def trial_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, index])

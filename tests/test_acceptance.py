@@ -57,14 +57,6 @@ def report(criterion: str, timer: Timer, limit: float | None = None):
     print(line + ")")
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # trigger jit compilation outside the timed regions
-    code = GrsCode(GF16, list(range(1, 8)), [1] * 7, 2)
-    code.gs_list_decode(code.encode([1, 2]), 1)
-    linalg.rank(np.eye(3, dtype=np.int64), GF16)
-
-
 @pytest.fixture(scope="module")
 def tb():
     return construct_tamo_barg(GF16, 15, 6, 3, 3)

@@ -24,7 +24,13 @@ def test_tables_2_byte_stable(capsys):
 def test_tables_1_has_15_rows(capsys):
     code, out, _ = run_cli(capsys, "tables", "1")
     assert code == 0
-    assert len(out.strip().splitlines()) == 16
+    lines = out.strip().splitlines()
+    assert len(lines) == 16
+    header = lines[0].split(",")
+    assert header[-1] == "one_minus_success_prob"
+    # the exponent rows keep their magnitude: 1 - P ~ 1.90e-36 at q = 512
+    row = dict(zip(header, next(l for l in lines if l.startswith("500,99,33,68,512,")).split(",")))
+    assert 1e-36 < float(row["one_minus_success_prob"]) <= 1e-35
 
 
 def test_radii_empty_is_header_only(capsys):

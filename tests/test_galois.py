@@ -43,12 +43,12 @@ def test_division_by_zero():
 
 
 def test_serialization_roundtrip():
-    for q in (2, 5, 8, 16, 27, 1024):
+    for q in (2, 5, 8, 16, 1024):
         f = Field(q)
         assert Field.from_json(f.to_json()) == f
 
 
-@pytest.mark.parametrize("q", [2, 5, 13, 8, 16, 9, 27, 64])
+@pytest.mark.parametrize("q", [2, 5, 13, 8, 16, 64])
 def test_field_axioms_randomized(q):
     import random
 
@@ -135,10 +135,7 @@ def test_gcd_and_derivative(gf16):
     assert (x * x + x).derivative() == one
 
 
-def test_odd_extension_field_arithmetic():
-    f = Field(9)
-    for a in range(1, 9):
-        assert f.mul(a, f.inv(a)) == 1
-    # additive order is p, not q
-    three = f.add(f.add(1, 1), 1)
-    assert three == 0 or f.p != 3
+def test_odd_extension_field_rejected():
+    for q in (9, 25, 27):
+        with pytest.raises(ValueError, match="power of 2 or a prime"):
+            Field(q)

@@ -76,6 +76,21 @@ def test_budget_exceeded_carries_partial(tb_15_6):
     assert exc.value.partial.shortened_decodes >= 1
 
 
+def test_global_only_path(tb_15_6):
+    # t_g // (t_l + 1) = 4 >= mu = 3, so no repair set is shortened away and
+    # the whole received word goes to the global decoder
+    cfg = DecodeConfig(t_l=0, t_g=4)
+    for i in range(40):
+        rng = np.random.default_rng([31, i])
+        cw = tb_15_6.encode(rng.integers(0, 16, size=6).tolist())
+        w = corrupt(rng, tb_15_6.field, cw, i % 5)
+        out = list_decode_lrc(tb_15_6, w, cfg)
+        assert out.codewords == [cw]
+        assert out.combinations_explored == out.shortened_decodes == 1
+        assert out.complete
+        assert unique_decode_probabilistic(tb_15_6, w, cfg) == cw
+
+
 def test_stats_populated(tb_15_6):
     cw = tb_15_6.encode([0, 1, 2, 3, 4, 5])
     out = list_decode_lrc(tb_15_6, cw, CFG)

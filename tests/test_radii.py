@@ -34,6 +34,23 @@ SHAPE_15 = CodeShape(15, 6, 3, 3)
 SHAPE_500 = CodeShape(500, 99, 33, 68)
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        (dict(n=15, k=16, r=3, rho=3), "k = 16"),
+        (dict(n=15, k=6, r=0, rho=3), "r = 0"),
+        (dict(n=15, k=2, r=3, rho=3), "r = 3"),
+        (dict(n=6, k=6, r=1, rho=0), "rho = 0"),
+        (dict(n=15, k=6, r=3, rho=3, d=0), "d = 0"),
+        (dict(n=6, k=6, r=1, rho=2), "d = -4"),
+        (dict(n=15, k=6, r=3, rho=3, q=1), "q = 1"),
+    ],
+)
+def test_code_shape_rejects_out_of_range(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        CodeShape(**kwargs)
+
+
 def test_johnson_example_63():
     res = johnson(63, 35, None)
     assert abs(res.tau - 21.0) < 1e-9
