@@ -135,7 +135,8 @@ def test_gcd_and_derivative(gf16):
     assert (x * x + x).derivative() == one
 
 
-def test_odd_extension_field_rejected():
+def test_odd_extension_field_arithmetic():
+    """Odd-characteristic extension fields have no arithmetic: Field(q) refuses them."""
     for q in (9, 25, 27):
         with pytest.raises(ValueError, match="power of 2 or a prime"):
             Field(q)

@@ -44,3 +44,9 @@ def test_solve_inconsistent():
     a = np.array([[1, 0], [2, 0], [0, 0]], dtype=np.int64)
     b = np.array([[0], [0], [1]], dtype=np.int64)
     assert linalg.solve(a, b, field) is None
+
+
+def test_odd_extension_field_has_no_kernel_ctx():
+    """The kernels take a Field, and no Field exists for GF(9)."""
+    with pytest.raises(ValueError, match="power of 2 or a prime"):
+        _kernels.rref(np.eye(2, dtype=np.int64), Field(9))
