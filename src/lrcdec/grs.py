@@ -238,7 +238,8 @@ class GrsCode:
     def _gs_parameters(self, t: int) -> tuple[int, int]:
         """Smallest multiplicity s (and y-degree) that guarantees radius t."""
         n, k = self.n, self.k
-        for s in range(1, 256):
+        max_s = 255
+        for s in range(1, max_s + 1):
             wdeg = s * (n - t) - 1
             if wdeg < 0:
                 continue
@@ -247,7 +248,9 @@ class GrsCode:
             constraints = n * s * (s + 1) // 2
             if unknowns > constraints:
                 return s, ly
-        raise RuntimeError(f"no feasible multiplicity for radius {t}")
+        raise RuntimeError(
+            f"GRS [n = {n}, k = {k}]: no multiplicity s <= {max_s} reaches radius t = {t}"
+        )
 
     def _gs_interpolate(self, ys, t, s, ly):
         """Nonzero bivariate Q with multiplicity s at all (locator, y) points."""

@@ -55,8 +55,12 @@ class DecodingList:
 class BudgetExceeded(RuntimeError):
     """Search budget exhausted; .partial holds the incomplete list."""
 
-    def __init__(self, partial: DecodingList):
-        super().__init__("shortened-decode budget exceeded")
+    def __init__(self, partial: DecodingList, budget: int):
+        super().__init__(
+            f"shortened-decode budget {budget} exceeded: "
+            f"{partial.shortened_decodes} shortened decodes, "
+            f"{partial.combinations_explored} combinations explored"
+        )
         partial.complete = False
         self.partial = partial
 
@@ -116,7 +120,7 @@ def _decode_shortened(code: LrcCode, received, chosen_sets, picks, cfg, result):
     )
     result.shortened_decodes += 1
     if result.shortened_decodes > cfg.budget:
-        raise BudgetExceeded(result)
+        raise BudgetExceeded(result, cfg.budget)
     short_w, sctx = sup.shorten_received(cleaned, subset)
     radius = min(cfg.t_g - chi, sctx.code.gs_max_radius())
     if radius < 0:

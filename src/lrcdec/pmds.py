@@ -3,8 +3,8 @@
 Covers exhaustive verification of the PMDS property, randomized
 construction over large fields, counting of index sets compatible with
 the locality structure, and the exact probability that a random error
-support defeats the interleaved support-locating decoder, computed by a
-memoized dynamic program with big-integer arithmetic.
+support defeats the interleaved support-locating decoder, counted in
+big-integer arithmetic from per-repair-set generating functions.
 """
 
 from __future__ import annotations
@@ -107,6 +107,16 @@ def verify_pmds(
     return True
 
 
+def _num_repair_sets(n: int, r: int, rho: int) -> int:
+    """mu = n / n_l for repair sets of size n_l = r + rho - 1."""
+    n_l = r + rho - 1
+    if n_l < 1:
+        raise ValueError(f"repair-set size n_l = r + rho - 1 = {n_l} must be at least 1")
+    if n % n_l:
+        raise ValueError(f"repair-set size n_l = r + rho - 1 = {n_l} must divide n = {n}")
+    return n // n_l
+
+
 def random_pmds(
     q: int, n: int, k: int, r: int, rho: int, seed: int, max_tries: int = 50
 ) -> PmdsCode:
@@ -117,10 +127,8 @@ def random_pmds(
     when max_tries is exhausted (try a larger field).
     """
     field = Field(q)
+    mu = _num_repair_sets(n, r, rho)
     n_l = r + rho - 1
-    if n % n_l != 0:
-        raise ValueError(f"repair set size {n_l} must divide n = {n}")
-    mu = n // n_l
     if k > mu * r:
         raise ValueError("dimension cannot exceed mu * r")
     if n_l > q:
@@ -153,23 +161,34 @@ def random_pmds(
 # counting
 # ---------------------------------------------------------------------------
 
+def _power(poly: Sequence[int], m: int, deg: int) -> list[int]:
+    """Coefficients 0..deg of poly(x)^m, by J. C. P. Miller's recurrence.
+
+    With a the coefficients of poly from its lowest nonzero one on, P = a^m
+    satisfies a P' = m a' P, so i a_0 p_i = sum_{j>=1} a_j p_{i-j} ((m+1) j - i)
+    gives each coefficient from the ones below it, exactly, in
+    O(deg * len(poly)) integer steps and without forming lower powers.
+    """
+    out = [0] * (deg + 1)
+    v = next((i for i, c in enumerate(poly) if c), len(poly))
+    a = list(poly[v:]) or [0]  # the zero polynomial: 0^0 = 1, 0^m = 0
+    if v * m > deg:
+        return out
+    p = [a[0] ** m]
+    for i in range(1, min(deg - v * m, (len(a) - 1) * m) + 1):
+        acc = sum(a[j] * p[i - j] * ((m + 1) * j - i) for j in range(1, min(i, len(a) - 1) + 1))
+        p.append(acc // (i * a[0]))
+    out[v * m : v * m + len(p)] = p
+    return out
+
+
 def s_mu_size(n: int, k: int, r: int, rho: int, size: int) -> int:
     """Number of cardinality-`size` subsets meeting every repair set in <= r
-    positions, via a per-repair-set convolution."""
-    n_l = r + rho - 1
-    if n % n_l != 0:
-        raise ValueError("repair set size must divide n")
-    mu = n // n_l
-    per_set = [math.comb(n_l, j) for j in range(min(r, n_l) + 1)]
-    acc = [1]
-    for _ in range(mu):
-        new = [0] * (len(acc) + len(per_set) - 1)
-        for i, a in enumerate(acc):
-            if a:
-                for j, b in enumerate(per_set):
-                    new[i + j] += a * b
-        acc = new
-    return acc[size] if size < len(acc) else 0
+    positions: [x^size] A(x)^mu with A(x) = sum_{w<=r} C(n_l, w) x^w."""
+    mu = _num_repair_sets(n, r, rho)
+    if size < 0:
+        return 0
+    return _power([math.comb(r + rho - 1, w) for w in range(r + 1)], mu, size)[size]
 
 
 def complement_count_closed_form(n: int, k: int, r: int) -> int:
@@ -209,8 +228,8 @@ def sk1_bound(n: int, k: int, r: int, rho: int) -> float:
 def union_bound_failure(n: int, k: int, r: int, rho: int) -> Fraction:
     """Union bound on the failure fraction at weight n-k-1: the relative
     number of (k+1)-sets overloading at least one repair set."""
+    mu = _num_repair_sets(n, r, rho)
     n_l = r + rho - 1
-    mu = n // n_l
     bad = 0
     for j in range(r + 1, n_l + 1):
         bad += math.comb(n_l, j) * math.comb(n - n_l, k + 1 - j)
@@ -240,41 +259,46 @@ def asymptotic_predicates(
 def failure_prob_exact(n: int, k: int, r: int, rho: int, t: int) -> Fraction:
     """Probability that a uniform weight-t support defeats the decoder.
 
-    Counts, over all distributions of the n-t error-free positions to
-    the repair sets, those whose overall excess is too large, weighting
-    each distribution by its number of supports.  Memoized top-down
-    recursion over (sets left, positions left, accumulated excess,
-    whether some set kept 1..r positions); exact big-integer arithmetic.
+    The tau = n - t error-free positions fall w_i into repair set i, with
+    weight prod_i C(n_l, w_i).  A support fails when the total excess
+    sum_i max(0, w_i - r) exceeds theta - beta, where theta = n - k - t
+    and beta = 1 when some set keeps 1..r positions.
+
+    Two per-set generating functions give a closed count.  A set with
+    excess e = w - r >= 1 adds C(n_l, w) z^e to G(z); one without adds
+    C(n_l, w) y^(r-w) to B(y), marking its deficit r - w.  With j excess
+    sets of total excess s, the other mu - j sets have total deficit
+    c + s, c = r mu - tau.  A support succeeds when s < theta, or when
+    s = theta and beta = 0, i.e. the other sets are empty (r j = k):
+
+      good = sum_j C(mu, j) (sum_{s < theta} [z^s] G^j [y^(c+s)] B^(mu-j)
+                             + [r j = k] [z^theta] G^j),
+
+    and the result is 1 - good / C(n, t).  This is the complement of
+    the failure count sum_j C(mu, j) sum_{s >= theta} [z^s] G^j
+    [x^(tau-rj-s)] A^(mu-j) minus the beta = 0 supports, A = x^r B(1/x),
+    but needs only coefficients up to z^theta and y^(r mu - k - 1).
     """
     if not 0 <= t <= n:
-        raise ValueError("error weight must be in [0, n]")
+        raise ValueError(f"error weight t = {t} must be in [0, n = {n}]")
+    if r < 0:
+        raise ValueError(f"locality r = {r} must be at least 0")
+    mu = _num_repair_sets(n, r, rho)
     n_l = r + rho - 1
-    if n % n_l != 0:
-        raise ValueError("repair set size must divide n")
-    mu = n // n_l
-    binom = [math.comb(n_l, j) for j in range(n_l + 1)]
-    memo: dict[tuple[int, int, int, int], int] = {}
-
-    def w(eta: int, tau: int, sig: int, beta: int) -> int:
-        key = (eta, tau, sig, beta)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if eta == 1:
-            beta_next = 1 if (beta == 1 or 0 < tau <= r) else 0
-            if tau <= n_l and sig + max(0, tau - r) > n - k - t - beta_next:
-                res = binom[tau]
-            else:
-                res = 0
-        else:
-            res = 0
-            for w1 in range(min(tau, n_l) + 1):
-                beta_next = 1 if (beta == 1 or 0 < w1 <= r) else 0
-                res += binom[w1] * w(eta - 1, tau - w1, sig + max(0, w1 - r), beta_next)
-        memo[key] = res
-        return res
-
-    return Fraction(w(mu, n - t, 0, 0), math.comb(n, t))
+    theta = n - k - t
+    c = r * mu - (n - t)
+    deficit = [math.comb(n_l, r - d) for d in range(r + 1)]
+    excess = [0] + [math.comb(n_l, w) for w in range(r + 1, n_l + 1)]
+    good = 0
+    for j in range(min(mu, theta) + 1):  # G^j starts at z^j
+        g = _power(excess, j, theta)
+        b = _power(deficit, mu - j, r * mu - k - 1)
+        part = sum(g[s] * b[c + s] for s in range(max(0, -c), theta))
+        if r * j == k:
+            part += g[theta]
+        good += math.comb(mu, j) * part
+    total = math.comb(n, t)
+    return Fraction(total - good, total)
 
 
 def mk_success_prob(n: int, k: int, r: int, rho: int, t: int, q: int, ell: int) -> Fraction:

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from lrcdec.cli import main
+from lrcdec.pmds import failure_prob_exact
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +33,18 @@ def test_tables_1_has_15_rows(capsys):
     # the exponent rows keep their magnitude: 1 - P ~ 1.90e-36 at q = 512
     row = dict(zip(header, next(l for l in lines if l.startswith("500,99,33,68,512,")).split(",")))
     assert 1e-36 < float(row["one_minus_success_prob"]) <= 1e-35
+
+
+def test_tables_pmds_rows(capsys):
+    code, out, _ = run_cli(capsys, "tables", "pmds", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    # t runs over [d - 1, n - k - 1] for each of the three sets
+    assert [sum(1 for row in rows if row["set"] == s) for s in "123"] == [7, 4, 10]
+    for row in rows:
+        exact = failure_prob_exact(*(row[c] for c in ("n", "k", "r", "rho", "t")))
+        assert Fraction(row["failure_prob_exact"]) == exact
+        assert row["failure_prob"] == float(exact)
 
 
 def test_radii_empty_is_header_only(capsys):

@@ -300,3 +300,15 @@ def test_mds_every_k_positions_determine(code_7_3):
     cw = code_7_3.encode([rnd.randrange(8) for _ in range(3)])
     for erased in itertools.combinations(range(7), 4):
         assert code_7_3.erasure_decode(cw, set(erased)) == cw
+
+
+def test_gs_parameters_error_names_shape():
+    # GRS [120, 30] over GF(128): gs_max_radius() = 61, but no multiplicity
+    # below 256 makes the interpolation system solvable there
+    code = GrsCode(Field(128), list(range(1, 121)), [1] * 120, 30)
+    assert code.gs_max_radius() == 61
+    with pytest.raises(
+        RuntimeError,
+        match=r"GRS \[n = 120, k = 30\]: no multiplicity s <= 255 reaches radius t = 61",
+    ):
+        code.gs_list_decode((0,) * 120, 61)

@@ -70,7 +70,10 @@ def test_budget_exceeded_carries_partial(tb_15_6):
     rng = np.random.default_rng(3)
     cw = tb_15_6.encode(rng.integers(0, 16, size=6).tolist())
     w = corrupt(rng, tb_15_6.field, cw, 5)
-    with pytest.raises(BudgetExceeded) as exc:
+    with pytest.raises(
+        BudgetExceeded,
+        match=r"budget 0 exceeded: 1 shortened decodes, 1 combinations explored",
+    ) as exc:
         list_decode_lrc(tb_15_6, w, DecodeConfig(t_l=1, t_g=5, budget=0))
     assert exc.value.partial.complete is False
     assert exc.value.partial.shortened_decodes >= 1

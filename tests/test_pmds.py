@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -206,6 +208,79 @@ def test_memoization_order_independent():
     forward = [failure_prob_exact(*args, t) for t in range(20, 30)]
     backward = [failure_prob_exact(*args, t) for t in reversed(range(20, 30))]
     assert forward == list(reversed(backward))
+
+
+@pytest.mark.parametrize(
+    "func, args, message",
+    [
+        (failure_prob_exact, (30, 10, 3, 2, 31), r"error weight t = 31 must be in \[0, n = 30\]"),
+        (failure_prob_exact, (30, 10, 3, 2, -1), r"error weight t = -1 must be in \[0, n = 30\]"),
+        (failure_prob_exact, (30, 10, 3, 2, 5), r"n_l = r \+ rho - 1 = 4 must divide n = 30"),
+        (failure_prob_exact, (30, 10, 1, 0, 5), r"n_l = r \+ rho - 1 = 0 must be at least 1"),
+        (failure_prob_exact, (30, 10, -1, 3, 5), r"locality r = -1 must be at least 0"),
+        (s_mu_size, (30, 10, 3, 2, 5), r"n_l = r \+ rho - 1 = 4 must divide n = 30"),
+        (union_bound_failure, (10, 4, 2, 2), r"n_l = r \+ rho - 1 = 3 must divide n = 10"),
+    ],
+)
+def test_pmds_counts_reject_bad_shapes(func, args, message):
+    with pytest.raises(ValueError, match=message):
+        func(*args)
+
+
+def test_s_mu_size_out_of_range_sizes():
+    assert s_mu_size(15, 8, 4, 2, -1) == 0
+    assert s_mu_size(15, 8, 4, 2, 16) == 0
+
+
+def test_failure_prob_many_repair_sets():
+    # mu = 1000 repair sets of size 2; every weight-1000 support fails
+    assert failure_prob_exact(2000, 1000, 1, 2, 1000) == 1
+
+
+def _kept_count_classes(r, rho, mu):
+    """Weight of every kept-count vector (w_1..w_mu) in [0, n_l]^mu, binned
+    by (kept positions, total excess, beta)."""
+    n_l = r + rho - 1
+    classes = Counter()
+    for ws in itertools.product(range(n_l + 1), repeat=mu):
+        beta = int(any(0 < w <= r for w in ws))
+        excess = sum(max(0, w - r) for w in ws)
+        classes[sum(ws), excess, beta] += math.prod(math.comb(n_l, w) for w in ws)
+    return classes
+
+
+def test_failure_prob_matches_kept_count_enumeration():
+    rng = random.Random(4)
+    seen = set()
+    for _ in range(40):
+        r, rho = rng.randint(1, 6), rng.randint(1, 5)
+        n_l = r + rho - 1
+        mu = rng.randint(1, 5)
+        while (n_l + 1) ** mu > 5000:
+            mu -= 1
+        n = mu * n_l
+        classes = _kept_count_classes(r, rho, mu)
+        for k in (rng.randint(0, n), rng.randint(0, min(r, n))):
+            cases = {"rho=1": rho == 1, "k<r": k < r, "k>mu*r": k > mu * r}
+            seen |= {case for case, hit in cases.items() if hit}
+            for t in range(n + 1):
+                bad = sum(
+                    weight
+                    for (kept, excess, beta), weight in classes.items()
+                    if kept == n - t and excess > n - k - t - beta
+                )
+                assert failure_prob_exact(n, k, r, rho, t) == Fraction(
+                    bad, math.comb(n, t)
+                ), (n, k, r, rho, t)
+    assert seen == {"rho=1", "k<r", "k>mu*r"}
+
+
+def test_failure_prob_w3_digest():
+    # sha256 of str(Fraction) as computed by the earlier recursive DP
+    val = failure_prob_exact(1023, 900, 30, 4, 100)
+    assert hashlib.sha256(str(val).encode()).hexdigest() == (
+        "ac2d0c99c483bcb89534a6e3a1af32891158edc0a5a11f3a9b86961eae0dd603"
+    )
 
 
 def test_mk_success_prob_endpoint():
