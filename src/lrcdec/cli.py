@@ -93,6 +93,15 @@ def _fmt(x) -> str:
     return f"{float(x):.6g}"
 
 
+def _write(args, text: str):
+    """Write text to --output, or to stdout when it is not given."""
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit_rows(args, header, rows):
     out = io.StringIO()
     if args.format == "csv":
@@ -104,12 +113,7 @@ def _emit_rows(args, header, rows):
         payload = [dict(zip(header, row)) for row in rows]
         json.dump(payload, out, indent=2, default=_fmt)
         out.write("\n")
-    text = out.getvalue()
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, out.getvalue())
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -185,11 +189,9 @@ def cmd_pmds_prob(args) -> int:
     rows = []
     bound = float(union_bound_failure(args.n, args.k, args.r, args.rho)) if args.bound else None
     for t in range(lo, hi + 1):
-        exact = failure_prob_exact(args.n, args.k, args.r, args.rho, t) if args.exact else None
+        exact = failure_prob_exact(args.n, args.k, args.r, args.rho, t)
         rows.append([
-            args.n, args.k, args.r, args.rho, t,
-            None if exact is None else float(exact),
-            "" if exact is None else str(exact),
+            args.n, args.k, args.r, args.rho, t, float(exact), str(exact),
             bound if t == args.n - args.k - 1 else None,
         ])
     _emit_rows(args, header, rows)
@@ -252,12 +254,7 @@ def cmd_gen_code(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, json.dumps(obj, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -379,12 +376,7 @@ def cmd_simulate(args) -> int:
         per_weight = _simulate_lrc(code, args.kind, weights, args.trials, args.seed, cfg)
     out = {"kind": args.kind, "seed": args.seed, "trials": args.trials,
            "per_weight": per_weight}
-    text = json.dumps(out, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, json.dumps(out, indent=2) + "\n")
     return 0
 
 
@@ -412,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--rho", type=int, required=True)
     sp.add_argument("--t-range", required=True, help="lo:hi inclusive")
-    sp.add_argument("--exact", action="store_true", default=True)
-    sp.add_argument("--no-exact", dest="exact", action="store_false")
     sp.add_argument("--bound", action="store_true",
                     help="include the union bound at t = n-k-1")
     _add_output(sp)

@@ -4,7 +4,10 @@ univariate polynomials.
 Field elements are plain Python ints in ``[0, q)``.  For q = 2^m the
 integer is the bit vector of the element's coefficients (lowest degree
 bit first).  Multiplication uses log/antilog tables for characteristic 2
-and plain modular arithmetic for prime fields.
+and plain modular arithmetic for prime fields.  The default modulus of
+GF(2^m) is found by a search over GF(2)[x], whose polynomials are bit
+masks too: a Rabin irreducibility test built on one multiply-mod and one
+gcd.
 
 Fields are immutable after construction and safe to share across
 threads; all operations are pure.
@@ -47,114 +50,62 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# GF(p)[x] helpers on digit tuples (lowest degree first), used only for
-# the modulus search.
+# GF(2)[x] on bit masks (bit i is the coefficient of x^i), used by the
+# modulus search and by the table-free product of GF(2^m).
 # ---------------------------------------------------------------------------
 
-def _int_to_digits(v: int, p: int) -> tuple[int, ...]:
-    digits = []
-    while v:
-        digits.append(v % p)
-        v //= p
-    return tuple(digits)
-
-
-def _poly_trim(a: Sequence[int]) -> tuple[int, ...]:
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return tuple(a[:i])
-
-
-def _poly_mulmod(a, b, mod, p):
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    return _poly_modp(res, mod, p)
-
-
-def _poly_modp(a, mod, p):
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            f = (c * inv_lead) % p
-            for j, mj in enumerate(mod):
-                a[i - dm + j] = (a[i - dm + j] - f * mj) % p
-    return _poly_trim(a)
-
-
-def _poly_powmod(a, e, mod, p):
-    result = (1,)
-    base = _poly_modp(a, mod, p)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a, b, p):
-    a, b = _poly_trim(a), _poly_trim(b)
+def _gf2_mulmod(a: int, b: int, mod: int) -> int:
+    """a * b mod mod, for a of lower degree than mod."""
+    top = 1 << (mod.bit_length() - 1)
+    r = 0
     while b:
-        # a mod b
-        a = list(a)
-        db = len(b) - 1
-        inv_lead = pow(b[-1], p - 2, p)
-        for i in range(len(a) - 1, db - 1, -1):
-            c = a[i]
-            if c:
-                f = (c * inv_lead) % p
-                for j, bj in enumerate(b):
-                    a[i - db + j] = (a[i - db + j] - f * bj) % p
-        a, b = b, _poly_trim(a)
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= mod
+    return r
+
+
+def _gf2_gcd(a: int, b: int) -> int:
+    while b:
+        db = b.bit_length()
+        while a.bit_length() >= db:
+            a ^= b << (a.bit_length() - db)
+        a, b = b, a
     return a
 
 
-def _is_irreducible(digits: tuple[int, ...], p: int) -> bool:
-    """Rabin test: x^(p^m) == x mod f, and gcd(x^(p^(m/s)) - x, f) = 1."""
-    m = len(digits) - 1
-    if m < 1:
+def _is_irreducible(f: int) -> bool:
+    """Rabin test: x^(2^m) == x mod f, and gcd(x^(2^(m/s)) - x, f) = 1."""
+    m = f.bit_length() - 1
+    if m < 2:
+        return m == 1
+    frob = [0b10]  # x^(2^e) mod f for e = 0..m
+    for _ in range(m):
+        frob.append(_gf2_mulmod(frob[-1], frob[-1], f))
+    if frob[m] != 0b10:
         return False
-    x = (0, 1)
-    xq = _poly_powmod(x, p ** m, digits, p)
-    # x^(p^m) - x must be 0 mod f
-    diff = list(xq) + [0] * max(0, 2 - len(xq))
-    diff[1] = (diff[1] - 1) % p
-    if _poly_trim(diff):
-        return False
-    for s in _prime_factors(m):
-        xe = _poly_powmod(x, p ** (m // s), digits, p)
-        diff = list(xe) + [0] * max(0, 2 - len(xe))
-        diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(diff, digits, p)
-        if len(g) - 1 != 0:
-            return False
-    return True
+    return all(_gf2_gcd(frob[m // s] ^ 0b10, f) == 1 for s in _prime_factors(m))
 
 
 @lru_cache(maxsize=None)
 def default_modulus(p: int, m: int) -> int:
-    """Smallest monic irreducible of degree m over GF(p), digit-encoded.
+    """Smallest monic irreducible of degree m over GF(2), bit-encoded.
 
-    "Smallest" orders polynomials by their base-p integer encoding, which
-    makes the default reproducible across implementations.
+    "Smallest" orders polynomials by their integer encoding, which makes
+    the default reproducible across implementations.  Prime fields
+    (m = 1) get p, which their arithmetic never reads.
     """
     if m == 1:
-        return p  # the polynomial x .. any monic degree-1 works; x itself
-    start = p ** m
-    for v in range(start, 2 * start):
-        digits = _int_to_digits(v, p)
-        if digits[-1] != 1:
-            continue
-        if _is_irreducible(digits, p):
+        return p
+    if p != 2:
+        raise ValueError(f"no extension fields of characteristic {p}; need p = 2")
+    for v in range(1 << m, 2 << m):
+        if _is_irreducible(v):
             return v
-    raise RuntimeError(f"no irreducible of degree {m} over GF({p})")
+    raise RuntimeError(f"no irreducible of degree {m} over GF(2)")
 
 
 class Field:
@@ -187,11 +138,10 @@ class Field:
         if modulus is None:
             modulus = default_modulus(p, m)
         if m > 1:
-            digits = _int_to_digits(modulus, p)
-            if len(digits) - 1 != m or digits[-1] != 1:
+            if modulus.bit_length() - 1 != m:
                 raise ValueError("modulus must be monic of degree m")
-            if not _is_irreducible(digits, p):
-                raise ValueError(f"modulus {modulus} is reducible over GF({p})")
+            if not _is_irreducible(modulus):
+                raise ValueError(f"modulus {modulus} is reducible over GF(2)")
         self.modulus = modulus
         # every attribute is set here, in one order, so that instances share
         # one dict layout; adding one later slows scalar mul/add
@@ -229,19 +179,9 @@ class Field:
     # -- raw arithmetic (no tables) ----------------------------------------
 
     def _mul_raw(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a * b) % self.p
-        mod = self.modulus
-        top = 1 << self.m
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= mod
-        return r
+        if self.p == 2:
+            return _gf2_mulmod(a, b, self.modulus)
+        return (a * b) % self.p
 
     def _pow_raw(self, a: int, e: int) -> int:
         r = 1
@@ -253,11 +193,6 @@ class Field:
         return r
 
     # -- public scalar operations -------------------------------------------
-
-    @property
-    def theta(self) -> float:
-        """1 - 1/q, the alphabet factor in list-decoding radii."""
-        return 1.0 - 1.0 / self.q
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -300,9 +235,6 @@ class Field:
 
     def elements(self) -> range:
         return range(self.q)
-
-    def nonzero_elements(self) -> range:
-        return range(1, self.q)
 
     def embed_int(self, n: int) -> int:
         """Image of the integer n under Z -> GF(p) < GF(p^m)."""
@@ -434,12 +366,6 @@ class Poly:
     def scale(self, c: int) -> "Poly":
         F = self.field
         return Poly(F, [F.mul(c, a) for a in self.coeffs])
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        return Poly(self.field, (0,) * k + self.coeffs)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Quotient and remainder; deg(remainder) < deg(divisor)."""

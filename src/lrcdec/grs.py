@@ -87,18 +87,10 @@ class GrsCode:
         F = self.field
         return [F.div(w, v) for w, v in zip(word, self.multipliers)]
 
-    def interpolate_word(self, word) -> Poly:
-        """Polynomial of degree < n agreeing with word / nu at all locators."""
-        return lagrange_interpolate(
-            self.field, list(zip(self.locators, self._normalize(word)))
-        )
-
     def is_codeword(self, word) -> bool:
-        if len(word) != self.n:
-            return False
-        if self.k == 0:
-            return all(w == 0 for w in word)
-        return self.interpolate_word(word).degree < self.k
+        return len(word) == self.n and linalg.in_nullspace(
+            self.parity_check_matrix(), word, self.field
+        )
 
     def generator_matrix(self) -> np.ndarray:
         F = self.field

@@ -70,3 +70,8 @@ def right_nullspace(a: np.ndarray, field: Field) -> np.ndarray:
     basis[np.arange(len(free)), free] = 1
     basis[:, piv] = sub(0, red[:rk, free].T, field)
     return basis
+
+
+def in_nullspace(a: np.ndarray, v, field: Field) -> bool:
+    """True when a @ v = 0: v has zero syndrome under the parity check a."""
+    return not matmul(a, as_matrix([v]).T, field).any()

@@ -6,6 +6,13 @@ support of its evaluation polynomials.  The constructor builds the
 multiplicative-coset family: evaluation points are the order-n subgroup
 of GF(q)*, repair sets are cosets of its order-(r + rho - 1) subgroup,
 and messages are encoded as f(x) = sum_i f_i(x^(r+rho-1)) x^i.
+
+Every LrcCode builds its k x n generator once, one row per support
+monomial x^deg evaluated by the supercode.  Membership is a zero syndrome
+under the parity-check matrix ``parity`` (a basis of the generator's
+right null space), and the locality is checked by two rank tests per
+repair set: the restricted generator has rank r and spans the local
+[r + rho - 1, r] GRS code.
 """
 
 from __future__ import annotations
@@ -13,6 +20,9 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
+from . import linalg
 from .galois import Field, Poly
 from .grs import GrsCode
 
@@ -36,7 +46,6 @@ class LrcCode:
         repair_sets: Sequence[Sequence[int]],
         degrees: Sequence[int],
         d: int | None = None,
-        validate: bool = True,
     ):
         self.supercode = supercode
         self.field = supercode.field
@@ -59,8 +68,12 @@ class LrcCode:
             raise ValueError("degree support size must equal k")
         if max(self.degrees) >= supercode.k:
             raise ValueError("degree support exceeds the supercode dimension")
-        if validate:
-            self._check_local_structure()
+        gen = np.array(
+            [supercode.encode(Poly(self.field, (0,) * deg + (1,))) for deg in self.degrees],
+            dtype=np.int64,
+        )
+        self._check_local_structure(gen)
+        self.parity = linalg.right_nullspace(gen, self.field)
 
     @property
     def n(self) -> int:
@@ -80,19 +93,19 @@ class LrcCode:
             f" GF({self.field.q}), d={self.d})"
         )
 
-    def _check_local_structure(self):
-        """Each restriction must be the [n_l, r, rho] GRS code on its locators."""
+    def _check_local_structure(self, gen: np.ndarray):
+        """Each restriction must be the [n_l, r, rho] GRS code on its locators.
+
+        The restricted generator must have rank r, and stacking the local
+        code's generator under it must leave the rank at r.
+        """
+        F = self.field
         for j in range(self.mu):
-            local = self.local_code(j)
-            seen = set()
-            for deg in self.degrees:
-                f = Poly(self.field, (0,) * deg + (1,))
-                word = self.supercode.encode(f)
-                loc = self.restrict(word, j)
-                if not local.is_codeword(loc):
-                    raise ValueError(f"restriction to repair set {j} leaves the local code")
-                seen.add(loc)
-            rank = _word_rank(self.field, seen)
+            block = gen[:, list(self.repair_sets[j])]
+            local = self.local_code(j).generator_matrix()
+            if linalg.rank(np.concatenate([block, local]), F) != self.r:
+                raise ValueError(f"restriction to repair set {j} leaves the local code")
+            rank = linalg.rank(block, F)
             if rank != self.r:
                 raise ValueError(
                     f"local code {j} has dimension {rank}, expected {self.r}"
@@ -112,11 +125,7 @@ class LrcCode:
         return self.supercode.encode(self.message_poly(message))
 
     def is_codeword(self, word) -> bool:
-        if len(word) != self.n:
-            return False
-        f = self.supercode.interpolate_word(word)
-        allowed = set(self.degrees)
-        return all(c == 0 or i in allowed for i, c in enumerate(f.coeffs))
+        return len(word) == self.n and linalg.in_nullspace(self.parity, word, self.field)
 
     # -- locality ----------------------------------------------------------------
 
@@ -161,15 +170,6 @@ class LrcCode:
             obj["degrees"],
             d=obj.get("d"),
         )
-
-
-def _word_rank(field: Field, words) -> int:
-    from . import linalg
-
-    rows = [list(w) for w in words]
-    if not rows:
-        return 0
-    return linalg.rank(linalg.as_matrix(rows), field)
 
 
 def construct_tamo_barg(field: Field, n: int, k: int, r: int, rho: int) -> LrcCode:

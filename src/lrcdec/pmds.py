@@ -117,14 +117,15 @@ def _num_repair_sets(n: int, r: int, rho: int) -> int:
     return n // n_l
 
 
-def random_pmds(
-    q: int, n: int, k: int, r: int, rho: int, seed: int, max_tries: int = 50
-) -> PmdsCode:
+_MAX_TRIES = 50  # random mixing matrices drawn by random_pmds
+
+
+def random_pmds(q: int, n: int, k: int, r: int, rho: int, seed: int) -> PmdsCode:
     """Random PMDS code: fixed GRS local codes, random global combination.
 
     Draws the k x (mu*r) mixing matrix uniformly until the exhaustive
     verification passes.  Deterministic in the seed.  Raises ValueError
-    when max_tries is exhausted (try a larger field).
+    after _MAX_TRIES draws (try a larger field).
     """
     field = Field(q)
     mu = _num_repair_sets(n, r, rho)
@@ -142,7 +143,7 @@ def random_pmds(
         tuple(range(i * n_l, (i + 1) * n_l)) for i in range(mu)
     )
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         mix = rng.integers(0, q, size=(k, mu * r), dtype=np.int64)
         gen = linalg.matmul(mix, block, field)
         if linalg.rank(gen, field) != k:
@@ -153,7 +154,7 @@ def random_pmds(
                 field, gen, parity, repair_sets, n, k, r, rho, verified=True
             )
     raise ValueError(
-        f"no PMDS instance found in {max_tries} tries; use a larger field than {q}"
+        f"no PMDS instance found in {_MAX_TRIES} tries; use a larger field than {q}"
     )
 
 

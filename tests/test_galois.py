@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrcdec.galois import Field, Poly, default_modulus, lagrange_interpolate
+from lrcdec.galois import Field, Poly, _is_irreducible, default_modulus, lagrange_interpolate
 
 
 def test_gf16_inverse_definition(gf16):
@@ -29,9 +29,41 @@ def test_default_moduli_are_smallest_irreducible():
     assert default_modulus(2, 8) == 0b100011011
 
 
+RECORDED_MODULI = [2, 7, 11, 19, 37, 67, 131, 283, 515, 1033, 2053, 4105, 8219,
+                   16417, 32771, 65579, 131081, 262153, 524327, 1048585]
+
+
+def test_default_moduli_recorded():
+    assert [default_modulus(2, m) for m in range(1, 21)] == RECORDED_MODULI
+
+
+def _gf2_rem(a, b):
+    while a.bit_length() >= b.bit_length():
+        a ^= b << (a.bit_length() - b.bit_length())
+    return a
+
+
+def test_irreducibility_matches_trial_division():
+    # every polynomial of degree 2..10; f is reducible iff some g of degree
+    # 1..deg(f)/2 divides it
+    checked = 0
+    for f in range(1 << 2, 1 << 11):
+        half = (f.bit_length() - 1) // 2
+        oracle = all(_gf2_rem(f, g) for g in range(2, 1 << (half + 1)))
+        assert _is_irreducible(f) == oracle, f
+        checked += 1
+    assert checked == 2044
+
+
 def test_reducible_modulus_rejected():
-    with pytest.raises(ValueError):
-        Field(16, modulus=0b10001)  # x^4 + 1 = (x+1)^4
+    for q, modulus in [
+        (16, 0b10001),  # x^4 + 1 = (x+1)^4
+        (8, 9),  # x^3 + 1 = (x+1)(x^2+x+1)
+        (64, 69),  # x^6 + x^2 + 1 = (x^3+x+1)^2
+        (64, 121),  # x^6 + x^5 + x^4 + x^3 + 1 = (x^2+x+1)(x^4+x+1)
+    ]:
+        with pytest.raises(ValueError, match="reducible"):
+            Field(q, modulus=modulus)
 
 
 def test_division_by_zero():

@@ -79,6 +79,19 @@ def test_is_codeword(code_7_2, book_7_2, gf8):
         assert code_7_2.is_codeword(w) == (w in books)
 
 
+def test_is_codeword_zero_code_and_wrong_length(code_7_2, gf8):
+    zero = GrsCode(gf8, list(range(1, 8)), [3] * 7, 0)
+    assert zero.is_codeword((0,) * 7)
+    for i in range(7):
+        w = [0] * 7
+        w[i] = 5
+        assert not zero.is_codeword(tuple(w))
+    cw = code_7_2.encode([3, 4])
+    assert not code_7_2.is_codeword(cw[:-1])
+    assert not code_7_2.is_codeword(cw + (0,))
+    assert not zero.is_codeword((0,) * 6)
+
+
 # -- unique decoding ------------------------------------------------------------
 
 def test_bmd_no_errors(code_7_3):

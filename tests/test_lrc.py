@@ -3,6 +3,7 @@ import random
 import pytest
 
 from lrcdec import Field, construct_tamo_barg, optimal_distance
+from lrcdec.galois import Poly, lagrange_interpolate
 from lrcdec.lrc import LrcCode
 
 
@@ -135,3 +136,40 @@ def test_validation_rejects_wrong_local_structure(tb_15_6):
     obj["repair_sets"] = rs
     with pytest.raises(ValueError):
         LrcCode.from_json(obj)
+
+
+def test_validation_rejects_monomial_outside_local_code(tb_15_6):
+    # x^3 restricted to a repair set of 5 points is not in the local [5, 3]
+    # code spanned by 1, x, x^2 there
+    obj = tb_15_6.to_json()
+    obj["degrees"] = [0, 5, 1, 6, 2, 3]
+    with pytest.raises(ValueError, match="leaves the local code"):
+        LrcCode.from_json(obj)
+
+
+def _member_by_interpolation(code, word):
+    """Oracle: the interpolant of word / nu uses only support monomials."""
+    sup = code.supercode
+    F = code.field
+    pts = [(a, F.div(w, v)) for a, w, v in zip(sup.locators, word, sup.multipliers)]
+    f = lagrange_interpolate(F, pts)
+    return all(c == 0 or i in code.degrees for i, c in enumerate(f.coeffs))
+
+
+@pytest.mark.parametrize("k", [6, 9])
+def test_membership_matches_interpolation_oracle(gf16, k):
+    code = construct_tamo_barg(gf16, 15, k, 3, 3)
+    rnd = random.Random(k)
+    forbidden = [d for d in range(code.supercode.k) if d not in code.degrees]
+    words = []
+    for _ in range(40):
+        words.append(tuple(rnd.randrange(16) for _ in range(15)))
+        words.append(code.encode([rnd.randrange(16) for _ in range(k)]))
+        coeffs = [0] * code.supercode.k
+        for d in code.degrees:
+            coeffs[d] = rnd.randrange(16)
+        coeffs[rnd.choice(forbidden)] = rnd.randrange(1, 16)
+        words.append(code.supercode.encode(Poly(gf16, coeffs)))
+    verdicts = [code.is_codeword(w) for w in words]
+    assert verdicts == [_member_by_interpolation(code, w) for w in words]
+    assert verdicts.count(True) == 40  # exactly the LRC words
