@@ -3,11 +3,12 @@ univariate polynomials.
 
 Field elements are plain Python ints in ``[0, q)``.  For q = 2^m the
 integer is the bit vector of the element's coefficients (lowest degree
-bit first).  Multiplication uses log/antilog tables for characteristic 2
-and plain modular arithmetic for prime fields.  The default modulus of
-GF(2^m) is found by a search over GF(2)[x], whose polynomials are bit
-masks too: a Rabin irreducibility test built on one multiply-mod and one
-gcd.
+bit first).  Multiplication uses log/antilog tables for characteristic 2,
+whose zero sentinel makes ``exp[log[a] + log[b]]`` the product of any a
+and b, and plain modular arithmetic for prime fields.  The default
+modulus of GF(2^m) is found by a search over GF(2)[x], whose polynomials
+are bit masks too: a Rabin irreducibility test built on one multiply-mod
+and one gcd.
 
 Fields are immutable after construction and safe to share across
 threads; all operations are pure.
@@ -121,7 +122,9 @@ class Field:
 
     For q = 2^m the log/antilog tables exist both as Python lists (scalar
     arithmetic) and as int64 arrays ``exp_table``/``log_table`` (the
-    numpy kernels); for a prime field all four are None.
+    numpy kernels); for a prime field all four are None.  ``log[0] = 2q``
+    and ``exp`` is the antilog table twice over, zero-padded to length
+    4q + 1, so ``exp[log[a] + log[b]]`` is a*b for every a and b.
     """
 
     def __init__(self, q: int, modulus: int | None = None):
@@ -154,15 +157,13 @@ class Field:
     def _build_tables(self) -> tuple[list[int], list[int]]:
         q = self.q
         g = self.generator()
-        exp = [1] * (2 * (q - 1) if q > 2 else 2)
-        log = [0] * q
+        exp = [0] * (4 * q + 1)
+        log = [2 * q] * q
         v = 1
         for i in range(q - 1):
-            exp[i] = v
+            exp[i] = exp[i + q - 1] = v
             log[v] = i
             v = self._mul_raw(v, g)
-        for i in range(q - 1, len(exp)):
-            exp[i] = exp[i - (q - 1)]
         return exp, log
 
     def generator(self) -> int:
@@ -209,8 +210,6 @@ class Field:
 
     def mul(self, a: int, b: int) -> int:
         if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
             return self._exp[self._log[a] + self._log[b]]
         return self._mul_raw(a, b)
 
@@ -232,9 +231,6 @@ class Field:
         if self._exp is not None:
             return self._exp[(self._log[a] * e) % (self.q - 1)]
         return self._pow_raw(a, e)
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def embed_int(self, n: int) -> int:
         """Image of the integer n under Z -> GF(p) < GF(p^m)."""

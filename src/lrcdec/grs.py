@@ -3,6 +3,8 @@
 Encoding, unique (bounded minimum distance) decoding, erasure decoding,
 Guruswami-Sudan list decoding, and decoder-side shortening through the
 polynomial reduction map f |-> (f(x) - f(beta)) / (x - beta).
+Guruswami-Sudan interpolates by Koetter's iterative algorithm, then finds
+the y-roots by the Roth-Ruckenstein recursion over the whole field at once.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
+from ._kernels import _vec_mul, sub
 from .galois import Field, Poly, lagrange_interpolate
 
 
@@ -185,8 +188,9 @@ class GrsCode:
         """All codewords within Hamming distance t of word.
 
         Complete for t inside the guarantee region; raises ValueError
-        beyond it.  Bivariate interpolation with the smallest sufficient
-        multiplicity, then Roth-Ruckenstein root finding.
+        beyond it.  Koetter interpolation of a bivariate Q(x, y) with the
+        smallest sufficient multiplicity, then Roth-Ruckenstein root
+        finding of its y-roots f(x) of degree < k, then a distance filter.
         """
         if len(word) != self.n:
             raise ValueError("word length mismatch")
@@ -204,16 +208,7 @@ class GrsCode:
         ys = self._normalize(word)
         if k == 1:
             # constants: a candidate must agree on at least n - t positions
-            counts: dict[int, int] = {}
-            for y in ys:
-                counts[y] = counts.get(y, 0) + 1
-            out = []
-            for c, cnt in counts.items():
-                if cnt >= n - t:
-                    out.append(self.encode(Poly(F, (c,))))
-            if t >= n:  # every constant qualifies (cannot happen within guarantee)
-                out = [self.encode(Poly(F, (c,))) for c in F.elements()]
-            return sorted(set(out))
+            return sorted(self.encode(Poly(F, (c,))) for c in set(ys) if ys.count(c) >= n - t)
 
         s, ly = self._gs_parameters(t)
         q_coeffs = self._gs_interpolate(ys, t, s, ly)
@@ -245,47 +240,62 @@ class GrsCode:
         )
 
     def _gs_interpolate(self, ys, t, s, ly):
-        """Nonzero bivariate Q with multiplicity s at all (locator, y) points."""
+        """Q of least (1, k-1)-weighted degree with multiplicity s at every
+        (locator, y) point, by Koetter's iterative interpolation.
+
+        Candidates Q_j = y^j (j <= ly) form one [j, dy, dx] array.  Per
+        Hasse constraint D_{a,b} Q(x0, y0) = 0, the violating candidate of
+        least weighted degree clears it from the others, then takes a
+        factor x - x0.  Returns coefficient lists of length wdeg - dy (k-1) + 1.
+        """
         F = self.field
         n, k = self.n, self.k
         wdeg = s * (n - t) - 1
-        cols = []  # (dy, dx)
-        for dy in range(ly + 1):
-            for dx in range(wdeg - dy * (k - 1) + 1):
-                cols.append((dy, dx))
-        col_index = {c: i for i, c in enumerate(cols)}
-        rows = n * s * (s + 1) // 2
-        m = np.zeros((rows, len(cols)), dtype=np.int64)
-        row = 0
-        max_dx = wdeg
+        width = wdeg + 2  # room for one (x - x0) step past the bound
+        polys = np.zeros((ly + 1, ly + 1, width), dtype=np.int64)
+        polys[np.arange(ly + 1), np.arange(ly + 1), 0] = 1
+        wdegs = np.arange(ly + 1) * (k - 1)
+        # b outer, a inner: D_{a,b} of (x - x0) Q is D_{a-1,b} Q at x0, so
+        # the constraints imposed so far survive the (x - x0) step
+        bs, as_ = np.array([(b, a) for b in range(s) for a in range(s - b)]).T
+        xbin = np.array([[math.comb(d, a) % F.p for d in range(width)] for a in range(s)])
+        ybin = np.array([[math.comb(d, b) % F.p for d in range(ly + 1)] for b in range(s)])
+        xshift = np.maximum(np.arange(width) - np.arange(s)[:, None], 0)
+        yshift = np.maximum(np.arange(ly + 1) - np.arange(s)[:, None], 0)
         for x0, y0 in zip(self.locators, ys):
-            xpow = [1] * (max_dx + 1)
-            for e in range(1, max_dx + 1):
-                xpow[e] = F.mul(xpow[e - 1], x0)
-            ypow = [1] * (ly + 1)
-            for e in range(1, ly + 1):
-                ypow[e] = F.mul(ypow[e - 1], y0)
-            for a in range(s):
-                for b in range(s - a):
-                    for (dy, dx), ci in col_index.items():
-                        if dx < a or dy < b:
-                            continue
-                        cb = (math.comb(dx, a) * math.comb(dy, b)) % F.p
-                        if cb == 0:
-                            continue
-                        val = F.mul(xpow[dx - a], ypow[dy - b])
-                        if cb != 1:
-                            val = F.mul(F.embed_int(cb), val)
-                        m[row, ci] = val
-                    row += 1
-        basis = linalg.right_nullspace(m, F)
-        if basis.shape[0] == 0:
-            raise RuntimeError("interpolation system has full rank; parameters invalid")
-        sol = basis[0]
-        q_coeffs = [[0] * (wdeg - dy * (k - 1) + 1) for dy in range(ly + 1)]
-        for (dy, dx), ci in col_index.items():
-            q_coeffs[dy][dx] = int(sol[ci])
-        return [poly for poly in q_coeffs]
+            xpow = np.array([F.pow(x0, e) for e in range(width)])
+            ypow = np.array([F.pow(y0, e) for e in range(ly + 1)])
+            # row [a, dx] is C(dx, a) x0^(dx - a), row [b, dy] is C(dy, b) y0^(dy - b)
+            xrows = _vec_mul(xbin, xpow[xshift], F)
+            yrows = _vec_mul(ybin, ypow[yshift], F)
+            hasse = _vec_mul(yrows[bs, :, None], xrows[as_, None, :], F)
+            for row in hasse:
+                prod = _vec_mul(polys, row, F).reshape(ly + 1, -1)
+                if F.p == 2:
+                    disc = np.bitwise_xor.reduce(prod, axis=1)
+                else:
+                    disc = prod.sum(axis=1) % F.p
+                # a candidate past the bound is never returned, and it never
+                # feeds one within the bound, so it drops out
+                disc[wdegs > wdeg] = 0
+                hit = disc.nonzero()[0]
+                if hit.size == 0:
+                    continue
+                piv = hit[wdegs[hit].argmin()]
+                rest = hit[hit != piv]
+                coef = _vec_mul(disc[rest], F.inv(int(disc[piv])), F)
+                polys[rest] = sub(polys[rest], _vec_mul(coef[:, None, None], polys[piv], F), F)
+                # the last column of a candidate within the bound is zero
+                shifted = np.roll(polys[piv], 1, axis=1)
+                polys[piv] = sub(shifted, _vec_mul(polys[piv], x0, F), F)
+                wdegs[piv] += 1
+        best = int(np.argmin(wdegs))
+        if wdegs[best] > wdeg:
+            raise RuntimeError(
+                f"GRS [n = {n}, k = {k}] at radius t = {t}, multiplicity s = {s}: "
+                f"Koetter interpolation reached weighted degree {wdegs[best]} > wdeg = {wdeg}"
+            )
+        return [polys[best, dy, : wdeg - dy * (k - 1) + 1].tolist() for dy in range(ly + 1)]
 
     # -- shortening --------------------------------------------------------------
 
@@ -405,18 +415,19 @@ def _rr_roots(q_coeffs: list[list[int]], k: int, field: Field) -> list[list[int]
             i -= 1
         return p[:i]
 
-    def eval_uni(coeffs, x):
-        acc = 0
+    xs = np.arange(field.q, dtype=np.int64)
+
+    def roots(coeffs):
+        # Horner over every field element at once, in increasing order
+        acc = np.zeros(field.q, dtype=np.int64)
         for c in reversed(coeffs):
-            acc = field.add(field.mul(acc, x), c)
-        return acc
+            acc = sub(_vec_mul(acc, xs, field), field.neg(c), field)
+        return np.flatnonzero(acc == 0).tolist()
 
     def recurse(q, prefix):
         q = strip_x(q)
         uni = [p[0] if p else 0 for p in q]
-        for gamma in field.elements():
-            if eval_uni(uni, gamma) != 0:
-                continue
+        for gamma in roots(uni):
             nxt = prefix + [gamma]
             if len(nxt) == k:
                 results.append(nxt)

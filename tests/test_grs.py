@@ -1,10 +1,13 @@
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
-from lrcdec import Field, GrsCode, Poly
+from lrcdec import Field, GrsCode, Poly, linalg
 from lrcdec.galois import lagrange_interpolate
+from lrcdec.grs import _rr_roots
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +210,127 @@ def test_gs_nontrivial_multipliers(gf16):
     cw = code.encode([1, 2, 3])
     w = corrupt(rnd, gf16, cw, rnd.sample(range(10), 5))
     assert cw in code.gs_list_decode(w, 5)
+
+
+def test_gs_dimension_one_matches_sphere_enumeration(gf8):
+    code = GrsCode(gf8, list(range(1, 8)), [3] * 7, 1)
+    book = [code.encode([a]) for a in range(8)]
+    rnd = random.Random(14)
+    for _ in range(50):
+        w = tuple(rnd.choice([0, 1, 3, code.encode([5])[0]]) for _ in range(7))
+        for t in range(code.gs_max_radius() + 1):
+            assert code.gs_list_decode(w, t) == sorted(c for c in book if hamming(c, w) <= t)
+
+
+def test_gs_prime_field_matches_sphere_enumeration():
+    for q, n, k, t in [(11, 10, 2, 6), (13, 12, 4, 5)]:
+        field = Field(q)
+        rnd = random.Random(q)
+        code = GrsCode(field, list(range(n)), [rnd.randrange(1, q) for _ in range(n)], k)
+        msgs = np.array(list(itertools.product(range(q), repeat=k)), dtype=np.int64)
+        book = linalg.matmul(msgs, code.generator_matrix(), field)
+        for trial in range(12):
+            cw = book[rnd.randrange(len(book))]
+            w = corrupt(rnd, field, cw.tolist(), rnd.sample(range(n), t - trial % 3))
+            near = book[(book != np.array(w)).sum(axis=1) <= t]
+            assert code.gs_list_decode(w, t) == sorted(map(tuple, near.tolist()))
+
+
+# -- Koetter interpolation against the dense interpolation system -----------------
+
+def dense_system(code, ys, t, s, ly):
+    """Every multiplicity constraint as one row over the monomials x^dx y^dy
+    of weighted degree <= wdeg, and the (dy, dx) of each column."""
+    F = code.field
+    wdeg = s * (code.n - t) - 1
+    cols = [(dy, dx) for dy in range(ly + 1) for dx in range(wdeg - dy * (code.k - 1) + 1)]
+    rows = [
+        [
+            F.mul(
+                F.embed_int(math.comb(dx, a) * math.comb(dy, b)),
+                F.mul(F.pow(x0, dx - a), F.pow(y0, dy - b)),
+            )
+            if dx >= a and dy >= b
+            else 0
+            for dy, dx in cols
+        ]
+        for x0, y0 in zip(code.locators, ys)
+        for a in range(s)
+        for b in range(s - a)
+    ]
+    return np.array(rows, dtype=np.int64), cols
+
+
+def dense_list(code, word, t):
+    """The GS list from a null vector of the dense system."""
+    s, ly = code._gs_parameters(t)
+    m, cols = dense_system(code, code._normalize(word), t, s, ly)
+    sol = linalg.right_nullspace(m, code.field)[0]
+    q_coeffs = [[0] * sum(1 for c in cols if c[0] == dy) for dy in range(ly + 1)]
+    for (dy, dx), v in zip(cols, sol):
+        q_coeffs[dy][dx] = int(v)
+    words = (code.encode(Poly(code.field, f)) for f in _rr_roots(q_coeffs, code.k, code.field))
+    return sorted({c for c in words if hamming(c, word) <= t})
+
+
+def seeded_words(code, t, count, seed):
+    """Codewords hit by t - 1, t and t + 1 errors, and uniform words."""
+    F, n = code.field, code.n
+    rnd = random.Random(seed)
+    for i in range(count):
+        if i % 4 == 3:
+            yield tuple(rnd.randrange(F.q) for _ in range(n))
+        else:
+            cw = code.encode([rnd.randrange(F.q) for _ in range(code.k)])
+            yield corrupt(rnd, F, cw, rnd.sample(range(n), min(n, t - 1 + i % 4)))
+
+
+KOETTER_CASES = [  # (q, n, k, t): s = 1, 4, 3, 2, 2
+    (16, 15, 3, 5),
+    (16, 15, 3, 9),
+    (32, 21, 8, 8),
+    (64, 42, 8, 22),
+    (64, 63, 16, 29),
+]
+
+
+@pytest.mark.parametrize("q, n, k, t", KOETTER_CASES)
+def test_koetter_q_is_annihilated_by_dense_system(q, n, k, t):
+    field = Field(q)
+    code = GrsCode(field, list(range(1, n + 1)), [1] * n, k)
+    s, ly = code._gs_parameters(t)
+    wdeg = s * (n - t) - 1
+    for word in seeded_words(code, t, 4, seed=n + t):
+        ys = code._normalize(word)
+        q_coeffs = code._gs_interpolate(ys, t, s, ly)
+        assert [len(p) for p in q_coeffs] == [wdeg - dy * (k - 1) + 1 for dy in range(ly + 1)]
+        m, cols = dense_system(code, ys, t, s, ly)
+        vec = np.array([q_coeffs[dy][dx] for dy, dx in cols], dtype=np.int64)
+        assert vec.any()
+        assert not linalg.matmul(m, vec[:, None], field).any()
+
+
+@pytest.mark.parametrize("q, n, k, t", KOETTER_CASES)
+def test_gs_lists_match_dense_nullspace(q, n, k, t):
+    field = Field(q)
+    rnd = random.Random(q + n)
+    code = GrsCode(field, list(range(1, n + 1)), [rnd.randrange(1, q) for _ in range(n)], k)
+    for word in seeded_words(code, t, 8, seed=q * n + t):
+        assert code.gs_list_decode(word, t) == dense_list(code, word, t)
+
+
+def test_koetter_error_names_values(gf16):
+    # s = 1 at t = 9 leaves 12 unknowns for 15 constraints: a word far
+    # from the code has no interpolant of weighted degree <= 5
+    code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 3)
+    rnd = random.Random(5)
+    w = tuple(rnd.randrange(16) for _ in range(15))
+    with pytest.raises(
+        RuntimeError,
+        match=r"GRS \[n = 15, k = 3\] at radius t = 9, multiplicity s = 1: "
+        r"Koetter interpolation reached weighted degree \d+ > wdeg = 5",
+    ):
+        code._gs_interpolate(code._normalize(w), 9, 1, 2)
 
 
 # -- shortening ------------------------------------------------------------------

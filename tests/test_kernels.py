@@ -50,3 +50,33 @@ def test_odd_extension_field_has_no_kernel_ctx():
     """The kernels take a Field, and no Field exists for GF(9)."""
     with pytest.raises(ValueError, match="power of 2 or a prime"):
         _kernels.rref(np.eye(2, dtype=np.int64), Field(9))
+
+
+def _products_agree(field, a, b):
+    """_vec_mul against scalar Field.mul and the table-free product."""
+    got = _kernels._vec_mul(a, b, field)
+    want = [field.mul(int(x), int(y)) for x, y in zip(a, b)]
+    raw = [field._mul_raw(int(x), int(y)) for x, y in zip(a, b)]
+    assert got.tolist() == want == raw
+
+
+@pytest.mark.parametrize("q", [2, 4, 16, 256])
+def test_vec_mul_every_pair(q):
+    a, b = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
+    _products_agree(Field(q), a.ravel(), b.ravel())
+
+
+def test_vec_mul_largest_field():
+    q = 2**20
+    rng = np.random.default_rng(20)
+    a = rng.integers(0, q, size=10**4, dtype=np.int64)
+    b = rng.integers(0, q, size=10**4, dtype=np.int64)
+    edge = np.array([0, 1, q - 1], dtype=np.int64)
+    ea, eb = np.meshgrid(edge, edge, indexing="ij")
+    zero_one = np.repeat([0, 1], a.size)
+    others = np.tile(a, 2)
+    _products_agree(
+        Field(q),
+        np.concatenate([a, ea.ravel(), zero_one, others]),
+        np.concatenate([b, eb.ravel(), others, zero_one]),
+    )
