@@ -1,6 +1,6 @@
 """Decoders and probability analyses for locally repairable and partial MDS codes."""
 
-from .galois import Field, Poly, lagrange_interpolate
+from .galois import Field, lagrange_interpolate
 from .grs import GrsCode, gs_max_radius
 from .lrc import LrcCode, construct_tamo_barg, optimal_distance
 from .radii import CodeShape, RadiusReport, compute_report
@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Field",
-    "Poly",
     "lagrange_interpolate",
     "GrsCode",
     "gs_max_radius",

@@ -21,11 +21,46 @@ def _vec_mul(a, b, field):
     return (np.asarray(a) * np.asarray(b)) % field.p
 
 
+def _vec_inv(a, field):
+    """Elementwise inverse of an int64 array of nonzero elements."""
+    if field.p == 2:
+        return field.exp_table[(field.q - 1) - field.log_table[a]]
+    out, e = np.ones_like(a), field.p - 2  # Fermat: a^(p-2) by squaring
+    while e:
+        if e & 1:
+            out = out * a % field.p
+        a = a * a % field.p
+        e >>= 1
+    return out
+
+
 def sub(a, b, field):
     """Elementwise difference a - b of broadcastable int64 arrays."""
     if field.p == 2:
         return a ^ b
     return (a - b) % field.p
+
+
+def add_reduce(a, axis, field):
+    """Field sum of an int64 array along one axis."""
+    if field.p == 2:
+        return np.bitwise_xor.reduce(a, axis=axis)
+    return a.sum(axis=axis) % field.p
+
+
+def powers(x, count, field):
+    """(count, len(x)) array whose row i is x^i elementwise, with 0^0 = 1."""
+    x = np.asarray(x, dtype=np.int64)
+    if field.p == 2:
+        # x^i = exp[i log x mod (q - 1)]; row 0 is 1 for x = 0 too
+        order = field.q - 1
+        out = field.exp_table[np.arange(count)[:, None] * (field.log_table[x] % order) % order]
+        out[1:, x == 0] = 0
+        return out
+    out = np.ones((count, x.size), dtype=np.int64)
+    for i in range(1, count):
+        out[i] = _vec_mul(out[i - 1], x, field)
+    return out
 
 
 def rref(M: np.ndarray, field):

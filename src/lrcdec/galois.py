@@ -1,5 +1,4 @@
-"""Finite-field arithmetic GF(q), q a power of 2 or a prime, and
-univariate polynomials.
+"""Finite-field arithmetic GF(q), q a power of 2 or a prime.
 
 Field elements are plain Python ints in ``[0, q)``.  For q = 2^m the
 integer is the bit vector of the element's coefficients (lowest degree
@@ -8,7 +7,8 @@ whose zero sentinel makes ``exp[log[a] + log[b]]`` the product of any a
 and b, and plain modular arithmetic for prime fields.  The default
 modulus of GF(2^m) is found by a search over GF(2)[x], whose polynomials
 are bit masks too: a Rabin irreducibility test built on one multiply-mod
-and one gcd.
+and one gcd.  There is no polynomial type: ``lagrange_interpolate``
+returns a coefficient tuple.
 
 Fields are immutable after construction and safe to share across
 threads; all operations are pure.
@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-NEG_INF = float("-inf")  # degree of the zero polynomial
+from . import linalg
+from ._kernels import powers
 
 _MAX_ORDER = 1 << 20
 
@@ -232,10 +233,6 @@ class Field:
             return self._exp[(self._log[a] * e) % (self.q - 1)]
         return self._pow_raw(a, e)
 
-    def embed_int(self, n: int) -> int:
-        """Image of the integer n under Z -> GF(p) < GF(p^m)."""
-        return n % self.p
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -278,160 +275,15 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     return q, 1
 
 
-# ---------------------------------------------------------------------------
-# Polynomials
-# ---------------------------------------------------------------------------
+def lagrange_interpolate(field: Field, points: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """Coefficients of the unique polynomial of degree < len(points) through
+    the given points, lowest degree first, trimmed of trailing zeros.
 
-class Poly:
-    """Univariate polynomial over a Field, coefficients lowest degree first.
-
-    The zero polynomial has an empty coefficient tuple and degree -inf.
-    """
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: Field, coeffs: Iterable[int] = ()):
-        self.field = field
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = tuple(c)
-
-    @classmethod
-    def zero(cls, field: Field) -> "Poly":
-        return cls(field, ())
-
-    @classmethod
-    def one(cls, field: Field) -> "Poly":
-        return cls(field, (1,))
-
-    @classmethod
-    def x(cls, field: Field) -> "Poly":
-        return cls(field, (0, 1))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field.q, self.coeffs))
-
-    def __repr__(self):
-        return f"Poly({list(self.coeffs)})"
-
-    def __add__(self, other: "Poly") -> "Poly":
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] = F.add(out[i], v)
-        return Poly(F, out)
-
-    def __neg__(self) -> "Poly":
-        F = self.field
-        return Poly(F, [F.neg(c) for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(F)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = F.add(out[i + j], F.mul(ai, bj))
-        return Poly(F, out)
-
-    def scale(self, c: int) -> "Poly":
-        F = self.field
-        return Poly(F, [F.mul(c, a) for a in self.coeffs])
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Quotient and remainder; deg(remainder) < deg(divisor)."""
-        F = self.field
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        inv_lead = F.inv(other.coeffs[-1])
-        quot = [0] * max(0, len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c:
-                f = F.mul(c, inv_lead)
-                quot[i - d] = f
-                for j, oj in enumerate(other.coeffs):
-                    rem[i - d + j] = F.sub(rem[i - d + j], F.mul(f, oj))
-        return Poly(F, quot), Poly(F, rem)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
-
-    def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.scale(self.field.inv(a.coeffs[-1]))
-
-    def derivative(self) -> "Poly":
-        F = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            ci = self.coeffs[i]
-            # formal derivative: coefficient i * c_i with i reduced mod p
-            out.append(F.mul(F.embed_int(i), ci) if F.p != 2 else (ci if i % 2 else 0))
-        return Poly(F, out)
-
-    def eval(self, x: int) -> int:
-        F = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
-
-
-def lagrange_interpolate(field: Field, points: Sequence[tuple[int, int]]) -> Poly:
-    """Unique polynomial of degree < len(points) through the given points.
-
-    Raises ValueError on duplicate abscissae.
+    Solves the Vandermonde system.  Raises ValueError on duplicate abscissae.
     """
     xs = [x for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation abscissae must be pairwise distinct")
-    F = field
-    result = Poly.zero(F)
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        num = Poly.one(F)
-        denom = 1
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            num = num * Poly(F, (F.neg(xj), 1))
-            denom = F.mul(denom, F.sub(xi, xj))
-        result = result + num.scale(F.div(yi, denom))
-    return result
+    ys = np.array([y for _, y in points], dtype=np.int64).reshape(-1, 1)
+    coeffs = linalg.solve(powers(xs, len(xs), field).T, ys, field)[:, 0]
+    return tuple(np.trim_zeros(coeffs, "b").tolist())

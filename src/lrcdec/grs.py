@@ -1,10 +1,12 @@
 """Generalized Reed-Solomon codes.
 
-Encoding, unique (bounded minimum distance) decoding, erasure decoding,
-Guruswami-Sudan list decoding, and decoder-side shortening through the
-polynomial reduction map f |-> (f(x) - f(beta)) / (x - beta).
-Guruswami-Sudan interpolates by Koetter's iterative algorithm, then finds
-the y-roots by the Roth-Ruckenstein recursion over the whole field at once.
+Every code builds its k x n generator once (row i is nu * alpha^i) and
+keeps it read-only; messages, words and candidate lists are int64
+arrays, and a codeword is one product of the message coefficients with
+the generator.  Guruswami-Sudan list decoding interpolates by Koetter's
+iterative algorithm, then finds the y-roots by the Roth-Ruckenstein
+recursion over the whole field at once.  Decoder-side shortening divides
+out one known position at a time, (y - y_beta) / (alpha - beta).
 """
 
 from __future__ import annotations
@@ -16,8 +18,13 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from ._kernels import _vec_mul, sub
-from .galois import Field, Poly, lagrange_interpolate
+from ._kernels import _vec_inv, _vec_mul, add_reduce, powers, sub
+from .galois import Field
+
+
+def encode_rows(msgs, generator, field) -> np.ndarray:
+    """msgs @ generator, for one message (k,) or a stack of them (m, k)."""
+    return add_reduce(_vec_mul(msgs[..., None], generator, field), -2, field)
 
 
 def gs_max_radius(n: int, k: int) -> int:
@@ -31,10 +38,10 @@ class GrsCode:
     """[n, k] generalized Reed-Solomon code.
 
     Codewords are (nu_0 f(alpha_0), ..., nu_{n-1} f(alpha_{n-1})) for all
-    message polynomials f of degree < k.  Locators must be pairwise
-    distinct and multipliers nonzero; minimum distance is n - k + 1.
-    Dimension 0 (the zero code) is allowed as the degenerate endpoint of
-    shortening.
+    message polynomials f of degree < k, given by their coefficients,
+    lowest degree first.  Locators must be pairwise distinct and
+    multipliers nonzero; minimum distance is n - k + 1.  Dimension 0 (the
+    zero code) is allowed as the degenerate endpoint of shortening.
     """
 
     def __init__(self, field: Field, locators: Sequence[int], multipliers: Sequence[int], k: int):
@@ -52,6 +59,11 @@ class GrsCode:
         self.multipliers = tuple(int(v) for v in multipliers)
         self.k = k
         self._loc_index = {a: i for i, a in enumerate(self.locators)}
+        self._alpha = np.array(self.locators, dtype=np.int64)
+        self._nu = np.array(self.multipliers, dtype=np.int64)
+        self._nu_inv = _vec_inv(self._nu, field)
+        self._generator = _vec_mul(self._nu, powers(self._alpha, k, field), field)
+        self._generator.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -75,109 +87,27 @@ class GrsCode:
 
     # -- encoding / membership ------------------------------------------------
 
-    def encode(self, message) -> tuple[int, ...]:
-        """Evaluate a message polynomial (or coefficient sequence) of degree < k."""
-        f = message if isinstance(message, Poly) else Poly(self.field, message)
-        if f.degree >= self.k:
-            raise ValueError(f"message degree {f.degree} >= k = {self.k}")
-        F = self.field
-        return tuple(
-            F.mul(v, f.eval(a)) for a, v in zip(self.locators, self.multipliers)
-        )
+    def encode(self, coeffs) -> tuple[int, ...]:
+        """Codeword of the message polynomial with these coefficients, lowest
+        degree first; a shorter sequence is zero-padded."""
+        c = np.zeros(max(self.k, len(coeffs)), dtype=np.int64)
+        c[: len(coeffs)] = coeffs
+        if c[self.k :].any():
+            raise ValueError(f"message degree {np.flatnonzero(c)[-1]} >= k = {self.k}")
+        return tuple(encode_rows(c[: self.k], self._generator, self.field).tolist())
 
-    def _normalize(self, word) -> list[int]:
+    def _normalize(self, word) -> np.ndarray:
         """Divide out the column multipliers: values of the message polynomial."""
-        F = self.field
-        return [F.div(w, v) for w, v in zip(word, self.multipliers)]
+        return _vec_mul(np.asarray(word, dtype=np.int64), self._nu_inv, self.field)
 
     def is_codeword(self, word) -> bool:
         return len(word) == self.n and linalg.in_nullspace(
-            self.parity_check_matrix(), word, self.field
+            linalg.right_nullspace(self._generator, self.field), word, self.field
         )
 
     def generator_matrix(self) -> np.ndarray:
-        F = self.field
-        g = np.zeros((self.k, self.n), dtype=np.int64)
-        for i in range(self.k):
-            for j, (a, v) in enumerate(zip(self.locators, self.multipliers)):
-                g[i, j] = F.mul(v, F.pow(a, i))
-        return g
-
-    def parity_check_matrix(self) -> np.ndarray:
-        return linalg.right_nullspace(self.generator_matrix(), self.field)
-
-    # -- unique decoding --------------------------------------------------------
-
-    def bmd_decode(self, word):
-        """Bounded-minimum-distance decoding up to floor((d-1)/2) errors.
-
-        Solves the key equation E(x) y_i = N(x) at all locators for an
-        error locator E and numerator N (Berlekamp-Welch).  Returns
-        (codeword, error_vector) or None if no codeword lies within the
-        radius.
-        """
-        if len(word) != self.n:
-            raise ValueError("word length mismatch")
-        if self.k == 0:
-            zero = (0,) * self.n
-            t0 = (self.n - 1) // 2
-            if sum(1 for w in word if w) <= t0:
-                return zero, tuple(word)
-            return None
-        F = self.field
-        t0 = (self.d - 1) // 2
-        ys = self._normalize(word)
-        n, k = self.n, self.k
-        ncols = (t0 + 1) + (k + t0)
-        m = np.zeros((n, ncols), dtype=np.int64)
-        for i, (a, y) in enumerate(zip(self.locators, ys)):
-            pw = 1
-            for j in range(t0 + 1):
-                m[i, j] = F.mul(y, pw)
-                pw = F.mul(pw, a)
-            pw = 1
-            for j in range(k + t0):
-                m[i, t0 + 1 + j] = F.neg(pw)
-                pw = F.mul(pw, a)
-        basis = linalg.right_nullspace(m, F)
-        if basis.shape[0] == 0:
-            return None
-        sol = basis[0]
-        e_poly = Poly(F, [int(c) for c in sol[: t0 + 1]])
-        n_poly = Poly(F, [int(c) for c in sol[t0 + 1 :]])
-        if e_poly.is_zero():
-            return None
-        f, rem = n_poly.divmod(e_poly)
-        if not rem.is_zero() or f.degree >= k:
-            return None
-        cw = self.encode(f)
-        err = tuple(F.sub(w, c) for w, c in zip(word, cw))
-        if sum(1 for e in err if e) > t0:
-            return None
-        return cw, err
-
-    def erasure_decode(self, word, erased):
-        """Recover the codeword agreeing with word outside the erased index set.
-
-        Raises ValueError if more than n - k positions are erased (the
-        solution is no longer unique); returns None if the surviving
-        symbols are inconsistent with the code.
-        """
-        erased = set(erased)
-        if len(erased) > self.n - self.k:
-            raise ValueError(
-                f"{len(erased)} erasures exceed the unique-recovery limit {self.n - self.k}"
-            )
-        F = self.field
-        kept = [i for i in range(self.n) if i not in erased]
-        pts = [(self.locators[i], F.div(word[i], self.multipliers[i])) for i in kept]
-        f = lagrange_interpolate(F, pts[: self.k])
-        if f.degree >= self.k:
-            return None
-        for a, y in pts[self.k :]:
-            if f.eval(a) != y:
-                return None
-        return self.encode(f)
+        """The stored k x n generator (read-only)."""
+        return self._generator
 
     # -- list decoding ---------------------------------------------------------
 
@@ -201,26 +131,20 @@ class GrsCode:
                 f"radius {t} exceeds the guarantee radius {self.gs_max_radius()}"
             )
         F = self.field
-        n, k = self.n, self.k
-        if k == 0:
-            zero = (0,) * n
-            return [zero] if sum(1 for w in word if w) <= t else []
+        word = np.asarray(word, dtype=np.int64)
+        if self.k == 0:
+            return [(0,) * self.n] if np.count_nonzero(word) <= t else []
         ys = self._normalize(word)
-        if k == 1:
-            # constants: a candidate must agree on at least n - t positions
-            return sorted(self.encode(Poly(F, (c,))) for c in set(ys) if ys.count(c) >= n - t)
-
-        s, ly = self._gs_parameters(t)
-        q_coeffs = self._gs_interpolate(ys, t, s, ly)
-        cands = _rr_roots(q_coeffs, k, F)
-        out = set()
-        for coeffs in cands:
-            f = Poly(F, coeffs)
-            cw = self.encode(f)
-            dist = sum(1 for a, b in zip(cw, word) if a != b)
-            if dist <= t:
-                out.add(cw)
-        return sorted(out)
+        if self.k == 1:
+            # constants: a candidate agrees with ys somewhere, as t < n
+            cands = np.unique(ys)[:, None]
+        else:
+            s, ly = self._gs_parameters(t)
+            q_coeffs = self._gs_interpolate(ys, t, s, ly)
+            cands = np.array(_rr_roots(q_coeffs, self.k, F), dtype=np.int64).reshape(-1, self.k)
+        words = encode_rows(cands, self._generator, F)
+        near = words[np.count_nonzero(words != word, axis=1) <= t]
+        return sorted(set(map(tuple, near.tolist())))
 
     def _gs_parameters(self, t: int) -> tuple[int, int]:
         """Smallest multiplicity s (and y-degree) that guarantees radius t."""
@@ -262,19 +186,16 @@ class GrsCode:
         ybin = np.array([[math.comb(d, b) % F.p for d in range(ly + 1)] for b in range(s)])
         xshift = np.maximum(np.arange(width) - np.arange(s)[:, None], 0)
         yshift = np.maximum(np.arange(ly + 1) - np.arange(s)[:, None], 0)
-        for x0, y0 in zip(self.locators, ys):
-            xpow = np.array([F.pow(x0, e) for e in range(width)])
-            ypow = np.array([F.pow(y0, e) for e in range(ly + 1)])
+        xpows = powers(self._alpha, width, F).T
+        ypows = powers(ys, ly + 1, F).T
+        for x0, xpow, ypow in zip(self.locators, xpows, ypows):
             # row [a, dx] is C(dx, a) x0^(dx - a), row [b, dy] is C(dy, b) y0^(dy - b)
             xrows = _vec_mul(xbin, xpow[xshift], F)
             yrows = _vec_mul(ybin, ypow[yshift], F)
             hasse = _vec_mul(yrows[bs, :, None], xrows[as_, None, :], F)
             for row in hasse:
                 prod = _vec_mul(polys, row, F).reshape(ly + 1, -1)
-                if F.p == 2:
-                    disc = np.bitwise_xor.reduce(prod, axis=1)
-                else:
-                    disc = prod.sum(axis=1) % F.p
+                disc = add_reduce(prod, 1, F)
                 # a candidate past the bound is never returned, and it never
                 # feeds one within the bound, so it drops out
                 disc[wdegs > wdeg] = 0
@@ -299,20 +220,11 @@ class GrsCode:
 
     # -- shortening --------------------------------------------------------------
 
-    def reduce_poly(self, f: Poly, subset) -> Poly:
-        """Repeated application of f |-> (f - f(beta)) / (x - beta) over subset."""
-        F = self.field
-        for beta in subset:
-            shifted = f - Poly(F, (f.eval(beta),))
-            f, rem = shifted.divmod(Poly(F, (F.neg(beta), 1)))
-            assert rem.is_zero()
-        return f
-
     def shorten(self, subset) -> "GrsCode":
         """Code realizing the shortening at the given locator values.
 
-        The result is the [n - |S|, k - |S|, d] code whose codewords are
-        the reduced polynomials evaluated at the remaining locators.
+        The result is the [n - |S|, k - |S|, d] code on the remaining
+        locators and multipliers.
         """
         subset = tuple(subset)
         if len(subset) > self.k:
@@ -333,47 +245,49 @@ class GrsCode:
         """Map a received word to the shortened code, treating subset as error-free.
 
         Positions at the locators in subset must carry the agreed codeword
-        symbols.  Returns (shortened word, ShortenContext); decoding the
+        symbols.  Per beta in subset, the values y = word / nu at the other
+        remaining positions become (y - y_beta) / (alpha - beta): f becomes
+        (f(x) - f(beta)) / (x - beta), and an error is divided by
+        alpha - beta.  Returns (shortened word, ShortenContext); decoding the
         shortened word and lifting the error reproduces the original error.
         """
         subset = tuple(subset)
         F = self.field
         code = self.shorten(subset)
         vals = self._normalize(word)
-        locs = list(self.locators)
+        lift = np.ones(self.n, dtype=np.int64)
+        rest = np.ones(self.n, dtype=bool)
         for beta in subset:
-            bi = locs.index(beta)
-            gb = vals[bi]
-            del locs[bi], vals[bi]
-            vals = [F.div(F.sub(v, gb), F.sub(a, beta)) for a, v in zip(locs, vals)]
-        short_word = tuple(
-            F.mul(v, nu) for v, nu in zip(vals, code.multipliers)
-        )
-        keep = [i for i in range(self.n) if self.locators[i] not in set(subset)]
-        return short_word, ShortenContext(self, code, subset, tuple(keep))
+            bi = self._loc_index[beta]
+            rest[bi] = False
+            diff = sub(self._alpha[rest], beta, F)
+            vals[rest] = _vec_mul(sub(vals[rest], vals[bi], F), _vec_inv(diff, F), F)
+            lift[rest] = _vec_mul(lift[rest], diff, F)
+        short_word = _vec_mul(vals[rest], self._nu[rest], F)
+        kept = tuple(np.flatnonzero(rest).tolist())
+        return tuple(short_word.tolist()), ShortenContext(self, code, kept, lift[rest])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShortenContext:
-    """Bookkeeping to lift a shortened error vector back to full length."""
+    """Bookkeeping to lift a shortened error vector back to full length.
+
+    lift[j] is the product of alpha - beta over the shortened locators
+    beta at position kept[j]: the factor that shortening divided the
+    error there by.
+    """
 
     parent: GrsCode
     code: GrsCode
-    subset: tuple[int, ...]
     kept: tuple[int, ...]
+    lift: np.ndarray
 
     def lift_error(self, short_error) -> tuple[int, ...]:
-        F = self.parent.field
-        full = [0] * self.parent.n
-        for j, i in enumerate(self.kept):
-            e = short_error[j]
-            if e:
-                a = self.parent.locators[i]
-                prod = 1
-                for beta in self.subset:
-                    prod = F.mul(prod, F.sub(a, beta))
-                full[i] = F.mul(e, prod)
-        return tuple(full)
+        full = np.zeros(self.parent.n, dtype=np.int64)
+        full[list(self.kept)] = _vec_mul(
+            np.asarray(short_error, dtype=np.int64), self.lift, self.parent.field
+        )
+        return tuple(full.tolist())
 
 
 def _rr_roots(q_coeffs: list[list[int]], k: int, field: Field) -> list[list[int]]:
@@ -401,7 +315,7 @@ def _rr_roots(q_coeffs: list[list[int]], k: int, field: Field) -> list[list[int]
                 cb = math.comb(j, i) % field.p
                 if cb == 0:
                     continue
-                coef = field.mul(field.embed_int(cb), field.pow(gamma, j - i))
+                coef = field.mul(cb, field.pow(gamma, j - i))
                 if coef == 0:
                     continue
                 for e, c in enumerate(q[j]):

@@ -6,11 +6,15 @@ All functions take int64 numpy arrays of canonical field elements (use
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from . import _kernels
 from ._kernels import sub
-from .galois import Field
+
+if TYPE_CHECKING:
+    from .galois import Field
 
 
 def as_matrix(rows) -> np.ndarray:

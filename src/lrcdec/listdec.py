@@ -14,6 +14,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
+from ._kernels import sub
 from .lrc import LrcCode
 from .radii import CodeShape, refined_error_count
 
@@ -75,13 +78,9 @@ def _local_lists(code: LrcCode, received, cfg: DecodeConfig):
     for j in range(code.mu):
         local = code.local_code(j)
         w = code.restrict(received, j)
-        entries = []
-        for cw in local.gs_list_decode(w, cfg.t_l):
-            dist = sum(1 for a, b in zip(cw, w) if a != b)
-            if dist <= cfg.t_l:
-                entries.append((dist, cw))
-        entries.sort()
-        out.append(entries)
+        out.append(sorted(
+            (sum(a != b for a, b in zip(cw, w)), cw) for cw in local.gs_list_decode(w, cfg.t_l)
+        ))
     return out
 
 
@@ -110,10 +109,9 @@ def _decode_shortened(code: LrcCode, received, chosen_sets, picks, cfg, result):
     chi = sum(d for d, _ in picks)
     if chi > cfg.t_g:
         return []
-    cleaned = list(received)
+    cleaned = np.array(received, dtype=np.int64)
     for j, (_, cw) in zip(chosen_sets, picks):
-        for pos, sym in zip(code.repair_sets[j], cw):
-            cleaned[pos] = sym
+        cleaned[list(code.repair_sets[j])] = cw
     sup = code.supercode
     subset = tuple(
         sup.locators[i] for j in chosen_sets for i in code.repair_sets[j]
@@ -128,12 +126,11 @@ def _decode_shortened(code: LrcCode, received, chosen_sets, picks, cfg, result):
     found = []
     F = code.field
     for cand in sctx.code.gs_list_decode(short_w, radius):
-        short_err = tuple(F.sub(w, c) for w, c in zip(short_w, cand))
-        full_err = sctx.lift_error(short_err)
-        full_cw = tuple(F.sub(w, e) for w, e in zip(cleaned, full_err))
-        dist = sum(1 for a, b in zip(full_cw, received) if a != b)
+        full_err = sctx.lift_error(sub(np.array(short_w), np.array(cand), F))
+        full_cw = sub(cleaned, np.array(full_err), F)
+        dist = np.count_nonzero(full_cw != np.asarray(received))
         if dist <= cfg.t_g and code.is_codeword(full_cw):
-            found.append(full_cw)
+            found.append(tuple(full_cw.tolist()))
     return found
 
 

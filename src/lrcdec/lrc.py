@@ -7,12 +7,13 @@ multiplicative-coset family: evaluation points are the order-n subgroup
 of GF(q)*, repair sets are cosets of its order-(r + rho - 1) subgroup,
 and messages are encoded as f(x) = sum_i f_i(x^(r+rho-1)) x^i.
 
-Every LrcCode builds its k x n generator once, one row per support
-monomial x^deg evaluated by the supercode.  Membership is a zero syndrome
-under the parity-check matrix ``parity`` (a basis of the generator's
-right null space), and the locality is checked by two rank tests per
-repair set: the restricted generator has rank r and spans the local
-[r + rho - 1, r] GRS code.
+The k x n generator of an LrcCode is the rows of the supercode's
+generator at its support degrees, and encoding goes through it.
+Membership is a zero syndrome under the parity-check matrix ``parity``
+(a basis of the generator's right null space), and the locality is
+checked by two rank tests per repair set: the restricted generator has
+rank r and spans the local [r + rho - 1, r] GRS code, which is kept in
+``local_codes``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .galois import Field, Poly
-from .grs import GrsCode
+from .galois import Field
+from .grs import GrsCode, encode_rows
 
 
 def optimal_distance(n: int, k: int, r: int, rho: int) -> int:
@@ -68,12 +69,19 @@ class LrcCode:
             raise ValueError("degree support size must equal k")
         if max(self.degrees) >= supercode.k:
             raise ValueError("degree support exceeds the supercode dimension")
-        gen = np.array(
-            [supercode.encode(Poly(self.field, (0,) * deg + (1,))) for deg in self.degrees],
-            dtype=np.int64,
+        self.generator = supercode.generator_matrix()[list(self.degrees)]
+        self.generator.flags.writeable = False
+        self.local_codes = tuple(
+            GrsCode(
+                self.field,
+                [supercode.locators[i] for i in idx],
+                [supercode.multipliers[i] for i in idx],
+                r,
+            )
+            for idx in self.repair_sets
         )
-        self._check_local_structure(gen)
-        self.parity = linalg.right_nullspace(gen, self.field)
+        self._check_local_structure()
+        self.parity = linalg.right_nullspace(self.generator, self.field)
 
     @property
     def n(self) -> int:
@@ -93,7 +101,7 @@ class LrcCode:
             f" GF({self.field.q}), d={self.d})"
         )
 
-    def _check_local_structure(self, gen: np.ndarray):
+    def _check_local_structure(self):
         """Each restriction must be the [n_l, r, rho] GRS code on its locators.
 
         The restricted generator must have rank r, and stacking the local
@@ -101,8 +109,8 @@ class LrcCode:
         """
         F = self.field
         for j in range(self.mu):
-            block = gen[:, list(self.repair_sets[j])]
-            local = self.local_code(j).generator_matrix()
+            block = self.generator[:, list(self.repair_sets[j])]
+            local = self.local_codes[j].generator_matrix()
             if linalg.rank(np.concatenate([block, local]), F) != self.r:
                 raise ValueError(f"restriction to repair set {j} leaves the local code")
             rank = linalg.rank(block, F)
@@ -113,16 +121,11 @@ class LrcCode:
 
     # -- encoding ----------------------------------------------------------------
 
-    def message_poly(self, message: Sequence[int]) -> Poly:
+    def encode(self, message: Sequence[int]) -> tuple[int, ...]:
         if len(message) != self.k:
             raise ValueError(f"message must have {self.k} symbols")
-        coeffs = [0] * (max(self.degrees) + 1)
-        for sym, deg in zip(message, self.degrees):
-            coeffs[deg] = sym
-        return Poly(self.field, coeffs)
-
-    def encode(self, message: Sequence[int]) -> tuple[int, ...]:
-        return self.supercode.encode(self.message_poly(message))
+        msg = np.asarray(message, dtype=np.int64)
+        return tuple(encode_rows(msg, self.generator, self.field).tolist())
 
     def is_codeword(self, word) -> bool:
         return len(word) == self.n and linalg.in_nullspace(self.parity, word, self.field)
@@ -130,13 +133,7 @@ class LrcCode:
     # -- locality ----------------------------------------------------------------
 
     def local_code(self, j: int) -> GrsCode:
-        idx = self.repair_sets[j]
-        return GrsCode(
-            self.field,
-            [self.supercode.locators[i] for i in idx],
-            [self.supercode.multipliers[i] for i in idx],
-            self.r,
-        )
+        return self.local_codes[j]
 
     def restrict(self, word, j: int) -> tuple[int, ...]:
         return tuple(word[i] for i in self.repair_sets[j])

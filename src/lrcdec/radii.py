@@ -199,8 +199,9 @@ def lrc_list_radius(shape: CodeShape, q=None) -> float:
 def refined_error_count(shape: CodeShape, t_l: int, q=None) -> int:
     """Largest t with t^2 + theta * floor(t/(t_l+1)) * n_l * (d - 2t) > 0.
 
-    Scans upward from the closed-form error count and returns the last
-    success before the first failure, capped at n.
+    Starts from the closed-form error count.  If it holds there, scans up
+    to the last success before the first failure, capped at n; otherwise
+    scans down to the first success, or 0 when no t >= 1 holds.
     """
     th = _theta(q)
     n_l, d = shape.n_l, shape.d
@@ -210,6 +211,8 @@ def refined_error_count(shape: CodeShape, t_l: int, q=None) -> int:
 
     t = max(correctable_from_radius(lrc_list_radius(shape, q)), 1)
     if not holds(t):
+        while t > 0 and not holds(t):
+            t -= 1
         return t
     while t + 1 <= shape.n and holds(t + 1):
         t += 1

@@ -5,8 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from lrcdec import Field, GrsCode, Poly, linalg
-from lrcdec.galois import lagrange_interpolate
+from lrcdec import Field, GrsCode, construct_tamo_barg, linalg
 from lrcdec.grs import _rr_roots
 
 
@@ -36,6 +35,37 @@ def corrupt(rnd, field, word, positions):
     return tuple(w)
 
 
+def horner(field, coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = field.add(field.mul(acc, x), c)
+    return acc
+
+
+def encode_oracle(code, coeffs):
+    """nu_i f(alpha_i) by scalar Horner."""
+    F = code.field
+    return tuple(F.mul(v, horner(F, coeffs, a)) for a, v in zip(code.locators, code.multipliers))
+
+
+def reduce_poly(field, coeffs, subset):
+    """Repeated f |-> (f - f(beta)) / (x - beta) on coefficient lists, by
+    synthetic division: the quotient of f by x - beta ignores f's constant."""
+    f = list(coeffs)
+    for beta in subset:
+        quot = [0] * max(len(f) - 1, 0)
+        acc = 0
+        for i in range(len(f) - 1, 0, -1):
+            acc = field.add(field.mul(acc, beta), f[i])
+            quot[i - 1] = acc
+        f = quot
+    return f
+
+
+def all_ints(words):
+    return all(type(s) is int for w in words for s in w)
+
+
 # -- construction ---------------------------------------------------------------
 
 def test_invalid_parameters(gf8):
@@ -55,8 +85,9 @@ def test_encode_zero_and_one(code_7_3, gf8):
 
 
 def test_encode_degree_too_large(code_7_3, gf8):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degree 3 >= k = 3"):
         code_7_3.encode([1, 2, 3, 4])
+    assert code_7_3.encode([1, 2, 3, 0, 0]) == code_7_3.encode([1, 2, 3])
 
 
 def test_random_codeword_weight_at_least_d(code_7_3):
@@ -95,11 +126,11 @@ def test_is_codeword_zero_code_and_wrong_length(code_7_2, gf8):
     assert not zero.is_codeword((0,) * 6)
 
 
-# -- unique decoding ------------------------------------------------------------
+# -- unique decoding: GS at the BMD radius t0 = floor((d - 1) / 2) = 2 ----------
 
 def test_bmd_no_errors(code_7_3):
     cw = code_7_3.encode([1, 2, 3])
-    assert code_7_3.bmd_decode(cw) == (cw, (0,) * 7)
+    assert code_7_3.gs_list_decode(cw, 2) == [cw]
 
 
 def test_bmd_two_errors(code_7_3, gf8):
@@ -107,13 +138,12 @@ def test_bmd_two_errors(code_7_3, gf8):
     for _ in range(50):
         cw = code_7_3.encode([rnd.randrange(8) for _ in range(3)])
         w = corrupt(rnd, gf8, cw, rnd.sample(range(7), 2))
-        res = code_7_3.bmd_decode(w)
-        assert res is not None and res[0] == cw
+        assert code_7_3.gs_list_decode(w, 2) == [cw]
 
 
 def test_bmd_three_errors_never_lies(code_7_3, gf8):
-    # beyond the radius: either failure or a codeword within the radius,
-    # verified against sphere enumeration of the full codebook
+    # beyond the radius: an empty list or the one codeword within the
+    # radius, verified against sphere enumeration of the full codebook
     book = [
         code_7_3.encode([a, b, c])
         for a in range(8) for b in range(8) for c in range(8)
@@ -122,39 +152,9 @@ def test_bmd_three_errors_never_lies(code_7_3, gf8):
     for _ in range(100):
         cw = book[rnd.randrange(len(book))]
         w = corrupt(rnd, gf8, cw, rnd.sample(range(7), 3))
-        res = code_7_3.bmd_decode(w)
-        in_sphere = [c for c in book if hamming(c, w) <= 2]
-        if res is None:
-            assert in_sphere == []
-        else:
-            assert res[0] in in_sphere
-            assert hamming(res[0], w) <= 2
-
-
-# -- erasure decoding ------------------------------------------------------------
-
-def test_erasure_zero(code_7_3):
-    cw = code_7_3.encode([5, 1, 2])
-    assert code_7_3.erasure_decode(cw, set()) == cw
-
-
-def test_erasure_all_patterns(code_7_3):
-    rnd = random.Random(4)
-    for pattern in itertools.combinations(range(7), 4):
-        cw = code_7_3.encode([rnd.randrange(8) for _ in range(3)])
-        assert code_7_3.erasure_decode(cw, set(pattern)) == cw
-
-
-def test_erasure_inconsistent(code_7_3, gf8):
-    cw = list(code_7_3.encode([1, 2, 3]))
-    cw[0] = gf8.add(cw[0], 1)
-    assert code_7_3.erasure_decode(tuple(cw), {5, 6}) is None
-
-
-def test_erasure_too_many(code_7_3):
-    cw = code_7_3.encode([1, 2, 3])
-    with pytest.raises(ValueError):
-        code_7_3.erasure_decode(cw, {0, 1, 2, 3, 4})
+        res = code_7_3.gs_list_decode(w, 2)
+        assert len(res) <= 1
+        assert res == [c for c in book if hamming(c, w) <= 2]
 
 
 # -- list decoding ---------------------------------------------------------------
@@ -192,16 +192,19 @@ def test_gs_beyond_guarantee_raises(code_7_2):
 
 
 def test_gs_agrees_with_bmd(code_7_3, gf8):
-    rnd = random.Random(8)
+    # at t0 = floor((d - 1) / 2) the list is the t0-sphere of the full
+    # 512-word codebook: uniform words and codewords hit by 1..3 errors
+    book = sorted(
+        code_7_3.encode([a, b, c]) for a in range(8) for b in range(8) for c in range(8)
+    )
     t0 = (code_7_3.d - 1) // 2
-    for _ in range(40):
-        w = tuple(rnd.randrange(8) for _ in range(7))
-        res = code_7_3.bmd_decode(w)
-        lst = code_7_3.gs_list_decode(w, t0)
-        if res is not None:
-            assert res[0] in lst
+    rnd = random.Random(8)
+    for i in range(80):
+        if i % 2:
+            w = tuple(rnd.randrange(8) for _ in range(7))
         else:
-            assert lst == []
+            w = corrupt(rnd, gf8, rnd.choice(book), rnd.sample(range(7), 1 + i % 3))
+        assert code_7_3.gs_list_decode(w, t0) == [c for c in book if hamming(c, w) <= t0]
 
 
 def test_gs_nontrivial_multipliers(gf16):
@@ -247,7 +250,7 @@ def dense_system(code, ys, t, s, ly):
     rows = [
         [
             F.mul(
-                F.embed_int(math.comb(dx, a) * math.comb(dy, b)),
+                math.comb(dx, a) * math.comb(dy, b) % F.p,
                 F.mul(F.pow(x0, dx - a), F.pow(y0, dy - b)),
             )
             if dx >= a and dy >= b
@@ -269,7 +272,7 @@ def dense_list(code, word, t):
     q_coeffs = [[0] * sum(1 for c in cols if c[0] == dy) for dy in range(ly + 1)]
     for (dy, dx), v in zip(cols, sol):
         q_coeffs[dy][dx] = int(v)
-    words = (code.encode(Poly(code.field, f)) for f in _rr_roots(q_coeffs, code.k, code.field))
+    words = (code.encode(f) for f in _rr_roots(q_coeffs, code.k, code.field))
     return sorted({c for c in words if hamming(c, word) <= t})
 
 
@@ -336,27 +339,23 @@ def test_koetter_error_names_values(gf16):
 # -- shortening ------------------------------------------------------------------
 
 def test_reduce_poly_constant(gf16):
-    code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 8)
-    assert code.reduce_poly(Poly(gf16, (5,)), [3]).is_zero()
+    assert not any(reduce_poly(gf16, [5], [3]))
 
 
 def test_reduce_poly_x_squared(gf16):
-    code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 8)
-    f = code.reduce_poly(Poly(gf16, (0, 0, 1)), [1])
-    assert f == Poly(gf16, (1, 1))
+    assert reduce_poly(gf16, [0, 0, 1], [1]) == [1, 1]
 
 
 def test_reduce_poly_identity(gf16):
-    code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 8)
     rnd = random.Random(10)
     for _ in range(20):
-        f = Poly(gf16, [rnd.randrange(16) for _ in range(6)])
+        f = [rnd.randrange(16) for _ in range(6)]
         beta = rnd.randrange(1, 16)
-        fb = code.reduce_poly(f, [beta])
+        fb = reduce_poly(gf16, f, [beta])
         for _ in range(20):
             x = rnd.randrange(16)
-            lhs = gf16.add(gf16.mul(fb.eval(x), gf16.sub(x, beta)), f.eval(beta))
-            assert lhs == f.eval(x)
+            lhs = gf16.add(gf16.mul(horner(gf16, fb, x), gf16.sub(x, beta)), horner(gf16, f, beta))
+            assert lhs == horner(gf16, f, x)
 
 
 def test_shorten_parameters(gf16):
@@ -374,10 +373,8 @@ def test_shorten_membership(gf16):
     short = code.shorten(subset)
     rnd = random.Random(11)
     for _ in range(100):
-        f = Poly(gf16, [rnd.randrange(16) for _ in range(8)])
-        fs = code.reduce_poly(f, subset)
-        word = tuple(gf16.mul(v, fs.eval(a)) for a, v in zip(short.locators, short.multipliers))
-        assert short.is_codeword(word)
+        fs = reduce_poly(gf16, [rnd.randrange(16) for _ in range(8)], subset)
+        assert short.is_codeword(encode_oracle(short, fs))
 
 
 def test_shorten_composes(gf8):
@@ -397,6 +394,7 @@ def test_shorten_received_zero_error(gf16):
     sw, ctx = code.shorten_received(cw, code.locators[:5])
     assert ctx.code.is_codeword(sw)
     assert ctx.lift_error((0,) * 10) == (0,) * 15
+    assert all_ints([cw, sw, ctx.lift_error((0,) * 10)])
 
 
 def test_shorten_received_single_error(gf16):
@@ -407,12 +405,11 @@ def test_shorten_received_single_error(gf16):
     w = list(cw)
     w[9] = gf16.add(w[9], 7)
     sw, ctx = code.shorten_received(tuple(w), subset)
-    short_cw = ctx.code.bmd_decode(sw)
-    assert short_cw is not None
-    err = ctx.lift_error(
-        tuple(gf16.sub(a, b) for a, b in zip(sw, short_cw[0]))
-    )
+    short_cws = ctx.code.gs_list_decode(sw, (ctx.code.d - 1) // 2)
+    assert len(short_cws) == 1
+    err = ctx.lift_error(tuple(gf16.sub(a, b) for a, b in zip(sw, short_cws[0])))
     assert err == tuple(gf16.sub(a, b) for a, b in zip(w, cw))
+    assert all_ints([sw, err] + short_cws)
 
 
 def test_shorten_decode_lift_roundtrip(gf16):
@@ -423,20 +420,64 @@ def test_shorten_decode_lift_roundtrip(gf16):
         subset = code.locators[:5]
         w = corrupt(rnd, gf16, cw, rnd.sample(range(5, 15), 3))
         sw, ctx = code.shorten_received(w, subset)
-        res = ctx.code.bmd_decode(sw)
-        assert res is not None
-        full_err = ctx.lift_error(res[1])
+        res = ctx.code.gs_list_decode(sw, (ctx.code.d - 1) // 2)
+        assert len(res) == 1
+        full_err = ctx.lift_error(tuple(gf16.sub(a, b) for a, b in zip(sw, res[0])))
         rec = tuple(gf16.sub(a, e) for a, e in zip(w, full_err))
         assert rec == cw
+
+
+def _array_core_code(name):
+    rnd = random.Random(name)
+    if name == "gf8-locator0":
+        return GrsCode(Field(8), list(range(8)), [rnd.randrange(1, 8) for _ in range(8)], 3)
+    if name == "gf16-15-8":
+        return GrsCode(Field(16), list(range(1, 16)), [rnd.randrange(1, 16) for _ in range(15)], 8)
+    if name == "gf64-63-29":
+        return construct_tamo_barg(Field(64), 63, 16, 8, 14).supercode
+    return GrsCode(Field(13), list(range(12)), [rnd.randrange(1, 13) for _ in range(12)], 4)
+
+
+@pytest.mark.parametrize("name", ["gf8-locator0", "gf16-15-8", "gf64-63-29", "gf13-12-4"])
+def test_array_core_matches_scalar_oracles(name):
+    """encode, shorten_received and lift_error against Horner, the
+    coefficient-list reduce_poly and the scalar lift factor."""
+    code = _array_core_code(name)
+    F, n, k = code.field, code.n, code.k
+    rnd = random.Random(n * k)
+    for trial in range(12):
+        coeffs = [rnd.randrange(F.q) for _ in range(k - trial % 2)]
+        cw = code.encode(coeffs)
+        assert cw == encode_oracle(code, coeffs)
+        subset = rnd.sample(code.locators, rnd.randrange(k + 1))
+        err = [0] * n
+        for i in rnd.sample([i for i in range(n) if code.locators[i] not in subset], 3):
+            err[i] = rnd.randrange(1, F.q)
+        sw, ctx = code.shorten_received([F.add(c, e) for c, e in zip(cw, err)], subset)
+        lift = [1] * len(ctx.kept)
+        for j, i in enumerate(ctx.kept):
+            for beta in subset:
+                lift[j] = F.mul(lift[j], F.sub(code.locators[i], beta))
+        short_err = [F.div(err[i], l) for i, l in zip(ctx.kept, lift)]
+        short_cw = encode_oracle(ctx.code, reduce_poly(F, coeffs, subset))
+        assert sw == tuple(F.add(c, e) for c, e in zip(short_cw, short_err))
+        assert ctx.lift_error(short_err) == tuple(err)
+        assert all_ints([cw, sw, ctx.lift_error(short_err), code.locators, code.multipliers])
 
 
 # -- MDS property -----------------------------------------------------------------
 
 def test_mds_every_k_positions_determine(code_7_3):
-    rnd = random.Random(13)
-    cw = code_7_3.encode([rnd.randrange(8) for _ in range(3)])
-    for erased in itertools.combinations(range(7), 4):
-        assert code_7_3.erasure_decode(cw, set(erased)) == cw
+    g = code_7_3.generator_matrix()
+    for cols in itertools.combinations(range(7), 3):
+        assert linalg.rank(g[:, list(cols)], code_7_3.field) == 3
+
+
+def test_generator_is_stored_read_only(code_7_3):
+    g = code_7_3.generator_matrix()
+    assert g is code_7_3.generator_matrix()
+    with pytest.raises(ValueError):
+        g[0, 0] = 5
 
 
 def test_gs_parameters_error_names_shape():

@@ -80,3 +80,21 @@ def test_vec_mul_largest_field():
         np.concatenate([a, ea.ravel(), zero_one, others]),
         np.concatenate([b, eb.ravel(), others, zero_one]),
     )
+
+
+@pytest.mark.parametrize("q", [2, 16, 256, 13])
+def test_powers_every_element(q):
+    """Row i of powers is x^i for every element x, 0^0 = 1 included."""
+    field = Field(q)
+    got = _kernels.powers(np.arange(q), q + 1, field)
+    assert got.shape == (q + 1, q)
+    assert got[0].tolist() == [1] * q
+    for i in range(q + 1):
+        assert got[i].tolist() == [field.pow(x, i) for x in range(q)]
+
+
+@pytest.mark.parametrize("q", [2, 16, 256, 13])
+def test_vec_inv_every_element(q):
+    field = Field(q)
+    xs = np.arange(1, q)
+    assert _kernels._vec_inv(xs, field).tolist() == [field.inv(x) for x in range(1, q)]

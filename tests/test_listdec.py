@@ -32,6 +32,9 @@ def test_zero_error_list_is_exact(tb_15_6):
     out = list_decode_lrc(tb_15_6, cw, CFG)
     assert out.codewords == [cw]
     assert out.complete
+    unique = unique_decode_probabilistic(tb_15_6, cw, CFG)
+    local = tb_15_6.local_code(0).gs_list_decode(tb_15_6.restrict(cw, 0), 1)
+    assert all(type(s) is int for w in [cw, unique] + out.codewords + local for s in w)
 
 
 def test_weight5_containment_seeded(tb_15_6):

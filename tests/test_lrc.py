@@ -3,7 +3,7 @@ import random
 import pytest
 
 from lrcdec import Field, construct_tamo_barg, optimal_distance
-from lrcdec.galois import Poly, lagrange_interpolate
+from lrcdec.galois import lagrange_interpolate
 from lrcdec.lrc import LrcCode
 
 
@@ -38,6 +38,7 @@ def test_local_restrictions_are_local_codewords(tb_15_6):
         cw = tb_15_6.encode(msg)
         for j in range(3):
             assert tb_15_6.local_code(j).is_codeword(tb_15_6.restrict(cw, j))
+    assert all(tb_15_6.local_code(j) is tb_15_6.local_codes[j] for j in range(3))
 
 
 def test_restriction_partition_recovers_word(tb_15_6):
@@ -50,6 +51,12 @@ def test_restriction_partition_recovers_word(tb_15_6):
     assert tb_15_6.restrict((0,) * 15, 1) == (0,) * 5
 
 
+def test_generator_rows_of_supercode(tb_15_6):
+    sup = tb_15_6.supercode.generator_matrix()
+    assert (tb_15_6.generator == sup[list(tb_15_6.degrees)]).all()
+    assert not tb_15_6.generator.flags.writeable
+
+
 def test_subcode_of_supercode(tb_15_6):
     rnd = random.Random(1)
     for _ in range(100):
@@ -60,10 +67,7 @@ def test_subcode_of_supercode(tb_15_6):
 
 def test_membership_rejects_supercode_non_members(tb_15_6, gf16):
     # a supercode word using a forbidden monomial is not an LRC word
-    from lrcdec.galois import Poly
-
-    f = Poly(gf16, (0, 0, 0, 1))  # x^3, degree 3 not in the support
-    w = tb_15_6.supercode.encode(f)
+    w = tb_15_6.supercode.encode([0, 0, 0, 1])  # x^3, degree 3 not in the support
     assert tb_15_6.supercode.is_codeword(w)
     assert not tb_15_6.is_codeword(w)
 
@@ -94,14 +98,13 @@ def test_global_distance_sandwich(tb_15_6, gf16):
     assert min_w >= tb_15_6.d == 8
     # the bound is met with equality: a polynomial vanishing on one whole
     # repair-set coset and two further locators has weight exactly 8
-    from lrcdec.galois import Poly
-
     F = gf16
     coset0 = [tb_15_6.supercode.locators[i] for i in tb_15_6.repair_sets[0]]
     c = F.pow(coset0[0], 5)
-    f = Poly(F, (F.neg(c), 0, 0, 0, 0, 1))  # x^5 - c
+    f = [F.neg(c), 0, 0, 0, 0, 1]  # x^5 - c
     for root in (tb_15_6.supercode.locators[5], tb_15_6.supercode.locators[10]):
-        f = f * Poly(F, (F.neg(root), 1))
+        # times (x - root), coefficients lowest degree first
+        f = [F.sub(lower, F.mul(root, same)) for same, lower in zip(f + [0], [0] + f)]
     w = tb_15_6.supercode.encode(f)
     assert tb_15_6.is_codeword(w)
     assert sum(1 for s in w if s) == 8
@@ -111,8 +114,15 @@ def test_message_layout(tb_15_6, gf16):
     # symbol (i, j) -> coefficient of x^(i + 5 j), row-major message order
     msg = [0] * 6
     msg[1] = 7  # i = 0, j = 1 -> degree 5
-    f = tb_15_6.message_poly(msg)
-    assert f.coeffs[5] == 7 and sum(1 for c in f.coeffs if c) == 1
+    assert tb_15_6.encode(msg) == tb_15_6.supercode.encode([0, 0, 0, 0, 0, 7])
+    rnd = random.Random(3)
+    msg = [rnd.randrange(16) for _ in range(6)]
+    coeffs = [0] * 8
+    for (i, j), sym in zip([(i, j) for i in range(3) for j in range(2)], msg):
+        coeffs[i + 5 * j] = sym
+    assert tb_15_6.encode(msg) == tb_15_6.supercode.encode(coeffs)
+    with pytest.raises(ValueError, match="6 symbols"):
+        tb_15_6.encode(msg[:5])
 
 
 def test_json_roundtrip(tb_15_6):
@@ -153,7 +163,7 @@ def _member_by_interpolation(code, word):
     F = code.field
     pts = [(a, F.div(w, v)) for a, w, v in zip(sup.locators, word, sup.multipliers)]
     f = lagrange_interpolate(F, pts)
-    return all(c == 0 or i in code.degrees for i, c in enumerate(f.coeffs))
+    return all(c == 0 or i in code.degrees for i, c in enumerate(f))
 
 
 @pytest.mark.parametrize("k", [6, 9])
@@ -169,7 +179,7 @@ def test_membership_matches_interpolation_oracle(gf16, k):
         for d in code.degrees:
             coeffs[d] = rnd.randrange(16)
         coeffs[rnd.choice(forbidden)] = rnd.randrange(1, 16)
-        words.append(code.supercode.encode(Poly(gf16, coeffs)))
+        words.append(code.supercode.encode(coeffs))
     verdicts = [code.is_codeword(w) for w in words]
     assert verdicts == [_member_by_interpolation(code, w) for w in words]
     assert verdicts.count(True) == 40  # exactly the LRC words

@@ -93,6 +93,37 @@ def test_refined_error_count_examples():
     assert refined_error_count(SHAPE_63, 8) == 24
     assert refined_error_count(SHAPE_15, 1) == 5
     assert refined_error_count(SHAPE_500, 43) == 175
+    # the closed-form start 9 fails: 81 + 4 * 5 * (13 - 18) = -19; 8 holds
+    assert refined_error_count(CodeShape(15, 3, 3, 3), 1) == 8
+
+
+def _refined_holds(shape, t_l, q, t):
+    th = shape.theta if q is None else CodeShape(shape.n, shape.k, shape.r, shape.rho, q=q).theta
+    return t * t + th * (t // (t_l + 1)) * shape.n_l * (shape.d - 2 * t) > 0
+
+
+def test_refined_count_satisfies_its_inequality_scan():
+    # seeded shapes with n <= 60: the count holds, or is 0 when no t >= 1 does
+    rnd = random.Random(60)
+    checked = 0
+    while checked < 1500:
+        r, rho = rnd.randrange(1, 10), rnd.randrange(2, 12)
+        n_l = r + rho - 1
+        if n_l > 60:
+            continue
+        n = n_l * rnd.randrange(1, 60 // n_l + 1)
+        q = rnd.choice([None, 2, 16, 64, 256])
+        try:
+            shape = CodeShape(n, rnd.randrange(r, n + 1), r, rho)
+            t_l = rnd.randrange(0, n_l)
+            t = refined_error_count(shape, t_l, q)
+        except ValueError:
+            continue
+        checked += 1
+        if t > 0:
+            assert _refined_holds(shape, t_l, q, t), (shape, t_l, q, t)
+        else:
+            assert not any(_refined_holds(shape, t_l, q, u) for u in range(1, n + 1))
 
 
 def test_refined_count_at_least_closed_form():
