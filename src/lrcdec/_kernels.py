@@ -97,6 +97,40 @@ def rref(M: np.ndarray, field):
     return r, piv_cols[:r]
 
 
+def rank_stack(M: np.ndarray, field) -> np.ndarray:
+    """Ranks of a (batch, rows, cols) stack, by forward elimination in place.
+
+    Each column is one step over the whole stack: every matrix takes its
+    first nonzero entry at or below its own pivot row, swaps it up and
+    clears the entries under it.  Returns an int64 array of length batch.
+    """
+    batch, rows, cols = M.shape
+    rank = np.zeros(batch, dtype=np.int64)
+    every = np.arange(batch)
+    row_ids = np.arange(rows)
+    for c in range(cols):
+        below = row_ids[None, :] >= rank[:, None]
+        cand = (M[:, :, c] != 0) & below
+        has = cand.any(axis=1)
+        if not has.any():
+            continue
+        top = np.minimum(rank, rows - 1)  # full-rank matrices swap a row with itself
+        piv = np.where(has, cand.argmax(axis=1), top)
+        pivot_rows = M[every, piv, c:]
+        M[every, piv, c:] = M[every, top, c:]
+        M[every, top, c:] = pivot_rows
+        pv = np.where(has, pivot_rows[:, 0], 1)
+        pivot_rows = _vec_mul(pivot_rows, _vec_inv(pv, field)[:, None], field)
+        factors = np.where(below & has[:, None], M[:, :, c], 0)
+        factors[every, top] = 0
+        prod = _vec_mul(factors[:, :, None], pivot_rows[:, None, :], field)
+        M[:, :, c:] = sub(M[:, :, c:], prod, field)
+        rank += has
+        if (rank == rows).all():
+            break
+    return rank
+
+
 def matmul(A: np.ndarray, B: np.ndarray, field) -> np.ndarray:
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")

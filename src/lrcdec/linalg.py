@@ -31,8 +31,15 @@ def rref(a: np.ndarray, field: Field):
     return m, rank, piv
 
 
-def rank(a: np.ndarray, field: Field) -> int:
+def rank(a: np.ndarray, field: Field) -> int | np.ndarray:
+    """Rank of a matrix, or the int64 array of ranks of a (batch, rows, cols) stack.
+
+    A stack goes to one batched elimination; a single matrix keeps the
+    2-D ``rref`` kernel, whose per-call overhead is the lower of the two.
+    """
     m = np.array(a, dtype=np.int64)
+    if m.ndim == 3:
+        return _kernels.rank_stack(m, field)
     rk, _ = _kernels.rref(m, field)
     return rk
 

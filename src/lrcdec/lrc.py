@@ -11,9 +11,9 @@ The k x n generator of an LrcCode is the rows of the supercode's
 generator at its support degrees, and encoding goes through it.
 Membership is a zero syndrome under the parity-check matrix ``parity``
 (a basis of the generator's right null space), and the locality is
-checked by two rank tests per repair set: the restricted generator has
-rank r and spans the local [r + rho - 1, r] GRS code, which is kept in
-``local_codes``.
+checked by two stacked rank tests over the repair sets: each restricted
+generator has rank r and spans the local [r + rho - 1, r] GRS code, which
+is kept in ``local_codes``.
 """
 
 from __future__ import annotations
@@ -105,18 +105,21 @@ class LrcCode:
         """Each restriction must be the [n_l, r, rho] GRS code on its locators.
 
         The restricted generator must have rank r, and stacking the local
-        code's generator under it must leave the rank at r.
+        code's generator under it must leave the rank at r.  Both tests run
+        as one stacked rank over the mu repair sets; the smallest failing j
+        is reported, the local-code test first.
         """
         F = self.field
+        blocks = np.moveaxis(self.generator[:, self.repair_sets], 1, 0)
+        local = np.stack([c.generator_matrix() for c in self.local_codes])
+        joint = linalg.rank(np.concatenate([blocks, local], axis=1), F)
+        ranks = linalg.rank(blocks, F)
         for j in range(self.mu):
-            block = self.generator[:, list(self.repair_sets[j])]
-            local = self.local_codes[j].generator_matrix()
-            if linalg.rank(np.concatenate([block, local]), F) != self.r:
+            if joint[j] != self.r:
                 raise ValueError(f"restriction to repair set {j} leaves the local code")
-            rank = linalg.rank(block, F)
-            if rank != self.r:
+            if ranks[j] != self.r:
                 raise ValueError(
-                    f"local code {j} has dimension {rank}, expected {self.r}"
+                    f"local code {j} has dimension {ranks[j]}, expected {self.r}"
                 )
 
     # -- encoding ----------------------------------------------------------------

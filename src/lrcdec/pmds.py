@@ -5,6 +5,12 @@ construction over large fields, counting of index sets compatible with
 the locality structure, and the exact probability that a random error
 support defeats the interleaved support-locating decoder, counted in
 big-integer arithmetic from per-repair-set generating functions.
+
+A code whose local restrictions have rank r is PMDS exactly when every
+k-subset of positions meeting each repair set in at most r of them is an
+information set (Blaum-Hafner-Hetzler 2013; Gopalan-Huang-Jenkins-
+Yekhanin 2014).  There are s_mu_size(n, k, r, rho, k) such subsets, and
+verify_pmds ranks each k x k minor once, in stacked batches.
 """
 
 from __future__ import annotations
@@ -54,16 +60,22 @@ class PmdsCode:
         return linalg.matmul(msg, self.generator, self.field)[0]
 
 
-def _is_mds(field: Field, basis: np.ndarray, k: int, budget: list[int]) -> bool:
-    """Every k columns of the k x n basis must be linearly independent."""
-    n = basis.shape[1]
-    for cols in itertools.combinations(range(n), k):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise RuntimeError("exhaustive PMDS check exceeds the rank-test budget")
-        if linalg.rank(basis[:, list(cols)], field) != k:
-            return False
-    return True
+def _information_sets(repair_sets, k: int, r: int):
+    """Yield each k-subset of positions that meets every repair set in at
+    most r of them, as a tuple, without repeats."""
+    if k == 0:
+        yield ()
+        return
+    for i, rs in enumerate(repair_sets):
+        if r * (len(repair_sets) - i) < k:
+            return
+        for w in range(1, min(r, k) + 1):
+            for head in itertools.combinations(rs, w):
+                for tail in _information_sets(repair_sets[i + 1 :], k - w, r):
+                    yield head + tail
+
+
+_RANK_BUDGET = 2_000_000  # rank tests per verify_pmds call, and matrix cells per stacked rank
 
 
 def verify_pmds(
@@ -72,37 +84,47 @@ def verify_pmds(
     repair_sets: Sequence[Sequence[int]],
     r: int,
     rho: int,
-    budget: int = 2_000_000,
 ) -> bool:
     """Exhaustive check of the maximal-recoverability property.
 
-    Every local restriction must be an [r+rho-1, r, rho] MDS code, and
-    every puncturing of rho-1 positions per repair set must leave an MDS
-    code of the full dimension.  Raises RuntimeError when the number of
-    rank tests would exceed the budget.
+    The code is PMDS when every local restriction is an [r+rho-1, r, rho]
+    MDS code and every puncturing of rho-1 positions per repair set leaves
+    an MDS code of dimension k.  Given local rank r, that holds exactly
+    when every k-subset meeting each repair set in at most r positions is
+    an information set: such a subset is the k columns of some punctured
+    code, and it contains any r columns of one repair set once mu r >= k.
+    There are s_mu_size(n, k, r, rho, k) of them, so the check is mu local
+    ranks and that many k x k minors, each ranked once in stacked chunks
+    that stop at the first chunk with a singular minor.  mu r < k leaves
+    no information set and returns False.
+
+    The repair sets must partition range(n) into sets of size r+rho-1.
+    Raises RuntimeError when the number of rank tests exceeds _RANK_BUDGET.
     """
     g = np.asarray(generator, dtype=np.int64)
     k, n = g.shape
+    sets = [tuple(rs) for rs in repair_sets]
     n_l = r + rho - 1
-    remaining = [budget]
-    for rs in repair_sets:
-        local = g[:, list(rs)]
-        red, rank, _ = linalg.rref(local, field)
-        if rank != r:
-            return False
-        basis = red[:r, :]
-        if not _is_mds(field, basis, r, remaining):
-            return False
-    patterns = itertools.product(
-        *[itertools.combinations(rs, rho - 1) for rs in repair_sets]
-    )
-    for pat in patterns:
-        removed = set(itertools.chain.from_iterable(pat))
-        kept = [j for j in range(n) if j not in removed]
-        punctured = g[:, kept]
-        if linalg.rank(punctured, field) != k:
-            return False
-        if not _is_mds(field, punctured, k, remaining):
+    if sorted(i for rs in sets for i in rs) != list(range(n)) or any(
+        len(rs) != n_l for rs in sets
+    ):
+        raise ValueError(
+            f"repair sets must partition range({n}) into sets of size r + rho - 1 = {n_l}"
+        )
+    minors = s_mu_size(n, k, r, rho, k)
+    tests = len(sets) + minors
+    if tests > _RANK_BUDGET:
+        raise RuntimeError(
+            f"exhaustive PMDS check needs {tests} rank tests, over the limit of {_RANK_BUDGET}"
+        )
+    if minors == 0:
+        return False
+    if (linalg.rank(np.moveaxis(g[:, sets], 1, 0), field) != r).any():
+        return False
+    chunk = max(1, _RANK_BUDGET // max(1, k * k))
+    subsets = _information_sets(sets, k, r)
+    while block := list(itertools.islice(subsets, chunk)):
+        if (linalg.rank(np.moveaxis(g[:, block], 1, 0), field) != k).any():
             return False
     return True
 
@@ -146,8 +168,6 @@ def random_pmds(q: int, n: int, k: int, r: int, rho: int, seed: int) -> PmdsCode
     for _ in range(_MAX_TRIES):
         mix = rng.integers(0, q, size=(k, mu * r), dtype=np.int64)
         gen = linalg.matmul(mix, block, field)
-        if linalg.rank(gen, field) != k:
-            continue
         if verify_pmds(field, gen, repair_sets, r, rho):
             parity = linalg.right_nullspace(gen, field)
             return PmdsCode(

@@ -39,6 +39,48 @@ def test_solve_and_nullspace(q):
     assert np.array_equal(linalg.matmul(a, x, field), b)
 
 
+def _rank_cases(q, rng):
+    """Seeded stacks: random, zero, rank-deficient; square, tall and wide."""
+    field = Field(q)
+    stacks = []
+    for rows, cols in [(4, 4), (6, 3), (3, 6), (5, 5), (1, 4), (4, 1)]:
+        s = rng.integers(0, q, size=(24, rows, cols), dtype=np.int64)
+        s[0] = 0
+        for b in range(1, 12):  # rank at most inner < min(rows, cols)
+            inner = b % min(rows, cols)
+            s[b] = linalg.matmul(
+                rng.integers(0, q, size=(rows, inner)),
+                rng.integers(0, q, size=(inner, cols)),
+                field,
+            )
+        s[12] = s[13]  # repeated rows stay rank-deficient after a swap
+        s[12, -1] = s[12, 0]
+        stacks.append(s)
+    return field, stacks
+
+
+@pytest.mark.parametrize("q", [2, 16, 1024, 7])
+def test_stacked_rank_matches_per_matrix_rank(q):
+    field, stacks = _rank_cases(q, np.random.default_rng(q + 3))
+    deficient = 0
+    for s in stacks:
+        got = linalg.rank(s, field)
+        want = [linalg.rank(m, field) for m in s]
+        assert got.dtype == np.int64 and got.tolist() == want
+        deficient += sum(w < min(s.shape[1:]) for w in want)
+    assert deficient >= 6 * 12
+
+
+def test_stacked_rank_empty_and_degenerate():
+    field = Field(16)
+    assert linalg.rank(np.zeros((0, 3, 4), dtype=np.int64), field).tolist() == []
+    assert linalg.rank(np.zeros((2, 0, 4), dtype=np.int64), field).tolist() == [0, 0]
+    assert linalg.rank(np.zeros((2, 3, 0), dtype=np.int64), field).tolist() == [0, 0]
+    stack = np.array([np.eye(3, dtype=np.int64)] * 2)
+    linalg.rank(stack, field)
+    assert np.array_equal(stack, [np.eye(3)] * 2)  # the input is copied
+
+
 def test_solve_inconsistent():
     field = Field(16)
     a = np.array([[1, 0], [2, 0], [0, 0]], dtype=np.int64)

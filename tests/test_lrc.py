@@ -157,6 +157,16 @@ def test_validation_rejects_monomial_outside_local_code(tb_15_6):
         LrcCode.from_json(obj)
 
 
+def test_validation_reports_local_dimension(tb_15_6):
+    # on a repair set x^5 and x^10 are multiples of 1, and x^11 of x, so
+    # the restriction stays inside the local code but has rank 2
+    obj = tb_15_6.to_json()
+    obj["supercode_k"] = 12
+    obj["degrees"] = [0, 5, 10, 1, 6, 11]
+    with pytest.raises(ValueError, match=r"^local code 0 has dimension 2, expected 3$"):
+        LrcCode.from_json(obj)
+
+
 def _member_by_interpolation(code, word):
     """Oracle: the interpolant of word / nu uses only support monomials."""
     sup = code.supercode

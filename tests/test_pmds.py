@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from lrcdec import Field, random_pmds, verify_pmds
-from lrcdec import linalg
+from lrcdec import linalg, pmds
 from lrcdec.grs import GrsCode
 from lrcdec.interleaved import excess_criterion
 from lrcdec.pmds import (
+    _information_sets,
     asymptotic_predicates,
     complement_count_closed_form,
     failure_prob_exact,
@@ -37,6 +38,10 @@ def test_mds_code_is_pmds_with_one_repair_set():
 def test_repeated_column_fails():
     f = Field(1024)
     g = np.array([[1, 1, 2, 3, 5, 8], [0, 0, 1, 4, 7, 2]], dtype=np.int64)
+    assert not verify_pmds(f, g, [(0, 1, 2), (3, 4, 5)], 2, 2)
+    # the same column in two repair sets: locals are MDS, one minor is not
+    g = np.array([[1, 0, 1, 1, 1, 2], [0, 1, 3, 0, 5, 7]], dtype=np.int64)
+    assert all(linalg.rank(g[:, list(c)], f) == 2 for c in [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
     assert not verify_pmds(f, g, [(0, 1, 2), (3, 4, 5)], 2, 2)
 
 
@@ -72,6 +77,176 @@ def test_random_pmds_deterministic():
 def test_random_pmds_tiny_field_fails():
     with pytest.raises(ValueError):
         random_pmds(2, 12, 4, 2, 2, seed=0)
+
+
+def _is_mds_by_minors(field, basis, k):
+    n = basis.shape[1]
+    return all(
+        linalg.rank(basis[:, list(cols)], field) == k
+        for cols in itertools.combinations(range(n), k)
+    )
+
+
+def _verify_by_puncturing(field, g, repair_sets, r, rho):
+    """Oracle: the definition, one pattern at a time.  Every local restriction
+    is an MDS code of rank r, and every puncturing of rho - 1 positions per
+    repair set leaves an MDS code of rank k."""
+    k, n = g.shape
+    for rs in repair_sets:
+        red, rank, _ = linalg.rref(g[:, list(rs)], field)
+        if rank != r or not _is_mds_by_minors(field, red[:r, :], r):
+            return False
+    for pat in itertools.product(*[itertools.combinations(rs, rho - 1) for rs in repair_sets]):
+        removed = set(itertools.chain.from_iterable(pat))
+        punctured = g[:, [j for j in range(n) if j not in removed]]
+        if linalg.rank(punctured, field) != k or not _is_mds_by_minors(field, punctured, k):
+            return False
+    return True
+
+
+def _repair_sets(n, r, rho):
+    n_l = r + rho - 1
+    return [tuple(range(i * n_l, (i + 1) * n_l)) for i in range(n // n_l)]
+
+
+def _mixing_draw(field, n, k, r, rho, rng):
+    """A random k x (mu r) mixing of block-diagonal [n_l, r] GRS generators,
+    as random_pmds draws it."""
+    n_l = r + rho - 1
+    g_loc = GrsCode(field, list(range(n_l)), [1] * n_l, r).generator_matrix()
+    block = np.zeros((n // n_l * r, n), dtype=np.int64)
+    for i in range(n // n_l):
+        block[i * r : (i + 1) * r, i * n_l : (i + 1) * n_l] = g_loc
+    mix = rng.integers(0, field.q, size=(k, block.shape[0]), dtype=np.int64)
+    return linalg.matmul(mix, block, field)
+
+
+DIFF_SHAPES = [(6, 3, 2, 2), (9, 4, 2, 2), (12, 4, 2, 2), (12, 5, 3, 2), (12, 3, 2, 3)]
+
+
+def test_verify_matches_puncturing_oracle():
+    verdicts = Counter()
+    for (n, k, r, rho) in DIFF_SHAPES:
+        sets = _repair_sets(n, r, rho)
+        for q in (8, 16, 32, 64):
+            field = Field(q)
+            rng = np.random.default_rng([q, n, k, r, rho])
+            draws = [_mixing_draw(field, n, k, r, rho, rng) for _ in range(8)]
+            draws += [rng.integers(0, q, size=(k, n), dtype=np.int64) for _ in range(2)]
+            for g in draws:
+                want = _verify_by_puncturing(field, g, sets, r, rho)
+                assert verify_pmds(field, g, sets, r, rho) == want, (n, k, r, rho, q)
+                verdicts[want] += 1
+    assert verdicts[True] >= 20 and verdicts[False] >= 100, verdicts
+
+
+def test_verify_fails_when_mu_r_below_k():
+    # k = 5 > mu r = 4: each local restriction is a valid [3, 2] MDS code,
+    # but no 5-subset meets both repair sets in at most 2 positions
+    field = Field(64)
+    sets = _repair_sets(6, 2, 2)
+    g = _mixing_draw(field, 6, 5, 2, 2, np.random.default_rng(0))
+    assert [linalg.rank(g[:, list(rs)], field) for rs in sets] == [2, 2]
+    assert s_mu_size(6, 5, 2, 2, 5) == 0
+    assert not _verify_by_puncturing(field, g, sets, 2, 2)
+    assert not verify_pmds(field, g, sets, 2, 2)
+
+
+def test_verify_one_repair_set_is_whole_code_mds():
+    rng = np.random.default_rng(3)
+    seen = Counter()
+    for q in (8, 16):
+        field = Field(q)
+        for _ in range(30):
+            g = rng.integers(0, q, size=(3, 6), dtype=np.int64)
+            want = _is_mds_by_minors(field, g, 3)
+            assert verify_pmds(field, g, [tuple(range(6))], 3, 4) == want
+            seen[want] += 1
+    assert seen[True] and seen[False]
+
+
+def test_verify_rejects_non_partition():
+    field = Field(16)
+    g = np.ones((2, 6), dtype=np.int64)
+    with pytest.raises(ValueError, match=r"partition range\(6\) into sets of size r \+ rho - 1 = 3"):
+        verify_pmds(field, g, [(0, 1, 2), (2, 3, 4)], 2, 2)
+
+
+@pytest.mark.parametrize(
+    "n, k, r, rho", DIFF_SHAPES + [(15, 8, 4, 2), (12, 6, 2, 2), (14, 6, 3, 5), (8, 0, 2, 3)]
+)
+def test_information_sets_enumerated_once(n, k, r, rho):
+    sets = _repair_sets(n, r, rho)
+    got = list(_information_sets(sets, k, r))
+    assert len(got) == len(set(got)) == s_mu_size(n, k, r, rho, k)
+    want = {
+        c
+        for c in itertools.combinations(range(n), k)
+        if all(len(set(c) & set(rs)) <= r for rs in sets)
+    }
+    assert set(got) == want
+
+
+def test_verify_ranks_each_information_set_once(monkeypatch, pmds_12_4):
+    calls = []
+    rank = linalg.rank
+
+    def counting(a, field):
+        calls.append(np.shape(a))
+        return rank(a, field)
+
+    monkeypatch.setattr(linalg, "rank", counting)
+    code = pmds_12_4
+    assert verify_pmds(code.field, code.generator, code.repair_sets, 2, 2)
+    assert calls == [(4, 4, 3), (459, 4, 4)]
+
+
+def test_verify_budget_is_counted_before_ranking(monkeypatch, pmds_12_4):
+    def no_rank(*_):
+        raise AssertionError("ranked before the budget check")
+
+    monkeypatch.setattr(linalg, "rank", no_rank)
+    monkeypatch.setattr(pmds, "_RANK_BUDGET", 462)
+    code = pmds_12_4
+    with pytest.raises(RuntimeError, match="needs 463 rank tests, over the limit of 462"):
+        verify_pmds(code.field, code.generator, code.repair_sets, 2, 2)
+
+
+def _sha(a):
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()
+
+
+# sha256 of (shape, int64 bytes) of generator and parity, recorded with the
+# puncture-pattern verifier; the accepted draw is the 19th, 15th, 9th, 38th,
+# 27th and 1st, so every verdict along those draws is pinned.
+RANDOM_PMDS_PINS = [
+    ((64, 12, 4, 2, 2, 1), "e9d486f945f47652c3a0995ae1fbd01c21941a05fce56e14d59941e62b3bc3d7",
+     "466bdb263b43ce410a48309261cf3314a86e942e74f5c7b9690175da48d37a58"),
+    ((64, 12, 4, 2, 2, 2), "31b4c84001189644bb87db18eb1a3e78242b098b02068cf7eb56dac0dfe395cf",
+     "daae42f67517861460f0041efcb390f4f506b5ca6370986f04e32a553e4236a6"),
+    ((64, 12, 4, 2, 2, 3), "00647b7425d9587528eb88efdfc501585a5358032a7d683f5d8bebfe64f45415",
+     "2987ccae36ac0709d57a824a78bdf16c01bb97ba089259c96cfb57ae1f49b0c7"),
+    ((16, 12, 6, 2, 2, 1), "cc896c8a6af62bd7bc2beb2ded93fc935b49f39caf9851c1669fb1f7c92ccae1",
+     "c2ac8f1af5bb02404a322ebb2374df4242cf9672bea08f50680c152265be0cbb"),
+    ((16, 12, 6, 2, 2, 2), "0ca5836c12de2f68c23692a3cb2c8e7018af465bf0422374b4a77ac50ba8236d",
+     "8fa4a676119dc9f4ef42d6d5302603399ec58c5e46bfae62f2fb3cadce5edbe2"),
+    ((1024, 12, 4, 2, 2, 1), "bcd8ae5ee91628cd5e65f84708c81844586988ea2d791750b77c3d88d7a86005",
+     "f950518b11dc212fa724ce2f35ec2d14725daca13389b3aee7ad5a3a44628e29"),
+]
+
+
+@pytest.mark.parametrize("args, gen_sha, parity_sha", RANDOM_PMDS_PINS)
+def test_random_pmds_pinned(args, gen_sha, parity_sha):
+    q, n, k, r, rho, seed = args
+    code = random_pmds(q, n, k, r, rho, seed=seed)
+    assert (_sha(code.generator), _sha(code.parity)) == (gen_sha, parity_sha)
+
+
+def test_random_pmds_pinned_rejection():
+    # all 50 draws for this seed are rejected
+    with pytest.raises(ValueError, match="no PMDS instance found in 50 tries; use a larger field than 16"):
+        random_pmds(16, 12, 6, 2, 2, seed=3)
 
 
 # -- counting ----------------------------------------------------------------------
