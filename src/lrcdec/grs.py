@@ -4,9 +4,13 @@ Every code builds its k x n generator once (row i is nu * alpha^i) and
 keeps it read-only; messages, words and candidate lists are int64
 arrays, and a codeword is one product of the message coefficients with
 the generator.  Guruswami-Sudan list decoding interpolates by Koetter's
-iterative algorithm, then finds the y-roots by the Roth-Ruckenstein
-recursion over the whole field at once.  Decoder-side shortening divides
-out one known position at a time, (y - y_beta) / (alpha - beta).
+iterative algorithm on the packed monomial layout: the candidates are the
+rows of one array whose columns are exactly the monomials x^dx y^dy of
+(1, k-1)-weighted degree <= wdeg, dy-major.  The Roth-Ruckenstein
+recursion then finds the y-roots with Q as an array, each substitution
+Q(x, x y + gamma) one array product, and each level's roots from one
+Horner pass over the whole field.  Decoder-side shortening divides out
+one known position at a time, (y - y_beta) / (alpha - beta).
 """
 
 from __future__ import annotations
@@ -167,56 +171,67 @@ class GrsCode:
         """Q of least (1, k-1)-weighted degree with multiplicity s at every
         (locator, y) point, by Koetter's iterative interpolation.
 
-        Candidates Q_j = y^j (j <= ly) form one [j, dy, dx] array.  Per
-        Hasse constraint D_{a,b} Q(x0, y0) = 0, the violating candidate of
-        least weighted degree clears it from the others, then takes a
-        factor x - x0.  Returns coefficient lists of length wdeg - dy (k-1) + 1.
+        Candidates Q_j = y^j (j <= ly) are the rows of one (ly + 1, M)
+        array whose columns are the M monomials x^dx y^dy with
+        dx + dy (k-1) <= wdeg, dy-major: the unknowns of the dense
+        interpolation system.  Per Hasse constraint D_{a,b} Q(x0, y0) = 0,
+        gathered into the same columns, the violating candidate of least
+        weighted degree clears it from the others, then takes a factor
+        x - x0; x Q shifts each dy block by one column.  Returns
+        coefficient lists of length wdeg - dy (k-1) + 1.
         """
         F = self.field
         n, k = self.n, self.k
         wdeg = s * (n - t) - 1
-        width = wdeg + 2  # room for one (x - x0) step past the bound
-        polys = np.zeros((ly + 1, ly + 1, width), dtype=np.int64)
-        polys[np.arange(ly + 1), np.arange(ly + 1), 0] = 1
-        wdegs = np.arange(ly + 1) * (k - 1)
+        lens = wdeg + 1 - np.arange(ly + 1) * (k - 1)
+        col_dy = np.repeat(np.arange(ly + 1), lens)
+        starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
+        col_dx = np.arange(col_dy.size) - starts[col_dy]
+        # x Q: column c takes column c - 1, except at a block start; the
+        # coefficient leaving a block end belongs to a candidate past the
+        # bound, which is never used again
+        block_start = col_dx == 0
+        polys = np.zeros((ly + 1, col_dy.size), dtype=np.int64)
+        polys[np.arange(ly + 1), starts] = 1
+        wdegs = [j * (k - 1) for j in range(ly + 1)]
         # b outer, a inner: D_{a,b} of (x - x0) Q is D_{a-1,b} Q at x0, so
         # the constraints imposed so far survive the (x - x0) step
         bs, as_ = np.array([(b, a) for b in range(s) for a in range(s - b)]).T
-        xbin = np.array([[math.comb(d, a) % F.p for d in range(width)] for a in range(s)])
+        xbin = np.array([[math.comb(d, a) % F.p for d in range(wdeg + 1)] for a in range(s)])
         ybin = np.array([[math.comb(d, b) % F.p for d in range(ly + 1)] for b in range(s)])
-        xshift = np.maximum(np.arange(width) - np.arange(s)[:, None], 0)
+        xshift = np.maximum(np.arange(wdeg + 1) - np.arange(s)[:, None], 0)
         yshift = np.maximum(np.arange(ly + 1) - np.arange(s)[:, None], 0)
-        xpows = powers(self._alpha, width, F).T
+        xpows = powers(self._alpha, wdeg + 1, F).T
         ypows = powers(ys, ly + 1, F).T
         for x0, xpow, ypow in zip(self.locators, xpows, ypows):
             # row [a, dx] is C(dx, a) x0^(dx - a), row [b, dy] is C(dy, b) y0^(dy - b)
             xrows = _vec_mul(xbin, xpow[xshift], F)
             yrows = _vec_mul(ybin, ypow[yshift], F)
-            hasse = _vec_mul(yrows[bs, :, None], xrows[as_, None, :], F)
+            hasse = _vec_mul(yrows[bs][:, col_dy], xrows[as_][:, col_dx], F)
             for row in hasse:
-                prod = _vec_mul(polys, row, F).reshape(ly + 1, -1)
-                disc = add_reduce(prod, 1, F)
+                disc = add_reduce(_vec_mul(polys, row, F), 1, F).tolist()
                 # a candidate past the bound is never returned, and it never
                 # feeds one within the bound, so it drops out
-                disc[wdegs > wdeg] = 0
-                hit = disc.nonzero()[0]
-                if hit.size == 0:
+                hit = [j for j, v in enumerate(disc) if v and wdegs[j] <= wdeg]
+                if not hit:
                     continue
-                piv = hit[wdegs[hit].argmin()]
-                rest = hit[hit != piv]
-                coef = _vec_mul(disc[rest], F.inv(int(disc[piv])), F)
-                polys[rest] = sub(polys[rest], _vec_mul(coef[:, None, None], polys[piv], F), F)
-                # the last column of a candidate within the bound is zero
-                shifted = np.roll(polys[piv], 1, axis=1)
-                polys[piv] = sub(shifted, _vec_mul(polys[piv], x0, F), F)
+                piv = min(hit, key=wdegs.__getitem__)
+                rest = [j for j in hit if j != piv]
+                p = polys[piv]
+                if rest:
+                    coef = _vec_mul(np.array([disc[j] for j in rest]), F.inv(disc[piv]), F)
+                    polys[rest] = sub(polys[rest], _vec_mul(coef[:, None], p, F), F)
+                shifted = np.concatenate(([0], p[:-1]))
+                shifted[block_start] = 0
+                polys[piv] = sub(shifted, _vec_mul(p, x0, F), F)
                 wdegs[piv] += 1
-        best = int(np.argmin(wdegs))
+        best = min(range(ly + 1), key=wdegs.__getitem__)
         if wdegs[best] > wdeg:
             raise RuntimeError(
                 f"GRS [n = {n}, k = {k}] at radius t = {t}, multiplicity s = {s}: "
                 f"Koetter interpolation reached weighted degree {wdegs[best]} > wdeg = {wdeg}"
             )
-        return [polys[best, dy, : wdeg - dy * (k - 1) + 1].tolist() for dy in range(ly + 1)]
+        return [blk.tolist() for blk in np.split(polys[best], starts[1:])]
 
     # -- shortening --------------------------------------------------------------
 
@@ -291,62 +306,55 @@ class ShortenContext:
 
 
 def _rr_roots(q_coeffs: list[list[int]], k: int, field: Field) -> list[list[int]]:
-    """All y-roots of degree < k of Q(x, y) (Roth-Ruckenstein recursion)."""
+    """All y-roots of degree < k of Q(x, y) (Roth-Ruckenstein recursion).
+
+    Q travels as an (ly + 1, width) int64 array, row dy holding the
+    x-coefficients of y^dy.  The substitution Q(x, x y + gamma) is one
+    array product: T[i, j] = C(j, i) gamma^(j - i) times Q, then row i
+    shifts right by i.  The roots gamma of each level's Q(0, y) come from
+    one Horner pass over all q field elements, in increasing order.
+    """
+    rows = len(q_coeffs)
+    width = max(1, *(len(p) for p in q_coeffs))
+    q0 = np.zeros((rows, width), dtype=np.int64)
+    for dy, p in enumerate(q_coeffs):
+        q0[dy, : len(p)] = p
+    idx = np.arange(rows)
+    binom = np.array([[math.comb(j, i) % field.p for j in range(rows)] for i in range(rows)])
+    gap = np.maximum(idx[None, :] - idx[:, None], 0)  # j - i where C(j, i) != 0
+    xs = np.arange(field.q, dtype=np.int64)
     results: list[list[int]] = []
 
-    def strip_x(q):
-        # divide all coefficient polynomials by the largest common power of x
-        shift = None
-        for poly in q:
-            for i, c in enumerate(poly):
-                if c:
-                    shift = i if shift is None else min(shift, i)
-                    break
-        if shift:
-            q = [poly[shift:] if any(poly) else [] for poly in q]
-        return q
-
-    def subs(q, gamma):
-        # Q(x, x*y + gamma), collected by powers of y
-        ly = len(q) - 1
-        out = [[0] * (max(len(p) for p in q) + ly + 1) for _ in range(ly + 1)]
-        for i in range(ly + 1):
-            for j in range(i, ly + 1):
-                cb = math.comb(j, i) % field.p
-                if cb == 0:
-                    continue
-                coef = field.mul(cb, field.pow(gamma, j - i))
-                if coef == 0:
-                    continue
-                for e, c in enumerate(q[j]):
-                    if c:
-                        out[i][e + i] = field.add(out[i][e + i], field.mul(coef, c))
-        return [list(_trim(p)) for p in out]
-
-    def _trim(p):
-        i = len(p)
-        while i and p[i - 1] == 0:
-            i -= 1
-        return p[:i]
-
-    xs = np.arange(field.q, dtype=np.int64)
-
-    def roots(coeffs):
-        # Horner over every field element at once, in increasing order
+    def roots(uni):
+        # Horner over every field element at once, in increasing order,
+        # from the leading nonzero coefficient down
+        while uni and not uni[-1]:
+            uni.pop()
         acc = np.zeros(field.q, dtype=np.int64)
-        for c in reversed(coeffs):
+        for c in reversed(uni):
             acc = sub(_vec_mul(acc, xs, field), field.neg(c), field)
         return np.flatnonzero(acc == 0).tolist()
 
+    def subs(q, gamma):
+        # Q(x, x y + gamma), collected by powers of y
+        tmat = _vec_mul(binom, powers([gamma], rows, field)[gap, 0], field)
+        prod = add_reduce(_vec_mul(tmat[:, :, None], q[None, :, :], field), 1, field)
+        out = np.zeros((rows, q.shape[1] + rows - 1), dtype=np.int64)
+        out[idx[:, None], idx[:, None] + np.arange(q.shape[1])] = prod
+        return out
+
     def recurse(q, prefix):
-        q = strip_x(q)
-        uni = [p[0] if p else 0 for p in q]
-        for gamma in roots(uni):
+        # divide by the largest common power of x, and drop zero columns
+        # past the last nonzero one
+        nz = np.flatnonzero(q.any(axis=0))
+        if nz.size:
+            q = q[:, nz[0] : nz[-1] + 1]
+        for gamma in roots(q[:, 0].tolist()):
             nxt = prefix + [gamma]
             if len(nxt) == k:
                 results.append(nxt)
             else:
                 recurse(subs(q, gamma), nxt)
 
-    recurse([list(p) for p in q_coeffs], [])
+    recurse(q0, [])
     return results

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._kernels import sub
+from .grs import gs_max_radius
 from .lrc import LrcCode
 from .radii import CodeShape, refined_error_count
 
@@ -37,8 +38,9 @@ __all__ = [
 class DecodeConfig:
     """Radii and search budget for the local-global decoders.
 
-    t_l must not exceed the local list decoder's guarantee radius and
-    t_g must not exceed the refined global error count for that t_l.
+    t_l must not exceed the local list decoder's guarantee radius, and
+    t_g must exceed neither the refined global error count for that t_l
+    nor the guarantee radius of the shortened supercode it decodes.
     """
 
     t_l: int
@@ -93,6 +95,13 @@ def _validate_cfg(code: LrcCode, cfg: DecodeConfig):
     bar = refined_error_count(_shape_of(code), cfg.t_l, None)
     if cfg.t_g > bar:
         raise ValueError(f"t_g = {cfg.t_g} exceeds the refined error count {bar}")
+    cut = min(_shortening_size(code, cfg) * code.n_l, code.supercode.k)
+    reach = gs_max_radius(code.n - cut, code.supercode.k - cut)
+    if cfg.t_g > reach:
+        raise ValueError(
+            f"t_g = {cfg.t_g} exceeds the radius {reach} of the shortened "
+            f"[{code.n - cut}, {code.supercode.k - cut}] GRS decode"
+        )
 
 
 def _shortening_size(code: LrcCode, cfg: DecodeConfig) -> int:
@@ -105,6 +114,10 @@ def _decode_shortened(code: LrcCode, received, chosen_sets, picks, cfg, result):
     shorten the supercode there, decode, and lift the candidates.
 
     picks holds one (distance, local codeword) entry per chosen set.
+    When the chosen sets hold more positions than the supercode dimension
+    k, the supercode is shortened at the first k of them, which leaves the
+    zero code; the final distance and membership filter checks the other
+    cleaned positions.
     """
     chi = sum(d for d, _ in picks)
     if chi > cfg.t_g:
@@ -115,14 +128,17 @@ def _decode_shortened(code: LrcCode, received, chosen_sets, picks, cfg, result):
     sup = code.supercode
     subset = tuple(
         sup.locators[i] for j in chosen_sets for i in code.repair_sets[j]
-    )
+    )[: sup.k]
     result.shortened_decodes += 1
     if result.shortened_decodes > cfg.budget:
         raise BudgetExceeded(result, cfg.budget)
     short_w, sctx = sup.shorten_received(cleaned, subset)
-    radius = min(cfg.t_g - chi, sctx.code.gs_max_radius())
-    if radius < 0:
-        return []
+    radius = cfg.t_g - chi
+    if radius > sctx.code.gs_max_radius():
+        raise RuntimeError(
+            f"radius {radius} exceeds the guarantee radius {sctx.code.gs_max_radius()} "
+            f"of the shortened {sctx.code!r}"
+        )
     found = []
     F = code.field
     for cand in sctx.code.gs_list_decode(short_w, radius):

@@ -288,12 +288,14 @@ def seeded_words(code, t, count, seed):
             yield corrupt(rnd, F, cw, rnd.sample(range(n), min(n, t - 1 + i % 4)))
 
 
-KOETTER_CASES = [  # (q, n, k, t): s = 1, 4, 3, 2, 2
+KOETTER_CASES = [  # (q, n, k, t): s = 1, 4, 3, 2, 2, 2, 2
     (16, 15, 3, 5),
     (16, 15, 3, 9),
     (32, 21, 8, 8),
     (64, 42, 8, 22),
     (64, 63, 16, 29),
+    (13, 12, 4, 5),
+    (11, 10, 2, 6),
 ]
 
 
@@ -334,6 +336,104 @@ def test_koetter_error_names_values(gf16):
         r"Koetter interpolation reached weighted degree \d+ > wdeg = 5",
     ):
         code._gs_interpolate(code._normalize(w), 9, 1, 2)
+
+
+# -- Roth-Ruckenstein root finding against the scalar recursion ---------------------
+
+def scalar_rr_roots(q_coeffs, k, field):
+    """The y-roots of degree < k of Q by the coefficient-list recursion:
+    strip the common power of x, find the roots of Q(0, y) by trial, and
+    substitute Q(x, x y + gamma) one scalar product at a time."""
+    results = []
+
+    def trim(p):
+        i = len(p)
+        while i and p[i - 1] == 0:
+            i -= 1
+        return p[:i]
+
+    def strip_x(q):
+        shift = min((next(i for i, c in enumerate(p) if c) for p in q if any(p)), default=0)
+        return [p[shift:] if any(p) else [] for p in q]
+
+    def subs(q, gamma):
+        ly = len(q) - 1
+        out = [[0] * (max(len(p) for p in q) + ly + 1) for _ in range(ly + 1)]
+        for i in range(ly + 1):
+            for j in range(i, ly + 1):
+                coef = field.mul(math.comb(j, i) % field.p, field.pow(gamma, j - i))
+                for e, c in enumerate(q[j]):
+                    out[i][e + i] = field.add(out[i][e + i], field.mul(coef, c))
+        return [trim(p) for p in out]
+
+    def recurse(q, prefix):
+        q = strip_x(q)
+        uni = [p[0] if p else 0 for p in q]
+        for gamma in range(field.q):
+            if horner(field, uni, gamma):
+                continue
+            if len(prefix) + 1 == k:
+                results.append(prefix + [gamma])
+            else:
+                recurse(subs(q, gamma), prefix + [gamma])
+
+    recurse([list(p) for p in q_coeffs], [])
+    return results
+
+
+def poly_mul_y(field, q, factor):
+    """Product of Q and a bivariate factor, both as lists of x-coefficient
+    lists indexed by the power of y."""
+    out = [[0] * (max(map(len, q)) + max(map(len, factor)) - 1)
+           for _ in range(len(q) + len(factor) - 1)]
+    for i, p in enumerate(q):
+        for j, f in enumerate(factor):
+            for a, c in enumerate(p):
+                for b, e in enumerate(f):
+                    out[i + j][a + b] = field.add(out[i + j][a + b], field.mul(c, e))
+    return out
+
+
+def rr_cases(field, k, seed):
+    """(name, Q) pairs: products of y - f_i(x) times a random factor, a
+    random Q, a repeated root, a power of y - f(x) whose substitution is
+    divisible by a high power of x, and the zero polynomial."""
+    rnd = random.Random(seed)
+
+    def rand_poly(deg):
+        return [rnd.randrange(field.q) for _ in range(deg + 1)]
+
+    def linear(f):  # y - f(x)
+        return [[field.neg(c) for c in f], [1]]
+
+    fs = [rand_poly(k - 1) for _ in range(3)]
+    prod = [[1]]
+    for f in fs:
+        prod = poly_mul_y(field, prod, linear(f))
+    yield "product", poly_mul_y(field, prod, [rand_poly(2), rand_poly(1)])
+    yield "random", [rand_poly(rnd.randrange(1, 6)) for _ in range(4)]
+    yield "repeated", poly_mul_y(field, poly_mul_y(field, linear(fs[0]), linear(fs[0])), linear(fs[1]))
+    power = [[1]]
+    for _ in range(3):
+        power = poly_mul_y(field, power, linear(fs[2]))
+    yield "power", power
+    yield "zero", [[0, 0], [0]]
+
+
+@pytest.mark.parametrize("q", [16, 64, 13])
+def test_rr_roots_match_scalar_recursion(q):
+    field = Field(q)
+    for k in (1, 2, 3):
+        for name, q_coeffs in rr_cases(field, k, seed=q * 10 + k):
+            if name == "zero" and k == 3 and q == 64:
+                continue  # 64^3 roots
+            got = _rr_roots(q_coeffs, k, field)
+            assert got == scalar_rr_roots(q_coeffs, k, field), (name, k)
+            assert got == sorted(got)
+            if name == "zero":
+                assert len(got) == q**k
+            if name in ("product", "repeated", "power"):
+                assert got  # every planted f_i of degree < k is a root
 
 
 # -- shortening ------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,14 +6,28 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lrcdec import DecodeConfig, BudgetExceeded, list_decode_lrc, unique_decode_probabilistic
+from lrcdec import (
+    DecodeConfig,
+    BudgetExceeded,
+    Field,
+    LrcCode,
+    construct_tamo_barg,
+    linalg,
+    list_decode_lrc,
+    unique_decode_probabilistic,
+)
+from lrcdec.grs import gs_max_radius
 from lrcdec.listdec import (
+    DecodingList,
+    _decode_shortened,
+    _shortening_size,
+    _validate_cfg,
     interleaved_success_prob,
     pe_tilde,
     success_prob_general,
     success_prob_grs,
 )
-from lrcdec.radii import CodeShape, list_size_bounds
+from lrcdec.radii import CodeShape, list_size_bounds, refined_error_count
 
 CFG = DecodeConfig(t_l=1, t_g=5)
 
@@ -102,6 +117,108 @@ def test_stats_populated(tb_15_6):
     out = list_decode_lrc(tb_15_6, cw, CFG)
     assert out.local_list_sizes == [1, 1, 1]
     assert out.shortened_decodes >= 1
+
+
+# -- shortened decode at the supercode dimension and the validated radius ------------
+
+# (q, n, k, r, rho, t_l, refined t_g) of every Tamo-Barg code over GF(8) and
+# GF(16) whose validated config chooses more repair-set positions than the
+# supercode dimension: the shortened code is the zero code
+ZERO_DIMENSION_TRIPLES = [
+    (8, 7, 1, 1, 7, 6, 6), (8, 7, 2, 2, 6, 4, 4), (8, 7, 3, 3, 5, 3, 3),
+    (8, 7, 4, 4, 4, 2, 2), (8, 7, 5, 5, 3, 1, 1), (8, 7, 6, 6, 2, 1, 1),
+    (16, 3, 1, 1, 3, 2, 2), (16, 3, 2, 2, 2, 1, 1), (16, 5, 1, 1, 5, 4, 4),
+    (16, 5, 2, 2, 4, 2, 2), (16, 5, 3, 3, 3, 1, 1), (16, 5, 4, 4, 2, 1, 1),
+    (16, 15, 1, 1, 3, 2, 14), (16, 15, 2, 1, 3, 2, 11), (16, 15, 3, 1, 3, 2, 8),
+    (16, 15, 4, 1, 3, 2, 5), (16, 15, 5, 1, 3, 2, 2), (16, 15, 6, 2, 2, 1, 5),
+    (16, 15, 8, 2, 2, 1, 3), (16, 15, 10, 2, 2, 1, 1), (16, 15, 1, 1, 5, 4, 14),
+    (16, 15, 2, 1, 5, 4, 9), (16, 15, 3, 1, 5, 4, 4), (16, 15, 6, 2, 4, 2, 2),
+    (16, 15, 9, 3, 3, 1, 1), (16, 15, 12, 4, 2, 1, 1), (16, 15, 1, 1, 15, 14, 14),
+    (16, 15, 2, 2, 14, 11, 11), (16, 15, 3, 3, 13, 9, 9), (16, 15, 4, 4, 12, 8, 8),
+    (16, 15, 5, 5, 11, 7, 7), (16, 15, 6, 6, 10, 6, 6), (16, 15, 7, 7, 9, 5, 5),
+    (16, 15, 8, 8, 8, 4, 4), (16, 15, 9, 9, 7, 4, 4), (16, 15, 10, 10, 6, 3, 3),
+    (16, 15, 11, 11, 5, 2, 2), (16, 15, 12, 12, 4, 2, 2), (16, 15, 13, 13, 3, 1, 1),
+    (16, 15, 14, 14, 2, 1, 1),
+]
+
+
+def tamo_barg_configs(qs):
+    """(q, n, k, r, rho, t_l, refined t_g) of every constructible Tamo-Barg
+    shape over GF(q), n | q - 1, at every t_l up to the local GS radius."""
+    for q in qs:
+        for n in range(2, q):
+            for n_l in range(2, n + 1):
+                if (q - 1) % n or n % n_l:
+                    continue
+                for r in range(1, n_l):
+                    for k in range(r, n + 1, r):
+                        if (r - 1) + (k // r - 1) * n_l + 1 > n:
+                            continue  # the supercode would be longer than n
+                        shape = CodeShape(n, k, r, n_l - r + 1)
+                        for t_l in range(gs_max_radius(n_l, r) + 1):
+                            t_g = refined_error_count(shape, t_l, None)
+                            yield q, n, k, r, n_l - r + 1, t_l, t_g
+
+
+@pytest.mark.parametrize("q, n, k, r, rho, t_l, t_g", ZERO_DIMENSION_TRIPLES)
+def test_zero_dimension_shortening_decodes_zero_word(q, n, k, r, rho, t_l, t_g):
+    code = construct_tamo_barg(Field(q), n, k, r, rho)
+    cfg = DecodeConfig(t_l, t_g)
+    s_short = _shortening_size(code, cfg)
+    assert s_short * code.n_l > code.supercode.k
+    # clean the first s_short repair sets to the zero local codeword
+    zero, picks = (0,) * n, [(0, (0,) * code.n_l)] * s_short
+    assert _decode_shortened(code, zero, range(s_short), picks, cfg, DecodingList()) == [zero]
+    local = code.local_code(0)
+    if local.k == 1 or local._gs_parameters(t_l)[0] <= 12:
+        # (the local [15, 9] decode at t_l = 4 needs s = 33: tens of seconds)
+        assert zero in list_decode_lrc(code, zero, cfg).codewords
+
+
+def test_zero_dimension_shortening_matches_sphere_enumeration():
+    rng = np.random.default_rng(35)
+    small = [c for c in ZERO_DIMENSION_TRIPLES if c[0] ** c[2] <= 4096]
+    assert len(small) == 18
+    for q, n, k, r, rho, t_l, t_g in small:
+        field = Field(q)
+        code = construct_tamo_barg(field, n, k, r, rho)
+        msgs = np.array(list(itertools.product(range(q), repeat=k)), dtype=np.int64)
+        book = linalg.matmul(msgs, code.generator, field)
+        for weight in (t_g, t_g + 1, n):
+            cw = book[rng.integers(len(book))].tolist()
+            w = corrupt(rng, field, cw, min(weight, n))
+            near = book[(book != np.array(w)).sum(axis=1) <= t_g]
+            assert list_decode_lrc(code, w, DecodeConfig(t_l, t_g)).codewords == sorted(
+                map(tuple, near.tolist())
+            )
+
+
+def test_refined_radius_within_shortened_gs_radius_seeded_scan():
+    # every config is accepted: no refined t_g reaches past the radius of
+    # the shortened GRS decode, zero-dimension shortenings included
+    configs = list(tamo_barg_configs((8, 16, 32, 64)))
+    assert len(configs) == 3337
+    sample = random.Random(2019).sample(configs, 40) + ZERO_DIMENSION_TRIPLES[::4]
+    for q, n, k, r, rho, t_l, t_g in sample:
+        code = construct_tamo_barg(Field(q), n, k, r, rho)
+        _validate_cfg(code, DecodeConfig(t_l, t_g))
+        with pytest.raises(ValueError, match=rf"t_g = {t_g + 1} exceeds the refined"):
+            _validate_cfg(code, DecodeConfig(t_l, t_g + 1))
+
+
+def test_validation_rejects_radius_past_shortened_decode(tb_15_6):
+    # the same code in a supercode of dimension 12: shortening one repair set
+    # leaves a [10, 7] GRS code, whose GS radius is 2 < t_g = 5
+    obj = tb_15_6.to_json()
+    obj["supercode_k"] = 12
+    wide = LrcCode.from_json(obj)
+    with pytest.raises(
+        ValueError, match=r"t_g = 5 exceeds the radius 2 of the shortened \[10, 7\] GRS decode"
+    ):
+        list_decode_lrc(wide, (0,) * 15, CFG)
+    with pytest.raises(ValueError, match=r"t_g = 5 exceeds the radius 2"):
+        unique_decode_probabilistic(wide, (0,) * 15, CFG)
+    assert list_decode_lrc(wide, (0,) * 15, DecodeConfig(t_l=1, t_g=2)).codewords == [(0,) * 15]
 
 
 # -- probabilistic unique decoder ----------------------------------------------------
