@@ -34,6 +34,13 @@ def _vec_inv(a, field):
     return out
 
 
+def scale(a, c, field):
+    """a times the integers c mod p, elements of the prime field (broadcastable)."""
+    if field.p == 2:
+        return a * c  # c is 0 or 1
+    return a * c % field.p
+
+
 def sub(a, b, field):
     """Elementwise difference a - b of broadcastable int64 arrays."""
     if field.p == 2:
@@ -46,6 +53,14 @@ def add_reduce(a, axis, field):
     if field.p == 2:
         return np.bitwise_xor.reduce(a, axis=axis)
     return a.sum(axis=axis) % field.p
+
+
+def add_reduceat(a, starts, field):
+    """Field sums of an int64 array over the segments of its last axis that
+    begin at starts (increasing, every segment nonempty)."""
+    if field.p == 2:
+        return np.bitwise_xor.reduceat(a, starts, axis=-1)
+    return np.add.reduceat(a, starts, axis=-1) % field.p
 
 
 def powers(x, count, field):

@@ -4,13 +4,17 @@ Every code builds its k x n generator once (row i is nu * alpha^i) and
 keeps it read-only; messages, words and candidate lists are int64
 arrays, and a codeword is one product of the message coefficients with
 the generator.  Guruswami-Sudan list decoding interpolates by Koetter's
-iterative algorithm on the packed monomial layout: the candidates are the
-rows of one array whose columns are exactly the monomials x^dx y^dy of
-(1, k-1)-weighted degree <= wdeg, dy-major.  The Roth-Ruckenstein
-recursion then finds the y-roots with Q as an array, each substitution
-Q(x, x y + gamma) one array product, and each level's roots from one
-Horner pass over the whole field.  Decoder-side shortening divides out
-one known position at a time, (y - y_beta) / (alpha - beta).
+iterative algorithm on a GsPlan, which the code builds once per
+(t, s, ly) and keeps: everything but the received values.  The
+candidates are the rows of one array whose first columns carry each
+candidate's Hasse discrepancies at the current point and whose other
+columns are exactly the monomials x^dx y^dy of (1, k-1)-weighted degree
+<= wdeg, in weighted-degree order, so a row operation touches only the
+pivot's support.  The Roth-Ruckenstein recursion then finds the y-roots
+with Q as an array, each substitution Q(x, x y + gamma) one array
+product, and each level's roots from one Horner pass over the whole
+field.  Decoder-side shortening divides out one known position at a
+time, (y - y_beta) / (alpha - beta).
 """
 
 from __future__ import annotations
@@ -22,13 +26,33 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from ._kernels import _vec_inv, _vec_mul, add_reduce, powers, sub
+from ._kernels import _vec_inv, _vec_mul, add_reduce, add_reduceat, powers, scale, sub
 from .galois import Field
 
 
 def encode_rows(msgs, generator, field) -> np.ndarray:
     """msgs @ generator, for one message (k,) or a stack of them (m, k)."""
     return add_reduce(_vec_mul(msgs[..., None], generator, field), -2, field)
+
+
+GS_MAX_MULTIPLICITY = 255
+
+
+def gs_parameters(n: int, k: int, t: int) -> tuple[int, int] | None:
+    """Smallest multiplicity s <= GS_MAX_MULTIPLICITY, with its y-degree ly,
+    that guarantees radius t for an [n, k] code, k >= 2; None if there is
+    none.  Reachability is monotone: a radius below a reachable one is
+    reachable."""
+    for s in range(1, GS_MAX_MULTIPLICITY + 1):
+        wdeg = s * (n - t) - 1
+        if wdeg < 0:
+            continue
+        ly = wdeg // (k - 1)
+        unknowns = sum(wdeg + 1 - j * (k - 1) for j in range(ly + 1))
+        constraints = n * s * (s + 1) // 2
+        if unknowns > constraints:
+            return s, ly
+    return None
 
 
 def gs_max_radius(n: int, k: int) -> int:
@@ -68,6 +92,7 @@ class GrsCode:
         self._nu_inv = _vec_inv(self._nu, field)
         self._generator = _vec_mul(self._nu, powers(self._alpha, k, field), field)
         self._generator.flags.writeable = False
+        self._gs_plans: dict[tuple[int, int, int], GsPlan] = {}
 
     @property
     def n(self) -> int:
@@ -152,86 +177,98 @@ class GrsCode:
 
     def _gs_parameters(self, t: int) -> tuple[int, int]:
         """Smallest multiplicity s (and y-degree) that guarantees radius t."""
-        n, k = self.n, self.k
-        max_s = 255
-        for s in range(1, max_s + 1):
-            wdeg = s * (n - t) - 1
-            if wdeg < 0:
-                continue
-            ly = wdeg // (k - 1)
-            unknowns = sum(wdeg + 1 - j * (k - 1) for j in range(ly + 1))
-            constraints = n * s * (s + 1) // 2
-            if unknowns > constraints:
-                return s, ly
-        raise RuntimeError(
-            f"GRS [n = {n}, k = {k}]: no multiplicity s <= {max_s} reaches radius t = {t}"
-        )
+        params = gs_parameters(self.n, self.k, t)
+        if params is None:
+            raise RuntimeError(
+                f"GRS [n = {self.n}, k = {self.k}]: no multiplicity "
+                f"s <= {GS_MAX_MULTIPLICITY} reaches radius t = {t}"
+            )
+        return params
+
+    def _gs_plan(self, t: int, s: int, ly: int) -> "GsPlan":
+        """The code's Koetter plan for (t, s, ly), built on first use."""
+        key = (t, s, ly)
+        if key not in self._gs_plans:
+            self._gs_plans[key] = GsPlan(self, t, s, ly)
+        return self._gs_plans[key]
 
     def _gs_interpolate(self, ys, t, s, ly):
         """Q of least (1, k-1)-weighted degree with multiplicity s at every
-        (locator, y) point, by Koetter's iterative interpolation.
+        (locator, y) point, by Koetter's iterative interpolation on the
+        code's plan for (t, s, ly).
 
-        Candidates Q_j = y^j (j <= ly) are the rows of one (ly + 1, M)
-        array whose columns are the M monomials x^dx y^dy with
-        dx + dy (k-1) <= wdeg, dy-major: the unknowns of the dense
-        interpolation system.  Per Hasse constraint D_{a,b} Q(x0, y0) = 0,
-        gathered into the same columns, the violating candidate of least
-        weighted degree clears it from the others, then takes a factor
-        x - x0; x Q shifts each dy block by one column.  Returns
-        coefficient lists of length wdeg - dy (k-1) + 1.
+        Candidates Q_j = y^j (j <= ly) are the rows of one array (see
+        GsPlan): nc = s(s+1)/2 discrepancy columns, a zero column, then
+        the M monomials of weighted degree <= wdeg in weighted-degree
+        order.  At each point one factorised pass fills every candidate's
+        discrepancies D_{a,b} Q_j(x0, y0): an x-side Hasse sum within each
+        y-degree, then a y-side one.  The x side is one field product, by
+        x0^dx, as C(dx, a) x0^(dx-a) = C(dx, a) x0^dx x0^-a with the
+        binomial in the prime field and x0^-a moved to the y side; at
+        x0 = 0 it gathers coefficients.  Per constraint, in (b, a) order,
+        the violating candidate of least weighted degree clears its column
+        from the others over its support only, then takes a factor
+        x - x0: one gather through the x-shift source index, which also
+        moves the discrepancy D_{a-1,b} to D_{a,b}, as
+        D_{a,b}((x - x0) Q)(x0, y0) = D_{a-1,b} Q(x0, y0).  The row
+        operations keep the discrepancy columns up to date.  Returns
+        coefficient lists of length wdeg - dy (k-1) + 1, dy-major.
         """
         F = self.field
-        n, k = self.n, self.k
-        wdeg = s * (n - t) - 1
-        lens = wdeg + 1 - np.arange(ly + 1) * (k - 1)
-        col_dy = np.repeat(np.arange(ly + 1), lens)
-        starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        col_dx = np.arange(col_dy.size) - starts[col_dy]
-        # x Q: column c takes column c - 1, except at a block start; the
-        # coefficient leaving a block end belongs to a candidate past the
-        # bound, which is never used again
-        block_start = col_dx == 0
-        polys = np.zeros((ly + 1, col_dy.size), dtype=np.int64)
-        polys[np.arange(ly + 1), starts] = 1
-        wdegs = [j * (k - 1) for j in range(ly + 1)]
-        # b outer, a inner: D_{a,b} of (x - x0) Q is D_{a-1,b} Q at x0, so
-        # the constraints imposed so far survive the (x - x0) step
-        bs, as_ = np.array([(b, a) for b in range(s) for a in range(s - b)]).T
-        xbin = np.array([[math.comb(d, a) % F.p for d in range(wdeg + 1)] for a in range(s)])
-        ybin = np.array([[math.comb(d, b) % F.p for d in range(ly + 1)] for b in range(s)])
-        xshift = np.maximum(np.arange(wdeg + 1) - np.arange(s)[:, None], 0)
-        yshift = np.maximum(np.arange(ly + 1) - np.arange(s)[:, None], 0)
-        xpows = powers(self._alpha, wdeg + 1, F).T
-        ypows = powers(ys, ly + 1, F).T
-        for x0, xpow, ypow in zip(self.locators, xpows, ypows):
-            # row [a, dx] is C(dx, a) x0^(dx - a), row [b, dy] is C(dy, b) y0^(dy - b)
-            xrows = _vec_mul(xbin, xpow[xshift], F)
-            yrows = _vec_mul(ybin, ypow[yshift], F)
-            hasse = _vec_mul(yrows[bs][:, col_dy], xrows[as_][:, col_dx], F)
-            for row in hasse:
-                disc = add_reduce(_vec_mul(polys, row, F), 1, F).tolist()
+        plan = self._gs_plan(t, s, ly)
+        wdeg, nc = plan.wdeg, plan.nc
+        end, src = plan.end.tolist(), plan.x_source
+        polys = plan.init.astype(np.int64)
+        wdegs = plan.row_wdegs.tolist()
+        # row [i, c, 0] is the y-side row of constraint c at point i, times
+        # x_i^-a_c (or 1 at x_i = 0)
+        ybs = _vec_mul(plan.ybin, powers(ys, ly + 1, F).T[:, plan.yshift], F)
+        ybs = _vec_mul(ybs, plan.xinv[:, :, None], F)[:, :, None]
+        w = np.empty((s, ly + 1, ly + 1), dtype=np.int64)
+        for x0, xpow, yb in zip(self.locators, plan.xpows, ybs):
+            # w[a, j, dy] = x0^a sum_dx C(dx, a) x0^(dx - a) Q_j[dx, dy]: one
+            # field product by x0^dx, then the binomials, prime-field integers
+            if x0:
+                r = _vec_mul(polys[:, plan.dy_major], xpow[plan.col_dx], F)
+                for a, xb in enumerate(plan.xbin):
+                    w[a] = add_reduceat(scale(r, xb, F), plan.starts, F)
+            else:
+                # at x0 = 0 the Hasse derivatives in x are coefficients
+                w[:] = polys[:, plan.coef_cols].transpose(1, 0, 2)
+            polys[:, :nc] = add_reduce(_vec_mul(w[plan.cons_a], yb, F), 2, F).T
+            x0_row = plan.monomials * x0  # x0 on the monomial columns, 0 before them
+            for c in range(nc):
+                col = polys[:, c]
+                disc = col.tolist()
                 # a candidate past the bound is never returned, and it never
                 # feeds one within the bound, so it drops out
                 hit = [j for j, v in enumerate(disc) if v and wdegs[j] <= wdeg]
                 if not hit:
                     continue
                 piv = min(hit, key=wdegs.__getitem__)
-                rest = [j for j in hit if j != piv]
-                p = polys[piv]
-                if rest:
-                    coef = _vec_mul(np.array([disc[j] for j in rest]), F.inv(disc[piv]), F)
-                    polys[rest] = sub(polys[rest], _vec_mul(coef[:, None], p, F), F)
-                shifted = np.concatenate(([0], p[:-1]))
-                shifted[block_start] = 0
-                polys[piv] = sub(shifted, _vec_mul(p, x0, F), F)
+                e = end[wdegs[piv]]
+                if len(hit) > 1:
+                    # one slice over all rows: rows with a zero discrepancy
+                    # and the pivot take coefficient 0, and a row past the
+                    # bound may change, as it is never used again
+                    coef = _vec_mul(col, F.inv(disc[piv]), F)
+                    coef[piv] = 0
+                    p = polys[piv, :e]
+                    polys[:, :e] = sub(polys[:, :e], _vec_mul(coef[:, None], p, F), F)
                 wdegs[piv] += 1
+                # past wdeg, the coefficients that leave the bound are dropped
+                e = end[min(wdegs[piv], wdeg)]
+                polys[piv, :e] = sub(
+                    polys[piv, src[:e]], _vec_mul(polys[piv, :e], x0_row[:e], F), F
+                )
         best = min(range(ly + 1), key=wdegs.__getitem__)
         if wdegs[best] > wdeg:
             raise RuntimeError(
-                f"GRS [n = {n}, k = {k}] at radius t = {t}, multiplicity s = {s}: "
-                f"Koetter interpolation reached weighted degree {wdegs[best]} > wdeg = {wdeg}"
+                f"GRS [n = {self.n}, k = {self.k}] at radius t = {t}, multiplicity s = {s}: "
+                f"Koetter interpolation reached weighted degree {wdegs[best]} > wdeg = {wdeg} "
+                f"({plan.describe()})"
             )
-        return [blk.tolist() for blk in np.split(polys[best], starts[1:])]
+        return [blk.tolist() for blk in np.split(polys[best, plan.dy_major], plan.starts[1:])]
 
     # -- shortening --------------------------------------------------------------
 
@@ -303,6 +340,83 @@ class ShortenContext:
             np.asarray(short_error, dtype=np.int64), self.lift, self.parent.field
         )
         return tuple(full.tolist())
+
+
+class GsPlan:
+    """What Koetter interpolation needs for one code at one (t, s, ly),
+    except the received values; every array is read-only.
+
+    Candidate-array columns: nc = s(s+1)/2 discrepancy columns, one per
+    Hasse constraint (a, b) in (b, a) order, then one zero column, then
+    the M monomials x^dx y^dy with dx + dy (k-1) <= wdeg, sorted by
+    weighted degree, ties by dy.  end[w] is the number of columns before
+    the first monomial of weighted degree > w, so columns [0, end[w])
+    hold the discrepancies and the whole support of a candidate of
+    weighted degree w.  dy_major lists the column of each monomial in
+    dy-major order (dx fastest), whose y-degree blocks begin at starts.
+    x_source is the column each column takes under Q -> x Q: a monomial
+    takes x^(dx-1) y^dy, a discrepancy column (a, b) takes (a-1, b), and
+    dx = 0 and a = 0 take the zero column.
+
+    Size and cost: s, ly, the unknowns M, the constraints
+    C = n s(s+1)/2 and the cell-ops C (ly+1) M of the row operations
+    without the support bound.
+    """
+
+    def __init__(self, code: GrsCode, t: int, s: int, ly: int):
+        F, n, k1 = code.field, code.n, code.k - 1
+        self.s, self.ly = s, ly
+        self.wdeg = wdeg = s * (n - t) - 1
+        lens = wdeg + 1 - np.arange(ly + 1) * k1
+        col_dy = np.repeat(np.arange(ly + 1), lens)
+        starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
+        col_dx = np.arange(col_dy.size) - starts[col_dy]
+        self.unknowns = m = col_dy.size
+        self.constraints = n * s * (s + 1) // 2
+        self.cell_ops = self.constraints * (ly + 1) * m
+        # b outer, a inner: D_{a,b} of (x - x0) Q is D_{a-1,b} Q at x0, the
+        # constraint just before, so those imposed so far survive the step
+        cons_b, cons_a = np.array([(b, a) for b in range(s) for a in range(s - b)]).T
+        self.nc = nc = cons_a.size
+        off = nc + 1
+        # column of each monomial, dy-major, in the weighted-degree order
+        weights = col_dx + col_dy * k1
+        dy_major = np.empty(m, dtype=np.int64)
+        dy_major[np.lexsort((col_dy, weights))] = off + np.arange(m)
+        x_source = np.full(off + m, nc)
+        x_source[:nc] = np.where(cons_a > 0, np.arange(nc) - 1, nc)
+        x_source[dy_major[1:]] = np.where(col_dx[1:] > 0, dy_major[:-1], nc)
+        init = np.zeros((ly + 1, off + m), dtype=np.int8)
+        init[np.arange(ly + 1), dy_major[starts]] = 1
+        self.starts, self.col_dx, self.dy_major = starts, col_dx, dy_major
+        self.end = off + np.searchsorted(np.sort(weights), np.arange(wdeg + 1), side="right")
+        self.x_source = x_source
+        self.monomials = (np.arange(off + m) >= off).astype(np.int64)
+        self.init = init
+        self.row_wdegs = np.arange(ly + 1) * k1
+        # x side: C(dx, a) mod p per dy-major column, the code's x-powers,
+        # x^-a_c per constraint (1 at x = 0), and the column of x^a y^dy
+        # (or the zero column) for x0 = 0; y-side row [c, dy] is
+        # C(dy, b_c) y0^(dy - b_c) once y0's powers are gathered by yshift
+        self.cons_a = cons_a
+        xbin = np.array([[math.comb(d, a) % F.p for d in range(wdeg + 1)] for a in range(s)])
+        self.xbin = xbin[:, col_dx]
+        self.xpows = powers(code._alpha, wdeg + 1, F).T
+        xinv = _vec_inv(np.where(code._alpha == 0, 1, code._alpha), F)
+        self.xinv = powers(xinv, s, F).T[:, cons_a]
+        coef_at = np.minimum(starts + np.arange(s)[:, None], m - 1)
+        self.coef_cols = np.where(np.arange(s)[:, None] < lens, dy_major[coef_at], nc)
+        self.ybin = np.array([[math.comb(d, b) % F.p for d in range(ly + 1)] for b in cons_b])
+        self.yshift = np.maximum(np.arange(ly + 1) - cons_b[:, None], 0)
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+
+    def describe(self) -> str:
+        return (
+            f"GS plan: s = {self.s}, ly = {self.ly}, M = {self.unknowns} unknowns, "
+            f"C = {self.constraints} constraints, {self.cell_ops} cell-ops"
+        )
 
 
 def _rr_roots(q_coeffs: list[list[int]], k: int, field: Field) -> list[list[int]]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lrcdec import Field, GrsCode, construct_tamo_barg, linalg
+from lrcdec._kernels import _vec_mul, add_reduce, powers, sub
 from lrcdec.grs import _rr_roots
 
 
@@ -336,6 +337,120 @@ def test_koetter_error_names_values(gf16):
         r"Koetter interpolation reached weighted degree \d+ > wdeg = 5",
     ):
         code._gs_interpolate(code._normalize(w), 9, 1, 2)
+
+
+def test_koetter_error_names_plan_size_and_cost(gf16):
+    code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 3)
+    rnd = random.Random(5)
+    w = tuple(rnd.randrange(16) for _ in range(15))
+    with pytest.raises(
+        RuntimeError,
+        match=r"wdeg = 5 \(GS plan: s = 1, ly = 2, M = 12 unknowns, "
+        r"C = 15 constraints, 540 cell-ops\)",
+    ):
+        code._gs_interpolate(code._normalize(w), 9, 1, 2)
+
+
+# -- Koetter on the plan against the per-constraint interpolation -----------------
+
+def koetter_reference(code, ys, t, s, ly):
+    """Koetter's interpolation on the dy-major monomial columns, with every
+    discrepancy recomputed over all columns per constraint and every row
+    operation over all columns."""
+    F = code.field
+    n, k = code.n, code.k
+    wdeg = s * (n - t) - 1
+    lens = wdeg + 1 - np.arange(ly + 1) * (k - 1)
+    col_dy = np.repeat(np.arange(ly + 1), lens)
+    starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
+    col_dx = np.arange(col_dy.size) - starts[col_dy]
+    block_start = col_dx == 0
+    polys = np.zeros((ly + 1, col_dy.size), dtype=np.int64)
+    polys[np.arange(ly + 1), starts] = 1
+    wdegs = [j * (k - 1) for j in range(ly + 1)]
+    bs, as_ = np.array([(b, a) for b in range(s) for a in range(s - b)]).T
+    xbin = np.array([[math.comb(d, a) % F.p for d in range(wdeg + 1)] for a in range(s)])
+    ybin = np.array([[math.comb(d, b) % F.p for d in range(ly + 1)] for b in range(s)])
+    xshift = np.maximum(np.arange(wdeg + 1) - np.arange(s)[:, None], 0)
+    yshift = np.maximum(np.arange(ly + 1) - np.arange(s)[:, None], 0)
+    xpows = powers(np.array(code.locators), wdeg + 1, F).T
+    ypows = powers(ys, ly + 1, F).T
+    for x0, xpow, ypow in zip(code.locators, xpows, ypows):
+        xrows = _vec_mul(xbin, xpow[xshift], F)
+        yrows = _vec_mul(ybin, ypow[yshift], F)
+        hasse = _vec_mul(yrows[bs][:, col_dy], xrows[as_][:, col_dx], F)
+        for row in hasse:
+            disc = add_reduce(_vec_mul(polys, row, F), 1, F).tolist()
+            hit = [j for j, v in enumerate(disc) if v and wdegs[j] <= wdeg]
+            if not hit:
+                continue
+            piv = min(hit, key=wdegs.__getitem__)
+            rest = [j for j in hit if j != piv]
+            p = polys[piv]
+            if rest:
+                coef = _vec_mul(np.array([disc[j] for j in rest]), F.inv(disc[piv]), F)
+                polys[rest] = sub(polys[rest], _vec_mul(coef[:, None], p, F), F)
+            shifted = np.concatenate(([0], p[:-1]))
+            shifted[block_start] = 0
+            polys[piv] = sub(shifted, _vec_mul(p, x0, F), F)
+            wdegs[piv] += 1
+    best = min(range(ly + 1), key=wdegs.__getitem__)
+    assert wdegs[best] <= wdeg
+    return [blk.tolist() for blk in np.split(polys[best], starts[1:])]
+
+
+# (q, n, k, t, first locator, words): s = 6, 1, 3, 1, 3, 1, 6, 2 past
+# KOETTER_CASES; the last two codes have the locator 0
+DIFFERENTIAL_CASES = [(q, n, k, t, 1, 4) for q, n, k, t in KOETTER_CASES] + [
+    (64, 42, 8, 24, 1, 3),
+    (64, 42, 8, 20, 1, 6),
+    (64, 21, 8, 8, 1, 6),
+    (16, 10, 3, 4, 1, 6),
+    (16, 10, 3, 5, 1, 6),
+    (16, 5, 3, 1, 1, 6),
+    (16, 16, 3, 10, 0, 4),
+    (13, 13, 3, 7, 0, 4),
+]
+
+
+@pytest.mark.parametrize("q, n, k, t, first, count", DIFFERENTIAL_CASES)
+def test_koetter_matches_per_constraint_reference(q, n, k, t, first, count):
+    field = Field(q)
+    code = GrsCode(field, list(range(first, first + n)), [1] * n, k)
+    s, ly = code._gs_parameters(t)
+    for word in seeded_words(code, t, count, seed=n + t):
+        ys = code._normalize(word)
+        assert code._gs_interpolate(ys, t, s, ly) == koetter_reference(code, ys, t, s, ly)
+
+
+def test_gs_plan_reports_size_and_cost():
+    code = GrsCode(Field(64), list(range(1, 43)), [1] * 42, 8)
+    s, ly = code._gs_parameters(24)
+    plan = code._gs_plan(24, s, ly)
+    assert (plan.s, plan.ly, plan.unknowns, plan.constraints) == (6, 15, 888, 882)
+    assert plan.cell_ops == 12_531_456
+    assert plan.describe() == (
+        "GS plan: s = 6, ly = 15, M = 888 unknowns, C = 882 constraints, 12531456 cell-ops"
+    )
+
+
+def test_gs_plan_is_built_once_per_radius_and_read_only(gf16):
+    code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 3)
+    word_a, word_b = seeded_words(code, 5, 2, seed=11)
+    code.gs_list_decode(word_a, 5)
+    plan = code._gs_plan(5, *code._gs_parameters(5))
+    decoded = code.gs_list_decode(word_b, 5)
+    assert code._gs_plan(5, *code._gs_parameters(5)) is plan
+    assert decoded == GrsCode(gf16, list(range(1, 16)), [1] * 15, 3).gs_list_decode(word_b, 5)
+    code.gs_list_decode(word_a, 9)
+    code._gs_interpolate(code._normalize(word_b), 5, 2, 9)
+    assert sorted(code._gs_plans) == sorted(
+        [(5, *code._gs_parameters(5)), (9, *code._gs_parameters(9)), (5, 2, 9)]
+    )
+    for plan in code._gs_plans.values():
+        arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) >= 10
+        assert not any(a.flags.writeable for a in arrays)
 
 
 # -- Roth-Ruckenstein root finding against the scalar recursion ---------------------

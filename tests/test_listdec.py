@@ -20,6 +20,7 @@ from lrcdec.grs import gs_max_radius
 from lrcdec.listdec import (
     DecodingList,
     _decode_shortened,
+    _shape_of,
     _shortening_size,
     _validate_cfg,
     interleaved_success_prob,
@@ -219,6 +220,38 @@ def test_validation_rejects_radius_past_shortened_decode(tb_15_6):
     with pytest.raises(ValueError, match=r"t_g = 5 exceeds the radius 2"):
         unique_decode_probabilistic(wide, (0,) * 15, CFG)
     assert list_decode_lrc(wide, (0,) * 15, DecodeConfig(t_l=1, t_g=2)).codewords == [(0,) * 15]
+
+
+# (t_l, refined t_g, the radius no multiplicity s <= 255 reaches, its decode) of
+# Tamo-Barg [63, 49, 49, 15] over GF(64), a single repair set: the only configs
+# of tamo_barg_configs((8, 16, 32, 64)) that pass the radius checks and would
+# then fail inside the decoder
+UNREACHABLE_CONFIGS = [
+    (4, 8, "t_g", "shortened"),
+    (5, 8, "t_g", "shortened"),
+    (6, 8, "t_g", "shortened"),
+    (7, 8, "t_g", "shortened"),
+    (8, 8, "t_l", "local"),
+]
+
+
+@pytest.fixture(scope="module")
+def tb_63_49():
+    return construct_tamo_barg(Field(64), 63, 49, 49, 15)
+
+
+@pytest.mark.parametrize("t_l, t_g, name, role", UNREACHABLE_CONFIGS)
+def test_validation_rejects_radius_no_multiplicity_reaches(tb_63_49, t_l, t_g, name, role):
+    assert refined_error_count(_shape_of(tb_63_49), t_l, None) == t_g
+    cfg = DecodeConfig(t_l, t_g)
+    msg = rf"{name} = 8: no multiplicity s <= 255 reaches radius 8 of the {role} \[63, 49\] GRS"
+    with pytest.raises(ValueError, match=msg):
+        list_decode_lrc(tb_63_49, (0,) * 63, cfg)
+    with pytest.raises(ValueError, match=msg):
+        unique_decode_probabilistic(tb_63_49, (0,) * 63, cfg)
+    if t_l < 8:
+        # one radius less is reachable
+        _validate_cfg(tb_63_49, DecodeConfig(t_l, t_g - 1))
 
 
 # -- probabilistic unique decoder ----------------------------------------------------
