@@ -4,7 +4,8 @@ Matrices are ``np.int64`` arrays of canonical field elements.  The
 kernels take the Field itself: for characteristic 2 (``field.p == 2``)
 addition is xor and multiplication is one gather from the field's int64
 exp/log tables, zero included (see Field); for a prime field both are
-taken mod p.
+taken mod p.  ``matmul`` is the one field matrix product: encoding,
+syndromes and the root finder's substitution all go through it.
 """
 
 from __future__ import annotations
@@ -102,9 +103,7 @@ def rref(M: np.ndarray, field):
         hit = np.nonzero(factors)[0]
         if hit.size:
             prod = _vec_mul(factors[hit, None], M[None, r, c:], field)
-            M[np.ix_(hit, np.arange(c, cols))] = sub(
-                M[np.ix_(hit, np.arange(c, cols))], prod, field
-            )
+            M[hit, c:] = sub(M[hit, c:], prod, field)
         piv_cols[r] = c
         r += 1
         if r == rows:
@@ -147,18 +146,9 @@ def rank_stack(M: np.ndarray, field) -> np.ndarray:
 
 
 def matmul(A: np.ndarray, B: np.ndarray, field) -> np.ndarray:
-    if A.shape[1] != B.shape[0]:
+    """Field product A @ B, with leading batch axes broadcast: every
+    A[..., i, l] B[..., l, j] in one product, then one field sum over l.
+    Allocates the m l n products at once."""
+    if A.shape[-1] != B.shape[-2]:
         raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for l in range(A.shape[1]):
-        col = A[:, l]
-        row = B[l, :]
-        if not col.any() or not row.any():
-            continue
-        prod = _vec_mul(col[:, None], row[None, :], field)
-        if field.p == 2:
-            out ^= prod
-        else:
-            out += prod
-            out %= field.p
-    return out
+    return add_reduce(_vec_mul(A[..., :, :, None], B[..., None, :, :], field), -2, field)

@@ -221,9 +221,6 @@ class Field:
             return self._exp[(self.q - 1) - self._log[a]]
         return self._pow_raw(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)

@@ -2,19 +2,20 @@
 
 Every code builds its k x n generator once (row i is nu * alpha^i) and
 keeps it read-only; messages, words and candidate lists are int64
-arrays, and a codeword is one product of the message coefficients with
-the generator.  Guruswami-Sudan list decoding interpolates by Koetter's
-iterative algorithm on a GsPlan, which the code builds once per
-(t, s, ly) and keeps: everything but the received values.  The
-candidates are the rows of one array whose first columns carry each
-candidate's Hasse discrepancies at the current point and whose other
-columns are exactly the monomials x^dx y^dy of (1, k-1)-weighted degree
-<= wdeg, in weighted-degree order, so a row operation touches only the
-pivot's support.  The Roth-Ruckenstein recursion then finds the y-roots
-with Q as an array, each substitution Q(x, x y + gamma) one array
-product, and each level's roots from one Horner pass over the whole
-field.  Decoder-side shortening divides out one known position at a
-time, (y - y_beta) / (alpha - beta).
+arrays.  A codeword is one field matrix product (``_kernels.matmul``) of
+the message coefficients with the generator, and the list decoder
+encodes all its candidates in one such product.  Guruswami-Sudan list
+decoding interpolates by Koetter's iterative algorithm on a GsPlan,
+which the code builds once per (t, s, ly) and keeps: everything but the
+received values.  The candidates are the rows of one array whose first
+columns carry each candidate's Hasse discrepancies at the current point
+and whose other columns are exactly the monomials x^dx y^dy of
+(1, k-1)-weighted degree <= wdeg, in weighted-degree order, so a row
+operation touches only the pivot's support.  The Roth-Ruckenstein
+recursion then finds the y-roots with Q as an array, each substitution
+Q(x, x y + gamma) one matrix product, and each level's roots from one
+Horner pass over the whole field.  Decoder-side shortening divides out
+one known position at a time, (y - y_beta) / (alpha - beta).
 """
 
 from __future__ import annotations
@@ -25,14 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import linalg
-from ._kernels import _vec_inv, _vec_mul, add_reduce, add_reduceat, powers, scale, sub
+from ._kernels import _vec_inv, _vec_mul, add_reduce, add_reduceat, matmul, powers, scale, sub
 from .galois import Field
-
-
-def encode_rows(msgs, generator, field) -> np.ndarray:
-    """msgs @ generator, for one message (k,) or a stack of them (m, k)."""
-    return add_reduce(_vec_mul(msgs[..., None], generator, field), -2, field)
 
 
 GS_MAX_MULTIPLICITY = 255
@@ -114,7 +109,7 @@ class GrsCode:
             and self.k == other.k
         )
 
-    # -- encoding / membership ------------------------------------------------
+    # -- encoding -----------------------------------------------------------------
 
     def encode(self, coeffs) -> tuple[int, ...]:
         """Codeword of the message polynomial with these coefficients, lowest
@@ -123,16 +118,11 @@ class GrsCode:
         c[: len(coeffs)] = coeffs
         if c[self.k :].any():
             raise ValueError(f"message degree {np.flatnonzero(c)[-1]} >= k = {self.k}")
-        return tuple(encode_rows(c[: self.k], self._generator, self.field).tolist())
+        return tuple(matmul(c[None, : self.k], self._generator, self.field)[0].tolist())
 
     def _normalize(self, word) -> np.ndarray:
         """Divide out the column multipliers: values of the message polynomial."""
         return _vec_mul(np.asarray(word, dtype=np.int64), self._nu_inv, self.field)
-
-    def is_codeword(self, word) -> bool:
-        return len(word) == self.n and linalg.in_nullspace(
-            linalg.right_nullspace(self._generator, self.field), word, self.field
-        )
 
     def generator_matrix(self) -> np.ndarray:
         """The stored k x n generator (read-only)."""
@@ -171,7 +161,7 @@ class GrsCode:
             s, ly = self._gs_parameters(t)
             q_coeffs = self._gs_interpolate(ys, t, s, ly)
             cands = np.array(_rr_roots(q_coeffs, self.k, F), dtype=np.int64).reshape(-1, self.k)
-        words = encode_rows(cands, self._generator, F)
+        words = matmul(cands, self._generator, F)
         near = words[np.count_nonzero(words != word, axis=1) <= t]
         return sorted(set(map(tuple, near.tolist())))
 
@@ -452,7 +442,7 @@ def _rr_roots(q_coeffs: list[list[int]], k: int, field: Field) -> list[list[int]
     def subs(q, gamma):
         # Q(x, x y + gamma), collected by powers of y
         tmat = _vec_mul(binom, powers([gamma], rows, field)[gap, 0], field)
-        prod = add_reduce(_vec_mul(tmat[:, :, None], q[None, :, :], field), 1, field)
+        prod = matmul(tmat, q, field)
         out = np.zeros((rows, q.shape[1] + rows - 1), dtype=np.int64)
         out[idx[:, None], idx[:, None] + np.arange(q.shape[1])] = prod
         return out

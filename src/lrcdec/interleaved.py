@@ -63,8 +63,7 @@ class BurstError:
 
     def to_matrix(self, ell: int, n: int) -> np.ndarray:
         e = np.zeros((ell, n), dtype=np.int64)
-        for j, pos in enumerate(self.support):
-            e[:, pos] = self.values[:, j]
+        e[:, list(self.support)] = self.values
         return e
 
 
@@ -89,7 +88,7 @@ def mk_decode(field: Field, parity: np.ndarray, received: InterleavedWord):
     p_mat = red[:, syndrome.shape[1]:]
     ph = linalg.matmul(p_mat, H, field)
     q_rows = ph[nk - zeta:, :]
-    support = tuple(int(j) for j in range(n) if not q_rows[:, j].any())
+    support = tuple(np.flatnonzero(~q_rows.any(axis=0)).tolist())
     if len(support) != rank_s:
         return None
     h_sub = H[:, list(support)]
@@ -99,8 +98,7 @@ def mk_decode(field: Field, parity: np.ndarray, received: InterleavedWord):
     if x is None:
         return None
     err = np.zeros((received.ell, n), dtype=np.int64)
-    for j, pos in enumerate(support):
-        err[:, pos] = x[j, :]
+    err[:, list(support)] = x.T
     cw = linalg.sub(R, err, field)
     if linalg.matmul(H, cw.T, field).any():
         return None
@@ -148,30 +146,3 @@ def sk1_sufficient(repair_sets: Sequence[Sequence[int]], k: int, r: int, support
     total = sum(min(sum(1 for i in rs if i not in e), r) for rs in repair_sets)
     return total >= k + 1
 
-
-# ---------------------------------------------------------------------------
-# extension-field view
-# ---------------------------------------------------------------------------
-
-def to_extension_field(matrix: np.ndarray, q: int) -> tuple[int, ...]:
-    """Column-wise bijection GF(q)^ell -> [0, q^ell): digits base q.
-
-    Preserves burst weight: a column is nonzero iff its image is.
-    """
-    m = np.asarray(matrix)
-    out = []
-    for j in range(m.shape[1]):
-        v = 0
-        for i in range(m.shape[0] - 1, -1, -1):
-            v = v * q + int(m[i, j])
-        out.append(v)
-    return tuple(out)
-
-
-def from_extension_field(symbols: Sequence[int], ell: int, q: int) -> np.ndarray:
-    out = np.zeros((ell, len(symbols)), dtype=np.int64)
-    for j, v in enumerate(symbols):
-        for i in range(ell):
-            out[i, j] = v % q
-            v //= q
-    return out

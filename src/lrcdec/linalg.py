@@ -35,7 +35,9 @@ def rank(a: np.ndarray, field: Field) -> int | np.ndarray:
     """Rank of a matrix, or the int64 array of ranks of a (batch, rows, cols) stack.
 
     A stack goes to one batched elimination; a single matrix keeps the
-    2-D ``rref`` kernel, whose per-call overhead is the lower of the two.
+    2-D ``rref`` kernel, which is the faster on one matrix: on an (8, 4)
+    or (8, 6) block over GF(1024), about 80 or 115 us against 205 or
+    290 us for a stack of one (2-vCPU Xeon, numpy 2.4).
     """
     m = np.array(a, dtype=np.int64)
     if m.ndim == 3:
@@ -45,11 +47,13 @@ def rank(a: np.ndarray, field: Field) -> int | np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
-    return _kernels.matmul(
-        np.ascontiguousarray(a, dtype=np.int64),
-        np.ascontiguousarray(b, dtype=np.int64),
-        field,
-    )
+    """Field product a @ b (leading batch axes broadcast), by the kernel.
+
+    A function of its own, so that wrapping linalg.matmul, as a traced
+    run does, leaves the GRS encodes and root-finder substitutions, which
+    call the kernel, unwrapped.
+    """
+    return _kernels.matmul(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64), field)
 
 
 def solve(a: np.ndarray, b: np.ndarray, field: Field):
@@ -81,8 +85,3 @@ def right_nullspace(a: np.ndarray, field: Field) -> np.ndarray:
     basis[np.arange(len(free)), free] = 1
     basis[:, piv] = sub(0, red[:rk, free].T, field)
     return basis
-
-
-def in_nullspace(a: np.ndarray, v, field: Field) -> bool:
-    """True when a @ v = 0: v has zero syndrome under the parity check a."""
-    return not matmul(a, as_matrix([v]).T, field).any()

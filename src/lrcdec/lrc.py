@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .galois import Field
-from .grs import GrsCode, encode_rows
+from .grs import GrsCode
 
 
 def optimal_distance(n: int, k: int, r: int, rho: int) -> int:
@@ -128,10 +128,13 @@ class LrcCode:
         if len(message) != self.k:
             raise ValueError(f"message must have {self.k} symbols")
         msg = np.asarray(message, dtype=np.int64)
-        return tuple(encode_rows(msg, self.generator, self.field).tolist())
+        return tuple(linalg.matmul(msg[None], self.generator, self.field)[0].tolist())
 
     def is_codeword(self, word) -> bool:
-        return len(word) == self.n and linalg.in_nullspace(self.parity, word, self.field)
+        if len(word) != self.n:
+            return False
+        word = np.asarray(word, dtype=np.int64)
+        return not linalg.matmul(self.parity, word[:, None], self.field).any()
 
     # -- locality ----------------------------------------------------------------
 

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from lrcdec import Field, construct_tamo_barg, random_pmds
+from lrcdec import Field, construct_tamo_barg, linalg, random_pmds
 
 
 @pytest.fixture(scope="session")
@@ -11,6 +12,25 @@ def gf16():
 @pytest.fixture(scope="session")
 def gf8():
     return Field(8)
+
+
+@pytest.fixture(scope="session")
+def grs_membership():
+    """membership(code) is the codeword test of a GRS code: length n and a
+    zero syndrome under a parity check built once, when it is called."""
+
+    def membership(code):
+        parity = linalg.right_nullspace(code.generator_matrix(), code.field)
+
+        def is_codeword(word):
+            if len(word) != code.n:
+                return False
+            word = np.asarray(word, dtype=np.int64)
+            return not linalg.matmul(parity, word[:, None], code.field).any()
+
+        return is_codeword
+
+    return membership
 
 
 @pytest.fixture(scope="session")

@@ -9,10 +9,8 @@ from lrcdec import linalg
 from lrcdec.interleaved import (
     BurstError,
     excess_criterion,
-    from_extension_field,
     is_t1_independent,
     sk1_sufficient,
-    to_extension_field,
 )
 from lrcdec.pmds import failure_prob_exact, rank_full_fraction
 
@@ -28,6 +26,30 @@ def burst(rng, q, ell, support):
         while not vals[:, j].any():
             vals[:, j] = rng.integers(0, q, size=ell)
     return BurstError(tuple(support), vals)
+
+
+def to_extension_field(matrix, q):
+    """Oracle: column-wise bijection GF(q)^ell -> [0, q^ell), digits base q.
+
+    Preserves burst weight: a column is nonzero iff its image is.
+    """
+    m = np.asarray(matrix)
+    out = []
+    for j in range(m.shape[1]):
+        v = 0
+        for i in range(m.shape[0] - 1, -1, -1):
+            v = v * q + int(m[i, j])
+        out.append(v)
+    return tuple(out)
+
+
+def from_extension_field(symbols, ell, q):
+    out = np.zeros((ell, len(symbols)), dtype=np.int64)
+    for j, v in enumerate(symbols):
+        for i in range(ell):
+            out[i, j] = v % q
+            v //= q
+    return out
 
 
 def add_burst(field, cw, err):
@@ -165,6 +187,17 @@ def test_extension_field_roundtrip():
     assert sum(1 for s in syms if s) == nz_cols
     # zero matrix maps to zero vector
     assert to_extension_field(np.zeros((3, 5), dtype=np.int64), 16) == (0,) * 5
+
+
+def test_burst_to_matrix_against_extension_view():
+    """A burst's matrix, read as symbols of GF(q^ell), is nonzero exactly on
+    the support and carries each value column at its position."""
+    rng = np.random.default_rng(6)
+    for support in [(), (3,), (0, 11), (1, 4, 5, 9)]:
+        err = burst(rng, 16, 4, support)
+        syms = to_extension_field(err.to_matrix(4, 12), 16)
+        assert tuple(j for j, v in enumerate(syms) if v) == support
+        assert [syms[j] for j in support] == list(to_extension_field(err.values, 16))
 
 
 def test_mk_empirical_rate_matches_formula(pmds_12_4):

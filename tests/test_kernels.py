@@ -7,20 +7,81 @@ from lrcdec import _kernels, linalg
 from lrcdec.galois import Field
 
 
-@pytest.mark.parametrize("q", [16, 7])
-def test_matmul_backends_agree(q):
-    """The numpy kernel against scalar Field arithmetic."""
+def _matmul_cases():
+    """(q, A shape, B shape): the first two keep their original ids; the
+    shapes are a generator block, the (47, 63) @ (63, 1) syndrome of the
+    [63, 16] LRC check, the empty inner dimension of the zero code's
+    encode, and a leading batch axis."""
+    cases = [pytest.param(16, (6, 4), (4, 5), id="16"), pytest.param(7, (6, 4), (4, 5), id="7")]
+    shapes = [((8, 12), (12, 8)), ((47, 63), (63, 1)), ((1, 0), (0, 7)), ((3, 4, 5), (3, 5, 2))]
+    for q in [2, 16, 1024, 7, 13]:
+        for a, b in shapes:
+            dims = "@".join("x".join(map(str, shape)) for shape in (a, b))
+            cases.append(pytest.param(q, a, b, id=f"{q}-{dims}"))
+    return cases
+
+
+@pytest.mark.parametrize("q, a_shape, b_shape", _matmul_cases())
+def test_matmul_backends_agree(q, a_shape, b_shape):
+    """The numpy kernel against scalar Field arithmetic, per batch element."""
     field = Field(q)
     rng = np.random.default_rng(q + 1)
-    a = rng.integers(0, q, size=(6, 4), dtype=np.int64)
-    b = rng.integers(0, q, size=(4, 5), dtype=np.int64)
+    a = rng.integers(0, q, size=a_shape, dtype=np.int64)
+    b = rng.integers(0, q, size=b_shape, dtype=np.int64)
     got = _kernels.matmul(a, b, field)
-    for i in range(6):
-        for j in range(5):
-            acc = 0
-            for l in range(4):
-                acc = field.add(acc, field.mul(int(a[i, l]), int(b[l, j])))
-            assert acc == got[i, j]
+    assert got.dtype == np.int64 and got.shape == a_shape[:-1] + b_shape[-1:]
+    for *batch, i, j in np.ndindex(got.shape):
+        acc = 0
+        for l in range(a_shape[-1]):
+            acc = field.add(acc, field.mul(int(a[(*batch, i, l)]), int(b[(*batch, l, j)])))
+        assert acc == got[(*batch, i, j)]
+
+
+def _gauss_jordan(rows, field):
+    """Oracle: (reduced form, rank, pivot columns) by scalar Field arithmetic,
+    pivoting on the first nonzero entry at or below the current row."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [field.mul(inv, x) for x in m[r]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f:
+                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, len(pivots), pivots
+
+
+@pytest.mark.parametrize("q", [2, 16, 1024, 7, 13])
+def test_rref_matches_scalar_gauss_jordan(q):
+    """Seeded matrices: zero columns with repeated rows (wide and tall), full
+    rank (square and wide, rows and columns shuffled), and all zero."""
+    field = Field(q)
+    rng = np.random.default_rng(q + 7)
+    deficient = rng.integers(0, q, size=(8, 16))
+    deficient[:, [0, 5, 6]] = 0
+    deficient[[3, 6]] = deficient[1]
+    tall = rng.integers(0, q, size=(9, 4))
+    tall[:, 2] = 0
+    tall[4] = tall[0]
+    unit = np.triu(rng.integers(0, q, size=(6, 6)), 1) + np.eye(6, dtype=np.int64)
+    square = unit[rng.permutation(6)]
+    wide = np.concatenate([unit[:5, :5], rng.integers(0, q, size=(5, 4))], axis=1)
+    wide = wide[rng.permutation(5)][:, rng.permutation(9)]
+    ranks = []
+    for a in [deficient, tall, square, wide, np.zeros((3, 4), dtype=np.int64)]:
+        want, want_rank, want_piv = _gauss_jordan(a.tolist(), field)
+        red, rank, piv = linalg.rref(a, field)
+        assert red.tolist() == want
+        assert rank == want_rank and piv.tolist() == want_piv
+        ranks.append(rank)
+    assert ranks[0] <= 6 and ranks[1] <= 3 and ranks[2:] == [6, 5, 0]
 
 
 @pytest.mark.parametrize("q", [2, 16, 1024, 7, 13])
