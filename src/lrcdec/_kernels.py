@@ -42,6 +42,13 @@ def scale(a, c, field):
     return a * c % field.p
 
 
+def add(a, b, field):
+    """Elementwise sum a + b of broadcastable int64 arrays."""
+    if field.p == 2:
+        return a ^ b
+    return (a + b) % field.p
+
+
 def sub(a, b, field):
     """Elementwise difference a - b of broadcastable int64 arrays."""
     if field.p == 2:

@@ -5,9 +5,16 @@ keeps it read-only; messages, words and candidate lists are int64
 arrays.  A codeword is one field matrix product (``_kernels.matmul``) of
 the message coefficients with the generator, and the list decoder
 encodes all its candidates in one such product.  Guruswami-Sudan list
-decoding interpolates by Koetter's iterative algorithm on a GsPlan,
-which the code builds once per (t, s, ly) and keeps: everything but the
-received values.  The candidates are the rows of one array whose first
+decoding first re-encodes (Koetter-Vardy): it subtracts f_R, the message
+polynomial that agrees with the word on the re-encoding set R, the
+code's first k positions.  The word is then 0 on R, where the
+multiplicity-s constraints say exactly that Q_j is divisible by
+v^(s-j), v = prod over R of (x - alpha), so Koetter's iterative
+interpolation starts from the rows v^(s-j) y^j and runs only over the
+n - k points outside R; the roots f' of Q map back to the candidates
+f' + f_R.  Interpolation runs on a GsPlan, which the code builds once
+per (t, s, ly) and keeps: everything but the received values.  The
+candidates are the rows of one array whose first
 columns carry each candidate's Hasse discrepancies at the current point
 and whose other columns are exactly the monomials x^dx y^dy of
 (1, k-1)-weighted degree <= wdeg, in weighted-degree order, so a row
@@ -26,7 +33,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import _vec_inv, _vec_mul, add_reduce, add_reduceat, matmul, powers, scale, sub
+from ._kernels import (
+    _vec_inv, _vec_mul, add, add_reduce, add_reduceat, matmul, powers, rref, scale, sub,
+)
 from .galois import Field
 
 
@@ -88,6 +97,7 @@ class GrsCode:
         self._generator = _vec_mul(self._nu, powers(self._alpha, k, field), field)
         self._generator.flags.writeable = False
         self._gs_plans: dict[tuple[int, int, int], GsPlan] = {}
+        self._shortened: dict[frozenset[int], GrsCode] = {}
 
     @property
     def n(self) -> int:
@@ -138,8 +148,10 @@ class GrsCode:
 
         Complete for t inside the guarantee region; raises ValueError
         beyond it.  Koetter interpolation of a bivariate Q(x, y) with the
-        smallest sufficient multiplicity, then Roth-Ruckenstein root
-        finding of its y-roots f(x) of degree < k, then a distance filter.
+        smallest sufficient multiplicity through the word re-encoded on
+        the first k positions (see _gs_interpolate), then Roth-Ruckenstein
+        root finding of its y-roots f'(x) of degree < k, then the map back
+        f = f' + f_R, one encoding product and a distance filter.
         """
         if len(word) != self.n:
             raise ValueError("word length mismatch")
@@ -159,8 +171,9 @@ class GrsCode:
             cands = np.unique(ys)[:, None]
         else:
             s, ly = self._gs_parameters(t)
-            q_coeffs = self._gs_interpolate(ys, t, s, ly)
-            cands = np.array(_rr_roots(q_coeffs, self.k, F), dtype=np.int64).reshape(-1, self.k)
+            q_coeffs, f_r = self._gs_interpolate(ys, t, s, ly)
+            roots = np.array(_rr_roots(q_coeffs, self.k, F), dtype=np.int64).reshape(-1, self.k)
+            cands = add(roots, f_r, F)
         words = matmul(cands, self._generator, F)
         near = words[np.count_nonzero(words != word, axis=1) <= t]
         return sorted(set(map(tuple, near.tolist())))
@@ -183,14 +196,25 @@ class GrsCode:
         return self._gs_plans[key]
 
     def _gs_interpolate(self, ys, t, s, ly):
-        """Q of least (1, k-1)-weighted degree with multiplicity s at every
-        (locator, y) point, by Koetter's iterative interpolation on the
-        code's plan for (t, s, ly).
+        """Re-encode the values ys on R, the first k positions, and
+        interpolate: returns (Q, f_R).
 
-        Candidates Q_j = y^j (j <= ly) are the rows of one array (see
-        GsPlan): nc = s(s+1)/2 discrepancy columns, a zero column, then
-        the M monomials of weighted degree <= wdeg in weighted-degree
-        order.  At each point one factorised pass fills every candidate's
+        f_R is the message polynomial of degree < k with f_R(alpha_i) = ys_i
+        on R (k coefficients, lowest first); Q has least (1, k-1)-weighted
+        degree and multiplicity s at every point (alpha_i, ys_i - f_R(alpha_i)),
+        by Koetter's iterative interpolation on the code's plan for
+        (t, s, ly).  The re-encoded values are 0 on R, where multiplicity s
+        means that Q_j is divisible by v^(s-j), v = prod over R of
+        (x - alpha): the start rows v^((s-j)+) y^j meet those constraints,
+        so only the n - k points outside R are interpolated.  A y-root f' of
+        Q within distance t of the re-encoded word is f - f_R for a
+        codeword f within distance t of ys.
+
+        Candidates Q_j (j <= ly) are the rows of one array (see GsPlan):
+        nc = s(s+1)/2 discrepancy columns, a zero column, then the M
+        monomials of weighted degree <= wdeg in weighted-degree order; a
+        start row past wdeg drops out at once.  At each point outside R
+        one factorised pass fills every candidate's
         discrepancies D_{a,b} Q_j(x0, y0): an x-side Hasse sum within each
         y-degree, then a y-side one.  The x side is one field product, by
         x0^dx, as C(dx, a) x0^(dx-a) = C(dx, a) x0^dx x0^-a with the
@@ -201,21 +225,23 @@ class GrsCode:
         x - x0: one gather through the x-shift source index, which also
         moves the discrepancy D_{a-1,b} to D_{a,b}, as
         D_{a,b}((x - x0) Q)(x0, y0) = D_{a-1,b} Q(x0, y0).  The row
-        operations keep the discrepancy columns up to date.  Returns
-        coefficient lists of length wdeg - dy (k-1) + 1, dy-major.
+        operations keep the discrepancy columns up to date.  Q is returned
+        as coefficient lists of length wdeg - dy (k-1) + 1, dy-major.
         """
-        F = self.field
+        F, k = self.field, self.k
         plan = self._gs_plan(t, s, ly)
+        f_r = matmul(ys[None, :k], plan.renc_inv, F)[0]
+        ys = sub(ys[k:], matmul(f_r[None], plan.renc_pows, F)[0], F)
         wdeg, nc = plan.wdeg, plan.nc
         end, src = plan.end.tolist(), plan.x_source
-        polys = plan.init.astype(np.int64)
+        polys = plan.init.copy()
         wdegs = plan.row_wdegs.tolist()
-        # row [i, c, 0] is the y-side row of constraint c at point i, times
-        # x_i^-a_c (or 1 at x_i = 0)
+        # row [i, c, 0] is the y-side row of constraint c at the i-th point
+        # outside R, times x0^-a_c there (or 1 at x0 = 0)
         ybs = _vec_mul(plan.ybin, powers(ys, ly + 1, F).T[:, plan.yshift], F)
         ybs = _vec_mul(ybs, plan.xinv[:, :, None], F)[:, :, None]
         w = np.empty((s, ly + 1, ly + 1), dtype=np.int64)
-        for x0, xpow, yb in zip(self.locators, plan.xpows, ybs):
+        for x0, xpow, yb in zip(self.locators[k:], plan.xpows, ybs):
             # w[a, j, dy] = x0^a sum_dx C(dx, a) x0^(dx - a) Q_j[dx, dy]: one
             # field product by x0^dx, then the binomials, prime-field integers
             if x0:
@@ -258,7 +284,8 @@ class GrsCode:
                 f"Koetter interpolation reached weighted degree {wdegs[best]} > wdeg = {wdeg} "
                 f"({plan.describe()})"
             )
-        return [blk.tolist() for blk in np.split(polys[best, plan.dy_major], plan.starts[1:])]
+        q_coeffs = [blk.tolist() for blk in np.split(polys[best, plan.dy_major], plan.starts[1:])]
+        return q_coeffs, f_r
 
     # -- shortening --------------------------------------------------------------
 
@@ -266,22 +293,33 @@ class GrsCode:
         """Code realizing the shortening at the given locator values.
 
         The result is the [n - |S|, k - |S|, d] code on the remaining
-        locators and multipliers.
+        locators and multipliers.  It is kept in a dict on this code, one
+        per set of locators, so a shortened code, its GS plans and its
+        re-encoding arrays are built once, however many words are decoded
+        there.  The dict holds one code per subset asked for: the LRC list
+        decoder asks for one per combination of repair sets it visits, so
+        those combinations bound its size.
         """
         subset = tuple(subset)
+        drop = frozenset(subset)
+        if len(drop) != len(subset):
+            raise ValueError("shortening locators must be pairwise distinct")
+        if drop in self._shortened:
+            return self._shortened[drop]
         if len(subset) > self.k:
             raise ValueError(f"can shorten at most k = {self.k} positions")
         for beta in subset:
             if beta not in self._loc_index:
                 raise ValueError(f"{beta} is not a locator of this code")
-        drop = set(subset)
         keep = [i for i in range(self.n) if self.locators[i] not in drop]
-        return GrsCode(
+        code = GrsCode(
             self.field,
             [self.locators[i] for i in keep],
             [self.multipliers[i] for i in keep],
             self.k - len(subset),
         )
+        self._shortened[drop] = code
+        return code
 
     def shorten_received(self, word, subset):
         """Map a received word to the shortened code, treating subset as error-free.
@@ -348,21 +386,32 @@ class GsPlan:
     takes x^(dx-1) y^dy, a discrepancy column (a, b) takes (a-1, b), and
     dx = 0 and a = 0 take the zero column.
 
+    Re-encoding on R, the code's first k positions: the message f_R of
+    the codeword that agrees with the values on R is ys_R renc_inv (the
+    inverse of the k x k Vandermonde matrix on R), and its values at the
+    n - k points outside R are f_R renc_pows (alpha^0 ... alpha^(k-1)
+    there).  The start rows are v^((s-j)+) y^j, v = prod over R of
+    (x - alpha), of weighted degree row_wdegs[j] = k (s-j)+ + j (k-1); a
+    row past wdeg is left zero, as it never takes part.  The x-side arrays
+    cover the points outside R only.
+
     Size and cost: s, ly, the unknowns M, the constraints
-    C = n s(s+1)/2 and the cell-ops C (ly+1) M of the row operations
-    without the support bound.
+    C = (n - k) s(s+1)/2 that Koetter imposes on the points outside R,
+    and the cell-ops C (ly+1) M of the row operations without the support
+    bound.
     """
 
     def __init__(self, code: GrsCode, t: int, s: int, ly: int):
-        F, n, k1 = code.field, code.n, code.k - 1
-        self.s, self.ly = s, ly
+        F, n, k = code.field, code.n, code.k
+        k1 = k - 1
+        self.s, self.ly, self.n, self.points = s, ly, n, n - k
         self.wdeg = wdeg = s * (n - t) - 1
         lens = wdeg + 1 - np.arange(ly + 1) * k1
         col_dy = np.repeat(np.arange(ly + 1), lens)
         starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
         col_dx = np.arange(col_dy.size) - starts[col_dy]
         self.unknowns = m = col_dy.size
-        self.constraints = n * s * (s + 1) // 2
+        self.constraints = (n - k) * s * (s + 1) // 2
         self.cell_ops = self.constraints * (ly + 1) * m
         # b outer, a inner: D_{a,b} of (x - x0) Q is D_{a-1,b} Q at x0, the
         # constraint just before, so those imposed so far survive the step
@@ -376,23 +425,37 @@ class GsPlan:
         x_source = np.full(off + m, nc)
         x_source[:nc] = np.where(cons_a > 0, np.arange(nc) - 1, nc)
         x_source[dy_major[1:]] = np.where(col_dx[1:] > 0, dy_major[:-1], nc)
-        init = np.zeros((ly + 1, off + m), dtype=np.int8)
-        init[np.arange(ly + 1), dy_major[starts]] = 1
         self.starts, self.col_dx, self.dy_major = starts, col_dx, dy_major
         self.end = off + np.searchsorted(np.sort(weights), np.arange(wdeg + 1), side="right")
         self.x_source = x_source
         self.monomials = (np.arange(off + m) >= off).astype(np.int64)
-        self.init = init
-        self.row_wdegs = np.arange(ly + 1) * k1
-        # x side: C(dx, a) mod p per dy-major column, the code's x-powers,
+        # re-encoding: [V_R | I] reduces to [I | V_R^-1]
+        pows = powers(code._alpha, k, F)
+        aug = np.concatenate((pows[:, :k], np.eye(k, dtype=np.int64)), axis=1)
+        rref(aug, F)
+        self.renc_inv, self.renc_pows = aug[:, k:], pows[:, k:]
+        # start rows v^e y^j, e = (s-j)+, written into the dy = j block
+        vpow = [np.ones(1, dtype=np.int64)]
+        for _ in range(s):
+            v = vpow[-1]
+            for a in code._alpha[:k]:
+                v = sub(np.append(0, v), np.append(_vec_mul(v, a, F), 0), F)  # (x - a) v
+            vpow.append(v)
+        e = np.maximum(s - np.arange(ly + 1), 0)
+        self.row_wdegs = e * k + np.arange(ly + 1) * k1
+        self.init = np.zeros((ly + 1, off + m), dtype=np.int64)
+        for j in np.flatnonzero(self.row_wdegs <= wdeg):
+            self.init[j, dy_major[starts[j] + np.arange(e[j] * k + 1)]] = vpow[e[j]]
+        # x side: C(dx, a) mod p per dy-major column, the x-powers outside R,
         # x^-a_c per constraint (1 at x = 0), and the column of x^a y^dy
         # (or the zero column) for x0 = 0; y-side row [c, dy] is
         # C(dy, b_c) y0^(dy - b_c) once y0's powers are gathered by yshift
         self.cons_a = cons_a
         xbin = np.array([[math.comb(d, a) % F.p for d in range(wdeg + 1)] for a in range(s)])
         self.xbin = xbin[:, col_dx]
-        self.xpows = powers(code._alpha, wdeg + 1, F).T
-        xinv = _vec_inv(np.where(code._alpha == 0, 1, code._alpha), F)
+        outside = code._alpha[k:]
+        self.xpows = powers(outside, wdeg + 1, F).T
+        xinv = _vec_inv(np.where(outside == 0, 1, outside), F)
         self.xinv = powers(xinv, s, F).T[:, cons_a]
         coef_at = np.minimum(starts + np.arange(s)[:, None], m - 1)
         self.coef_cols = np.where(np.arange(s)[:, None] < lens, dy_major[coef_at], nc)
@@ -405,7 +468,8 @@ class GsPlan:
     def describe(self) -> str:
         return (
             f"GS plan: s = {self.s}, ly = {self.ly}, M = {self.unknowns} unknowns, "
-            f"C = {self.constraints} constraints, {self.cell_ops} cell-ops"
+            f"C = {self.constraints} constraints on {self.points} of {self.n} points, "
+            f"{self.cell_ops} cell-ops"
         )
 
 
@@ -436,7 +500,7 @@ def _rr_roots(q_coeffs: list[list[int]], k: int, field: Field) -> list[list[int]
             uni.pop()
         acc = np.zeros(field.q, dtype=np.int64)
         for c in reversed(uni):
-            acc = sub(_vec_mul(acc, xs, field), field.neg(c), field)
+            acc = add(_vec_mul(acc, xs, field), c, field)
         return np.flatnonzero(acc == 0).tolist()
 
     def subs(q, gamma):

@@ -146,15 +146,9 @@ def _decode_shortened(code: LrcCode, received, chosen_sets, picks, cfg, result):
     if result.shortened_decodes > cfg.budget:
         raise BudgetExceeded(result, cfg.budget)
     short_w, sctx = sup.shorten_received(cleaned, subset)
-    radius = cfg.t_g - chi
-    if radius > sctx.code.gs_max_radius():
-        raise RuntimeError(
-            f"radius {radius} exceeds the guarantee radius {sctx.code.gs_max_radius()} "
-            f"of the shortened {sctx.code!r}"
-        )
     found = []
     F = code.field
-    for cand in sctx.code.gs_list_decode(short_w, radius):
+    for cand in sctx.code.gs_list_decode(short_w, cfg.t_g - chi):
         full_err = sctx.lift_error(sub(np.array(short_w), np.array(cand), F))
         full_cw = sub(cleaned, np.array(full_err), F)
         dist = np.count_nonzero(full_cw != np.asarray(received))

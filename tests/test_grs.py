@@ -289,7 +289,7 @@ def seeded_words(code, t, count, seed):
             yield tuple(rnd.randrange(F.q) for _ in range(n))
         else:
             cw = code.encode([rnd.randrange(F.q) for _ in range(code.k)])
-            yield corrupt(rnd, F, cw, rnd.sample(range(n), min(n, t - 1 + i % 4)))
+            yield corrupt(rnd, F, cw, rnd.sample(range(n), max(0, min(n, t - 1 + i % 4))))
 
 
 KOETTER_CASES = [  # (q, n, k, t): s = 1, 4, 3, 2, 2, 2, 2
@@ -303,15 +303,28 @@ KOETTER_CASES = [  # (q, n, k, t): s = 1, 4, 3, 2, 2, 2, 2
 ]
 
 
+def reencode_oracle(code, ys):
+    """(f_R, ys - f_R(alpha)): f_R of degree < k through the values on the
+    first k positions, by a Vandermonde solve and scalar Horner."""
+    F, k = code.field, code.k
+    vander = np.array([[F.pow(a, j) for j in range(k)] for a in code.locators[:k]])
+    f_r = linalg.solve(vander, np.asarray(ys[:k])[:, None], F)[:, 0].tolist()
+    return f_r, np.array([F.sub(y, horner(F, f_r, a)) for a, y in zip(code.locators, ys)])
+
+
 @pytest.mark.parametrize("q, n, k, t", KOETTER_CASES)
 def test_koetter_q_is_annihilated_by_dense_system(q, n, k, t):
+    # Q interpolates the re-encoded word at all n points, the first k
+    # (where it is 0) included
     field = Field(q)
     code = GrsCode(field, list(range(1, n + 1)), [1] * n, k)
     s, ly = code._gs_parameters(t)
     wdeg = s * (n - t) - 1
     for word in seeded_words(code, t, 4, seed=n + t):
-        ys = code._normalize(word)
-        q_coeffs = code._gs_interpolate(ys, t, s, ly)
+        f_r, ys = reencode_oracle(code, code._normalize(word))
+        q_coeffs, got_f_r = code._gs_interpolate(code._normalize(word), t, s, ly)
+        assert got_f_r.tolist() == f_r
+        assert not ys[:k].any()
         assert [len(p) for p in q_coeffs] == [wdeg - dy * (k - 1) + 1 for dy in range(ly + 1)]
         m, cols = dense_system(code, ys, t, s, ly)
         vec = np.array([q_coeffs[dy][dx] for dy, dx in cols], dtype=np.int64)
@@ -349,17 +362,22 @@ def test_koetter_error_names_plan_size_and_cost(gf16):
     with pytest.raises(
         RuntimeError,
         match=r"wdeg = 5 \(GS plan: s = 1, ly = 2, M = 12 unknowns, "
-        r"C = 15 constraints, 540 cell-ops\)",
+        r"C = 12 constraints on 12 of 15 points, 432 cell-ops\)",
     ):
         code._gs_interpolate(code._normalize(w), 9, 1, 2)
 
 
 # -- Koetter on the plan against the per-constraint interpolation -----------------
 
-def koetter_reference(code, ys, t, s, ly):
+def koetter_reference(code, ys, t, s, ly, reencoded):
     """Koetter's interpolation on the dy-major monomial columns, with every
     discrepancy recomputed over all columns per constraint and every row
-    operation over all columns."""
+    operation over all columns.
+
+    Without re-encoding it starts from the rows y^j and runs over all n
+    points.  With it, ys must be 0 on the first k positions: it starts from
+    v^((s-j)+) y^j, v the product of x - alpha over those positions, each
+    by scalar products, and runs over the other n - k points."""
     F = code.field
     n, k = code.n, code.k
     wdeg = s * (n - t) - 1
@@ -369,16 +387,28 @@ def koetter_reference(code, ys, t, s, ly):
     col_dx = np.arange(col_dy.size) - starts[col_dy]
     block_start = col_dx == 0
     polys = np.zeros((ly + 1, col_dy.size), dtype=np.int64)
-    polys[np.arange(ly + 1), starts] = 1
-    wdegs = [j * (k - 1) for j in range(ly + 1)]
+    points = range(k if reencoded else 0, n)
+    v = [1]
+    for a in code.locators[:k] if reencoded else ():
+        v = poly_mul_y(F, [v], [[F.neg(a), 1]])[0]
+    wdegs = []
+    for j in range(ly + 1):
+        e = max(s - j, 0) if reencoded else 0
+        wdegs.append(e * k + j * (k - 1))
+        if wdegs[j] <= wdeg:
+            start = [1]
+            for _ in range(e):
+                start = poly_mul_y(F, [start], [v])[0]
+            polys[j, starts[j] : starts[j] + len(start)] = start
     bs, as_ = np.array([(b, a) for b in range(s) for a in range(s - b)]).T
     xbin = np.array([[math.comb(d, a) % F.p for d in range(wdeg + 1)] for a in range(s)])
     ybin = np.array([[math.comb(d, b) % F.p for d in range(ly + 1)] for b in range(s)])
     xshift = np.maximum(np.arange(wdeg + 1) - np.arange(s)[:, None], 0)
     yshift = np.maximum(np.arange(ly + 1) - np.arange(s)[:, None], 0)
     xpows = powers(np.array(code.locators), wdeg + 1, F).T
-    ypows = powers(ys, ly + 1, F).T
-    for x0, xpow, ypow in zip(code.locators, xpows, ypows):
+    ypows = powers(np.asarray(ys), ly + 1, F).T
+    for i in points:
+        x0, xpow, ypow = code.locators[i], xpows[i], ypows[i]
         xrows = _vec_mul(xbin, xpow[xshift], F)
         yrows = _vec_mul(ybin, ypow[yshift], F)
         hasse = _vec_mul(yrows[bs][:, col_dy], xrows[as_][:, col_dx], F)
@@ -422,18 +452,63 @@ def test_koetter_matches_per_constraint_reference(q, n, k, t, first, count):
     code = GrsCode(field, list(range(first, first + n)), [1] * n, k)
     s, ly = code._gs_parameters(t)
     for word in seeded_words(code, t, count, seed=n + t):
-        ys = code._normalize(word)
-        assert code._gs_interpolate(ys, t, s, ly) == koetter_reference(code, ys, t, s, ly)
+        f_r, ys = reencode_oracle(code, code._normalize(word))
+        q_coeffs, got_f_r = code._gs_interpolate(code._normalize(word), t, s, ly)
+        assert got_f_r.tolist() == f_r
+        assert q_coeffs == koetter_reference(code, ys, t, s, ly, reencoded=True)
+
+
+def unreencoded_list(code, word, t):
+    """The GS list without re-encoding: the reference Koetter interpolation
+    over all n points from the rows y^j, root finding and the distance
+    filter."""
+    s, ly = code._gs_parameters(t)
+    q_coeffs = koetter_reference(code, code._normalize(word), t, s, ly, reencoded=False)
+    words = (code.encode(f) for f in _rr_roots(q_coeffs, code.k, code.field))
+    return sorted({c for c in words if hamming(c, word) <= t})
+
+
+# (q, locators, k, t): k = n and k = n - 1 (t = 0), the locator 0 outside
+# the re-encoding set, and prime fields with 0 inside and outside it
+REENCODING_EDGE_CASES = [
+    (16, tuple(range(1, 7)), 6, 0),
+    (16, tuple(range(1, 8)), 6, 0),
+    (16, tuple(range(1, 10)) + (0,), 3, 4),
+    (11, (5, 2, 9, 0, 1, 3, 4, 6, 7, 8, 10), 4, 5),
+    (13, tuple(range(1, 13)) + (0,), 4, 6),
+]
+
+
+LIST_CASES = [
+    (q, tuple(range(first, first + n)), k, t, count)
+    for q, n, k, t, first, count in DIFFERENTIAL_CASES
+] + [case + (6,) for case in REENCODING_EDGE_CASES]
+
+
+@pytest.mark.parametrize(
+    "q, locators, k, t, count",
+    LIST_CASES,
+    ids=[f"{q}-{loc[0]}..{loc[-1]}-{k}-{t}" for q, loc, k, t, _ in LIST_CASES],
+)
+def test_gs_lists_match_unreencoded_reference(q, locators, k, t, count):
+    field = Field(q)
+    n = len(locators)
+    rnd = random.Random(q * n + k)
+    code = GrsCode(field, locators, [rnd.randrange(1, q) for _ in range(n)], k)
+    for word in seeded_words(code, t, count, seed=q + n + t):
+        assert code.gs_list_decode(word, t) == unreencoded_list(code, word, t)
 
 
 def test_gs_plan_reports_size_and_cost():
     code = GrsCode(Field(64), list(range(1, 43)), [1] * 42, 8)
     s, ly = code._gs_parameters(24)
     plan = code._gs_plan(24, s, ly)
-    assert (plan.s, plan.ly, plan.unknowns, plan.constraints) == (6, 15, 888, 882)
-    assert plan.cell_ops == 12_531_456
+    assert (plan.s, plan.ly, plan.unknowns, plan.constraints) == (6, 15, 888, 714)
+    assert plan.points == 34
+    assert plan.cell_ops == 10_144_512
     assert plan.describe() == (
-        "GS plan: s = 6, ly = 15, M = 888 unknowns, C = 882 constraints, 12531456 cell-ops"
+        "GS plan: s = 6, ly = 15, M = 888 unknowns, "
+        "C = 714 constraints on 34 of 42 points, 10144512 cell-ops"
     )
 
 
@@ -594,6 +669,25 @@ def test_shorten_membership(gf16, grs_membership):
     for _ in range(100):
         fs = reduce_poly(gf16, [rnd.randrange(16) for _ in range(8)], subset)
         assert in_short(encode_oracle(short, fs))
+
+
+def test_shorten_is_kept_per_locator_set(gf16):
+    code = GrsCode(gf16, list(range(1, 16)), [3] * 15, 8)
+    short = code.shorten(code.locators[:5])
+    assert code.shorten(reversed(code.locators[:5])) is short
+    assert code.shorten(code.locators[1:6]) is not short
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        code.shorten((1, 1))
+    fresh = GrsCode(gf16, list(range(6, 16)), [3] * 10, 3)
+    assert fresh == short
+    for word in seeded_words(code, 4, 6, seed=13):
+        sw, ctx = code.shorten_received(word, code.locators[:5])
+        assert ctx.code is short
+        assert short.gs_list_decode(sw, 4) == fresh.gs_list_decode(sw, 4)
+    assert list(short._gs_plans) == [(4, *short._gs_parameters(4))]
+    for plan in short._gs_plans.values():
+        for name in ("init", "row_wdegs", "renc_inv", "renc_pows", "xpows", "xinv"):
+            assert not getattr(plan, name).flags.writeable
 
 
 def test_shorten_composes(gf8):
