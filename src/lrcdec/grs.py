@@ -7,14 +7,14 @@ the message coefficients with the generator, and the list decoder
 encodes all its candidates in one such product.  Guruswami-Sudan list
 decoding first re-encodes (Koetter-Vardy): it subtracts f_R, the message
 polynomial that agrees with the word on the re-encoding set R, the
-code's first k positions.  The word is then 0 on R, where the
-multiplicity-s constraints say exactly that Q_j is divisible by
-v^(s-j), v = prod over R of (x - alpha), so Koetter's iterative
-interpolation starts from the rows v^(s-j) y^j and runs only over the
-n - k points outside R; the roots f' of Q map back to the candidates
-f' + f_R.  Interpolation runs on a GsPlan, which the code builds once
-per (t, s, ly) and keeps: everything but the received values.  The
-candidates are the rows of one array whose first
+code's first k positions with a locator 0 moved in.  The word is then 0
+on R, where the multiplicity-s constraints say exactly that Q_j is
+divisible by v^(s-j), v = prod over R of (x - alpha), so Koetter's
+iterative interpolation starts from the rows v^(s-j) y^j and runs only
+over the n - k points outside R, none of them at x = 0; the roots f' of
+Q map back to the candidates f' + f_R.  Interpolation runs on a GsPlan,
+which the code builds once per (t, s, ly) and keeps: everything but the
+received values.  The candidates are the rows of one array whose first
 columns carry each candidate's Hasse discrepancies at the current point
 and whose other columns are exactly the monomials x^dx y^dy of
 (1, k-1)-weighted degree <= wdeg, in weighted-degree order, so a row
@@ -27,6 +27,7 @@ one known position at a time, (y - y_beta) / (alpha - beta).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -52,18 +53,24 @@ def gs_parameters(n: int, k: int, t: int) -> tuple[int, int] | None:
         if wdeg < 0:
             continue
         ly = wdeg // (k - 1)
-        unknowns = sum(wdeg + 1 - j * (k - 1) for j in range(ly + 1))
-        constraints = n * s * (s + 1) // 2
-        if unknowns > constraints:
+        # the monomials x^dx y^dy with dx + dy (k-1) <= wdeg, dy <= ly
+        unknowns = (ly + 1) * (wdeg + 1) - (k - 1) * ly * (ly + 1) // 2
+        if unknowns > n * s * (s + 1) // 2:
             return s, ly
     return None
 
 
+@functools.cache
 def gs_max_radius(n: int, k: int) -> int:
-    """Largest radius with a list-decoding guarantee, n - 1 - floor(sqrt(n(k-1)))."""
-    if k == 0:
-        return n
-    return n - 1 - math.isqrt(n * (k - 1))
+    """Largest radius the GS decoder reaches on an [n, k] code: for k >= 2
+    the largest t <= n - 1 - floor(sqrt(n(k-1))) (the Johnson bound) that
+    gs_parameters reaches, n - k for k <= 1.  Computed once per (n, k)."""
+    if k <= 1:
+        return n - k
+    t = n - 1 - math.isqrt(n * (k - 1))
+    while gs_parameters(n, k, t) is None:
+        t -= 1
+    return t
 
 
 class GrsCode:
@@ -146,20 +153,21 @@ class GrsCode:
     def gs_list_decode(self, word, t: int) -> list[tuple[int, ...]]:
         """All codewords within Hamming distance t of word.
 
-        Complete for t inside the guarantee region; raises ValueError
+        Complete for every t up to gs_max_radius(); raises ValueError
         beyond it.  Koetter interpolation of a bivariate Q(x, y) with the
-        smallest sufficient multiplicity through the word re-encoded on
-        the first k positions (see _gs_interpolate), then Roth-Ruckenstein
-        root finding of its y-roots f'(x) of degree < k, then the map back
-        f = f' + f_R, one encoding product and a distance filter.
+        smallest sufficient multiplicity through the word re-encoded on R
+        (see _gs_interpolate), then Roth-Ruckenstein root finding of its
+        y-roots f'(x) of degree < k, then the map back f = f' + f_R, one
+        encoding product and a distance filter.
         """
         if len(word) != self.n:
             raise ValueError("word length mismatch")
         if t < 0:
             raise ValueError("radius must be nonnegative")
-        if t > self.gs_max_radius():
+        reach = self.gs_max_radius()
+        if t > reach:
             raise ValueError(
-                f"radius {t} exceeds the guarantee radius {self.gs_max_radius()}"
+                f"t = {t} exceeds the radius {reach} of the [{self.n}, {self.k}] GRS decode"
             )
         F = self.field
         word = np.asarray(word, dtype=np.int64)
@@ -170,23 +178,13 @@ class GrsCode:
             # constants: a candidate agrees with ys somewhere, as t < n
             cands = np.unique(ys)[:, None]
         else:
-            s, ly = self._gs_parameters(t)
+            s, ly = gs_parameters(self.n, self.k, t)
             q_coeffs, f_r = self._gs_interpolate(ys, t, s, ly)
             roots = np.array(_rr_roots(q_coeffs, self.k, F), dtype=np.int64).reshape(-1, self.k)
             cands = add(roots, f_r, F)
         words = matmul(cands, self._generator, F)
         near = words[np.count_nonzero(words != word, axis=1) <= t]
         return sorted(set(map(tuple, near.tolist())))
-
-    def _gs_parameters(self, t: int) -> tuple[int, int]:
-        """Smallest multiplicity s (and y-degree) that guarantees radius t."""
-        params = gs_parameters(self.n, self.k, t)
-        if params is None:
-            raise RuntimeError(
-                f"GRS [n = {self.n}, k = {self.k}]: no multiplicity "
-                f"s <= {GS_MAX_MULTIPLICITY} reaches radius t = {t}"
-            )
-        return params
 
     def _gs_plan(self, t: int, s: int, ly: int) -> "GsPlan":
         """The code's Koetter plan for (t, s, ly), built on first use."""
@@ -196,10 +194,11 @@ class GrsCode:
         return self._gs_plans[key]
 
     def _gs_interpolate(self, ys, t, s, ly):
-        """Re-encode the values ys on R, the first k positions, and
-        interpolate: returns (Q, f_R).
+        """Re-encode the values ys on R and interpolate: returns (Q, f_R).
 
-        f_R is the message polynomial of degree < k with f_R(alpha_i) = ys_i
+        R is the first k positions, except that a locator 0 is always
+        taken in (see GsPlan), so every point outside R has x0 != 0.  f_R
+        is the message polynomial of degree < k with f_R(alpha_i) = ys_i
         on R (k coefficients, lowest first); Q has least (1, k-1)-weighted
         degree and multiplicity s at every point (alpha_i, ys_i - f_R(alpha_i)),
         by Koetter's iterative interpolation on the code's plan for
@@ -218,39 +217,34 @@ class GrsCode:
         discrepancies D_{a,b} Q_j(x0, y0): an x-side Hasse sum within each
         y-degree, then a y-side one.  The x side is one field product, by
         x0^dx, as C(dx, a) x0^(dx-a) = C(dx, a) x0^dx x0^-a with the
-        binomial in the prime field and x0^-a moved to the y side; at
-        x0 = 0 it gathers coefficients.  Per constraint, in (b, a) order,
-        the violating candidate of least weighted degree clears its column
-        from the others over its support only, then takes a factor
-        x - x0: one gather through the x-shift source index, which also
-        moves the discrepancy D_{a-1,b} to D_{a,b}, as
-        D_{a,b}((x - x0) Q)(x0, y0) = D_{a-1,b} Q(x0, y0).  The row
+        binomial in the prime field and x0^-a moved to the y side.  Per
+        constraint, in (b, a) order, the violating candidate of least
+        weighted degree clears its column from the others over its support
+        only, then takes a factor x - x0: one gather through the x-shift
+        source index, which also moves the discrepancy D_{a-1,b} to
+        D_{a,b}, as D_{a,b}((x - x0) Q)(x0, y0) = D_{a-1,b} Q(x0, y0).  The row
         operations keep the discrepancy columns up to date.  Q is returned
         as coefficient lists of length wdeg - dy (k-1) + 1, dy-major.
         """
-        F, k = self.field, self.k
+        F = self.field
         plan = self._gs_plan(t, s, ly)
-        f_r = matmul(ys[None, :k], plan.renc_inv, F)[0]
-        ys = sub(ys[k:], matmul(f_r[None], plan.renc_pows, F)[0], F)
+        f_r = matmul(ys[None, plan.inside], plan.renc_inv, F)[0]
+        ys = sub(ys[plan.outside], matmul(f_r[None], plan.renc_pows, F)[0], F)
         wdeg, nc = plan.wdeg, plan.nc
         end, src = plan.end.tolist(), plan.x_source
         polys = plan.init.copy()
         wdegs = plan.row_wdegs.tolist()
         # row [i, c, 0] is the y-side row of constraint c at the i-th point
-        # outside R, times x0^-a_c there (or 1 at x0 = 0)
+        # outside R, times x0^-a_c there
         ybs = _vec_mul(plan.ybin, powers(ys, ly + 1, F).T[:, plan.yshift], F)
         ybs = _vec_mul(ybs, plan.xinv[:, :, None], F)[:, :, None]
         w = np.empty((s, ly + 1, ly + 1), dtype=np.int64)
-        for x0, xpow, yb in zip(self.locators[k:], plan.xpows, ybs):
+        for x0, xpow, yb in zip(plan.x_outside.tolist(), plan.xpows, ybs):
             # w[a, j, dy] = x0^a sum_dx C(dx, a) x0^(dx - a) Q_j[dx, dy]: one
             # field product by x0^dx, then the binomials, prime-field integers
-            if x0:
-                r = _vec_mul(polys[:, plan.dy_major], xpow[plan.col_dx], F)
-                for a, xb in enumerate(plan.xbin):
-                    w[a] = add_reduceat(scale(r, xb, F), plan.starts, F)
-            else:
-                # at x0 = 0 the Hasse derivatives in x are coefficients
-                w[:] = polys[:, plan.coef_cols].transpose(1, 0, 2)
+            r = _vec_mul(polys[:, plan.dy_major], xpow[plan.col_dx], F)
+            for a, xb in enumerate(plan.xbin):
+                w[a] = add_reduceat(scale(r, xb, F), plan.starts, F)
             polys[:, :nc] = add_reduce(_vec_mul(w[plan.cons_a], yb, F), 2, F).T
             x0_row = plan.monomials * x0  # x0 on the monomial columns, 0 before them
             for c in range(nc):
@@ -386,11 +380,14 @@ class GsPlan:
     takes x^(dx-1) y^dy, a discrepancy column (a, b) takes (a-1, b), and
     dx = 0 and a = 0 take the zero column.
 
-    Re-encoding on R, the code's first k positions: the message f_R of
+    Re-encoding on R, the code's first k positions, except that a
+    locator 0 is moved into R (a stable sort on alpha != 0): inside holds
+    the positions in R, outside the n - k others in code order, and
+    x_outside the locators there, none of them 0.  The message f_R of
     the codeword that agrees with the values on R is ys_R renc_inv (the
     inverse of the k x k Vandermonde matrix on R), and its values at the
-    n - k points outside R are f_R renc_pows (alpha^0 ... alpha^(k-1)
-    there).  The start rows are v^((s-j)+) y^j, v = prod over R of
+    points outside R are f_R renc_pows (alpha^0 ... alpha^(k-1) there).
+    The start rows are v^((s-j)+) y^j, v = prod over R of
     (x - alpha), of weighted degree row_wdegs[j] = k (s-j)+ + j (k-1); a
     row past wdeg is left zero, as it never takes part.  The x-side arrays
     cover the points outside R only.
@@ -429,16 +426,20 @@ class GsPlan:
         self.end = off + np.searchsorted(np.sort(weights), np.arange(wdeg + 1), side="right")
         self.x_source = x_source
         self.monomials = (np.arange(off + m) >= off).astype(np.int64)
-        # re-encoding: [V_R | I] reduces to [I | V_R^-1]
+        # re-encoding: [V_R | I] reduces to [I | V_R^-1]; a locator 0 sorts
+        # first, so it lands in R and no point outside R has x0 = 0
+        order = np.argsort(code._alpha != 0, kind="stable")
+        self.inside, self.outside = inside, outside = order[:k], order[k:]
+        self.x_outside = x_out = code._alpha[outside]
         pows = powers(code._alpha, k, F)
-        aug = np.concatenate((pows[:, :k], np.eye(k, dtype=np.int64)), axis=1)
+        aug = np.concatenate((pows[:, inside], np.eye(k, dtype=np.int64)), axis=1)
         rref(aug, F)
-        self.renc_inv, self.renc_pows = aug[:, k:], pows[:, k:]
+        self.renc_inv, self.renc_pows = aug[:, k:], pows[:, outside]
         # start rows v^e y^j, e = (s-j)+, written into the dy = j block
         vpow = [np.ones(1, dtype=np.int64)]
         for _ in range(s):
             v = vpow[-1]
-            for a in code._alpha[:k]:
+            for a in code._alpha[inside]:
                 v = sub(np.append(0, v), np.append(_vec_mul(v, a, F), 0), F)  # (x - a) v
             vpow.append(v)
         e = np.maximum(s - np.arange(ly + 1), 0)
@@ -446,19 +447,14 @@ class GsPlan:
         self.init = np.zeros((ly + 1, off + m), dtype=np.int64)
         for j in np.flatnonzero(self.row_wdegs <= wdeg):
             self.init[j, dy_major[starts[j] + np.arange(e[j] * k + 1)]] = vpow[e[j]]
-        # x side: C(dx, a) mod p per dy-major column, the x-powers outside R,
-        # x^-a_c per constraint (1 at x = 0), and the column of x^a y^dy
-        # (or the zero column) for x0 = 0; y-side row [c, dy] is
+        # x side: C(dx, a) mod p per dy-major column, the x-powers outside R
+        # and x^-a_c per constraint; y-side row [c, dy] is
         # C(dy, b_c) y0^(dy - b_c) once y0's powers are gathered by yshift
         self.cons_a = cons_a
         xbin = np.array([[math.comb(d, a) % F.p for d in range(wdeg + 1)] for a in range(s)])
         self.xbin = xbin[:, col_dx]
-        outside = code._alpha[k:]
-        self.xpows = powers(outside, wdeg + 1, F).T
-        xinv = _vec_inv(np.where(outside == 0, 1, outside), F)
-        self.xinv = powers(xinv, s, F).T[:, cons_a]
-        coef_at = np.minimum(starts + np.arange(s)[:, None], m - 1)
-        self.coef_cols = np.where(np.arange(s)[:, None] < lens, dy_major[coef_at], nc)
+        self.xpows = powers(x_out, wdeg + 1, F).T
+        self.xinv = powers(_vec_inv(x_out, F), s, F).T[:, cons_a]
         self.ybin = np.array([[math.comb(d, b) % F.p for d in range(ly + 1)] for b in cons_b])
         self.yshift = np.maximum(np.arange(ly + 1) - cons_b[:, None], 0)
         for arr in vars(self).values():

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._kernels import sub
-from .grs import GS_MAX_MULTIPLICITY, gs_max_radius, gs_parameters
+from .grs import gs_max_radius
 from .lrc import LrcCode
 from .radii import CodeShape, refined_error_count
 
@@ -38,9 +38,10 @@ __all__ = [
 class DecodeConfig:
     """Radii and search budget for the local-global decoders.
 
-    t_l must not exceed the local list decoder's guarantee radius, and
-    t_g must exceed neither the refined global error count for that t_l
-    nor the guarantee radius of the shortened supercode it decodes.
+    t_l must not exceed gs_max_radius of the local codes, and t_g must
+    exceed neither the refined global error count for that t_l nor
+    gs_max_radius of the shortened supercode it decodes: the radii the
+    GS decoder reaches, so every decode the search makes is complete.
     """
 
     t_l: int
@@ -88,32 +89,20 @@ def _local_lists(code: LrcCode, received, cfg: DecodeConfig):
 
 def _validate_cfg(code: LrcCode, cfg: DecodeConfig):
     local = code.local_code(0)
-    if cfg.t_l > local.gs_max_radius():
-        raise ValueError(
-            f"t_l = {cfg.t_l} exceeds the local guarantee radius {local.gs_max_radius()}"
-        )
-    _check_reachable("t_l", cfg.t_l, "local", local.n, local.k)
+    _check_radius("t_l", cfg.t_l, "local", local.n, local.k)
     bar = refined_error_count(_shape_of(code), cfg.t_l, None)
     if cfg.t_g > bar:
         raise ValueError(f"t_g = {cfg.t_g} exceeds the refined error count {bar}")
     cut = min(_shortening_size(code, cfg) * code.n_l, code.supercode.k)
-    n, k = code.n - cut, code.supercode.k - cut
+    # every radius up to gs_max_radius is reachable, so t_g covers t_g - chi
+    _check_radius("t_g", cfg.t_g, "shortened", code.n - cut, code.supercode.k - cut)
+
+
+def _check_radius(name: str, t: int, role: str, n: int, k: int):
     reach = gs_max_radius(n, k)
-    if cfg.t_g > reach:
+    if t > reach:
         raise ValueError(
-            f"t_g = {cfg.t_g} exceeds the radius {reach} of the shortened "
-            f"[{n}, {k}] GRS decode"
-        )
-    # reachability is monotone in t, so t_g covers every radius t_g - chi
-    _check_reachable("t_g", cfg.t_g, "shortened", n, k)
-
-
-def _check_reachable(name: str, t: int, role: str, n: int, k: int):
-    """The GS decoder's own parameter search must succeed at radius t."""
-    if k >= 2 and gs_parameters(n, k, t) is None:
-        raise ValueError(
-            f"{name} = {t}: no multiplicity s <= {GS_MAX_MULTIPLICITY} reaches "
-            f"radius {t} of the {role} [{n}, {k}] GRS decode"
+            f"{name} = {t} exceeds the radius {reach} of the {role} [{n}, {k}] GRS decode"
         )
 
 

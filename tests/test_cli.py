@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,30 @@ def test_decode_failure_exit_1(tmp_path, capsys):
         "--tl", "1", "--tg", "5", "--mode", "unique",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "tl, message",
+    [
+        ("8", r"t_l = 8 exceeds the radius 7 of the local \[63, 49\] GRS decode"),
+        ("4", r"t_g = 8 exceeds the radius 7 of the shortened \[63, 49\] GRS decode"),
+    ],
+)
+def test_decode_radius_past_reach_exits_2(tmp_path, capsys, tl, message):
+    # Tamo-Barg [63, 49, 49, 15] over GF(64): the Johnson closed form allows
+    # 8 on its [63, 49] decodes, but the GS decoder reaches only 7
+    path = tmp_path / "tb.json"
+    run_cli(capsys, "gen-code", "tamo-barg", "--q", "64", "--n", "63", "--k", "49",
+            "--r", "49", "--rho", "15", "-o", str(path))
+    recv = tmp_path / "recv.hex"
+    recv.write_text(" ".join(["0"] * 63))
+    code, out, err = run_cli(
+        capsys, "decode", "--code", str(path), "--received", str(recv),
+        "--tl", tl, "--tg", "8",
+    )
+    assert code == 2
+    assert out == ""
+    assert re.search(message, err)
 
 
 def test_simulate_deterministic(tmp_path, capsys):

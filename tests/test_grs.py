@@ -7,7 +7,7 @@ import pytest
 
 from lrcdec import Field, GrsCode, construct_tamo_barg, linalg
 from lrcdec._kernels import _vec_mul, add_reduce, powers, sub
-from lrcdec.grs import _rr_roots
+from lrcdec.grs import _rr_roots, gs_max_radius, gs_parameters
 
 
 @pytest.fixture(scope="module")
@@ -270,7 +270,7 @@ def dense_system(code, ys, t, s, ly):
 
 def dense_list(code, word, t):
     """The GS list from a null vector of the dense system."""
-    s, ly = code._gs_parameters(t)
+    s, ly = gs_parameters(code.n, code.k, t)
     m, cols = dense_system(code, code._normalize(word), t, s, ly)
     sol = linalg.right_nullspace(m, code.field)[0]
     q_coeffs = [[0] * sum(1 for c in cols if c[0] == dy) for dy in range(ly + 1)]
@@ -303,12 +303,14 @@ KOETTER_CASES = [  # (q, n, k, t): s = 1, 4, 3, 2, 2, 2, 2
 ]
 
 
-def reencode_oracle(code, ys):
+def reencode_oracle(code, ys, R=None):
     """(f_R, ys - f_R(alpha)): f_R of degree < k through the values on the
-    first k positions, by a Vandermonde solve and scalar Horner."""
+    positions R (default: the first k), by a Vandermonde solve and scalar
+    Horner."""
     F, k = code.field, code.k
-    vander = np.array([[F.pow(a, j) for j in range(k)] for a in code.locators[:k]])
-    f_r = linalg.solve(vander, np.asarray(ys[:k])[:, None], F)[:, 0].tolist()
+    R = list(range(k)) if R is None else list(R)
+    vander = np.array([[F.pow(code.locators[i], j) for j in range(k)] for i in R])
+    f_r = linalg.solve(vander, np.asarray(ys)[R][:, None], F)[:, 0].tolist()
     return f_r, np.array([F.sub(y, horner(F, f_r, a)) for a, y in zip(code.locators, ys)])
 
 
@@ -318,7 +320,7 @@ def test_koetter_q_is_annihilated_by_dense_system(q, n, k, t):
     # (where it is 0) included
     field = Field(q)
     code = GrsCode(field, list(range(1, n + 1)), [1] * n, k)
-    s, ly = code._gs_parameters(t)
+    s, ly = gs_parameters(code.n, code.k, t)
     wdeg = s * (n - t) - 1
     for word in seeded_words(code, t, 4, seed=n + t):
         f_r, ys = reencode_oracle(code, code._normalize(word))
@@ -369,15 +371,16 @@ def test_koetter_error_names_plan_size_and_cost(gf16):
 
 # -- Koetter on the plan against the per-constraint interpolation -----------------
 
-def koetter_reference(code, ys, t, s, ly, reencoded):
+def koetter_reference(code, ys, t, s, ly, reencoded, R=None):
     """Koetter's interpolation on the dy-major monomial columns, with every
     discrepancy recomputed over all columns per constraint and every row
     operation over all columns.
 
     Without re-encoding it starts from the rows y^j and runs over all n
-    points.  With it, ys must be 0 on the first k positions: it starts from
-    v^((s-j)+) y^j, v the product of x - alpha over those positions, each
-    by scalar products, and runs over the other n - k points."""
+    points.  With it, ys must be 0 on the positions R (default: the first
+    k): it starts from v^((s-j)+) y^j, v the product of x - alpha over R,
+    each by scalar products, and runs over the other n - k points in code
+    order."""
     F = code.field
     n, k = code.n, code.k
     wdeg = s * (n - t) - 1
@@ -387,10 +390,11 @@ def koetter_reference(code, ys, t, s, ly, reencoded):
     col_dx = np.arange(col_dy.size) - starts[col_dy]
     block_start = col_dx == 0
     polys = np.zeros((ly + 1, col_dy.size), dtype=np.int64)
-    points = range(k if reencoded else 0, n)
+    R = (range(k) if R is None else R) if reencoded else ()
+    points = [i for i in range(n) if i not in R]
     v = [1]
-    for a in code.locators[:k] if reencoded else ():
-        v = poly_mul_y(F, [v], [[F.neg(a), 1]])[0]
+    for i in R:
+        v = poly_mul_y(F, [v], [[F.neg(code.locators[i]), 1]])[0]
     wdegs = []
     for j in range(ly + 1):
         e = max(s - j, 0) if reencoded else 0
@@ -446,30 +450,9 @@ DIFFERENTIAL_CASES = [(q, n, k, t, 1, 4) for q, n, k, t in KOETTER_CASES] + [
 ]
 
 
-@pytest.mark.parametrize("q, n, k, t, first, count", DIFFERENTIAL_CASES)
-def test_koetter_matches_per_constraint_reference(q, n, k, t, first, count):
-    field = Field(q)
-    code = GrsCode(field, list(range(first, first + n)), [1] * n, k)
-    s, ly = code._gs_parameters(t)
-    for word in seeded_words(code, t, count, seed=n + t):
-        f_r, ys = reencode_oracle(code, code._normalize(word))
-        q_coeffs, got_f_r = code._gs_interpolate(code._normalize(word), t, s, ly)
-        assert got_f_r.tolist() == f_r
-        assert q_coeffs == koetter_reference(code, ys, t, s, ly, reencoded=True)
-
-
-def unreencoded_list(code, word, t):
-    """The GS list without re-encoding: the reference Koetter interpolation
-    over all n points from the rows y^j, root finding and the distance
-    filter."""
-    s, ly = code._gs_parameters(t)
-    q_coeffs = koetter_reference(code, code._normalize(word), t, s, ly, reencoded=False)
-    words = (code.encode(f) for f in _rr_roots(q_coeffs, code.k, code.field))
-    return sorted({c for c in words if hamming(c, word) <= t})
-
-
-# (q, locators, k, t): k = n and k = n - 1 (t = 0), the locator 0 outside
-# the re-encoding set, and prime fields with 0 inside and outside it
+# (q, locators, k, t): k = n and k = n - 1 (t = 0), the locator 0 last, so
+# past the first k positions, in GF(16) and GF(13), and a shuffled GF(11)
+# code with 0 among the first k
 REENCODING_EDGE_CASES = [
     (16, tuple(range(1, 7)), 6, 0),
     (16, tuple(range(1, 8)), 6, 0),
@@ -477,6 +460,49 @@ REENCODING_EDGE_CASES = [
     (11, (5, 2, 9, 0, 1, 3, 4, 6, 7, 8, 10), 4, 5),
     (13, tuple(range(1, 13)) + (0,), 4, 6),
 ]
+
+
+# the DIFFERENTIAL_CASES codes, then the REENCODING_EDGE_CASES codes with the
+# locator 0
+KOETTER_REFERENCE_CASES = [
+    pytest.param(
+        q, tuple(range(first, first + n)), k, t, count, id=f"{q}-{n}-{k}-{t}-{first}-{count}"
+    )
+    for q, n, k, t, first, count in DIFFERENTIAL_CASES
+] + [
+    pytest.param(q, loc, k, t, 6, id=f"{q}-{loc[0]}..{loc[-1]}-{k}-{t}")
+    for q, loc, k, t in REENCODING_EDGE_CASES
+    if 0 in loc
+]
+
+
+@pytest.mark.parametrize("q, locators, k, t, count", KOETTER_REFERENCE_CASES)
+def test_koetter_matches_per_constraint_reference(q, locators, k, t, count):
+    # R is the first k positions, except that a locator 0 past them is
+    # moved in, in place of the k-th: no point outside R has x0 = 0
+    field = Field(q)
+    n = len(locators)
+    code = GrsCode(field, locators, [1] * n, k)
+    s, ly = gs_parameters(code.n, code.k, t)
+    R = list(range(k))
+    if 0 in locators and locators.index(0) >= k:
+        R[-1] = locators.index(0)
+    assert sorted(code._gs_plan(t, s, ly).inside.tolist()) == sorted(R)
+    for word in seeded_words(code, t, count, seed=n + t):
+        f_r, ys = reencode_oracle(code, code._normalize(word), R)
+        q_coeffs, got_f_r = code._gs_interpolate(code._normalize(word), t, s, ly)
+        assert got_f_r.tolist() == f_r
+        assert q_coeffs == koetter_reference(code, ys, t, s, ly, reencoded=True, R=R)
+
+
+def unreencoded_list(code, word, t):
+    """The GS list without re-encoding: the reference Koetter interpolation
+    over all n points from the rows y^j, root finding and the distance
+    filter."""
+    s, ly = gs_parameters(code.n, code.k, t)
+    q_coeffs = koetter_reference(code, code._normalize(word), t, s, ly, reencoded=False)
+    words = (code.encode(f) for f in _rr_roots(q_coeffs, code.k, code.field))
+    return sorted({c for c in words if hamming(c, word) <= t})
 
 
 LIST_CASES = [
@@ -501,7 +527,7 @@ def test_gs_lists_match_unreencoded_reference(q, locators, k, t, count):
 
 def test_gs_plan_reports_size_and_cost():
     code = GrsCode(Field(64), list(range(1, 43)), [1] * 42, 8)
-    s, ly = code._gs_parameters(24)
+    s, ly = gs_parameters(code.n, code.k, 24)
     plan = code._gs_plan(24, s, ly)
     assert (plan.s, plan.ly, plan.unknowns, plan.constraints) == (6, 15, 888, 714)
     assert plan.points == 34
@@ -516,14 +542,18 @@ def test_gs_plan_is_built_once_per_radius_and_read_only(gf16):
     code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 3)
     word_a, word_b = seeded_words(code, 5, 2, seed=11)
     code.gs_list_decode(word_a, 5)
-    plan = code._gs_plan(5, *code._gs_parameters(5))
+    plan = code._gs_plan(5, *gs_parameters(code.n, code.k, 5))
     decoded = code.gs_list_decode(word_b, 5)
-    assert code._gs_plan(5, *code._gs_parameters(5)) is plan
+    assert code._gs_plan(5, *gs_parameters(code.n, code.k, 5)) is plan
     assert decoded == GrsCode(gf16, list(range(1, 16)), [1] * 15, 3).gs_list_decode(word_b, 5)
     code.gs_list_decode(word_a, 9)
     code._gs_interpolate(code._normalize(word_b), 5, 2, 9)
     assert sorted(code._gs_plans) == sorted(
-        [(5, *code._gs_parameters(5)), (9, *code._gs_parameters(9)), (5, 2, 9)]
+        [
+            (5, *gs_parameters(code.n, code.k, 5)),
+            (9, *gs_parameters(code.n, code.k, 9)),
+            (5, 2, 9),
+        ]
     )
     for plan in code._gs_plans.values():
         arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
@@ -684,7 +714,7 @@ def test_shorten_is_kept_per_locator_set(gf16):
         sw, ctx = code.shorten_received(word, code.locators[:5])
         assert ctx.code is short
         assert short.gs_list_decode(sw, 4) == fresh.gs_list_decode(sw, 4)
-    assert list(short._gs_plans) == [(4, *short._gs_parameters(4))]
+    assert list(short._gs_plans) == [(4, *gs_parameters(short.n, short.k, 4))]
     for plan in short._gs_plans.values():
         for name in ("init", "row_wdegs", "renc_inv", "renc_pows", "xpows", "xinv"):
             assert not getattr(plan, name).flags.writeable
@@ -794,12 +824,49 @@ def test_generator_is_stored_read_only(code_7_3):
 
 
 def test_gs_parameters_error_names_shape():
-    # GRS [120, 30] over GF(128): gs_max_radius() = 61, but no multiplicity
-    # below 256 makes the interpolation system solvable there
+    # GRS [120, 30] over GF(128): the Johnson closed form gives 61, but no
+    # multiplicity below 256 makes the interpolation system solvable there,
+    # so the decoder's radius is 60 (not decoded here: s = 15 is slow)
     code = GrsCode(Field(128), list(range(1, 121)), [1] * 120, 30)
-    assert code.gs_max_radius() == 61
+    assert code.gs_max_radius() == 60
+    assert gs_parameters(120, 30, 61) is None
+    assert gs_parameters(120, 30, 60) == (15, 31)
     with pytest.raises(
-        RuntimeError,
-        match=r"GRS \[n = 120, k = 30\]: no multiplicity s <= 255 reaches radius t = 61",
+        ValueError, match=r"t = 61 exceeds the radius 60 of the \[120, 30\] GRS decode"
     ):
         code.gs_list_decode((0,) * 120, 61)
+
+
+def johnson_closed_form(n, k):
+    return n - 1 - math.isqrt(n * (k - 1))
+
+
+def unknowns_by_sum(n, k, t, s):
+    """The monomials of (1, k-1)-weighted degree <= s (n - t) - 1, one
+    y-degree at a time."""
+    wdeg = s * (n - t) - 1
+    return sum(wdeg + 1 - j * (k - 1) for j in range(wdeg // (k - 1) + 1))
+
+
+def test_gs_max_radius_is_reachable_on_every_shape():
+    # all 8,128 GRS shapes with 2 <= k <= n <= 128: gs_max_radius has a
+    # plan, the radius above it has none or is past the Johnson bound, and
+    # its s is the least whose per-y-degree monomial count beats the
+    # constraints
+    below = []
+    for n in range(2, 129):
+        for k in range(2, n + 1):
+            t, johnson = gs_max_radius(n, k), johnson_closed_form(n, k)
+            assert 0 <= t <= johnson
+            s, ly = gs_parameters(n, k, t)
+            assert ly == (s * (n - t) - 1) // (k - 1)
+            assert unknowns_by_sum(n, k, t, s) > n * s * (s + 1) // 2
+            for s_low in range(1, s):
+                assert unknowns_by_sum(n, k, t, s_low) <= n * s_low * (s_low + 1) // 2
+            if t < johnson:
+                assert gs_parameters(n, k, t + 1) is None
+                below.append((n, k, t))
+    assert len(below) == 242
+    assert {(42, 21, 12), (120, 30, 60)} <= set(below)
+    assert all(t == johnson_closed_form(n, k) - 1 for n, k, t in below)
+    assert gs_max_radius(10, 1) == 9 and gs_max_radius(10, 0) == 10

@@ -16,7 +16,7 @@ from lrcdec import (
     list_decode_lrc,
     unique_decode_probabilistic,
 )
-from lrcdec.grs import gs_max_radius
+from lrcdec.grs import gs_parameters
 from lrcdec.listdec import (
     DecodingList,
     _decode_shortened,
@@ -28,7 +28,7 @@ from lrcdec.listdec import (
     success_prob_general,
     success_prob_grs,
 )
-from lrcdec.radii import CodeShape, list_size_bounds, refined_error_count
+from lrcdec.radii import CodeShape, johnson_errors, list_size_bounds, refined_error_count
 
 CFG = DecodeConfig(t_l=1, t_g=5)
 
@@ -145,7 +145,8 @@ ZERO_DIMENSION_TRIPLES = [
 
 def tamo_barg_configs(qs):
     """(q, n, k, r, rho, t_l, refined t_g) of every constructible Tamo-Barg
-    shape over GF(q), n | q - 1, at every t_l up to the local GS radius."""
+    shape over GF(q), n | q - 1, at every t_l up to the local Johnson
+    radius (for n <= 128 the closed form n_l - 1 - isqrt(n_l (r - 1)))."""
     for q in qs:
         for n in range(2, q):
             for n_l in range(2, n + 1):
@@ -156,7 +157,7 @@ def tamo_barg_configs(qs):
                         if (r - 1) + (k // r - 1) * n_l + 1 > n:
                             continue  # the supercode would be longer than n
                         shape = CodeShape(n, k, r, n_l - r + 1)
-                        for t_l in range(gs_max_radius(n_l, r) + 1):
+                        for t_l in range(johnson_errors(n_l, n_l - r + 1) + 1):
                             t_g = refined_error_count(shape, t_l, None)
                             yield q, n, k, r, n_l - r + 1, t_l, t_g
 
@@ -171,7 +172,7 @@ def test_zero_dimension_shortening_decodes_zero_word(q, n, k, r, rho, t_l, t_g):
     zero, picks = (0,) * n, [(0, (0,) * code.n_l)] * s_short
     assert _decode_shortened(code, zero, range(s_short), picks, cfg, DecodingList()) == [zero]
     local = code.local_code(0)
-    if local.k == 1 or local._gs_parameters(t_l)[0] <= 12:
+    if local.k == 1 or gs_parameters(local.n, local.k, t_l)[0] <= 12:
         # (the local [15, 9] decode at t_l = 4 needs s = 33: tens of seconds)
         assert zero in list_decode_lrc(code, zero, cfg).codewords
 
@@ -222,10 +223,11 @@ def test_validation_rejects_radius_past_shortened_decode(tb_15_6):
     assert list_decode_lrc(wide, (0,) * 15, DecodeConfig(t_l=1, t_g=2)).codewords == [(0,) * 15]
 
 
-# (t_l, refined t_g, the radius no multiplicity s <= 255 reaches, its decode) of
-# Tamo-Barg [63, 49, 49, 15] over GF(64), a single repair set: the only configs
-# of tamo_barg_configs((8, 16, 32, 64)) that pass the radius checks and would
-# then fail inside the decoder
+# (t_l, refined t_g, the radius past gs_max_radius, its decode) of Tamo-Barg
+# [63, 49, 49, 15] over GF(64), a single repair set: the only configs of
+# tamo_barg_configs((8, 16, 32, 64)) that validation rejects.  The Johnson
+# closed form allows 8 on the [63, 49] decodes, but no multiplicity s <= 255
+# reaches it, so gs_max_radius(63, 49) is 7
 UNREACHABLE_CONFIGS = [
     (4, 8, "t_g", "shortened"),
     (5, 8, "t_g", "shortened"),
@@ -244,7 +246,7 @@ def tb_63_49():
 def test_validation_rejects_radius_no_multiplicity_reaches(tb_63_49, t_l, t_g, name, role):
     assert refined_error_count(_shape_of(tb_63_49), t_l, None) == t_g
     cfg = DecodeConfig(t_l, t_g)
-    msg = rf"{name} = 8: no multiplicity s <= 255 reaches radius 8 of the {role} \[63, 49\] GRS"
+    msg = rf"{name} = 8 exceeds the radius 7 of the {role} \[63, 49\] GRS decode"
     with pytest.raises(ValueError, match=msg):
         list_decode_lrc(tb_63_49, (0,) * 63, cfg)
     with pytest.raises(ValueError, match=msg):
