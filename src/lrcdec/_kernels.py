@@ -1,11 +1,12 @@
 """Finite-field linear-algebra kernels in numpy.
 
 Matrices are ``np.int64`` arrays of canonical field elements.  The
-kernels take the Field itself: for characteristic 2 (``field.p == 2``)
-addition is xor and multiplication is one gather from the field's int64
-exp/log tables, zero included (see Field); for a prime field both are
-taken mod p.  ``matmul`` is the one field matrix product: encoding,
-syndromes and the root finder's substitution all go through it.
+kernels take the Field itself.  In every field, multiplication,
+inversion and powers are gathers from the field's int64 exp/log tables,
+zero included (see Field).  Addition is xor in characteristic 2 and
+taken mod p in a prime field.  ``matmul`` is the one field matrix
+product: encoding, syndromes and the root finder's substitution all go
+through it.
 """
 
 from __future__ import annotations
@@ -17,22 +18,12 @@ BACKEND = "numpy"  # the only implementation; recorded by the benchmark harness
 
 def _vec_mul(a, b, field):
     """Elementwise product of broadcastable int64 arrays."""
-    if field.p == 2:
-        return field.exp_table[field.log_table[a] + field.log_table[b]]
-    return (np.asarray(a) * np.asarray(b)) % field.p
+    return field.exp_table[field.log_table[a] + field.log_table[b]]
 
 
 def _vec_inv(a, field):
     """Elementwise inverse of an int64 array of nonzero elements."""
-    if field.p == 2:
-        return field.exp_table[(field.q - 1) - field.log_table[a]]
-    out, e = np.ones_like(a), field.p - 2  # Fermat: a^(p-2) by squaring
-    while e:
-        if e & 1:
-            out = out * a % field.p
-        a = a * a % field.p
-        e >>= 1
-    return out
+    return field.exp_table[(field.q - 1) - field.log_table[a]]
 
 
 def scale(a, c, field):
@@ -74,15 +65,10 @@ def add_reduceat(a, starts, field):
 def powers(x, count, field):
     """(count, len(x)) array whose row i is x^i elementwise, with 0^0 = 1."""
     x = np.asarray(x, dtype=np.int64)
-    if field.p == 2:
-        # x^i = exp[i log x mod (q - 1)]; row 0 is 1 for x = 0 too
-        order = field.q - 1
-        out = field.exp_table[np.arange(count)[:, None] * (field.log_table[x] % order) % order]
-        out[1:, x == 0] = 0
-        return out
-    out = np.ones((count, x.size), dtype=np.int64)
-    for i in range(1, count):
-        out[i] = _vec_mul(out[i - 1], x, field)
+    # x^i = exp[i log x mod (q - 1)]; row 0 is 1 for x = 0 too
+    order = field.q - 1
+    out = field.exp_table[np.arange(count)[:, None] * (field.log_table[x] % order) % order]
+    out[1:, x == 0] = 0
     return out
 
 

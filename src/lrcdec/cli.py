@@ -26,6 +26,7 @@ from .interleaved import BurstError, InterleavedWord, mk_decode
 from .listdec import (
     BudgetExceeded,
     DecodeConfig,
+    default_t_g,
     list_decode_lrc,
     success_prob_grs,
     unique_decode_probabilistic,
@@ -35,9 +36,7 @@ from .pmds import PmdsCode, failure_prob_exact, random_pmds, union_bound_failure
 from .radii import (
     CodeShape,
     compute_report,
-    johnson_errors,
     normalized_radius,
-    refined_error_count,
 )
 
 RADII_COLUMNS = [
@@ -367,9 +366,8 @@ def cmd_simulate(args) -> int:
         per_weight = _simulate_mk(code, args.ell, weights, args.trials, args.seed)
     else:
         code = _load_lrc(args.code)
-        t_l = args.tl if args.tl is not None else johnson_errors(code.n_l, code.rho)
-        shape = CodeShape(code.n, code.k, code.r, code.rho, d=code.d)
-        t_g = args.tg if args.tg is not None else refined_error_count(shape, t_l)
+        t_l = args.tl if args.tl is not None else code.local_code(0).gs_max_radius()
+        t_g = args.tg if args.tg is not None else default_t_g(code, t_l)
         cfg = DecodeConfig(t_l=t_l, t_g=t_g, budget=args.budget)
         if weights is None:
             weights = list(range(0, t_g + 1))

@@ -2,13 +2,14 @@
 
 Field elements are plain Python ints in ``[0, q)``.  For q = 2^m the
 integer is the bit vector of the element's coefficients (lowest degree
-bit first).  Multiplication uses log/antilog tables for characteristic 2,
-whose zero sentinel makes ``exp[log[a] + log[b]]`` the product of any a
-and b, and plain modular arithmetic for prime fields.  The default
-modulus of GF(2^m) is found by a search over GF(2)[x], whose polynomials
-are bit masks too: a Rabin irreducibility test built on one multiply-mod
-and one gcd.  There is no polynomial type: ``lagrange_interpolate``
-returns a coefficient tuple.
+bit first); for q = p prime it is the residue mod p.  Every field
+multiplies, inverts and raises to powers through its log/antilog
+tables, whose zero sentinel makes ``exp[log[a] + log[b]]`` the product
+of any a and b; only addition differs by characteristic (xor or mod p).
+The default modulus of GF(2^m) is found by a search over GF(2)[x],
+whose polynomials are bit masks too: a Rabin irreducibility test built
+on one multiply-mod and one gcd.  There is no polynomial type:
+``lagrange_interpolate`` returns a coefficient tuple.
 
 Fields are immutable after construction and safe to share across
 threads; all operations are pure.
@@ -121,11 +122,11 @@ class Field:
         Bit-encoded monic irreducible of degree m over GF(2).  Defaults
         to the smallest such polynomial.
 
-    For q = 2^m the log/antilog tables exist both as Python lists (scalar
-    arithmetic) and as int64 arrays ``exp_table``/``log_table`` (the
-    numpy kernels); for a prime field all four are None.  ``log[0] = 2q``
-    and ``exp`` is the antilog table twice over, zero-padded to length
-    4q + 1, so ``exp[log[a] + log[b]]`` is a*b for every a and b.
+    The log/antilog tables exist both as Python lists (scalar arithmetic)
+    and as int64 arrays ``exp_table``/``log_table`` (the numpy kernels),
+    for every field.  ``log[0] = 2q`` and ``exp`` is the antilog table
+    twice over, zero-padded to length 4q + 1, so ``exp[log[a] + log[b]]``
+    is a*b for every a and b.
     """
 
     def __init__(self, q: int, modulus: int | None = None):
@@ -149,9 +150,9 @@ class Field:
         self.modulus = modulus
         # every attribute is set here, in one order, so that instances share
         # one dict layout; adding one later slows scalar mul/add
-        self._exp, self._log = self._build_tables() if p == 2 else (None, None)
-        self.exp_table = None if self._exp is None else np.asarray(self._exp, dtype=np.int64)
-        self.log_table = None if self._log is None else np.asarray(self._log, dtype=np.int64)
+        self._exp, self._log = self._build_tables()
+        self.exp_table = np.asarray(self._exp, dtype=np.int64)
+        self.log_table = np.asarray(self._log, dtype=np.int64)
 
     # -- construction helpers ---------------------------------------------
 
@@ -178,7 +179,7 @@ class Field:
                 return g
         raise RuntimeError("no generator found")  # unreachable for a field
 
-    # -- raw arithmetic (no tables) ----------------------------------------
+    # -- raw arithmetic (no tables), for building them ----------------------
 
     def _mul_raw(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -210,25 +211,19 @@ class Field:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_raw(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self._exp is not None:
-            return self._exp[(self.q - 1) - self._log[a]]
-        return self._pow_raw(a, self.q - 2)
+        return self._exp[(self.q - 1) - self._log[a]]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
         if a == 0:
             return 1 if e == 0 else 0
-        if self._exp is not None:
-            return self._exp[(self._log[a] * e) % (self.q - 1)]
-        return self._pow_raw(a, e)
+        return self._exp[(self._log[a] * e) % (self.q - 1)]
 
     # -- serialization -------------------------------------------------------
 

@@ -91,14 +91,15 @@ def mk_decode(field: Field, parity: np.ndarray, received: InterleavedWord):
     support = tuple(np.flatnonzero(~q_rows.any(axis=0)).tolist())
     if len(support) != rank_s:
         return None
-    h_sub = H[:, list(support)]
-    if linalg.rank(h_sub, field) != len(support):
-        return None  # complement holds no information set
-    x = linalg.solve(h_sub, syndrome, field)
-    if x is None:
+    # one elimination of [H_E | S]: pivots 0..t-1 exactly iff H_E has full
+    # column rank (the complement holds an information set) and H_E X = S
+    # is consistent
+    t = len(support)
+    red, _, piv = linalg.rref(np.concatenate([H[:, list(support)], syndrome], axis=1), field)
+    if piv.tolist() != list(range(t)):
         return None
     err = np.zeros((received.ell, n), dtype=np.int64)
-    err[:, list(support)] = x.T
+    err[:, list(support)] = red[:t, t:].T
     cw = linalg.sub(R, err, field)
     if linalg.matmul(H, cw.T, field).any():
         return None

@@ -34,16 +34,12 @@ def rref(a: np.ndarray, field: Field):
 def rank(a: np.ndarray, field: Field) -> int | np.ndarray:
     """Rank of a matrix, or the int64 array of ranks of a (batch, rows, cols) stack.
 
-    A stack goes to one batched elimination; a single matrix keeps the
-    2-D ``rref`` kernel, which is the faster on one matrix: on an (8, 4)
-    or (8, 6) block over GF(1024), about 80 or 115 us against 205 or
-    290 us for a stack of one (2-vCPU Xeon, numpy 2.4).
+    Both go to the one batched elimination; a single matrix is a stack of one.
     """
     m = np.array(a, dtype=np.int64)
     if m.ndim == 3:
         return _kernels.rank_stack(m, field)
-    rk, _ = _kernels.rref(m, field)
-    return rk
+    return int(_kernels.rank_stack(m[None], field)[0])
 
 
 def matmul(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:

@@ -24,6 +24,7 @@ from .radii import CodeShape, refined_error_count
 __all__ = [
     "DecodeConfig",
     "DecodingList",
+    "default_t_g",
     "BudgetExceeded",
     "list_decode_lrc",
     "unique_decode_probabilistic",
@@ -96,6 +97,18 @@ def _validate_cfg(code: LrcCode, cfg: DecodeConfig):
     cut = min(_shortening_size(code, cfg) * code.n_l, code.supercode.k)
     # every radius up to gs_max_radius is reachable, so t_g covers t_g - chi
     _check_radius("t_g", cfg.t_g, "shortened", code.n - cut, code.supercode.k - cut)
+
+
+def default_t_g(code: LrcCode, t_l: int) -> int:
+    """The largest t_g at or below the refined error count that the
+    decoders accept with this t_l, or 0 if none is."""
+    for t_g in range(refined_error_count(_shape_of(code), t_l, None), 0, -1):
+        try:
+            _validate_cfg(code, DecodeConfig(t_l, t_g))
+        except ValueError:
+            continue
+        return t_g
+    return 0
 
 
 def _check_radius(name: str, t: int, role: str, n: int, k: int):

@@ -55,10 +55,6 @@ class PmdsCode:
     def d(self) -> int:
         return optimal_distance(self.n, self.k, self.r, self.rho)
 
-    def encode(self, message: Sequence[int]) -> np.ndarray:
-        msg = np.asarray([message], dtype=np.int64)
-        return linalg.matmul(msg, self.generator, self.field)[0]
-
 
 def _information_sets(repair_sets, k: int, r: int):
     """Yield each k-subset of positions that meets every repair set in at

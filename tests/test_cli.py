@@ -201,5 +201,31 @@ def test_simulate_lrc_weight0(tmp_path, capsys):
     assert res["per_weight"][0]["rate"] == 1.0
 
 
+@pytest.mark.parametrize("kind", ["lrc-list", "lrc-unique"])
+def test_simulate_default_radii_are_reachable(tmp_path, capsys, kind):
+    # on [63, 49, 49, 15] over GF(64) the Johnson t_l = 8 and the refined
+    # t_g = 8 are both past the GS reach of 7; the defaults stay within it
+    path = tmp_path / "tb.json"
+    run_cli(capsys, "gen-code", "tamo-barg", "--q", "64", "--n", "63", "--k", "49",
+            "--r", "49", "--rho", "15", "-o", str(path))
+    code, out, err = run_cli(
+        capsys, "simulate", kind, "--code", str(path), "--trials", "1", "--weights", "0",
+    )
+    assert code == 0, err
+    assert json.loads(out)["per_weight"][0]["rate"] == 1.0
+
+
+def test_simulate_default_radii_on_15_6(tmp_path, capsys):
+    """On [15, 6, 3, 3] the defaults are t_l = 1 and t_g = 5."""
+    path = tmp_path / "tb.json"
+    run_cli(capsys, "gen-code", "tamo-barg", "--q", "16", "--n", "15", "--k", "6",
+            "--r", "3", "--rho", "3", "-o", str(path))
+    args = ("simulate", "lrc-list", "--code", str(path), "--trials", "2", "--seed", "3")
+    default = run_cli(capsys, *args)
+    explicit = run_cli(capsys, *args, "--tl", "1", "--tg", "5")
+    assert default[0] == 0 and default == explicit
+    assert [w["weight"] for w in json.loads(default[1])["per_weight"]] == list(range(6))
+
+
 def test_unknown_flag_exits_2(capsys):
     assert main(["radii", "--bogus"]) == 2

@@ -74,6 +74,66 @@ def test_mk_no_errors(pmds_12_4):
     assert np.array_equal(out.matrix, cw) and support == ()
 
 
+def _mk_decode_rank_then_solve(field, parity, received):
+    """Oracle: mk_decode with the erasure step as a rank test of H_E and
+    then a separate solve of H_E X = S, as the decoder once was."""
+    H = np.ascontiguousarray(parity, dtype=np.int64)
+    R = received.matrix
+    nk, n = H.shape
+    syndrome = linalg.matmul(H, R.T, field)
+    aug = np.concatenate([syndrome, np.eye(nk, dtype=np.int64)], axis=1)
+    red, _, piv = linalg.rref(aug, field)
+    rank_s = sum(1 for c in piv if c < syndrome.shape[1])
+    zeta = nk - rank_s
+    if zeta == 0:
+        return None
+    ph = linalg.matmul(red[:, syndrome.shape[1]:], H, field)
+    support = tuple(np.flatnonzero(~ph[nk - zeta:, :].any(axis=0)).tolist())
+    if len(support) != rank_s:
+        return None
+    h_sub = H[:, list(support)]
+    if linalg.rank(h_sub, field) != len(support):
+        return None
+    x = linalg.solve(h_sub, syndrome, field)
+    if x is None:
+        return None
+    err = np.zeros((received.ell, n), dtype=np.int64)
+    err[:, list(support)] = x.T
+    cw = linalg.sub(R, err, field)
+    if linalg.matmul(H, cw.T, field).any():
+        return None
+    return InterleavedWord(field, cw), support
+
+
+def _same_decode(got, want):
+    if got is None or want is None:
+        return got is None and want is None
+    return np.array_equal(got[0].matrix, want[0].matrix) and got[1] == want[1]
+
+
+def test_mk_decode_matches_rank_then_solve(pmds_12_4):
+    code = pmds_12_4
+    F = code.field
+    nones = 0
+    for t in range(code.n - code.k + 2):
+        for i in range(20):
+            rng = np.random.default_rng([43, t, i])
+            ell = 8 if i % 2 else 3  # ell = 3 < t leaves the error rank-deficient
+            cw = encode_rows(code, rng, ell)
+            support = sorted(rng.choice(code.n, size=t, replace=False).tolist())
+            w = InterleavedWord(F, add_burst(F, cw, burst(rng, F.q, ell, support)))
+            want = _mk_decode_rank_then_solve(F, code.parity, w)
+            assert _same_decode(mk_decode(F, code.parity, w), want), (t, i)
+            nones += want is None
+    assert nones > 0
+    # a parity check whose columns 0 and 1 are parallel: the syndrome space
+    # span(e1, e2 + e3) holds exactly those two columns, so H_E has rank 1
+    H = np.array([[1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.int64)
+    w = InterleavedWord(F, np.array([[1, 0, 0, 0], [0, 0, 1, 1]]))
+    assert _mk_decode_rank_then_solve(F, H, w) is None
+    assert mk_decode(F, H, w) is None
+
+
 def test_mk_garbage_fails_parity(pmds_12_4):
     rng = np.random.default_rng(1)
     noise = rng.integers(0, 1024, size=(8, 12), dtype=np.int64)

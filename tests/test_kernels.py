@@ -126,7 +126,7 @@ def test_stacked_rank_matches_per_matrix_rank(q):
     deficient = 0
     for s in stacks:
         got = linalg.rank(s, field)
-        want = [linalg.rank(m, field) for m in s]
+        want = [linalg.rref(m, field)[1] for m in s]
         assert got.dtype == np.int64 and got.tolist() == want
         deficient += sum(w < min(s.shape[1:]) for w in want)
     assert deficient >= 6 * 12
@@ -193,11 +193,11 @@ def test_powers_every_element(q):
     assert got.shape == (q + 1, q)
     assert got[0].tolist() == [1] * q
     for i in range(q + 1):
-        assert got[i].tolist() == [field.pow(x, i) for x in range(q)]
+        assert got[i].tolist() == [field._pow_raw(x, i) for x in range(q)]
 
 
 @pytest.mark.parametrize("q", [2, 16, 256, 13])
 def test_vec_inv_every_element(q):
     field = Field(q)
     xs = np.arange(1, q)
-    assert _kernels._vec_inv(xs, field).tolist() == [field.inv(x) for x in range(1, q)]
+    assert _kernels._vec_inv(xs, field).tolist() == [field._pow_raw(x, q - 2) for x in range(1, q)]
