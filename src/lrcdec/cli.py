@@ -261,10 +261,6 @@ def cmd_decode(args) -> int:
     code = _load_lrc(args.code)
     with open(args.received) as fh:
         received = tuple(int(tok, 16) for tok in fh.read().split())
-    if len(received) != code.n:
-        print(f"error: received word has {len(received)} symbols, need {code.n}",
-              file=sys.stderr)
-        return 2
     cfg = DecodeConfig(t_l=args.tl, t_g=args.tg, budget=args.budget)
     if args.mode == "list":
         try:

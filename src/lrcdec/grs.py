@@ -21,15 +21,14 @@ and whose other columns are exactly the monomials x^dx y^dy of
 operation touches only the pivot's support.  The Roth-Ruckenstein
 recursion then finds the y-roots with Q as an array, each substitution
 Q(x, x y + gamma) one matrix product, and each level's roots from one
-Horner pass over the whole field.  Decoder-side shortening divides out
-one known position at a time, (y - y_beta) / (alpha - beta).
+Horner pass over the whole field.  Shortening at positions S is the same
+re-encoding, on S (``agree_on``), into the code with multipliers nu v_S(alpha).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -105,6 +104,7 @@ class GrsCode:
         self._generator.flags.writeable = False
         self._gs_plans: dict[tuple[int, int, int], GsPlan] = {}
         self._shortened: dict[frozenset[int], GrsCode] = {}
+        self._agree_inv: dict[tuple[int, ...], np.ndarray] = {}
 
     @property
     def n(self) -> int:
@@ -145,6 +145,26 @@ class GrsCode:
         """The stored k x n generator (read-only)."""
         return self._generator
 
+    def agree_on(self, word, positions) -> tuple[np.ndarray, np.ndarray]:
+        """(f, c): the message f of degree < m = len(positions) <= k whose
+        codeword c agrees with word there, through the inverse of the
+        generator's first m rows at those columns, kept read-only in a dict
+        on this code, one per position set."""
+        F = self.field
+        pos = sorted(int(i) for i in positions)
+        m = len(pos)
+        inv = self._agree_inv.get(tuple(pos))
+        if inv is None:
+            if m > self.k:
+                raise ValueError(f"at most k = {self.k} positions fix a codeword, got {m}")
+            # [G_m,pos | I] reduces to [I | G_m,pos^-1]
+            aug = np.concatenate((self._generator[:m, pos], np.eye(m, dtype=np.int64)), axis=1)
+            rref(aug, F)
+            inv = self._agree_inv[tuple(pos)] = aug[:, m:]
+            inv.flags.writeable = False
+        msg = matmul(np.asarray(word, dtype=np.int64)[None, pos], inv, F)
+        return msg[0], matmul(msg, self._generator[:m], F)[0]
+
     # -- list decoding ---------------------------------------------------------
 
     def gs_max_radius(self) -> int:
@@ -173,13 +193,12 @@ class GrsCode:
         word = np.asarray(word, dtype=np.int64)
         if self.k == 0:
             return [(0,) * self.n] if np.count_nonzero(word) <= t else []
-        ys = self._normalize(word)
         if self.k == 1:
-            # constants: a candidate agrees with ys somewhere, as t < n
-            cands = np.unique(ys)[:, None]
+            # constants: a candidate agrees with the word somewhere, as t < n
+            cands = np.unique(self._normalize(word))[:, None]
         else:
             s, ly = gs_parameters(self.n, self.k, t)
-            q_coeffs, f_r = self._gs_interpolate(ys, t, s, ly)
+            q_coeffs, f_r = self._gs_interpolate(word, t, s, ly)
             roots = np.array(_rr_roots(q_coeffs, self.k, F), dtype=np.int64).reshape(-1, self.k)
             cands = add(roots, f_r, F)
         words = matmul(cands, self._generator, F)
@@ -193,21 +212,21 @@ class GrsCode:
             self._gs_plans[key] = GsPlan(self, t, s, ly)
         return self._gs_plans[key]
 
-    def _gs_interpolate(self, ys, t, s, ly):
-        """Re-encode the values ys on R and interpolate: returns (Q, f_R).
+    def _gs_interpolate(self, word, t, s, ly):
+        """Re-encode the word on R and interpolate: returns (Q, f_R).
 
         R is the first k positions, except that a locator 0 is always
         taken in (see GsPlan), so every point outside R has x0 != 0.  f_R
-        is the message polynomial of degree < k with f_R(alpha_i) = ys_i
-        on R (k coefficients, lowest first); Q has least (1, k-1)-weighted
-        degree and multiplicity s at every point (alpha_i, ys_i - f_R(alpha_i)),
+        is the message of the codeword c_R that agrees with the word on R
+        (agree_on; k coefficients, lowest first); Q has least (1, k-1)-weighted
+        degree and multiplicity s at every point (alpha_i, (word - c_R)_i / nu_i),
         by Koetter's iterative interpolation on the code's plan for
         (t, s, ly).  The re-encoded values are 0 on R, where multiplicity s
         means that Q_j is divisible by v^(s-j), v = prod over R of
         (x - alpha): the start rows v^((s-j)+) y^j meet those constraints,
         so only the n - k points outside R are interpolated.  A y-root f' of
         Q within distance t of the re-encoded word is f - f_R for a
-        codeword f within distance t of ys.
+        codeword f within distance t of the word.
 
         Candidates Q_j (j <= ly) are the rows of one array (see GsPlan):
         nc = s(s+1)/2 discrepancy columns, a zero column, then the M
@@ -228,8 +247,8 @@ class GrsCode:
         """
         F = self.field
         plan = self._gs_plan(t, s, ly)
-        f_r = matmul(ys[None, plan.inside], plan.renc_inv, F)[0]
-        ys = sub(ys[plan.outside], matmul(f_r[None], plan.renc_pows, F)[0], F)
+        f_r, c_r = self.agree_on(word, plan.inside)
+        ys = self._normalize(sub(word, c_r, F))[plan.outside]
         wdeg, nc = plan.wdeg, plan.nc
         end, src = plan.end.tolist(), plan.x_source
         polys = plan.init.copy()
@@ -284,15 +303,14 @@ class GrsCode:
     # -- shortening --------------------------------------------------------------
 
     def shorten(self, subset) -> "GrsCode":
-        """Code realizing the shortening at the given locator values.
+        """Code realizing the shortening at the given locator values S.
 
-        The result is the [n - |S|, k - |S|, d] code on the remaining
-        locators and multipliers.  It is kept in a dict on this code, one
-        per set of locators, so a shortened code, its GS plans and its
-        re-encoding arrays are built once, however many words are decoded
-        there.  The dict holds one code per subset asked for: the LRC list
-        decoder asks for one per combination of repair sets it visits, so
-        those combinations bound its size.
+        Every message is f_S + v_S g, v_S = prod over S of (x - beta), so the
+        result is the [n - |S|, k - |S|, d] code of the g on the remaining
+        locators, with multipliers nu v_S(alpha).  It is kept in a dict on
+        this code, one per set of locators, so a shortened code and its GS
+        plans are built once; the LRC list decoder asks for one per
+        combination of repair sets it visits, which bounds the dict.
         """
         subset = tuple(subset)
         drop = frozenset(subset)
@@ -305,63 +323,27 @@ class GrsCode:
         for beta in subset:
             if beta not in self._loc_index:
                 raise ValueError(f"{beta} is not a locator of this code")
+        F, m = self.field, len(subset)
         keep = [i for i in range(self.n) if self.locators[i] not in drop]
-        code = GrsCode(
-            self.field,
-            [self.locators[i] for i in keep],
-            [self.multipliers[i] for i in keep],
-            self.k - len(subset),
-        )
+        # v_S = x^m - f, f of degree < m agreeing with x^m on S: re-encode nu x^m
+        xm = _vec_mul(self._nu, powers(self._alpha, m + 1, F)[m], F)
+        nu = sub(xm, self.agree_on(xm, [self._loc_index[b] for b in subset])[1], F)[keep]
+        code = GrsCode(F, [self.locators[i] for i in keep], nu.tolist(), self.k - m)
         self._shortened[drop] = code
         return code
 
     def shorten_received(self, word, subset):
-        """Map a received word to the shortened code, treating subset as error-free.
-
-        Positions at the locators in subset must carry the agreed codeword
-        symbols.  Per beta in subset, the values y = word / nu at the other
-        remaining positions become (y - y_beta) / (alpha - beta): f becomes
-        (f(x) - f(beta)) / (x - beta), and an error is divided by
-        alpha - beta.  Returns (shortened word, ShortenContext); decoding the
-        shortened word and lifting the error reproduces the original error.
-        """
+        """Map a word to the code shortened at the locators in subset, taking
+        its symbols there as correct: returns (shortened code, word - c_S off
+        S, c_S), c_S the codeword that agrees with the word on S (agree_on).
+        A shortened codeword maps back to c_S plus it, with zeros put in at S."""
         subset = tuple(subset)
-        F = self.field
         code = self.shorten(subset)
-        vals = self._normalize(word)
-        lift = np.ones(self.n, dtype=np.int64)
-        rest = np.ones(self.n, dtype=bool)
-        for beta in subset:
-            bi = self._loc_index[beta]
-            rest[bi] = False
-            diff = sub(self._alpha[rest], beta, F)
-            vals[rest] = _vec_mul(sub(vals[rest], vals[bi], F), _vec_inv(diff, F), F)
-            lift[rest] = _vec_mul(lift[rest], diff, F)
-        short_word = _vec_mul(vals[rest], self._nu[rest], F)
-        kept = tuple(np.flatnonzero(rest).tolist())
-        return tuple(short_word.tolist()), ShortenContext(self, code, kept, lift[rest])
-
-
-@dataclass(frozen=True, eq=False)
-class ShortenContext:
-    """Bookkeeping to lift a shortened error vector back to full length.
-
-    lift[j] is the product of alpha - beta over the shortened locators
-    beta at position kept[j]: the factor that shortening divided the
-    error there by.
-    """
-
-    parent: GrsCode
-    code: GrsCode
-    kept: tuple[int, ...]
-    lift: np.ndarray
-
-    def lift_error(self, short_error) -> tuple[int, ...]:
-        full = np.zeros(self.parent.n, dtype=np.int64)
-        full[list(self.kept)] = _vec_mul(
-            np.asarray(short_error, dtype=np.int64), self.lift, self.parent.field
-        )
-        return tuple(full.tolist())
+        pos = [self._loc_index[beta] for beta in subset]
+        _, c_s = self.agree_on(word, pos)
+        rest = np.delete(np.arange(self.n), pos)
+        short_word = sub(np.asarray(word, dtype=np.int64)[rest], c_s[rest], self.field)
+        return code, short_word, c_s
 
 
 class GsPlan:
@@ -383,10 +365,9 @@ class GsPlan:
     Re-encoding on R, the code's first k positions, except that a
     locator 0 is moved into R (a stable sort on alpha != 0): inside holds
     the positions in R, outside the n - k others in code order, and
-    x_outside the locators there, none of them 0.  The message f_R of
-    the codeword that agrees with the values on R is ys_R renc_inv (the
-    inverse of the k x k Vandermonde matrix on R), and its values at the
-    points outside R are f_R renc_pows (alpha^0 ... alpha^(k-1) there).
+    x_outside the locators there, none of them 0.  The codeword that
+    agrees with the word on R comes from the code's agree_on on inside,
+    which keeps its inverse once per code, for every plan.
     The start rows are v^((s-j)+) y^j, v = prod over R of
     (x - alpha), of weighted degree row_wdegs[j] = k (s-j)+ + j (k-1); a
     row past wdeg is left zero, as it never takes part.  The x-side arrays
@@ -426,15 +407,11 @@ class GsPlan:
         self.end = off + np.searchsorted(np.sort(weights), np.arange(wdeg + 1), side="right")
         self.x_source = x_source
         self.monomials = (np.arange(off + m) >= off).astype(np.int64)
-        # re-encoding: [V_R | I] reduces to [I | V_R^-1]; a locator 0 sorts
-        # first, so it lands in R and no point outside R has x0 = 0
+        # a locator 0 sorts first, so it lands in R and no point outside R
+        # has x0 = 0
         order = np.argsort(code._alpha != 0, kind="stable")
         self.inside, self.outside = inside, outside = order[:k], order[k:]
         self.x_outside = x_out = code._alpha[outside]
-        pows = powers(code._alpha, k, F)
-        aug = np.concatenate((pows[:, inside], np.eye(k, dtype=np.int64)), axis=1)
-        rref(aug, F)
-        self.renc_inv, self.renc_pows = aug[:, k:], pows[:, outside]
         # start rows v^e y^j, e = (s-j)+, written into the dy = j block
         vpow = [np.ones(1, dtype=np.int64)]
         for _ in range(s):

@@ -2,9 +2,10 @@
 
 The list decoder decodes every repair set locally, then for each
 combination of seemingly correct repair sets shortens the supercode at
-those positions and list-decodes the remainder; errors are lifted back
-through the shortening map.  A cheap probabilistic variant shortens only
-once, at the repair sets with the most trustworthy local results.
+those positions and list-decodes the remainder; candidates map back by
+adding c_S, the codeword that agrees with the cleaned word there.  A
+cheap probabilistic variant shortens only once, at the repair sets with
+the most trustworthy local results.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import sub
+from ._kernels import add
 from .grs import gs_max_radius
 from .lrc import LrcCode
 from .radii import CodeShape, refined_error_count
@@ -88,6 +89,16 @@ def _local_lists(code: LrcCode, received, cfg: DecodeConfig):
     return out
 
 
+def _check_word(code: LrcCode, received):
+    word = np.asarray(received, dtype=np.int64)
+    if word.shape != (code.n,):
+        raise ValueError(f"received word has {word.size} symbols, need n = {code.n}")
+    bad = np.flatnonzero((word < 0) | (word >= code.field.q))
+    if bad.size:
+        i, q = bad[0], code.field.q
+        raise ValueError(f"symbol {word[i]:#x} at position {i} is not in GF({q})")
+
+
 def _validate_cfg(code: LrcCode, cfg: DecodeConfig):
     local = code.local_code(0)
     _check_radius("t_l", cfg.t_l, "local", local.n, local.k)
@@ -101,7 +112,10 @@ def _validate_cfg(code: LrcCode, cfg: DecodeConfig):
 
 def default_t_g(code: LrcCode, t_l: int) -> int:
     """The largest t_g at or below the refined error count that the
-    decoders accept with this t_l, or 0 if none is."""
+    decoders accept with this t_l, or 0 if none is; ValueError if the
+    local decode does not reach t_l."""
+    local = code.local_code(0)
+    _check_radius("t_l", t_l, "local", local.n, local.k)
     for t_g in range(refined_error_count(_shape_of(code), t_l, None), 0, -1):
         try:
             _validate_cfg(code, DecodeConfig(t_l, t_g))
@@ -112,6 +126,8 @@ def default_t_g(code: LrcCode, t_l: int) -> int:
 
 
 def _check_radius(name: str, t: int, role: str, n: int, k: int):
+    if t < 0:
+        raise ValueError(f"{name} = {t} is below the limit 0")
     reach = gs_max_radius(n, k)
     if t > reach:
         raise ValueError(
@@ -126,13 +142,16 @@ def _shortening_size(code: LrcCode, cfg: DecodeConfig) -> int:
 
 def _decode_shortened(code: LrcCode, received, chosen_sets, picks, cfg, result):
     """Clean the chosen repair sets to their picked local codewords,
-    shorten the supercode there, decode, and lift the candidates.
+    shorten the supercode there, decode, and map the candidates back.
 
     picks holds one (distance, local codeword) entry per chosen set.
-    When the chosen sets hold more positions than the supercode dimension
-    k, the supercode is shortened at the first k of them, which leaves the
-    zero code; the final distance and membership filter checks the other
-    cleaned positions.
+    Shortening subtracts c_S, the supercode codeword that agrees with the
+    cleaned word on the shortened positions S; a shortened candidate maps
+    back to c_S plus the candidate with zeros at S.  When the chosen sets
+    hold more positions than the supercode dimension k, the supercode is
+    shortened at the first k of them, which leaves the zero code; the
+    final distance and membership filter checks the other cleaned
+    positions.
     """
     chi = sum(d for d, _ in picks)
     if chi > cfg.t_g:
@@ -141,18 +160,16 @@ def _decode_shortened(code: LrcCode, received, chosen_sets, picks, cfg, result):
     for j, (_, cw) in zip(chosen_sets, picks):
         cleaned[list(code.repair_sets[j])] = cw
     sup = code.supercode
-    subset = tuple(
-        sup.locators[i] for j in chosen_sets for i in code.repair_sets[j]
-    )[: sup.k]
+    pos = [i for j in chosen_sets for i in code.repair_sets[j]][: sup.k]
     result.shortened_decodes += 1
     if result.shortened_decodes > cfg.budget:
         raise BudgetExceeded(result, cfg.budget)
-    short_w, sctx = sup.shorten_received(cleaned, subset)
+    short, short_w, c_s = sup.shorten_received(cleaned, [sup.locators[i] for i in pos])
+    rest = np.delete(np.arange(code.n), pos)
     found = []
-    F = code.field
-    for cand in sctx.code.gs_list_decode(short_w, cfg.t_g - chi):
-        full_err = sctx.lift_error(sub(np.array(short_w), np.array(cand), F))
-        full_cw = sub(cleaned, np.array(full_err), F)
+    for cand in short.gs_list_decode(short_w, cfg.t_g - chi):
+        full_cw = c_s.copy()
+        full_cw[rest] = add(c_s[rest], np.array(cand), code.field)
         dist = np.count_nonzero(full_cw != np.asarray(received))
         if dist <= cfg.t_g and code.is_codeword(full_cw):
             found.append(tuple(full_cw.tolist()))
@@ -166,6 +183,7 @@ def list_decode_lrc(code: LrcCode, received, cfg: DecodeConfig) -> DecodingList:
     (validated up front).  Raises BudgetExceeded, carrying the partial
     list, if more than cfg.budget shortened decodes would be needed.
     """
+    _check_word(code, received)
     _validate_cfg(code, cfg)
     result = DecodingList()
     lists = _local_lists(code, received, cfg)
@@ -190,6 +208,7 @@ def unique_decode_probabilistic(code: LrcCode, received, cfg: DecodeConfig):
     shortened decoder returns exactly one consistent codeword.  Returns
     the codeword or None.
     """
+    _check_word(code, received)
     _validate_cfg(code, cfg)
     lists = _local_lists(code, received, cfg)
     s_short = _shortening_size(code, cfg)

@@ -174,6 +174,47 @@ def test_decode_radius_past_reach_exits_2(tmp_path, capsys, tl, message):
     assert re.search(message, err)
 
 
+def _decode_15_6(tmp_path, capsys, symbols, *argv):
+    path = tmp_path / "tb.json"
+    run_cli(capsys, "gen-code", "tamo-barg", "--q", "16", "--n", "15", "--k", "6",
+            "--r", "3", "--rho", "3", "-o", str(path))
+    recv = tmp_path / "recv.hex"
+    recv.write_text(" ".join(symbols))
+    return run_cli(capsys, "decode", "--code", str(path), "--received", str(recv), *argv)
+
+
+@pytest.mark.parametrize(
+    "tl, tg, message",
+    [("-1", "5", r"t_l = -1 is below the limit 0"), ("1", "-2", r"t_g = -2 is below the limit 0")],
+)
+def test_decode_negative_radius_exits_2(tmp_path, capsys, tl, tg, message):
+    code, out, err = _decode_15_6(tmp_path, capsys, ["0"] * 15, "--tl", tl, "--tg", tg)
+    assert code == 2
+    assert out == ""
+    assert re.search(message, err)
+    assert "Traceback" not in err
+
+
+def test_decode_symbol_outside_field_exits_2(tmp_path, capsys):
+    symbols = ["0"] * 15
+    symbols[4] = "1f"
+    code, out, err = _decode_15_6(tmp_path, capsys, symbols, "--tl", "1", "--tg", "5")
+    assert code == 2
+    assert out == ""
+    assert re.search(r"symbol 0x1f at position 4 is not in GF\(16\)", err)
+
+
+def test_simulate_negative_radius_exits_2(tmp_path, capsys):
+    path = tmp_path / "tb.json"
+    run_cli(capsys, "gen-code", "tamo-barg", "--q", "16", "--n", "15", "--k", "6",
+            "--r", "3", "--rho", "3", "-o", str(path))
+    code, out, err = run_cli(
+        capsys, "simulate", "lrc-list", "--code", str(path), "--trials", "1", "--tl", "-1",
+    )
+    assert code == 2
+    assert re.search(r"t_l = -1 is below the limit 0", err)
+
+
 def test_simulate_deterministic(tmp_path, capsys):
     path = tmp_path / "pmds.json"
     run_cli(capsys, "gen-code", "random-pmds", "--q", "1024", "--n", "12", "--k", "4",

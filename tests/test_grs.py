@@ -708,16 +708,35 @@ def test_shorten_is_kept_per_locator_set(gf16):
     assert code.shorten(code.locators[1:6]) is not short
     with pytest.raises(ValueError, match="pairwise distinct"):
         code.shorten((1, 1))
-    fresh = GrsCode(gf16, list(range(6, 16)), [3] * 10, 3)
+    fresh = GrsCode(gf16, list(range(6, 16)), shortened_multipliers(code, code.locators[:5]), 3)
     assert fresh == short
     for word in seeded_words(code, 4, 6, seed=13):
-        sw, ctx = code.shorten_received(word, code.locators[:5])
-        assert ctx.code is short
+        got, sw, _ = code.shorten_received(word, code.locators[:5])
+        assert got is short
         assert short.gs_list_decode(sw, 4) == fresh.gs_list_decode(sw, 4)
     assert list(short._gs_plans) == [(4, *gs_parameters(short.n, short.k, 4))]
     for plan in short._gs_plans.values():
-        for name in ("init", "row_wdegs", "renc_inv", "renc_pows", "xpows", "xinv"):
+        for name in ("init", "row_wdegs", "xpows", "xinv"):
             assert not getattr(plan, name).flags.writeable
+
+
+def test_agree_on_keeps_one_inverse_per_position_set(gf16, grs_membership):
+    code = GrsCode(gf16, list(range(1, 16)), [3] * 15, 8)
+    for t in (3, 4):
+        for word in seeded_words(code, t, 4, seed=t):
+            code.gs_list_decode(word, t)
+    # two GS plans share the one re-encoding inverse on R
+    assert len(code._gs_plans) == 2 and list(code._agree_inv) == [tuple(range(8))]
+    word = next(seeded_words(code, 6, 1, seed=5))
+    for pos in ([4, 0, 9], [], list(range(15))[::2]):
+        msg, cw = code.agree_on(word, pos)
+        assert len(msg) == len(pos) and all(cw[i] == word[i] for i in pos)
+        assert tuple(cw.tolist()) == encode_oracle(code, msg.tolist())
+        assert grs_membership(code)(cw)
+    assert all(not inv.flags.writeable for inv in code._agree_inv.values())
+    assert (0, 4, 9) in code._agree_inv
+    with pytest.raises(ValueError, match="at most k = 8 positions fix a codeword, got 9"):
+        code.agree_on(word, range(9))
 
 
 def test_shorten_composes(gf8):
@@ -731,43 +750,85 @@ def test_shorten_composes(gf8):
     assert book_once == book_twice
 
 
+def shortened_multipliers(code, subset):
+    """nu_i v_S(alpha_i) off S, v_S = prod over S of (x - beta), by scalar products."""
+    F = code.field
+    out = []
+    for a, v in zip(code.locators, code.multipliers):
+        if a not in subset:
+            for beta in subset:
+                v = F.mul(v, F.sub(a, beta))
+            out.append(v)
+    return out
+
+
+def map_back(code, subset, c_s, short_cw):
+    """c_S plus the shortened codeword with zeros put in at S, by scalar sums."""
+    F = code.field
+    rest = iter(short_cw)
+    return tuple(
+        c if a in subset else F.add(c, next(rest)) for a, c in zip(code.locators, c_s.tolist())
+    )
+
+
+def check_shorten_received(code, coeffs, err, subset, membership):
+    """shorten_received on the codeword of coeffs plus err (0 on S) against
+    the scalar oracles: the shortened word is encode_oracle of the shortened
+    code at reduce_poly(coeffs, S) plus err off S; c_S agrees with the word
+    on S and is a codeword; that shortened codeword maps back to the sent
+    one.  Returns (shortened code, shortened word, c_S, sent codeword)."""
+    F = code.field
+    cw = encode_oracle(code, coeffs)
+    word = [F.add(c, e) for c, e in zip(cw, err)]
+    short, sw, c_s = code.shorten_received(word, subset)
+    short_cw = encode_oracle(short, reduce_poly(F, coeffs, subset))
+    off = [e for a, e in zip(code.locators, err) if a not in subset]
+    assert sw.tolist() == [F.add(c, e) for c, e in zip(short_cw, off)]
+    on = [i for i, a in enumerate(code.locators) if a in subset]
+    assert [c_s[i] for i in on] == [word[i] for i in on]
+    assert membership(code)(c_s)
+    assert map_back(code, subset, c_s, short_cw) == cw
+    return short, sw, c_s, cw
+
+
 def test_shorten_received_zero_error(gf16, grs_membership):
     code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 8)
-    cw = code.encode([1, 2, 3, 4, 5, 6, 7, 8])
-    sw, ctx = code.shorten_received(cw, code.locators[:5])
-    assert grs_membership(ctx.code)(sw)
-    assert ctx.lift_error((0,) * 10) == (0,) * 15
-    assert all_ints([cw, sw, ctx.lift_error((0,) * 10)])
-
-
-def test_shorten_received_single_error(gf16):
-    # an error outside the shortened positions lifts back to exactly itself
-    code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 8)
-    cw = code.encode([3, 1, 4, 1, 5, 9, 2, 6])
     subset = code.locators[:5]
-    w = list(cw)
-    w[9] = gf16.add(w[9], 7)
-    sw, ctx = code.shorten_received(tuple(w), subset)
-    short_cws = ctx.code.gs_list_decode(sw, (ctx.code.d - 1) // 2)
+    short, sw, c_s, cw = check_shorten_received(
+        code, [1, 2, 3, 4, 5, 6, 7, 8], [0] * 15, subset, grs_membership
+    )
+    assert grs_membership(short)(sw)
+    assert all_ints([cw, map_back(code, subset, c_s, sw.tolist())])
+
+
+def test_shorten_received_single_error(gf16, grs_membership):
+    # an error outside the shortened positions stays exactly itself
+    code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 8)
+    subset = code.locators[:5]
+    err = [0] * 15
+    err[9] = 7
+    short, sw, c_s, cw = check_shorten_received(
+        code, [3, 1, 4, 1, 5, 9, 2, 6], err, subset, grs_membership
+    )
+    short_cws = short.gs_list_decode(sw, (short.d - 1) // 2)
     assert len(short_cws) == 1
-    err = ctx.lift_error(tuple(gf16.sub(a, b) for a, b in zip(sw, short_cws[0])))
-    assert err == tuple(gf16.sub(a, b) for a, b in zip(w, cw))
-    assert all_ints([sw, err] + short_cws)
+    assert map_back(code, subset, c_s, short_cws[0]) == cw
+    assert all_ints(short_cws)
 
 
-def test_shorten_decode_lift_roundtrip(gf16):
+def test_shorten_decode_lift_roundtrip(gf16, grs_membership):
     code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 8)
     rnd = random.Random(12)
+    subset = code.locators[:5]
     for _ in range(25):
-        cw = code.encode([rnd.randrange(16) for _ in range(8)])
-        subset = code.locators[:5]
-        w = corrupt(rnd, gf16, cw, rnd.sample(range(5, 15), 3))
-        sw, ctx = code.shorten_received(w, subset)
-        res = ctx.code.gs_list_decode(sw, (ctx.code.d - 1) // 2)
+        err = [0] * 15
+        for i in rnd.sample(range(5, 15), 3):
+            err[i] = rnd.randrange(1, 16)
+        coeffs = [rnd.randrange(16) for _ in range(8)]
+        short, sw, c_s, cw = check_shorten_received(code, coeffs, err, subset, grs_membership)
+        res = short.gs_list_decode(sw, (short.d - 1) // 2)
         assert len(res) == 1
-        full_err = ctx.lift_error(tuple(gf16.sub(a, b) for a, b in zip(sw, res[0])))
-        rec = tuple(gf16.sub(a, e) for a, e in zip(w, full_err))
-        assert rec == cw
+        assert map_back(code, subset, c_s, res[0]) == cw
 
 
 def _array_core_code(name):
@@ -781,31 +842,87 @@ def _array_core_code(name):
     return GrsCode(Field(13), list(range(12)), [rnd.randrange(1, 13) for _ in range(12)], 4)
 
 
-@pytest.mark.parametrize("name", ["gf8-locator0", "gf16-15-8", "gf64-63-29", "gf13-12-4"])
-def test_array_core_matches_scalar_oracles(name):
-    """encode, shorten_received and lift_error against Horner, the
-    coefficient-list reduce_poly and the scalar lift factor."""
+ARRAY_CORE_CODES = ["gf8-locator0", "gf16-15-8", "gf64-63-29", "gf13-12-4"]
+
+
+@pytest.mark.parametrize("name", ARRAY_CORE_CODES)
+def test_array_core_matches_scalar_oracles(name, grs_membership):
+    """encode and shorten_received against Horner, the coefficient-list
+    reduce_poly and scalar sums."""
     code = _array_core_code(name)
     F, n, k = code.field, code.n, code.k
     rnd = random.Random(n * k)
     for trial in range(12):
         coeffs = [rnd.randrange(F.q) for _ in range(k - trial % 2)]
-        cw = code.encode(coeffs)
-        assert cw == encode_oracle(code, coeffs)
+        assert code.encode(coeffs) == encode_oracle(code, coeffs)
         subset = rnd.sample(code.locators, rnd.randrange(k + 1))
         err = [0] * n
         for i in rnd.sample([i for i in range(n) if code.locators[i] not in subset], 3):
             err[i] = rnd.randrange(1, F.q)
-        sw, ctx = code.shorten_received([F.add(c, e) for c, e in zip(cw, err)], subset)
-        lift = [1] * len(ctx.kept)
-        for j, i in enumerate(ctx.kept):
-            for beta in subset:
-                lift[j] = F.mul(lift[j], F.sub(code.locators[i], beta))
-        short_err = [F.mul(err[i], F.inv(l)) for i, l in zip(ctx.kept, lift)]
-        short_cw = encode_oracle(ctx.code, reduce_poly(F, coeffs, subset))
-        assert sw == tuple(F.add(c, e) for c, e in zip(short_cw, short_err))
-        assert ctx.lift_error(short_err) == tuple(err)
-        assert all_ints([cw, sw, ctx.lift_error(short_err), code.locators, code.multipliers])
+        short, sw, c_s, cw = check_shorten_received(code, coeffs, err, subset, grs_membership)
+        assert short.multipliers == tuple(shortened_multipliers(code, subset))
+        assert all_ints([cw, short.locators, short.multipliers, code.locators, code.multipliers])
+
+
+def reference_shorten_received(code, word, subset):
+    """Shortening as it was done before it became re-encoding, in scalar
+    steps: per beta in subset, the values y = word / nu at the other
+    remaining positions become (y - y_beta) / (alpha - beta), and the lift
+    factor there takes a factor alpha - beta.  Returns the code on the
+    remaining locators with the same multipliers and dimension k - |S|, the
+    shortened values y, the remaining positions and their lift factors."""
+    F = code.field
+    ys = [F.mul(w, F.inv(v)) for w, v in zip(word, code.multipliers)]
+    lift = [1] * code.n
+    kept = list(range(code.n))
+    for beta in subset:
+        bi = code.locators.index(beta)
+        kept.remove(bi)
+        for i in kept:
+            diff = F.sub(code.locators[i], beta)
+            ys[i] = F.mul(F.sub(ys[i], ys[bi]), F.inv(diff))
+            lift[i] = F.mul(lift[i], diff)
+    locators = [code.locators[i] for i in kept]
+    ref = GrsCode(F, locators, [code.multipliers[i] for i in kept], code.k - len(subset))
+    return ref, [ys[i] for i in kept], kept, [lift[i] for i in kept]
+
+
+def reference_decode_and_lift(code, word, subset, t):
+    """Decode the reference shortened word at radius t, lift each error back
+    and subtract it from the word."""
+    F = code.field
+    ref, ys, kept, lift = reference_shorten_received(code, word, subset)
+    short_word = [F.mul(y, v) for y, v in zip(ys, ref.multipliers)]
+    out = set()
+    for cand in ref.gs_list_decode(short_word, t):
+        full_err = [0] * code.n
+        for i, a, b, f in zip(kept, short_word, cand, lift):
+            full_err[i] = F.mul(F.sub(a, b), f)
+        out.add(tuple(F.sub(w, e) for w, e in zip(word, full_err)))
+    return out
+
+
+@pytest.mark.parametrize("name", ARRAY_CORE_CODES)
+def test_shortening_matches_per_beta_reference(name):
+    """Against the per-beta reference, for random S of every size 0..k:
+    equal normalized shortened values, and every decoded candidate maps
+    back to the full word that reference decode-and-lift gives."""
+    code = _array_core_code(name)
+    F, n, k = code.field, code.n, code.k
+    rnd = random.Random(f"reference {name}")
+    for size in range(k + 1):
+        subset = rnd.sample(code.locators, size)
+        short = code.shorten(subset)
+        t = min(short.gs_max_radius(), (short.d - 1) // 2 + 1)
+        cw = code.encode([rnd.randrange(F.q) for _ in range(k)])
+        off = [i for i in range(n) if code.locators[i] not in subset]
+        word = corrupt(rnd, F, cw, rnd.sample(off, min(t, len(off))))
+        short, sw, c_s = code.shorten_received(word, subset)
+        _, ys, _, _ = reference_shorten_received(code, word, subset)
+        assert [F.mul(y, F.inv(v)) for y, v in zip(sw.tolist(), short.multipliers)] == ys
+        got = {map_back(code, subset, c_s, c) for c in short.gs_list_decode(sw, t)}
+        assert got == reference_decode_and_lift(code, word, subset, t)
+        assert cw in got
 
 
 # -- MDS property -----------------------------------------------------------------

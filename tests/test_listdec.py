@@ -23,6 +23,7 @@ from lrcdec.listdec import (
     _shape_of,
     _shortening_size,
     _validate_cfg,
+    default_t_g,
     interleaved_success_prob,
     pe_tilde,
     success_prob_general,
@@ -83,6 +84,26 @@ def test_cfg_validation(tb_15_6):
         list_decode_lrc(tb_15_6, (0,) * 15, DecodeConfig(t_l=2, t_g=5))
     with pytest.raises(ValueError):
         list_decode_lrc(tb_15_6, (0,) * 15, DecodeConfig(t_l=1, t_g=6))
+    for cfg, name in ((DecodeConfig(t_l=-1, t_g=5), "t_l"), (DecodeConfig(t_l=1, t_g=-2), "t_g")):
+        msg = rf"{name} = -\d+ is below the limit 0"
+        with pytest.raises(ValueError, match=msg):
+            list_decode_lrc(tb_15_6, (0,) * 15, cfg)
+        with pytest.raises(ValueError, match=msg):
+            unique_decode_probabilistic(tb_15_6, (0,) * 15, cfg)
+    with pytest.raises(ValueError, match=r"t_l = -1 is below the limit 0"):
+        default_t_g(tb_15_6, -1)
+    assert default_t_g(tb_15_6, 0) >= 0
+
+
+def test_received_word_is_checked(tb_15_6):
+    for decode in (list_decode_lrc, unique_decode_probabilistic):
+        with pytest.raises(ValueError, match=r"received word has 14 symbols, need n = 15"):
+            decode(tb_15_6, (0,) * 14, CFG)
+        for bad, text in ((16, "0x10"), (-1, "-0x1")):
+            word = (0,) * 3 + (bad,) + (0,) * 11
+            msg = rf"symbol {text} at position 3 is not in GF\(16\)"
+            with pytest.raises(ValueError, match=msg):
+                decode(tb_15_6, word, CFG)
 
 
 def test_budget_exceeded_carries_partial(tb_15_6):
@@ -118,6 +139,34 @@ def test_stats_populated(tb_15_6):
     out = list_decode_lrc(tb_15_6, cw, CFG)
     assert out.local_list_sizes == [1, 1, 1]
     assert out.shortened_decodes >= 1
+
+
+# (q, n, k, r, rho) of the Table-2 rows that list-decode in milliseconds, with
+# whether the default t_g is past the Johnson count of the whole code
+TABLE2_DECODED_ROWS = [
+    (31, 30, 16, 4, 3, True),
+    (31, 30, 15, 3, 3, True),
+    (64, 63, 40, 5, 3, False),
+]
+
+
+@pytest.mark.parametrize("q, n, k, r, rho, gain", TABLE2_DECODED_ROWS)
+def test_table2_rows_list_decode_at_default_radius(q, n, k, r, rho, gain):
+    field = Field(q)
+    code = construct_tamo_barg(field, n, k, r, rho)
+    t_g = default_t_g(code, 1)
+    johnson = johnson_errors(n, code.d)
+    assert t_g > johnson if gain else t_g == johnson
+    cfg = DecodeConfig(t_l=1, t_g=t_g)
+    for i in range(3):
+        rng = np.random.default_rng([q, n, k, i])
+        cw = code.encode(rng.integers(0, q, size=k).tolist())
+        w = corrupt(rng, field, cw, t_g)
+        out = list_decode_lrc(code, w, cfg)
+        assert cw in out.codewords
+        assert out.complete
+        for c in out.codewords:
+            assert sum(a != b for a, b in zip(c, w)) <= t_g and code.is_codeword(c)
 
 
 # -- shortened decode at the supercode dimension and the validated radius ------------
