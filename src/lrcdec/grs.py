@@ -335,15 +335,24 @@ class GrsCode:
     def shorten_received(self, word, subset):
         """Map a word to the code shortened at the locators in subset, taking
         its symbols there as correct: returns (shortened code, word - c_S off
-        S, c_S), c_S the codeword that agrees with the word on S (agree_on).
-        A shortened codeword maps back to c_S plus it, with zeros put in at S."""
+        S as a tuple, c_S), c_S the codeword that agrees with the word on S
+        (agree_on).  unshorten maps a shortened codeword back."""
         subset = tuple(subset)
-        code = self.shorten(subset)
-        pos = [self._loc_index[beta] for beta in subset]
-        _, c_s = self.agree_on(word, pos)
-        rest = np.delete(np.arange(self.n), pos)
+        code, rest = self.shorten(subset), self._rest(subset)
+        _, c_s = self.agree_on(word, [self._loc_index[beta] for beta in subset])
         short_word = sub(np.asarray(word, dtype=np.int64)[rest], c_s[rest], self.field)
-        return code, short_word, c_s
+        return code, tuple(short_word.tolist()), c_s
+
+    def unshorten(self, subset, c_s, short_cw) -> np.ndarray:
+        """c_S plus a codeword of the code shortened at subset, with zeros put
+        in at S: the full-length codeword it stands for."""
+        full, rest = np.array(c_s, dtype=np.int64), self._rest(subset)
+        full[rest] = add(full[rest], np.asarray(short_cw, dtype=np.int64), self.field)
+        return full
+
+    def _rest(self, subset) -> list[int]:
+        """The positions of this code that the code shortened at subset keeps."""
+        return [self._loc_index[a] for a in self.shorten(subset).locators]
 
 
 class GsPlan:

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import add
 from .grs import gs_max_radius
 from .lrc import LrcCode
 from .radii import CodeShape, refined_error_count
@@ -164,12 +163,11 @@ def _decode_shortened(code: LrcCode, received, chosen_sets, picks, cfg, result):
     result.shortened_decodes += 1
     if result.shortened_decodes > cfg.budget:
         raise BudgetExceeded(result, cfg.budget)
-    short, short_w, c_s = sup.shorten_received(cleaned, [sup.locators[i] for i in pos])
-    rest = np.delete(np.arange(code.n), pos)
+    subset = [sup.locators[i] for i in pos]
+    short, short_w, c_s = sup.shorten_received(cleaned, subset)
     found = []
     for cand in short.gs_list_decode(short_w, cfg.t_g - chi):
-        full_cw = c_s.copy()
-        full_cw[rest] = add(c_s[rest], np.array(cand), code.field)
+        full_cw = sup.unshorten(subset, c_s, cand)
         dist = np.count_nonzero(full_cw != np.asarray(received))
         if dist <= cfg.t_g and code.is_codeword(full_cw):
             found.append(tuple(full_cw.tolist()))

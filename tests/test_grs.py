@@ -324,7 +324,7 @@ def test_koetter_q_is_annihilated_by_dense_system(q, n, k, t):
     wdeg = s * (n - t) - 1
     for word in seeded_words(code, t, 4, seed=n + t):
         f_r, ys = reencode_oracle(code, code._normalize(word))
-        q_coeffs, got_f_r = code._gs_interpolate(code._normalize(word), t, s, ly)
+        q_coeffs, got_f_r = code._gs_interpolate(word, t, s, ly)
         assert got_f_r.tolist() == f_r
         assert not ys[:k].any()
         assert [len(p) for p in q_coeffs] == [wdeg - dy * (k - 1) + 1 for dy in range(ly + 1)]
@@ -354,7 +354,7 @@ def test_koetter_error_names_values(gf16):
         match=r"GRS \[n = 15, k = 3\] at radius t = 9, multiplicity s = 1: "
         r"Koetter interpolation reached weighted degree \d+ > wdeg = 5",
     ):
-        code._gs_interpolate(code._normalize(w), 9, 1, 2)
+        code._gs_interpolate(w, 9, 1, 2)
 
 
 def test_koetter_error_names_plan_size_and_cost(gf16):
@@ -366,7 +366,7 @@ def test_koetter_error_names_plan_size_and_cost(gf16):
         match=r"wdeg = 5 \(GS plan: s = 1, ly = 2, M = 12 unknowns, "
         r"C = 12 constraints on 12 of 15 points, 432 cell-ops\)",
     ):
-        code._gs_interpolate(code._normalize(w), 9, 1, 2)
+        code._gs_interpolate(w, 9, 1, 2)
 
 
 # -- Koetter on the plan against the per-constraint interpolation -----------------
@@ -490,7 +490,7 @@ def test_koetter_matches_per_constraint_reference(q, locators, k, t, count):
     assert sorted(code._gs_plan(t, s, ly).inside.tolist()) == sorted(R)
     for word in seeded_words(code, t, count, seed=n + t):
         f_r, ys = reencode_oracle(code, code._normalize(word), R)
-        q_coeffs, got_f_r = code._gs_interpolate(code._normalize(word), t, s, ly)
+        q_coeffs, got_f_r = code._gs_interpolate(word, t, s, ly)
         assert got_f_r.tolist() == f_r
         assert q_coeffs == koetter_reference(code, ys, t, s, ly, reencoded=True, R=R)
 
@@ -547,7 +547,7 @@ def test_gs_plan_is_built_once_per_radius_and_read_only(gf16):
     assert code._gs_plan(5, *gs_parameters(code.n, code.k, 5)) is plan
     assert decoded == GrsCode(gf16, list(range(1, 16)), [1] * 15, 3).gs_list_decode(word_b, 5)
     code.gs_list_decode(word_a, 9)
-    code._gs_interpolate(code._normalize(word_b), 5, 2, 9)
+    code._gs_interpolate(word_b, 5, 2, 9)
     assert sorted(code._gs_plans) == sorted(
         [
             (5, *gs_parameters(code.n, code.k, 5)),
@@ -783,11 +783,12 @@ def check_shorten_received(code, coeffs, err, subset, membership):
     short, sw, c_s = code.shorten_received(word, subset)
     short_cw = encode_oracle(short, reduce_poly(F, coeffs, subset))
     off = [e for a, e in zip(code.locators, err) if a not in subset]
-    assert sw.tolist() == [F.add(c, e) for c, e in zip(short_cw, off)]
+    assert list(sw) == [F.add(c, e) for c, e in zip(short_cw, off)]
     on = [i for i, a in enumerate(code.locators) if a in subset]
     assert [c_s[i] for i in on] == [word[i] for i in on]
     assert membership(code)(c_s)
     assert map_back(code, subset, c_s, short_cw) == cw
+    assert tuple(code.unshorten(subset, c_s, short_cw).tolist()) == cw
     return short, sw, c_s, cw
 
 
@@ -798,7 +799,7 @@ def test_shorten_received_zero_error(gf16, grs_membership):
         code, [1, 2, 3, 4, 5, 6, 7, 8], [0] * 15, subset, grs_membership
     )
     assert grs_membership(short)(sw)
-    assert all_ints([cw, map_back(code, subset, c_s, sw.tolist())])
+    assert all_ints([cw, sw, map_back(code, subset, c_s, sw)])
 
 
 def test_shorten_received_single_error(gf16, grs_membership):
@@ -813,7 +814,7 @@ def test_shorten_received_single_error(gf16, grs_membership):
     short_cws = short.gs_list_decode(sw, (short.d - 1) // 2)
     assert len(short_cws) == 1
     assert map_back(code, subset, c_s, short_cws[0]) == cw
-    assert all_ints(short_cws)
+    assert all_ints([sw, err] + short_cws)
 
 
 def test_shorten_decode_lift_roundtrip(gf16, grs_membership):
@@ -861,7 +862,7 @@ def test_array_core_matches_scalar_oracles(name, grs_membership):
             err[i] = rnd.randrange(1, F.q)
         short, sw, c_s, cw = check_shorten_received(code, coeffs, err, subset, grs_membership)
         assert short.multipliers == tuple(shortened_multipliers(code, subset))
-        assert all_ints([cw, short.locators, short.multipliers, code.locators, code.multipliers])
+        assert all_ints([cw, sw, short.locators, short.multipliers, code.locators, code.multipliers])
 
 
 def reference_shorten_received(code, word, subset):
@@ -919,8 +920,10 @@ def test_shortening_matches_per_beta_reference(name):
         word = corrupt(rnd, F, cw, rnd.sample(off, min(t, len(off))))
         short, sw, c_s = code.shorten_received(word, subset)
         _, ys, _, _ = reference_shorten_received(code, word, subset)
-        assert [F.mul(y, F.inv(v)) for y, v in zip(sw.tolist(), short.multipliers)] == ys
-        got = {map_back(code, subset, c_s, c) for c in short.gs_list_decode(sw, t)}
+        assert [F.mul(y, F.inv(v)) for y, v in zip(sw, short.multipliers)] == ys
+        got = {
+            tuple(code.unshorten(subset, c_s, c).tolist()) for c in short.gs_list_decode(sw, t)
+        }
         assert got == reference_decode_and_lift(code, word, subset, t)
         assert cw in got
 
