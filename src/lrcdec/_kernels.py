@@ -3,10 +3,11 @@
 Matrices are ``np.int64`` arrays of canonical field elements.  The
 kernels take the Field itself.  In every field, multiplication,
 inversion and powers are gathers from the field's int64 exp/log tables,
-zero included (see Field).  Addition is xor in characteristic 2 and
-taken mod p in a prime field.  ``matmul`` is the one field matrix
-product: encoding, syndromes and the root finder's substitution all go
-through it.
+zero included (see Field).  Addition is xor in characteristic 2; in a
+prime field a sum or difference of canonical elements is reduced
+without a division, by adding p back where it fell below 0.  ``matmul``
+is the one field matrix product: encoding, syndromes and the root
+finder's substitution all go through it.
 """
 
 from __future__ import annotations
@@ -37,14 +38,17 @@ def add(a, b, field):
     """Elementwise sum a + b of broadcastable int64 arrays."""
     if field.p == 2:
         return a ^ b
-    return (a + b) % field.p
+    # a + b - p lies in [-p, p); d >> 63 is -1 (all ones) exactly where d < 0
+    d = a + b - field.p
+    return d + (field.p & (d >> 63))
 
 
 def sub(a, b, field):
     """Elementwise difference a - b of broadcastable int64 arrays."""
     if field.p == 2:
         return a ^ b
-    return (a - b) % field.p
+    d = a - b  # in (-p, p)
+    return d + (field.p & (d >> 63))
 
 
 def add_reduce(a, axis, field):

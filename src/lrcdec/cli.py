@@ -354,6 +354,8 @@ def _simulate_mk(code: PmdsCode, ell, weights, trials, seed):
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials = {args.trials} is below the limit 1")
     weights = [int(w) for w in args.weights.split(",")] if args.weights else None
     if args.kind == "mk":
         code = _load_pmds(args.code)

@@ -7,12 +7,16 @@ the message coefficients with the generator, and the list decoder
 encodes all its candidates in one such product.  Guruswami-Sudan list
 decoding first re-encodes (Koetter-Vardy): it subtracts f_R, the message
 polynomial that agrees with the word on the re-encoding set R, the
-code's first k positions with a locator 0 moved in.  The word is then 0
-on R, where the multiplicity-s constraints say exactly that Q_j is
-divisible by v^(s-j), v = prod over R of (x - alpha), so Koetter's
-iterative interpolation starts from the rows v^(s-j) y^j and runs only
-over the n - k points outside R, none of them at x = 0; the roots f' of
-Q map back to the candidates f' + f_R.  Interpolation runs on a GsPlan,
+code's first k positions with a locator 0 moved in.  Its codeword c_R
+certifies the list when e = d(word, c_R) and the radius t have
+e + t < d: any codeword c within t of the word has d(c, c_R) <= t + e
+< d, so c = c_R, and the list is [c_R] if e <= t, else empty, with no
+interpolation.  Otherwise the word minus c_R is 0 on R, where the
+multiplicity-s constraints say exactly that Q_j is divisible by
+v^(s-j), v = prod over R of (x - alpha), so Koetter's iterative
+interpolation starts from the rows v^(s-j) y^j and runs only over the
+n - k points outside R, none of them at x = 0; the roots f' of Q map
+back to the candidates f' + f_R.  Interpolation runs on a GsPlan,
 which the code builds once per (t, s, ly) and keeps: everything but the
 received values.  The candidates are the rows of one array whose first
 columns carry each candidate's Hasse discrepancies at the current point
@@ -174,11 +178,17 @@ class GrsCode:
         """All codewords within Hamming distance t of word.
 
         Complete for every t up to gs_max_radius(); raises ValueError
-        beyond it.  Koetter interpolation of a bivariate Q(x, y) with the
-        smallest sufficient multiplicity through the word re-encoded on R
-        (see _gs_interpolate), then Roth-Ruckenstein root finding of its
-        y-roots f'(x) of degree < k, then the map back f = f' + f_R, one
-        encoding product and a distance filter.
+        beyond it, and for a symbol outside the field.  For k >= 2 the
+        word is first re-encoded on R: c_R is the codeword that agrees
+        with it there (agree_on), at distance e from it.  If e + t < d the
+        list is settled without interpolation: [c_R] if e <= t, else
+        empty, as any codeword c within t of the word has
+        d(c, c_R) <= t + e < d, so c = c_R.  Otherwise Koetter
+        interpolation of a bivariate Q(x, y) with the smallest sufficient
+        multiplicity through word - c_R (see _gs_interpolate), then
+        Roth-Ruckenstein root finding of its y-roots f'(x) of degree < k,
+        then the map back f = f' + f_R, one encoding product and a
+        distance filter.
         """
         if len(word) != self.n:
             raise ValueError("word length mismatch")
@@ -190,7 +200,7 @@ class GrsCode:
                 f"t = {t} exceeds the radius {reach} of the [{self.n}, {self.k}] GRS decode"
             )
         F = self.field
-        word = np.asarray(word, dtype=np.int64)
+        word = F.check_symbols(word)
         if self.k == 0:
             return [(0,) * self.n] if np.count_nonzero(word) <= t else []
         if self.k == 1:
@@ -198,7 +208,11 @@ class GrsCode:
             cands = np.unique(self._normalize(word))[:, None]
         else:
             s, ly = gs_parameters(self.n, self.k, t)
-            q_coeffs, f_r = self._gs_interpolate(word, t, s, ly)
+            f_r, c_r = self.agree_on(word, self._gs_plan(t, s, ly).inside)
+            e = np.count_nonzero(c_r != word)
+            if e + t < self.d:
+                return [tuple(c_r.tolist())] if e <= t else []
+            q_coeffs = self._gs_interpolate(sub(word, c_r, F), t, s, ly)
             roots = np.array(_rr_roots(q_coeffs, self.k, F), dtype=np.int64).reshape(-1, self.k)
             cands = add(roots, f_r, F)
         words = matmul(cands, self._generator, F)
@@ -212,21 +226,21 @@ class GrsCode:
             self._gs_plans[key] = GsPlan(self, t, s, ly)
         return self._gs_plans[key]
 
-    def _gs_interpolate(self, word, t, s, ly):
-        """Re-encode the word on R and interpolate: returns (Q, f_R).
+    def _gs_interpolate(self, residual, t, s, ly):
+        """Interpolate the word re-encoded on R: returns Q.
 
-        R is the first k positions, except that a locator 0 is always
-        taken in (see GsPlan), so every point outside R has x0 != 0.  f_R
-        is the message of the codeword c_R that agrees with the word on R
-        (agree_on; k coefficients, lowest first); Q has least (1, k-1)-weighted
-        degree and multiplicity s at every point (alpha_i, (word - c_R)_i / nu_i),
-        by Koetter's iterative interpolation on the code's plan for
-        (t, s, ly).  The re-encoded values are 0 on R, where multiplicity s
-        means that Q_j is divisible by v^(s-j), v = prod over R of
-        (x - alpha): the start rows v^((s-j)+) y^j meet those constraints,
-        so only the n - k points outside R are interpolated.  A y-root f' of
-        Q within distance t of the re-encoded word is f - f_R for a
-        codeword f within distance t of the word.
+        residual is word - c_R, c_R the codeword that agrees with the word
+        on R (agree_on on the plan's inside), so it is 0 on R.  R is the
+        first k positions, except that a locator 0 is always taken in (see
+        GsPlan), so every point outside R has x0 != 0.  Q has least
+        (1, k-1)-weighted degree and multiplicity s at every point
+        (alpha_i, residual_i / nu_i), by Koetter's iterative interpolation
+        on the code's plan for (t, s, ly).  The residual is 0 on R, where
+        multiplicity s means that Q_j is divisible by v^(s-j), v = prod
+        over R of (x - alpha): the start rows v^((s-j)+) y^j meet those
+        constraints, so only the n - k points outside R are interpolated.
+        A y-root f' of Q within distance t of the residual is f - f_R for
+        a codeword f within distance t of the word.
 
         Candidates Q_j (j <= ly) are the rows of one array (see GsPlan):
         nc = s(s+1)/2 discrepancy columns, a zero column, then the M
@@ -247,8 +261,7 @@ class GrsCode:
         """
         F = self.field
         plan = self._gs_plan(t, s, ly)
-        f_r, c_r = self.agree_on(word, plan.inside)
-        ys = self._normalize(sub(word, c_r, F))[plan.outside]
+        ys = self._normalize(residual)[plan.outside]
         wdeg, nc = plan.wdeg, plan.nc
         end, src = plan.end.tolist(), plan.x_source
         polys = plan.init.copy()
@@ -297,8 +310,7 @@ class GrsCode:
                 f"Koetter interpolation reached weighted degree {wdegs[best]} > wdeg = {wdeg} "
                 f"({plan.describe()})"
             )
-        q_coeffs = [blk.tolist() for blk in np.split(polys[best, plan.dy_major], plan.starts[1:])]
-        return q_coeffs, f_r
+        return [blk.tolist() for blk in np.split(polys[best, plan.dy_major], plan.starts[1:])]
 
     # -- shortening --------------------------------------------------------------
 

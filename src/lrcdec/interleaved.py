@@ -74,9 +74,10 @@ def mk_decode(field: Field, parity: np.ndarray, received: InterleavedWord):
     full column rank.  Any violated hypothesis surfaces as None (support
     size mismatch, unsolvable erasure system, or a failed final parity
     check); the decoder never returns a word that fails the parity check.
+    A symbol outside the field raises ValueError.
     """
     H = np.ascontiguousarray(parity, dtype=np.int64)
-    R = received.matrix
+    R = field.check_symbols(received.matrix)
     nk, n = H.shape
     syndrome = linalg.matmul(H, R.T, field)
     aug = np.concatenate([syndrome, np.eye(nk, dtype=np.int64)], axis=1)

@@ -92,10 +92,7 @@ def _check_word(code: LrcCode, received):
     word = np.asarray(received, dtype=np.int64)
     if word.shape != (code.n,):
         raise ValueError(f"received word has {word.size} symbols, need n = {code.n}")
-    bad = np.flatnonzero((word < 0) | (word >= code.field.q))
-    if bad.size:
-        i, q = bad[0], code.field.q
-        raise ValueError(f"symbol {word[i]:#x} at position {i} is not in GF({q})")
+    code.field.check_symbols(word)
 
 
 def _validate_cfg(code: LrcCode, cfg: DecodeConfig):

@@ -215,6 +215,20 @@ def test_simulate_negative_radius_exits_2(tmp_path, capsys):
     assert re.search(r"t_l = -1 is below the limit 0", err)
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_simulate_trials_below_one_exits_2(tmp_path, capsys, trials):
+    path = tmp_path / "tb.json"
+    run_cli(capsys, "gen-code", "tamo-barg", "--q", "16", "--n", "15", "--k", "6",
+            "--r", "3", "--rho", "3", "-o", str(path))
+    code, out, err = run_cli(
+        capsys, "simulate", "lrc-list", "--code", str(path), "--trials", trials,
+    )
+    assert code == 2
+    assert out == ""
+    assert re.search(rf"--trials = {trials} is below the limit 1", err)
+    assert "Traceback" not in err
+
+
 def test_simulate_deterministic(tmp_path, capsys):
     path = tmp_path / "pmds.json"
     run_cli(capsys, "gen-code", "random-pmds", "--q", "1024", "--n", "12", "--k", "4",

@@ -314,6 +314,13 @@ def reencode_oracle(code, ys, R=None):
     return f_r, np.array([F.sub(y, horner(F, f_r, a)) for a, y in zip(code.locators, ys)])
 
 
+def reencode(code, word, t, s, ly):
+    """(f_R, word - c_R): the re-encoding on the plan's R that
+    gs_list_decode hands to _gs_interpolate."""
+    f_r, c_r = code.agree_on(word, code._gs_plan(t, s, ly).inside)
+    return f_r, sub(np.asarray(word), c_r, code.field)
+
+
 @pytest.mark.parametrize("q, n, k, t", KOETTER_CASES)
 def test_koetter_q_is_annihilated_by_dense_system(q, n, k, t):
     # Q interpolates the re-encoded word at all n points, the first k
@@ -324,7 +331,8 @@ def test_koetter_q_is_annihilated_by_dense_system(q, n, k, t):
     wdeg = s * (n - t) - 1
     for word in seeded_words(code, t, 4, seed=n + t):
         f_r, ys = reencode_oracle(code, code._normalize(word))
-        q_coeffs, got_f_r = code._gs_interpolate(word, t, s, ly)
+        got_f_r, residual = reencode(code, word, t, s, ly)
+        q_coeffs = code._gs_interpolate(residual, t, s, ly)
         assert got_f_r.tolist() == f_r
         assert not ys[:k].any()
         assert [len(p) for p in q_coeffs] == [wdeg - dy * (k - 1) + 1 for dy in range(ly + 1)]
@@ -354,7 +362,7 @@ def test_koetter_error_names_values(gf16):
         match=r"GRS \[n = 15, k = 3\] at radius t = 9, multiplicity s = 1: "
         r"Koetter interpolation reached weighted degree \d+ > wdeg = 5",
     ):
-        code._gs_interpolate(w, 9, 1, 2)
+        code._gs_interpolate(reencode(code, w, 9, 1, 2)[1], 9, 1, 2)
 
 
 def test_koetter_error_names_plan_size_and_cost(gf16):
@@ -366,7 +374,7 @@ def test_koetter_error_names_plan_size_and_cost(gf16):
         match=r"wdeg = 5 \(GS plan: s = 1, ly = 2, M = 12 unknowns, "
         r"C = 12 constraints on 12 of 15 points, 432 cell-ops\)",
     ):
-        code._gs_interpolate(w, 9, 1, 2)
+        code._gs_interpolate(reencode(code, w, 9, 1, 2)[1], 9, 1, 2)
 
 
 # -- Koetter on the plan against the per-constraint interpolation -----------------
@@ -490,7 +498,8 @@ def test_koetter_matches_per_constraint_reference(q, locators, k, t, count):
     assert sorted(code._gs_plan(t, s, ly).inside.tolist()) == sorted(R)
     for word in seeded_words(code, t, count, seed=n + t):
         f_r, ys = reencode_oracle(code, code._normalize(word), R)
-        q_coeffs, got_f_r = code._gs_interpolate(word, t, s, ly)
+        got_f_r, residual = reencode(code, word, t, s, ly)
+        q_coeffs = code._gs_interpolate(residual, t, s, ly)
         assert got_f_r.tolist() == f_r
         assert q_coeffs == koetter_reference(code, ys, t, s, ly, reencoded=True, R=R)
 
@@ -547,7 +556,7 @@ def test_gs_plan_is_built_once_per_radius_and_read_only(gf16):
     assert code._gs_plan(5, *gs_parameters(code.n, code.k, 5)) is plan
     assert decoded == GrsCode(gf16, list(range(1, 16)), [1] * 15, 3).gs_list_decode(word_b, 5)
     code.gs_list_decode(word_a, 9)
-    code._gs_interpolate(word_b, 5, 2, 9)
+    code._gs_interpolate(reencode(code, word_b, 5, 2, 9)[1], 5, 2, 9)
     assert sorted(code._gs_plans) == sorted(
         [
             (5, *gs_parameters(code.n, code.k, 5)),
@@ -559,6 +568,101 @@ def test_gs_plan_is_built_once_per_radius_and_read_only(gf16):
         arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
         assert len(arrays) >= 10
         assert not any(a.flags.writeable for a in arrays)
+
+
+# -- the re-encoding certificate: e + t < d settles the list -----------------------
+
+# (q, locators, k): codes over GF(8) and GF(16), and one over GF(13) whose
+# locator 0 comes last, so the plan moves it into R
+CERTIFICATE_CODES = [
+    (8, tuple(range(1, 8)), 3),
+    (16, tuple(range(1, 11)), 3),
+    (13, tuple(range(1, 13)) + (0,), 3),
+]
+
+
+def certificate_code(q, locators, k):
+    """The code, with seeded multipliers, and its whole codebook."""
+    field = Field(q)
+    rnd = random.Random(q * len(locators))
+    code = GrsCode(field, locators, [rnd.randrange(1, q) for _ in locators], k)
+    msgs = np.array(list(itertools.product(range(q), repeat=k)), dtype=np.int64)
+    return code, linalg.matmul(msgs, code.generator_matrix(), field)
+
+
+def sphere(book, word, t):
+    return sorted(map(tuple, book[(book != np.array(word)).sum(axis=1) <= t].tolist()))
+
+
+def split_by_reencoding_set(code, t):
+    inside = code._gs_plan(t, *gs_parameters(code.n, code.k, t)).inside.tolist()
+    return inside, [i for i in range(code.n) if i not in inside]
+
+
+class Interpolated(Exception):
+    pass
+
+
+def refuse_interpolation(*args):
+    raise Interpolated
+
+
+@pytest.mark.parametrize("q, locators, k", CERTIFICATE_CODES)
+def test_gs_certificate_matches_sphere_enumeration(q, locators, k):
+    # every radius, every error weight 0..t, with the errors all outside R,
+    # all inside R (as many as fit) and split between the two
+    code, book = certificate_code(q, locators, k)
+    rnd = random.Random(q + k)
+    settled = decodes = 0
+    for t in range(code.gs_max_radius() + 1):
+        inside, outside = split_by_reencoding_set(code, t)
+        for w in range(t + 1):
+            for a in sorted({0, min(w, k), min(w // 2, k)}):
+                cw = book[rnd.randrange(len(book))].tolist()
+                pos = rnd.sample(inside, a) + rnd.sample(outside, w - a)
+                word = corrupt(rnd, code.field, cw, pos)
+                e = hamming(code.agree_on(word, inside)[1].tolist(), word)
+                settled += e + t < code.d
+                decodes += 1
+                assert code.gs_list_decode(word, t) == sphere(book, word, t)
+    assert 0 < settled < decodes
+
+
+@pytest.mark.parametrize("q, locators, k", CERTIFICATE_CODES)
+def test_gs_certificate_boundary(q, locators, k, monkeypatch):
+    # errors outside R only, so c_R is the sent codeword at distance e:
+    # e + t = d - 1 is settled without interpolation, to [c] if e <= t and
+    # to [] if not; e + t = d is interpolated
+    code, book = certificate_code(q, locators, k)
+    interpolate = GrsCode._gs_interpolate
+    rnd = random.Random(q)
+    outcomes = set()
+    for t in range(1, code.gs_max_radius() + 1):
+        _, outside = split_by_reencoding_set(code, t)
+        cw = book[rnd.randrange(len(book))].tolist()
+        for e in (code.d - 1 - t, code.d - t):
+            word = corrupt(rnd, code.field, cw, rnd.sample(outside, e))
+            want = sphere(book, word, t)
+            monkeypatch.setattr(GrsCode, "_gs_interpolate", refuse_interpolation)
+            if e + t < code.d:
+                assert code.gs_list_decode(word, t) == want == ([tuple(cw)] if e <= t else [])
+                outcomes.add(len(want))
+            else:
+                with pytest.raises(Interpolated):
+                    code.gs_list_decode(word, t)
+                monkeypatch.setattr(GrsCode, "_gs_interpolate", interpolate)
+                assert code.gs_list_decode(word, t) == want
+    assert outcomes == {0, 1}
+
+
+@pytest.mark.parametrize("symbol", [16, -1])
+def test_gs_rejects_symbols_outside_the_field(gf16, symbol):
+    code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 5)
+    word = [0] * 15
+    word[6] = symbol
+    message = rf"symbol -?0x{abs(symbol):x} at position 6 is not in GF\(16\)"
+    with pytest.raises(ValueError, match=message):
+        code.gs_list_decode(word, 3)
 
 
 # -- Roth-Ruckenstein root finding against the scalar recursion ---------------------

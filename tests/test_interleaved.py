@@ -134,6 +134,15 @@ def test_mk_decode_matches_rank_then_solve(pmds_12_4):
     assert mk_decode(F, H, w) is None
 
 
+def test_mk_rejects_symbols_outside_the_field(pmds_12_4):
+    rng = np.random.default_rng(2)
+    cw = encode_rows(pmds_12_4, rng, 8)
+    cw[3, 5] = 1024
+    message = r"symbol 0x400 at position \(3, 5\) is not in GF\(1024\)"
+    with pytest.raises(ValueError, match=message):
+        mk_decode(pmds_12_4.field, pmds_12_4.parity, InterleavedWord(pmds_12_4.field, cw))
+
+
 def test_mk_garbage_fails_parity(pmds_12_4):
     rng = np.random.default_rng(1)
     noise = rng.integers(0, 1024, size=(8, 12), dtype=np.int64)

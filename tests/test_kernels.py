@@ -201,3 +201,31 @@ def test_vec_inv_every_element(q):
     field = Field(q)
     xs = np.arange(1, q)
     assert _kernels._vec_inv(xs, field).tolist() == [field._pow_raw(x, q - 2) for x in range(1, q)]
+
+
+def _sums_agree(field, a, b):
+    """add and sub against plain integer sums taken mod p."""
+    p = field.p
+    assert _kernels.add(a, b, field).tolist() == ((a + b) % p).tolist()
+    assert _kernels.sub(a, b, field).tolist() == ((a - b) % p).tolist()
+
+
+def test_prime_add_sub_every_pair():
+    field = Field(31)
+    a, b = np.meshgrid(np.arange(31), np.arange(31), indexing="ij")
+    _sums_agree(field, a.ravel(), b.ravel())
+    # Python-int operands, as linalg's sub(0, x) passes
+    for x in range(31):
+        for y in range(31):
+            assert _kernels.add(x, y, field) == (x + y) % 31
+            assert _kernels.sub(x, y, field) == (x - y) % 31
+
+
+def test_prime_add_sub_sampled_pairs():
+    p = 3001
+    rng = np.random.default_rng(3001)
+    a = rng.integers(0, p, size=10**5, dtype=np.int64)
+    b = rng.integers(0, p, size=10**5, dtype=np.int64)
+    edge = np.array([0, 1, p - 2, p - 1], dtype=np.int64)
+    ea, eb = np.meshgrid(edge, edge, indexing="ij")
+    _sums_agree(Field(p), np.concatenate([a, ea.ravel()]), np.concatenate([b, eb.ravel()]))
