@@ -3,14 +3,17 @@ curve data, code generation, and single-shot decoding.
 
 Exit codes: 0 success, 1 decode failure in single-shot mode, 2
 configuration error.  All randomness in ``simulate`` and ``gen-code
-random-pmds`` is driven by --seed; trial i uses the independent stream
-seeded by (seed, i), so results do not depend on the order of trials.
+random-pmds`` is driven by --seed; trial i at error weight w uses the
+independent stream seeded by (seed, w * trials + i), so results do not
+depend on the order of trials or weights.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import io
 import json
 import math
@@ -20,8 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
+from ._kernels import add
 from .galois import Field
-from .grs import GrsCode
 from .interleaved import BurstError, InterleavedWord, mk_decode
 from .listdec import (
     BudgetExceeded,
@@ -41,6 +44,14 @@ from .radii import (
 
 RADII_COLUMNS = [
     "n", "k", "r", "rho", "q", "n_l", "d",
+    "tau_j_local", "tau_j", "tau_g", "refined_t_g",
+    "tau_irs_l2", "tau_g_interleaved_l2",
+]
+
+TABLE1_COLUMNS = RADII_COLUMNS[:11] + ["success_prob", "one_minus_success_prob"]
+
+TABLE2_COLUMNS = [
+    "n", "k", "r", "rho", "n_l", "d", "rate_global", "rate_local",
     "tau_j_local", "tau_j", "tau_g", "refined_t_g",
     "tau_irs_l2", "tau_g_interleaved_l2",
 ]
@@ -126,15 +137,27 @@ def _parse_shape(text: str) -> tuple[int, ...]:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _report_row(shape: CodeShape, columns, extra=lambda shape, report: {}) -> list:
+    """The columns of shape's radius report and rates, by name, with a
+    table's own columns from extra(shape, report) added first."""
+    report = compute_report(shape).as_dict()
+    report.update(rate_global=shape.k / shape.n, rate_local=shape.r / shape.n_l)
+    report.update(extra(shape, report))
+    return [report[c] for c in columns]
+
+
+def _success_columns(shape: CodeShape, report: dict) -> dict:
+    pr = success_prob_grs(shape, shape.q, report["t_local"], report["refined_t_g"])
+    return {"success_prob": float(pr), "one_minus_success_prob": float(1 - pr)}
+
+
 def cmd_radii(args) -> int:
     rows = []
     for text in args.shape:
         vals = _parse_shape(text)
         q = vals[4] if len(vals) == 5 else None
         try:
-            rep = compute_report(CodeShape(*vals[:4], q=q))
-            d = rep.as_dict()
-            rows.append([d[c] for c in RADII_COLUMNS])
+            rows.append(_report_row(CodeShape(*vals[:4], q=q), RADII_COLUMNS))
         except ValueError as exc:
             rows.append(list(vals[:4]) + [q, "", f"error: {exc}"] + [""] * 6)
             print(f"warning: shape {text!r}: {exc}", file=sys.stderr)
@@ -144,32 +167,12 @@ def cmd_radii(args) -> int:
 
 def cmd_tables(args) -> int:
     if args.table == "1":
-        header = ["n", "k", "r", "rho", "q", "n_l", "d",
-                  "tau_j_local", "tau_j", "tau_g", "refined_t_g", "success_prob",
-                  "one_minus_success_prob"]
-        rows = []
-        for n, k, r, rho, q in TABLE1_ROWS:
-            s = CodeShape(n, k, r, rho, q=q)
-            rep = compute_report(s)
-            t_l = rep.t_local
-            bar = rep.refined_t_g
-            pr = success_prob_grs(s, q, t_l, bar)
-            rows.append([n, k, r, rho, q, s.n_l, s.d,
-                         rep.tau_j_local, rep.tau_j, rep.tau_g, bar, float(pr),
-                         float(1 - pr)])
-        _emit_rows(args, header, rows)
+        rows = [_report_row(CodeShape(*v[:4], q=v[4]), TABLE1_COLUMNS, _success_columns)
+                for v in TABLE1_ROWS]
+        _emit_rows(args, TABLE1_COLUMNS, rows)
     elif args.table == "2":
-        header = ["n", "k", "r", "rho", "n_l", "d", "rate_global", "rate_local",
-                  "tau_j_local", "tau_j", "tau_g", "refined_t_g",
-                  "tau_irs_l2", "tau_g_interleaved_l2"]
-        rows = []
-        for n, k, r, rho in TABLE2_ROWS:
-            s = CodeShape(n, k, r, rho)
-            rep = compute_report(s)
-            rows.append([n, k, r, rho, s.n_l, s.d, k / n, r / s.n_l,
-                         rep.tau_j_local, rep.tau_j, rep.tau_g, rep.refined_t_g,
-                         rep.tau_irs_l2, rep.tau_g_interleaved_l2])
-        _emit_rows(args, header, rows)
+        rows = [_report_row(CodeShape(*v), TABLE2_COLUMNS) for v in TABLE2_ROWS]
+        _emit_rows(args, TABLE2_COLUMNS, rows)
     else:
         header = ["set", "n", "k", "r", "rho", "t", "failure_prob", "failure_prob_exact"]
         rows = []
@@ -216,49 +219,23 @@ def cmd_curves(args) -> int:
     return 0
 
 
-def _load_lrc(path: str) -> LrcCode:
+def _load(path: str, family):
+    """The code descriptor in a JSON file, read by family.from_json."""
     with open(path) as fh:
-        return LrcCode.from_json(json.load(fh))
-
-
-def _load_pmds(path: str) -> PmdsCode:
-    with open(path) as fh:
-        obj = json.load(fh)
-    field = Field.from_json(obj["field"])
-    return PmdsCode(
-        field,
-        np.asarray(obj["generator"], dtype=np.int64),
-        np.asarray(obj["parity"], dtype=np.int64),
-        tuple(tuple(s) for s in obj["repair_sets"]),
-        obj["n"], obj["k"], obj["r"], obj["rho"],
-        verified=obj.get("verified", False),
-    )
+        return family.from_json(json.load(fh))
 
 
 def cmd_gen_code(args) -> int:
-    try:
-        if args.kind == "tamo-barg":
-            code = construct_tamo_barg(Field(args.q), args.n, args.k, args.r, args.rho)
-            obj = code.to_json()
-        else:
-            code = random_pmds(args.q, args.n, args.k, args.r, args.rho, seed=args.seed)
-            obj = {
-                "field": code.field.to_json(),
-                "generator": code.generator.tolist(),
-                "parity": code.parity.tolist(),
-                "repair_sets": [list(s) for s in code.repair_sets],
-                "n": code.n, "k": code.k, "r": code.r, "rho": code.rho,
-                "verified": code.verified,
-            }
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _write(args, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    if args.kind == "tamo-barg":
+        code = construct_tamo_barg(Field(args.q), args.n, args.k, args.r, args.rho)
+    else:
+        code = random_pmds(args.q, args.n, args.k, args.r, args.rho, seed=args.seed)
+    _write(args, json.dumps(code.to_json(), indent=2, sort_keys=True) + "\n")
     return 0
 
 
 def cmd_decode(args) -> int:
-    code = _load_lrc(args.code)
+    code = _load(args.code, LrcCode)
     with open(args.received) as fh:
         received = tuple(int(tok, 16) for tok in fh.read().split())
     cfg = DecodeConfig(t_l=args.tl, t_g=args.tg, budget=args.budget)
@@ -267,16 +244,8 @@ def cmd_decode(args) -> int:
             res = list_decode_lrc(code, received, cfg)
         except BudgetExceeded as exc:
             res = exc.partial
-        out = {
-            "list": [list(cw) for cw in res.codewords],
-            "stats": {
-                "local_list_sizes": res.local_list_sizes,
-                "combinations_explored": res.combinations_explored,
-                "shortened_decodes": res.shortened_decodes,
-                "complete": res.complete,
-            },
-        }
-        print(json.dumps(out, indent=2))
+        stats = dataclasses.asdict(res)
+        print(json.dumps({"list": stats.pop("codewords"), "stats": stats}, indent=2))
         return 0 if res.codewords else 1
     cw = unique_decode_probabilistic(code, received, cfg)
     print(json.dumps({"codeword": None if cw is None else list(cw)}))
@@ -290,67 +259,51 @@ def _binomial_interval(successes: int, trials: int) -> tuple[float, float]:
     return max(0.0, p - half), min(1.0, p + half)
 
 
-def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, index])
-
-
-def _simulate_lrc(code: LrcCode, kind: str, weights, trials, seed, cfg: DecodeConfig):
+def _simulate(trial, weights, trials: int, seed: int, budget_column: bool) -> list[dict]:
+    """One row per error weight w of trial(rng, w) over the streams
+    (seed, w * trials + i): True is a success, False a failure and None a
+    decode that ran out of its search budget."""
     per_weight = []
+    for w in weights:
+        outcomes = [trial(np.random.default_rng([seed, w * trials + i]), w) for i in range(trials)]
+        ok = outcomes.count(True)
+        row = {"weight": w, "trials": trials, "successes": ok,
+               "rate": ok / trials, "ci95": list(_binomial_interval(ok, trials))}
+        if budget_column:
+            row["budget_exceeded"] = outcomes.count(None)
+        per_weight.append(row)
+    return per_weight
+
+
+def _lrc_trial(code: LrcCode, kind: str, cfg: DecodeConfig, rng, w: int):
+    """A random codeword with w random nonzero errors, list or unique decoded."""
     q = code.field.q
-    for w in weights:
-        ok = budget_hits = 0
-        for i in range(trials):
-            rng = _trial_rng(seed, w * trials + i)
-            msg = rng.integers(0, q, size=code.k).tolist()
-            cw = code.encode(msg)
-            pos = rng.choice(code.n, size=w, replace=False)
-            word = list(cw)
-            for p in pos:
-                word[p] = code.field.add(word[p], int(rng.integers(1, q)))
-            word = tuple(word)
-            if kind == "lrc-list":
-                try:
-                    res = list_decode_lrc(code, word, cfg)
-                    ok += cw in res.codewords
-                except BudgetExceeded:
-                    budget_hits += 1
-            else:
-                got = unique_decode_probabilistic(code, word, cfg)
-                ok += got == cw
-        lo, hi = _binomial_interval(ok, trials)
-        per_weight.append({
-            "weight": w, "trials": trials, "successes": ok,
-            "rate": ok / trials, "ci95": [lo, hi],
-            "budget_exceeded": budget_hits,
-        })
-    return per_weight
+    cw = code.encode(rng.integers(0, q, size=code.k))
+    word = np.array(cw)
+    pos = rng.choice(code.n, size=w, replace=False)
+    word[pos] = add(word[pos], rng.integers(1, q, size=w), code.field)
+    if kind == "lrc-unique":
+        return unique_decode_probabilistic(code, word, cfg) == cw
+    try:
+        return cw in list_decode_lrc(code, word, cfg).codewords
+    except BudgetExceeded:
+        return None
 
 
-def _simulate_mk(code: PmdsCode, ell, weights, trials, seed):
-    per_weight = []
-    field = code.field
-    q = field.q
-    for w in weights:
-        ok = 0
-        for i in range(trials):
-            rng = _trial_rng(seed, w * trials + i)
-            msg = rng.integers(0, q, size=(ell, code.k), dtype=np.int64)
-            cw = linalg.matmul(msg, code.generator, field)
-            support = sorted(rng.choice(code.n, size=w, replace=False).tolist())
-            vals = rng.integers(0, q, size=(ell, w), dtype=np.int64)
-            for j in range(w):
-                while not vals[:, j].any():
-                    vals[:, j] = rng.integers(0, q, size=ell)
-            err = BurstError(tuple(support), vals).to_matrix(ell, code.n)
-            rec = linalg.sub(cw, err, field)
-            res = mk_decode(field, code.parity, InterleavedWord(field, rec))
-            ok += res is not None and np.array_equal(res[0].matrix, cw)
-        lo, hi = _binomial_interval(ok, trials)
-        per_weight.append({
-            "weight": w, "trials": trials, "successes": ok,
-            "rate": ok / trials, "ci95": [lo, hi],
-        })
-    return per_weight
+def _mk_trial(code: PmdsCode, ell: int, rng, w: int):
+    """A random ell-interleaved codeword with a burst of w random nonzero
+    columns, located by mk_decode."""
+    field, q = code.field, code.field.q
+    msg = rng.integers(0, q, size=(ell, code.k), dtype=np.int64)
+    cw = linalg.matmul(msg, code.generator, field)
+    support = sorted(rng.choice(code.n, size=w, replace=False).tolist())
+    vals = rng.integers(0, q, size=(ell, w), dtype=np.int64)
+    for j in range(w):
+        while not vals[:, j].any():
+            vals[:, j] = rng.integers(0, q, size=ell)
+    err = BurstError(tuple(support), vals).to_matrix(ell, code.n)
+    res = mk_decode(field, code.parity, InterleavedWord(field, linalg.sub(cw, err, field)))
+    return res is not None and np.array_equal(res[0].matrix, cw)
 
 
 def cmd_simulate(args) -> int:
@@ -358,18 +311,19 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--trials = {args.trials} is below the limit 1")
     weights = [int(w) for w in args.weights.split(",")] if args.weights else None
     if args.kind == "mk":
-        code = _load_pmds(args.code)
+        code = _load(args.code, PmdsCode)
         if weights is None:
             weights = list(range(0, code.n - code.k))
-        per_weight = _simulate_mk(code, args.ell, weights, args.trials, args.seed)
+        trial = functools.partial(_mk_trial, code, args.ell)
     else:
-        code = _load_lrc(args.code)
+        code = _load(args.code, LrcCode)
         t_l = args.tl if args.tl is not None else code.local_code(0).gs_max_radius()
         t_g = args.tg if args.tg is not None else default_t_g(code, t_l)
-        cfg = DecodeConfig(t_l=t_l, t_g=t_g, budget=args.budget)
         if weights is None:
             weights = list(range(0, t_g + 1))
-        per_weight = _simulate_lrc(code, args.kind, weights, args.trials, args.seed, cfg)
+        cfg = DecodeConfig(t_l=t_l, t_g=t_g, budget=args.budget)
+        trial = functools.partial(_lrc_trial, code, args.kind, cfg)
+    per_weight = _simulate(trial, weights, args.trials, args.seed, args.kind != "mk")
     out = {"kind": args.kind, "seed": args.seed, "trials": args.trials,
            "per_weight": per_weight}
     _write(args, json.dumps(out, indent=2) + "\n")
@@ -395,10 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_tables)
 
     sp = sub.add_parser("pmds-prob", help="exact decoding-failure probabilities")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--rho", type=int, required=True)
+    _add_shape(sp, "n", "k", "r", "rho")
     sp.add_argument("--t-range", required=True, help="lo:hi inclusive")
     sp.add_argument("--bound", action="store_true",
                     help="include the union bound at t = n-k-1")
@@ -413,11 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen-code", help="emit a code descriptor JSON")
     sp.add_argument("kind", choices=["tamo-barg", "random-pmds"])
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--rho", type=int, required=True)
+    _add_shape(sp, "q", "n", "k", "r", "rho")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--output", "-o")
     sp.set_defaults(func=cmd_gen_code)
@@ -446,6 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simulate)
 
     return p
+
+
+def _add_shape(sp, *names):
+    for name in names:
+        sp.add_argument(f"--{name}", type=int, required=True)
 
 
 def _add_output(sp):

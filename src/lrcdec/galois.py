@@ -29,15 +29,6 @@ from ._kernels import powers
 _MAX_ORDER = 1 << 20
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for f in range(2, math.isqrt(n) + 1):
-        if n % f == 0:
-            return False
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     f = 2
@@ -225,16 +216,21 @@ class Field:
             return 1 if e == 0 else 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
-    def check_symbols(self, word) -> np.ndarray:
-        """word as an int64 array; ValueError naming the first symbol
-        that is not an element of this field, its position and q."""
+    def check_symbols(self, word, positions=None) -> np.ndarray:
+        """word, or only its symbols at the given positions, as an int64
+        array; ValueError naming the first symbol checked that is not an
+        element of this field, its position in word and q."""
         arr = np.asarray(word, dtype=np.int64)
+        if positions is not None:
+            arr = arr[positions]
         # read as uint64 a negative symbol is at least 2^63, so one maximum
         # tests both ends
         wide = arr.view(np.uint64)
         if arr.size and wide.max() >= self.q:
             pos = tuple(np.argwhere(wide >= self.q)[0].tolist())
             where = pos[0] if len(pos) == 1 else pos
+            if positions is not None:
+                where = positions[where]
             raise ValueError(f"symbol {arr[pos]:#x} at position {where} is not in GF({self.q})")
         return arr
 
@@ -275,9 +271,7 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
             if v != 1:
                 raise ValueError(f"{q} is not a prime power")
             return p, m
-    if not _is_prime(q):
-        raise ValueError(f"{q} is not a prime power")
-    return q, 1
+    return q, 1  # no p <= sqrt(q) divides q >= 2 (checked by Field), so q is prime
 
 
 def lagrange_interpolate(field: Field, points: Sequence[tuple[int, int]]) -> tuple[int, ...]:

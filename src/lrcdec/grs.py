@@ -153,7 +153,8 @@ class GrsCode:
         """(f, c): the message f of degree < m = len(positions) <= k whose
         codeword c agrees with word there, through the inverse of the
         generator's first m rows at those columns, kept read-only in a dict
-        on this code, one per position set."""
+        on this code, one per position set.  ValueError for a symbol outside
+        the field at those positions; the others are not read."""
         F = self.field
         pos = sorted(int(i) for i in positions)
         m = len(pos)
@@ -166,7 +167,7 @@ class GrsCode:
             rref(aug, F)
             inv = self._agree_inv[tuple(pos)] = aug[:, m:]
             inv.flags.writeable = False
-        msg = matmul(np.asarray(word, dtype=np.int64)[None, pos], inv, F)
+        msg = matmul(F.check_symbols(word, pos)[None], inv, F)
         return msg[0], matmul(msg, self._generator[:m], F)[0]
 
     # -- list decoding ---------------------------------------------------------
@@ -348,11 +349,12 @@ class GrsCode:
         """Map a word to the code shortened at the locators in subset, taking
         its symbols there as correct: returns (shortened code, word - c_S off
         S as a tuple, c_S), c_S the codeword that agrees with the word on S
-        (agree_on).  unshorten maps a shortened codeword back."""
+        (agree_on).  unshorten maps a shortened codeword back.  ValueError
+        for a symbol of the word outside the field."""
         subset = tuple(subset)
         code, rest = self.shorten(subset), self._rest(subset)
         _, c_s = self.agree_on(word, [self._loc_index[beta] for beta in subset])
-        short_word = sub(np.asarray(word, dtype=np.int64)[rest], c_s[rest], self.field)
+        short_word = sub(self.field.check_symbols(word, rest), c_s[rest], self.field)
         return code, tuple(short_word.tolist()), c_s
 
     def unshorten(self, subset, c_s, short_cw) -> np.ndarray:

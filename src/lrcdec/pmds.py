@@ -55,6 +55,32 @@ class PmdsCode:
     def d(self) -> int:
         return optimal_distance(self.n, self.k, self.r, self.rho)
 
+    # -- serialization -------------------------------------------------------------
+
+    def to_json(self) -> dict:
+        return {
+            "field": self.field.to_json(),
+            "generator": self.generator.tolist(),
+            "parity": self.parity.tolist(),
+            "repair_sets": [list(s) for s in self.repair_sets],
+            "n": self.n, "k": self.k, "r": self.r, "rho": self.rho,
+            "verified": self.verified,
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "PmdsCode":
+        """The code of a descriptor; ValueError for a symbol outside the
+        field or a parity whose product with the generator is not zero."""
+        field = Field.from_json(obj["field"])
+        gen = field.check_symbols(obj["generator"])
+        parity = field.check_symbols(obj["parity"])
+        if linalg.matmul(gen, parity.T, field).any():
+            raise ValueError("the parity-check matrix does not annihilate the generator")
+        return cls(
+            field, gen, parity, tuple(tuple(s) for s in obj["repair_sets"]),
+            obj["n"], obj["k"], obj["r"], obj["rho"], verified=obj.get("verified", False),
+        )
+
 
 def _information_sets(repair_sets, k: int, r: int):
     """Yield each k-subset of positions that meets every repair set in at

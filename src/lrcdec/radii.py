@@ -43,12 +43,17 @@ __all__ = [
 ]
 
 
-def _theta(q) -> Fraction:
+def _theta_ratio(q) -> tuple[int, int]:
+    """theta = 1 - 1/q as (q - 1, q), and as (1, 1) for q = None or inf."""
     if q is None or q == math.inf:
-        return Fraction(1)
+        return 1, 1
     if q < 2:
         raise ValueError("field size must be at least 2")
-    return Fraction(q - 1, q)
+    return q - 1, q
+
+
+def _theta(q) -> Fraction:
+    return Fraction(*_theta_ratio(q))
 
 
 @dataclass(frozen=True)
@@ -105,12 +110,12 @@ def correctable_from_radius(tau: float) -> int:
 
 def johnson_radius(n: int, d: int, q=None) -> float:
     """theta*n*(1 - sqrt(1 - d/(n*theta))); requires d <= n*theta."""
-    th = _theta(q)
+    num, den = _theta_ratio(q)
     if d < 0:
         raise ValueError("distance must be nonnegative")
-    if Fraction(d) > n * th:
-        raise ValueError(f"d = {d} exceeds n*theta = {float(n * th):g}")
-    thf = float(th)
+    if d * den > n * num:
+        raise ValueError(f"d = {d} exceeds n*theta = {n * num / den:g}")
+    thf = num / den
     return thf * n * (1.0 - math.sqrt(1.0 - d / (n * thf)))
 
 
@@ -190,7 +195,7 @@ def lrc_list_radius(shape: CodeShape, q=None) -> float:
     least one locally decodable repair set; the plain Johnson radius of
     the code otherwise.
     """
-    if math.ceil(sigma_exact(shape)) > 0:
+    if shape.mu * shape.rho > shape.d:  # sigma_exact(shape) > 0
         tau_jl = johnson_radius(shape.n_l, shape.rho, q)
         return shape.d / shape.rho * tau_jl
     return johnson_radius(shape.n, shape.d, q)
@@ -203,11 +208,12 @@ def refined_error_count(shape: CodeShape, t_l: int, q=None) -> int:
     to the last success before the first failure, capped at n; otherwise
     scans down to the first success, or 0 when no t >= 1 holds.
     """
-    th = _theta(q)
+    num, den = _theta_ratio(q)
     n_l, d = shape.n_l, shape.d
 
     def holds(t: int) -> bool:
-        return Fraction(t * t) + th * (t // (t_l + 1)) * n_l * (d - 2 * t) > 0
+        # theta = num / den, multiplied through by den > 0: integers only
+        return den * t * t + num * (t // (t_l + 1)) * n_l * (d - 2 * t) > 0
 
     t = max(correctable_from_radius(lrc_list_radius(shape, q)), 1)
     if not holds(t):

@@ -2,9 +2,13 @@ import json
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from lrcdec import cli
 from lrcdec.cli import main
+from lrcdec.galois import Field
+from lrcdec.lrc import construct_tamo_barg
 from lrcdec.pmds import failure_prob_exact
 
 
@@ -241,6 +245,85 @@ def test_simulate_deterministic(tmp_path, capsys):
     assert out1 == out2
     res = json.loads(out1)
     assert res["per_weight"][0]["weight"] == 7
+
+
+GEN_CODE_ARGS = {
+    # the [15, 6, 3, 3] Tamo-Barg code over GF(16), the seeded [12, 4, 2, 2] PMDS code over GF(1024)
+    "tamo-barg": ("--q", "16", "--n", "15", "--k", "6", "--r", "3", "--rho", "3"),
+    "random-pmds": ("--q", "1024", "--n", "12", "--k", "4", "--r", "2", "--rho", "2", "--seed", "1"),
+}
+
+
+def _gen_code(tmp_path, capsys, kind):
+    path = tmp_path / f"{kind}.json"
+    assert run_cli(capsys, "gen-code", kind, *GEN_CODE_ARGS[kind], "-o", str(path))[0] == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "kind, code_kind, argv, successes, budget_exceeded",
+    [
+        # pinned from the scalar error draw that the array draw replaced
+        ("lrc-list", "tamo-barg", ("--seed", "7", "--weights", "3,4,5", "--trials", "10",
+                                   "--budget", "2"), [6, 8, 9], [4, 2, 1]),
+        ("lrc-unique", "tamo-barg", ("--seed", "7", "--weights", "3,4,5", "--trials", "20"),
+         [19, 16, 15], [0, 0, 0]),
+        ("mk", "random-pmds", ("--seed", "5", "--weights", "5,6,7", "--trials", "25",
+                               "--ell", "8"), [25, 25, 19], [None] * 3),
+    ],
+)
+def test_simulate_pinned_successes(tmp_path, capsys, kind, code_kind, argv, successes,
+                                   budget_exceeded):
+    path = _gen_code(tmp_path, capsys, code_kind)
+    code, out, err = run_cli(capsys, "simulate", kind, "--code", str(path), *argv)
+    assert code == 0, err
+    rows = json.loads(out)["per_weight"]
+    assert [row["successes"] for row in rows] == successes
+    assert [row.get("budget_exceeded") for row in rows] == budget_exceeded
+
+
+@pytest.mark.parametrize("q, n, k, r, rho", [(16, 15, 6, 3, 3), (31, 15, 6, 3, 3),
+                                             (64, 21, 6, 3, 5), (1024, 33, 6, 3, 9)])
+def test_lrc_trial_error_draw_matches_scalar_draws(monkeypatch, q, n, k, r, rho):
+    # reference: one scalar draw and one scalar field sum per error position
+    code = construct_tamo_barg(Field(q), n, k, r, rho)
+    words = []
+    monkeypatch.setattr(cli, "unique_decode_probabilistic",
+                        lambda code, word, cfg: words.append(tuple(word.tolist())))
+    for seed in range(40):
+        w = seed % 6
+        cli._lrc_trial(code, "lrc-unique", None, np.random.default_rng([seed, w]), w)
+        rng = np.random.default_rng([seed, w])
+        word = list(code.encode(rng.integers(0, q, size=k).tolist()))
+        for p in rng.choice(n, size=w, replace=False):
+            word[p] = code.field.add(word[p], int(rng.integers(1, q)))
+        assert words[-1] == tuple(word)
+
+
+@pytest.mark.parametrize("kind", ["tamo-barg", "random-pmds"])
+def test_descriptor_roundtrip(tmp_path, capsys, kind):
+    from lrcdec import LrcCode, PmdsCode
+
+    obj = json.loads(_gen_code(tmp_path, capsys, kind).read_text())
+    family = LrcCode if kind == "tamo-barg" else PmdsCode
+    assert family.from_json(obj).to_json() == obj
+
+
+@pytest.mark.parametrize(
+    "row, col, value, message",
+    [(0, 0, None, "does not annihilate the generator"),
+     (1, 3, 1024, r"symbol 0x400 at position \(1, 3\) is not in GF\(1024\)")],
+)
+def test_simulate_tampered_parity_exits_2(tmp_path, capsys, row, col, value, message):
+    path = _gen_code(tmp_path, capsys, "random-pmds")
+    obj = json.loads(path.read_text())
+    parity = obj["parity"]
+    parity[row][col] = parity[row][col] ^ 1 if value is None else value
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "simulate", "mk", "--code", str(path), "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert re.search(message, err)
 
 
 def test_simulate_lrc_weight0(tmp_path, capsys):

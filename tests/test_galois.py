@@ -149,3 +149,17 @@ def test_odd_extension_field_arithmetic():
     for q in (9, 25, 27):
         with pytest.raises(ValueError, match="power of 2 or a prime"):
             Field(q)
+
+
+def test_field_orders_are_the_primes_and_powers_of_two():
+    # prime factors by trial division here, independent of Field's own
+    for q in range(2, 300):
+        primes = {p for p in range(2, q + 1) if q % p == 0 and all(p % f for f in range(2, p))}
+        if len(primes) > 1:
+            with pytest.raises(ValueError, match=f"{q} is not a prime power"):
+                Field(q)
+        elif primes in ({2}, {q}):
+            assert (Field(q).p, Field(q).q) == (min(primes), q)
+        else:
+            with pytest.raises(ValueError, match="power of 2 or a prime"):
+                Field(q)

@@ -665,6 +665,22 @@ def test_gs_rejects_symbols_outside_the_field(gf16, symbol):
         code.gs_list_decode(word, 3)
 
 
+@pytest.mark.parametrize("symbol", [16, -1])
+def test_agree_on_and_shorten_received_reject_symbols_outside_the_field(gf16, symbol):
+    # each checks the symbols it reads, and names their positions in the word
+    code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 5)
+    word = [0] * 15
+    word[2] = symbol
+    message = rf"symbol -?0x{abs(symbol):x} at position 2 is not in GF\(16\)"
+    with pytest.raises(ValueError, match=message):
+        code.agree_on(word, [0, 2, 4])
+    assert not code.agree_on(word, [0, 1, 3])[1].any()  # position 2 is not read
+    # locator 3 is position 2: read by agree_on on S, then off S
+    for subset in ([1, 3, 5], [1, 2, 5]):
+        with pytest.raises(ValueError, match=message):
+            code.shorten_received(word, subset)
+
+
 # -- Roth-Ruckenstein root finding against the scalar recursion ---------------------
 
 def scalar_rr_roots(q_coeffs, k, field):

@@ -126,6 +126,62 @@ def test_refined_count_satisfies_its_inequality_scan():
             assert not any(_refined_holds(shape, t_l, q, u) for u in range(1, n + 1))
 
 
+def _fraction_refined_error_count(shape, t_l, q=None):
+    """refined_error_count as computed in Fraction arithmetic, the local
+    radius decided by ceil(sigma_exact) > 0 and the Johnson radius checked
+    as a Fraction."""
+    th = Fraction(1) if q is None else Fraction(q - 1, q)
+
+    def radius(n, d):
+        if Fraction(d) > n * th:
+            raise ValueError(f"d = {d} exceeds n*theta")
+        return float(th) * n * (1.0 - math.sqrt(1.0 - d / (n * float(th))))
+
+    if math.ceil(max(Fraction(0), Fraction(shape.mu) - Fraction(shape.d, shape.rho))) > 0:
+        tau = shape.d / shape.rho * radius(shape.n_l, shape.rho)
+    else:
+        tau = radius(shape.n, shape.d)
+
+    def holds(t):
+        return Fraction(t * t) + th * (t // (t_l + 1)) * shape.n_l * (shape.d - 2 * t) > 0
+
+    t = max(correctable_from_radius(tau), 1)
+    if not holds(t):
+        while t > 0 and not holds(t):
+            t -= 1
+        return t
+    while t + 1 <= shape.n and holds(t + 1):
+        t += 1
+    return t
+
+
+def test_refined_count_matches_fraction_arithmetic():
+    # seeded shapes with n_l <= 40, mu <= 12: the same count, or ValueError from both
+    rnd = random.Random(110)
+    outcomes = set()
+    for _ in range(12000):
+        r, rho, mu = rnd.randrange(1, 30), rnd.randrange(2, 30), rnd.randrange(1, 13)
+        n_l = r + rho - 1
+        if n_l > 40:
+            continue
+        try:
+            shape = CodeShape(n_l * mu, rnd.randrange(r, n_l * mu + 1), r, rho)
+        except ValueError:
+            continue
+        t_l = rnd.randrange(0, 6)
+        q = rnd.choice([None, 16, 64, 256, 512, 1024, 4096, 8196])
+        try:
+            want = _fraction_refined_error_count(shape, t_l, q)
+        except ValueError:
+            with pytest.raises(ValueError):
+                refined_error_count(shape, t_l, q)
+            outcomes.add("error")
+            continue
+        assert refined_error_count(shape, t_l, q) == want, (shape, t_l, q)
+        outcomes.add(shape.mu * shape.rho > shape.d)
+    assert outcomes == {True, False, "error"}
+
+
 def test_refined_count_at_least_closed_form():
     for shape in (SHAPE_15, SHAPE_63, SHAPE_500,
                   CodeShape(30, 16, 4, 3), CodeShape(30, 15, 3, 3), CodeShape(63, 40, 5, 3)):
