@@ -7,7 +7,8 @@ zero included (see Field).  Addition is xor in characteristic 2; in a
 prime field a sum or difference of canonical elements is reduced
 without a division, by adding p back where it fell below 0.  ``matmul``
 is the one field matrix product: encoding, syndromes and the root
-finder's substitution all go through it.
+finder's substitution all go through it.  The eliminations, ``rref`` and
+``rank``, live in ``linalg`` and use the elementwise ops here.
 """
 
 from __future__ import annotations
@@ -74,72 +75,6 @@ def powers(x, count, field):
     out = field.exp_table[np.arange(count)[:, None] * (field.log_table[x] % order) % order]
     out[1:, x == 0] = 0
     return out
-
-
-def rref(M: np.ndarray, field):
-    """Reduced row echelon form in place.
-
-    Returns (rank, pivot_columns).  Pivoting picks the first nonzero row
-    per column, so the output is canonical.
-    """
-    rows, cols = M.shape
-    piv_cols = np.full(rows, -1, dtype=np.int64)
-    r = 0
-    for c in range(cols):
-        nz = np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            M[[r, pr]] = M[[pr, r]]
-        pv = int(M[r, c])
-        if pv != 1:
-            M[r, c:] = _vec_mul(M[r, c:], field.inv(pv), field)
-        factors = M[:, c].copy()
-        factors[r] = 0
-        hit = np.nonzero(factors)[0]
-        if hit.size:
-            prod = _vec_mul(factors[hit, None], M[None, r, c:], field)
-            M[hit, c:] = sub(M[hit, c:], prod, field)
-        piv_cols[r] = c
-        r += 1
-        if r == rows:
-            break
-    return r, piv_cols[:r]
-
-
-def rank_stack(M: np.ndarray, field) -> np.ndarray:
-    """Ranks of a (batch, rows, cols) stack, by forward elimination in place.
-
-    Each column is one step over the whole stack: every matrix takes its
-    first nonzero entry at or below its own pivot row, swaps it up and
-    clears the entries under it.  Returns an int64 array of length batch.
-    """
-    batch, rows, cols = M.shape
-    rank = np.zeros(batch, dtype=np.int64)
-    every = np.arange(batch)
-    row_ids = np.arange(rows)
-    for c in range(cols):
-        below = row_ids[None, :] >= rank[:, None]
-        cand = (M[:, :, c] != 0) & below
-        has = cand.any(axis=1)
-        if not has.any():
-            continue
-        top = np.minimum(rank, rows - 1)  # full-rank matrices swap a row with itself
-        piv = np.where(has, cand.argmax(axis=1), top)
-        pivot_rows = M[every, piv, c:]
-        M[every, piv, c:] = M[every, top, c:]
-        M[every, top, c:] = pivot_rows
-        pv = np.where(has, pivot_rows[:, 0], 1)
-        pivot_rows = _vec_mul(pivot_rows, _vec_inv(pv, field)[:, None], field)
-        factors = np.where(below & has[:, None], M[:, :, c], 0)
-        factors[every, top] = 0
-        prod = _vec_mul(factors[:, :, None], pivot_rows[:, None, :], field)
-        M[:, :, c:] = sub(M[:, :, c:], prod, field)
-        rank += has
-        if (rank == rows).all():
-            break
-    return rank
 
 
 def matmul(A: np.ndarray, B: np.ndarray, field) -> np.ndarray:

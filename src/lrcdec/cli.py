@@ -220,9 +220,15 @@ def cmd_curves(args) -> int:
 
 
 def _load(path: str, family):
-    """The code descriptor in a JSON file, read by family.from_json."""
+    """The code descriptor in a JSON file, read by family.from_json;
+    ValueError naming a key of the family that the descriptor lacks."""
     with open(path) as fh:
-        return family.from_json(json.load(fh))
+        obj = json.load(fh)
+    try:
+        return family.from_json(obj)
+    except KeyError as exc:
+        name = family.__name__
+        raise ValueError(f"{path} is not a {name} descriptor: key {exc} is missing") from None
 
 
 def cmd_gen_code(args) -> int:

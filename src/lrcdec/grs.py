@@ -23,10 +23,11 @@ columns carry each candidate's Hasse discrepancies at the current point
 and whose other columns are exactly the monomials x^dx y^dy of
 (1, k-1)-weighted degree <= wdeg, in weighted-degree order, so a row
 operation touches only the pivot's support.  The Roth-Ruckenstein
-recursion then finds the y-roots with Q as an array, each substitution
-Q(x, x y + gamma) one matrix product, and each level's roots from one
-Horner pass over the whole field.  Shortening at positions S is the same
-re-encoding, on S (``agree_on``), into the code with multipliers nu v_S(alpha).
+recursion then finds the y-roots of Q, one (ly + 1, wdeg + 1) array,
+as the rows of one array, each substitution Q(x, x y + gamma) one matrix
+product, and each level's roots from one Horner pass over the whole
+field.  Shortening at positions S is the same re-encoding, on S
+(``agree_on``, by a ``linalg.rref``), into the code with multipliers nu v_S(alpha).
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import (
-    _vec_inv, _vec_mul, add, add_reduce, add_reduceat, matmul, powers, rref, scale, sub,
-)
+from ._kernels import _vec_inv, _vec_mul, add, add_reduce, add_reduceat, matmul, powers, scale, sub
 from .galois import Field
+from .linalg import rref
 
 
 GS_MAX_MULTIPLICITY = 255
@@ -100,14 +100,13 @@ class GrsCode:
         self.locators = tuple(int(a) for a in locators)
         self.multipliers = tuple(int(v) for v in multipliers)
         self.k = k
-        self._loc_index = {a: i for i, a in enumerate(self.locators)}
-        self._alpha = np.array(self.locators, dtype=np.int64)
-        self._nu = np.array(self.multipliers, dtype=np.int64)
+        self._alpha = field.check_symbols(self.locators)
+        self._nu = field.check_symbols(self.multipliers)
         self._nu_inv = _vec_inv(self._nu, field)
         self._generator = _vec_mul(self._nu, powers(self._alpha, k, field), field)
         self._generator.flags.writeable = False
         self._gs_plans: dict[tuple[int, int, int], GsPlan] = {}
-        self._shortened: dict[frozenset[int], GrsCode] = {}
+        self._shortened: dict[tuple[int, ...], GrsCode] = {}
         self._agree_inv: dict[tuple[int, ...], np.ndarray] = {}
 
     @property
@@ -153,19 +152,22 @@ class GrsCode:
         """(f, c): the message f of degree < m = len(positions) <= k whose
         codeword c agrees with word there, through the inverse of the
         generator's first m rows at those columns, kept read-only in a dict
-        on this code, one per position set.  ValueError for a symbol outside
-        the field at those positions; the others are not read."""
+        on this code, one per position set.  ValueError for a repeated
+        position or one outside range(n), and for a symbol outside the
+        field at those positions; the others are not read."""
         F = self.field
         pos = sorted(int(i) for i in positions)
         m = len(pos)
         inv = self._agree_inv.get(tuple(pos))
         if inv is None:
+            # only valid position sets are ever kept, so a hit needs no check
             if m > self.k:
                 raise ValueError(f"at most k = {self.k} positions fix a codeword, got {m}")
+            if len(set(pos)) != m or not all(0 <= i < self.n for i in pos):
+                raise ValueError(f"need pairwise distinct positions in range({self.n}), got {pos}")
             # [G_m,pos | I] reduces to [I | G_m,pos^-1]
             aug = np.concatenate((self._generator[:m, pos], np.eye(m, dtype=np.int64)), axis=1)
-            rref(aug, F)
-            inv = self._agree_inv[tuple(pos)] = aug[:, m:]
+            inv = self._agree_inv[tuple(pos)] = rref(aug, F)[0][:, m:]
             inv.flags.writeable = False
         msg = matmul(F.check_symbols(word, pos)[None], inv, F)
         return msg[0], matmul(msg, self._generator[:m], F)[0]
@@ -213,9 +215,8 @@ class GrsCode:
             e = np.count_nonzero(c_r != word)
             if e + t < self.d:
                 return [tuple(c_r.tolist())] if e <= t else []
-            q_coeffs = self._gs_interpolate(sub(word, c_r, F), t, s, ly)
-            roots = np.array(_rr_roots(q_coeffs, self.k, F), dtype=np.int64).reshape(-1, self.k)
-            cands = add(roots, f_r, F)
+            q = self._gs_interpolate(sub(word, c_r, F), t, s, ly)
+            cands = add(_rr_roots(q, self.k, F), f_r, F)
         words = matmul(cands, self._generator, F)
         near = words[np.count_nonzero(words != word, axis=1) <= t]
         return sorted(set(map(tuple, near.tolist())))
@@ -258,7 +259,7 @@ class GrsCode:
         source index, which also moves the discrepancy D_{a-1,b} to
         D_{a,b}, as D_{a,b}((x - x0) Q)(x0, y0) = D_{a-1,b} Q(x0, y0).  The row
         operations keep the discrepancy columns up to date.  Q is returned
-        as coefficient lists of length wdeg - dy (k-1) + 1, dy-major.
+        as one (ly + 1, wdeg + 1) array, row dy the x-coefficients of y^dy.
         """
         F = self.field
         plan = self._gs_plan(t, s, ly)
@@ -311,62 +312,56 @@ class GrsCode:
                 f"Koetter interpolation reached weighted degree {wdegs[best]} > wdeg = {wdeg} "
                 f"({plan.describe()})"
             )
-        return [blk.tolist() for blk in np.split(polys[best, plan.dy_major], plan.starts[1:])]
+        q = np.zeros((ly + 1, wdeg + 1), dtype=np.int64)
+        q[plan.col_dy, plan.col_dx] = polys[best, plan.dy_major]
+        return q
 
     # -- shortening --------------------------------------------------------------
 
-    def shorten(self, subset) -> "GrsCode":
-        """Code realizing the shortening at the given locator values S.
+    def shorten(self, positions) -> "GrsCode":
+        """Code realizing the shortening at the positions S.
 
-        Every message is f_S + v_S g, v_S = prod over S of (x - beta), so the
-        result is the [n - |S|, k - |S|, d] code of the g on the remaining
+        Every message is f_S + v_S g, v_S = prod over S of (x - alpha), so
+        the result is the [n - |S|, k - |S|, d] code of the g on the other
         locators, with multipliers nu v_S(alpha).  It is kept in a dict on
-        this code, one per set of locators, so a shortened code and its GS
+        this code, one per position set, so a shortened code and its GS
         plans are built once; the LRC list decoder asks for one per
         combination of repair sets it visits, which bounds the dict.
+        ValueError for positions agree_on rejects.
         """
-        subset = tuple(subset)
-        drop = frozenset(subset)
-        if len(drop) != len(subset):
-            raise ValueError("shortening locators must be pairwise distinct")
-        if drop in self._shortened:
-            return self._shortened[drop]
-        if len(subset) > self.k:
-            raise ValueError(f"can shorten at most k = {self.k} positions")
-        for beta in subset:
-            if beta not in self._loc_index:
-                raise ValueError(f"{beta} is not a locator of this code")
-        F, m = self.field, len(subset)
-        keep = [i for i in range(self.n) if self.locators[i] not in drop]
-        # v_S = x^m - f, f of degree < m agreeing with x^m on S: re-encode nu x^m
-        xm = _vec_mul(self._nu, powers(self._alpha, m + 1, F)[m], F)
-        nu = sub(xm, self.agree_on(xm, [self._loc_index[b] for b in subset])[1], F)[keep]
-        code = GrsCode(F, [self.locators[i] for i in keep], nu.tolist(), self.k - m)
-        self._shortened[drop] = code
-        return code
+        pos = tuple(sorted(int(i) for i in positions))
+        if pos not in self._shortened:
+            # v_S = x^m - f, f of degree < m agreeing with x^m on S: re-encode
+            # nu x^m; agree_on checks the positions, so only valid ones are kept
+            F, m = self.field, len(pos)
+            xm = _vec_mul(self._nu, powers(self._alpha, m + 1, F)[m], F)
+            nu = sub(xm, self.agree_on(xm, pos)[1], F)
+            rest = self._rest(pos)
+            self._shortened[pos] = GrsCode(F, self._alpha[rest], nu[rest], self.k - m)
+        return self._shortened[pos]
 
-    def shorten_received(self, word, subset):
-        """Map a word to the code shortened at the locators in subset, taking
-        its symbols there as correct: returns (shortened code, word - c_S off
-        S as a tuple, c_S), c_S the codeword that agrees with the word on S
+    def shorten_received(self, word, positions):
+        """Map a word to the code shortened at the positions S, taking its
+        symbols there as correct: returns (shortened code, word - c_S off S
+        as a tuple, c_S), c_S the codeword that agrees with the word on S
         (agree_on).  unshorten maps a shortened codeword back.  ValueError
         for a symbol of the word outside the field."""
-        subset = tuple(subset)
-        code, rest = self.shorten(subset), self._rest(subset)
-        _, c_s = self.agree_on(word, [self._loc_index[beta] for beta in subset])
+        pos = tuple(positions)
+        code, rest = self.shorten(pos), self._rest(pos)
+        _, c_s = self.agree_on(word, pos)
         short_word = sub(self.field.check_symbols(word, rest), c_s[rest], self.field)
         return code, tuple(short_word.tolist()), c_s
 
-    def unshorten(self, subset, c_s, short_cw) -> np.ndarray:
-        """c_S plus a codeword of the code shortened at subset, with zeros put
-        in at S: the full-length codeword it stands for."""
-        full, rest = np.array(c_s, dtype=np.int64), self._rest(subset)
+    def unshorten(self, positions, c_s, short_cw) -> np.ndarray:
+        """c_S plus a codeword of the code shortened at the positions S, with
+        zeros put in at S: the full-length codeword it stands for."""
+        full, rest = np.array(c_s, dtype=np.int64), self._rest(positions)
         full[rest] = add(full[rest], np.asarray(short_cw, dtype=np.int64), self.field)
         return full
 
-    def _rest(self, subset) -> list[int]:
-        """The positions of this code that the code shortened at subset keeps."""
-        return [self._loc_index[a] for a in self.shorten(subset).locators]
+    def _rest(self, positions) -> np.ndarray:
+        """The positions of this code outside the given ones."""
+        return np.delete(np.arange(self.n), list(positions))
 
 
 class GsPlan:
@@ -380,7 +375,8 @@ class GsPlan:
     the first monomial of weighted degree > w, so columns [0, end[w])
     hold the discrepancies and the whole support of a candidate of
     weighted degree w.  dy_major lists the column of each monomial in
-    dy-major order (dx fastest), whose y-degree blocks begin at starts.
+    dy-major order (dx fastest), whose y-degree blocks begin at starts;
+    col_dy and col_dx are the monomials' degrees in that order.
     x_source is the column each column takes under Q -> x Q: a monomial
     takes x^(dx-1) y^dy, a discrepancy column (a, b) takes (a-1, b), and
     dx = 0 and a = 0 take the zero column.
@@ -426,7 +422,7 @@ class GsPlan:
         x_source = np.full(off + m, nc)
         x_source[:nc] = np.where(cons_a > 0, np.arange(nc) - 1, nc)
         x_source[dy_major[1:]] = np.where(col_dx[1:] > 0, dy_major[:-1], nc)
-        self.starts, self.col_dx, self.dy_major = starts, col_dx, dy_major
+        self.starts, self.col_dy, self.col_dx, self.dy_major = starts, col_dy, col_dx, dy_major
         self.end = off + np.searchsorted(np.sort(weights), np.arange(wdeg + 1), side="right")
         self.x_source = x_source
         self.monomials = (np.arange(off + m) >= off).astype(np.int64)
@@ -469,20 +465,17 @@ class GsPlan:
         )
 
 
-def _rr_roots(q_coeffs: list[list[int]], k: int, field: Field) -> list[list[int]]:
-    """All y-roots of degree < k of Q(x, y) (Roth-Ruckenstein recursion).
+def _rr_roots(q: np.ndarray, k: int, field: Field) -> np.ndarray:
+    """All y-roots of degree < k of Q(x, y) (Roth-Ruckenstein recursion), in
+    increasing order, as the rows of an (m, k) int64 array.
 
-    Q travels as an (ly + 1, width) int64 array, row dy holding the
+    Q is an (ly + 1, width) int64 array, row dy holding the
     x-coefficients of y^dy.  The substitution Q(x, x y + gamma) is one
     array product: T[i, j] = C(j, i) gamma^(j - i) times Q, then row i
     shifts right by i.  The roots gamma of each level's Q(0, y) come from
     one Horner pass over all q field elements, in increasing order.
     """
-    rows = len(q_coeffs)
-    width = max(1, *(len(p) for p in q_coeffs))
-    q0 = np.zeros((rows, width), dtype=np.int64)
-    for dy, p in enumerate(q_coeffs):
-        q0[dy, : len(p)] = p
+    rows = q.shape[0]
     idx = np.arange(rows)
     binom = np.array([[math.comb(j, i) % field.p for j in range(rows)] for i in range(rows)])
     gap = np.maximum(idx[None, :] - idx[:, None], 0)  # j - i where C(j, i) != 0
@@ -520,5 +513,5 @@ def _rr_roots(q_coeffs: list[list[int]], k: int, field: Field) -> list[list[int]
             else:
                 recurse(subs(q, gamma), nxt)
 
-    recurse(q0, [])
-    return results
+    recurse(q, [])
+    return np.array(results, dtype=np.int64).reshape(-1, k)

@@ -1,7 +1,8 @@
-"""Matrix operations over a Field, backed by the numpy kernels.
+"""Matrix operations over a Field, on the numpy kernels' elementwise ops.
 
 All functions take int64 numpy arrays of canonical field elements (use
-``as_matrix`` to convert nested sequences).
+``as_matrix`` to convert nested sequences).  The two eliminations, ``rref``
+and the stacked ``rank``, live here only; both work on a copy.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _kernels
-from ._kernels import sub
+from ._kernels import _vec_inv, _vec_mul, sub
 
 if TYPE_CHECKING:
     from .galois import Field
@@ -25,21 +26,71 @@ def as_matrix(rows) -> np.ndarray:
 
 
 def rref(a: np.ndarray, field: Field):
-    """Reduced row echelon form (copy).  Returns (R, rank, pivot_cols)."""
+    """Reduced row echelon form, pivoting on the first nonzero row per
+    column, so R is canonical.  Returns (R, rank, pivot_cols)."""
     m = np.array(a, dtype=np.int64)
-    rank, piv = _kernels.rref(m, field)
-    return m, rank, piv
+    rows, cols = m.shape
+    piv_cols = np.full(rows, -1, dtype=np.int64)
+    r = 0
+    for c in range(cols):
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        pv = int(m[r, c])
+        if pv != 1:
+            m[r, c:] = _vec_mul(m[r, c:], field.inv(pv), field)
+        factors = m[:, c].copy()
+        factors[r] = 0
+        hit = np.nonzero(factors)[0]
+        if hit.size:
+            prod = _vec_mul(factors[hit, None], m[None, r, c:], field)
+            m[hit, c:] = sub(m[hit, c:], prod, field)
+        piv_cols[r] = c
+        r += 1
+        if r == rows:
+            break
+    return m, r, piv_cols[:r]
 
 
 def rank(a: np.ndarray, field: Field) -> int | np.ndarray:
     """Rank of a matrix, or the int64 array of ranks of a (batch, rows, cols) stack.
 
-    Both go to the one batched elimination; a single matrix is a stack of one.
+    Forward elimination, one column over the whole stack at a time (a
+    single matrix is a stack of one): every matrix takes its first nonzero
+    entry at or below its own pivot row, swaps it up and clears the
+    entries under it.
     """
     m = np.array(a, dtype=np.int64)
-    if m.ndim == 3:
-        return _kernels.rank_stack(m, field)
-    return int(_kernels.rank_stack(m[None], field)[0])
+    if m.ndim == 2:
+        m = m[None]
+    batch, rows, cols = m.shape
+    ranks = np.zeros(batch, dtype=np.int64)
+    every = np.arange(batch)
+    row_ids = np.arange(rows)
+    for c in range(cols):
+        below = row_ids[None, :] >= ranks[:, None]
+        cand = (m[:, :, c] != 0) & below
+        has = cand.any(axis=1)
+        if not has.any():
+            continue
+        top = np.minimum(ranks, rows - 1)  # full-rank matrices swap a row with itself
+        piv = np.where(has, cand.argmax(axis=1), top)
+        pivot_rows = m[every, piv, c:]
+        m[every, piv, c:] = m[every, top, c:]
+        m[every, top, c:] = pivot_rows
+        pv = np.where(has, pivot_rows[:, 0], 1)
+        pivot_rows = _vec_mul(pivot_rows, _vec_inv(pv, field)[:, None], field)
+        factors = np.where(below & has[:, None], m[:, :, c], 0)
+        factors[every, top] = 0
+        prod = _vec_mul(factors[:, :, None], pivot_rows[:, None, :], field)
+        m[:, :, c:] = sub(m[:, :, c:], prod, field)
+        ranks += has
+        if (ranks == rows).all():
+            break
+    return int(ranks[0]) if np.ndim(a) == 2 else ranks
 
 
 def matmul(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:

@@ -160,11 +160,10 @@ def _decode_shortened(code: LrcCode, received, chosen_sets, picks, cfg, result):
     result.shortened_decodes += 1
     if result.shortened_decodes > cfg.budget:
         raise BudgetExceeded(result, cfg.budget)
-    subset = [sup.locators[i] for i in pos]
-    short, short_w, c_s = sup.shorten_received(cleaned, subset)
+    short, short_w, c_s = sup.shorten_received(cleaned, pos)
     found = []
     for cand in short.gs_list_decode(short_w, cfg.t_g - chi):
-        full_cw = sup.unshorten(subset, c_s, cand)
+        full_cw = sup.unshorten(pos, c_s, cand)
         dist = np.count_nonzero(full_cw != np.asarray(received))
         if dist <= cfg.t_g and code.is_codeword(full_cw):
             found.append(tuple(full_cw.tolist()))

@@ -70,16 +70,37 @@ class PmdsCode:
     @classmethod
     def from_json(cls, obj: dict) -> "PmdsCode":
         """The code of a descriptor; ValueError for a symbol outside the
-        field or a parity whose product with the generator is not zero."""
+        field, a generator or parity of the wrong shape, a parity that does
+        not annihilate the generator or has rank below n - k, and repair
+        sets that _partition rejects."""
         field = Field.from_json(obj["field"])
         gen = field.check_symbols(obj["generator"])
         parity = field.check_symbols(obj["parity"])
+        n, k, r, rho = obj["n"], obj["k"], obj["r"], obj["rho"]
+        if gen.shape != (k, n) or parity.shape != (n - k, n):
+            raise ValueError(
+                f"need a k x n generator and an (n - k) x n parity for n = {n}, k = {k}, "
+                f"got {gen.shape} and {parity.shape}"
+            )
         if linalg.matmul(gen, parity.T, field).any():
             raise ValueError("the parity-check matrix does not annihilate the generator")
-        return cls(
-            field, gen, parity, tuple(tuple(s) for s in obj["repair_sets"]),
-            obj["n"], obj["k"], obj["r"], obj["rho"], verified=obj.get("verified", False),
+        if (rk := linalg.rank(parity, field)) != n - k:
+            raise ValueError(f"the parity-check matrix has rank {rk}, need n - k = {n - k}")
+        sets = _partition(obj["repair_sets"], n, r, rho)
+        return cls(field, gen, parity, sets, n, k, r, rho, verified=obj.get("verified", False))
+
+
+def _partition(repair_sets, n: int, r: int, rho: int) -> tuple[tuple[int, ...], ...]:
+    """The repair sets as tuples, if they partition range(n) into sets of size r + rho - 1."""
+    sets = tuple(tuple(rs) for rs in repair_sets)
+    n_l = r + rho - 1
+    if sorted(i for rs in sets for i in rs) != list(range(n)) or any(
+        len(rs) != n_l for rs in sets
+    ):
+        raise ValueError(
+            f"repair sets must partition range({n}) into sets of size r + rho - 1 = {n_l}"
         )
+    return sets
 
 
 def _information_sets(repair_sets, k: int, r: int):
@@ -125,14 +146,7 @@ def verify_pmds(
     """
     g = np.asarray(generator, dtype=np.int64)
     k, n = g.shape
-    sets = [tuple(rs) for rs in repair_sets]
-    n_l = r + rho - 1
-    if sorted(i for rs in sets for i in rs) != list(range(n)) or any(
-        len(rs) != n_l for rs in sets
-    ):
-        raise ValueError(
-            f"repair sets must partition range({n}) into sets of size r + rho - 1 = {n_l}"
-        )
+    sets = _partition(repair_sets, n, r, rho)
     minors = s_mu_size(n, k, r, rho, k)
     tests = len(sets) + minors
     if tests > _RANK_BUDGET:

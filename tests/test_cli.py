@@ -326,6 +326,53 @@ def test_simulate_tampered_parity_exits_2(tmp_path, capsys, row, col, value, mes
     assert re.search(message, err)
 
 
+def test_simulate_zeroed_parity_exits_2(tmp_path, capsys):
+    # a zero parity annihilates the generator, but has rank 0, not n - k = 8
+    path = _gen_code(tmp_path, capsys, "random-pmds")
+    obj = json.loads(path.read_text())
+    obj["parity"] = [[0] * 12 for _ in obj["parity"]]
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "simulate", "mk", "--code", str(path), "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert re.search(r"error: the parity-check matrix has rank 0, need n - k = 8", err)
+
+
+@pytest.mark.parametrize("kind", ["decode", "simulate"])
+def test_descriptor_of_the_other_family_exits_2(tmp_path, capsys, kind):
+    # decode and simulate lrc-* read an LRC descriptor, simulate mk a PMDS one
+    if kind == "decode":
+        path, family, key = _gen_code(tmp_path, capsys, "random-pmds"), "LrcCode", "locators"
+        recv = tmp_path / "recv.hex"
+        recv.write_text(" ".join(["0"] * 12))
+        argv = ("decode", "--code", str(path), "--received", str(recv), "--tl", "1", "--tg", "5")
+    else:
+        path, family, key = _gen_code(tmp_path, capsys, "tamo-barg"), "PmdsCode", "generator"
+        argv = ("simulate", "mk", "--code", str(path), "--trials", "1")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: {path} is not a {family} descriptor: key '{key}' is missing" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field_name, value", [("locators", -1), ("locators", 16),
+                                               ("multipliers", 16)])
+def test_decode_descriptor_symbol_outside_field_exits_2(tmp_path, capsys, field_name, value):
+    # a locator -1 used to be read through log_table[-1], and decode exited 0
+    path = _gen_code(tmp_path, capsys, "tamo-barg")
+    obj = json.loads(path.read_text())
+    obj[field_name][0] = value
+    path.write_text(json.dumps(obj))
+    recv = tmp_path / "recv.hex"
+    recv.write_text(" ".join(["0"] * 15))
+    code, out, err = run_cli(capsys, "decode", "--code", str(path), "--received", str(recv),
+                             "--tl", "1", "--tg", "5")
+    assert code == 2
+    assert out == ""
+    assert re.search(rf"symbol -?0x{abs(value):x} at position 0 is not in GF\(16\)", err)
+
+
 def test_simulate_lrc_weight0(tmp_path, capsys):
     path = tmp_path / "tb.json"
     run_cli(capsys, "gen-code", "tamo-barg", "--q", "16", "--n", "15", "--k", "6",

@@ -268,6 +268,15 @@ def dense_system(code, ys, t, s, ly):
     return np.array(rows, dtype=np.int64), cols
 
 
+def q_array(q_coeffs):
+    """Q as coefficient lists, one per power of y, zero-padded into the
+    (ly + 1, width) array that _rr_roots takes."""
+    q = np.zeros((len(q_coeffs), max(map(len, q_coeffs))), dtype=np.int64)
+    for dy, p in enumerate(q_coeffs):
+        q[dy, : len(p)] = p
+    return q
+
+
 def dense_list(code, word, t):
     """The GS list from a null vector of the dense system."""
     s, ly = gs_parameters(code.n, code.k, t)
@@ -276,7 +285,7 @@ def dense_list(code, word, t):
     q_coeffs = [[0] * sum(1 for c in cols if c[0] == dy) for dy in range(ly + 1)]
     for (dy, dx), v in zip(cols, sol):
         q_coeffs[dy][dx] = int(v)
-    words = (code.encode(f) for f in _rr_roots(q_coeffs, code.k, code.field))
+    words = (code.encode(f) for f in _rr_roots(q_array(q_coeffs), code.k, code.field))
     return sorted({c for c in words if hamming(c, word) <= t})
 
 
@@ -332,12 +341,14 @@ def test_koetter_q_is_annihilated_by_dense_system(q, n, k, t):
     for word in seeded_words(code, t, 4, seed=n + t):
         f_r, ys = reencode_oracle(code, code._normalize(word))
         got_f_r, residual = reencode(code, word, t, s, ly)
-        q_coeffs = code._gs_interpolate(residual, t, s, ly)
+        q = code._gs_interpolate(residual, t, s, ly)
         assert got_f_r.tolist() == f_r
         assert not ys[:k].any()
-        assert [len(p) for p in q_coeffs] == [wdeg - dy * (k - 1) + 1 for dy in range(ly + 1)]
+        # row dy holds x^0 .. x^(wdeg - dy (k-1)), zero past it
+        assert q.shape == (ly + 1, wdeg + 1) and q.dtype == np.int64
+        assert not any(q[dy, wdeg - dy * (k - 1) + 1 :].any() for dy in range(ly + 1))
         m, cols = dense_system(code, ys, t, s, ly)
-        vec = np.array([q_coeffs[dy][dx] for dy, dx in cols], dtype=np.int64)
+        vec = np.array([q[dy, dx] for dy, dx in cols], dtype=np.int64)
         assert vec.any()
         assert not linalg.matmul(m, vec[:, None], field).any()
 
@@ -499,9 +510,10 @@ def test_koetter_matches_per_constraint_reference(q, locators, k, t, count):
     for word in seeded_words(code, t, count, seed=n + t):
         f_r, ys = reencode_oracle(code, code._normalize(word), R)
         got_f_r, residual = reencode(code, word, t, s, ly)
-        q_coeffs = code._gs_interpolate(residual, t, s, ly)
+        q = code._gs_interpolate(residual, t, s, ly)
         assert got_f_r.tolist() == f_r
-        assert q_coeffs == koetter_reference(code, ys, t, s, ly, reencoded=True, R=R)
+        want = q_array(koetter_reference(code, ys, t, s, ly, reencoded=True, R=R))
+        assert q.shape == want.shape and np.array_equal(q, want)
 
 
 def unreencoded_list(code, word, t):
@@ -510,7 +522,7 @@ def unreencoded_list(code, word, t):
     filter."""
     s, ly = gs_parameters(code.n, code.k, t)
     q_coeffs = koetter_reference(code, code._normalize(word), t, s, ly, reencoded=False)
-    words = (code.encode(f) for f in _rr_roots(q_coeffs, code.k, code.field))
+    words = (code.encode(f) for f in _rr_roots(q_array(q_coeffs), code.k, code.field))
     return sorted({c for c in words if hamming(c, word) <= t})
 
 
@@ -675,10 +687,37 @@ def test_agree_on_and_shorten_received_reject_symbols_outside_the_field(gf16, sy
     with pytest.raises(ValueError, match=message):
         code.agree_on(word, [0, 2, 4])
     assert not code.agree_on(word, [0, 1, 3])[1].any()  # position 2 is not read
-    # locator 3 is position 2: read by agree_on on S, then off S
-    for subset in ([1, 3, 5], [1, 2, 5]):
+    # position 2 read by agree_on on S, then off S
+    for positions in ([0, 2, 4], [0, 1, 4]):
         with pytest.raises(ValueError, match=message):
-            code.shorten_received(word, subset)
+            code.shorten_received(word, positions)
+
+
+@pytest.mark.parametrize("positions", [[0, 0, 1], [0, 12], [-1, 2]])
+def test_agree_on_and_shorten_reject_repeated_or_outside_positions(gf16, positions):
+    # a repeated position used to give a c that disagrees with the word
+    # there, and position 12 an IndexError; neither is kept
+    code = GrsCode(gf16, list(range(1, 11)), [1] * 10, 4)
+    word = [0, 1] + [0] * 8
+    message = r"need pairwise distinct positions in range\(10\), got"
+    for call in (code.agree_on, code.shorten_received):
+        with pytest.raises(ValueError, match=message):
+            call(word, positions)
+    with pytest.raises(ValueError, match=message):
+        code.shorten(positions)
+    assert not code._agree_inv and not code._shortened
+    f, c = code.agree_on(word, [0, 1])
+    assert c[:2].tolist() == [0, 1] and len(f) == 2
+
+
+@pytest.mark.parametrize("symbol", [16, -1])
+@pytest.mark.parametrize("role", ["locator", "multiplier"])
+def test_grs_rejects_locators_and_multipliers_outside_the_field(gf16, symbol, role):
+    locators, multipliers = list(range(1, 11)), [1] * 10
+    (locators if role == "locator" else multipliers)[3] = symbol
+    message = rf"symbol -?0x{abs(symbol):x} at position 3 is not in GF\(16\)"
+    with pytest.raises(ValueError, match=message):
+        GrsCode(gf16, locators, multipliers, 4)
 
 
 # -- Roth-Ruckenstein root finding against the scalar recursion ---------------------
@@ -770,7 +809,9 @@ def test_rr_roots_match_scalar_recursion(q):
         for name, q_coeffs in rr_cases(field, k, seed=q * 10 + k):
             if name == "zero" and k == 3 and q == 64:
                 continue  # 64^3 roots
-            got = _rr_roots(q_coeffs, k, field)
+            roots = _rr_roots(q_array(q_coeffs), k, field)
+            assert roots.dtype == np.int64 and roots.shape[1:] == (k,)
+            got = roots.tolist()
             assert got == scalar_rr_roots(q_coeffs, k, field), (name, k)
             assert got == sorted(got)
             if name == "zero":
@@ -803,17 +844,17 @@ def test_reduce_poly_identity(gf16):
 
 def test_shorten_parameters(gf16):
     code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 8)
-    short = code.shorten(code.locators[:5])
+    short = code.shorten(range(5))
     assert (short.n, short.k, short.d) == (10, 3, 8)
     assert code.shorten([]) == code
     with pytest.raises(ValueError):
-        code.shorten(code.locators[:9])
+        code.shorten(range(9))
 
 
 def test_shorten_membership(gf16, grs_membership):
     code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 8)
     subset = code.locators[2:7]
-    short = code.shorten(subset)
+    short = code.shorten(range(2, 7))
     in_short = grs_membership(short)
     rnd = random.Random(11)
     for _ in range(100):
@@ -823,15 +864,15 @@ def test_shorten_membership(gf16, grs_membership):
 
 def test_shorten_is_kept_per_locator_set(gf16):
     code = GrsCode(gf16, list(range(1, 16)), [3] * 15, 8)
-    short = code.shorten(code.locators[:5])
-    assert code.shorten(reversed(code.locators[:5])) is short
-    assert code.shorten(code.locators[1:6]) is not short
+    short = code.shorten(range(5))
+    assert code.shorten(reversed(range(5))) is short
+    assert code.shorten(range(1, 6)) is not short
     with pytest.raises(ValueError, match="pairwise distinct"):
         code.shorten((1, 1))
     fresh = GrsCode(gf16, list(range(6, 16)), shortened_multipliers(code, code.locators[:5]), 3)
     assert fresh == short
     for word in seeded_words(code, 4, 6, seed=13):
-        got, sw, _ = code.shorten_received(word, code.locators[:5])
+        got, sw, _ = code.shorten_received(word, range(5))
         assert got is short
         assert short.gs_list_decode(sw, 4) == fresh.gs_list_decode(sw, 4)
     assert list(short._gs_plans) == [(4, *gs_parameters(short.n, short.k, 4))]
@@ -860,10 +901,11 @@ def test_agree_on_keeps_one_inverse_per_position_set(gf16, grs_membership):
 
 
 def test_shorten_composes(gf8):
+    # locator i is position i; past positions 0 and 1, locator 3 is position 1
     code = GrsCode(gf8, list(range(8)), [1] * 8, 4)
-    s1, s2 = (0, 1), (3,)
-    once = code.shorten(s1 + s2)
-    twice = code.shorten(s1).shorten(s2)
+    once = code.shorten((0, 1, 3))
+    twice = code.shorten((0, 1)).shorten((1,))
+    assert once.locators == twice.locators == (2, 4, 5, 6, 7)
     assert once.k == twice.k == 1
     book_once = {once.encode([a]) for a in range(8)}
     book_twice = {twice.encode([a]) for a in range(8)}
@@ -891,16 +933,18 @@ def map_back(code, subset, c_s, short_cw):
     )
 
 
-def check_shorten_received(code, coeffs, err, subset, membership):
+def check_shorten_received(code, coeffs, err, positions, membership):
     """shorten_received on the codeword of coeffs plus err (0 on S) against
-    the scalar oracles: the shortened word is encode_oracle of the shortened
-    code at reduce_poly(coeffs, S) plus err off S; c_S agrees with the word
-    on S and is a codeword; that shortened codeword maps back to the sent
-    one.  Returns (shortened code, shortened word, c_S, sent codeword)."""
+    the scalar oracles, which take the locators at S: the shortened word is
+    encode_oracle of the shortened code at reduce_poly(coeffs, S) plus err
+    off S; c_S agrees with the word on S and is a codeword; that shortened
+    codeword maps back to the sent one.  Returns (shortened code, shortened
+    word, c_S, sent codeword)."""
     F = code.field
+    subset = [code.locators[i] for i in positions]
     cw = encode_oracle(code, coeffs)
     word = [F.add(c, e) for c, e in zip(cw, err)]
-    short, sw, c_s = code.shorten_received(word, subset)
+    short, sw, c_s = code.shorten_received(word, positions)
     short_cw = encode_oracle(short, reduce_poly(F, coeffs, subset))
     off = [e for a, e in zip(code.locators, err) if a not in subset]
     assert list(sw) == [F.add(c, e) for c, e in zip(short_cw, off)]
@@ -908,7 +952,7 @@ def check_shorten_received(code, coeffs, err, subset, membership):
     assert [c_s[i] for i in on] == [word[i] for i in on]
     assert membership(code)(c_s)
     assert map_back(code, subset, c_s, short_cw) == cw
-    assert tuple(code.unshorten(subset, c_s, short_cw).tolist()) == cw
+    assert tuple(code.unshorten(positions, c_s, short_cw).tolist()) == cw
     return short, sw, c_s, cw
 
 
@@ -916,7 +960,7 @@ def test_shorten_received_zero_error(gf16, grs_membership):
     code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 8)
     subset = code.locators[:5]
     short, sw, c_s, cw = check_shorten_received(
-        code, [1, 2, 3, 4, 5, 6, 7, 8], [0] * 15, subset, grs_membership
+        code, [1, 2, 3, 4, 5, 6, 7, 8], [0] * 15, range(5), grs_membership
     )
     assert grs_membership(short)(sw)
     assert all_ints([cw, sw, map_back(code, subset, c_s, sw)])
@@ -929,7 +973,7 @@ def test_shorten_received_single_error(gf16, grs_membership):
     err = [0] * 15
     err[9] = 7
     short, sw, c_s, cw = check_shorten_received(
-        code, [3, 1, 4, 1, 5, 9, 2, 6], err, subset, grs_membership
+        code, [3, 1, 4, 1, 5, 9, 2, 6], err, range(5), grs_membership
     )
     short_cws = short.gs_list_decode(sw, (short.d - 1) // 2)
     assert len(short_cws) == 1
@@ -946,7 +990,7 @@ def test_shorten_decode_lift_roundtrip(gf16, grs_membership):
         for i in rnd.sample(range(5, 15), 3):
             err[i] = rnd.randrange(1, 16)
         coeffs = [rnd.randrange(16) for _ in range(8)]
-        short, sw, c_s, cw = check_shorten_received(code, coeffs, err, subset, grs_membership)
+        short, sw, c_s, cw = check_shorten_received(code, coeffs, err, range(5), grs_membership)
         res = short.gs_list_decode(sw, (short.d - 1) // 2)
         assert len(res) == 1
         assert map_back(code, subset, c_s, res[0]) == cw
@@ -976,11 +1020,12 @@ def test_array_core_matches_scalar_oracles(name, grs_membership):
     for trial in range(12):
         coeffs = [rnd.randrange(F.q) for _ in range(k - trial % 2)]
         assert code.encode(coeffs) == encode_oracle(code, coeffs)
-        subset = rnd.sample(code.locators, rnd.randrange(k + 1))
+        positions = rnd.sample(range(n), rnd.randrange(k + 1))
+        subset = [code.locators[i] for i in positions]
         err = [0] * n
-        for i in rnd.sample([i for i in range(n) if code.locators[i] not in subset], 3):
+        for i in rnd.sample([i for i in range(n) if i not in positions], 3):
             err[i] = rnd.randrange(1, F.q)
-        short, sw, c_s, cw = check_shorten_received(code, coeffs, err, subset, grs_membership)
+        short, sw, c_s, cw = check_shorten_received(code, coeffs, err, positions, grs_membership)
         assert short.multipliers == tuple(shortened_multipliers(code, subset))
         assert all_ints([cw, sw, short.locators, short.multipliers, code.locators, code.multipliers])
 
@@ -1032,17 +1077,19 @@ def test_shortening_matches_per_beta_reference(name):
     F, n, k = code.field, code.n, code.k
     rnd = random.Random(f"reference {name}")
     for size in range(k + 1):
-        subset = rnd.sample(code.locators, size)
-        short = code.shorten(subset)
+        positions = rnd.sample(range(n), size)
+        subset = [code.locators[i] for i in positions]
+        short = code.shorten(positions)
         t = min(short.gs_max_radius(), (short.d - 1) // 2 + 1)
         cw = code.encode([rnd.randrange(F.q) for _ in range(k)])
-        off = [i for i in range(n) if code.locators[i] not in subset]
+        off = [i for i in range(n) if i not in positions]
         word = corrupt(rnd, F, cw, rnd.sample(off, min(t, len(off))))
-        short, sw, c_s = code.shorten_received(word, subset)
+        short, sw, c_s = code.shorten_received(word, positions)
         _, ys, _, _ = reference_shorten_received(code, word, subset)
         assert [F.mul(y, F.inv(v)) for y, v in zip(sw, short.multipliers)] == ys
         got = {
-            tuple(code.unshorten(subset, c_s, c).tolist()) for c in short.gs_list_decode(sw, t)
+            tuple(code.unshorten(positions, c_s, c).tolist())
+            for c in short.gs_list_decode(sw, t)
         }
         assert got == reference_decode_and_lift(code, word, subset, t)
         assert cw in got

@@ -150,9 +150,9 @@ def test_solve_inconsistent():
 
 
 def test_odd_extension_field_has_no_kernel_ctx():
-    """The kernels take a Field, and no Field exists for GF(9)."""
+    """The eliminations take a Field, and no Field exists for GF(9)."""
     with pytest.raises(ValueError, match="power of 2 or a prime"):
-        _kernels.rref(np.eye(2, dtype=np.int64), Field(9))
+        linalg.rref(np.eye(2, dtype=np.int64), Field(9))
 
 
 def _products_agree(field, a, b):

@@ -165,6 +165,31 @@ def test_verify_one_repair_set_is_whole_code_mds():
     assert seen[True] and seen[False]
 
 
+def _zero_row(rows, i):
+    rows[i] = [0] * len(rows[i])
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda obj: obj["generator"].pop(), r"k x n generator .* got \(3, 12\) and \(8, 12\)"),
+        (lambda obj: obj["parity"].pop(), r"\(n - k\) x n parity .* got \(4, 12\) and \(7, 12\)"),
+        (lambda obj: obj.update(parity=[[0] * 12] * 8), r"rank 0, need n - k = 8"),
+        (lambda obj: _zero_row(obj["parity"], 5), r"rank 7, need n - k = 8"),
+        (lambda obj: obj["repair_sets"][1].__setitem__(0, 0), r"partition range\(12\)"),
+        (lambda obj: obj.update(repair_sets=[list(range(6)), list(range(6, 12))]),
+         r"partition range\(12\) into sets of size r \+ rho - 1 = 3"),
+    ],
+    ids=["generator-rows", "parity-rows", "parity-zero", "parity-rank-7", "overlap", "size-6"],
+)
+def test_from_json_rejects_malformed_descriptors(pmds_12_4, tamper, message):
+    obj = pmds_12_4.to_json()
+    assert pmds.PmdsCode.from_json(obj).to_json() == obj
+    tamper(obj)
+    with pytest.raises(ValueError, match=message):
+        pmds.PmdsCode.from_json(obj)
+
+
 def test_verify_rejects_non_partition():
     field = Field(16)
     g = np.ones((2, 6), dtype=np.int64)
