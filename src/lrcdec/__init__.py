@@ -2,8 +2,8 @@
 
 from .galois import Field, lagrange_interpolate
 from .grs import GrsCode, gs_max_radius
-from .lrc import LrcCode, construct_tamo_barg, optimal_distance
-from .radii import CodeShape, RadiusReport, compute_report
+from .lrc import LrcCode, construct_tamo_barg
+from .radii import CodeShape, RadiusReport, compute_report, optimal_distance
 from .listdec import (
     DecodeConfig,
     DecodingList,

@@ -186,7 +186,10 @@ def cmd_tables(args) -> int:
 
 
 def cmd_pmds_prob(args) -> int:
-    lo, hi = (int(v) for v in args.t_range.split(":"))
+    try:
+        lo, hi = (int(v) for v in args.t_range.split(":"))
+    except ValueError:
+        raise ValueError(f"--t-range = {args.t_range} is not of the form lo:hi") from None
     header = ["n", "k", "r", "rho", "t", "exact", "exact_rational", "union_bound"]
     rows = []
     bound = float(union_bound_failure(args.n, args.k, args.r, args.rho)) if args.bound else None
@@ -317,6 +320,8 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--trials = {args.trials} is below the limit 1")
     weights = [int(w) for w in args.weights.split(",")] if args.weights else None
     if args.kind == "mk":
+        if args.ell < 1:
+            raise ValueError(f"--ell = {args.ell} is below the limit 1")
         code = _load(args.code, PmdsCode)
         if weights is None:
             weights = list(range(0, code.n - code.k))
@@ -329,6 +334,9 @@ def cmd_simulate(args) -> int:
             weights = list(range(0, t_g + 1))
         cfg = DecodeConfig(t_l=t_l, t_g=t_g, budget=args.budget)
         trial = functools.partial(_lrc_trial, code, args.kind, cfg)
+    for w in weights:
+        if not 0 <= w <= code.n:
+            raise ValueError(f"--weights value {w} is outside the range 0..n = 0..{code.n}")
     per_weight = _simulate(trial, weights, args.trials, args.seed, args.kind != "mk")
     out = {"kind": args.kind, "seed": args.seed, "trials": args.trials,
            "per_weight": per_weight}

@@ -133,9 +133,10 @@ class GrsCode:
 
     def encode(self, coeffs) -> tuple[int, ...]:
         """Codeword of the message polynomial with these coefficients, lowest
-        degree first; a shorter sequence is zero-padded."""
+        degree first; a shorter sequence is zero-padded.  ValueError for a
+        degree of k or more and for a symbol outside the field."""
         c = np.zeros(max(self.k, len(coeffs)), dtype=np.int64)
-        c[: len(coeffs)] = coeffs
+        c[: len(coeffs)] = self.field.check_symbols(coeffs)
         if c[self.k :].any():
             raise ValueError(f"message degree {np.flatnonzero(c)[-1]} >= k = {self.k}")
         return tuple(matmul(c[None, : self.k], self._generator, self.field)[0].tolist())

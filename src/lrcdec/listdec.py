@@ -72,14 +72,10 @@ class BudgetExceeded(RuntimeError):
         self.partial = partial
 
 
-def _shape_of(code: LrcCode) -> CodeShape:
-    return CodeShape(code.n, code.k, code.r, code.rho, d=code.d)
-
-
 def _local_lists(code: LrcCode, received, cfg: DecodeConfig):
     """Per repair set: list of (distance, local codeword), nearest first."""
     out = []
-    for j in range(code.mu):
+    for j in range(code.shape.mu):
         local = code.local_code(j)
         w = code.restrict(received, j)
         out.append(sorted(
@@ -98,10 +94,10 @@ def _check_word(code: LrcCode, received):
 def _validate_cfg(code: LrcCode, cfg: DecodeConfig):
     local = code.local_code(0)
     _check_radius("t_l", cfg.t_l, "local", local.n, local.k)
-    bar = refined_error_count(_shape_of(code), cfg.t_l, None)
+    bar = refined_error_count(code.shape, cfg.t_l, None)
     if cfg.t_g > bar:
         raise ValueError(f"t_g = {cfg.t_g} exceeds the refined error count {bar}")
-    cut = min(_shortening_size(code, cfg) * code.n_l, code.supercode.k)
+    cut = min(_shortening_size(code, cfg) * code.shape.n_l, code.supercode.k)
     # every radius up to gs_max_radius is reachable, so t_g covers t_g - chi
     _check_radius("t_g", cfg.t_g, "shortened", code.n - cut, code.supercode.k - cut)
 
@@ -112,7 +108,7 @@ def default_t_g(code: LrcCode, t_l: int) -> int:
     local decode does not reach t_l."""
     local = code.local_code(0)
     _check_radius("t_l", t_l, "local", local.n, local.k)
-    for t_g in range(refined_error_count(_shape_of(code), t_l, None), 0, -1):
+    for t_g in range(refined_error_count(code.shape, t_l, None), 0, -1):
         try:
             _validate_cfg(code, DecodeConfig(t_l, t_g))
         except ValueError:
@@ -133,7 +129,7 @@ def _check_radius(name: str, t: int, role: str, n: int, k: int):
 
 def _shortening_size(code: LrcCode, cfg: DecodeConfig) -> int:
     """Repair sets to shorten away; 0 means decode the whole word globally."""
-    return max(0, code.mu - cfg.t_g // (cfg.t_l + 1))
+    return max(0, code.shape.mu - cfg.t_g // (cfg.t_l + 1))
 
 
 def _decode_shortened(code: LrcCode, received, chosen_sets, picks, cfg, result):
@@ -183,7 +179,7 @@ def list_decode_lrc(code: LrcCode, received, cfg: DecodeConfig) -> DecodingList:
     lists = _local_lists(code, received, cfg)
     result.local_list_sizes = [len(l) for l in lists]
     found: set[tuple[int, ...]] = set()
-    nonempty = [j for j in range(code.mu) if lists[j]]
+    nonempty = [j for j in range(code.shape.mu) if lists[j]]
     nonempty.sort(key=lambda j: (len(lists[j]), j))
     # with s_short = 0 the single empty combination decodes globally
     for combo in itertools.combinations(nonempty, _shortening_size(code, cfg)):
@@ -206,7 +202,7 @@ def unique_decode_probabilistic(code: LrcCode, received, cfg: DecodeConfig):
     _validate_cfg(code, cfg)
     lists = _local_lists(code, received, cfg)
     s_short = _shortening_size(code, cfg)
-    nonempty = [j for j in range(code.mu) if lists[j]]
+    nonempty = [j for j in range(code.shape.mu) if lists[j]]
     if len(nonempty) < s_short:
         return None
     nonempty.sort(key=lambda j: (len(lists[j]), j))

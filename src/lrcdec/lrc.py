@@ -14,11 +14,13 @@ Membership is a zero syndrome under the parity-check matrix ``parity``
 checked by two stacked rank tests over the repair sets: each restricted
 generator has rank r and spans the local [r + rho - 1, r] GRS code, which
 is kept in ``local_codes``.
+
+The shape (n, k, r, rho) is ``shape``, a radii.CodeShape built once per
+code: it owns n_l, mu and d, and radii._partition checks the repair sets.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -26,13 +28,7 @@ import numpy as np
 from . import linalg
 from .galois import Field
 from .grs import GrsCode
-
-
-def optimal_distance(n: int, k: int, r: int, rho: int) -> int:
-    """Singleton-like distance bound for an [n, k] code with (r, rho) locality."""
-    if r > k or rho < 2:
-        raise ValueError("need r <= k and rho >= 2")
-    return n - k + 1 - (math.ceil(k / r) - 1) * (rho - 1)
+from .radii import CodeShape, _partition
 
 
 class LrcCode:
@@ -46,25 +42,15 @@ class LrcCode:
         rho: int,
         repair_sets: Sequence[Sequence[int]],
         degrees: Sequence[int],
-        d: int | None = None,
     ):
         self.supercode = supercode
         self.field = supercode.field
-        self.k = k
-        self.r = r
-        self.rho = rho
-        self.repair_sets = tuple(tuple(s) for s in repair_sets)
+        self.shape = CodeShape(supercode.n, k, r, rho)
+        self.k, self.r, self.rho, self.d = k, r, rho, self.shape.d
+        self.repair_sets = _partition(repair_sets, supercode.n, self.shape.n_l)
         self.degrees = tuple(degrees)  # message layout order
         if len(set(self.degrees)) != len(self.degrees):
             raise ValueError("degree support must not repeat")
-        self.d = optimal_distance(supercode.n, k, r, rho) if d is None else d
-
-        n = supercode.n
-        n_l = r + rho - 1
-        if sorted(i for s in self.repair_sets for i in s) != list(range(n)):
-            raise ValueError("repair sets must partition the coordinates")
-        if any(len(s) != n_l for s in self.repair_sets):
-            raise ValueError(f"every repair set must have size {n_l}")
         if len(self.degrees) != k:
             raise ValueError("degree support size must equal k")
         if max(self.degrees) >= supercode.k:
@@ -87,14 +73,6 @@ class LrcCode:
     def n(self) -> int:
         return self.supercode.n
 
-    @property
-    def n_l(self) -> int:
-        return self.r + self.rho - 1
-
-    @property
-    def mu(self) -> int:
-        return self.n // self.n_l
-
     def __repr__(self):
         return (
             f"LrcCode([{self.n},{self.k},{self.r},{self.rho}] over"
@@ -114,7 +92,7 @@ class LrcCode:
         local = np.stack([c.generator_matrix() for c in self.local_codes])
         joint = linalg.rank(np.concatenate([blocks, local], axis=1), F)
         ranks = linalg.rank(blocks, F)
-        for j in range(self.mu):
+        for j in range(self.shape.mu):
             if joint[j] != self.r:
                 raise ValueError(f"restriction to repair set {j} leaves the local code")
             if ranks[j] != self.r:
@@ -125,15 +103,22 @@ class LrcCode:
     # -- encoding ----------------------------------------------------------------
 
     def encode(self, message: Sequence[int]) -> tuple[int, ...]:
+        """Codeword of the message; ValueError for a message of the wrong
+        length or with a symbol outside the field."""
         if len(message) != self.k:
             raise ValueError(f"message must have {self.k} symbols")
-        msg = np.asarray(message, dtype=np.int64)
+        msg = self.field.check_symbols(message)
         return tuple(linalg.matmul(msg[None], self.generator, self.field)[0].tolist())
 
     def is_codeword(self, word) -> bool:
+        """Zero syndrome; False for a word of the wrong length or with a
+        symbol outside the field."""
         if len(word) != self.n:
             return False
-        word = np.asarray(word, dtype=np.int64)
+        try:
+            word = self.field.check_symbols(word)
+        except ValueError:
+            return False
         return not linalg.matmul(self.parity, word[:, None], self.field).any()
 
     # -- locality ----------------------------------------------------------------
@@ -162,37 +147,30 @@ class LrcCode:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LrcCode":
+        """The code of a descriptor; ValueError for one the constructor
+        rejects and for a "d" other than the shape's distance."""
         field = Field.from_json(obj["field"])
         sup = GrsCode(field, obj["locators"], obj["multipliers"], obj["supercode_k"])
-        return cls(
-            sup,
-            obj["k"],
-            obj["r"],
-            obj["rho"],
-            obj["repair_sets"],
-            obj["degrees"],
-            d=obj.get("d"),
-        )
+        code = cls(sup, obj["k"], obj["r"], obj["rho"], obj["repair_sets"], obj["degrees"])
+        if obj.get("d", code.d) != code.d:
+            raise ValueError(f"descriptor d = {obj['d']} differs from the shape's d = {code.d}")
+        return code
 
 
 def construct_tamo_barg(field: Field, n: int, k: int, r: int, rho: int) -> LrcCode:
     """Distance-optimal LRC on multiplicative cosets.
 
-    Requires (r + rho - 1) | n, r | k, and n | q - 1.  Messages are laid
-    out row-major: symbol (i, j) is coefficient j of f_i, i.e. the
-    coefficient of x^(i + j(r + rho - 1)).
+    Requires a valid CodeShape(n, k, r, rho), r | k, and n | q - 1.
+    Messages are laid out row-major: symbol (i, j) is coefficient j of
+    f_i, i.e. the coefficient of x^(i + j(r + rho - 1)).
     """
-    n_l = r + rho - 1
-    if n % n_l != 0:
-        raise ValueError(f"repair set size {n_l} must divide n = {n}")
+    shape = CodeShape(n, k, r, rho)
     if k % r != 0:
         raise ValueError(f"locality r = {r} must divide k = {k}")
     if (field.q - 1) % n != 0:
         raise ValueError(f"n = {n} must divide q - 1 = {field.q - 1}")
-    if rho < 2 or r < 1 or k < r:
-        raise ValueError("need rho >= 2 and 1 <= r <= k")
 
-    mu = n // n_l
+    n_l, mu = shape.n_l, shape.mu
     g = field.generator()
     gn = field.pow(g, (field.q - 1) // n)  # order n
     h = field.pow(gn, mu)  # order n_l

@@ -11,6 +11,10 @@ k-subset of positions meeting each repair set in at most r of them is an
 information set (Blaum-Hafner-Hetzler 2013; Gopalan-Huang-Jenkins-
 Yekhanin 2014).  There are s_mu_size(n, k, r, rho, k) such subsets, and
 verify_pmds ranks each k x k minor once, in stacked batches.
+
+The shape rules live in radii: optimal_distance gives d,
+_num_repair_sets checks n_l | n and gives mu, and _partition checks the
+repair sets of a descriptor or of verify_pmds.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from . import linalg
 from .galois import Field
 from .grs import GrsCode
-from .lrc import optimal_distance
+from .radii import _num_repair_sets, _partition, optimal_distance
 
 
 @dataclass
@@ -42,14 +46,6 @@ class PmdsCode:
     r: int
     rho: int
     verified: bool = False
-
-    @property
-    def n_l(self) -> int:
-        return self.r + self.rho - 1
-
-    @property
-    def mu(self) -> int:
-        return self.n // self.n_l
 
     @property
     def d(self) -> int:
@@ -86,21 +82,8 @@ class PmdsCode:
             raise ValueError("the parity-check matrix does not annihilate the generator")
         if (rk := linalg.rank(parity, field)) != n - k:
             raise ValueError(f"the parity-check matrix has rank {rk}, need n - k = {n - k}")
-        sets = _partition(obj["repair_sets"], n, r, rho)
+        sets = _partition(obj["repair_sets"], n, r + rho - 1)
         return cls(field, gen, parity, sets, n, k, r, rho, verified=obj.get("verified", False))
-
-
-def _partition(repair_sets, n: int, r: int, rho: int) -> tuple[tuple[int, ...], ...]:
-    """The repair sets as tuples, if they partition range(n) into sets of size r + rho - 1."""
-    sets = tuple(tuple(rs) for rs in repair_sets)
-    n_l = r + rho - 1
-    if sorted(i for rs in sets for i in rs) != list(range(n)) or any(
-        len(rs) != n_l for rs in sets
-    ):
-        raise ValueError(
-            f"repair sets must partition range({n}) into sets of size r + rho - 1 = {n_l}"
-        )
-    return sets
 
 
 def _information_sets(repair_sets, k: int, r: int):
@@ -146,7 +129,7 @@ def verify_pmds(
     """
     g = np.asarray(generator, dtype=np.int64)
     k, n = g.shape
-    sets = _partition(repair_sets, n, r, rho)
+    sets = _partition(repair_sets, n, r + rho - 1)
     minors = s_mu_size(n, k, r, rho, k)
     tests = len(sets) + minors
     if tests > _RANK_BUDGET:
@@ -163,16 +146,6 @@ def verify_pmds(
         if (linalg.rank(np.moveaxis(g[:, block], 1, 0), field) != k).any():
             return False
     return True
-
-
-def _num_repair_sets(n: int, r: int, rho: int) -> int:
-    """mu = n / n_l for repair sets of size n_l = r + rho - 1."""
-    n_l = r + rho - 1
-    if n_l < 1:
-        raise ValueError(f"repair-set size n_l = r + rho - 1 = {n_l} must be at least 1")
-    if n % n_l:
-        raise ValueError(f"repair-set size n_l = r + rho - 1 = {n_l} must divide n = {n}")
-    return n // n_l
 
 
 _MAX_TRIES = 50  # random mixing matrices drawn by random_pmds

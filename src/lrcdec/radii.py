@@ -1,5 +1,11 @@
 """Decoding radii, list-size bounds, and gain criteria for LRCs.
 
+This module owns the shape of an LRC: CodeShape (n, k, r, rho) derives
+the repair-set size n_l = r + rho - 1, the number of repair sets
+mu = n / n_l and the optimal distance d, and _num_repair_sets and
+_partition are the one check of n_l | n and of a repair-set partition
+that the code modules call.  It imports nothing else from the package.
+
 Radii follow the convention t = ceil(tau - 1) for the number of
 correctable errors at real radius tau.  ``q=None`` selects the
 alphabet-independent case (theta = 1); a finite q uses
@@ -14,9 +20,8 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .lrc import optimal_distance
-
 __all__ = [
+    "optimal_distance",
     "CodeShape",
     "RadiusReport",
     "johnson",
@@ -56,6 +61,35 @@ def _theta(q) -> Fraction:
     return Fraction(*_theta_ratio(q))
 
 
+def optimal_distance(n: int, k: int, r: int, rho: int) -> int:
+    """Singleton-like distance bound for an [n, k] code with (r, rho) locality."""
+    if r > k or rho < 2:
+        raise ValueError("need r <= k and rho >= 2")
+    return n - k + 1 - (math.ceil(k / r) - 1) * (rho - 1)
+
+
+def _num_repair_sets(n: int, r: int, rho: int) -> int:
+    """mu = n / n_l for repair sets of size n_l = r + rho - 1."""
+    n_l = r + rho - 1
+    if n_l < 1:
+        raise ValueError(f"repair-set size n_l = r + rho - 1 = {n_l} must be at least 1")
+    if n % n_l:
+        raise ValueError(f"repair-set size n_l = r + rho - 1 = {n_l} must divide n = {n}")
+    return n // n_l
+
+
+def _partition(repair_sets, n: int, n_l: int) -> tuple[tuple[int, ...], ...]:
+    """The repair sets as tuples, if they partition range(n) into sets of size n_l."""
+    sets = tuple(tuple(rs) for rs in repair_sets)
+    if sorted(i for rs in sets for i in rs) != list(range(n)) or any(
+        len(rs) != n_l for rs in sets
+    ):
+        raise ValueError(
+            f"repair sets must partition range({n}) into sets of size r + rho - 1 = {n_l}"
+        )
+    return sets
+
+
 @dataclass(frozen=True)
 class CodeShape:
     """Parameter tuple of an LRC; no concrete code is required."""
@@ -76,8 +110,7 @@ class CodeShape:
             raise ValueError(f"rho = {self.rho} must be at least 2")
         if not (self.q is None or self.q == math.inf or self.q >= 2):
             raise ValueError(f"q = {self.q} must be at least 2 (or None/inf)")
-        if self.n % self.n_l != 0:
-            raise ValueError(f"repair set size {self.n_l} must divide n = {self.n}")
+        _num_repair_sets(self.n, self.r, self.rho)
         if self.d is None:
             object.__setattr__(self, "d", optimal_distance(self.n, self.k, self.r, self.rho))
         if self.d < 1:

@@ -233,6 +233,50 @@ def test_simulate_trials_below_one_exits_2(tmp_path, capsys, trials):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "kind, argv, message",
+    [
+        # --weights 0: a missing check must fail here, not spin on an empty column
+        ("mk", ("--ell", "0", "--weights", "0"), r"--ell = 0 is below the limit 1"),
+        ("mk", ("--ell", "-1"), r"--ell = -1 is below the limit 1"),
+        ("mk", ("--weights", "13"), r"--weights value 13 is outside the range 0\.\.n = 0\.\.12"),
+        ("mk", ("--weights", "3,-1"), r"--weights value -1 is outside the range 0\.\.n = 0\.\.12"),
+        ("lrc-list", ("--weights", "16"), r"--weights value 16 is outside the range 0\.\.n = 0\.\.15"),
+    ],
+    ids=["ell-0", "ell-negative", "weight-past-n", "weight-negative", "lrc-weight-past-n"],
+)
+def test_simulate_out_of_range_exits_2(tmp_path, capsys, kind, argv, message):
+    path = _gen_code(tmp_path, capsys, "random-pmds" if kind == "mk" else "tamo-barg")
+    code, out, err = run_cli(capsys, "simulate", kind, "--code", str(path), "--trials", "1", *argv)
+    assert code == 2
+    assert out == ""
+    assert re.search("error: " + message, err)
+
+
+@pytest.mark.parametrize("t_range", ["5", "5:6:7", "a:b"])
+def test_pmds_prob_malformed_t_range_exits_2(capsys, t_range):
+    code, out, err = run_cli(capsys, "pmds-prob", "--n", "12", "--k", "4", "--r", "2",
+                             "--rho", "2", "--t-range", t_range)
+    assert code == 2
+    assert out == ""
+    assert f"error: --t-range = {t_range} is not of the form lo:hi" in err
+
+
+def test_decode_descriptor_with_wrong_distance_exits_2(tmp_path, capsys):
+    # a trusted "d": 6 used to move the refined-count bound on t_g from 5 to 3
+    path = _gen_code(tmp_path, capsys, "tamo-barg")
+    obj = json.loads(path.read_text())
+    obj["d"] = 6
+    path.write_text(json.dumps(obj))
+    recv = tmp_path / "recv.hex"
+    recv.write_text(" ".join(["0"] * 15))
+    code, out, err = run_cli(capsys, "decode", "--code", str(path), "--received", str(recv),
+                             "--tl", "1", "--tg", "5")
+    assert code == 2
+    assert out == ""
+    assert "error: descriptor d = 6 differs from the shape's d = 8" in err
+
+
 def test_simulate_deterministic(tmp_path, capsys):
     path = tmp_path / "pmds.json"
     run_cli(capsys, "gen-code", "random-pmds", "--q", "1024", "--n", "12", "--k", "4",

@@ -20,7 +20,6 @@ from lrcdec.grs import gs_parameters
 from lrcdec.listdec import (
     DecodingList,
     _decode_shortened,
-    _shape_of,
     _shortening_size,
     _validate_cfg,
     default_t_g,
@@ -117,6 +116,22 @@ def test_budget_exceeded_carries_partial(tb_15_6):
         list_decode_lrc(tb_15_6, w, DecodeConfig(t_l=1, t_g=5, budget=0))
     assert exc.value.partial.complete is False
     assert exc.value.partial.shortened_decodes >= 1
+
+
+def test_decoders_build_no_code_shape(tb_15_6, monkeypatch):
+    # the code carries its shape; decoding and validation only read it
+    built = []
+    post_init = CodeShape.__post_init__
+    monkeypatch.setattr(CodeShape, "__post_init__", lambda s: built.append(s) or post_init(s))
+    rng = np.random.default_rng(5)
+    cw = tb_15_6.encode(rng.integers(0, 16, size=6).tolist())
+    w = corrupt(rng, tb_15_6.field, cw, 4)
+    assert cw in list_decode_lrc(tb_15_6, w, CFG).codewords
+    assert unique_decode_probabilistic(tb_15_6, w, CFG) == cw
+    assert default_t_g(tb_15_6, 1) == 5
+    assert built == []
+    CodeShape(15, 6, 3, 3)
+    assert len(built) == 1  # the patch does count constructions
 
 
 def test_global_only_path(tb_15_6):
@@ -216,9 +231,9 @@ def test_zero_dimension_shortening_decodes_zero_word(q, n, k, r, rho, t_l, t_g):
     code = construct_tamo_barg(Field(q), n, k, r, rho)
     cfg = DecodeConfig(t_l, t_g)
     s_short = _shortening_size(code, cfg)
-    assert s_short * code.n_l > code.supercode.k
+    assert s_short * code.shape.n_l > code.supercode.k
     # clean the first s_short repair sets to the zero local codeword
-    zero, picks = (0,) * n, [(0, (0,) * code.n_l)] * s_short
+    zero, picks = (0,) * n, [(0, (0,) * code.shape.n_l)] * s_short
     assert _decode_shortened(code, zero, range(s_short), picks, cfg, DecodingList()) == [zero]
     local = code.local_code(0)
     if local.k == 1 or gs_parameters(local.n, local.k, t_l)[0] <= 12:
@@ -293,7 +308,7 @@ def tb_63_49():
 
 @pytest.mark.parametrize("t_l, t_g, name, role", UNREACHABLE_CONFIGS)
 def test_validation_rejects_radius_no_multiplicity_reaches(tb_63_49, t_l, t_g, name, role):
-    assert refined_error_count(_shape_of(tb_63_49), t_l, None) == t_g
+    assert refined_error_count(tb_63_49.shape, t_l, None) == t_g
     cfg = DecodeConfig(t_l, t_g)
     msg = rf"{name} = 8 exceeds the radius 7 of the {role} \[63, 49\] GRS decode"
     with pytest.raises(ValueError, match=msg):

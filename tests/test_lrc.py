@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lrcdec import Field, construct_tamo_barg, optimal_distance
+from lrcdec import Field, PmdsCode, construct_tamo_barg, optimal_distance, verify_pmds
 from lrcdec.galois import lagrange_interpolate
 from lrcdec.lrc import LrcCode
 
@@ -18,7 +18,7 @@ def test_construct_basic(tb_15_6):
     code = tb_15_6
     assert code.d == 8
     assert code.supercode.k == 8
-    assert code.mu == 3 and code.n_l == 5
+    assert code.shape.mu == 3 and code.shape.n_l == 5
     assert code.encode([0] * 6) == (0,) * 15
 
 
@@ -138,6 +138,51 @@ def test_validation_rejects_broken_partition(tb_15_6):
     obj["repair_sets"] = [list(range(5)), list(range(5, 10)), list(range(9, 14))]
     with pytest.raises(ValueError):
         LrcCode.from_json(obj)
+
+
+@pytest.mark.parametrize("d", [6, 9])
+def test_from_json_rejects_a_distance_other_than_the_shapes(tb_15_6, d):
+    obj = tb_15_6.to_json()
+    assert obj["d"] == 8
+    obj["d"] = d
+    with pytest.raises(ValueError, match=rf"^descriptor d = {d} differs from the shape's d = 8$"):
+        LrcCode.from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [[range(5), range(5, 10), range(9, 14)], [range(3), range(3, 9), range(9, 15)]],
+    ids=["overlap", "sizes"],
+)
+def test_malformed_partition_has_one_message(tb_15_6, sets):
+    # the LRC descriptor, a PMDS descriptor of the same code and verify_pmds
+    # all reject the repair sets through the one partition check
+    sets = [list(s) for s in sets]
+    lrc_obj = dict(tb_15_6.to_json(), repair_sets=sets)
+    pmds_obj = PmdsCode(tb_15_6.field, tb_15_6.generator, tb_15_6.parity,
+                        tb_15_6.repair_sets, 15, 6, 3, 3).to_json()
+    assert PmdsCode.from_json(pmds_obj).repair_sets == tb_15_6.repair_sets
+    pmds_obj["repair_sets"] = sets
+    messages = []
+    for call in (lambda: LrcCode.from_json(lrc_obj), lambda: PmdsCode.from_json(pmds_obj),
+                 lambda: verify_pmds(tb_15_6.field, tb_15_6.generator, sets, 3, 3)):
+        with pytest.raises(ValueError) as info:
+            call()
+        messages.append(str(info.value))
+    assert messages == ["repair sets must partition range(15) into sets of size r + rho - 1 = 5"] * 3
+
+
+@pytest.mark.parametrize("symbol", [-1, 16])
+def test_encode_and_membership_check_field_symbols(tb_15_6, symbol):
+    # -1 used to encode to (15,) * 15 and pass as a codeword; 16 raised IndexError
+    pattern = rf"symbol -?0x{abs(symbol):x} at position 2 is not in GF\(16\)"
+    with pytest.raises(ValueError, match=pattern):
+        tb_15_6.encode([0, 0, symbol, 0, 0, 0])
+    with pytest.raises(ValueError, match=pattern):
+        tb_15_6.supercode.encode([0, 0, symbol])
+    assert not tb_15_6.is_codeword([symbol] * 15)
+    assert not tb_15_6.is_codeword([0, 0, symbol] + [0] * 12)
+    assert tb_15_6.is_codeword([0] * 15)
 
 
 def test_validation_rejects_wrong_local_structure(tb_15_6):

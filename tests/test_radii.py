@@ -1,9 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from lrcdec import radii
 from lrcdec.radii import (
     CodeShape,
     ceil_sigma,
@@ -44,11 +48,30 @@ SHAPE_500 = CodeShape(500, 99, 33, 68)
         (dict(n=15, k=6, r=3, rho=3, d=0), "d = 0"),
         (dict(n=6, k=6, r=1, rho=2), "d = -4"),
         (dict(n=15, k=6, r=3, rho=3, q=1), "q = 1"),
+        (dict(n=10, k=4, r=2, rho=2), r"n_l = r \+ rho - 1 = 3 must divide n = 10"),
     ],
 )
 def test_code_shape_rejects_out_of_range(kwargs, name):
     with pytest.raises(ValueError, match=name):
         CodeShape(**kwargs)
+
+
+def test_radii_loads_without_the_package():
+    # radii owns the shape rules that lrc and pmds import, so it imports
+    # nothing from lrcdec: loaded from its file, with no parent package, in
+    # a fresh interpreter, it runs and leaves no lrcdec module behind
+    script = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('radii_alone', {radii.__file__!r})\n"
+        "module = sys.modules['radii_alone'] = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "assert module.CodeShape(15, 6, 3, 3).d == 8\n"
+        "print(sorted(m for m in sys.modules if m.startswith('lrcdec')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": ""})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def test_johnson_example_63():
