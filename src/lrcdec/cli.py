@@ -190,6 +190,7 @@ def cmd_pmds_prob(args) -> int:
         lo, hi = (int(v) for v in args.t_range.split(":"))
     except ValueError:
         raise ValueError(f"--t-range = {args.t_range} is not of the form lo:hi") from None
+    CodeShape(args.n, args.k, args.r, args.rho)  # ValueError for a shape with no LRC
     header = ["n", "k", "r", "rho", "t", "exact", "exact_rational", "union_bound"]
     rows = []
     bound = float(union_bound_failure(args.n, args.k, args.r, args.rho)) if args.bound else None
@@ -315,10 +316,17 @@ def _mk_trial(code: PmdsCode, ell: int, rng, w: int):
     return res is not None and np.array_equal(res[0].matrix, cw)
 
 
+def _weight(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"--weights value {token!r} is not an integer") from None
+
+
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials = {args.trials} is below the limit 1")
-    weights = [int(w) for w in args.weights.split(",")] if args.weights else None
+    weights = [_weight(w) for w in args.weights.split(",")] if args.weights else None
     if args.kind == "mk":
         if args.ell < 1:
             raise ValueError(f"--ell = {args.ell} is below the limit 1")

@@ -12,9 +12,9 @@ information set (Blaum-Hafner-Hetzler 2013; Gopalan-Huang-Jenkins-
 Yekhanin 2014).  There are s_mu_size(n, k, r, rho, k) such subsets, and
 verify_pmds ranks each k x k minor once, in stacked batches.
 
-The shape rules live in radii: optimal_distance gives d,
-_num_repair_sets checks n_l | n and gives mu, and _partition checks the
-repair sets of a descriptor or of verify_pmds.
+The shape rules live in radii: random_pmds checks its shape with
+CodeShape, the counts take mu from _num_repair_sets (they allow rho = 1),
+and _partition checks the repair sets of a descriptor or of verify_pmds.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from . import linalg
 from .galois import Field
 from .grs import GrsCode
-from .radii import _num_repair_sets, _partition, optimal_distance
+from .radii import CodeShape, _num_repair_sets, _partition, optimal_distance
 
 
 @dataclass
@@ -156,13 +156,12 @@ def random_pmds(q: int, n: int, k: int, r: int, rho: int, seed: int) -> PmdsCode
 
     Draws the k x (mu*r) mixing matrix uniformly until the exhaustive
     verification passes.  Deterministic in the seed.  Raises ValueError
-    after _MAX_TRIES draws (try a larger field).
+    after _MAX_TRIES draws (try a larger field), and for a shape that
+    CodeShape refuses; its d >= 1 holds only when k <= mu * r.
     """
+    shape = CodeShape(n, k, r, rho)
+    mu, n_l = shape.mu, shape.n_l
     field = Field(q)
-    mu = _num_repair_sets(n, r, rho)
-    n_l = r + rho - 1
-    if k > mu * r:
-        raise ValueError("dimension cannot exceed mu * r")
     if n_l > q:
         raise ValueError(f"field with q = {q} is too small for local length {n_l}")
     local = GrsCode(field, list(range(n_l)), [1] * n_l, r)

@@ -6,31 +6,28 @@ mu = n / n_l and the optimal distance d, and _num_repair_sets and
 _partition are the one check of n_l | n and of a repair-set partition
 that the code modules call.  It imports nothing else from the package.
 
-Radii follow the convention t = ceil(tau - 1) for the number of
-correctable errors at real radius tau.  ``q=None`` selects the
-alphabet-independent case (theta = 1); a finite q uses
-theta = 1 - 1/q.  Integer thresholds are validated with exact rational
-arithmetic so float noise cannot shift a boundary.
+The number of correctable errors at a real radius tau is the largest
+integer t < tau.  ``q=None`` selects the alphabet-independent case
+(theta = 1); a finite q uses theta = 1 - 1/q.  Each such tau is the
+Johnson radius, or d/rho times the local one, and usually irrational, so
+the float radius only starts a scan: every integer threshold is decided
+by _below_johnson, one test in integers, and is exact by construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 __all__ = [
     "optimal_distance",
     "CodeShape",
     "RadiusReport",
-    "johnson",
     "johnson_radius",
     "johnson_errors",
     "johnson_list_bound",
-    "correctable_from_radius",
-    "sigma",
-    "ceil_sigma",
     "sigma_exact",
     "lrc_list_radius",
     "refined_error_count",
@@ -48,17 +45,13 @@ __all__ = [
 ]
 
 
-def _theta_ratio(q) -> tuple[int, int]:
+def _theta(q) -> tuple[int, int]:
     """theta = 1 - 1/q as (q - 1, q), and as (1, 1) for q = None or inf."""
     if q is None or q == math.inf:
         return 1, 1
     if q < 2:
         raise ValueError("field size must be at least 2")
     return q - 1, q
-
-
-def _theta(q) -> Fraction:
-    return Fraction(*_theta_ratio(q))
 
 
 def optimal_distance(n: int, k: int, r: int, rho: int) -> int:
@@ -99,7 +92,7 @@ class CodeShape:
     r: int
     rho: int
     q: int | None = None  # None = alphabet-independent
-    d: int | None = None  # defaults to the optimal LRC distance
+    d: int = field(init=False)  # the optimal LRC distance
 
     def __post_init__(self):
         if self.k > self.n:
@@ -111,8 +104,7 @@ class CodeShape:
         if not (self.q is None or self.q == math.inf or self.q >= 2):
             raise ValueError(f"q = {self.q} must be at least 2 (or None/inf)")
         _num_repair_sets(self.n, self.r, self.rho)
-        if self.d is None:
-            object.__setattr__(self, "d", optimal_distance(self.n, self.k, self.r, self.rho))
+        object.__setattr__(self, "d", optimal_distance(self.n, self.k, self.r, self.rho))
         if self.d < 1:
             raise ValueError(f"d = {self.d} must be at least 1")
 
@@ -124,18 +116,6 @@ class CodeShape:
     def mu(self) -> int:
         return self.n // self.n_l
 
-    @property
-    def theta(self) -> Fraction:
-        return _theta(self.q)
-
-
-def correctable_from_radius(tau: float) -> int:
-    """Number of correctable errors t = ceil(tau - 1), snapping float noise."""
-    near = round(tau)
-    if abs(tau - near) < 1e-9:
-        return near - 1
-    return math.ceil(tau - 1)
-
 
 # ---------------------------------------------------------------------------
 # Johnson radius
@@ -143,7 +123,7 @@ def correctable_from_radius(tau: float) -> int:
 
 def johnson_radius(n: int, d: int, q=None) -> float:
     """theta*n*(1 - sqrt(1 - d/(n*theta))); requires d <= n*theta."""
-    num, den = _theta_ratio(q)
+    num, den = _theta(q)
     if d < 0:
         raise ValueError("distance must be nonnegative")
     if d * den > n * num:
@@ -152,20 +132,26 @@ def johnson_radius(n: int, d: int, q=None) -> float:
     return thf * n * (1.0 - math.sqrt(1.0 - d / (n * thf)))
 
 
-def johnson_errors(n: int, d: int, q=None) -> int:
-    """Largest integer t strictly below the Johnson radius (exact check)."""
-    th = _theta(q)
-    if Fraction(d) > n * th:
-        raise ValueError(f"d = {d} exceeds n*theta = {float(n * th):g}")
-    tau = johnson_radius(n, d, q)
+def _below_johnson(a: int, b: int, n: int, d: int, q) -> bool:
+    """a/b < the Johnson radius T - sqrt(T(T - d)), T = theta*n, for b > 0:
+    T - a/b > 0 and (T - a/b)^2 > T(T - d), multiplied by (den*b)^2."""
+    num, den = _theta(q)
+    x = num * n * b - a * den
+    return x > 0 and x * x > b * b * num * n * (num * n - d * den)
+
+
+def _largest_below(tau: float, below) -> int:
+    """Largest integer t with below(t), where below(t) holds exactly when
+    t < the real radius that the float tau approximates."""
     t = math.ceil(tau) + 1
-    # t < tau  <=>  theta*n - t > 0 and (theta*n - t)^2 > theta*n*(theta*n - d)
-    while t >= 0:
-        lhs = n * th - t
-        if lhs > 0 and lhs * lhs > n * th * (n * th - d):
-            return t
+    while not below(t):
         t -= 1
-    return -1
+    return t
+
+
+def johnson_errors(n: int, d: int, q=None) -> int:
+    """Largest integer t strictly below the Johnson radius."""
+    return _largest_below(johnson_radius(n, d, q), lambda t: _below_johnson(t, 1, n, d, q))
 
 
 def johnson_list_bound(n: int, d: int, q, t: int) -> Fraction | None:
@@ -174,47 +160,16 @@ def johnson_list_bound(n: int, d: int, q, t: int) -> Fraction | None:
     Returns None when the denominator is not strictly positive (the bound
     carries no information at or beyond the Johnson radius).
     """
-    th = _theta(q)
-    denom = Fraction(t * t) - th * n * (2 * t - d)
+    num, den = _theta(q)
+    denom = den * t * t - num * n * (2 * t - d)
     if denom <= 0:
         return None
-    return th * d * n / denom
-
-
-class JohnsonResult(NamedTuple):
-    tau: float
-    t: int
-    list_bound: int | None
-
-
-def johnson(n: int, d: int, q=None) -> JohnsonResult:
-    """Radius, correctable errors, and list bound evaluated at t."""
-    tau = johnson_radius(n, d, q)
-    if d == 0:
-        return JohnsonResult(0.0, -1, None)
-    t = johnson_errors(n, d, q)
-    lb = johnson_list_bound(n, d, q, t)
-    return JohnsonResult(tau, t, None if lb is None else math.floor(lb))
+    return Fraction(num * d * n, denom)
 
 
 # ---------------------------------------------------------------------------
 # LRC radii
 # ---------------------------------------------------------------------------
-
-def sigma(mu: int, tau_g: float, tau_l: float) -> float:
-    """Guaranteed number of repair sets with at most t_l errors."""
-    if tau_l <= 0:
-        raise ValueError("local radius must be positive")
-    return max(0.0, mu - tau_g / tau_l)
-
-
-def ceil_sigma(mu: int, tau_g: float, tau_l: float) -> int:
-    s = sigma(mu, tau_g, tau_l)
-    near = round(s)
-    if abs(s - near) < 1e-9:
-        return near
-    return math.ceil(s)
-
 
 def sigma_exact(shape: CodeShape) -> Fraction:
     """sigma at the operating point, where tau_g / tau_l = d / rho exactly."""
@@ -234,6 +189,19 @@ def lrc_list_radius(shape: CodeShape, q=None) -> float:
     return johnson_radius(shape.n, shape.d, q)
 
 
+def _lrc_errors(shape: CodeShape, q=None, xi: int = 0) -> int:
+    """Largest integer t < lrc_list_radius - xi*(rho - tau_Jl): when
+    mu * rho > d, rho(t + xi*rho)/(d + xi*rho) < tau_Jl; else t < tau_J."""
+    rho, d = shape.rho, shape.d
+    if shape.mu * rho <= d:
+        return johnson_errors(shape.n, d, q)
+    tau_jl = johnson_radius(shape.n_l, rho, q)
+    return _largest_below(
+        d / rho * tau_jl - xi * (rho - tau_jl),
+        lambda t: _below_johnson(rho * (t + xi * rho), d + xi * rho, shape.n_l, rho, q),
+    )
+
+
 def refined_error_count(shape: CodeShape, t_l: int, q=None) -> int:
     """Largest t with t^2 + theta * floor(t/(t_l+1)) * n_l * (d - 2t) > 0.
 
@@ -241,14 +209,14 @@ def refined_error_count(shape: CodeShape, t_l: int, q=None) -> int:
     to the last success before the first failure, capped at n; otherwise
     scans down to the first success, or 0 when no t >= 1 holds.
     """
-    num, den = _theta_ratio(q)
+    num, den = _theta(q)
     n_l, d = shape.n_l, shape.d
 
     def holds(t: int) -> bool:
         # theta = num / den, multiplied through by den > 0: integers only
         return den * t * t + num * (t // (t_l + 1)) * n_l * (d - 2 * t) > 0
 
-    t = max(correctable_from_radius(lrc_list_radius(shape, q)), 1)
+    t = max(_lrc_errors(shape, q), 1)
     if not holds(t):
         while t > 0 and not holds(t):
             t -= 1
@@ -267,7 +235,7 @@ def gain_criteria(shape: CodeShape, tau_l: float | None = None, q=None) -> tuple
     exceeds = shape.mu * shape.rho > shape.d
     if tau_l is None:
         tau_l = johnson_radius(shape.n_l, shape.rho, q)
-    th = float(_theta(q))
+    th = float(Fraction(*_theta(q)))
     lemma = tau_l / shape.n_l > th * (1.0 - math.sqrt(1.0 - shape.d / (shape.n * th)))
     return exceeds, lemma
 
@@ -278,7 +246,7 @@ def normalized_radius(beta: float, delta: float, q=None) -> float:
     beta is the ratio of normalized local to global distance; delta = d/n.
     Valid while beta * delta <= theta (up to the Singleton crossing).
     """
-    th = float(_theta(q))
+    th = float(Fraction(*_theta(q)))
     if beta < 1:
         raise ValueError("beta must be at least 1")
     x = beta * delta / th
@@ -303,7 +271,7 @@ def list_size_bounds(
     never larger.  Returns None where a component bound is unbounded.
     """
     scl = math.ceil(sigma_exact(shape))
-    tau_jl = johnson_radius(shape.n_l, shape.rho, q)
+    johnson_radius(shape.n_l, shape.rho, q)  # ValueError when rho > n_l * theta
     if t_l is None:
         t_l = johnson_errors(shape.n_l, shape.rho, q)
     if scl == 0:
@@ -311,35 +279,27 @@ def list_size_bounds(
         lb = johnson_list_bound(shape.n, shape.d, q, t_j)
         v = None if lb is None else math.floor(lb)
         return v, v
-    tau_g = lrc_list_radius(shape, q)
     n_short = shape.n - scl * shape.n_l
     l_loc = johnson_list_bound(shape.n_l, shape.rho, q, t_l)
     if l_loc is None:
         return None, None
 
-    def global_bound(tau: float) -> Fraction | None:
-        t = correctable_from_radius(tau)
+    def global_bound(xi: int) -> Fraction | None:
+        t = _lrc_errors(shape, q, xi)
         if t < 0:
             return Fraction(0)
         if n_short <= shape.d:
             return Fraction(1)
         return johnson_list_bound(n_short, shape.d, q, t)
 
-    l_glob = global_bound(tau_g)
-    if l_glob is None:
+    bounds = [global_bound(xi) for xi in range(scl + 1)]
+    if bounds[0] is None:
         return None, None
     choose = math.comb(shape.mu, scl)
-    basic = choose * l_loc**scl * l_glob
-    best = Fraction(0)
-    for xi in range(scl + 1):
-        g = global_bound(tau_g - xi * (shape.rho - tau_jl))
-        if g is None:
-            return math.floor(basic), None
-        cand = l_loc**xi * g
-        if cand > best:
-            best = cand
-    improved = choose * best
-    return math.floor(basic), math.floor(improved)
+    basic = math.floor(choose * l_loc**scl * bounds[0])
+    if None in bounds:
+        return basic, None
+    return basic, math.floor(choose * max(l_loc**xi * g for xi, g in enumerate(bounds)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +358,7 @@ def h_decreasing(d: int, ell: int, q, n_values: Sequence[int], tol: float = 1e-1
 
     All n in n_values must satisfy n >= d / theta.
     """
-    th = float(_theta(q))
+    th = float(Fraction(*_theta(q)))
     ns = sorted(n_values)
     if ns and ns[0] < d / th:
         raise ValueError(f"grid starts below d/theta = {d / th:g}")
@@ -496,7 +456,7 @@ def compute_report(shape: CodeShape) -> RadiusReport:
     t_j = johnson_errors(shape.n, shape.d, None)
     tau_g = lrc_list_radius(shape, None)
     sig = float(sigma_exact(shape))
-    t_g = correctable_from_radius(tau_g)
+    t_g = _lrc_errors(shape)
     bar_t = refined_error_count(shape, t_l, None)
     jb = johnson_list_bound(shape.n, shape.d, None, t_j)
     basic, improved = list_size_bounds(shape, t_l, None)

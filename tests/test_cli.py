@@ -242,8 +242,10 @@ def test_simulate_trials_below_one_exits_2(tmp_path, capsys, trials):
         ("mk", ("--weights", "13"), r"--weights value 13 is outside the range 0\.\.n = 0\.\.12"),
         ("mk", ("--weights", "3,-1"), r"--weights value -1 is outside the range 0\.\.n = 0\.\.12"),
         ("lrc-list", ("--weights", "16"), r"--weights value 16 is outside the range 0\.\.n = 0\.\.15"),
+        ("mk", ("--weights", "1,x"), r"--weights value 'x' is not an integer"),
     ],
-    ids=["ell-0", "ell-negative", "weight-past-n", "weight-negative", "lrc-weight-past-n"],
+    ids=["ell-0", "ell-negative", "weight-past-n", "weight-negative", "lrc-weight-past-n",
+         "weight-not-integer"],
 )
 def test_simulate_out_of_range_exits_2(tmp_path, capsys, kind, argv, message):
     path = _gen_code(tmp_path, capsys, "random-pmds" if kind == "mk" else "tamo-barg")
@@ -260,6 +262,25 @@ def test_pmds_prob_malformed_t_range_exits_2(capsys, t_range):
     assert code == 2
     assert out == ""
     assert f"error: --t-range = {t_range} is not of the form lo:hi" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("pmds-prob", "--n", "12", "--k", "4", "--r", "2", "--rho", "1", "--t-range", "1:2"),
+         r"rho = 1 must be at least 2"),
+        (("gen-code", "random-pmds", "--q", "16", "--n", "12", "--k", "4", "--r", "2", "--rho", "1"),
+         r"rho = 1 must be at least 2"),
+        (("gen-code", "random-pmds", "--q", "1024", "--n", "12", "--k", "0", "--r", "2",
+          "--rho", "2"), r"r = 2 must lie in \[1, k = 0\]"),
+    ],
+    ids=["pmds-prob-rho-1", "random-pmds-rho-1", "random-pmds-k-0"],
+)
+def test_pmds_shape_without_locality_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert re.search("error: " + message, err)
 
 
 def test_decode_descriptor_with_wrong_distance_exits_2(tmp_path, capsys):

@@ -79,6 +79,20 @@ def test_random_pmds_tiny_field_fails():
         random_pmds(2, 12, 4, 2, 2, seed=0)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((16, 12, 4, 2, 1), r"rho = 1 must be at least 2"),
+        ((1024, 12, 0, 2, 2), r"r = 2 must lie in \[1, k = 0\]"),
+        ((1024, 12, 9, 2, 2), r"d = 0 must be at least 1"),  # k > mu * r = 8
+    ],
+)
+def test_random_pmds_refuses_shapes_before_drawing(args, message):
+    # refused before the first draw: a larger field cannot help these shapes
+    with pytest.raises(ValueError, match=message):
+        random_pmds(*args, seed=0)
+
+
 def _is_mds_by_minors(field, basis, k):
     n = basis.shape[1]
     return all(

@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import random
@@ -10,9 +11,7 @@ import pytest
 from lrcdec import radii
 from lrcdec.radii import (
     CodeShape,
-    ceil_sigma,
     compute_report,
-    correctable_from_radius,
     erasure_list_size,
     gain_criteria,
     generalized_weight,
@@ -21,7 +20,6 @@ from lrcdec.radii import (
     interleaved_lrc_radius,
     interleaved_radius_l2,
     irs_radius,
-    johnson,
     johnson_errors,
     johnson_list_bound,
     johnson_radius,
@@ -29,7 +27,6 @@ from lrcdec.radii import (
     lrc_list_radius,
     normalized_radius,
     refined_error_count,
-    sigma,
     sigma_exact,
 )
 
@@ -45,7 +42,7 @@ SHAPE_500 = CodeShape(500, 99, 33, 68)
         (dict(n=15, k=6, r=0, rho=3), "r = 0"),
         (dict(n=15, k=2, r=3, rho=3), "r = 3"),
         (dict(n=6, k=6, r=1, rho=0), "rho = 0"),
-        (dict(n=15, k=6, r=3, rho=3, d=0), "d = 0"),
+        (dict(n=6, k=5, r=2, rho=2), "d = 0"),  # k = mu * r + 1
         (dict(n=6, k=6, r=1, rho=2), "d = -4"),
         (dict(n=15, k=6, r=3, rho=3, q=1), "q = 1"),
         (dict(n=10, k=4, r=2, rho=2), r"n_l = r \+ rho - 1 = 3 must divide n = 10"),
@@ -74,15 +71,42 @@ def test_radii_loads_without_the_package():
     assert out.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("module", ["lrcdec", "lrcdec.radii", "lrcdec.listdec"])
+def test_exported_names_resolve(module):
+    # a deleted function must not leave its name behind in __all__
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
 def test_johnson_example_63():
-    res = johnson(63, 35, None)
-    assert abs(res.tau - 21.0) < 1e-9
-    assert res.t == 20
-    assert res.list_bound == 2205 // 85 == 25
+    assert abs(johnson_radius(63, 35) - 21.0) < 1e-9
+    assert johnson_errors(63, 35) == 20
+    assert math.floor(johnson_list_bound(63, 35, None, 20)) == 2205 // 85 == 25
 
 
 def test_johnson_zero_distance():
-    assert johnson(10, 0, None).tau == 0.0
+    assert johnson_radius(10, 0) == 0.0
+    assert johnson_errors(10, 0) == -1
+
+
+def test_johnson_errors_at_integer_radii():
+    # tau_J(9, 5) = 9 - sqrt(36) = 3 and tau_J(9, 8) = 9 - sqrt(9) = 6
+    assert johnson_errors(9, 5) == 2
+    assert johnson_errors(9, 8) == 5
+
+
+@pytest.mark.parametrize(
+    "shape, t_g, bounds",
+    [
+        # tau_g = (8/8) tau_J(9, 8) = 6; the float radius is 5.999999999999998
+        (CodeShape(18, 4, 2, 8), 5, (211, 54)),
+        # tau_g = (5/5) tau_J(9, 5) = 3; the float radius is 3.0000000000000004
+        (CodeShape(18, 10, 5, 5), 2, (23, 6)),
+    ],
+)
+def test_lrc_thresholds_at_integer_radii(shape, t_g, bounds):
+    assert compute_report(shape).t_g == t_g
+    assert list_size_bounds(shape) == bounds
 
 
 def test_johnson_domain_error():
@@ -96,19 +120,18 @@ def test_johnson_q_dependence():
 
 
 def test_sigma_examples():
-    assert sigma(3, 35 / 14, 1.0) == pytest.approx(0.5)
-    assert ceil_sigma(3, 2.5, 1.0) == 1
-    assert sigma(4, 8.0, 2.0) == 0.0  # ratio >= mu clamps at 0
-    s = sigma(7, 268.0, 68.0)
-    assert s == pytest.approx(7 - 268 / 68)
-    assert ceil_sigma(7, 268.0, 68.0) == 4
+    assert sigma_exact(CodeShape(9, 4, 2, 2)) == Fraction(1, 2)  # mu = 3, d / rho = 5/2
+    assert sigma_exact(CodeShape(12, 4, 2, 2)) == 0  # d / rho = mu = 4
+    assert sigma_exact(CodeShape(12, 3, 3, 2)) == 0  # d / rho = 5 > mu = 3 clamps at 0
+    assert sigma_exact(SHAPE_500) == 5 - Fraction(268, 68)
+    assert math.ceil(sigma_exact(SHAPE_500)) == 2
 
 
 def test_lrc_radius_examples():
     assert lrc_list_radius(SHAPE_63) == pytest.approx(22.19, abs=0.01)
     assert lrc_list_radius(SHAPE_15) == pytest.approx(4.9, abs=0.01)
     # boundary mu * rho = d: falls back to the Johnson radius
-    boundary = CodeShape(12, 4, 2, 2, d=8)
+    boundary = CodeShape(12, 4, 2, 2)
     assert lrc_list_radius(boundary) == pytest.approx(johnson_radius(12, 8), abs=1e-12)
 
 
@@ -121,7 +144,7 @@ def test_refined_error_count_examples():
 
 
 def _refined_holds(shape, t_l, q, t):
-    th = shape.theta if q is None else CodeShape(shape.n, shape.k, shape.r, shape.rho, q=q).theta
+    th = Fraction(1) if q is None else Fraction(q - 1, q)
     return t * t + th * (t // (t_l + 1)) * shape.n_l * (shape.d - 2 * t) > 0
 
 
@@ -149,10 +172,17 @@ def test_refined_count_satisfies_its_inequality_scan():
             assert not any(_refined_holds(shape, t_l, q, u) for u in range(1, n + 1))
 
 
+def _snap(tau):
+    """ceil(tau - 1) of a float radius, with float noise within 1e-9 of an
+    integer snapped to it."""
+    near = round(tau)
+    return near - 1 if abs(tau - near) < 1e-9 else math.ceil(tau - 1)
+
+
 def _fraction_refined_error_count(shape, t_l, q=None):
     """refined_error_count as computed in Fraction arithmetic, the local
-    radius decided by ceil(sigma_exact) > 0 and the Johnson radius checked
-    as a Fraction."""
+    radius decided by ceil(sigma_exact) > 0, the Johnson radius checked
+    as a Fraction and its integer part taken by _snap."""
     th = Fraction(1) if q is None else Fraction(q - 1, q)
 
     def radius(n, d):
@@ -168,7 +198,7 @@ def _fraction_refined_error_count(shape, t_l, q=None):
     def holds(t):
         return Fraction(t * t) + th * (t // (t_l + 1)) * shape.n_l * (shape.d - 2 * t) > 0
 
-    t = max(correctable_from_radius(tau), 1)
+    t = max(_snap(tau), 1)
     if not holds(t):
         while t > 0 and not holds(t):
             t -= 1
@@ -209,7 +239,7 @@ def test_refined_count_at_least_closed_form():
     for shape in (SHAPE_15, SHAPE_63, SHAPE_500,
                   CodeShape(30, 16, 4, 3), CodeShape(30, 15, 3, 3), CodeShape(63, 40, 5, 3)):
         t_l = johnson_errors(shape.n_l, shape.rho)
-        t_g = correctable_from_radius(lrc_list_radius(shape))
+        t_g = compute_report(shape).t_g
         assert refined_error_count(shape, t_l) >= t_g
 
 
@@ -217,14 +247,15 @@ def test_list_bounds_500():
     basic, improved = list_size_bounds(SHAPE_500)
     assert basic == pytest.approx(2.2e6, rel=0.05)  # two significant figures
     assert improved <= basic
-    assert johnson(500, 268, None).list_bound == pytest.approx(476, abs=1)
+    bound = johnson_list_bound(500, 268, None, johnson_errors(500, 268))
+    assert math.floor(bound) == pytest.approx(476, abs=1)
 
 
 def test_list_bounds_sigma_zero_reduction():
-    shape = CodeShape(10, 4, 4, 2, d=4)
+    shape = CodeShape(12, 4, 2, 2)  # mu * rho = d = 8
     assert sigma_exact(shape) == 0
     basic, improved = list_size_bounds(shape)
-    assert basic == improved == johnson(10, 4, None).list_bound
+    assert basic == improved == math.floor(johnson_list_bound(12, 8, None, johnson_errors(12, 8)))
 
 
 def _random_gain_shapes(rnd, count):
@@ -267,7 +298,7 @@ def test_improved_bound_never_worse_sweep():
 def test_gain_criteria():
     assert gain_criteria(SHAPE_63) == (True, True)
     # mu * rho = d boundary: no gain
-    boundary = CodeShape(12, 4, 2, 2, d=8)
+    boundary = CodeShape(12, 4, 2, 2)
     assert gain_criteria(boundary)[0] is False
 
 
