@@ -126,8 +126,16 @@ def _emit_rows(args, header, rows):
     _write(args, out.getvalue())
 
 
+def _number(token: str, name: str, convert=int, kind="an integer"):
+    """convert(token), or a ValueError naming the input that holds token."""
+    try:
+        return convert(token)
+    except ValueError:
+        raise ValueError(f"{name} value {token!r} is not {kind}") from None
+
+
 def _parse_shape(text: str) -> tuple[int, ...]:
-    parts = [int(v) for v in text.replace(",", " ").split()]
+    parts = [_number(v, f"shape {text!r}") for v in text.replace(",", " ").split()]
     if len(parts) not in (4, 5):
         raise ValueError("shape must be 'n k r rho [q]'")
     return tuple(parts)
@@ -137,17 +145,18 @@ def _parse_shape(text: str) -> tuple[int, ...]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _report_row(shape: CodeShape, columns, extra=lambda shape, report: {}) -> list:
-    """The columns of shape's radius report and rates, by name, with a
-    table's own columns from extra(shape, report) added first."""
-    report = compute_report(shape).as_dict()
-    report.update(rate_global=shape.k / shape.n, rate_local=shape.r / shape.n_l)
-    report.update(extra(shape, report))
+def _report_row(shape: CodeShape, columns, q=None, extra=lambda shape, q, report: {}) -> list:
+    """The columns of shape's radius report, its rates and the field size
+    label q, by name, with a table's own columns from extra(shape, q,
+    report) added first."""
+    report = dataclasses.asdict(compute_report(shape))
+    report.update(q=q, rate_global=shape.k / shape.n, rate_local=shape.r / shape.n_l)
+    report.update(extra(shape, q, report))
     return [report[c] for c in columns]
 
 
-def _success_columns(shape: CodeShape, report: dict) -> dict:
-    pr = success_prob_grs(shape, shape.q, report["t_local"], report["refined_t_g"])
+def _success_columns(shape: CodeShape, q: int, report: dict) -> dict:
+    pr = success_prob_grs(shape, q, report["t_local"], report["refined_t_g"])
     return {"success_prob": float(pr), "one_minus_success_prob": float(1 - pr)}
 
 
@@ -157,7 +166,10 @@ def cmd_radii(args) -> int:
         vals = _parse_shape(text)
         q = vals[4] if len(vals) == 5 else None
         try:
-            rows.append(_report_row(CodeShape(*vals[:4], q=q), RADII_COLUMNS))
+            shape = CodeShape(*vals[:4])
+            if q is not None and q < 2:
+                raise ValueError(f"q = {q} must be at least 2 (or None/inf)")
+            rows.append(_report_row(shape, RADII_COLUMNS, q))
         except ValueError as exc:
             rows.append(list(vals[:4]) + [q, "", f"error: {exc}"] + [""] * 6)
             print(f"warning: shape {text!r}: {exc}", file=sys.stderr)
@@ -167,7 +179,7 @@ def cmd_radii(args) -> int:
 
 def cmd_tables(args) -> int:
     if args.table == "1":
-        rows = [_report_row(CodeShape(*v[:4], q=v[4]), TABLE1_COLUMNS, _success_columns)
+        rows = [_report_row(CodeShape(*v[:4]), TABLE1_COLUMNS, v[4], _success_columns)
                 for v in TABLE1_ROWS]
         _emit_rows(args, TABLE1_COLUMNS, rows)
     elif args.table == "2":
@@ -190,6 +202,8 @@ def cmd_pmds_prob(args) -> int:
         lo, hi = (int(v) for v in args.t_range.split(":"))
     except ValueError:
         raise ValueError(f"--t-range = {args.t_range} is not of the form lo:hi") from None
+    if lo > hi:
+        raise ValueError(f"--t-range = {args.t_range} is not of the form lo:hi with lo <= hi")
     CodeShape(args.n, args.k, args.r, args.rho)  # ValueError for a shape with no LRC
     header = ["n", "k", "r", "rho", "t", "exact", "exact_rational", "union_bound"]
     rows = []
@@ -205,10 +219,11 @@ def cmd_pmds_prob(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    betas = [float(b) for b in args.beta]
+    if args.grid < 1:
+        raise ValueError(f"--grid = {args.grid} is below the limit 1")
     header = ["beta", "d_over_n", "tau_over_n"]
     rows = []
-    for beta in betas:
+    for beta in args.beta:
         last = 1.0 / beta
         for i in range(args.grid + 1):
             delta = i / args.grid
@@ -247,7 +262,9 @@ def cmd_gen_code(args) -> int:
 def cmd_decode(args) -> int:
     code = _load(args.code, LrcCode)
     with open(args.received) as fh:
-        received = tuple(int(tok, 16) for tok in fh.read().split())
+        received = tuple(_number(tok, f"--received file {args.received}",
+                                 functools.partial(int, base=16), "a hex symbol")
+                         for tok in fh.read().split())
     cfg = DecodeConfig(t_l=args.tl, t_g=args.tg, budget=args.budget)
     if args.mode == "list":
         try:
@@ -316,17 +333,12 @@ def _mk_trial(code: PmdsCode, ell: int, rng, w: int):
     return res is not None and np.array_equal(res[0].matrix, cw)
 
 
-def _weight(token: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"--weights value {token!r} is not an integer") from None
-
-
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials = {args.trials} is below the limit 1")
-    weights = [_weight(w) for w in args.weights.split(",")] if args.weights else None
+    weights = None
+    if args.weights:
+        weights = [_number(w, "--weights") for w in args.weights.split(",")]
     if args.kind == "mk":
         if args.ell < 1:
             raise ValueError(f"--ell = {args.ell} is below the limit 1")
@@ -360,8 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lrcdec", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("radii", help="decoding radii for parameter shapes")
-    sp.add_argument("shape", nargs="*", help="'n k r rho [q]' tuples")
+    sp = sub.add_parser("radii", help="alphabet-independent decoding radii of parameter shapes")
+    sp.add_argument("shape", nargs="*",
+                    help="'n k r rho [q]' tuples; q is only echoed, the radii do not use it")
     _add_output(sp)
     sp.set_defaults(func=cmd_radii)
 
@@ -379,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_pmds_prob)
 
     sp = sub.add_parser("curves", help="normalized radius curve samples")
-    sp.add_argument("--beta", nargs="+", default=["1", "1.5", "2", "3"])
+    sp.add_argument("--beta", nargs="+", type=float, default=[1.0, 1.5, 2.0, 3.0])
     sp.add_argument("--grid", type=int, default=100)
     _add_output(sp)
     sp.set_defaults(func=cmd_curves)

@@ -92,6 +92,8 @@ def _check_word(code: LrcCode, received):
 
 
 def _validate_cfg(code: LrcCode, cfg: DecodeConfig):
+    if cfg.budget < 1:
+        raise ValueError(f"budget = {cfg.budget} is below the limit 1")
     local = code.local_code(0)
     _check_radius("t_l", cfg.t_l, "local", local.n, local.k)
     bar = refined_error_count(code.shape, cfg.t_l, None)

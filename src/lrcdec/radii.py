@@ -17,7 +17,7 @@ by _below_johnson, one test in integers, and is exact by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -36,7 +36,6 @@ __all__ = [
     "normalized_radius",
     "irs_radius",
     "interleaved_lrc_radius",
-    "interleaved_radius_l2",
     "interleaved_error_count",
     "h_decreasing",
     "generalized_weight",
@@ -91,7 +90,6 @@ class CodeShape:
     k: int
     r: int
     rho: int
-    q: int | None = None  # None = alphabet-independent
     d: int = field(init=False)  # the optimal LRC distance
 
     def __post_init__(self):
@@ -101,8 +99,6 @@ class CodeShape:
             raise ValueError(f"r = {self.r} must lie in [1, k = {self.k}]")
         if self.rho < 2:
             raise ValueError(f"rho = {self.rho} must be at least 2")
-        if not (self.q is None or self.q == math.inf or self.q >= 2):
-            raise ValueError(f"q = {self.q} must be at least 2 (or None/inf)")
         _num_repair_sets(self.n, self.r, self.rho)
         object.__setattr__(self, "d", optimal_distance(self.n, self.k, self.r, self.rho))
         if self.d < 1:
@@ -226,18 +222,17 @@ def refined_error_count(shape: CodeShape, t_l: int, q=None) -> int:
     return t
 
 
-def gain_criteria(shape: CodeShape, tau_l: float | None = None, q=None) -> tuple[bool, bool]:
+def gain_criteria(shape: CodeShape, q=None) -> tuple[bool, bool]:
     """(radius exceeds Johnson, local radius large enough to help).
 
-    The first test is mu * rho > d; the second compares the normalized
-    local decoding radius against the normalized global Johnson radius.
+    The first test is mu * rho > d.  The second, tau_Jl / n_l > tau_J / n,
+    holds exactly when rho / n_l > d / n, since the normalized Johnson
+    radius theta(1 - sqrt(1 - delta/theta)) increases in delta = d/n.
+    ValueError where either radius is undefined for q.
     """
-    exceeds = shape.mu * shape.rho > shape.d
-    if tau_l is None:
-        tau_l = johnson_radius(shape.n_l, shape.rho, q)
-    th = float(Fraction(*_theta(q)))
-    lemma = tau_l / shape.n_l > th * (1.0 - math.sqrt(1.0 - shape.d / (shape.n * th)))
-    return exceeds, lemma
+    johnson_radius(shape.n_l, shape.rho, q)
+    johnson_radius(shape.n, shape.d, q)
+    return shape.mu * shape.rho > shape.d, shape.rho * shape.n > shape.d * shape.n_l
 
 
 def normalized_radius(beta: float, delta: float, q=None) -> float:
@@ -325,15 +320,6 @@ def interleaved_lrc_radius(shape: CodeShape, ell: int) -> float:
     return irs_radius(shape.n, shape.d, ell)
 
 
-def interleaved_radius_l2(shape: CodeShape) -> float:
-    """Closed form at interleaving degree 2:
-
-    d * (2 - rho/n_l) / ((1 - rho/n_l)^(4/3) + (1 - rho/n_l)^(2/3) + 1).
-    """
-    z = 1.0 - shape.rho / shape.n_l
-    return shape.d * (2.0 - shape.rho / shape.n_l) / (z ** (4 / 3) + z ** (2 / 3) + 1.0)
-
-
 def interleaved_error_count(shape: CodeShape, ell: int) -> int:
     """Largest t with (N - t)^(ell+1) > N (N - d)^ell, N = n - ceil(sigma)*n_l.
 
@@ -403,91 +389,39 @@ def erasure_list_size(n: int, k: int, r: int, q: int, t: int) -> int:
 
 @dataclass
 class RadiusReport:
-    """All radii of one parameter set, alphabet-independent convention."""
+    """The radii that the radius tables print for one shape."""
 
     n: int
     k: int
     r: int
     rho: int
-    q: int | None
     n_l: int
     d: int
     tau_j_local: float
     t_local: int
     tau_j: float
-    t_j: int
-    sigma: float
-    ceil_sigma: int
     tau_g: float
-    t_g: int
     refined_t_g: int
-    johnson_list_bound: int | None
-    lrc_list_bound: int | None
-    lrc_list_bound_improved: int | None
     tau_irs_l2: float
     tau_g_interleaved_l2: float
-    gain_over_johnson: bool
-    local_radius_gain: bool
-    # same radii with theta = 1 - 1/q, when q is finite
-    tau_j_local_q: float | None = None
-    tau_j_q: float | None = None
-    tau_g_q: float | None = None
-
-    def as_dict(self) -> dict:
-        out = asdict(self)
-        out["exact"] = {
-            "t_local": str(self.t_local),
-            "t_j": str(self.t_j),
-            "t_g": str(self.t_g),
-            "refined_t_g": str(self.refined_t_g),
-            "johnson_list_bound": str(self.johnson_list_bound),
-            "lrc_list_bound": str(self.lrc_list_bound),
-            "lrc_list_bound_improved": str(self.lrc_list_bound_improved),
-        }
-        return out
 
 
 def compute_report(shape: CodeShape) -> RadiusReport:
-    """Radii in the alphabet-independent convention used for comparison
-    tables, with the theta_q variants attached when q is finite."""
-    tau_jl = johnson_radius(shape.n_l, shape.rho, None)
-    t_l = johnson_errors(shape.n_l, shape.rho, None)
-    tau_j = johnson_radius(shape.n, shape.d, None)
-    t_j = johnson_errors(shape.n, shape.d, None)
-    tau_g = lrc_list_radius(shape, None)
-    sig = float(sigma_exact(shape))
-    t_g = _lrc_errors(shape)
-    bar_t = refined_error_count(shape, t_l, None)
-    jb = johnson_list_bound(shape.n, shape.d, None, t_j)
-    basic, improved = list_size_bounds(shape, t_l, None)
-    c1, c2 = gain_criteria(shape, tau_jl, None)
-    rep = RadiusReport(
+    """The radii of shape in the alphabet-independent convention (theta = 1)
+    of the comparison tables: they do not depend on the field size."""
+    t_l = johnson_errors(shape.n_l, shape.rho)
+    return RadiusReport(
         n=shape.n,
         k=shape.k,
         r=shape.r,
         rho=shape.rho,
-        q=shape.q,
         n_l=shape.n_l,
         d=shape.d,
-        tau_j_local=tau_jl,
+        tau_j_local=johnson_radius(shape.n_l, shape.rho),
         t_local=t_l,
-        tau_j=tau_j,
-        t_j=t_j,
-        sigma=sig,
-        ceil_sigma=math.ceil(sigma_exact(shape)),
-        tau_g=tau_g,
-        t_g=t_g,
-        refined_t_g=bar_t,
-        johnson_list_bound=None if jb is None else math.floor(jb),
-        lrc_list_bound=basic,
-        lrc_list_bound_improved=improved,
+        tau_j=johnson_radius(shape.n, shape.d),
+        tau_g=lrc_list_radius(shape),
+        refined_t_g=refined_error_count(shape, t_l),
         tau_irs_l2=irs_radius(shape.n, shape.d, 2),
-        tau_g_interleaved_l2=interleaved_radius_l2(shape),
-        gain_over_johnson=c1,
-        local_radius_gain=c2,
+        tau_g_interleaved_l2=interleaved_lrc_radius(shape, 2),
     )
-    if shape.q is not None:
-        rep.tau_j_local_q = johnson_radius(shape.n_l, shape.rho, shape.q)
-        rep.tau_j_q = johnson_radius(shape.n, shape.d, shape.q)
-        rep.tau_g_q = lrc_list_radius(shape, shape.q)
-    return rep

@@ -27,7 +27,7 @@ from lrcdec.pmds import failure_prob_exact, rank_full_fraction, s_mu_size, union
 from lrcdec.radii import (
     CodeShape,
     h_decreasing,
-    interleaved_radius_l2,
+    interleaved_lrc_radius,
     irs_radius,
     johnson_errors,
     johnson_radius,
@@ -123,7 +123,7 @@ def test_criterion_1_radius_table():
             assert abs(lrc_list_radius(s) - e_g) <= 0.01
             assert refined_error_count(s, t_l) == e_bar
             assert abs(irs_radius(n, s.d, 2) - e_i2) <= 0.01
-            assert abs(interleaved_radius_l2(s) - e_g2) <= 0.01
+            assert abs(interleaved_lrc_radius(s, 2) - e_g2) <= 0.01
     report("criterion 1: radius table, 6 rows x 6 columns to +-0.01", tm, limit=1.0)
 
 
@@ -179,7 +179,7 @@ def test_bound_exponent_edges():
 def test_criterion_2_success_probability_table():
     with Timer() as tm:
         for n, k, r, rho, q, expected in TABLE1:
-            s = CodeShape(n, k, r, rho, q=q)
+            s = CodeShape(n, k, r, rho)
             t_l = johnson_errors(s.n_l, s.rho)
             bar = refined_error_count(s, t_l)
             pr = success_prob_grs(s, q, t_l, bar)

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -10,6 +12,7 @@ from lrcdec.cli import main
 from lrcdec.galois import Field
 from lrcdec.lrc import construct_tamo_barg
 from lrcdec.pmds import failure_prob_exact
+from lrcdec.radii import RadiusReport
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +43,24 @@ def test_tables_1_has_15_rows(capsys):
     assert 1e-36 < float(row["one_minus_success_prob"]) <= 1e-35
 
 
+# SHA-256 of the CSV that each command prints: any change to a printed
+# digit of the reference tables or of the curve samples shows here
+PINNED_CSV = [
+    (("tables", "1"), "eec2fe611d741c4d3b4a9fe4034246d357bf9711ca9cb73e164fddb7cc9cb8c9"),
+    (("tables", "2"), "ce8d26d561ae8cd8d6d9e00c491ace0fd30dc5ebdcd463451f8696d4d9d8a1ea"),
+    (("tables", "pmds"), "29b41d4241a09d31a8eb45f59beefbe9b1141676813065fd0a5b4052e9cd3ad2"),
+    (("curves",), "3cf635f81a30654ce5924be41f5ef4caf907d0a6fa91ec047f0e658840f0fb37"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_CSV, ids=["tables-1", "tables-2", "tables-pmds",
+                                                          "curves"])
+def test_csv_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_tables_pmds_rows(capsys):
     code, out, _ = run_cli(capsys, "tables", "pmds", "--format", "json")
     assert code == 0
@@ -62,6 +83,23 @@ def test_radii_invalid_shape_warns_but_exits_zero(capsys):
     code, out, err = run_cli(capsys, "radii", "10 4 2 2")  # n_l=3 does not divide 10
     assert code == 0
     assert "warning" in err
+
+
+def test_report_holds_what_the_tables_print():
+    # every field of the radius report is a printed column or the t_l
+    # that table 1's success probability reads
+    printed = set(cli.RADII_COLUMNS + cli.TABLE1_COLUMNS + cli.TABLE2_COLUMNS + ["t_local"])
+    fields = {f.name for f in dataclasses.fields(RadiusReport)}
+    assert fields == printed - {"q", "rate_global", "rate_local", "success_prob",
+                                "one_minus_success_prob"}
+
+
+def test_radii_field_size_below_two_is_an_error_row(capsys):
+    # the radii do not use q, but a q below 2 names no field
+    code, out, err = run_cli(capsys, "radii", "15 6 3 3 1")
+    assert code == 0
+    assert out.splitlines()[1] == "15,6,3,3,1,,error: q = 1 must be at least 2 (or None/inf),,,,,,"
+    assert err == "warning: shape '15 6 3 3 1': q = 1 must be at least 2 (or None/inf)\n"
 
 
 def test_radii_json_format(capsys):
@@ -255,13 +293,48 @@ def test_simulate_out_of_range_exits_2(tmp_path, capsys, kind, argv, message):
     assert re.search("error: " + message, err)
 
 
-@pytest.mark.parametrize("t_range", ["5", "5:6:7", "a:b"])
+@pytest.mark.parametrize("t_range", ["5", "5:6:7", "a:b", "5:2"])
 def test_pmds_prob_malformed_t_range_exits_2(capsys, t_range):
     code, out, err = run_cli(capsys, "pmds-prob", "--n", "12", "--k", "4", "--r", "2",
                              "--rho", "2", "--t-range", t_range)
     assert code == 2
     assert out == ""
     assert f"error: --t-range = {t_range} is not of the form lo:hi" in err
+
+
+@pytest.mark.parametrize(
+    "argv, symbols, message",
+    [
+        (("radii", "a b c d"), None, r"shape 'a b c d' value 'a' is not an integer"),
+        (("decode", "--tl", "1", "--tg", "5"), "zz",
+         r"--received file \S+recv\.hex value 'zz' is not a hex symbol"),
+        (("decode", "--tl", "1", "--tg", "5", "--budget", "0"), "0",
+         r"budget = 0 is below the limit 1"),
+        (("decode", "--tl", "1", "--tg", "5", "--budget", "-1"), "0",
+         r"budget = -1 is below the limit 1"),
+        (("decode", "--tl", "1", "--tg", "5", "--mode", "unique", "--budget", "0"), "0",
+         r"budget = 0 is below the limit 1"),
+        (("simulate", "lrc-unique", "--trials", "1", "--budget", "0"), None,
+         r"budget = 0 is below the limit 1"),
+        (("curves", "--grid", "0"), None, r"--grid = 0 is below the limit 1"),
+        (("curves", "--grid", "-3"), None, r"--grid = -3 is below the limit 1"),
+        (("curves", "--beta", "2", "x"), None, r"argument --beta: invalid float value: 'x'"),
+    ],
+    ids=["radii-not-integer", "received-not-hex", "decode-budget-0", "decode-budget-negative",
+         "unique-budget-0", "simulate-budget-0", "grid-0", "grid-negative", "beta-not-number"],
+)
+def test_malformed_input_is_named_exits_2(tmp_path, capsys, argv, symbols, message):
+    if argv[0] in ("decode", "simulate"):
+        argv = (*argv, "--code", str(_gen_code(tmp_path, capsys, "tamo-barg")))
+    if symbols is not None:
+        recv = tmp_path / "recv.hex"
+        recv.write_text(" ".join([symbols] + ["0"] * 14))
+        argv = (*argv, "--received", str(recv))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert re.search("error: " + message, err)
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

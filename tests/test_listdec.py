@@ -106,16 +106,20 @@ def test_received_word_is_checked(tb_15_6):
 
 
 def test_budget_exceeded_carries_partial(tb_15_6):
-    rng = np.random.default_rng(3)
+    # this word takes two shortened decodes; a budget below 1 is refused
+    rng = np.random.default_rng(4)
     cw = tb_15_6.encode(rng.integers(0, 16, size=6).tolist())
     w = corrupt(rng, tb_15_6.field, cw, 5)
     with pytest.raises(
         BudgetExceeded,
-        match=r"budget 0 exceeded: 1 shortened decodes, 1 combinations explored",
+        match=r"budget 1 exceeded: 2 shortened decodes, 2 combinations explored",
     ) as exc:
-        list_decode_lrc(tb_15_6, w, DecodeConfig(t_l=1, t_g=5, budget=0))
+        list_decode_lrc(tb_15_6, w, DecodeConfig(t_l=1, t_g=5, budget=1))
     assert exc.value.partial.complete is False
     assert exc.value.partial.shortened_decodes >= 1
+    for decode in (list_decode_lrc, unique_decode_probabilistic):
+        with pytest.raises(ValueError, match=r"budget = 0 is below the limit 1"):
+            decode(tb_15_6, w, DecodeConfig(t_l=1, t_g=5, budget=0))
 
 
 def test_decoders_build_no_code_shape(tb_15_6, monkeypatch):

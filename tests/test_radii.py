@@ -18,7 +18,6 @@ from lrcdec.radii import (
     h_decreasing,
     interleaved_error_count,
     interleaved_lrc_radius,
-    interleaved_radius_l2,
     irs_radius,
     johnson_errors,
     johnson_list_bound,
@@ -44,7 +43,6 @@ SHAPE_500 = CodeShape(500, 99, 33, 68)
         (dict(n=6, k=6, r=1, rho=0), "rho = 0"),
         (dict(n=6, k=5, r=2, rho=2), "d = 0"),  # k = mu * r + 1
         (dict(n=6, k=6, r=1, rho=2), "d = -4"),
-        (dict(n=15, k=6, r=3, rho=3, q=1), "q = 1"),
         (dict(n=10, k=4, r=2, rho=2), r"n_l = r \+ rho - 1 = 3 must divide n = 10"),
     ],
 )
@@ -105,7 +103,7 @@ def test_johnson_errors_at_integer_radii():
     ],
 )
 def test_lrc_thresholds_at_integer_radii(shape, t_g, bounds):
-    assert compute_report(shape).t_g == t_g
+    assert radii._lrc_errors(shape) == t_g
     assert list_size_bounds(shape) == bounds
 
 
@@ -239,7 +237,7 @@ def test_refined_count_at_least_closed_form():
     for shape in (SHAPE_15, SHAPE_63, SHAPE_500,
                   CodeShape(30, 16, 4, 3), CodeShape(30, 15, 3, 3), CodeShape(63, 40, 5, 3)):
         t_l = johnson_errors(shape.n_l, shape.rho)
-        t_g = compute_report(shape).t_g
+        t_g = radii._lrc_errors(shape)
         assert refined_error_count(shape, t_l) >= t_g
 
 
@@ -300,6 +298,40 @@ def test_gain_criteria():
     # mu * rho = d boundary: no gain
     boundary = CodeShape(12, 4, 2, 2)
     assert gain_criteria(boundary)[0] is False
+    # binary alphabet: the local radius needs rho = 3 <= 5/2, the global
+    # one d = 6 <= 8/2
+    with pytest.raises(ValueError, match=r"d = 3 exceeds n\*theta = 2.5"):
+        gain_criteria(SHAPE_15, q=2)
+    with pytest.raises(ValueError, match=r"d = 6 exceeds n\*theta = 4"):
+        gain_criteria(CodeShape(8, 3, 3, 2), q=2)
+
+
+@pytest.mark.parametrize(
+    "shape, q",
+    [(CodeShape(9, 8, 8, 2), None), (CodeShape(12, 2, 2, 11), None), (CodeShape(6, 4, 4, 3), 16),
+     (CodeShape(12, 5, 4, 3), 16), (CodeShape(11, 4, 4, 8), 64)],
+)
+def test_gain_criteria_local_test_is_strict_at_ties(shape, q):
+    # rho / n_l = d / n: the local and global Johnson radii are equal
+    # fractions of their lengths, so the local radius does not exceed it
+    assert shape.rho * shape.n == shape.d * shape.n_l
+    assert gain_criteria(shape, q)[1] is False
+
+
+def test_gain_criteria_local_test_matches_the_radii():
+    rnd = random.Random(17)
+    for shape in _random_gain_shapes(rnd, 100):
+        for q in (None, 16, 64):
+            if shape.rho * shape.n == shape.d * shape.n_l:
+                continue
+            try:
+                ratio = (johnson_radius(shape.n_l, shape.rho, q) / shape.n_l
+                         - johnson_radius(shape.n, shape.d, q) / shape.n)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    gain_criteria(shape, q)
+                continue
+            assert gain_criteria(shape, q)[1] == (ratio > 0), (shape, q)
 
 
 def test_gain_iff_per_corollary_sweep():
@@ -321,17 +353,29 @@ def test_normalized_radius():
 
 def test_interleaved_radii_examples():
     assert irs_radius(15, 8, 2) == pytest.approx(5.98, abs=0.01)
-    assert interleaved_radius_l2(SHAPE_15) == pytest.approx(6.09, abs=0.01)
+    assert interleaved_lrc_radius(SHAPE_15, 2) == pytest.approx(6.09, abs=0.01)
     # degree-1 interleaving is the alphabet-independent Johnson radius
     assert irs_radius(15, 8, 1) == pytest.approx(johnson_radius(15, 8))
 
 
 def test_interleaved_closed_form_matches_fixed_point():
+    # the degree-2 closed form d (2 - rho/n_l) / (z^(4/3) + z^(2/3) + 1),
+    # z = 1 - rho/n_l, where locality helps (mu * rho > d)
     for shape in (SHAPE_15, SHAPE_63, SHAPE_500,
                   CodeShape(30, 16, 4, 3), CodeShape(63, 40, 5, 3)):
-        assert interleaved_radius_l2(shape) == pytest.approx(
-            interleaved_lrc_radius(shape, 2), abs=1e-9
-        )
+        z = 1 - shape.rho / shape.n_l
+        closed = shape.d * (2 - shape.rho / shape.n_l) / (z ** (4 / 3) + z ** (2 / 3) + 1)
+        assert interleaved_lrc_radius(shape, 2) == pytest.approx(closed, abs=1e-9)
+
+
+@pytest.mark.parametrize("shape", [CodeShape(6, 2, 2, 2), CodeShape(12, 3, 3, 2),
+                                   CodeShape(8, 2, 2, 3)])
+def test_report_interleaved_radius_falls_back_without_locality_gain(shape):
+    # mu * rho <= d: the local-global strategy gains nothing, so the
+    # degree-2 column is the plain interleaved radius of the code
+    assert shape.mu * shape.rho <= shape.d
+    rep = compute_report(shape)
+    assert rep.tau_g_interleaved_l2 == rep.tau_irs_l2 == irs_radius(shape.n, shape.d, 2)
 
 
 def test_interleaved_error_count():
@@ -367,9 +411,7 @@ def test_erasure_list_size():
 
 
 def test_report_table_row():
-    rep = compute_report(CodeShape(63, 16, 8, 14, q=64))
+    rep = compute_report(SHAPE_63)
     assert rep.refined_t_g == 24
     assert rep.tau_g == pytest.approx(22.19, abs=0.01)
-    assert rep.tau_j_q is not None and rep.tau_j_q > rep.tau_j
-    d = rep.as_dict()
-    assert d["exact"]["refined_t_g"] == "24"
+    assert (rep.n_l, rep.d, rep.t_local) == (21, 35, 8)
