@@ -224,8 +224,10 @@ def cmd_curves(args) -> int:
     header = ["beta", "d_over_n", "tau_over_n"]
     rows = []
     for beta in args.beta:
+        # delta = 0 lies in every valid beta's domain, and refuses the others
+        rows.append([beta, 0.0, normalized_radius(beta, 0.0)])
         last = 1.0 / beta
-        for i in range(args.grid + 1):
+        for i in range(1, args.grid + 1):
             delta = i / args.grid
             if delta > last:
                 break

@@ -5,13 +5,22 @@ keeps it read-only; messages, words and candidate lists are int64
 arrays.  A codeword is one field matrix product (``_kernels.matmul``) of
 the message coefficients with the generator, and the list decoder
 encodes all its candidates in one such product.  Guruswami-Sudan list
-decoding first re-encodes (Koetter-Vardy): it subtracts f_R, the message
-polynomial that agrees with the word on the re-encoding set R, the
-code's first k positions with a locator 0 moved in.  Its codeword c_R
-certifies the list when e = d(word, c_R) and the radius t have
-e + t < d: any codeword c within t of the word has d(c, c_R) <= t + e
-< d, so c = c_R, and the list is [c_R] if e <= t, else empty, with no
-interpolation.  Otherwise the word minus c_R is 0 on R, where the
+decoding first tries to settle the list without interpolation, by
+information-set decoding (Prange) on a fixed family of k-position sets
+(GsPlan.family): R, the code's first k positions with a locator 0
+moved in, then the complements of the first two of the ceil(n/(n-k))
+blocks of n - k consecutive positions (the last block ends at n - 1),
+without repeats, so at most three sets.  Every k positions of a GRS code
+fix a codeword, so a member R' gives c_R' = agree_on(word, R') at
+distance e' from the word; if e' + t < d, any codeword c within t of the
+word has d(c, c_R') <= t + e' < d, so c = c_R', and the list is [c_R']
+if e' <= t, else empty.  When no member settles and the family closes
+at t (2t < d and every set of at most t positions misses some member),
+the list is empty: the errors of a codeword c within t miss some R',
+so c_R' = c with e' <= t and e' + t <= 2t < d, and R' would have
+settled.  Closure holds at t = 0, at t = 1 exactly when the members
+share no position, and never at t >= 2.  Otherwise the word is
+re-encoded on R (Koetter-Vardy): the word minus c_R is 0 on R, where the
 multiplicity-s constraints say exactly that Q_j is divisible by
 v^(s-j), v = prod over R of (x - alpha), so Koetter's iterative
 interpolation starts from the rows v^(s-j) y^j and runs only over the
@@ -183,16 +192,22 @@ class GrsCode:
 
         Complete for every t up to gs_max_radius(); raises ValueError
         beyond it, and for a symbol outside the field.  For k >= 2 the
-        word is first re-encoded on R: c_R is the codeword that agrees
-        with it there (agree_on), at distance e from it.  If e + t < d the
-        list is settled without interpolation: [c_R] if e <= t, else
-        empty, as any codeword c within t of the word has
-        d(c, c_R) <= t + e < d, so c = c_R.  Otherwise Koetter
-        interpolation of a bivariate Q(x, y) with the smallest sufficient
-        multiplicity through word - c_R (see _gs_interpolate), then
-        Roth-Ruckenstein root finding of its y-roots f'(x) of degree < k,
-        then the map back f = f' + f_R, one encoding product and a
-        distance filter.
+        list is first certified on the plan's family of k-position sets
+        (GsPlan.family: R, then up to two complements of blocks of n - k
+        consecutive positions), in order: c_R' is the codeword that
+        agrees with the word on the member R' (agree_on), at distance e'
+        from it.  If e' + t < d the list is settled without
+        interpolation: [c_R'] if e' <= t, else empty, as any codeword c
+        within t of the word has d(c, c_R') <= t + e' < d, so c = c_R'.
+        If no member settles and the family closes at t (GsPlan.closed:
+        2t < d and every set of at most t positions misses a member), the
+        list is empty: a codeword c within t has its errors off some R',
+        where c_R' = c and e' + t <= 2t < d would have settled it.
+        Otherwise Koetter interpolation of a bivariate Q(x, y) with the
+        smallest sufficient multiplicity through word - c_R, c_R from the
+        first member R (see _gs_interpolate), then Roth-Ruckenstein root
+        finding of its y-roots f'(x) of degree < k, then the map back
+        f = f' + f_R, one encoding product and a distance filter.
         """
         if len(word) != self.n:
             raise ValueError("word length mismatch")
@@ -212,10 +227,16 @@ class GrsCode:
             cands = np.unique(self._normalize(word))[:, None]
         else:
             s, ly = gs_parameters(self.n, self.k, t)
-            f_r, c_r = self.agree_on(word, self._gs_plan(t, s, ly).inside)
-            e = np.count_nonzero(c_r != word)
-            if e + t < self.d:
-                return [tuple(c_r.tolist())] if e <= t else []
+            plan = self._gs_plan(t, s, ly)
+            for i, member in enumerate(plan.family):
+                f, c = self.agree_on(word, member)
+                e = np.count_nonzero(c != word)
+                if e + t < self.d:
+                    return [tuple(c.tolist())] if e <= t else []
+                if i == 0:
+                    f_r, c_r = f, c
+            if plan.closed:
+                return []
             q = self._gs_interpolate(sub(word, c_r, F), t, s, ly)
             cands = add(_rr_roots(q, self.k, F), f_r, F)
         words = matmul(cands, self._generator, F)
@@ -393,6 +414,19 @@ class GsPlan:
     row past wdeg is left zero, as it never takes part.  The x-side arrays
     cover the points outside R only.
 
+    The certificate's family of k-position sets, each a sorted tuple:
+    R first, then the complements of the first two of the ceil(n/(n-k))
+    blocks of n - k consecutive positions, the last block ending at
+    n - 1, so block i starts at min(i (n-k), k); a repeat is dropped, and
+    for n = k the family is R alone.  So it has at most three members,
+    whatever n, k and t; there is no knob.  closed says that 2t < d and
+    every set of at most t positions misses some member, so that a word
+    no member settles has an empty list (see gs_list_decode).  That holds
+    at t = 0, at t = 1 exactly when the members share no position, and
+    never at t >= 2: the pair {0, n-1} meets R (which holds position 0
+    for k >= 2), the complement of block 0 (which holds n - 1) and that
+    of block 1 (which holds 0).
+
     Size and cost: s, ly, the unknowns M, the constraints
     C = (n - k) s(s+1)/2 that Koetter imposes on the points outside R,
     and the cell-ops C (ly+1) M of the row operations without the support
@@ -432,6 +466,14 @@ class GsPlan:
         order = np.argsort(code._alpha != 0, kind="stable")
         self.inside, self.outside = inside, outside = order[:k], order[k:]
         self.x_outside = x_out = code._alpha[outside]
+        family = [tuple(sorted(inside.tolist()))]
+        for start in (0, min(n - k, k)) if n > k else ():
+            member = tuple(i for i in range(n) if not start <= i < start + n - k)
+            if member not in family:
+                family.append(member)
+        self.family = tuple(family)
+        common = set.intersection(*map(set, family))
+        self.closed = 2 * t < code.d and (t == 0 or (t == 1 and not common))
         # start rows v^e y^j, e = (s-j)+, written into the dy = j block
         vpow = [np.ones(1, dtype=np.int64)]
         for _ in range(s):

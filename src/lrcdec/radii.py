@@ -239,11 +239,12 @@ def normalized_radius(beta: float, delta: float, q=None) -> float:
     """Normalized radius (1/beta)*theta*(1 - sqrt(1 - beta*delta/theta)).
 
     beta is the ratio of normalized local to global distance; delta = d/n.
-    Valid while beta * delta <= theta (up to the Singleton crossing).
+    Valid for a finite beta >= 1 while beta * delta <= theta (up to the
+    Singleton crossing).
     """
     th = float(Fraction(*_theta(q)))
-    if beta < 1:
-        raise ValueError("beta must be at least 1")
+    if not 1 <= beta < math.inf:
+        raise ValueError(f"beta = {beta:g} must be finite and at least 1")
     x = beta * delta / th
     if x > 1 + 1e-12:
         raise ValueError(f"beta*delta/theta = {x:g} is past the domain boundary 1")

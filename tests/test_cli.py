@@ -319,9 +319,14 @@ def test_pmds_prob_malformed_t_range_exits_2(capsys, t_range):
         (("curves", "--grid", "0"), None, r"--grid = 0 is below the limit 1"),
         (("curves", "--grid", "-3"), None, r"--grid = -3 is below the limit 1"),
         (("curves", "--beta", "2", "x"), None, r"argument --beta: invalid float value: 'x'"),
+        (("curves", "--beta", "nan"), None, r"beta = nan must be finite and at least 1"),
+        (("curves", "--beta", "2", "inf"), None, r"beta = inf must be finite and at least 1"),
+        (("curves", "--beta", "0"), None, r"beta = 0 must be finite and at least 1"),
+        (("curves", "--beta", "-1"), None, r"beta = -1 must be finite and at least 1"),
     ],
     ids=["radii-not-integer", "received-not-hex", "decode-budget-0", "decode-budget-negative",
-         "unique-budget-0", "simulate-budget-0", "grid-0", "grid-negative", "beta-not-number"],
+         "unique-budget-0", "simulate-budget-0", "grid-0", "grid-negative", "beta-not-number",
+         "beta-nan", "beta-inf", "beta-0", "beta-negative"],
 )
 def test_malformed_input_is_named_exits_2(tmp_path, capsys, argv, symbols, message):
     if argv[0] in ("decode", "simulate"):

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from lrcdec import Field, GrsCode, construct_tamo_barg, linalg
+from lrcdec import Field, GrsCode, construct_tamo_barg, grs, linalg
 from lrcdec._kernels import _vec_mul, add_reduce, powers, sub
 from lrcdec.grs import _rr_roots, gs_max_radius, gs_parameters
 
@@ -606,9 +606,21 @@ def sphere(book, word, t):
     return sorted(map(tuple, book[(book != np.array(word)).sum(axis=1) <= t].tolist()))
 
 
-def split_by_reencoding_set(code, t):
-    inside = code._gs_plan(t, *gs_parameters(code.n, code.k, t)).inside.tolist()
-    return inside, [i for i in range(code.n) if i not in inside]
+def gs_plan(code, t):
+    return code._gs_plan(t, *gs_parameters(code.n, code.k, t))
+
+
+def complement(code, positions):
+    return [i for i in range(code.n) if i not in positions]
+
+
+def settles(code, word, t):
+    """Whether some member R' of the plan's family has e' + t < d, e' the
+    distance from the word to c_R'."""
+    return any(
+        hamming(code.agree_on(word, member)[1].tolist(), word) + t < code.d
+        for member in gs_plan(code, t).family
+    )
 
 
 class Interpolated(Exception):
@@ -620,51 +632,148 @@ def refuse_interpolation(*args):
 
 
 @pytest.mark.parametrize("q, locators, k", CERTIFICATE_CODES)
-def test_gs_certificate_matches_sphere_enumeration(q, locators, k):
+def test_gs_certificate_matches_sphere_enumeration(q, locators, k, monkeypatch):
     # every radius, every error weight 0..t, with the errors all outside R,
-    # all inside R (as many as fit) and split between the two
+    # all inside R (as many as fit) and split between the two, and all
+    # outside each other member R' of the family; errors off a member with
+    # w + t < d are settled by it, without interpolation
     code, book = certificate_code(q, locators, k)
     rnd = random.Random(q + k)
     settled = decodes = 0
     for t in range(code.gs_max_radius() + 1):
-        inside, outside = split_by_reencoding_set(code, t)
+        family = gs_plan(code, t).family
+        inside, outside = list(family[0]), complement(code, family[0])
         for w in range(t + 1):
-            for a in sorted({0, min(w, k), min(w // 2, k)}):
+            placements = [
+                rnd.sample(inside, a) + rnd.sample(outside, w - a)
+                for a in sorted({0, min(w, k), min(w // 2, k)})
+            ] + [rnd.sample(complement(code, member), w) for member in family[1:]]
+            for pos in placements:
                 cw = book[rnd.randrange(len(book))].tolist()
-                pos = rnd.sample(inside, a) + rnd.sample(outside, w - a)
                 word = corrupt(rnd, code.field, cw, pos)
-                e = hamming(code.agree_on(word, inside)[1].tolist(), word)
-                settled += e + t < code.d
+                settled += settles(code, word, t)
                 decodes += 1
-                assert code.gs_list_decode(word, t) == sphere(book, word, t)
+                want = sphere(book, word, t)
+                assert code.gs_list_decode(word, t) == want
+                if w + t < code.d and any(not set(pos) & set(m) for m in family):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(GrsCode, "_gs_interpolate", refuse_interpolation)
+                        assert code.gs_list_decode(word, t) == want
     assert 0 < settled < decodes
+
+
+def boundary_word(rnd, code, cw, t):
+    """cw hit by d - t errors outside R, among them one in every other
+    member R' of the family, drawn until no member has e' + t < d."""
+    family = gs_plan(code, t).family
+    outside = complement(code, family[0])
+    while True:
+        pos = rnd.sample(outside, code.d - t)
+        word = corrupt(rnd, code.field, cw, pos)
+        if all(set(pos) & set(m) for m in family[1:]) and not settles(code, word, t):
+            return word
 
 
 @pytest.mark.parametrize("q, locators, k", CERTIFICATE_CODES)
 def test_gs_certificate_boundary(q, locators, k, monkeypatch):
     # errors outside R only, so c_R is the sent codeword at distance e:
     # e + t = d - 1 is settled without interpolation, to [c] if e <= t and
-    # to [] if not; e + t = d is interpolated
+    # to [] if not.  At e + t = d the errors also hit every other member,
+    # and no member settles: the word is interpolated, unless the family
+    # closes at t (t = 1 here), and then its list is empty
     code, book = certificate_code(q, locators, k)
     interpolate = GrsCode._gs_interpolate
     rnd = random.Random(q)
     outcomes = set()
+    closed = set()
     for t in range(1, code.gs_max_radius() + 1):
-        _, outside = split_by_reencoding_set(code, t)
+        outside = complement(code, gs_plan(code, t).family[0])
         cw = book[rnd.randrange(len(book))].tolist()
         for e in (code.d - 1 - t, code.d - t):
-            word = corrupt(rnd, code.field, cw, rnd.sample(outside, e))
+            if e + t < code.d:
+                word = corrupt(rnd, code.field, cw, rnd.sample(outside, e))
+            else:
+                word = boundary_word(rnd, code, cw, t)
             want = sphere(book, word, t)
             monkeypatch.setattr(GrsCode, "_gs_interpolate", refuse_interpolation)
             if e + t < code.d:
                 assert code.gs_list_decode(word, t) == want == ([tuple(cw)] if e <= t else [])
                 outcomes.add(len(want))
+            elif gs_plan(code, t).closed:
+                assert code.gs_list_decode(word, t) == want == []
+                closed.add(t)
             else:
                 with pytest.raises(Interpolated):
                     code.gs_list_decode(word, t)
                 monkeypatch.setattr(GrsCode, "_gs_interpolate", interpolate)
                 assert code.gs_list_decode(word, t) == want
-    assert outcomes == {0, 1}
+    assert outcomes == {0, 1} and closed == {1}
+
+
+def covers(code, family, t):
+    """Whether every set of at most t positions misses some member, by
+    enumerating the t-sets (a subset of one that misses a member misses it
+    too)."""
+    return all(
+        any(not set(ts) & set(m) for m in family)
+        for ts in itertools.combinations(range(code.n), min(t, code.n))
+    )
+
+
+# (q, locators, k, closed at t = 1): the certificate codes, [5,3] codes,
+# k = n and k = n - 1 (2t >= d at t = 1; the [3,2] members share no
+# position), and [7,5] codes, whose members share a position
+FAMILY_CODES = [code + (True,) for code in CERTIFICATE_CODES] + [
+    (16, tuple(range(1, 6)), 3, True),
+    (16, tuple(range(5)), 3, True),
+    (8, tuple(range(1, 7)), 6, False),
+    (8, tuple(range(1, 7)), 5, False),
+    (8, (1, 2, 3), 2, False),
+    (8, tuple(range(1, 8)), 5, False),
+    (8, tuple(range(1, 7)) + (0,), 5, False),
+]
+
+
+@pytest.mark.parametrize("q, locators, k, closed", FAMILY_CODES)
+def test_gs_family_shape_and_closure_rule(q, locators, k, closed):
+    # R first, then at most two distinct complements of a block of n - k
+    # consecutive positions; closed agrees with enumerating the t-sets
+    code = GrsCode(Field(q), locators, [1] * len(locators), k)
+    n = code.n
+    for t in range(code.gs_max_radius() + 1):
+        plan = gs_plan(code, t)
+        family = plan.family
+        assert family[0] == tuple(sorted(plan.inside.tolist()))
+        assert len(set(family)) == len(family) <= (1 if n == k else 3)
+        for member in family[1:]:
+            block = complement(code, member)
+            assert list(member) == sorted(member) and len(member) == k
+            assert block == list(range(block[0], block[0] + n - k))
+        assert plan.closed == (2 * t < code.d and covers(code, family, t))
+        assert plan.closed == (t == 0 or t == 1 and closed)
+
+
+@pytest.mark.parametrize("q, locators, k, closed", FAMILY_CODES)
+def test_gs_closure_matches_sphere_without_interpolation(q, locators, k, closed, monkeypatch):
+    # wherever the family closes (t = 0, and t = 1 when 2 < d and the
+    # members share no position), the certificate and the closure settle
+    # every word: codewords hit by at most t errors, and uniform words, most
+    # of them with no codeword within t; at t = 1 some words are settled by
+    # no member, so the closure returns their empty list
+    code, book = certificate_code(q, locators, k)
+    monkeypatch.setattr(GrsCode, "_gs_interpolate", refuse_interpolation)
+    rnd = random.Random(q * k)
+    for t in (0, 1) if closed else (0,):
+        unsettled = 0
+        for i in range(60):
+            if i % 2:
+                word = tuple(rnd.randrange(q) for _ in range(code.n))
+            else:
+                cw = book[rnd.randrange(len(book))].tolist()
+                word = corrupt(rnd, code.field, cw, rnd.sample(range(code.n), i // 2 % (t + 1)))
+            unsettled += not settles(code, word, t)
+            assert code.gs_list_decode(word, t) == sphere(book, word, t)
+        assert (unsettled > 0) == (t == 1)
 
 
 @pytest.mark.parametrize("symbol", [16, -1])
@@ -881,13 +990,23 @@ def test_shorten_is_kept_per_locator_set(gf16):
             assert not getattr(plan, name).flags.writeable
 
 
-def test_agree_on_keeps_one_inverse_per_position_set(gf16, grs_membership):
+def test_agree_on_keeps_one_inverse_per_position_set(gf16, grs_membership, monkeypatch):
     code = GrsCode(gf16, list(range(1, 16)), [3] * 15, 8)
+    inverses = []
+
+    def counted_rref(*args):
+        inverses.append(args)
+        return linalg.rref(*args)
+
+    monkeypatch.setattr(grs, "rref", counted_rref)
     for t in (3, 4):
         for word in seeded_words(code, t, 4, seed=t):
             code.gs_list_decode(word, t)
-    # two GS plans share the one re-encoding inverse on R
-    assert len(code._gs_plans) == 2 and list(code._agree_inv) == [tuple(range(8))]
+    # two GS plans share one family, R and the complements of the blocks
+    # 0..6 and 7..13, and one kept inverse per member, each built once
+    family = (tuple(range(8)), tuple(range(7, 15)), tuple(range(7)) + (14,))
+    assert [plan.family for plan in code._gs_plans.values()] == [family] * 2
+    assert tuple(code._agree_inv) == family and len(inverses) == 3
     word = next(seeded_words(code, 6, 1, seed=5))
     for pos in ([4, 0, 9], [], list(range(15))[::2]):
         msg, cw = code.agree_on(word, pos)

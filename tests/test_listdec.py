@@ -10,6 +10,7 @@ from lrcdec import (
     DecodeConfig,
     BudgetExceeded,
     Field,
+    GrsCode,
     LrcCode,
     construct_tamo_barg,
     linalg,
@@ -354,6 +355,28 @@ def test_unique_consistent_with_list(tb_15_6):
         got = unique_decode_probabilistic(tb_15_6, w, CFG)
         if got == cw:
             assert cw in list_decode_lrc(tb_15_6, w, CFG).codewords
+
+
+def test_local_decodes_never_interpolate(tb_15_6, monkeypatch):
+    # t_l = 1 on the [5, 3] local codes, so 2 t_l < rho: every local list is
+    # settled by the certificate or the closure; the shortened [10, 3]
+    # decodes still interpolate
+    interpolate = GrsCode._gs_interpolate
+    lengths = []
+
+    def guarded(self, *args):
+        assert self.n != 5, "a local [5, 3] decode interpolated"
+        lengths.append(self.n)
+        return interpolate(self, *args)
+
+    monkeypatch.setattr(GrsCode, "_gs_interpolate", guarded)
+    for i in range(120):
+        rng = np.random.default_rng([24, i])
+        cw = tb_15_6.encode(rng.integers(0, 16, size=6).tolist())
+        w = corrupt(rng, tb_15_6.field, cw, i % 6)
+        assert cw in list_decode_lrc(tb_15_6, w, CFG).codewords
+        unique_decode_probabilistic(tb_15_6, w, CFG)
+    assert lengths and set(lengths) == {10}
 
 
 def test_unique_rate_monotone_in_weight(tb_15_6):

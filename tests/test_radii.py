@@ -349,6 +349,9 @@ def test_normalized_radius():
     assert normalized_radius(2, 0.5) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         normalized_radius(2, 0.6)
+    for beta in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"beta = {beta:g} must be finite and at least 1"):
+            normalized_radius(beta, 0.0)
 
 
 def test_interleaved_radii_examples():
