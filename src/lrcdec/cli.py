@@ -350,7 +350,7 @@ def cmd_simulate(args) -> int:
         trial = functools.partial(_mk_trial, code, args.ell)
     else:
         code = _load(args.code, LrcCode)
-        t_l = args.tl if args.tl is not None else code.local_code(0).gs_max_radius()
+        t_l = args.tl if args.tl is not None else code.local_codes[0].gs_max_radius()
         t_g = args.tg if args.tg is not None else default_t_g(code, t_l)
         if weights is None:
             weights = list(range(0, t_g + 1))

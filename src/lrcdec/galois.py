@@ -216,21 +216,16 @@ class Field:
             return 1 if e == 0 else 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
-    def check_symbols(self, word, positions=None) -> np.ndarray:
-        """word, or only its symbols at the given positions, as an int64
-        array; ValueError naming the first symbol checked that is not an
-        element of this field, its position in word and q."""
+    def check_symbols(self, word) -> np.ndarray:
+        """word as an int64 array; ValueError naming the first symbol that
+        is not an element of this field, its position in word and q."""
         arr = np.asarray(word, dtype=np.int64)
-        if positions is not None:
-            arr = arr[positions]
         # read as uint64 a negative symbol is at least 2^63, so one maximum
         # tests both ends
         wide = arr.view(np.uint64)
         if arr.size and wide.max() >= self.q:
             pos = tuple(np.argwhere(wide >= self.q)[0].tolist())
             where = pos[0] if len(pos) == 1 else pos
-            if positions is not None:
-                where = positions[where]
             raise ValueError(f"symbol {arr[pos]:#x} at position {where} is not in GF({self.q})")
         return arr
 

@@ -11,7 +11,7 @@ information-set decoding (Prange) on a fixed family of k-position sets
 moved in, then the complements of the first two of the ceil(n/(n-k))
 blocks of n - k consecutive positions (the last block ends at n - 1),
 without repeats, so at most three sets.  Every k positions of a GRS code
-fix a codeword, so a member R' gives c_R' = agree_on(word, R') at
+fix a codeword, so a member R' gives c_R' = _agree_on(word, R') at
 distance e' from the word; if e' + t < d, any codeword c within t of the
 word has d(c, c_R') <= t + e' < d, so c = c_R', and the list is [c_R']
 if e' <= t, else empty.  When no member settles and the family closes
@@ -26,17 +26,19 @@ v^(s-j), v = prod over R of (x - alpha), so Koetter's iterative
 interpolation starts from the rows v^(s-j) y^j and runs only over the
 n - k points outside R, none of them at x = 0; the roots f' of Q map
 back to the candidates f' + f_R.  Interpolation runs on a GsPlan,
-which the code builds once per (t, s, ly) and keeps: everything but the
-received values.  The candidates are the rows of one array whose first
-columns carry each candidate's Hasse discrepancies at the current point
-and whose other columns are exactly the monomials x^dx y^dy of
-(1, k-1)-weighted degree <= wdeg, in weighted-degree order, so a row
-operation touches only the pivot's support.  The Roth-Ruckenstein
-recursion then finds the y-roots of Q, one (ly + 1, wdeg + 1) array,
-as the rows of one array, each substitution Q(x, x y + gamma) one matrix
-product, and each level's roots from one Horner pass over the whole
-field.  Shortening at positions S is the same re-encoding, on S
-(``agree_on``, by a ``linalg.rref``), into the code with multipliers nu v_S(alpha).
+which the code builds once per radius t and keeps: s and ly from
+gs_parameters, and everything else but the received values.  A word's
+symbols are checked once, by the public entry it comes in by.  The
+candidates are the rows of one array whose first columns carry each
+candidate's Hasse discrepancies at the current point and whose other
+columns are exactly the monomials x^dx y^dy of (1, k-1)-weighted
+degree <= wdeg, in weighted-degree order, so a row operation touches
+only the pivot's support.  The Roth-Ruckenstein recursion then finds
+the y-roots of Q, one (ly + 1, wdeg + 1) array, as the rows of one
+array, each substitution Q(x, x y + gamma) one matrix product, and each
+level's roots from one Horner pass over the whole field.  Shortening at
+positions S is the same re-encoding, on S (``_agree_on``, by a
+``linalg.rref``), into the code with multipliers nu v_S(alpha).
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class GrsCode:
         self._nu_inv = _vec_inv(self._nu, field)
         self._generator = _vec_mul(self._nu, powers(self._alpha, k, field), field)
         self._generator.flags.writeable = False
-        self._gs_plans: dict[tuple[int, int, int], GsPlan] = {}
+        self._gs_plans: dict[int, GsPlan] = {}
         self._shortened: dict[tuple[int, ...], GrsCode] = {}
         self._agree_inv: dict[tuple[int, ...], np.ndarray] = {}
 
@@ -158,13 +160,14 @@ class GrsCode:
         """The stored k x n generator (read-only)."""
         return self._generator
 
-    def agree_on(self, word, positions) -> tuple[np.ndarray, np.ndarray]:
+    def _agree_on(self, word: np.ndarray, positions) -> tuple[np.ndarray, np.ndarray]:
         """(f, c): the message f of degree < m = len(positions) <= k whose
         codeword c agrees with word there, through the inverse of the
         generator's first m rows at those columns, kept read-only in a dict
-        on this code, one per position set.  ValueError for a repeated
-        position or one outside range(n), and for a symbol outside the
-        field at those positions; the others are not read."""
+        on this code, one per position set.  word is an int64 array whose
+        symbols the caller has checked; none is checked here.  ValueError
+        for more than k positions, a repeated position or one outside
+        range(n)."""
         F = self.field
         pos = sorted(int(i) for i in positions)
         m = len(pos)
@@ -179,7 +182,7 @@ class GrsCode:
             aug = np.concatenate((self._generator[:m, pos], np.eye(m, dtype=np.int64)), axis=1)
             inv = self._agree_inv[tuple(pos)] = rref(aug, F)[0][:, m:]
             inv.flags.writeable = False
-        msg = matmul(F.check_symbols(word, pos)[None], inv, F)
+        msg = matmul(word[pos][None], inv, F)
         return msg[0], matmul(msg, self._generator[:m], F)[0]
 
     # -- list decoding ---------------------------------------------------------
@@ -195,7 +198,7 @@ class GrsCode:
         list is first certified on the plan's family of k-position sets
         (GsPlan.family: R, then up to two complements of blocks of n - k
         consecutive positions), in order: c_R' is the codeword that
-        agrees with the word on the member R' (agree_on), at distance e'
+        agrees with the word on the member R' (_agree_on), at distance e'
         from it.  If e' + t < d the list is settled without
         interpolation: [c_R'] if e' <= t, else empty, as any codeword c
         within t of the word has d(c, c_R') <= t + e' < d, so c = c_R'.
@@ -203,11 +206,13 @@ class GrsCode:
         2t < d and every set of at most t positions misses a member), the
         list is empty: a codeword c within t has its errors off some R',
         where c_R' = c and e' + t <= 2t < d would have settled it.
-        Otherwise Koetter interpolation of a bivariate Q(x, y) with the
-        smallest sufficient multiplicity through word - c_R, c_R from the
-        first member R (see _gs_interpolate), then Roth-Ruckenstein root
-        finding of its y-roots f'(x) of degree < k, then the map back
-        f = f' + f_R, one encoding product and a distance filter.
+        Otherwise Koetter interpolation of a bivariate Q(x, y) through
+        word - c_R, c_R from the first member R, on the code's plan for t,
+        which holds the smallest sufficient multiplicity (see GsPlan and
+        _gs_interpolate), then Roth-Ruckenstein root finding of its
+        y-roots f'(x) of degree < k, then the map back f = f' + f_R, one
+        encoding product and a distance filter.  The word's symbols are
+        checked here, once.
         """
         if len(word) != self.n:
             raise ValueError("word length mismatch")
@@ -226,10 +231,9 @@ class GrsCode:
             # constants: a candidate agrees with the word somewhere, as t < n
             cands = np.unique(self._normalize(word))[:, None]
         else:
-            s, ly = gs_parameters(self.n, self.k, t)
-            plan = self._gs_plan(t, s, ly)
+            plan = self._gs_plan(t)
             for i, member in enumerate(plan.family):
-                f, c = self.agree_on(word, member)
+                f, c = self._agree_on(word, member)
                 e = np.count_nonzero(c != word)
                 if e + t < self.d:
                     return [tuple(c.tolist())] if e <= t else []
@@ -237,32 +241,32 @@ class GrsCode:
                     f_r, c_r = f, c
             if plan.closed:
                 return []
-            q = self._gs_interpolate(sub(word, c_r, F), t, s, ly)
+            q = self._gs_interpolate(plan, sub(word, c_r, F))
             cands = add(_rr_roots(q, self.k, F), f_r, F)
         words = matmul(cands, self._generator, F)
         near = words[np.count_nonzero(words != word, axis=1) <= t]
         return sorted(set(map(tuple, near.tolist())))
 
-    def _gs_plan(self, t: int, s: int, ly: int) -> "GsPlan":
-        """The code's Koetter plan for (t, s, ly), built on first use."""
-        key = (t, s, ly)
-        if key not in self._gs_plans:
-            self._gs_plans[key] = GsPlan(self, t, s, ly)
-        return self._gs_plans[key]
+    def _gs_plan(self, t: int) -> "GsPlan":
+        """The code's Koetter plan for radius t, built on first use."""
+        if t not in self._gs_plans:
+            self._gs_plans[t] = GsPlan(self, t)
+        return self._gs_plans[t]
 
-    def _gs_interpolate(self, residual, t, s, ly):
+    def _gs_interpolate(self, plan: "GsPlan", residual):
         """Interpolate the word re-encoded on R: returns Q.
 
         residual is word - c_R, c_R the codeword that agrees with the word
-        on R (agree_on on the plan's inside), so it is 0 on R.  R is the
+        on R (_agree_on on the plan's inside), so it is 0 on R; plan is
+        this code's plan for the radius t, with its s and ly.  R is the
         first k positions, except that a locator 0 is always taken in (see
         GsPlan), so every point outside R has x0 != 0.  Q has least
         (1, k-1)-weighted degree and multiplicity s at every point
         (alpha_i, residual_i / nu_i), by Koetter's iterative interpolation
-        on the code's plan for (t, s, ly).  The residual is 0 on R, where
-        multiplicity s means that Q_j is divisible by v^(s-j), v = prod
-        over R of (x - alpha): the start rows v^((s-j)+) y^j meet those
-        constraints, so only the n - k points outside R are interpolated.
+        on the plan.  The residual is 0 on R, where multiplicity s means
+        that Q_j is divisible by v^(s-j), v = prod over R of (x - alpha):
+        the start rows v^((s-j)+) y^j meet those constraints, so only the
+        n - k points outside R are interpolated.
         A y-root f' of Q within distance t of the residual is f - f_R for
         a codeword f within distance t of the word.
 
@@ -283,8 +287,7 @@ class GrsCode:
         operations keep the discrepancy columns up to date.  Q is returned
         as one (ly + 1, wdeg + 1) array, row dy the x-coefficients of y^dy.
         """
-        F = self.field
-        plan = self._gs_plan(t, s, ly)
+        F, s, ly = self.field, plan.s, plan.ly
         ys = self._normalize(residual)[plan.outside]
         wdeg, nc = plan.wdeg, plan.nc
         end, src = plan.end.tolist(), plan.x_source
@@ -330,7 +333,7 @@ class GrsCode:
         best = min(range(ly + 1), key=wdegs.__getitem__)
         if wdegs[best] > wdeg:
             raise RuntimeError(
-                f"GRS [n = {self.n}, k = {self.k}] at radius t = {t}, multiplicity s = {s}: "
+                f"GRS [n = {self.n}, k = {self.k}] at radius t = {plan.t}, multiplicity s = {s}: "
                 f"Koetter interpolation reached weighted degree {wdegs[best]} > wdeg = {wdeg} "
                 f"({plan.describe()})"
             )
@@ -349,15 +352,15 @@ class GrsCode:
         this code, one per position set, so a shortened code and its GS
         plans are built once; the LRC list decoder asks for one per
         combination of repair sets it visits, which bounds the dict.
-        ValueError for positions agree_on rejects.
+        ValueError for positions _agree_on rejects.
         """
         pos = tuple(sorted(int(i) for i in positions))
         if pos not in self._shortened:
             # v_S = x^m - f, f of degree < m agreeing with x^m on S: re-encode
-            # nu x^m; agree_on checks the positions, so only valid ones are kept
+            # nu x^m; _agree_on checks the positions, so only valid ones are kept
             F, m = self.field, len(pos)
             xm = _vec_mul(self._nu, powers(self._alpha, m + 1, F)[m], F)
-            nu = sub(xm, self.agree_on(xm, pos)[1], F)
+            nu = sub(xm, self._agree_on(xm, pos)[1], F)
             rest = self._rest(pos)
             self._shortened[pos] = GrsCode(F, self._alpha[rest], nu[rest], self.k - m)
         return self._shortened[pos]
@@ -366,12 +369,14 @@ class GrsCode:
         """Map a word to the code shortened at the positions S, taking its
         symbols there as correct: returns (shortened code, word - c_S off S
         as a tuple, c_S), c_S the codeword that agrees with the word on S
-        (agree_on).  unshorten maps a shortened codeword back.  ValueError
-        for a symbol of the word outside the field."""
+        (_agree_on).  unshorten maps a shortened codeword back.  ValueError
+        for positions _agree_on rejects and, the whole word checked once
+        before re-encoding, for a symbol of the word outside the field."""
         pos = tuple(positions)
         code, rest = self.shorten(pos), self._rest(pos)
-        _, c_s = self.agree_on(word, pos)
-        short_word = sub(self.field.check_symbols(word, rest), c_s[rest], self.field)
+        word = self.field.check_symbols(word)
+        _, c_s = self._agree_on(word, pos)
+        short_word = sub(word[rest], c_s[rest], self.field)
         return code, tuple(short_word.tolist()), c_s
 
     def unshorten(self, positions, c_s, short_cw) -> np.ndarray:
@@ -387,8 +392,10 @@ class GrsCode:
 
 
 class GsPlan:
-    """What Koetter interpolation needs for one code at one (t, s, ly),
-    except the received values; every array is read-only.
+    """What Koetter interpolation needs for one code at one radius t,
+    except the received values; every array is read-only.  The
+    multiplicity s and y-degree ly are gs_parameters(n, k, t), worked out
+    here once, so the plan is keyed by t alone.
 
     Candidate-array columns: nc = s(s+1)/2 discrepancy columns, one per
     Hasse constraint (a, b) in (b, a) order, then one zero column, then
@@ -407,7 +414,7 @@ class GsPlan:
     locator 0 is moved into R (a stable sort on alpha != 0): inside holds
     the positions in R, outside the n - k others in code order, and
     x_outside the locators there, none of them 0.  The codeword that
-    agrees with the word on R comes from the code's agree_on on inside,
+    agrees with the word on R comes from the code's _agree_on on inside,
     which keeps its inverse once per code, for every plan.
     The start rows are v^((s-j)+) y^j, v = prod over R of
     (x - alpha), of weighted degree row_wdegs[j] = k (s-j)+ + j (k-1); a
@@ -433,10 +440,11 @@ class GsPlan:
     bound.
     """
 
-    def __init__(self, code: GrsCode, t: int, s: int, ly: int):
+    def __init__(self, code: GrsCode, t: int):
         F, n, k = code.field, code.n, code.k
         k1 = k - 1
-        self.s, self.ly, self.n, self.points = s, ly, n, n - k
+        s, ly = gs_parameters(n, k, t)
+        self.t, self.s, self.ly, self.n, self.points = t, s, ly, n, n - k
         self.wdeg = wdeg = s * (n - t) - 1
         lens = wdeg + 1 - np.arange(ly + 1) * k1
         col_dy = np.repeat(np.arange(ly + 1), lens)

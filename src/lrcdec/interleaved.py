@@ -74,11 +74,17 @@ def mk_decode(field: Field, parity: np.ndarray, received: InterleavedWord):
     full column rank.  Any violated hypothesis surfaces as None (support
     size mismatch, unsolvable erasure system, or a failed final parity
     check); the decoder never returns a word that fails the parity check.
-    A symbol outside the field raises ValueError.
+    A received word other than an ell x n matrix, n the parity's column
+    count, and a symbol outside the field raise ValueError.
     """
     H = np.ascontiguousarray(parity, dtype=np.int64)
-    R = field.check_symbols(received.matrix)
     nk, n = H.shape
+    if received.matrix.ndim != 2 or received.matrix.shape[1] != n:
+        raise ValueError(
+            f"received word has shape {received.matrix.shape}, need an ell x n matrix "
+            f"with n = {n}, the parity's column count"
+        )
+    R = field.check_symbols(received.matrix)
     syndrome = linalg.matmul(H, R.T, field)
     aug = np.concatenate([syndrome, np.eye(nk, dtype=np.int64)], axis=1)
     red, _, piv = linalg.rref(aug, field)

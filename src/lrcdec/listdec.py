@@ -72,29 +72,31 @@ class BudgetExceeded(RuntimeError):
         self.partial = partial
 
 
-def _local_lists(code: LrcCode, received, cfg: DecodeConfig):
-    """Per repair set: list of (distance, local codeword), nearest first."""
-    out = []
-    for j in range(code.shape.mu):
-        local = code.local_code(j)
-        w = code.restrict(received, j)
-        out.append(sorted(
-            (sum(a != b for a, b in zip(cw, w)), cw) for cw in local.gs_list_decode(w, cfg.t_l)
-        ))
-    return out
-
-
-def _check_word(code: LrcCode, received):
+def _local_stage(code: LrcCode, received, cfg: DecodeConfig):
+    """The stage both decoders open with: check the word and the config,
+    then decode every repair set locally.  Returns (word, lists, order):
+    the word as a checked int64 array, lists[j] the (distance, local
+    codeword) entries of repair set j, nearest first, and order the sets
+    with a nonempty list, by list size, then index."""
     word = np.asarray(received, dtype=np.int64)
     if word.shape != (code.n,):
         raise ValueError(f"received word has {word.size} symbols, need n = {code.n}")
     code.field.check_symbols(word)
+    _validate_cfg(code, cfg)
+    symbols, lists = word.tolist(), []
+    for local, idx in zip(code.local_codes, code.repair_sets):
+        w = [symbols[i] for i in idx]
+        lists.append(sorted(
+            (sum(a != b for a, b in zip(cw, w)), cw) for cw in local.gs_list_decode(w, cfg.t_l)
+        ))
+    order = sorted((j for j in range(code.shape.mu) if lists[j]), key=lambda j: (len(lists[j]), j))
+    return word, lists, order
 
 
 def _validate_cfg(code: LrcCode, cfg: DecodeConfig):
     if cfg.budget < 1:
         raise ValueError(f"budget = {cfg.budget} is below the limit 1")
-    local = code.local_code(0)
+    local = code.local_codes[0]
     _check_radius("t_l", cfg.t_l, "local", local.n, local.k)
     bar = refined_error_count(code.shape, cfg.t_l, None)
     if cfg.t_g > bar:
@@ -108,7 +110,7 @@ def default_t_g(code: LrcCode, t_l: int) -> int:
     """The largest t_g at or below the refined error count that the
     decoders accept with this t_l, or 0 if none is; ValueError if the
     local decode does not reach t_l."""
-    local = code.local_code(0)
+    local = code.local_codes[0]
     _check_radius("t_l", t_l, "local", local.n, local.k)
     for t_g in range(refined_error_count(code.shape, t_l, None), 0, -1):
         try:
@@ -175,19 +177,14 @@ def list_decode_lrc(code: LrcCode, received, cfg: DecodeConfig) -> DecodingList:
     (validated up front).  Raises BudgetExceeded, carrying the partial
     list, if more than cfg.budget shortened decodes would be needed.
     """
-    _check_word(code, received)
-    _validate_cfg(code, cfg)
-    result = DecodingList()
-    lists = _local_lists(code, received, cfg)
-    result.local_list_sizes = [len(l) for l in lists]
+    word, lists, order = _local_stage(code, received, cfg)
+    result = DecodingList(local_list_sizes=[len(l) for l in lists])
     found: set[tuple[int, ...]] = set()
-    nonempty = [j for j in range(code.shape.mu) if lists[j]]
-    nonempty.sort(key=lambda j: (len(lists[j]), j))
     # with s_short = 0 the single empty combination decodes globally
-    for combo in itertools.combinations(nonempty, _shortening_size(code, cfg)):
+    for combo in itertools.combinations(order, _shortening_size(code, cfg)):
         for picks in itertools.product(*(lists[j] for j in combo)):
             result.combinations_explored += 1
-            found.update(_decode_shortened(code, received, combo, picks, cfg, result))
+            found.update(_decode_shortened(code, word, combo, picks, cfg, result))
     result.codewords = sorted(found)
     return result
 
@@ -200,17 +197,13 @@ def unique_decode_probabilistic(code: LrcCode, received, cfg: DecodeConfig):
     shortened decoder returns exactly one consistent codeword.  Returns
     the codeword or None.
     """
-    _check_word(code, received)
-    _validate_cfg(code, cfg)
-    lists = _local_lists(code, received, cfg)
+    word, lists, order = _local_stage(code, received, cfg)
     s_short = _shortening_size(code, cfg)
-    nonempty = [j for j in range(code.shape.mu) if lists[j]]
-    if len(nonempty) < s_short:
+    if len(order) < s_short:
         return None
-    nonempty.sort(key=lambda j: (len(lists[j]), j))
-    chosen = tuple(sorted(nonempty[:s_short]))
+    chosen = tuple(sorted(order[:s_short]))
     picks = [lists[j][0] for j in chosen]
-    cands = _decode_shortened(code, received, chosen, picks, cfg, DecodingList())
+    cands = _decode_shortened(code, word, chosen, picks, cfg, DecodingList())
     uniq = sorted(set(cands))
     return uniq[0] if len(uniq) == 1 else None
 

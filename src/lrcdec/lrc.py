@@ -121,14 +121,6 @@ class LrcCode:
             return False
         return not linalg.matmul(self.parity, word[:, None], self.field).any()
 
-    # -- locality ----------------------------------------------------------------
-
-    def local_code(self, j: int) -> GrsCode:
-        return self.local_codes[j]
-
-    def restrict(self, word, j: int) -> tuple[int, ...]:
-        return tuple(word[i] for i in self.repair_sets[j])
-
     # -- serialization -------------------------------------------------------------
 
     def to_json(self) -> dict:

@@ -12,9 +12,10 @@ information set (Blaum-Hafner-Hetzler 2013; Gopalan-Huang-Jenkins-
 Yekhanin 2014).  There are s_mu_size(n, k, r, rho, k) such subsets, and
 verify_pmds ranks each k x k minor once, in stacked batches.
 
-The shape rules live in radii: random_pmds checks its shape with
-CodeShape, the counts take mu from _num_repair_sets (they allow rho = 1),
-and _partition checks the repair sets of a descriptor or of verify_pmds.
+The shape rules live in radii: random_pmds and PmdsCode.from_json check
+their shape with CodeShape, the counts take mu from _num_repair_sets
+(they allow rho = 1), and _partition checks the repair sets of a
+descriptor or of verify_pmds.
 """
 
 from __future__ import annotations
@@ -67,12 +68,13 @@ class PmdsCode:
     def from_json(cls, obj: dict) -> "PmdsCode":
         """The code of a descriptor; ValueError for a symbol outside the
         field, a generator or parity of the wrong shape, a parity that does
-        not annihilate the generator or has rank below n - k, and repair
-        sets that _partition rejects."""
+        not annihilate the generator or has rank below n - k, and a shape
+        or repair sets that CodeShape or _partition rejects."""
         field = Field.from_json(obj["field"])
         gen = field.check_symbols(obj["generator"])
         parity = field.check_symbols(obj["parity"])
         n, k, r, rho = obj["n"], obj["k"], obj["r"], obj["rho"]
+        shape = CodeShape(n, k, r, rho)
         if gen.shape != (k, n) or parity.shape != (n - k, n):
             raise ValueError(
                 f"need a k x n generator and an (n - k) x n parity for n = {n}, k = {k}, "
@@ -82,7 +84,7 @@ class PmdsCode:
             raise ValueError("the parity-check matrix does not annihilate the generator")
         if (rk := linalg.rank(parity, field)) != n - k:
             raise ValueError(f"the parity-check matrix has rank {rk}, need n - k = {n - k}")
-        sets = _partition(obj["repair_sets"], n, r + rho - 1)
+        sets = _partition(obj["repair_sets"], n, shape.n_l)
         return cls(field, gen, parity, sets, n, k, r, rho, verified=obj.get("verified", False))
 
 

@@ -361,6 +361,22 @@ def test_pmds_shape_without_locality_exits_2(capsys, argv, message):
     assert re.search("error: " + message, err)
 
 
+@pytest.mark.parametrize(
+    "r, rho, message",
+    [(5, -1, r"r = 5 must lie in \[1, k = 4\]"), (3, 1, r"rho = 1 must be at least 2")],
+)
+def test_pmds_descriptor_shape_without_locality_exits_2(tmp_path, capsys, r, rho, message):
+    # r + rho - 1 = 3 still matches the repair sets of the [12, 4, 2, 2] code
+    path = _gen_code(tmp_path, capsys, "random-pmds")
+    obj = json.loads(path.read_text())
+    obj.update(r=r, rho=rho)
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "simulate", "mk", "--code", str(path), "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert re.search("error: " + message, err)
+
+
 def test_decode_descriptor_with_wrong_distance_exits_2(tmp_path, capsys):
     # a trusted "d": 6 used to move the refined-count bound on t_g from 5 to 3
     path = _gen_code(tmp_path, capsys, "tamo-barg")

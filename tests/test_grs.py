@@ -323,11 +323,12 @@ def reencode_oracle(code, ys, R=None):
     return f_r, np.array([F.sub(y, horner(F, f_r, a)) for a, y in zip(code.locators, ys)])
 
 
-def reencode(code, word, t, s, ly):
+def reencode(code, word, plan):
     """(f_R, word - c_R): the re-encoding on the plan's R that
     gs_list_decode hands to _gs_interpolate."""
-    f_r, c_r = code.agree_on(word, code._gs_plan(t, s, ly).inside)
-    return f_r, sub(np.asarray(word), c_r, code.field)
+    word = np.asarray(word, dtype=np.int64)
+    f_r, c_r = code._agree_on(word, plan.inside)
+    return f_r, sub(word, c_r, code.field)
 
 
 @pytest.mark.parametrize("q, n, k, t", KOETTER_CASES)
@@ -338,10 +339,11 @@ def test_koetter_q_is_annihilated_by_dense_system(q, n, k, t):
     code = GrsCode(field, list(range(1, n + 1)), [1] * n, k)
     s, ly = gs_parameters(code.n, code.k, t)
     wdeg = s * (n - t) - 1
+    plan = code._gs_plan(t)
     for word in seeded_words(code, t, 4, seed=n + t):
         f_r, ys = reencode_oracle(code, code._normalize(word))
-        got_f_r, residual = reencode(code, word, t, s, ly)
-        q = code._gs_interpolate(residual, t, s, ly)
+        got_f_r, residual = reencode(code, word, plan)
+        q = code._gs_interpolate(plan, residual)
         assert got_f_r.tolist() == f_r
         assert not ys[:k].any()
         # row dy holds x^0 .. x^(wdeg - dy (k-1)), zero past it
@@ -362,10 +364,18 @@ def test_gs_lists_match_dense_nullspace(q, n, k, t):
         assert code.gs_list_decode(word, t) == dense_list(code, word, t)
 
 
-def test_koetter_error_names_values(gf16):
-    # s = 1 at t = 9 leaves 12 unknowns for 15 constraints: a word far
-    # from the code has no interpolant of weighted degree <= 5
+def undersized_plan(code, monkeypatch):
+    """The plan at t = 9 of the [15, 3] code built with s = 1, ly = 2 in
+    place of the derived pair: s = 1 at t = 9 leaves 12 unknowns for 15
+    constraints, so a word far from the code has no interpolant of
+    weighted degree <= 5, and Koetter's invariant check fires."""
+    monkeypatch.setattr(grs, "gs_parameters", lambda n, k, t: (1, 2))
+    return code._gs_plan(9)
+
+
+def test_koetter_error_names_values(gf16, monkeypatch):
     code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 3)
+    plan = undersized_plan(code, monkeypatch)
     rnd = random.Random(5)
     w = tuple(rnd.randrange(16) for _ in range(15))
     with pytest.raises(
@@ -373,11 +383,12 @@ def test_koetter_error_names_values(gf16):
         match=r"GRS \[n = 15, k = 3\] at radius t = 9, multiplicity s = 1: "
         r"Koetter interpolation reached weighted degree \d+ > wdeg = 5",
     ):
-        code._gs_interpolate(reencode(code, w, 9, 1, 2)[1], 9, 1, 2)
+        code._gs_interpolate(plan, reencode(code, w, plan)[1])
 
 
-def test_koetter_error_names_plan_size_and_cost(gf16):
+def test_koetter_error_names_plan_size_and_cost(gf16, monkeypatch):
     code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 3)
+    plan = undersized_plan(code, monkeypatch)
     rnd = random.Random(5)
     w = tuple(rnd.randrange(16) for _ in range(15))
     with pytest.raises(
@@ -385,7 +396,7 @@ def test_koetter_error_names_plan_size_and_cost(gf16):
         match=r"wdeg = 5 \(GS plan: s = 1, ly = 2, M = 12 unknowns, "
         r"C = 12 constraints on 12 of 15 points, 432 cell-ops\)",
     ):
-        code._gs_interpolate(reencode(code, w, 9, 1, 2)[1], 9, 1, 2)
+        code._gs_interpolate(plan, reencode(code, w, plan)[1])
 
 
 # -- Koetter on the plan against the per-constraint interpolation -----------------
@@ -506,11 +517,12 @@ def test_koetter_matches_per_constraint_reference(q, locators, k, t, count):
     R = list(range(k))
     if 0 in locators and locators.index(0) >= k:
         R[-1] = locators.index(0)
-    assert sorted(code._gs_plan(t, s, ly).inside.tolist()) == sorted(R)
+    plan = code._gs_plan(t)
+    assert sorted(plan.inside.tolist()) == sorted(R)
     for word in seeded_words(code, t, count, seed=n + t):
         f_r, ys = reencode_oracle(code, code._normalize(word), R)
-        got_f_r, residual = reencode(code, word, t, s, ly)
-        q = code._gs_interpolate(residual, t, s, ly)
+        got_f_r, residual = reencode(code, word, plan)
+        q = code._gs_interpolate(plan, residual)
         assert got_f_r.tolist() == f_r
         want = q_array(koetter_reference(code, ys, t, s, ly, reencoded=True, R=R))
         assert q.shape == want.shape and np.array_equal(q, want)
@@ -548,9 +560,8 @@ def test_gs_lists_match_unreencoded_reference(q, locators, k, t, count):
 
 def test_gs_plan_reports_size_and_cost():
     code = GrsCode(Field(64), list(range(1, 43)), [1] * 42, 8)
-    s, ly = gs_parameters(code.n, code.k, 24)
-    plan = code._gs_plan(24, s, ly)
-    assert (plan.s, plan.ly, plan.unknowns, plan.constraints) == (6, 15, 888, 714)
+    plan = code._gs_plan(24)
+    assert (plan.t, plan.s, plan.ly, plan.unknowns, plan.constraints) == (24, 6, 15, 888, 714)
     assert plan.points == 34
     assert plan.cell_ops == 10_144_512
     assert plan.describe() == (
@@ -559,27 +570,47 @@ def test_gs_plan_reports_size_and_cost():
     )
 
 
-def test_gs_plan_is_built_once_per_radius_and_read_only(gf16):
+def test_gs_plan_is_built_once_per_radius_and_read_only(gf16, monkeypatch):
     code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 3)
     word_a, word_b = seeded_words(code, 5, 2, seed=11)
     code.gs_list_decode(word_a, 5)
-    plan = code._gs_plan(5, *gs_parameters(code.n, code.k, 5))
+    plan = code._gs_plan(5)
     decoded = code.gs_list_decode(word_b, 5)
-    assert code._gs_plan(5, *gs_parameters(code.n, code.k, 5)) is plan
+    assert code._gs_plan(5) is plan
     assert decoded == GrsCode(gf16, list(range(1, 16)), [1] * 15, 3).gs_list_decode(word_b, 5)
     code.gs_list_decode(word_a, 9)
-    code._gs_interpolate(reencode(code, word_b, 5, 2, 9)[1], 5, 2, 9)
-    assert sorted(code._gs_plans) == sorted(
-        [
-            (5, *gs_parameters(code.n, code.k, 5)),
-            (9, *gs_parameters(code.n, code.k, 9)),
-            (5, 2, 9),
-        ]
-    )
-    for plan in code._gs_plans.values():
+    # the pair (s, ly) is derived when the plan is built: a patched
+    # gs_parameters moves no kept plan, and a new code's plan at t = 5
+    # takes the pair (2, 9) in place of the derived (1, 4) and interpolates
+    monkeypatch.setattr(grs, "gs_parameters", lambda n, k, t: (2, 9))
+    assert code._gs_plan(5) is plan and (plan.t, plan.s, plan.ly) == (5, 1, 4)
+    other = GrsCode(gf16, list(range(1, 16)), [1] * 15, 3)
+    wide = other._gs_plan(5)
+    assert (wide.t, wide.s, wide.ly) == (5, 2, 9)
+    assert other._gs_interpolate(wide, reencode(other, word_b, wide)[1]).shape == (10, 20)
+    assert sorted(code._gs_plans) == [5, 9]
+    for plan in [*code._gs_plans.values(), wide]:
         arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
         assert len(arrays) >= 10
         assert not any(a.flags.writeable for a in arrays)
+
+
+def test_gs_parameters_run_once_per_radius(gf16, monkeypatch):
+    # the plan derives (s, ly) when it is built, and the code keeps it by t
+    code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 3)
+    words = list(seeded_words(code, 5, 8, seed=3))
+    calls = []
+    derive = grs.gs_parameters
+    monkeypatch.setattr(grs, "gs_parameters", lambda *args: calls.append(args) or derive(*args))
+    code.gs_list_decode(words[0], 5)
+    assert calls
+    calls.clear()
+    for word in words:
+        code.gs_list_decode(word, 5)
+    assert calls == []
+    code.gs_list_decode(words[0], 4)
+    code.gs_list_decode(words[1], 4)
+    assert calls == [(15, 3, 4)]  # the patch does count the derivations
 
 
 # -- the re-encoding certificate: e + t < d settles the list -----------------------
@@ -606,10 +637,6 @@ def sphere(book, word, t):
     return sorted(map(tuple, book[(book != np.array(word)).sum(axis=1) <= t].tolist()))
 
 
-def gs_plan(code, t):
-    return code._gs_plan(t, *gs_parameters(code.n, code.k, t))
-
-
 def complement(code, positions):
     return [i for i in range(code.n) if i not in positions]
 
@@ -618,8 +645,8 @@ def settles(code, word, t):
     """Whether some member R' of the plan's family has e' + t < d, e' the
     distance from the word to c_R'."""
     return any(
-        hamming(code.agree_on(word, member)[1].tolist(), word) + t < code.d
-        for member in gs_plan(code, t).family
+        hamming(code._agree_on(np.asarray(word), member)[1].tolist(), word) + t < code.d
+        for member in code._gs_plan(t).family
     )
 
 
@@ -641,7 +668,7 @@ def test_gs_certificate_matches_sphere_enumeration(q, locators, k, monkeypatch):
     rnd = random.Random(q + k)
     settled = decodes = 0
     for t in range(code.gs_max_radius() + 1):
-        family = gs_plan(code, t).family
+        family = code._gs_plan(t).family
         inside, outside = list(family[0]), complement(code, family[0])
         for w in range(t + 1):
             placements = [
@@ -665,7 +692,7 @@ def test_gs_certificate_matches_sphere_enumeration(q, locators, k, monkeypatch):
 def boundary_word(rnd, code, cw, t):
     """cw hit by d - t errors outside R, among them one in every other
     member R' of the family, drawn until no member has e' + t < d."""
-    family = gs_plan(code, t).family
+    family = code._gs_plan(t).family
     outside = complement(code, family[0])
     while True:
         pos = rnd.sample(outside, code.d - t)
@@ -687,7 +714,7 @@ def test_gs_certificate_boundary(q, locators, k, monkeypatch):
     outcomes = set()
     closed = set()
     for t in range(1, code.gs_max_radius() + 1):
-        outside = complement(code, gs_plan(code, t).family[0])
+        outside = complement(code, code._gs_plan(t).family[0])
         cw = book[rnd.randrange(len(book))].tolist()
         for e in (code.d - 1 - t, code.d - t):
             if e + t < code.d:
@@ -699,7 +726,7 @@ def test_gs_certificate_boundary(q, locators, k, monkeypatch):
             if e + t < code.d:
                 assert code.gs_list_decode(word, t) == want == ([tuple(cw)] if e <= t else [])
                 outcomes.add(len(want))
-            elif gs_plan(code, t).closed:
+            elif code._gs_plan(t).closed:
                 assert code.gs_list_decode(word, t) == want == []
                 closed.add(t)
             else:
@@ -741,7 +768,7 @@ def test_gs_family_shape_and_closure_rule(q, locators, k, closed):
     code = GrsCode(Field(q), locators, [1] * len(locators), k)
     n = code.n
     for t in range(code.gs_max_radius() + 1):
-        plan = gs_plan(code, t)
+        plan = code._gs_plan(t)
         family = plan.family
         assert family[0] == tuple(sorted(plan.inside.tolist()))
         assert len(set(family)) == len(family) <= (1 if n == k else 3)
@@ -787,16 +814,13 @@ def test_gs_rejects_symbols_outside_the_field(gf16, symbol):
 
 
 @pytest.mark.parametrize("symbol", [16, -1])
-def test_agree_on_and_shorten_received_reject_symbols_outside_the_field(gf16, symbol):
-    # each checks the symbols it reads, and names their positions in the word
+def test_shorten_received_rejects_symbols_outside_the_field(gf16, symbol):
+    # the whole word is checked, and the position named, whether the symbol
+    # lies on S or off it
     code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 5)
     word = [0] * 15
     word[2] = symbol
     message = rf"symbol -?0x{abs(symbol):x} at position 2 is not in GF\(16\)"
-    with pytest.raises(ValueError, match=message):
-        code.agree_on(word, [0, 2, 4])
-    assert not code.agree_on(word, [0, 1, 3])[1].any()  # position 2 is not read
-    # position 2 read by agree_on on S, then off S
     for positions in ([0, 2, 4], [0, 1, 4]):
         with pytest.raises(ValueError, match=message):
             code.shorten_received(word, positions)
@@ -807,15 +831,15 @@ def test_agree_on_and_shorten_reject_repeated_or_outside_positions(gf16, positio
     # a repeated position used to give a c that disagrees with the word
     # there, and position 12 an IndexError; neither is kept
     code = GrsCode(gf16, list(range(1, 11)), [1] * 10, 4)
-    word = [0, 1] + [0] * 8
+    word = np.array([0, 1] + [0] * 8)
     message = r"need pairwise distinct positions in range\(10\), got"
-    for call in (code.agree_on, code.shorten_received):
+    for call in (code._agree_on, code.shorten_received):
         with pytest.raises(ValueError, match=message):
             call(word, positions)
     with pytest.raises(ValueError, match=message):
         code.shorten(positions)
     assert not code._agree_inv and not code._shortened
-    f, c = code.agree_on(word, [0, 1])
+    f, c = code._agree_on(word, [0, 1])
     assert c[:2].tolist() == [0, 1] and len(f) == 2
 
 
@@ -984,7 +1008,7 @@ def test_shorten_is_kept_per_locator_set(gf16):
         got, sw, _ = code.shorten_received(word, range(5))
         assert got is short
         assert short.gs_list_decode(sw, 4) == fresh.gs_list_decode(sw, 4)
-    assert list(short._gs_plans) == [(4, *gs_parameters(short.n, short.k, 4))]
+    assert list(short._gs_plans) == [4]
     for plan in short._gs_plans.values():
         for name in ("init", "row_wdegs", "xpows", "xinv"):
             assert not getattr(plan, name).flags.writeable
@@ -1007,16 +1031,16 @@ def test_agree_on_keeps_one_inverse_per_position_set(gf16, grs_membership, monke
     family = (tuple(range(8)), tuple(range(7, 15)), tuple(range(7)) + (14,))
     assert [plan.family for plan in code._gs_plans.values()] == [family] * 2
     assert tuple(code._agree_inv) == family and len(inverses) == 3
-    word = next(seeded_words(code, 6, 1, seed=5))
+    word = np.array(next(seeded_words(code, 6, 1, seed=5)))
     for pos in ([4, 0, 9], [], list(range(15))[::2]):
-        msg, cw = code.agree_on(word, pos)
+        msg, cw = code._agree_on(word, pos)
         assert len(msg) == len(pos) and all(cw[i] == word[i] for i in pos)
         assert tuple(cw.tolist()) == encode_oracle(code, msg.tolist())
         assert grs_membership(code)(cw)
     assert all(not inv.flags.writeable for inv in code._agree_inv.values())
     assert (0, 4, 9) in code._agree_inv
     with pytest.raises(ValueError, match="at most k = 8 positions fix a codeword, got 9"):
-        code.agree_on(word, range(9))
+        code._agree_on(word, range(9))
 
 
 def test_shorten_composes(gf8):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,21 @@ def test_mk_rejects_symbols_outside_the_field(pmds_12_4):
     message = r"symbol 0x400 at position \(3, 5\) is not in GF\(1024\)"
     with pytest.raises(ValueError, match=message):
         mk_decode(pmds_12_4.field, pmds_12_4.parity, InterleavedWord(pmds_12_4.field, cw))
+
+
+@pytest.mark.parametrize(
+    "shape", [(12,), (8, 11), (8, 13), (2, 8, 12)], ids=["1-d", "8x11", "8x13", "3-d"]
+)
+def test_mk_rejects_a_received_word_of_the_wrong_shape(pmds_12_4, shape):
+    # a 1-D word used to raise IndexError, and an 8 x 11 one a matmul shape
+    # mismatch that named neither the word nor n
+    word = InterleavedWord(pmds_12_4.field, np.zeros(shape, dtype=np.int64))
+    message = (
+        rf"received word has shape {re.escape(str(shape))}, need an ell x n matrix "
+        r"with n = 12, the parity's column count"
+    )
+    with pytest.raises(ValueError, match=message):
+        mk_decode(pmds_12_4.field, pmds_12_4.parity, word)
 
 
 def test_mk_garbage_fails_parity(pmds_12_4):

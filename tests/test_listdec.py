@@ -50,7 +50,7 @@ def test_zero_error_list_is_exact(tb_15_6):
     assert out.codewords == [cw]
     assert out.complete
     unique = unique_decode_probabilistic(tb_15_6, cw, CFG)
-    local = tb_15_6.local_code(0).gs_list_decode(tb_15_6.restrict(cw, 0), 1)
+    local = tb_15_6.local_codes[0].gs_list_decode([cw[i] for i in tb_15_6.repair_sets[0]], 1)
     assert all(type(s) is int for w in [cw, unique] + out.codewords + local for s in w)
 
 
@@ -66,6 +66,55 @@ def test_weight5_containment_seeded(tb_15_6):
             sum(1 for a, b in zip(c, w) if a != b) <= 5 and tb_15_6.is_codeword(c)
             for c in out.codewords
         )
+
+
+@pytest.fixture(scope="module")
+def tb_63_16():
+    return construct_tamo_barg(Field(64), 63, 16, 8, 14)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_planted_pair_beyond_johnson_is_listed(tb_63_16, seed):
+    # f = (x^n_l - beta_0^n_l) h(x), h of degree r - 1 = 7 vanishing at 7
+    # locators of repair set 1, uses only the monomials x^i and x^(n_l + i),
+    # i < r, so it is a codeword; it vanishes on repair set 0 and at those
+    # 7 locators, weight 63 - 28 = d = 35.  The word takes c2 = c1 + f on 18
+    # positions of f's support and 6 errors off it: at distance 24 from c1
+    # and 23 from c2, both past the Johnson radius and within t_g = 24
+    code, F = tb_63_16, tb_63_16.field
+    n_l, loc = code.shape.n_l, code.supercode.locators
+    rng = np.random.default_rng([63, seed])
+    beta = F.pow(loc[code.repair_sets[0][0]], n_l)
+    gammas = [loc[i] for i in rng.choice(code.repair_sets[1], size=7, replace=False)]
+    scale = int(rng.integers(1, 64))
+
+    def f_at(x):
+        v = F.mul(scale, F.sub(F.pow(x, n_l), beta))
+        for g in gammas:
+            v = F.mul(v, F.sub(x, g))
+        return v
+
+    f = [f_at(x) for x in loc]
+    support = [i for i in range(code.n) if f[i]]
+    assert len(support) == code.d == 35 and code.is_codeword(f)
+    c1 = code.encode(rng.integers(0, 64, size=code.k).tolist())
+    c2 = tuple(F.add(a, b) for a, b in zip(c1, f))
+    word = list(c1)
+    for i in rng.choice(support, size=18, replace=False):
+        word[i] = c2[i]
+    off = [i for i in range(code.n) if not f[i]]
+    for i in rng.choice(off, size=6, replace=False):
+        word[i] = F.add(word[i], int(rng.integers(1, 64)))
+    dist = [sum(a != b for a, b in zip(c, word)) for c in (c1, c2)]
+    assert dist == [24, 23] and min(dist) > johnson_errors(code.n, code.d, F.q)
+    cfg = DecodeConfig(t_l=8, t_g=24)
+    out = list_decode_lrc(code, word, cfg)
+    assert c1 in out.codewords and c2 in out.codewords
+    assert all(
+        sum(a != b for a, b in zip(c, word)) <= 24 and code.is_codeword(c) for c in out.codewords
+    )
+    assert len(out.codewords) <= list_size_bounds(code.shape, 8, 64)[1] == 167
+    assert unique_decode_probabilistic(code, word, cfg) in (None, c1, c2)
 
 
 def test_list_size_within_bounds(tb_15_6):
@@ -137,6 +186,32 @@ def test_decoders_build_no_code_shape(tb_15_6, monkeypatch):
     assert built == []
     CodeShape(15, 6, 3, 3)
     assert len(built) == 1  # the patch does count constructions
+
+
+def test_agree_on_checks_no_symbols(tb_15_6, monkeypatch):
+    # the word's symbols are checked at the public entries; _agree_on, run
+    # per family member and per shortening, takes them checked
+    inside, agreed, checks = [False], [], []
+    agree_on, check_symbols = GrsCode._agree_on, Field.check_symbols
+
+    def counted_agree_on(self, word, positions):
+        agreed.append(positions)
+        inside[0] = True
+        try:
+            return agree_on(self, word, positions)
+        finally:
+            inside[0] = False
+
+    def counted_check(self, word):
+        checks.append(inside[0])
+        return check_symbols(self, word)
+
+    monkeypatch.setattr(GrsCode, "_agree_on", counted_agree_on)
+    monkeypatch.setattr(Field, "check_symbols", counted_check)
+    rng = np.random.default_rng(7)
+    cw = tb_15_6.encode(rng.integers(0, 16, size=6).tolist())
+    assert cw in list_decode_lrc(tb_15_6, corrupt(rng, tb_15_6.field, cw, 5), CFG).codewords
+    assert agreed and checks and not any(checks)
 
 
 def test_global_only_path(tb_15_6):
@@ -240,7 +315,7 @@ def test_zero_dimension_shortening_decodes_zero_word(q, n, k, r, rho, t_l, t_g):
     # clean the first s_short repair sets to the zero local codeword
     zero, picks = (0,) * n, [(0, (0,) * code.shape.n_l)] * s_short
     assert _decode_shortened(code, zero, range(s_short), picks, cfg, DecodingList()) == [zero]
-    local = code.local_code(0)
+    local = code.local_codes[0]
     if local.k == 1 or gs_parameters(local.n, local.k, t_l)[0] <= 12:
         # (the local [15, 9] decode at t_l = 4 needs s = 33: tens of seconds)
         assert zero in list_decode_lrc(code, zero, cfg).codewords

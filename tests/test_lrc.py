@@ -33,23 +33,21 @@ def test_constructor_divisibility_errors(gf16):
 
 def test_local_restrictions_are_local_codewords(tb_15_6, grs_membership):
     rnd = random.Random(0)
-    in_local = [grs_membership(tb_15_6.local_code(j)) for j in range(3)]
+    in_local = [grs_membership(local) for local in tb_15_6.local_codes]
     for _ in range(100):
         msg = [rnd.randrange(16) for _ in range(6)]
         cw = tb_15_6.encode(msg)
-        for j in range(3):
-            assert in_local[j](tb_15_6.restrict(cw, j))
-    assert all(tb_15_6.local_code(j) is tb_15_6.local_codes[j] for j in range(3))
+        for j, idx in enumerate(tb_15_6.repair_sets):
+            assert in_local[j](tuple(cw[i] for i in idx))
 
 
 def test_restriction_partition_recovers_word(tb_15_6):
     cw = tb_15_6.encode([1, 2, 3, 4, 5, 6])
     rebuilt = [None] * 15
-    for j in range(3):
-        for pos, sym in zip(tb_15_6.repair_sets[j], tb_15_6.restrict(cw, j)):
+    for idx in tb_15_6.repair_sets:
+        for pos, sym in zip(idx, [cw[i] for i in idx]):
             rebuilt[pos] = sym
     assert tuple(rebuilt) == cw
-    assert tb_15_6.restrict((0,) * 15, 1) == (0,) * 5
 
 
 def test_generator_rows_of_supercode(tb_15_6):
@@ -76,7 +74,7 @@ def test_membership_rejects_supercode_non_members(tb_15_6, gf16, grs_membership)
 
 def test_local_distance_exhaustive(tb_15_6):
     # one repair set, all 16^3 local codewords: minimum nonzero weight is rho = 3
-    local = tb_15_6.local_code(0)
+    local = tb_15_6.local_codes[0]
     weights = set()
     for a in range(16):
         for b in range(16):

@@ -193,8 +193,13 @@ def _zero_row(rows, i):
         (lambda obj: obj["repair_sets"][1].__setitem__(0, 0), r"partition range\(12\)"),
         (lambda obj: obj.update(repair_sets=[list(range(6)), list(range(6, 12))]),
          r"partition range\(12\) into sets of size r \+ rho - 1 = 3"),
+        # r + rho - 1 = 3 still matches the repair sets, so only the shape
+        # check refuses these
+        (lambda obj: obj.update(r=5, rho=-1), r"r = 5 must lie in \[1, k = 4\]"),
+        (lambda obj: obj.update(r=3, rho=1), r"rho = 1 must be at least 2"),
     ],
-    ids=["generator-rows", "parity-rows", "parity-zero", "parity-rank-7", "overlap", "size-6"],
+    ids=["generator-rows", "parity-rows", "parity-zero", "parity-rank-7", "overlap", "size-6",
+         "r-5-rho-minus-1", "r-3-rho-1"],
 )
 def test_from_json_rejects_malformed_descriptors(pmds_12_4, tamper, message):
     obj = pmds_12_4.to_json()
