@@ -25,6 +25,7 @@ import numpy as np
 from . import linalg
 from ._kernels import add
 from .galois import Field
+from .grs import gs_max_radius
 from .interleaved import BurstError, InterleavedWord, mk_decode
 from .listdec import (
     BudgetExceeded,
@@ -350,7 +351,8 @@ def cmd_simulate(args) -> int:
         trial = functools.partial(_mk_trial, code, args.ell)
     else:
         code = _load(args.code, LrcCode)
-        t_l = args.tl if args.tl is not None else code.local_codes[0].gs_max_radius()
+        local = code.local_codes[0]
+        t_l = args.tl if args.tl is not None else gs_max_radius(local.n, local.k)
         t_g = args.tg if args.tg is not None else default_t_g(code, t_l)
         if weights is None:
             weights = list(range(0, t_g + 1))

@@ -5,22 +5,19 @@ keeps it read-only; messages, words and candidate lists are int64
 arrays.  A codeword is one field matrix product (``_kernels.matmul``) of
 the message coefficients with the generator, and the list decoder
 encodes all its candidates in one such product.  Guruswami-Sudan list
-decoding first tries to settle the list without interpolation, by
-information-set decoding (Prange) on a fixed family of k-position sets
-(GsPlan.family): R, the code's first k positions with a locator 0
-moved in, then the complements of the first two of the ceil(n/(n-k))
-blocks of n - k consecutive positions (the last block ends at n - 1),
-without repeats, so at most three sets.  Every k positions of a GRS code
-fix a codeword, so a member R' gives c_R' = _agree_on(word, R') at
-distance e' from the word; if e' + t < d, any codeword c within t of the
-word has d(c, c_R') <= t + e' < d, so c = c_R', and the list is [c_R']
-if e' <= t, else empty.  When no member settles and the family closes
-at t (2t < d and every set of at most t positions misses some member),
-the list is empty: the errors of a codeword c within t miss some R',
-so c_R' = c with e' <= t and e' + t <= 2t < d, and R' would have
-settled.  Closure holds at t = 0, at t = 1 exactly when the members
-share no position, and never at t >= 2.  Otherwise the word is
-re-encoded on R (Koetter-Vardy): the word minus c_R is 0 on R, where the
+decoding settles, else covers, else interpolates, on the family of
+k-position sets (GsPlan.family) of the code's plan for radius t.  Every
+k positions of a GRS code fix a codeword, so a member R' gives
+c_R' = _agree_on(word, R') at distance e' from the word.  Settle: if
+e' + t < d, any codeword c within t of the word has d(c, c_R') <= t + e'
+< d, so c = c_R', and the list is [c_R'] if e' <= t, else empty.  Cover:
+if every set of at most t positions misses some member (the family
+covers t), the errors of a codeword c within t miss some R', where c
+agrees with the word, so c = c_R', and the list is the members' c_R'
+within t (information-set decoding, Prange).  t + 1 pairwise disjoint
+k-sets cover t by pigeonhole, and the plan takes them whenever
+(t + 1) k <= n.  Interpolate: otherwise the word is re-encoded on R, the
+first member (Koetter-Vardy): the word minus c_R is 0 on R, where the
 multiplicity-s constraints say exactly that Q_j is divisible by
 v^(s-j), v = prod over R of (x - alpha), so Koetter's iterative
 interpolation starts from the rows v^(s-j) y^j and runs only over the
@@ -85,6 +82,27 @@ def gs_max_radius(n: int, k: int) -> int:
     while gs_parameters(n, k, t) is None:
         t -= 1
     return t
+
+
+def check_radius(name: str, t: int, n: int, k: int, role: str = ""):
+    """ValueError unless 0 <= t <= gs_max_radius(n, k), naming the radius
+    (name = t) and the decode it is for (role, then [n, k])."""
+    if t < 0:
+        raise ValueError(f"{name} = {t} is below the limit 0")
+    reach = gs_max_radius(n, k)
+    if t > reach:
+        decode = f"{role} [{n}, {k}]".lstrip()
+        raise ValueError(f"{name} = {t} exceeds the radius {reach} of the {decode} GRS decode")
+
+
+def check_length(word, n: int, name: str = "received word", need: str = "n") -> np.ndarray:
+    """word as an int64 array; ValueError, naming its shape and the length
+    it needs (need = n), unless it holds exactly n symbols in one axis."""
+    word = np.asarray(word, dtype=np.int64)
+    if word.shape != (n,):
+        has = f"{word.size} symbols" if word.ndim == 1 else f"shape {word.shape}"
+        raise ValueError(f"{name} has {has}, need {need} = {n}")
+    return word
 
 
 class GrsCode:
@@ -187,68 +205,46 @@ class GrsCode:
 
     # -- list decoding ---------------------------------------------------------
 
-    def gs_max_radius(self) -> int:
-        return gs_max_radius(self.n, self.k)
-
     def gs_list_decode(self, word, t: int) -> list[tuple[int, ...]]:
         """All codewords within Hamming distance t of word.
 
-        Complete for every t up to gs_max_radius(); raises ValueError
-        beyond it, and for a symbol outside the field.  For k >= 2 the
-        list is first certified on the plan's family of k-position sets
-        (GsPlan.family: R, then up to two complements of blocks of n - k
-        consecutive positions), in order: c_R' is the codeword that
-        agrees with the word on the member R' (_agree_on), at distance e'
-        from it.  If e' + t < d the list is settled without
-        interpolation: [c_R'] if e' <= t, else empty, as any codeword c
-        within t of the word has d(c, c_R') <= t + e' < d, so c = c_R'.
-        If no member settles and the family closes at t (GsPlan.closed:
-        2t < d and every set of at most t positions misses a member), the
-        list is empty: a codeword c within t has its errors off some R',
-        where c_R' = c and e' + t <= 2t < d would have settled it.
-        Otherwise Koetter interpolation of a bivariate Q(x, y) through
-        word - c_R, c_R from the first member R, on the code's plan for t,
-        which holds the smallest sufficient multiplicity (see GsPlan and
-        _gs_interpolate), then Roth-Ruckenstein root finding of its
-        y-roots f'(x) of degree < k, then the map back f = f' + f_R, one
-        encoding product and a distance filter.  The word's symbols are
-        checked here, once.
+        Complete for every t up to gs_max_radius(n, k); ValueError beyond
+        it and below 0, for a word that is not n symbols in one axis and
+        for a symbol outside the field, checked here, once.  The members R'
+        of the plan's family are taken in order, each giving c_R' at
+        distance e' (see the module docstring): the first with e' + t < d
+        settles the list; else, if the family covers t (GsPlan.covers),
+        the list is the members' c_R' within t.  Otherwise Koetter
+        interpolation of a bivariate Q(x, y) through word - c_R, c_R from
+        the first member R, on the code's plan for t, which holds the
+        smallest sufficient multiplicity (see GsPlan and _gs_interpolate),
+        then Roth-Ruckenstein root finding of its y-roots f'(x) of degree
+        < k, then the map back f = f' + f_R, one encoding product and a
+        distance filter.
         """
-        if len(word) != self.n:
-            raise ValueError("word length mismatch")
-        if t < 0:
-            raise ValueError("radius must be nonnegative")
-        reach = self.gs_max_radius()
-        if t > reach:
-            raise ValueError(
-                f"t = {t} exceeds the radius {reach} of the [{self.n}, {self.k}] GRS decode"
-            )
         F = self.field
-        word = F.check_symbols(word)
-        if self.k == 0:
-            return [(0,) * self.n] if np.count_nonzero(word) <= t else []
-        if self.k == 1:
-            # constants: a candidate agrees with the word somewhere, as t < n
-            cands = np.unique(self._normalize(word))[:, None]
-        else:
-            plan = self._gs_plan(t)
-            for i, member in enumerate(plan.family):
-                f, c = self._agree_on(word, member)
-                e = np.count_nonzero(c != word)
-                if e + t < self.d:
-                    return [tuple(c.tolist())] if e <= t else []
-                if i == 0:
-                    f_r, c_r = f, c
-            if plan.closed:
-                return []
+        word = check_length(word, self.n)
+        check_radius("t", t, self.n, self.k)
+        F.check_symbols(word)
+        plan = self._gs_plan(t)
+        near = []
+        for i, member in enumerate(plan.family):
+            f, c = self._agree_on(word, member)
+            e = np.count_nonzero(c != word)
+            if e + t < self.d:
+                return [tuple(c.tolist())] if e <= t else []
+            if e <= t:
+                near.append(tuple(c.tolist()))
+            if i == 0:
+                f_r, c_r = f, c
+        if not plan.covers:
             q = self._gs_interpolate(plan, sub(word, c_r, F))
-            cands = add(_rr_roots(q, self.k, F), f_r, F)
-        words = matmul(cands, self._generator, F)
-        near = words[np.count_nonzero(words != word, axis=1) <= t]
-        return sorted(set(map(tuple, near.tolist())))
+            words = matmul(add(_rr_roots(q, self.k, F), f_r, F), self._generator, F)
+            near = map(tuple, words[np.count_nonzero(words != word, axis=1) <= t].tolist())
+        return sorted(set(near))
 
     def _gs_plan(self, t: int) -> "GsPlan":
-        """The code's Koetter plan for radius t, built on first use."""
+        """The code's GS plan for radius t, built on first use."""
         if t not in self._gs_plans:
             self._gs_plans[t] = GsPlan(self, t)
         return self._gs_plans[t]
@@ -370,20 +366,25 @@ class GrsCode:
         symbols there as correct: returns (shortened code, word - c_S off S
         as a tuple, c_S), c_S the codeword that agrees with the word on S
         (_agree_on).  unshorten maps a shortened codeword back.  ValueError
-        for positions _agree_on rejects and, the whole word checked once
-        before re-encoding, for a symbol of the word outside the field."""
+        for a word that is not n symbols in one axis, for positions
+        _agree_on rejects and, the whole word checked once before
+        re-encoding, for a symbol of the word outside the field."""
+        word = check_length(word, self.n)
         pos = tuple(positions)
         code, rest = self.shorten(pos), self._rest(pos)
-        word = self.field.check_symbols(word)
+        self.field.check_symbols(word)
         _, c_s = self._agree_on(word, pos)
         short_word = sub(word[rest], c_s[rest], self.field)
         return code, tuple(short_word.tolist()), c_s
 
     def unshorten(self, positions, c_s, short_cw) -> np.ndarray:
         """c_S plus a codeword of the code shortened at the positions S, with
-        zeros put in at S: the full-length codeword it stands for."""
+        zeros put in at S: the full-length codeword it stands for.
+        ValueError for a shortened codeword that is not n - |S| symbols in
+        one axis."""
         full, rest = np.array(c_s, dtype=np.int64), self._rest(positions)
-        full[rest] = add(full[rest], np.asarray(short_cw, dtype=np.int64), self.field)
+        short_cw = check_length(short_cw, rest.size, "shortened codeword", "n - |S|")
+        full[rest] = add(full[rest], short_cw, self.field)
         return full
 
     def _rest(self, positions) -> np.ndarray:
@@ -392,10 +393,12 @@ class GrsCode:
 
 
 class GsPlan:
-    """What Koetter interpolation needs for one code at one radius t,
-    except the received values; every array is read-only.  The
-    multiplicity s and y-degree ly are gs_parameters(n, k, t), worked out
-    here once, so the plan is keyed by t alone.
+    """One code's GS plan at one radius t; every array is read-only.  It
+    holds the family of k-position sets that gs_list_decode settles or
+    covers on and, for k >= 2, what Koetter interpolation needs except the
+    received values: the multiplicity s and y-degree ly are
+    gs_parameters(n, k, t), worked out here once, so the plan is keyed by
+    t alone.
 
     Candidate-array columns: nc = s(s+1)/2 discrepancy columns, one per
     Hasse constraint (a, b) in (b, a) order, then one zero column, then
@@ -421,18 +424,21 @@ class GsPlan:
     row past wdeg is left zero, as it never takes part.  The x-side arrays
     cover the points outside R only.
 
-    The certificate's family of k-position sets, each a sorted tuple:
-    R first, then the complements of the first two of the ceil(n/(n-k))
-    blocks of n - k consecutive positions, the last block ending at
-    n - 1, so block i starts at min(i (n-k), k); a repeat is dropped, and
-    for n = k the family is R alone.  So it has at most three members,
-    whatever n, k and t; there is no knob.  closed says that 2t < d and
-    every set of at most t positions misses some member, so that a word
-    no member settles has an empty list (see gs_list_decode).  That holds
-    at t = 0, at t = 1 exactly when the members share no position, and
-    never at t >= 2: the pair {0, n-1} meets R (which holds position 0
-    for k >= 2), the complement of block 0 (which holds n - 1) and that
-    of block 1 (which holds 0).
+    The family of k-position sets that gs_list_decode settles or covers
+    on, each a sorted tuple, R first; covers says that every set of at
+    most t positions misses some member.  When (t + 1) k <= n the members
+    are t + 1 pairwise disjoint k-sets taken along the order that gives
+    R, and they cover t by pigeonhole: at most t positions cannot meet
+    all of them.  That holds for every k <= 1 code (for k = 0 the family
+    is the one empty member), whose plan stops there: there is no
+    interpolation below k = 2.  Otherwise the members are R and the
+    complements of the first two of the ceil(n/(n-k)) blocks of n - k
+    consecutive positions, the last block ending at n - 1, so block i
+    starts at min(i (n-k), k); a repeat is dropped.  That family covers
+    t = 0, t = 1 exactly when no position is common to all members, and
+    never t >= 2: the pair {0, n-1} meets R (which holds position 0 for
+    k >= 2), the complement of block 0 (which holds n - 1) and that of
+    block 1 (which holds 0).  There is no knob.
 
     Size and cost: s, ly, the unknowns M, the constraints
     C = (n - k) s(s+1)/2 that Koetter imposes on the points outside R,
@@ -442,9 +448,24 @@ class GsPlan:
 
     def __init__(self, code: GrsCode, t: int):
         F, n, k = code.field, code.n, code.k
+        self.t, self.n, self.points = t, n, n - k
+        # a locator 0 sorts first, so it lands in R and no point outside R
+        # has x0 = 0
+        order = np.argsort(code._alpha != 0, kind="stable")
+        order.flags.writeable = False
+        self.inside, self.outside = inside, outside = order[:k], order[k:]
+        if (t + 1) * k <= n:
+            family = [order[i * k : (i + 1) * k] for i in range(t + 1)]
+        else:
+            family = [inside] + [np.r_[:start, start + n - k : n] for start in (0, min(n - k, k))]
+        self.family = tuple(dict.fromkeys(tuple(sorted(m.tolist())) for m in family))
+        common = set.intersection(*map(set, self.family))
+        self.covers = (t + 1) * k <= n or t == 0 or t == 1 and not common
+        if k <= 1:
+            return
         k1 = k - 1
         s, ly = gs_parameters(n, k, t)
-        self.t, self.s, self.ly, self.n, self.points = t, s, ly, n, n - k
+        self.s, self.ly = s, ly
         self.wdeg = wdeg = s * (n - t) - 1
         lens = wdeg + 1 - np.arange(ly + 1) * k1
         col_dy = np.repeat(np.arange(ly + 1), lens)
@@ -469,19 +490,7 @@ class GsPlan:
         self.end = off + np.searchsorted(np.sort(weights), np.arange(wdeg + 1), side="right")
         self.x_source = x_source
         self.monomials = (np.arange(off + m) >= off).astype(np.int64)
-        # a locator 0 sorts first, so it lands in R and no point outside R
-        # has x0 = 0
-        order = np.argsort(code._alpha != 0, kind="stable")
-        self.inside, self.outside = inside, outside = order[:k], order[k:]
         self.x_outside = x_out = code._alpha[outside]
-        family = [tuple(sorted(inside.tolist()))]
-        for start in (0, min(n - k, k)) if n > k else ():
-            member = tuple(i for i in range(n) if not start <= i < start + n - k)
-            if member not in family:
-                family.append(member)
-        self.family = tuple(family)
-        common = set.intersection(*map(set, family))
-        self.closed = 2 * t < code.d and (t == 0 or (t == 1 and not common))
         # start rows v^e y^j, e = (s-j)+, written into the dy = j block
         vpow = [np.ones(1, dtype=np.int64)]
         for _ in range(s):

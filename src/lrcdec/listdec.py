@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grs import gs_max_radius
+from .grs import check_length, check_radius
 from .lrc import LrcCode
 from .radii import CodeShape, refined_error_count
 
@@ -78,9 +78,7 @@ def _local_stage(code: LrcCode, received, cfg: DecodeConfig):
     the word as a checked int64 array, lists[j] the (distance, local
     codeword) entries of repair set j, nearest first, and order the sets
     with a nonempty list, by list size, then index."""
-    word = np.asarray(received, dtype=np.int64)
-    if word.shape != (code.n,):
-        raise ValueError(f"received word has {word.size} symbols, need n = {code.n}")
+    word = check_length(received, code.n)
     code.field.check_symbols(word)
     _validate_cfg(code, cfg)
     symbols, lists = word.tolist(), []
@@ -97,13 +95,13 @@ def _validate_cfg(code: LrcCode, cfg: DecodeConfig):
     if cfg.budget < 1:
         raise ValueError(f"budget = {cfg.budget} is below the limit 1")
     local = code.local_codes[0]
-    _check_radius("t_l", cfg.t_l, "local", local.n, local.k)
+    check_radius("t_l", cfg.t_l, local.n, local.k, "local")
     bar = refined_error_count(code.shape, cfg.t_l, None)
     if cfg.t_g > bar:
         raise ValueError(f"t_g = {cfg.t_g} exceeds the refined error count {bar}")
     cut = min(_shortening_size(code, cfg) * code.shape.n_l, code.supercode.k)
     # every radius up to gs_max_radius is reachable, so t_g covers t_g - chi
-    _check_radius("t_g", cfg.t_g, "shortened", code.n - cut, code.supercode.k - cut)
+    check_radius("t_g", cfg.t_g, code.n - cut, code.supercode.k - cut, "shortened")
 
 
 def default_t_g(code: LrcCode, t_l: int) -> int:
@@ -111,7 +109,7 @@ def default_t_g(code: LrcCode, t_l: int) -> int:
     decoders accept with this t_l, or 0 if none is; ValueError if the
     local decode does not reach t_l."""
     local = code.local_codes[0]
-    _check_radius("t_l", t_l, "local", local.n, local.k)
+    check_radius("t_l", t_l, local.n, local.k, "local")
     for t_g in range(refined_error_count(code.shape, t_l, None), 0, -1):
         try:
             _validate_cfg(code, DecodeConfig(t_l, t_g))
@@ -119,16 +117,6 @@ def default_t_g(code: LrcCode, t_l: int) -> int:
             continue
         return t_g
     return 0
-
-
-def _check_radius(name: str, t: int, role: str, n: int, k: int):
-    if t < 0:
-        raise ValueError(f"{name} = {t} is below the limit 0")
-    reach = gs_max_radius(n, k)
-    if t > reach:
-        raise ValueError(
-            f"{name} = {t} exceeds the radius {reach} of the {role} [{n}, {k}] GRS decode"
-        )
 
 
 def _shortening_size(code: LrcCode, cfg: DecodeConfig) -> int:

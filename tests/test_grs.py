@@ -182,7 +182,7 @@ def test_gs_matches_sphere_enumeration(code_7_2, book_7_2):
 
 def test_gs_containment_15_3(gf16):
     code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 3)
-    assert code.gs_max_radius() == 9
+    assert gs_max_radius(code.n, code.k) == 9
     rnd = random.Random(7)
     for _ in range(10):
         cw = code.encode([rnd.randrange(16) for _ in range(3)])
@@ -193,6 +193,11 @@ def test_gs_containment_15_3(gf16):
 def test_gs_beyond_guarantee_raises(code_7_2):
     with pytest.raises(ValueError):
         code_7_2.gs_list_decode((0,) * 7, 5)
+
+
+def test_gs_radius_below_zero_names_the_limit(code_7_2):
+    with pytest.raises(ValueError, match=r"^t = -1 is below the limit 0$"):
+        code_7_2.gs_list_decode((0,) * 7, -1)
 
 
 def test_gs_agrees_with_bmd(code_7_3, gf8):
@@ -225,7 +230,7 @@ def test_gs_dimension_one_matches_sphere_enumeration(gf8):
     rnd = random.Random(14)
     for _ in range(50):
         w = tuple(rnd.choice([0, 1, 3, code.encode([5])[0]]) for _ in range(7))
-        for t in range(code.gs_max_radius() + 1):
+        for t in range(gs_max_radius(code.n, code.k) + 1):
             assert code.gs_list_decode(w, t) == sorted(c for c in book if hamming(c, w) <= t)
 
 
@@ -667,7 +672,7 @@ def test_gs_certificate_matches_sphere_enumeration(q, locators, k, monkeypatch):
     code, book = certificate_code(q, locators, k)
     rnd = random.Random(q + k)
     settled = decodes = 0
-    for t in range(code.gs_max_radius() + 1):
+    for t in range(gs_max_radius(code.n, code.k) + 1):
         family = code._gs_plan(t).family
         inside, outside = list(family[0]), complement(code, family[0])
         for w in range(t + 1):
@@ -707,13 +712,15 @@ def test_gs_certificate_boundary(q, locators, k, monkeypatch):
     # e + t = d - 1 is settled without interpolation, to [c] if e <= t and
     # to [] if not.  At e + t = d the errors also hit every other member,
     # and no member settles: the word is interpolated, unless the family
-    # closes at t (t = 1 here), and then its list is empty
+    # covers t (t = 1, and every t with (t + 1) k <= n), and then its list
+    # is empty
     code, book = certificate_code(q, locators, k)
     interpolate = GrsCode._gs_interpolate
     rnd = random.Random(q)
     outcomes = set()
-    closed = set()
-    for t in range(1, code.gs_max_radius() + 1):
+    covered = set()
+    reach = gs_max_radius(code.n, code.k)
+    for t in range(1, reach + 1):
         outside = complement(code, code._gs_plan(t).family[0])
         cw = book[rnd.randrange(len(book))].tolist()
         for e in (code.d - 1 - t, code.d - t):
@@ -726,15 +733,16 @@ def test_gs_certificate_boundary(q, locators, k, monkeypatch):
             if e + t < code.d:
                 assert code.gs_list_decode(word, t) == want == ([tuple(cw)] if e <= t else [])
                 outcomes.add(len(want))
-            elif code._gs_plan(t).closed:
+            elif code._gs_plan(t).covers:
                 assert code.gs_list_decode(word, t) == want == []
-                closed.add(t)
+                covered.add(t)
             else:
                 with pytest.raises(Interpolated):
                     code.gs_list_decode(word, t)
                 monkeypatch.setattr(GrsCode, "_gs_interpolate", interpolate)
                 assert code.gs_list_decode(word, t) == want
-    assert outcomes == {0, 1} and closed == {1}
+    assert outcomes == {0, 1}
+    assert covered == {t for t in range(1, reach + 1) if t == 1 or (t + 1) * k <= code.n}
 
 
 def covers(code, family, t):
@@ -747,37 +755,43 @@ def covers(code, family, t):
     )
 
 
-# (q, locators, k, closed at t = 1): the certificate codes, [5,3] codes,
-# k = n and k = n - 1 (2t >= d at t = 1; the [3,2] members share no
-# position), and [7,5] codes, whose members share a position
+# (q, locators, k, the block family covers t = 1): the certificate codes,
+# [5,3] codes, k = n and k = n - 1 ([3,2] members share no position, so
+# they cover t = 1 although 2t >= d), and [7,5] codes, whose members share
+# a position
 FAMILY_CODES = [code + (True,) for code in CERTIFICATE_CODES] + [
     (16, tuple(range(1, 6)), 3, True),
     (16, tuple(range(5)), 3, True),
     (8, tuple(range(1, 7)), 6, False),
     (8, tuple(range(1, 7)), 5, False),
-    (8, (1, 2, 3), 2, False),
+    (8, (1, 2, 3), 2, True),
     (8, tuple(range(1, 8)), 5, False),
     (8, tuple(range(1, 7)) + (0,), 5, False),
 ]
 
 
-@pytest.mark.parametrize("q, locators, k, closed", FAMILY_CODES)
-def test_gs_family_shape_and_closure_rule(q, locators, k, closed):
-    # R first, then at most two distinct complements of a block of n - k
-    # consecutive positions; closed agrees with enumerating the t-sets
+@pytest.mark.parametrize("q, locators, k, covers_1", FAMILY_CODES)
+def test_gs_family_shape_and_closure_rule(q, locators, k, covers_1):
+    # R first, then t + 1 disjoint k-sets along the plan's order when
+    # (t + 1) k <= n, else at most two distinct complements of a block of
+    # n - k consecutive positions; covers agrees with enumerating the t-sets
     code = GrsCode(Field(q), locators, [1] * len(locators), k)
     n = code.n
-    for t in range(code.gs_max_radius() + 1):
+    order = np.concatenate((code._gs_plan(0).inside, code._gs_plan(0).outside)).tolist()
+    for t in range(gs_max_radius(code.n, code.k) + 1):
         plan = code._gs_plan(t)
         family = plan.family
         assert family[0] == tuple(sorted(plan.inside.tolist()))
-        assert len(set(family)) == len(family) <= (1 if n == k else 3)
-        for member in family[1:]:
-            block = complement(code, member)
-            assert list(member) == sorted(member) and len(member) == k
-            assert block == list(range(block[0], block[0] + n - k))
-        assert plan.closed == (2 * t < code.d and covers(code, family, t))
-        assert plan.closed == (t == 0 or t == 1 and closed)
+        if (t + 1) * k <= n:
+            assert family == tuple(tuple(sorted(order[i * k : (i + 1) * k])) for i in range(t + 1))
+        else:
+            assert len(set(family)) == len(family) <= 3
+            for member in family[1:]:
+                block = complement(code, member)
+                assert list(member) == sorted(member) and len(member) == k
+                assert block == list(range(block[0], block[0] + n - k))
+        assert plan.covers == covers(code, family, t)
+        assert plan.covers == ((t + 1) * k <= n or t == 0 or t == 1 and covers_1)
 
 
 @pytest.mark.parametrize("q, locators, k, closed", FAMILY_CODES)
@@ -803,6 +817,56 @@ def test_gs_closure_matches_sphere_without_interpolation(q, locators, k, closed,
         assert (unsettled > 0) == (t == 1)
 
 
+def test_gs_family_covers_exactly_where_enumeration_does():
+    # every code over GF(8) with n <= 7 locators (with locator 0 absent,
+    # and last, so the plan moves it into R), every k in 0..n and every
+    # reachable t: the members are distinct sorted k-sets, R first for
+    # k >= 1, and covers agrees with enumerating the t-sets
+    for n in range(1, 8):
+        for locators in (tuple(range(1, n + 1)), tuple(range(1, n)) + (0,)):
+            for k in range(n + 1):
+                code = GrsCode(Field(8), locators, [1] * n, k)
+                for t in range(gs_max_radius(n, k) + 1):
+                    plan = code._gs_plan(t)
+                    family = plan.family
+                    assert len(set(family)) == len(family)
+                    for member in family:
+                        assert list(member) == sorted(set(member)) and len(member) == k
+                        assert set(member) <= set(range(n))
+                    if k:
+                        assert family[0] == tuple(sorted(plan.inside.tolist()))
+                    assert plan.covers == covers(code, family, t)
+
+
+@pytest.mark.parametrize(
+    "q, locators, k, radii",
+    [(8, tuple(range(1, 8)), 0, range(8)), (8, tuple(range(1, 8)), 1, range(7)),
+     (16, tuple(range(1, 11)), 3, range(3))],
+)
+def test_gs_cover_matches_sphere_without_interpolation(q, locators, k, radii, monkeypatch):
+    # (t + 1) k <= n, so every plan here takes t + 1 disjoint k-sets, which
+    # cover t: with interpolation refused, every decode of a codeword hit
+    # by at most t errors, or of a uniform word, equals the sphere.  At the
+    # largest t some words are settled by no member and the cover gives
+    # their list; on [10,3] at t = 2 those words were interpolated before
+    # the cover rule
+    code, book = certificate_code(q, locators, k)
+    monkeypatch.setattr(GrsCode, "_gs_interpolate", refuse_interpolation)
+    rnd = random.Random(q + k)
+    for t in radii:
+        assert code._gs_plan(t).covers
+        unsettled = 0
+        for i in range(40):
+            if i % 2:
+                word = tuple(rnd.randrange(q) for _ in range(code.n))
+            else:
+                cw = book[rnd.randrange(len(book))].tolist()
+                word = corrupt(rnd, code.field, cw, rnd.sample(range(code.n), i // 2 % (t + 1)))
+            unsettled += not settles(code, word, t)
+            assert code.gs_list_decode(word, t) == sphere(book, word, t)
+        assert unsettled > 0 or t < max(radii)
+
+
 @pytest.mark.parametrize("symbol", [16, -1])
 def test_gs_rejects_symbols_outside_the_field(gf16, symbol):
     code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 5)
@@ -824,6 +888,32 @@ def test_shorten_received_rejects_symbols_outside_the_field(gf16, symbol):
     for positions in ([0, 2, 4], [0, 1, 4]):
         with pytest.raises(ValueError, match=message):
             code.shorten_received(word, positions)
+
+
+@pytest.mark.parametrize(
+    "entry, word, message",
+    [
+        ("shorten_received", [0] * 18, r"received word has 18 symbols, need n = 15"),
+        ("shorten_received", [0] * 10, r"received word has 10 symbols, need n = 15"),
+        ("unshorten", [0] * 12, r"shortened codeword has 12 symbols, need n - \|S\| = 13"),
+        ("unshorten", [0] * 14, r"shortened codeword has 14 symbols, need n - \|S\| = 13"),
+        ("gs_list_decode", [0] * 14, r"received word has 14 symbols, need n = 15"),
+        ("gs_list_decode", [[0, 0]] * 15, r"received word has shape \(15, 2\), need n = 15"),
+    ],
+    ids=["shorten-18", "shorten-10", "unshorten-12", "unshorten-14", "gs-14", "gs-15x2"],
+)
+def test_grs_entries_refuse_words_of_the_wrong_shape(gf16, entry, word, message):
+    # [15,5] over GF(16), S = {0, 1}: a received word needs n = 15 symbols
+    # in one axis, a shortened codeword n - |S| = 13
+    code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 5)
+    _, _, c_s = code.shorten_received([0] * 15, [0, 1])
+    call = {
+        "shorten_received": lambda: code.shorten_received(word, [0, 1]),
+        "unshorten": lambda: code.unshorten([0, 1], c_s, word),
+        "gs_list_decode": lambda: code.gs_list_decode(word, 3),
+    }[entry]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("positions", [[0, 0, 1], [0, 12], [-1, 2]])
@@ -1223,7 +1313,7 @@ def test_shortening_matches_per_beta_reference(name):
         positions = rnd.sample(range(n), size)
         subset = [code.locators[i] for i in positions]
         short = code.shorten(positions)
-        t = min(short.gs_max_radius(), (short.d - 1) // 2 + 1)
+        t = min(gs_max_radius(short.n, short.k), (short.d - 1) // 2 + 1)
         cw = code.encode([rnd.randrange(F.q) for _ in range(k)])
         off = [i for i in range(n) if i not in positions]
         word = corrupt(rnd, F, cw, rnd.sample(off, min(t, len(off))))
@@ -1258,7 +1348,7 @@ def test_gs_parameters_error_names_shape():
     # multiplicity below 256 makes the interpolation system solvable there,
     # so the decoder's radius is 60 (not decoded here: s = 15 is slow)
     code = GrsCode(Field(128), list(range(1, 121)), [1] * 120, 30)
-    assert code.gs_max_radius() == 60
+    assert gs_max_radius(code.n, code.k) == 60
     assert gs_parameters(120, 30, 61) is None
     assert gs_parameters(120, 30, 60) == (15, 31)
     with pytest.raises(

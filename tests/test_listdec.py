@@ -433,9 +433,9 @@ def test_unique_consistent_with_list(tb_15_6):
 
 
 def test_local_decodes_never_interpolate(tb_15_6, monkeypatch):
-    # t_l = 1 on the [5, 3] local codes, so 2 t_l < rho: every local list is
-    # settled by the certificate or the closure; the shortened [10, 3]
-    # decodes still interpolate
+    # t_l = 1 on the [5, 3] local codes, whose members share no position:
+    # the family covers t_l, so every local list is settled or covered; the
+    # shortened [10, 3] decodes at t >= 3 still interpolate
     interpolate = GrsCode._gs_interpolate
     lengths = []
 
