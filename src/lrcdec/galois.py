@@ -10,6 +10,8 @@ The default modulus of GF(2^m) is found by a search over GF(2)[x],
 whose polynomials are bit masks too: a Rabin irreducibility test built
 on one multiply-mod and one gcd.  There is no polynomial type:
 ``lagrange_interpolate`` returns a coefficient tuple.
+``Field.check_symbols`` is the one gate of every word or symbol matrix
+that enters the package: its type, its length and its range.
 
 Fields are immutable after construction and safe to share across
 threads; all operations are pure.
@@ -216,17 +218,26 @@ class Field:
             return 1 if e == 0 else 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
-    def check_symbols(self, word) -> np.ndarray:
-        """word as an int64 array; ValueError naming the first symbol that
-        is not an element of this field, its position in word and q."""
-        arr = np.asarray(word, dtype=np.int64)
+    def check_symbols(self, word, n=None, name="received word", need="n") -> np.ndarray:
+        """word as an int64 array: the one check of a word entering the package.
+        ValueError naming the word (name) unless numpy reads it as integers (not
+        float, bool, str, or object: ints past 64 bits); for n given, naming its
+        shape and the length it needs (need = n) unless it is n symbols in one
+        axis; naming the first symbol outside this field, its position and q."""
+        raw = np.asarray(word)
+        if raw.dtype.kind not in "iu" and raw.size:
+            raise ValueError(f"{name} holds {raw.dtype} values, need int64 symbols of GF({self.q})")
+        if n is not None and raw.shape != (n,):
+            has = f"{raw.size} symbols" if raw.ndim == 1 else f"shape {raw.shape}"
+            raise ValueError(f"{name} has {has}, need {need} = {n}")
+        arr = raw.astype(np.int64, copy=False)
         # read as uint64 a negative symbol is at least 2^63, so one maximum
         # tests both ends
         wide = arr.view(np.uint64)
         if arr.size and wide.max() >= self.q:
             pos = tuple(np.argwhere(wide >= self.q)[0].tolist())
             where = pos[0] if len(pos) == 1 else pos
-            raise ValueError(f"symbol {arr[pos]:#x} at position {where} is not in GF({self.q})")
+            raise ValueError(f"symbol {raw[pos]:#x} at position {where} is not in GF({self.q})")
         return arr
 
     # -- serialization -------------------------------------------------------
@@ -275,9 +286,9 @@ def lagrange_interpolate(field: Field, points: Sequence[tuple[int, int]]) -> tup
 
     Solves the Vandermonde system.  Raises ValueError on duplicate abscissae.
     """
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
+    xs = field.check_symbols([x for x, _ in points], name="abscissae")
+    if len(set(xs.tolist())) != len(xs):
         raise ValueError("interpolation abscissae must be pairwise distinct")
-    ys = np.array([y for _, y in points], dtype=np.int64).reshape(-1, 1)
-    coeffs = linalg.solve(powers(xs, len(xs), field).T, ys, field)[:, 0]
+    ys = field.check_symbols([y for _, y in points], name="ordinates")
+    coeffs = linalg.solve(powers(xs, len(xs), field).T, ys[:, None], field)[:, 0]
     return tuple(np.trim_zeros(coeffs, "b").tolist())

@@ -24,8 +24,9 @@ interpolation starts from the rows v^(s-j) y^j and runs only over the
 n - k points outside R, none of them at x = 0; the roots f' of Q map
 back to the candidates f' + f_R.  Interpolation runs on a GsPlan,
 which the code builds once per radius t and keeps: s and ly from
-gs_parameters, and everything else but the received values.  A word's
-symbols are checked once, by the public entry it comes in by.  The
+gs_parameters, and everything else but the received values.  A word is
+checked once, by Field.check_symbols at the public entry it comes in by
+(its type, its length and its symbols), and taken as checked inside.  The
 candidates are the rows of one array whose first columns carry each
 candidate's Hasse discrepancies at the current point and whose other
 columns are exactly the monomials x^dx y^dy of (1, k-1)-weighted
@@ -49,6 +50,7 @@ import numpy as np
 from ._kernels import _vec_inv, _vec_mul, add, add_reduce, add_reduceat, matmul, powers, scale, sub
 from .galois import Field
 from .linalg import rref
+from .radii import _integer
 
 
 GS_MAX_MULTIPLICITY = 255
@@ -95,42 +97,29 @@ def check_radius(name: str, t: int, n: int, k: int, role: str = ""):
         raise ValueError(f"{name} = {t} exceeds the radius {reach} of the {decode} GRS decode")
 
 
-def check_length(word, n: int, name: str = "received word", need: str = "n") -> np.ndarray:
-    """word as an int64 array; ValueError, naming its shape and the length
-    it needs (need = n), unless it holds exactly n symbols in one axis."""
-    word = np.asarray(word, dtype=np.int64)
-    if word.shape != (n,):
-        has = f"{word.size} symbols" if word.ndim == 1 else f"shape {word.shape}"
-        raise ValueError(f"{name} has {has}, need {need} = {n}")
-    return word
-
-
 class GrsCode:
     """[n, k] generalized Reed-Solomon code.
 
     Codewords are (nu_0 f(alpha_0), ..., nu_{n-1} f(alpha_{n-1})) for all
     message polynomials f of degree < k, given by their coefficients,
-    lowest degree first.  Locators must be pairwise distinct and
-    multipliers nonzero; minimum distance is n - k + 1.  Dimension 0 (the
-    zero code) is allowed as the degenerate endpoint of shortening.
+    lowest degree first.  Locators (pairwise distinct) and multipliers
+    (nonzero) are n symbols of the field each (Field.check_symbols), and k
+    is an integer; minimum distance is n - k + 1.  Dimension 0 (the zero
+    code) is allowed as the degenerate endpoint of shortening.
     """
 
     def __init__(self, field: Field, locators: Sequence[int], multipliers: Sequence[int], k: int):
-        n = len(locators)
-        if len(set(locators)) != n:
+        self._alpha = field.check_symbols(locators, len(locators), "locators").copy()
+        self._nu = field.check_symbols(multipliers, len(locators), "multipliers").copy()
+        self.locators, self.multipliers = tuple(self._alpha.tolist()), tuple(self._nu.tolist())
+        _integer("k", k)
+        if len(set(self.locators)) != self.n:
             raise ValueError("locators must be pairwise distinct")
-        if len(multipliers) != n:
-            raise ValueError("need one multiplier per locator")
-        if any(v == 0 for v in multipliers):
+        if not self._nu.all():
             raise ValueError("multipliers must be nonzero")
-        if not 0 <= k <= n <= field.q:
-            raise ValueError(f"need 0 <= k <= n <= q, got k={k}, n={n}, q={field.q}")
-        self.field = field
-        self.locators = tuple(int(a) for a in locators)
-        self.multipliers = tuple(int(v) for v in multipliers)
-        self.k = k
-        self._alpha = field.check_symbols(self.locators)
-        self._nu = field.check_symbols(self.multipliers)
+        if not 0 <= k <= self.n:
+            raise ValueError(f"need 0 <= k <= n, got k = {k}, n = {self.n}")
+        self.field, self.k = field, k
         self._nu_inv = _vec_inv(self._nu, field)
         self._generator = _vec_mul(self._nu, powers(self._alpha, k, field), field)
         self._generator.flags.writeable = False
@@ -165,14 +154,14 @@ class GrsCode:
         degree first; a shorter sequence is zero-padded.  ValueError for a
         degree of k or more and for a symbol outside the field."""
         c = np.zeros(max(self.k, len(coeffs)), dtype=np.int64)
-        c[: len(coeffs)] = self.field.check_symbols(coeffs)
+        c[: len(coeffs)] = self.field.check_symbols(coeffs, name="message")
         if c[self.k :].any():
             raise ValueError(f"message degree {np.flatnonzero(c)[-1]} >= k = {self.k}")
         return tuple(matmul(c[None, : self.k], self._generator, self.field)[0].tolist())
 
     def _normalize(self, word) -> np.ndarray:
         """Divide out the column multipliers: values of the message polynomial."""
-        return _vec_mul(np.asarray(word, dtype=np.int64), self._nu_inv, self.field)
+        return _vec_mul(np.asarray(word), self._nu_inv, self.field)
 
     def generator_matrix(self) -> np.ndarray:
         """The stored k x n generator (read-only)."""
@@ -209,8 +198,9 @@ class GrsCode:
         """All codewords within Hamming distance t of word.
 
         Complete for every t up to gs_max_radius(n, k); ValueError beyond
-        it and below 0, for a word that is not n symbols in one axis and
-        for a symbol outside the field, checked here, once.  The members R'
+        it and below 0, and for a word Field.check_symbols refuses (not
+        integers, not n symbols in one axis, a symbol outside the field),
+        checked here, once.  The members R'
         of the plan's family are taken in order, each giving c_R' at
         distance e' (see the module docstring): the first with e' + t < d
         settles the list; else, if the family covers t (GsPlan.covers),
@@ -223,9 +213,8 @@ class GrsCode:
         distance filter.
         """
         F = self.field
-        word = check_length(word, self.n)
+        word = F.check_symbols(word, self.n)
         check_radius("t", t, self.n, self.k)
-        F.check_symbols(word)
         plan = self._gs_plan(t)
         near = []
         for i, member in enumerate(plan.family):
@@ -366,24 +355,24 @@ class GrsCode:
         symbols there as correct: returns (shortened code, word - c_S off S
         as a tuple, c_S), c_S the codeword that agrees with the word on S
         (_agree_on).  unshorten maps a shortened codeword back.  ValueError
-        for a word that is not n symbols in one axis, for positions
-        _agree_on rejects and, the whole word checked once before
-        re-encoding, for a symbol of the word outside the field."""
-        word = check_length(word, self.n)
+        for a word Field.check_symbols refuses (not integers, not n
+        symbols in one axis, a symbol outside the field) and for positions
+        _agree_on rejects."""
+        word = self.field.check_symbols(word, self.n)
         pos = tuple(positions)
         code, rest = self.shorten(pos), self._rest(pos)
-        self.field.check_symbols(word)
         _, c_s = self._agree_on(word, pos)
         short_word = sub(word[rest], c_s[rest], self.field)
         return code, tuple(short_word.tolist()), c_s
 
     def unshorten(self, positions, c_s, short_cw) -> np.ndarray:
         """c_S plus a codeword of the code shortened at the positions S, with
-        zeros put in at S: the full-length codeword it stands for.
-        ValueError for a shortened codeword that is not n - |S| symbols in
-        one axis."""
-        full, rest = np.array(c_s, dtype=np.int64), self._rest(positions)
-        short_cw = check_length(short_cw, rest.size, "shortened codeword", "n - |S|")
+        zeros put in at S: the full-length codeword it stands for; c_S is
+        taken as shorten_received returned it.  ValueError for a shortened
+        codeword that Field.check_symbols refuses as n - |S| symbols of
+        the field."""
+        full, rest = np.array(c_s), self._rest(positions)
+        short_cw = self.field.check_symbols(short_cw, rest.size, "shortened codeword", "n - |S|")
         full[rest] = add(full[rest], short_cw, self.field)
         return full
 

@@ -2,11 +2,11 @@
 
 An interleaved word stacks ell codewords of one constituent code; a
 burst error corrupts a set of columns.  The decoder locates the corrupted
-columns purely linear-algebraically: rows of the parity-check matrix
-that annihilate the syndrome also annihilate the error, so after row
-reduction the zero columns of the residual parity rows mark the support.
-It succeeds whenever the support is (t+1)-independent and the error
-matrix has full column rank.
+columns purely linear-algebraically: the combinations of parity-check
+rows that annihilate the syndrome (the null space of its transpose) also
+annihilate the error, so their common zero columns mark the support.  It
+succeeds whenever the support is (t+1)-independent and the error matrix
+has full column rank.
 """
 
 from __future__ import annotations
@@ -22,23 +22,19 @@ from .galois import Field
 
 @dataclass(frozen=True)
 class InterleavedWord:
-    """ell x n matrix over GF(q); rows are words of the constituent code."""
+    """ell x n matrix over GF(q); rows are words of the constituent code.
+    The matrix is kept as given; mk_decode checks it (Field.check_symbols)."""
 
     field: Field
     matrix: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "matrix", np.ascontiguousarray(self.matrix, dtype=np.int64)
-        )
-
     @property
     def ell(self) -> int:
-        return self.matrix.shape[0]
+        return np.shape(self.matrix)[0]
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[1]
+        return np.shape(self.matrix)[1]
 
 
 @dataclass(frozen=True)
@@ -74,29 +70,20 @@ def mk_decode(field: Field, parity: np.ndarray, received: InterleavedWord):
     full column rank.  Any violated hypothesis surfaces as None (support
     size mismatch, unsolvable erasure system, or a failed final parity
     check); the decoder never returns a word that fails the parity check.
-    A received word other than an ell x n matrix, n the parity's column
-    count, and a symbol outside the field raise ValueError.
+    A received word or parity that Field.check_symbols refuses, and a
+    received word other than an ell x n matrix, n the parity's column
+    count, raise ValueError.
     """
-    H = np.ascontiguousarray(parity, dtype=np.int64)
+    H = field.check_symbols(parity, name="parity")
     nk, n = H.shape
-    if received.matrix.ndim != 2 or received.matrix.shape[1] != n:
-        raise ValueError(
-            f"received word has shape {received.matrix.shape}, need an ell x n matrix "
-            f"with n = {n}, the parity's column count"
-        )
     R = field.check_symbols(received.matrix)
+    if R.ndim != 2 or R.shape[1] != n:
+        raise ValueError(f"received word has shape {R.shape}, need an ell x n matrix "
+                         f"with n = {n}, the parity's column count")
     syndrome = linalg.matmul(H, R.T, field)
-    aug = np.concatenate([syndrome, np.eye(nk, dtype=np.int64)], axis=1)
-    red, _, piv = linalg.rref(aug, field)
-    rank_s = sum(1 for c in piv if c < syndrome.shape[1])
-    zeta = nk - rank_s
-    if zeta == 0:
-        return None
-    p_mat = red[:, syndrome.shape[1]:]
-    ph = linalg.matmul(p_mat, H, field)
-    q_rows = ph[nk - zeta:, :]
+    q_rows = linalg.matmul(linalg.right_nullspace(syndrome.T, field), H, field)
     support = tuple(np.flatnonzero(~q_rows.any(axis=0)).tolist())
-    if len(support) != rank_s:
+    if not len(q_rows) or len(support) != nk - len(q_rows):
         return None
     # one elimination of [H_E | S]: pivots 0..t-1 exactly iff H_E has full
     # column rank (the complement holds an information set) and H_E X = S
@@ -105,7 +92,7 @@ def mk_decode(field: Field, parity: np.ndarray, received: InterleavedWord):
     red, _, piv = linalg.rref(np.concatenate([H[:, list(support)], syndrome], axis=1), field)
     if piv.tolist() != list(range(t)):
         return None
-    err = np.zeros((received.ell, n), dtype=np.int64)
+    err = np.zeros_like(R)
     err[:, list(support)] = red[:t, t:].T
     cw = linalg.sub(R, err, field)
     if linalg.matmul(H, cw.T, field).any():
@@ -120,7 +107,7 @@ def mk_decode(field: Field, parity: np.ndarray, received: InterleavedWord):
 def is_t1_independent(field: Field, parity: np.ndarray, support) -> bool:
     """True iff appending any column outside the support raises the rank to t+1."""
     support = sorted(int(i) for i in support)
-    H = np.asarray(parity, dtype=np.int64)
+    H = field.check_symbols(parity, name="parity")
     n = H.shape[1]
     t = len(support)
     rest = [j for j in range(n) if j not in set(support)]

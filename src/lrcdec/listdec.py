@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grs import check_length, check_radius
+from .grs import check_radius
 from .lrc import LrcCode
 from .radii import CodeShape, refined_error_count
 
@@ -78,8 +78,7 @@ def _local_stage(code: LrcCode, received, cfg: DecodeConfig):
     the word as a checked int64 array, lists[j] the (distance, local
     codeword) entries of repair set j, nearest first, and order the sets
     with a nonempty list, by list size, then index."""
-    word = check_length(received, code.n)
-    code.field.check_symbols(word)
+    word = code.field.check_symbols(received, code.n)
     _validate_cfg(code, cfg)
     symbols, lists = word.tolist(), []
     for local, idx in zip(code.local_codes, code.repair_sets):
@@ -128,6 +127,7 @@ def _decode_shortened(code: LrcCode, received, chosen_sets, picks, cfg, result):
     """Clean the chosen repair sets to their picked local codewords,
     shorten the supercode there, decode, and map the candidates back.
 
+    received is the word as _local_stage checked it, an int64 array;
     picks holds one (distance, local codeword) entry per chosen set.
     Shortening subtracts c_S, the supercode codeword that agrees with the
     cleaned word on the shortened positions S; a shortened candidate maps
@@ -140,7 +140,7 @@ def _decode_shortened(code: LrcCode, received, chosen_sets, picks, cfg, result):
     chi = sum(d for d, _ in picks)
     if chi > cfg.t_g:
         return []
-    cleaned = np.array(received, dtype=np.int64)
+    cleaned = np.array(received)
     for j, (_, cw) in zip(chosen_sets, picks):
         cleaned[list(code.repair_sets[j])] = cw
     sup = code.supercode
@@ -152,7 +152,7 @@ def _decode_shortened(code: LrcCode, received, chosen_sets, picks, cfg, result):
     found = []
     for cand in short.gs_list_decode(short_w, cfg.t_g - chi):
         full_cw = sup.unshorten(pos, c_s, cand)
-        dist = np.count_nonzero(full_cw != np.asarray(received))
+        dist = np.count_nonzero(full_cw != received)
         if dist <= cfg.t_g and code.is_codeword(full_cw):
             found.append(tuple(full_cw.tolist()))
     return found

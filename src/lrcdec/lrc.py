@@ -28,7 +28,7 @@ import numpy as np
 from . import linalg
 from .galois import Field
 from .grs import GrsCode
-from .radii import CodeShape, _partition
+from .radii import CodeShape, _integer, _partition
 
 
 class LrcCode:
@@ -49,6 +49,7 @@ class LrcCode:
         self.k, self.r, self.rho, self.d = k, r, rho, self.shape.d
         self.repair_sets = _partition(repair_sets, supercode.n, self.shape.n_l)
         self.degrees = tuple(degrees)  # message layout order
+        _integer("degree", *self.degrees)
         if len(set(self.degrees)) != len(self.degrees):
             raise ValueError("degree support must not repeat")
         if len(self.degrees) != k:
@@ -103,22 +104,15 @@ class LrcCode:
     # -- encoding ----------------------------------------------------------------
 
     def encode(self, message: Sequence[int]) -> tuple[int, ...]:
-        """Codeword of the message; ValueError for a message of the wrong
-        length or with a symbol outside the field."""
-        if len(message) != self.k:
-            raise ValueError(f"message must have {self.k} symbols")
-        msg = self.field.check_symbols(message)
+        """Codeword of the message; ValueError for a message that
+        Field.check_symbols refuses as k symbols of the field."""
+        msg = self.field.check_symbols(message, self.k, "message", "k")
         return tuple(linalg.matmul(msg[None], self.generator, self.field)[0].tolist())
 
     def is_codeword(self, word) -> bool:
-        """Zero syndrome; False for a word of the wrong length or with a
-        symbol outside the field."""
-        if len(word) != self.n:
-            return False
-        try:
-            word = self.field.check_symbols(word)
-        except ValueError:
-            return False
+        """Zero syndrome; ValueError, as the decoders give it, for a word
+        that Field.check_symbols refuses as n symbols of the field."""
+        word = self.field.check_symbols(word, self.n)
         return not linalg.matmul(self.parity, word[:, None], self.field).any()
 
     # -- serialization -------------------------------------------------------------

@@ -66,13 +66,13 @@ class PmdsCode:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PmdsCode":
-        """The code of a descriptor; ValueError for a symbol outside the
-        field, a generator or parity of the wrong shape, a parity that does
-        not annihilate the generator or has rank below n - k, and a shape
-        or repair sets that CodeShape or _partition rejects."""
+        """The code of a descriptor; ValueError for a generator or parity
+        that Field.check_symbols refuses or of the wrong shape, a parity
+        that does not annihilate the generator or has rank below n - k, and
+        a shape or repair sets that CodeShape or _partition rejects."""
         field = Field.from_json(obj["field"])
-        gen = field.check_symbols(obj["generator"])
-        parity = field.check_symbols(obj["parity"])
+        gen = field.check_symbols(obj["generator"], name="generator")
+        parity = field.check_symbols(obj["parity"], name="parity")
         n, k, r, rho = obj["n"], obj["k"], obj["r"], obj["rho"]
         shape = CodeShape(n, k, r, rho)
         if gen.shape != (k, n) or parity.shape != (n - k, n):
@@ -129,7 +129,7 @@ def verify_pmds(
     The repair sets must partition range(n) into sets of size r+rho-1.
     Raises RuntimeError when the number of rank tests exceeds _RANK_BUDGET.
     """
-    g = np.asarray(generator, dtype=np.int64)
+    g = field.check_symbols(generator, name="generator")
     k, n = g.shape
     sets = _partition(repair_sets, n, r + rho - 1)
     minors = s_mu_size(n, k, r, rho, k)

@@ -17,6 +17,7 @@ by _below_johnson, one test in integers, and is exact by construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -70,9 +71,17 @@ def _num_repair_sets(n: int, r: int, rho: int) -> int:
     return n // n_l
 
 
+def _integer(name: str, *values) -> None:
+    """ValueError naming the first value that is not an integer; a bool is not."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"{name} = {v!r} is not an integer")
+
+
 def _partition(repair_sets, n: int, n_l: int) -> tuple[tuple[int, ...], ...]:
     """The repair sets as tuples, if they partition range(n) into sets of size n_l."""
     sets = tuple(tuple(rs) for rs in repair_sets)
+    _integer("repair-set position", *(i for rs in sets for i in rs))
     if sorted(i for rs in sets for i in rs) != list(range(n)) or any(
         len(rs) != n_l for rs in sets
     ):
@@ -93,6 +102,8 @@ class CodeShape:
     d: int = field(init=False)  # the optimal LRC distance
 
     def __post_init__(self):
+        for name in ("n", "k", "r", "rho"):
+            _integer(name, getattr(self, name))
         if self.k > self.n:
             raise ValueError(f"k = {self.k} exceeds n = {self.n}")
         if not 1 <= self.r <= self.k:

@@ -532,6 +532,53 @@ def test_decode_descriptor_symbol_outside_field_exits_2(tmp_path, capsys, field_
     assert re.search(rf"symbol -?0x{abs(value):x} at position 0 is not in GF\(16\)", err)
 
 
+def test_decode_symbol_past_64_bits_exits_2(tmp_path, capsys):
+    # a 20-hex-digit symbol used to die with an OverflowError traceback, exit 1
+    code, out, err = _decode_15_6(tmp_path, capsys, ["0"] * 14 + ["f" * 20], "--tl", "1",
+                                  "--tg", "5")
+    assert code == 2
+    assert out == ""
+    assert re.search(r"error: received word holds object values, need int64 symbols of GF\(16\)",
+                     err)
+    assert "Traceback" not in err
+
+
+def _floats(obj, key):
+    """obj with its entries at key as floats."""
+    return dict(obj, **{key: np.array(obj[key], dtype=float).tolist()})
+
+
+@pytest.mark.parametrize(
+    "kind, edit, message",
+    [
+        # a locator 1.25 loaded as 1; "k": 6.0 and float degrees loaded, and
+        # simulate then died with a TypeError or IndexError traceback
+        ("decode", lambda obj: dict(obj, locators=[1.25] + obj["locators"][1:]),
+         r"locators holds float64 values, need int64 symbols of GF\(16\)"),
+        ("lrc-list", lambda obj: dict(obj, k=6.0), r"k = 6\.0 is not an integer"),
+        ("lrc-list", lambda obj: _floats(obj, "degrees"), r"degree = 0\.0 is not an integer"),
+        ("mk", lambda obj: _floats(obj, "generator"),
+         r"generator holds float64 values, need int64 symbols of GF\(1024\)"),
+        ("mk", lambda obj: dict(obj, k=4.0), r"k = 4\.0 is not an integer"),
+    ],
+    ids=["locator-1.25", "k-6.0", "float-degrees", "float-generator", "pmds-k-4.0"],
+)
+def test_descriptor_with_non_integer_entries_exits_2(tmp_path, capsys, kind, edit, message):
+    path = _gen_code(tmp_path, capsys, "random-pmds" if kind == "mk" else "tamo-barg")
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    if kind == "decode":
+        recv = tmp_path / "recv.hex"
+        recv.write_text(" ".join(["0"] * 15))
+        argv = ("decode", "--code", str(path), "--received", str(recv), "--tl", "1", "--tg", "5")
+    else:
+        argv = ("simulate", kind, "--code", str(path), "--trials", "1")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert re.search("error: " + message, err)
+    assert "Traceback" not in err
+
+
 def test_simulate_lrc_weight0(tmp_path, capsys):
     path = tmp_path / "tb.json"
     run_cli(capsys, "gen-code", "tamo-barg", "--q", "16", "--n", "15", "--k", "6",

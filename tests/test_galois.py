@@ -1,8 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
+from lrcdec import linalg
 from lrcdec.galois import Field, _is_irreducible, default_modulus, lagrange_interpolate
+from lrcdec.grs import GrsCode
+from lrcdec.interleaved import InterleavedWord, mk_decode
+from lrcdec.listdec import DecodeConfig, list_decode_lrc, unique_decode_probabilistic
+from lrcdec.pmds import PmdsCode
 
 
 def test_gf16_inverse_definition(gf16):
@@ -163,3 +169,71 @@ def test_field_orders_are_the_primes_and_powers_of_two():
         else:
             with pytest.raises(ValueError, match="power of 2 or a prime"):
                 Field(q)
+
+
+
+def _retype(word, bad, at):
+    """word as nested lists, with every symbol cast to the type of bad and
+    bad at position at; as Python ints for bad = None."""
+    out = np.array(word, dtype=np.int64).astype(object)
+    if bad is not None:
+        out = np.vectorize(type(bad), otypes=[object])(out)
+        out[at] = bad
+    return out.tolist()
+
+
+@pytest.fixture(scope="module")
+def symbol_inputs(tb_15_6, pmds_12_4):
+    """Valid inputs of every public entry that takes symbols."""
+    grs = GrsCode(tb_15_6.field, list(range(1, 16)), [1] * 15, 5)
+    cw = grs.encode([1, 2, 3, 4, 5])
+    _, short_w, c_s = grs.shorten_received(cw, [0, 1])
+    mk_cw = linalg.matmul(np.arange(32).reshape(8, 4), pmds_12_4.generator, pmds_12_4.field)
+    return dict(grs=grs, cw=cw, short_w=short_w, c_s=c_s, lrc=tb_15_6, pmds=pmds_12_4,
+                lrc_cw=tb_15_6.encode([3, 1, 4, 1, 5, 9]), mk_cw=mk_cw,
+                cfg=DecodeConfig(t_l=1, t_g=5))
+
+
+# entry -> (the name its error gives the input, call(inputs, bad)), each
+# call given a valid input with its symbols retyped and bad at one position
+SYMBOL_ENTRIES = {
+    "GrsCode": ("locators", lambda x, bad: GrsCode(
+        x["grs"].field, _retype(range(1, 16), bad, 2), [1] * 15, 5)),
+    "GrsCode.encode": ("message", lambda x, bad: x["grs"].encode(_retype([0, 1, 2], bad, 1))),
+    "gs_list_decode": ("received word", lambda x, bad: x["grs"].gs_list_decode(
+        _retype(x["cw"], bad, 2), 3)),
+    "shorten_received": ("received word", lambda x, bad: x["grs"].shorten_received(
+        _retype(x["cw"], bad, 2), [0, 1])),
+    "unshorten": ("shortened codeword", lambda x, bad: x["grs"].unshorten(
+        [0, 1], x["c_s"], _retype(x["short_w"], bad, 2))),
+    "LrcCode.encode": ("message", lambda x, bad: x["lrc"].encode(
+        _retype([3, 1, 4, 1, 5, 9], bad, 2))),
+    "is_codeword": ("received word", lambda x, bad: x["lrc"].is_codeword(
+        _retype(x["lrc_cw"], bad, 2))),
+    "list_decode_lrc": ("received word", lambda x, bad: list_decode_lrc(
+        x["lrc"], _retype(x["lrc_cw"], bad, 2), x["cfg"])),
+    "unique_decode_probabilistic": ("received word", lambda x, bad: unique_decode_probabilistic(
+        x["lrc"], _retype(x["lrc_cw"], bad, 2), x["cfg"])),
+    "mk_decode": ("received word", lambda x, bad: mk_decode(
+        x["pmds"].field, x["pmds"].parity,
+        InterleavedWord(x["pmds"].field, _retype(x["mk_cw"], bad, (3, 5))))),
+    "PmdsCode.from_json": ("generator", lambda x, bad: PmdsCode.from_json(dict(
+        x["pmds"].to_json(), generator=_retype(x["pmds"].generator, bad, (1, 2))))),
+}
+
+
+@pytest.mark.parametrize("bad", [3.0, "3", True, 2**64], ids=["float", "str", "bool", "2^64"])
+@pytest.mark.parametrize("entry", list(SYMBOL_ENTRIES))
+def test_every_symbol_entry_refuses_non_integers(symbol_inputs, entry, bad):
+    # each entry used to cast with int64: 3.0 and "3" read as 3, True as 1,
+    # and 2^64 raised OverflowError; Field.check_symbols now refuses the type
+    name, call = SYMBOL_ENTRIES[entry]
+    with pytest.raises(ValueError, match=rf"^{name} holds \S+ values, need int64 symbols of GF"):
+        call(symbol_inputs, bad)
+
+
+def test_valid_inputs_of_the_symbol_entries_pass(symbol_inputs):
+    # the same inputs as Python ints are accepted, so the refusals above
+    # are about the type alone
+    for _, call in SYMBOL_ENTRIES.values():
+        call(symbol_inputs, None)

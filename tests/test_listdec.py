@@ -202,9 +202,9 @@ def test_agree_on_checks_no_symbols(tb_15_6, monkeypatch):
         finally:
             inside[0] = False
 
-    def counted_check(self, word):
+    def counted_check(self, word, *args):
         checks.append(inside[0])
-        return check_symbols(self, word)
+        return check_symbols(self, word, *args)
 
     monkeypatch.setattr(GrsCode, "_agree_on", counted_agree_on)
     monkeypatch.setattr(Field, "check_symbols", counted_check)

@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from lrcdec import Field, PmdsCode, construct_tamo_barg, optimal_distance, verify_pmds
 from lrcdec.galois import lagrange_interpolate
 from lrcdec.lrc import LrcCode
+from lrcdec.radii import CodeShape
 
 
 def test_optimal_distance_values():
@@ -121,7 +123,7 @@ def test_message_layout(tb_15_6, gf16):
     for (i, j), sym in zip([(i, j) for i in range(3) for j in range(2)], msg):
         coeffs[i + 5 * j] = sym
     assert tb_15_6.encode(msg) == tb_15_6.supercode.encode(coeffs)
-    with pytest.raises(ValueError, match="6 symbols"):
+    with pytest.raises(ValueError, match="message has 5 symbols, need k = 6"):
         tb_15_6.encode(msg[:5])
 
 
@@ -178,9 +180,39 @@ def test_encode_and_membership_check_field_symbols(tb_15_6, symbol):
         tb_15_6.encode([0, 0, symbol, 0, 0, 0])
     with pytest.raises(ValueError, match=pattern):
         tb_15_6.supercode.encode([0, 0, symbol])
-    assert not tb_15_6.is_codeword([symbol] * 15)
-    assert not tb_15_6.is_codeword([0, 0, symbol] + [0] * 12)
+    with pytest.raises(ValueError, match=pattern.replace("position 2", "position 0")):
+        tb_15_6.is_codeword([symbol] * 15)
+    with pytest.raises(ValueError, match=pattern):
+        tb_15_6.is_codeword([0, 0, symbol] + [0] * 12)
     assert tb_15_6.is_codeword([0] * 15)
+
+
+@pytest.mark.parametrize("word", [[0] * 14, [0] * 16, [[0] * 15] * 2], ids=["14", "16", "2x15"])
+def test_is_codeword_refuses_a_word_of_the_wrong_shape(tb_15_6, word):
+    # it used to answer False, where the decoders refuse the word
+    with pytest.raises(ValueError, match=r"^received word has .+, need n = 15$"):
+        tb_15_6.is_codeword(word)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("k", 6.0, "k = 6.0"), ("r", 3.0, "r = 3.0"), ("rho", 3.0, "rho = 3.0"),
+     ("supercode_k", 8.0, "k = 8.0"), ("repair_sets", None, "repair-set position = 0.0"),
+     ("degrees", None, "degree = 0.0"), ("k", True, "k = True")],
+)
+def test_descriptor_integer_fields_must_be_integers(tb_15_6, key, value, message):
+    # these loaded, and simulate then died with a TypeError or IndexError;
+    # None stands for the field's own entries as floats
+    obj = tb_15_6.to_json()
+    obj[key] = value if value is not None else np.array(obj[key], dtype=float).tolist()
+    with pytest.raises(ValueError, match=rf"^{message} is not an integer$"):
+        LrcCode.from_json(obj)
+
+
+def test_a_bool_shape_value_is_not_an_integer():
+    # r = True read as 1 and gave a shape with repair sets of size 3
+    with pytest.raises(ValueError, match=r"^r = True is not an integer$"):
+        CodeShape(15, 6, True, 3)
 
 
 def test_validation_rejects_wrong_local_structure(tb_15_6):
