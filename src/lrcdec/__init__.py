@@ -13,7 +13,7 @@ from .listdec import (
     pe_tilde,
     success_prob_grs,
 )
-from .interleaved import InterleavedWord, BurstError, mk_decode, is_t1_independent
+from .interleaved import InterleavedWord, mk_decode, is_t1_independent
 from .pmds import PmdsCode, random_pmds, verify_pmds, failure_prob_exact, mk_success_prob
 
 __version__ = "0.1.0"
@@ -37,7 +37,6 @@ __all__ = [
     "pe_tilde",
     "success_prob_grs",
     "InterleavedWord",
-    "BurstError",
     "mk_decode",
     "is_t1_independent",
     "PmdsCode",

@@ -26,7 +26,7 @@ from . import linalg
 from ._kernels import add
 from .galois import Field
 from .grs import gs_max_radius
-from .interleaved import BurstError, InterleavedWord, mk_decode
+from .interleaved import InterleavedWord, mk_decode
 from .listdec import (
     BudgetExceeded,
     DecodeConfig,
@@ -331,7 +331,8 @@ def _mk_trial(code: PmdsCode, ell: int, rng, w: int):
     for j in range(w):
         while not vals[:, j].any():
             vals[:, j] = rng.integers(0, q, size=ell)
-    err = BurstError(tuple(support), vals).to_matrix(ell, code.n)
+    err = np.zeros((ell, code.n), dtype=np.int64)
+    err[:, support] = vals
     res = mk_decode(field, code.parity, InterleavedWord(field, linalg.sub(cw, err, field)))
     return res is not None and np.array_equal(res[0].matrix, cw)
 

@@ -3,9 +3,10 @@
 Field elements are plain Python ints in ``[0, q)``.  For q = 2^m the
 integer is the bit vector of the element's coefficients (lowest degree
 bit first); for q = p prime it is the residue mod p.  Every field
-multiplies, inverts and raises to powers through its log/antilog
-tables, whose zero sentinel makes ``exp[log[a] + log[b]]`` the product
-of any a and b; only addition differs by characteristic (xor or mod p).
+multiplies, inverts and raises to powers through one int64 pair of
+log/antilog tables, read by the scalar methods and by the numpy kernels
+alike, whose zero sentinel makes ``exp[log[a] + log[b]]`` the product of
+any a and b; only addition differs by characteristic (xor or mod p).
 The default modulus of GF(2^m) is found by a search over GF(2)[x],
 whose polynomials are bit masks too: a Rabin irreducibility test built
 on one multiply-mod and one gcd.  There is no polynomial type:
@@ -19,7 +20,6 @@ threads; all operations are pure.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Sequence
 
@@ -115,11 +115,11 @@ class Field:
         Bit-encoded monic irreducible of degree m over GF(2).  Defaults
         to the smallest such polynomial.
 
-    The log/antilog tables exist both as Python lists (scalar arithmetic)
-    and as int64 arrays ``exp_table``/``log_table`` (the numpy kernels),
-    for every field.  ``log[0] = 2q`` and ``exp`` is the antilog table
-    twice over, zero-padded to length 4q + 1, so ``exp[log[a] + log[b]]``
-    is a*b for every a and b.
+    The log/antilog tables are one int64 pair, ``exp_table``/``log_table``,
+    which the scalar methods and the numpy kernels both read.
+    ``log[0] = 2q`` and ``exp`` is the antilog table twice over,
+    zero-padded to length 4q + 1, so ``exp[log[a] + log[b]]`` is a*b for
+    every a and b.
     """
 
     def __init__(self, q: int, modulus: int | None = None):
@@ -141,15 +141,11 @@ class Field:
             if not _is_irreducible(modulus):
                 raise ValueError(f"modulus {modulus} is reducible over GF(2)")
         self.modulus = modulus
-        # every attribute is set here, in one order, so that instances share
-        # one dict layout; adding one later slows scalar mul/add
-        self._exp, self._log = self._build_tables()
-        self.exp_table = np.asarray(self._exp, dtype=np.int64)
-        self.log_table = np.asarray(self._log, dtype=np.int64)
+        self.exp_table, self.log_table = self._build_tables()
 
     # -- construction helpers ---------------------------------------------
 
-    def _build_tables(self) -> tuple[list[int], list[int]]:
+    def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
         q = self.q
         g = self.generator()
         exp = [0] * (4 * q + 1)
@@ -159,7 +155,7 @@ class Field:
             exp[i] = exp[i + q - 1] = v
             log[v] = i
             v = self._mul_raw(v, g)
-        return exp, log
+        return np.asarray(exp, dtype=np.int64), np.asarray(log, dtype=np.int64)
 
     def generator(self) -> int:
         """Smallest generator of the multiplicative group."""
@@ -204,26 +200,29 @@ class Field:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        return self._exp[self._log[a] + self._log[b]]
+        return int(self.exp_table[self.log_table[a] + self.log_table[b]])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self._exp[(self.q - 1) - self._log[a]]
+        return int(self.exp_table[(self.q - 1) - self.log_table[a]])
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
         if a == 0:
             return 1 if e == 0 else 0
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
+        return int(self.exp_table[int(self.log_table[a]) * e % (self.q - 1)])
 
     def check_symbols(self, word, n=None, name="received word", need="n") -> np.ndarray:
         """word as an int64 array: the one check of a word entering the package.
         ValueError naming the word (name) unless numpy reads it as integers (not
         float, bool, str, or object: ints past 64 bits); for n given, naming its
         shape and the length it needs (need = n) unless it is n symbols in one
-        axis; naming the first symbol outside this field, its position and q."""
+        axis; naming the first symbol outside this field, its position and q.
+        The test is by dtype: numpy reads bools mixed with ints as int64, so True
+        there is the symbol 1, as in Python; only an all-bool word is refused, as
+        refusing the mix would take a scan of every element of every sequence."""
         raw = np.asarray(word)
         if raw.dtype.kind not in "iu" and raw.size:
             raise ValueError(f"{name} holds {raw.dtype} values, need int64 symbols of GF({self.q})")
@@ -267,17 +266,12 @@ class Field:
 
 @lru_cache(maxsize=None)
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, math.isqrt(q) + 1):
-        if q % p == 0:
-            m = 0
-            v = q
-            while v % p == 0:
-                v //= p
-                m += 1
-            if v != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, m
-    return q, 1  # no p <= sqrt(q) divides q >= 2 (checked by Field), so q is prime
+    """(p, m) with q = p^m, for q >= 2 (checked by Field)."""
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p = factors[0]
+    return p, next(m for m in range(1, q.bit_length() + 1) if p**m == q)
 
 
 def lagrange_interpolate(field: Field, points: Sequence[tuple[int, int]]) -> tuple[int, ...]:

@@ -87,8 +87,9 @@ def gs_max_radius(n: int, k: int) -> int:
 
 
 def check_radius(name: str, t: int, n: int, k: int, role: str = ""):
-    """ValueError unless 0 <= t <= gs_max_radius(n, k), naming the radius
-    (name = t) and the decode it is for (role, then [n, k])."""
+    """ValueError unless t is an integer and 0 <= t <= gs_max_radius(n, k),
+    naming the radius (name = t) and the decode it is for (role, then [n, k])."""
+    _integer(name, t)
     if t < 0:
         raise ValueError(f"{name} = {t} is below the limit 0")
     reach = gs_max_radius(n, k)

@@ -32,44 +32,14 @@ class InterleavedWord:
     def ell(self) -> int:
         return np.shape(self.matrix)[0]
 
-    @property
-    def n(self) -> int:
-        return np.shape(self.matrix)[1]
-
-
-@dataclass(frozen=True)
-class BurstError:
-    """Column-supported error: values[:, j] lands on column support[j]."""
-
-    support: tuple[int, ...]
-    values: np.ndarray  # ell x len(support), no all-zero column
-
-    def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.int64)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "support", tuple(int(i) for i in self.support))
-        if vals.shape[1] != len(self.support):
-            raise ValueError("one value column per support position")
-        if vals.size and not vals.any(axis=0).all():
-            raise ValueError("burst error columns must be nonzero")
-
-    @property
-    def weight(self) -> int:
-        return len(self.support)
-
-    def to_matrix(self, ell: int, n: int) -> np.ndarray:
-        e = np.zeros((ell, n), dtype=np.int64)
-        e[:, list(self.support)] = self.values
-        return e
-
 
 def mk_decode(field: Field, parity: np.ndarray, received: InterleavedWord):
     """Recover (codeword matrix, error support) from a bursty received word.
 
     Exact whenever the support is (t+1)-independent and the error has
     full column rank.  Any violated hypothesis surfaces as None (support
-    size mismatch, unsolvable erasure system, or a failed final parity
-    check); the decoder never returns a word that fails the parity check.
+    size mismatch or an unsolvable erasure system).  A returned matrix
+    always has zero syndrome: the error it removes solves H_E X = S.
     A received word or parity that Field.check_symbols refuses, and a
     received word other than an ell x n matrix, n the parity's column
     count, raise ValueError.
@@ -87,17 +57,15 @@ def mk_decode(field: Field, parity: np.ndarray, received: InterleavedWord):
         return None
     # one elimination of [H_E | S]: pivots 0..t-1 exactly iff H_E has full
     # column rank (the complement holds an information set) and H_E X = S
-    # is consistent
+    # is consistent; then X = red[:t, t:] solves it, so H (R - E)^T = S - S
+    # = 0 and the codeword needs no parity check
     t = len(support)
     red, _, piv = linalg.rref(np.concatenate([H[:, list(support)], syndrome], axis=1), field)
     if piv.tolist() != list(range(t)):
         return None
     err = np.zeros_like(R)
     err[:, list(support)] = red[:t, t:].T
-    cw = linalg.sub(R, err, field)
-    if linalg.matmul(H, cw.T, field).any():
-        return None
-    return InterleavedWord(field, cw), support
+    return InterleavedWord(field, linalg.sub(R, err, field)), support
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Matrix operations over a Field, on the numpy kernels' elementwise ops.
 
-All functions take int64 numpy arrays of canonical field elements (use
-``as_matrix`` to convert nested sequences).  The two eliminations, ``rref``
-and the stacked ``rank``, live here only; both work on a copy.
+All functions take int64 numpy arrays of canonical field elements.  The
+two eliminations, ``rref`` and the stacked ``rank``, live here only; both
+work on a copy.
 """
 
 from __future__ import annotations
@@ -16,13 +16,6 @@ from ._kernels import _vec_inv, _vec_mul, sub
 
 if TYPE_CHECKING:
     from .galois import Field
-
-
-def as_matrix(rows) -> np.ndarray:
-    a = np.asarray(rows, dtype=np.int64)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    return a
 
 
 def rref(a: np.ndarray, field: Field):
@@ -108,8 +101,8 @@ def solve(a: np.ndarray, b: np.ndarray, field: Field):
 
     When the solution is not unique, free variables are set to zero.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
     ncols = a.shape[1]
     aug = np.concatenate([a, b], axis=1)
     red, rk, piv = rref(aug, field)
@@ -123,7 +116,7 @@ def solve(a: np.ndarray, b: np.ndarray, field: Field):
 
 def right_nullspace(a: np.ndarray, field: Field) -> np.ndarray:
     """Rows form a basis of {v : a @ v = 0}."""
-    a = as_matrix(a)
+    a = np.asarray(a, dtype=np.int64)
     ncols = a.shape[1]
     red, rk, piv = rref(a, field)
     piv_set = set(int(c) for c in piv)

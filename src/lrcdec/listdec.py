@@ -19,7 +19,7 @@ import numpy as np
 
 from .grs import check_radius
 from .lrc import LrcCode
-from .radii import CodeShape, refined_error_count
+from .radii import CodeShape, _integer, refined_error_count
 
 __all__ = [
     "DecodeConfig",
@@ -91,6 +91,7 @@ def _local_stage(code: LrcCode, received, cfg: DecodeConfig):
 
 
 def _validate_cfg(code: LrcCode, cfg: DecodeConfig):
+    _integer("budget", cfg.budget)
     if cfg.budget < 1:
         raise ValueError(f"budget = {cfg.budget} is below the limit 1")
     local = code.local_codes[0]

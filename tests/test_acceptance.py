@@ -21,7 +21,7 @@ from lrcdec import (
     random_pmds,
 )
 from lrcdec import linalg
-from lrcdec.interleaved import BurstError, InterleavedWord, excess_criterion
+from lrcdec.interleaved import InterleavedWord, excess_criterion
 from lrcdec.listdec import success_prob_grs
 from lrcdec.pmds import failure_prob_exact, rank_full_fraction, s_mu_size, union_bound_failure
 from lrcdec.radii import (
@@ -308,7 +308,8 @@ def test_criterion_8_mk_decoder():
             for j in range(weight):
                 while not vals[:, j].any():
                     vals[:, j] = rng.integers(0, q, size=ell)
-            e = BurstError(tuple(support), vals).to_matrix(ell, 12)
+            e = np.zeros((ell, 12), dtype=np.int64)
+            e[:, support] = vals
             res = mk_decode(field, code.parity, InterleavedWord(field, cw ^ e))
             return res is not None and np.array_equal(res[0].matrix, cw)
 

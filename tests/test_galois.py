@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from lrcdec import linalg
-from lrcdec.galois import Field, _is_irreducible, default_modulus, lagrange_interpolate
+from lrcdec.galois import (
+    Field,
+    _factor_prime_power,
+    _is_irreducible,
+    default_modulus,
+    lagrange_interpolate,
+)
 from lrcdec.grs import GrsCode
 from lrcdec.interleaved import InterleavedWord, mk_decode
 from lrcdec.listdec import DecodeConfig, list_decode_lrc, unique_decode_probabilistic
@@ -171,6 +177,18 @@ def test_field_orders_are_the_primes_and_powers_of_two():
                 Field(q)
 
 
+def test_factor_prime_power_gives_the_exponent():
+    # checked against a trial division of its own
+    for m in range(1, 21):
+        assert _factor_prime_power(2**m) == (2, m)
+    for q in range(2, 300):
+        if all(q % f for f in range(2, q)):
+            assert _factor_prime_power(q) == (q, 1)
+    for q in (6, 12, 2 * 3**5):
+        with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+            _factor_prime_power(q)
+
+
 
 def _retype(word, bad, at):
     """word as nested lists, with every symbol cast to the type of bad and
@@ -230,6 +248,15 @@ def test_every_symbol_entry_refuses_non_integers(symbol_inputs, entry, bad):
     name, call = SYMBOL_ENTRIES[entry]
     with pytest.raises(ValueError, match=rf"^{name} holds \S+ values, need int64 symbols of GF"):
         call(symbol_inputs, bad)
+
+
+def test_a_bool_among_ints_is_the_symbol_one(symbol_inputs):
+    # check_symbols tests the dtype: numpy reads the mixed list as int64, so
+    # True there is 1, as in Python; a word of bools alone is refused
+    grs = symbol_inputs["grs"]
+    assert grs.gs_list_decode([True] + [0] * 14, 3) == grs.gs_list_decode([1] + [0] * 14, 3)
+    with pytest.raises(ValueError, match=r"^received word holds bool values"):
+        grs.gs_list_decode(np.array([True] + [False] * 14), 3)
 
 
 def test_valid_inputs_of_the_symbol_entries_pass(symbol_inputs):

@@ -8,7 +8,6 @@ import pytest
 from lrcdec import Field, mk_decode, InterleavedWord
 from lrcdec import linalg
 from lrcdec.interleaved import (
-    BurstError,
     excess_criterion,
     is_t1_independent,
     sk1_sufficient,
@@ -22,11 +21,12 @@ def encode_rows(code, rng, ell):
 
 
 def burst(rng, q, ell, support):
+    """(support, values): ell x len(support) random values, no zero column."""
     vals = rng.integers(0, q, size=(ell, len(support)), dtype=np.int64)
     for j in range(len(support)):
         while not vals[:, j].any():
             vals[:, j] = rng.integers(0, q, size=ell)
-    return BurstError(tuple(support), vals)
+    return support, vals
 
 
 def to_extension_field(matrix, q):
@@ -54,16 +54,11 @@ def from_extension_field(symbols, ell, q):
 
 
 def add_burst(field, cw, err):
-    e = err.to_matrix(cw.shape[0], cw.shape[1])
+    support, vals = err
+    e = np.zeros_like(cw)
+    e[:, list(support)] = vals
     assert field.p == 2
     return cw ^ e
-
-
-def test_burst_error_validation():
-    with pytest.raises(ValueError):
-        BurstError((0, 1), np.zeros((4, 2), dtype=np.int64))  # zero column
-    with pytest.raises(ValueError):
-        BurstError((0,), np.ones((4, 2), dtype=np.int64))  # shape mismatch
 
 
 def test_mk_no_errors(pmds_12_4):
@@ -272,17 +267,6 @@ def test_extension_field_roundtrip():
     assert sum(1 for s in syms if s) == nz_cols
     # zero matrix maps to zero vector
     assert to_extension_field(np.zeros((3, 5), dtype=np.int64), 16) == (0,) * 5
-
-
-def test_burst_to_matrix_against_extension_view():
-    """A burst's matrix, read as symbols of GF(q^ell), is nonzero exactly on
-    the support and carries each value column at its position."""
-    rng = np.random.default_rng(6)
-    for support in [(), (3,), (0, 11), (1, 4, 5, 9)]:
-        err = burst(rng, 16, 4, support)
-        syms = to_extension_field(err.to_matrix(4, 12), 16)
-        assert tuple(j for j, v in enumerate(syms) if v) == support
-        assert [syms[j] for j in support] == list(to_extension_field(err.values, 16))
 
 
 def test_mk_empirical_rate_matches_formula(pmds_12_4):

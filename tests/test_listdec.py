@@ -144,6 +144,35 @@ def test_cfg_validation(tb_15_6):
     assert default_t_g(tb_15_6, 0) >= 0
 
 
+FLOAT_CONFIGS = {
+    "t_l = 1.0": DecodeConfig(t_l=1.0, t_g=5),
+    "t_g = 5.0": DecodeConfig(1, 5.0),
+    "budget = 2.5": DecodeConfig(1, 5, budget=2.5),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [("gs_list_decode", "t = 3.0"), ("default_t_g", "t_l = 1.0"),
+     *((entry, value) for entry in ("list", "unique") for value in FLOAT_CONFIGS)],
+    ids=["gs_list_decode", "default_t_g",
+         *(f"{entry}-{value.split()[0]}" for entry in ("list", "unique") for value in FLOAT_CONFIGS)],
+)
+def test_radii_and_budget_must_be_integers(tb_15_6, entry, value):
+    # a float t used to decode as its integer, die with TypeError, or run
+    cfg = FLOAT_CONFIGS.get(value)
+    word = (0,) * 15
+    calls = {
+        "gs_list_decode": lambda: GrsCode(tb_15_6.field, range(1, 16), [1] * 15, 5).gs_list_decode(
+            word, 3.0),
+        "default_t_g": lambda: default_t_g(tb_15_6, 1.0),
+        "list": lambda: list_decode_lrc(tb_15_6, word, cfg),
+        "unique": lambda: unique_decode_probabilistic(tb_15_6, word, cfg),
+    }
+    with pytest.raises(ValueError, match=rf"^{value} is not an integer$"):
+        calls[entry]()
+
+
 def test_received_word_is_checked(tb_15_6):
     for decode in (list_decode_lrc, unique_decode_probabilistic):
         with pytest.raises(ValueError, match=r"received word has 14 symbols, need n = 15"):
