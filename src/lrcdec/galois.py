@@ -200,19 +200,31 @@ class Field:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
+        if not (0 <= a < self.q and 0 <= b < self.q):
+            self._refuse(b if 0 <= a < self.q else a)
         return int(self.exp_table[self.log_table[a] + self.log_table[b]])
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
+        # one comparison on the way through; 0 and the symbols outside
+        # the field are told apart only when it fails
+        if not 0 < a < self.q:
+            if a == 0:
+                raise ZeroDivisionError("0 has no multiplicative inverse")
+            self._refuse(a)
         return int(self.exp_table[(self.q - 1) - self.log_table[a]])
 
     def pow(self, a: int, e: int) -> int:
+        if not 0 <= a < self.q:
+            self._refuse(a)
         if e < 0:
             return self.pow(self.inv(a), -e)
         if a == 0:
             return 1 if e == 0 else 0
         return int(self.exp_table[int(self.log_table[a]) * e % (self.q - 1)])
+
+    def _refuse(self, a):
+        """The ValueError of a scalar symbol outside [0, q), naming it and q."""
+        raise ValueError(f"symbol {a:#x} is not in GF({self.q})")
 
     def check_symbols(self, word, n=None, name="received word", need="n") -> np.ndarray:
         """word as an int64 array: the one check of a word entering the package.

@@ -16,14 +16,19 @@ covers t), the errors of a codeword c within t miss some R', where c
 agrees with the word, so c = c_R', and the list is the members' c_R'
 within t (information-set decoding, Prange).  t + 1 pairwise disjoint
 k-sets cover t by pigeonhole, and the plan takes them whenever
-(t + 1) k <= n.  Interpolate: otherwise the word is re-encoded on R, the
-first member (Koetter-Vardy): the word minus c_R is 0 on R, where the
-multiplicity-s constraints say exactly that Q_j is divisible by
-v^(s-j), v = prod over R of (x - alpha), so Koetter's iterative
-interpolation starts from the rows v^(s-j) y^j and runs only over the
-n - k points outside R, none of them at x = 0; the roots f' of Q map
-back to the candidates f' + f_R.  Interpolation runs on a GsPlan,
-which the code builds once per radius t and keeps: s and ly from
+(t + 1) k <= n.  Else all k-subsets of each of p parts of sizes n_i
+cover t when sum min(n_i, k - 1) < n - t: an (n - t)-set with fewer than
+k positions in every part holds at most that many, so its error-free
+positions hold a member (a covering design, Gordon-Kuperberg-Patashnik),
+and the plan takes them when the stacked product of all c_R' costs at
+most COVER_MAX_CELLS cells (members k n).  Interpolate: otherwise the
+word is re-encoded on R, the first member (Koetter-Vardy): the word
+minus c_R is 0 on R, where the multiplicity-s constraints say exactly
+that Q_j is divisible by v^(s-j), v = prod over R of (x - alpha), so
+Koetter's iterative interpolation starts from the rows v^(s-j) y^j and
+runs only over the n - k points outside R, none of them at x = 0; the
+roots f' of Q map back to the candidates f' + f_R.  Interpolation runs
+on a GsPlan, which the code builds once per radius t and keeps: s and ly from
 gs_parameters, and everything else but the received values.  A word is
 checked once, by Field.check_symbols at the public entry it comes in by
 (its type, its length and its symbols), and taken as checked inside.  The
@@ -42,6 +47,7 @@ positions S is the same re-encoding, on S (``_agree_on``, by a
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Sequence
 
@@ -54,6 +60,9 @@ from .radii import _integer
 
 
 GS_MAX_MULTIPLICITY = 255
+# the most cells (members k n) of a cover's stacked product: measured, a cover
+# of that size still decodes far faster than the cheapest interpolation
+COVER_MAX_CELLS = 2**14
 
 
 def gs_parameters(n: int, k: int, t: int) -> tuple[int, int] | None:
@@ -168,15 +177,11 @@ class GrsCode:
         """The stored k x n generator (read-only)."""
         return self._generator
 
-    def _agree_on(self, word: np.ndarray, positions) -> tuple[np.ndarray, np.ndarray]:
-        """(f, c): the message f of degree < m = len(positions) <= k whose
-        codeword c agrees with word there, through the inverse of the
-        generator's first m rows at those columns, kept read-only in a dict
-        on this code, one per position set.  word is an int64 array whose
-        symbols the caller has checked; none is checked here.  ValueError
-        for more than k positions, a repeated position or one outside
-        range(n)."""
-        F = self.field
+    def _agree_inverse(self, positions) -> tuple[list[int], np.ndarray]:
+        """(pos, inv): the positions sorted, and the inverse of the
+        generator's first m = len(pos) <= k rows at those columns, kept
+        read-only on this code, one per position set.  ValueError for more
+        than k positions, a repeated position or one outside range(n)."""
         pos = sorted(int(i) for i in positions)
         m = len(pos)
         inv = self._agree_inv.get(tuple(pos))
@@ -188,10 +193,17 @@ class GrsCode:
                 raise ValueError(f"need pairwise distinct positions in range({self.n}), got {pos}")
             # [G_m,pos | I] reduces to [I | G_m,pos^-1]
             aug = np.concatenate((self._generator[:m, pos], np.eye(m, dtype=np.int64)), axis=1)
-            inv = self._agree_inv[tuple(pos)] = rref(aug, F)[0][:, m:]
+            inv = self._agree_inv[tuple(pos)] = rref(aug, self.field)[0][:, m:]
             inv.flags.writeable = False
-        msg = matmul(word[pos][None], inv, F)
-        return msg[0], matmul(msg, self._generator[:m], F)[0]
+        return pos, inv
+
+    def _agree_on(self, word: np.ndarray, positions) -> tuple[np.ndarray, np.ndarray]:
+        """(f, c): the message f of degree < m = len(positions) <= k whose
+        codeword c agrees with word there (_agree_inverse); word is an
+        int64 array whose symbols the caller has checked."""
+        pos, inv = self._agree_inverse(positions)
+        msg = matmul(word[pos][None], inv, self.field)
+        return msg[0], matmul(msg, self._generator[: len(pos)], self.field)[0]
 
     # -- list decoding ---------------------------------------------------------
 
@@ -201,37 +213,34 @@ class GrsCode:
         Complete for every t up to gs_max_radius(n, k); ValueError beyond
         it and below 0, and for a word Field.check_symbols refuses (not
         integers, not n symbols in one axis, a symbol outside the field),
-        checked here, once.  The members R'
-        of the plan's family are taken in order, each giving c_R' at
-        distance e' (see the module docstring): the first with e' + t < d
-        settles the list; else, if the family covers t (GsPlan.covers),
-        the list is the members' c_R' within t.  Otherwise Koetter
-        interpolation of a bivariate Q(x, y) through word - c_R, c_R from
-        the first member R, on the code's plan for t, which holds the
-        smallest sufficient multiplicity (see GsPlan and _gs_interpolate),
-        then Roth-Ruckenstein root finding of its y-roots f'(x) of degree
-        < k, then the map back f = f' + f_R, one encoding product and a
-        distance filter.
+        checked here, once.  One path for every plan: one gather of the
+        word on all members R' of the plan's family, one product with the
+        stacked projections P_R' = G[:, R']^-1 G (GsPlan.projections) gives
+        every c_R', and one count their distances e' (see the module
+        docstring).  A member with e' + t < d settles the list; else, if
+        the family covers t (GsPlan.covers), the list is the members' c_R'
+        within t.  Otherwise Koetter interpolation of a bivariate Q(x, y)
+        through word - c_R, c_R from the first member R, on the code's plan
+        for t, which holds the smallest sufficient multiplicity (see GsPlan
+        and _gs_interpolate), then Roth-Ruckenstein root finding of its
+        y-roots f'(x) of degree < k, then the map back: f = f' + f_R
+        encodes to f' G + c_R, one product, then a distance filter.
         """
         F = self.field
         word = F.check_symbols(word, self.n)
         check_radius("t", t, self.n, self.k)
         plan = self._gs_plan(t)
-        near = []
-        for i, member in enumerate(plan.family):
-            f, c = self._agree_on(word, member)
-            e = np.count_nonzero(c != word)
-            if e + t < self.d:
-                return [tuple(c.tolist())] if e <= t else []
-            if e <= t:
-                near.append(tuple(c.tolist()))
-            if i == 0:
-                f_r, c_r = f, c
+        # every member's c_R' in one product: the word on R' times P_R'
+        words = matmul(word[plan.members][:, None], plan.projections, F)[:, 0]
+        dist = np.count_nonzero(words != word, axis=1)
+        settled = np.flatnonzero(dist + t < self.d)
+        if settled.size:
+            return [tuple(words[settled[0]].tolist())] if dist[settled[0]] <= t else []
         if not plan.covers:
-            q = self._gs_interpolate(plan, sub(word, c_r, F))
-            words = matmul(add(_rr_roots(q, self.k, F), f_r, F), self._generator, F)
-            near = map(tuple, words[np.count_nonzero(words != word, axis=1) <= t].tolist())
-        return sorted(set(near))
+            q = self._gs_interpolate(plan, sub(word, words[0], F))
+            words = add(matmul(_rr_roots(q, self.k, F), self._generator, F), words[0], F)
+            dist = np.count_nonzero(words != word, axis=1)
+        return sorted(set(map(tuple, words[dist <= t].tolist())))
 
     def _gs_plan(self, t: int) -> "GsPlan":
         """The code's GS plan for radius t, built on first use."""
@@ -421,14 +430,21 @@ class GsPlan:
     R, and they cover t by pigeonhole: at most t positions cannot meet
     all of them.  That holds for every k <= 1 code (for k = 0 the family
     is the one empty member), whose plan stops there: there is no
-    interpolation below k = 2.  Otherwise the members are R and the
+    interpolation below k = 2.  Otherwise the block family is R and the
     complements of the first two of the ceil(n/(n-k)) blocks of n - k
     consecutive positions, the last block ending at n - 1, so block i
-    starts at min(i (n-k), k); a repeat is dropped.  That family covers
-    t = 0, t = 1 exactly when no position is common to all members, and
-    never t >= 2: the pair {0, n-1} meets R (which holds position 0 for
-    k >= 2), the complement of block 0 (which holds n - 1) and that of
-    block 1 (which holds 0).  There is no knob.
+    starts at min(i (n-k), k); a repeat is dropped.  It covers t = 1
+    exactly when no position is common to all members, and never t >= 2:
+    the pair {0, n-1} meets R (which holds position 0 for k >= 2), the
+    complement of block 0 (which holds n - 1) and that of block 1 (which
+    holds 0).  Where it does not cover, the equal-parts family (see the
+    module docstring) takes its place if members k n <= COVER_MAX_CELLS:
+    order split by np.array_split (larger parts first) into the largest
+    number of parts that covers t, and all k-subsets of each part in
+    itertools.combinations order, so R comes first; one part always
+    covers, as t < d.  There is no knob.  members is the family as a
+    (members, k) array and projections the stacked P_R' = G[:, R']^-1 G,
+    (members, k, n), so the word on R' times P_R' is c_R'.
 
     Size and cost: s, ly, the unknowns M, the constraints
     C = (n - k) s(s+1)/2 that Koetter imposes on the points outside R,
@@ -438,19 +454,32 @@ class GsPlan:
 
     def __init__(self, code: GrsCode, t: int):
         F, n, k = code.field, code.n, code.k
-        self.t, self.n, self.points = t, n, n - k
+        self.t, self.n, self.k, self.points = t, n, k, n - k
         # a locator 0 sorts first, so it lands in R and no point outside R
         # has x0 = 0
         order = np.argsort(code._alpha != 0, kind="stable")
         order.flags.writeable = False
         self.inside, self.outside = inside, outside = order[:k], order[k:]
-        if (t + 1) * k <= n:
+        self.covers = (t + 1) * k <= n
+        if self.covers:
             family = [order[i * k : (i + 1) * k] for i in range(t + 1)]
         else:
             family = [inside] + [np.r_[:start, start + n - k : n] for start in (0, min(n - k, k))]
-        self.family = tuple(dict.fromkeys(tuple(sorted(m.tolist())) for m in family))
-        common = set.intersection(*map(set, self.family))
-        self.covers = (t + 1) * k <= n or t == 0 or t == 1 and not common
+            self.covers = t == 1 and not set.intersection(*(set(m.tolist()) for m in family))
+            for p in range(n, 0, -1):  # p = 1 covers, as t < d
+                size, big = divmod(n, p)  # big parts of size + 1, then p - big of size
+                if big * min(size + 1, k - 1) + (p - big) * min(size, k - 1) < n - t:
+                    break
+            parts = np.array_split(order, p)
+            cells = k * n * sum(math.comb(part.size, k) for part in parts)
+            if not self.covers and cells <= COVER_MAX_CELLS:
+                family = [m for part in parts for m in itertools.combinations(part.tolist(), k)]
+                self.covers = True
+        self.family = tuple(dict.fromkeys(tuple(sorted(map(int, m))) for m in family))
+        self.members = np.array(self.family, dtype=np.int64).reshape(len(self.family), k)
+        inverses = (code._agree_inverse(m)[1] for m in self.family)
+        self.projections = np.stack([matmul(inv, code._generator, F) for inv in inverses])
+        self.members.flags.writeable = self.projections.flags.writeable = False
         if k <= 1:
             return
         k1 = k - 1
@@ -508,8 +537,12 @@ class GsPlan:
                 arr.flags.writeable = False
 
     def describe(self) -> str:
+        cover = "covers" if self.covers else "does not cover"
+        family = f"GS plan: {len(self.family)} re-encoding sets, {cover} t = {self.t}"
+        if self.k <= 1:
+            return f"{family}, no interpolation below k = 2"
         return (
-            f"GS plan: s = {self.s}, ly = {self.ly}, M = {self.unknowns} unknowns, "
+            f"{family}; s = {self.s}, ly = {self.ly}, M = {self.unknowns} unknowns, "
             f"C = {self.constraints} constraints on {self.points} of {self.n} points, "
             f"{self.cell_ops} cell-ops"
         )

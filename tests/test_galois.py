@@ -264,3 +264,21 @@ def test_valid_inputs_of_the_symbol_entries_pass(symbol_inputs):
     # are about the type alone
     for _, call in SYMBOL_ENTRIES.values():
         call(symbol_inputs, None)
+
+
+@pytest.mark.parametrize(
+    "call, symbol",
+    [("inv", (-1,)), ("inv", (16,)), ("mul", (-1, 1)), ("mul", (1, 16)), ("mul", (3, -2)),
+     ("pow", (-3, 2)), ("pow", (16, -1)), ("pow", (-1, 0))],
+)
+def test_scalar_ops_refuse_symbols_outside_the_field(gf16, call, symbol):
+    # the tables would read a negative symbol from their end, and one past
+    # q would raise a bare IndexError; each call names the symbol and q
+    bad = next(a for a in symbol[:2 if call == "mul" else 1] if not 0 <= a < 16)
+    with pytest.raises(ValueError, match=rf"symbol {bad:#x} is not in GF\(16\)"):
+        getattr(gf16, call)(*symbol)
+    with pytest.raises(ZeroDivisionError):
+        gf16.inv(0)
+    # the ends of the range still pass
+    assert gf16.mul(15, gf16.inv(15)) == 1 and gf16.mul(0, 15) == 0
+    assert gf16.pow(15, -1) == gf16.inv(15) and gf16.pow(0, 0) == 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lrcdec import Field, GrsCode, construct_tamo_barg, grs, linalg
-from lrcdec._kernels import _vec_mul, add_reduce, powers, sub
+from lrcdec._kernels import _vec_mul, add, add_reduce, powers, sub
 from lrcdec.grs import _rr_roots, gs_max_radius, gs_parameters
 
 
@@ -398,8 +398,8 @@ def test_koetter_error_names_plan_size_and_cost(gf16, monkeypatch):
     w = tuple(rnd.randrange(16) for _ in range(15))
     with pytest.raises(
         RuntimeError,
-        match=r"wdeg = 5 \(GS plan: s = 1, ly = 2, M = 12 unknowns, "
-        r"C = 12 constraints on 12 of 15 points, 432 cell-ops\)",
+        match=r"wdeg = 5 \(GS plan: 91 re-encoding sets, covers t = 9; s = 1, ly = 2, "
+        r"M = 12 unknowns, C = 12 constraints on 12 of 15 points, 432 cell-ops\)",
     ):
         code._gs_interpolate(plan, reencode(code, w, plan)[1])
 
@@ -570,8 +570,17 @@ def test_gs_plan_reports_size_and_cost():
     assert plan.points == 34
     assert plan.cell_ops == 10_144_512
     assert plan.describe() == (
-        "GS plan: s = 6, ly = 15, M = 888 unknowns, "
+        "GS plan: 2 re-encoding sets, does not cover t = 24; s = 6, ly = 15, M = 888 unknowns, "
         "C = 714 constraints on 34 of 42 points, 10144512 cell-ops"
+    )
+    # every plan describes itself, k <= 1 ones too, with its family's size
+    # and whether it covers t
+    assert GrsCode(Field(16), range(1, 11), [1] * 10, 3)._gs_plan(4).describe() == (
+        "GS plan: 20 re-encoding sets, covers t = 4; s = 1, ly = 2, M = 12 unknowns, "
+        "C = 7 constraints on 7 of 10 points, 252 cell-ops"
+    )
+    assert GrsCode(Field(16), range(1, 8), [1] * 7, 1)._gs_plan(2).describe() == (
+        "GS plan: 3 re-encoding sets, covers t = 2, no interpolation below k = 2"
     )
 
 
@@ -696,53 +705,63 @@ def test_gs_certificate_matches_sphere_enumeration(q, locators, k, monkeypatch):
 
 def boundary_word(rnd, code, cw, t):
     """cw hit by d - t errors outside R, among them one in every other
-    member R' of the family, drawn until no member has e' + t < d."""
+    member R' of the family, drawn until no member has e' + t < d.  Only
+    for a plan that does not cover t: d - t errors cannot meet every member
+    of a cover when d - t <= t, so the draws are capped."""
     family = code._gs_plan(t).family
     outside = complement(code, family[0])
-    while True:
+    for _ in range(1000):
         pos = rnd.sample(outside, code.d - t)
         word = corrupt(rnd, code.field, cw, pos)
         if all(set(pos) & set(m) for m in family[1:]) and not settles(code, word, t):
             return word
+    raise AssertionError(f"no boundary word for {code} at t = {t} in 1000 draws")
 
 
 @pytest.mark.parametrize("q, locators, k", CERTIFICATE_CODES)
 def test_gs_certificate_boundary(q, locators, k, monkeypatch):
     # errors outside R only, so c_R is the sent codeword at distance e:
     # e + t = d - 1 is settled without interpolation, to [c] if e <= t and
-    # to [] if not.  At e + t = d the errors also hit every other member,
-    # and no member settles: the word is interpolated, unless the family
-    # covers t (t = 1, and every t with (t + 1) k <= n), and then its list
-    # is empty
-    code, book = certificate_code(q, locators, k)
+    # to [] if not.  At e + t = d no member need settle: where the plan
+    # covers t its list is the members' codewords within t, without
+    # interpolation, and elsewhere the errors also hit every other member,
+    # so no member settles and the word is interpolated.  Every radius of
+    # these codes takes a cover; with the equal-parts family refused
+    # (COVER_MAX_CELLS = 0), only t = 1 and the t with (t + 1) k <= n do
     interpolate = GrsCode._gs_interpolate
-    rnd = random.Random(q)
-    outcomes = set()
-    covered = set()
-    reach = gs_max_radius(code.n, code.k)
-    for t in range(1, reach + 1):
-        outside = complement(code, code._gs_plan(t).family[0])
-        cw = book[rnd.randrange(len(book))].tolist()
-        for e in (code.d - 1 - t, code.d - t):
-            if e + t < code.d:
-                word = corrupt(rnd, code.field, cw, rnd.sample(outside, e))
-            else:
-                word = boundary_word(rnd, code, cw, t)
-            want = sphere(book, word, t)
-            monkeypatch.setattr(GrsCode, "_gs_interpolate", refuse_interpolation)
-            if e + t < code.d:
-                assert code.gs_list_decode(word, t) == want == ([tuple(cw)] if e <= t else [])
-                outcomes.add(len(want))
-            elif code._gs_plan(t).covers:
-                assert code.gs_list_decode(word, t) == want == []
-                covered.add(t)
-            else:
-                with pytest.raises(Interpolated):
-                    code.gs_list_decode(word, t)
-                monkeypatch.setattr(GrsCode, "_gs_interpolate", interpolate)
-                assert code.gs_list_decode(word, t) == want
-    assert outcomes == {0, 1}
-    assert covered == {t for t in range(1, reach + 1) if t == 1 or (t + 1) * k <= code.n}
+    for cells in (grs.COVER_MAX_CELLS, 0):
+        monkeypatch.setattr(grs, "COVER_MAX_CELLS", cells)
+        monkeypatch.setattr(GrsCode, "_gs_interpolate", interpolate)
+        code, book = certificate_code(q, locators, k)
+        rnd = random.Random(q)
+        outcomes = set()
+        covered = set()
+        reach = gs_max_radius(code.n, code.k)
+        for t in range(1, reach + 1):
+            plan = code._gs_plan(t)
+            outside = complement(code, plan.family[0])
+            cw = book[rnd.randrange(len(book))].tolist()
+            for e in (code.d - 1 - t, code.d - t):
+                if e + t < code.d or plan.covers:
+                    word = corrupt(rnd, code.field, cw, rnd.sample(outside, e))
+                else:
+                    word = boundary_word(rnd, code, cw, t)
+                want = sphere(book, word, t)
+                monkeypatch.setattr(GrsCode, "_gs_interpolate", refuse_interpolation)
+                if e + t < code.d:
+                    assert code.gs_list_decode(word, t) == want == ([tuple(cw)] if e <= t else [])
+                    outcomes.add(len(want))
+                elif plan.covers:
+                    assert code.gs_list_decode(word, t) == want
+                    covered.add(t)
+                else:
+                    with pytest.raises(Interpolated):
+                        code.gs_list_decode(word, t)
+                    monkeypatch.setattr(GrsCode, "_gs_interpolate", interpolate)
+                    assert code.gs_list_decode(word, t) == want
+        assert outcomes == {0, 1}
+        blocks = {t for t in range(1, reach + 1) if t == 1 or (t + 1) * k <= code.n}
+        assert covered == (set(range(1, reach + 1)) if cells else blocks)
 
 
 def covers(code, family, t):
@@ -770,11 +789,31 @@ FAMILY_CODES = [code + (True,) for code in CERTIFICATE_CODES] + [
 ]
 
 
+def equal_parts(order, k, t):
+    """All k-subsets of each of the p near-equal parts of order (larger
+    parts first), for the largest p whose parts hold at most
+    sum min(n_i, k - 1) < n - t positions of an (n - t)-set that has
+    fewer than k in every part."""
+    n = len(order)
+    for p in range(n, 0, -1):
+        sizes = [n // p + (i < n % p) for i in range(p)]
+        if sum(min(size, k - 1) for size in sizes) < n - t:
+            break
+    bounds = np.cumsum([0] + sizes)
+    return tuple(
+        tuple(sorted(m))
+        for a, b in zip(bounds, bounds[1:])
+        for m in itertools.combinations(order[a:b], k)
+    )
+
+
 @pytest.mark.parametrize("q, locators, k, covers_1", FAMILY_CODES)
 def test_gs_family_shape_and_closure_rule(q, locators, k, covers_1):
     # R first, then t + 1 disjoint k-sets along the plan's order when
-    # (t + 1) k <= n, else at most two distinct complements of a block of
-    # n - k consecutive positions; covers agrees with enumerating the t-sets
+    # (t + 1) k <= n; else, at t = 1, the at most two distinct complements
+    # of a block of n - k consecutive positions, when no position is common
+    # to the three; else the equal-parts family, small enough on every code
+    # here.  Every plan covers, and covers agrees with enumerating the t-sets
     code = GrsCode(Field(q), locators, [1] * len(locators), k)
     n = code.n
     order = np.concatenate((code._gs_plan(0).inside, code._gs_plan(0).outside)).tolist()
@@ -784,14 +823,17 @@ def test_gs_family_shape_and_closure_rule(q, locators, k, covers_1):
         assert family[0] == tuple(sorted(plan.inside.tolist()))
         if (t + 1) * k <= n:
             assert family == tuple(tuple(sorted(order[i * k : (i + 1) * k])) for i in range(t + 1))
-        else:
+        elif t == 1 and covers_1:
             assert len(set(family)) == len(family) <= 3
             for member in family[1:]:
                 block = complement(code, member)
                 assert list(member) == sorted(member) and len(member) == k
                 assert block == list(range(block[0], block[0] + n - k))
+        else:
+            assert family == equal_parts(order, k, t)
+            assert len(family) * k * n <= grs.COVER_MAX_CELLS
         assert plan.covers == covers(code, family, t)
-        assert plan.covers == ((t + 1) * k <= n or t == 0 or t == 1 and covers_1)
+        assert plan.covers
 
 
 @pytest.mark.parametrize("q, locators, k, closed", FAMILY_CODES)
@@ -836,6 +878,89 @@ def test_gs_family_covers_exactly_where_enumeration_does():
                     if k:
                         assert family[0] == tuple(sorted(plan.inside.tolist()))
                     assert plan.covers == covers(code, family, t)
+
+
+def test_gs_equal_parts_cover_exactly_where_enumeration_does():
+    # every code over GF(16) with n <= 12 locators (with locator 0 absent,
+    # and last, so the plan moves it into R), every k >= 2 and every
+    # reachable t with (t + 1) k > n: a plan takes exactly the equal-parts
+    # family of its order, R first, which covers t by enumeration, or the
+    # block family, which covers t exactly where enumeration says so, and
+    # only where the equal-parts family would cost more than the bound
+    taken = set()
+    for n in range(3, 13):
+        for locators in (tuple(range(1, n + 1)), tuple(range(1, n)) + (0,)):
+            for k in range(2, n):
+                code = GrsCode(Field(16), locators, [1] * n, k)
+                start = code._gs_plan(0)
+                order = np.concatenate((start.inside, start.outside)).tolist()
+                for t in range(gs_max_radius(n, k) + 1):
+                    plan, parts = code._gs_plan(t), equal_parts(order, k, t)
+                    if (t + 1) * k <= n:
+                        continue
+                    assert plan.covers == covers(code, plan.family, t)
+                    if plan.family == parts:
+                        taken.add((n, k, t))
+                        assert plan.covers and len(parts) * k * n <= grs.COVER_MAX_CELLS
+                        assert parts[0] == tuple(sorted(plan.inside.tolist()))
+                    else:
+                        assert len(plan.family) <= 3
+                        assert plan.covers or len(parts) * k * n > grs.COVER_MAX_CELLS
+    assert {(10, 3, 4), (10, 3, 5), (12, 4, 5), (9, 3, 3), (12, 2, 8)} <= taken
+    assert len(taken) > 40
+
+
+def interpolated_list(code, word, t):
+    """The GS list by interpolation alone: Koetter on the plan's R, the
+    Roth-Ruckenstein roots, the map back f' + f_R and the distance filter."""
+    plan = code._gs_plan(t)
+    f_r, residual = reencode(code, word, plan)
+    roots = _rr_roots(code._gs_interpolate(plan, residual), code.k, code.field)
+    words = (code.encode(add(f, f_r, code.field).tolist()) for f in roots)
+    return sorted({c for c in words if hamming(c, word) <= t})
+
+
+def planted_pair(rnd, code, t):
+    """A word within t of two codewords c and c + z, z of weight d: the
+    codeword that is 0 on k - 1 positions and 1 on one more; the word takes
+    z's values on t of its d positions."""
+    c = np.array(code.encode([rnd.randrange(code.field.q) for _ in range(code.k)]))
+    unit = np.zeros(code.n, dtype=np.int64)
+    at = rnd.sample(range(code.n), code.k)
+    unit[at[-1]] = 1
+    z = code._agree_on(unit, at)[1]
+    assert np.count_nonzero(z) == code.d
+    word = c.copy()
+    hit = rnd.sample(np.flatnonzero(z).tolist(), t)
+    word[hit] = add(word[hit], z[hit], code.field)
+    pair = {tuple(c.tolist()), tuple(add(c, z, code.field).tolist())}
+    return tuple(word.tolist()), sorted(pair)
+
+
+@pytest.mark.parametrize(
+    "n, k, t, members",
+    [(10, 3, 4, 20), (10, 3, 5, 20), (12, 4, 5, 30), (14, 5, 5, 42)],
+    ids=["10-3-4", "10-3-5", "12-4-5", "14-5-5"],
+)
+def test_gs_equal_parts_lists_match_interpolation(n, k, t, members, monkeypatch):
+    # the shapes that take an equal-parts cover in the benchmark and in
+    # Tier-1's Table-2 decodes: with interpolation refused, gs_list_decode
+    # equals the interpolation path on seeded words (codewords hit by t - 1,
+    # t and t + 1 errors, uniform words) and on planted pairs, whose list
+    # holds both codewords
+    field = Field(16)
+    rnd = random.Random(n * k + t)
+    code = GrsCode(field, list(range(1, n + 1)), [rnd.randrange(1, 16) for _ in range(n)], k)
+    plan = code._gs_plan(t)
+    assert plan.covers and len(plan.family) == members
+    assert plan.family[0] == tuple(sorted(plan.inside.tolist()))
+    words = list(seeded_words(code, t, 24, seed=n + t))
+    pairs = [planted_pair(rnd, code, t) for _ in range(6)]
+    want = [interpolated_list(code, w, t) for w in words + [w for w, _ in pairs]]
+    monkeypatch.setattr(GrsCode, "_gs_interpolate", refuse_interpolation)
+    assert [code.gs_list_decode(w, t) for w in words + [w for w, _ in pairs]] == want
+    assert all(set(pair) <= set(got) for (_, pair), got in zip(pairs, want[len(words) :]))
+    assert any(len(got) == 1 for got in want) and any(not got for got in want)
 
 
 @pytest.mark.parametrize(
