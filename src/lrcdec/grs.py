@@ -5,10 +5,12 @@ keeps it read-only; messages, words and candidate lists are int64
 arrays.  A codeword is one field matrix product (``_kernels.matmul``) of
 the message coefficients with the generator, and the list decoder
 encodes all its candidates in one such product.  Guruswami-Sudan list
-decoding settles, else covers, else interpolates, on the family of
-k-position sets (GsPlan.family) of the code's plan for radius t.  Every
-k positions of a GRS code fix a codeword, so a member R' gives
-c_R' = _agree_on(word, R') at distance e' from the word.  Settle: if
+decoding settles, else covers, else interpolates, on the k-position sets
+(GsPlan.members) of the code's plan for radius t: its family
+(GsPlan.family), then, where the family does not cover t, settle-only
+sets.  Every k positions of a GRS code fix a codeword, so a member R'
+gives c_R', the word on R' times P_R' = G[:, R']^-1 G, at distance e'
+from the word.  Settle: if
 e' + t < d, any codeword c within t of the word has d(c, c_R') <= t + e'
 < d, so c = c_R', and the list is [c_R'] if e' <= t, else empty.  Cover:
 if every set of at most t positions misses some member (the family
@@ -21,15 +23,26 @@ cover t when sum min(n_i, k - 1) < n - t: an (n - t)-set with fewer than
 k positions in every part holds at most that many, so its error-free
 positions hold a member (a covering design, Gordon-Kuperberg-Patashnik),
 and the plan takes them when the stacked product of all c_R' costs at
-most COVER_MAX_CELLS cells (members k n).  Interpolate: otherwise the
-word is re-encoded on R, the first member (Koetter-Vardy): the word
+most COVER_MAX_CELLS cells (members k n).  Where the family does not
+cover t, settle-only sets fill that budget: they prove no cover, but a
+word hit by few errors has an error-free one, which settles it
+(information-set decoding again).  They come from a fixed rule, the
+plan's order permuted by i -> (g i + shift) mod n over the units g of
+Z_n and cut into disjoint k-sets (_settle_sets), and neither they nor
+the family they follow depend on t, so a code builds this settle block
+once and every plan of it that does not cover shares it.  All P_R' of a
+plan come from one Gauss-Jordan pass over the stack of copies of G
+(GrsCode._projections), with no pivot search: the leading minors of
+G[:, R'] are nu-scaled Vandermonde determinants.  Interpolate: otherwise
+the word is re-encoded on R, the first member (Koetter-Vardy): the word
 minus c_R is 0 on R, where the multiplicity-s constraints say exactly
 that Q_j is divisible by v^(s-j), v = prod over R of (x - alpha), so
 Koetter's iterative interpolation starts from the rows v^(s-j) y^j and
 runs only over the n - k points outside R, none of them at x = 0; the
 roots f' of Q map back to the candidates f' + f_R.  Interpolation runs
-on a GsPlan, which the code builds once per radius t and keeps: s and ly from
-gs_parameters, and everything else but the received values.  A word is
+on a GsPlan, which the code builds once per radius t and keeps: s and ly
+from gs_parameters when the plan is built, and Koetter's arrays, all
+else but the received values, on its first interpolation.  A word is
 checked once, by Field.check_symbols at the public entry it comes in by
 (its type, its length and its symbols), and taken as checked inside.  The
 candidates are the rows of one array whose first columns carry each
@@ -136,6 +149,7 @@ class GrsCode:
         self._gs_plans: dict[int, GsPlan] = {}
         self._shortened: dict[tuple[int, ...], GrsCode] = {}
         self._agree_inv: dict[tuple[int, ...], np.ndarray] = {}
+        self._settle: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -197,6 +211,25 @@ class GrsCode:
             inv.flags.writeable = False
         return pos, inv
 
+    def _projections(self, members: np.ndarray) -> np.ndarray:
+        """The stacked P_R' = G[:, R']^-1 G, (members, k, n) and read-only,
+        for the rows R' of members, distinct positions each: one
+        Gauss-Jordan pass over the stack of copies of G, column R'_j
+        cleared by row j in every copy at once, which leaves G[:, R']^-1 G.
+        No pivot is searched for: the leading j x j minor of G[:, R'] is a
+        nu-scaled Vandermonde determinant on distinct locators (0^0 = 1),
+        so the j-th pivot, a ratio of two such minors, is never 0."""
+        F, every = self.field, np.arange(len(members))
+        p = np.repeat(self._generator[None], len(members), axis=0)
+        for j in range(self.k):
+            col = members[:, j]
+            row = _vec_mul(p[:, j], _vec_inv(p[every, j, col], F)[:, None], F)
+            # row j clears itself to 0, then takes the scaled row
+            p = sub(p, _vec_mul(p[every, :, col][:, :, None], row[:, None, :], F), F)
+            p[:, j] = row
+        p.flags.writeable = False
+        return p
+
     def _agree_on(self, word: np.ndarray, positions) -> tuple[np.ndarray, np.ndarray]:
         """(f, c): the message f of degree < m = len(positions) <= k whose
         codeword c agrees with word there (_agree_inverse); word is an
@@ -207,24 +240,27 @@ class GrsCode:
 
     # -- list decoding ---------------------------------------------------------
 
-    def gs_list_decode(self, word, t: int) -> list[tuple[int, ...]]:
+    def gs_list_decode(self, word, t: int, paths: dict | None = None) -> list[tuple[int, ...]]:
         """All codewords within Hamming distance t of word.
 
         Complete for every t up to gs_max_radius(n, k); ValueError beyond
         it and below 0, and for a word Field.check_symbols refuses (not
         integers, not n symbols in one axis, a symbol outside the field),
         checked here, once.  One path for every plan: one gather of the
-        word on all members R' of the plan's family, one product with the
-        stacked projections P_R' = G[:, R']^-1 G (GsPlan.projections) gives
-        every c_R', and one count their distances e' (see the module
-        docstring).  A member with e' + t < d settles the list; else, if
-        the family covers t (GsPlan.covers), the list is the members' c_R'
-        within t.  Otherwise Koetter interpolation of a bivariate Q(x, y)
+        word on all members R' of the plan (GsPlan.members: its family,
+        then any settle-only sets), one product with the stacked
+        projections P_R' = G[:, R']^-1 G (GsPlan.projections) gives every
+        c_R', and one count their distances e' (see the module docstring).
+        A member with e' + t < d settles the list; else, if the family
+        covers t (GsPlan.covers), the list is the members' c_R' within t.
+        Otherwise Koetter interpolation of a bivariate Q(x, y)
         through word - c_R, c_R from the first member R, on the code's plan
         for t, which holds the smallest sufficient multiplicity (see GsPlan
         and _gs_interpolate), then Roth-Ruckenstein root finding of its
         y-roots f'(x) of degree < k, then the map back: f = f' + f_R
         encodes to f' G + c_R, one product, then a distance filter.
+        paths, if given, is a dict whose count of the path taken,
+        "settled", "covered" or "interpolated", goes up by one.
         """
         F = self.field
         word = F.check_symbols(word, self.n)
@@ -234,6 +270,9 @@ class GrsCode:
         words = matmul(word[plan.members][:, None], plan.projections, F)[:, 0]
         dist = np.count_nonzero(words != word, axis=1)
         settled = np.flatnonzero(dist + t < self.d)
+        path = "settled" if settled.size else "covered" if plan.covers else "interpolated"
+        if paths is not None:
+            paths[path] += 1
         if settled.size:
             return [tuple(words[settled[0]].tolist())] if dist[settled[0]] <= t else []
         if not plan.covers:
@@ -282,25 +321,24 @@ class GrsCode:
         operations keep the discrepancy columns up to date.  Q is returned
         as one (ly + 1, wdeg + 1) array, row dy the x-coefficients of y^dy.
         """
-        F, s, ly = self.field, plan.s, plan.ly
+        F, s, ly, wdeg, kt = self.field, plan.s, plan.ly, plan.wdeg, plan.koetter
         ys = self._normalize(residual)[plan.outside]
-        wdeg, nc = plan.wdeg, plan.nc
-        end, src = plan.end.tolist(), plan.x_source
-        polys = plan.init.copy()
-        wdegs = plan.row_wdegs.tolist()
+        nc, end, src = kt.nc, kt.end.tolist(), kt.x_source
+        polys = kt.init.copy()
+        wdegs = kt.row_wdegs.tolist()
         # row [i, c, 0] is the y-side row of constraint c at the i-th point
         # outside R, times x0^-a_c there
-        ybs = _vec_mul(plan.ybin, powers(ys, ly + 1, F).T[:, plan.yshift], F)
-        ybs = _vec_mul(ybs, plan.xinv[:, :, None], F)[:, :, None]
+        ybs = _vec_mul(kt.ybin, powers(ys, ly + 1, F).T[:, kt.yshift], F)
+        ybs = _vec_mul(ybs, kt.xinv[:, :, None], F)[:, :, None]
         w = np.empty((s, ly + 1, ly + 1), dtype=np.int64)
-        for x0, xpow, yb in zip(plan.x_outside.tolist(), plan.xpows, ybs):
+        for x0, xpow, yb in zip(plan.x_outside.tolist(), kt.xpows, ybs):
             # w[a, j, dy] = x0^a sum_dx C(dx, a) x0^(dx - a) Q_j[dx, dy]: one
             # field product by x0^dx, then the binomials, prime-field integers
-            r = _vec_mul(polys[:, plan.dy_major], xpow[plan.col_dx], F)
-            for a, xb in enumerate(plan.xbin):
-                w[a] = add_reduceat(scale(r, xb, F), plan.starts, F)
-            polys[:, :nc] = add_reduce(_vec_mul(w[plan.cons_a], yb, F), 2, F).T
-            x0_row = plan.monomials * x0  # x0 on the monomial columns, 0 before them
+            r = _vec_mul(polys[:, kt.dy_major], xpow[kt.col_dx], F)
+            for a, xb in enumerate(kt.xbin):
+                w[a] = add_reduceat(scale(r, xb, F), kt.starts, F)
+            polys[:, :nc] = add_reduce(_vec_mul(w[kt.cons_a], yb, F), 2, F).T
+            x0_row = kt.monomials * x0  # x0 on the monomial columns, 0 before them
             for c in range(nc):
                 col = polys[:, c]
                 disc = col.tolist()
@@ -333,7 +371,7 @@ class GrsCode:
                 f"({plan.describe()})"
             )
         q = np.zeros((ly + 1, wdeg + 1), dtype=np.int64)
-        q[plan.col_dy, plan.col_dx] = polys[best, plan.dy_major]
+        q[kt.col_dy, kt.col_dx] = polys[best, kt.dy_major]
         return q
 
     # -- shortening --------------------------------------------------------------
@@ -393,35 +431,19 @@ class GrsCode:
 
 class GsPlan:
     """One code's GS plan at one radius t; every array is read-only.  It
-    holds the family of k-position sets that gs_list_decode settles or
-    covers on and, for k >= 2, what Koetter interpolation needs except the
-    received values: the multiplicity s and y-degree ly are
+    holds the k-position sets that gs_list_decode settles or covers on,
+    their projections and, for k >= 2, the multiplicity s and y-degree ly,
     gs_parameters(n, k, t), worked out here once, so the plan is keyed by
-    t alone.
-
-    Candidate-array columns: nc = s(s+1)/2 discrepancy columns, one per
-    Hasse constraint (a, b) in (b, a) order, then one zero column, then
-    the M monomials x^dx y^dy with dx + dy (k-1) <= wdeg, sorted by
-    weighted degree, ties by dy.  end[w] is the number of columns before
-    the first monomial of weighted degree > w, so columns [0, end[w])
-    hold the discrepancies and the whole support of a candidate of
-    weighted degree w.  dy_major lists the column of each monomial in
-    dy-major order (dx fastest), whose y-degree blocks begin at starts;
-    col_dy and col_dx are the monomials' degrees in that order.
-    x_source is the column each column takes under Q -> x Q: a monomial
-    takes x^(dx-1) y^dy, a discrepancy column (a, b) takes (a-1, b), and
-    dx = 0 and a = 0 take the zero column.
+    t alone; what else Koetter interpolation needs except the received
+    values (koetter, a _KoetterArrays) is built on the plan's first
+    interpolation, as most plans never interpolate.
 
     Re-encoding on R, the code's first k positions, except that a
     locator 0 is moved into R (a stable sort on alpha != 0): inside holds
     the positions in R, outside the n - k others in code order, and
-    x_outside the locators there, none of them 0.  The codeword that
-    agrees with the word on R comes from the code's _agree_on on inside,
-    which keeps its inverse once per code, for every plan.
-    The start rows are v^((s-j)+) y^j, v = prod over R of
-    (x - alpha), of weighted degree row_wdegs[j] = k (s-j)+ + j (k-1); a
-    row past wdeg is left zero, as it never takes part.  The x-side arrays
-    cover the points outside R only.
+    x_inside and x_outside the locators there, none of those outside 0.
+    R is the first member, so the codeword that agrees with the word on R
+    is the first c_R'.
 
     The family of k-position sets that gs_list_decode settles or covers
     on, each a sorted tuple, R first; covers says that every set of at
@@ -442,9 +464,16 @@ class GsPlan:
     order split by np.array_split (larger parts first) into the largest
     number of parts that covers t, and all k-subsets of each part in
     itertools.combinations order, so R comes first; one part always
-    covers, as t < d.  There is no knob.  members is the family as a
-    (members, k) array and projections the stacked P_R' = G[:, R']^-1 G,
-    (members, k, n), so the word on R' times P_R' is c_R'.
+    covers, as t < d.  There is no knob.
+
+    members is the family as a (members, k) array, followed, where the
+    family does not cover t, by settle_only sets (_settle_sets) up to
+    COVER_MAX_CELLS cells in all.  That family is the block family for
+    every such t, so the code builds these members and their projections
+    once, its settle block, and every plan of it that does not cover
+    shares them.  projections is the stacked P_R' = G[:, R']^-1 G,
+    (members, k, n), so the word on R' times P_R' is c_R', from one
+    stacked elimination (GrsCode._projections).
 
     Size and cost: s, ly, the unknowns M, the constraints
     C = (n - k) s(s+1)/2 that Koetter imposes on the points outside R,
@@ -454,7 +483,7 @@ class GsPlan:
 
     def __init__(self, code: GrsCode, t: int):
         F, n, k = code.field, code.n, code.k
-        self.t, self.n, self.k, self.points = t, n, k, n - k
+        self.field, self.t, self.n, self.k, self.points = F, t, n, k, n - k
         # a locator 0 sorts first, so it lands in R and no point outside R
         # has x0 = 0
         order = np.argsort(code._alpha != 0, kind="stable")
@@ -476,23 +505,82 @@ class GsPlan:
                 family = [m for part in parts for m in itertools.combinations(part.tolist(), k)]
                 self.covers = True
         self.family = tuple(dict.fromkeys(tuple(sorted(map(int, m))) for m in family))
-        self.members = np.array(self.family, dtype=np.int64).reshape(len(self.family), k)
-        inverses = (code._agree_inverse(m)[1] for m in self.family)
-        self.projections = np.stack([matmul(inv, code._generator, F) for inv in inverses])
-        self.members.flags.writeable = self.projections.flags.writeable = False
+        if self.covers:
+            self.members = np.array(self.family, dtype=np.int64).reshape(len(self.family), k)
+            self.members.flags.writeable = False
+            self.projections = code._projections(self.members)
+        else:
+            # a plan that does not cover t takes the block family, whatever t
+            # is, so one settle block serves every such plan of the code
+            if code._settle is None:
+                members = np.array([*self.family, *_settle_sets(order, self.family, k)])
+                members.flags.writeable = False
+                code._settle = members, code._projections(members)
+            self.members, self.projections = code._settle
+        self.settle_only = len(self.members) - len(self.family)
+        self.x_inside, self.x_outside = code._alpha[inside], code._alpha[outside]
+        self.x_inside.flags.writeable = self.x_outside.flags.writeable = False
         if k <= 1:
             return
-        k1 = k - 1
         s, ly = gs_parameters(n, k, t)
         self.s, self.ly = s, ly
         self.wdeg = wdeg = s * (n - t) - 1
+        # the monomials x^dx y^dy with dx + dy (k-1) <= wdeg, dy <= ly
+        self.unknowns = (ly + 1) * (wdeg + 1) - (k - 1) * ly * (ly + 1) // 2
+        self.constraints = (n - k) * s * (s + 1) // 2
+        self.cell_ops = self.constraints * self.unknowns * (ly + 1)
+
+    @functools.cached_property
+    def koetter(self) -> "_KoetterArrays":
+        """Koetter's arrays (see _KoetterArrays), built on the plan's first
+        interpolation."""
+        return _KoetterArrays(self)
+
+    def describe(self) -> str:
+        cover = f"covers t = {self.t}"
+        if not self.covers:
+            cover = f"does not cover t = {self.t}, {self.settle_only} settle-only sets"
+        family = f"GS plan: {len(self.family)} re-encoding sets, {cover}"
+        if self.k <= 1:
+            return f"{family}, no interpolation below k = 2"
+        return (
+            f"{family}; s = {self.s}, ly = {self.ly}, M = {self.unknowns} unknowns, "
+            f"C = {self.constraints} constraints on {self.points} of {self.n} points, "
+            f"{self.cell_ops} cell-ops"
+        )
+
+
+class _KoetterArrays:
+    """What Koetter interpolation on one plan needs except the received
+    values, every array read-only.
+
+    Candidate-array columns: nc = s(s+1)/2 discrepancy columns, one per
+    Hasse constraint (a, b) in (b, a) order, then one zero column, then
+    the M monomials x^dx y^dy with dx + dy (k-1) <= wdeg, sorted by
+    weighted degree, ties by dy.  end[w] is the number of columns before
+    the first monomial of weighted degree > w, so columns [0, end[w])
+    hold the discrepancies and the whole support of a candidate of
+    weighted degree w.  dy_major lists the column of each monomial in
+    dy-major order (dx fastest), whose y-degree blocks begin at starts;
+    col_dy and col_dx are the monomials' degrees in that order.
+    x_source is the column each column takes under Q -> x Q: a monomial
+    takes x^(dx-1) y^dy, a discrepancy column (a, b) takes (a-1, b), and
+    dx = 0 and a = 0 take the zero column.
+
+    The start rows init are v^((s-j)+) y^j, v = prod over R of
+    (x - alpha), of weighted degree row_wdegs[j] = k (s-j)+ + j (k-1); a
+    row past wdeg is left zero, as it never takes part.  The x-side arrays
+    cover the points outside R only.
+    """
+
+    def __init__(self, plan: GsPlan):
+        F, k, s, ly, wdeg = plan.field, plan.k, plan.s, plan.ly, plan.wdeg
+        k1 = k - 1
         lens = wdeg + 1 - np.arange(ly + 1) * k1
         col_dy = np.repeat(np.arange(ly + 1), lens)
         starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
         col_dx = np.arange(col_dy.size) - starts[col_dy]
-        self.unknowns = m = col_dy.size
-        self.constraints = (n - k) * s * (s + 1) // 2
-        self.cell_ops = self.constraints * (ly + 1) * m
+        m = plan.unknowns
         # b outer, a inner: D_{a,b} of (x - x0) Q is D_{a-1,b} Q at x0, the
         # constraint just before, so those imposed so far survive the step
         cons_b, cons_a = np.array([(b, a) for b in range(s) for a in range(s - b)]).T
@@ -509,12 +597,11 @@ class GsPlan:
         self.end = off + np.searchsorted(np.sort(weights), np.arange(wdeg + 1), side="right")
         self.x_source = x_source
         self.monomials = (np.arange(off + m) >= off).astype(np.int64)
-        self.x_outside = x_out = code._alpha[outside]
         # start rows v^e y^j, e = (s-j)+, written into the dy = j block
         vpow = [np.ones(1, dtype=np.int64)]
         for _ in range(s):
             v = vpow[-1]
-            for a in code._alpha[inside]:
+            for a in plan.x_inside:
                 v = sub(np.append(0, v), np.append(_vec_mul(v, a, F), 0), F)  # (x - a) v
             vpow.append(v)
         e = np.maximum(s - np.arange(ly + 1), 0)
@@ -528,24 +615,36 @@ class GsPlan:
         self.cons_a = cons_a
         xbin = np.array([[math.comb(d, a) % F.p for d in range(wdeg + 1)] for a in range(s)])
         self.xbin = xbin[:, col_dx]
-        self.xpows = powers(x_out, wdeg + 1, F).T
-        self.xinv = powers(_vec_inv(x_out, F), s, F).T[:, cons_a]
+        self.xpows = powers(plan.x_outside, wdeg + 1, F).T
+        self.xinv = powers(_vec_inv(plan.x_outside, F), s, F).T[:, cons_a]
         self.ybin = np.array([[math.comb(d, b) % F.p for d in range(ly + 1)] for b in cons_b])
         self.yshift = np.maximum(np.arange(ly + 1) - cons_b[:, None], 0)
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
 
-    def describe(self) -> str:
-        cover = "covers" if self.covers else "does not cover"
-        family = f"GS plan: {len(self.family)} re-encoding sets, {cover} t = {self.t}"
-        if self.k <= 1:
-            return f"{family}, no interpolation below k = 2"
-        return (
-            f"{family}; s = {self.s}, ly = {self.ly}, M = {self.unknowns} unknowns, "
-            f"C = {self.constraints} constraints on {self.points} of {self.n} points, "
-            f"{self.cell_ops} cell-ops"
-        )
+
+def _settle_sets(order: np.ndarray, family: tuple, k: int) -> list[tuple[int, ...]]:
+    """The settle-only k-sets that follow a family that does not cover its
+    t, as many as keep the members within COVER_MAX_CELLS cells (members
+    k n): order permuted by i -> (g i + shift) mod n, for shift = 0, 1, ...
+    and within each shift every unit g of Z_n in increasing order, each
+    permutation cut into floor(n/k) disjoint k-sets, each sorted; a set
+    already taken is skipped.  A fixed rule, with no search: a code gives
+    the same sets in every process."""
+    n = order.size
+    room = COVER_MAX_CELLS // (k * n) - len(family)
+    taken, sets = set(family), []
+    units = np.array([g for g in range(1, n) if math.gcd(g, n) == 1])
+    for shift in range(n):
+        perms = order[(units[:, None] * np.arange(n // k * k) + shift) % n]
+        for m in np.sort(perms.reshape(-1, k), axis=1).tolist():
+            if len(sets) >= room:
+                return sets
+            if tuple(m) not in taken:
+                taken.add(tuple(m))
+                sets.append(tuple(m))
+    return sets
 
 
 def _rr_roots(q: np.ndarray, k: int, field: Field) -> np.ndarray:

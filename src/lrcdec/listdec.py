@@ -50,13 +50,25 @@ class DecodeConfig:
     budget: int = 10**6  # max shortened decodes before giving up
 
 
+def _gs_paths() -> dict[str, int]:
+    return {"settled": 0, "covered": 0, "interpolated": 0}
+
+
 @dataclass
 class DecodingList:
+    """The list and what the search did: the local list sizes, the
+    combinations and shortened decodes, and the GS decodes of the repair
+    sets (local) and of the shortened words by the path that listed them
+    (GrsCode.gs_list_decode): settled by a re-encoding set, covered by the
+    family, or interpolated."""
+
     codewords: list[tuple[int, ...]] = field(default_factory=list)
     local_list_sizes: list[int] = field(default_factory=list)
     combinations_explored: int = 0
     shortened_decodes: int = 0
     complete: bool = True
+    local_gs_paths: dict[str, int] = field(default_factory=_gs_paths)
+    shortened_gs_paths: dict[str, int] = field(default_factory=_gs_paths)
 
 
 class BudgetExceeded(RuntimeError):
@@ -72,20 +84,23 @@ class BudgetExceeded(RuntimeError):
         self.partial = partial
 
 
-def _local_stage(code: LrcCode, received, cfg: DecodeConfig):
+def _local_stage(code: LrcCode, received, cfg: DecodeConfig, result: DecodingList):
     """The stage both decoders open with: check the word and the config,
-    then decode every repair set locally.  Returns (word, lists, order):
-    the word as a checked int64 array, lists[j] the (distance, local
-    codeword) entries of repair set j, nearest first, and order the sets
-    with a nonempty list, by list size, then index."""
+    then decode every repair set locally, recording the list sizes and
+    the GS paths in result.  Returns (word, lists, order): the word as a
+    checked int64 array, lists[j] the (distance, local codeword) entries
+    of repair set j, nearest first, and order the sets with a nonempty
+    list, by list size, then index."""
     word = code.field.check_symbols(received, code.n)
     _validate_cfg(code, cfg)
     symbols, lists = word.tolist(), []
     for local, idx in zip(code.local_codes, code.repair_sets):
         w = [symbols[i] for i in idx]
         lists.append(sorted(
-            (sum(a != b for a, b in zip(cw, w)), cw) for cw in local.gs_list_decode(w, cfg.t_l)
+            (sum(a != b for a, b in zip(cw, w)), cw)
+            for cw in local.gs_list_decode(w, cfg.t_l, result.local_gs_paths)
         ))
+    result.local_list_sizes = [len(l) for l in lists]
     order = sorted((j for j in range(code.shape.mu) if lists[j]), key=lambda j: (len(lists[j]), j))
     return word, lists, order
 
@@ -151,7 +166,7 @@ def _decode_shortened(code: LrcCode, received, chosen_sets, picks, cfg, result):
         raise BudgetExceeded(result, cfg.budget)
     short, short_w, c_s = sup.shorten_received(cleaned, pos)
     found = []
-    for cand in short.gs_list_decode(short_w, cfg.t_g - chi):
+    for cand in short.gs_list_decode(short_w, cfg.t_g - chi, result.shortened_gs_paths):
         full_cw = sup.unshorten(pos, c_s, cand)
         dist = np.count_nonzero(full_cw != received)
         if dist <= cfg.t_g and code.is_codeword(full_cw):
@@ -166,8 +181,8 @@ def list_decode_lrc(code: LrcCode, received, cfg: DecodeConfig) -> DecodingList:
     (validated up front).  Raises BudgetExceeded, carrying the partial
     list, if more than cfg.budget shortened decodes would be needed.
     """
-    word, lists, order = _local_stage(code, received, cfg)
-    result = DecodingList(local_list_sizes=[len(l) for l in lists])
+    result = DecodingList()
+    word, lists, order = _local_stage(code, received, cfg, result)
     found: set[tuple[int, ...]] = set()
     # with s_short = 0 the single empty combination decodes globally
     for combo in itertools.combinations(order, _shortening_size(code, cfg)):
@@ -186,13 +201,14 @@ def unique_decode_probabilistic(code: LrcCode, received, cfg: DecodeConfig):
     shortened decoder returns exactly one consistent codeword.  Returns
     the codeword or None.
     """
-    word, lists, order = _local_stage(code, received, cfg)
+    result = DecodingList()
+    word, lists, order = _local_stage(code, received, cfg, result)
     s_short = _shortening_size(code, cfg)
     if len(order) < s_short:
         return None
     chosen = tuple(sorted(order[:s_short]))
     picks = [lists[j][0] for j in chosen]
-    cands = _decode_shortened(code, word, chosen, picks, cfg, DecodingList())
+    cands = _decode_shortened(code, word, chosen, picks, cfg, result)
     uniq = sorted(set(cands))
     return uniq[0] if len(uniq) == 1 else None
 

@@ -153,6 +153,11 @@ def test_gen_code_roundtrip(tmp_path, capsys):
     res = json.loads(out)
     assert list(cw) in res["list"]
     assert res["stats"]["complete"]
+    # the GS decodes by path: one error, so every local list is settled or
+    # covered, and nothing interpolates
+    local, short = res["stats"]["local_gs_paths"], res["stats"]["shortened_gs_paths"]
+    assert sum(local.values()) == 3 and sum(short.values()) == res["stats"]["shortened_decodes"]
+    assert local["interpolated"] == short["interpolated"] == 0
 
 
 def test_gen_code_invalid_exits_2(capsys):

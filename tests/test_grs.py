@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -570,9 +574,12 @@ def test_gs_plan_reports_size_and_cost():
     assert plan.points == 34
     assert plan.cell_ops == 10_144_512
     assert plan.describe() == (
-        "GS plan: 2 re-encoding sets, does not cover t = 24; s = 6, ly = 15, M = 888 unknowns, "
-        "C = 714 constraints on 34 of 42 points, 10144512 cell-ops"
+        "GS plan: 2 re-encoding sets, does not cover t = 24, 46 settle-only sets; s = 6, "
+        "ly = 15, M = 888 unknowns, C = 714 constraints on 34 of 42 points, 10144512 cell-ops"
     )
+    # the size and cost are worked out when the plan is built, Koetter's
+    # arrays on its first interpolation
+    assert "koetter" not in vars(plan)
     # every plan describes itself, k <= 1 ones too, with its family's size
     # and whether it covers t
     assert GrsCode(Field(16), range(1, 11), [1] * 10, 3)._gs_plan(4).describe() == (
@@ -605,8 +612,9 @@ def test_gs_plan_is_built_once_per_radius_and_read_only(gf16, monkeypatch):
     assert sorted(code._gs_plans) == [5, 9]
     for plan in [*code._gs_plans.values(), wide]:
         arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) >= 10
-        assert not any(a.flags.writeable for a in arrays)
+        tables = [v for v in vars(plan.koetter).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) >= 6 and len(tables) >= 10
+        assert not any(a.flags.writeable for a in arrays + tables)
 
 
 def test_gs_parameters_run_once_per_radius(gf16, monkeypatch):
@@ -963,6 +971,191 @@ def test_gs_equal_parts_lists_match_interpolation(n, k, t, members, monkeypatch)
     assert any(len(got) == 1 for got in want) and any(not got for got in want)
 
 
+# -- settle-only members: the plans that do not cover t ------------------------------
+
+def settle_code(name):
+    """The GRS codes of the LRC list decoder whose plans do not cover their
+    radius: the local [21,8] code and the [42,8] code shortened at repair
+    set 0 of the (63,16,8,14) Tamo-Barg code over GF(64), and the [24,16]
+    code shortened at repair set 0 of the (30,16,4,3) one over GF(31)."""
+    q, n, k, r, rho = {"21-8": (64, 63, 16, 8, 14), "42-8": (64, 63, 16, 8, 14),
+                       "24-16": (31, 30, 16, 4, 3)}[name]
+    lrc = construct_tamo_barg(Field(q), n, k, r, rho)
+    return lrc.local_codes[0] if name == "21-8" else lrc.supercode.shorten(lrc.repair_sets[0])
+
+
+@pytest.mark.parametrize(
+    "name, radii", [("21-8", [8]), ("42-8", range(16, 25)), ("24-16", range(2, 5))]
+)
+def test_gs_settle_block_lists_match_interpolation(name, radii):
+    # with interpolation allowed, gs_list_decode equals the interpolation
+    # path on codewords hit by 0 .. t + 1 errors and on planted pairs: a word
+    # is settled by a member, often a settle-only one, or interpolated.  The
+    # [24,16] code stops at t = 4: at t = 5 interpolation is out of reach
+    code = settle_code(name)
+    F, rnd = code.field, random.Random(code.n * code.k)
+    paths, by_settle_only = {"settled": 0, "covered": 0, "interpolated": 0}, 0
+    for t in radii:
+        plan = code._gs_plan(t)
+        assert not plan.covers and plan.settle_only > 0
+        words = [
+            corrupt(rnd, F, code.encode([rnd.randrange(F.q) for _ in range(code.k)]),
+                    rnd.sample(range(code.n), w))
+            for w in range(t + 2)
+        ]
+        pairs = [planted_pair(rnd, code, t) for _ in range(2)]
+        for word in words + [w for w, _ in pairs]:
+            settled = paths["settled"]
+            got = code.gs_list_decode(word, t, paths)
+            assert got == interpolated_list(code, word, t)
+            by_settle_only += paths["settled"] > settled and not settles(code, word, t)
+        # a planted pair is listed whole where both its codewords lie within t
+        for word, pair in pairs:
+            assert set(pair) <= set(code.gs_list_decode(word, t)) or code.d - t > t
+    assert paths["settled"] and paths["interpolated"] and not paths["covered"]
+    assert by_settle_only
+
+
+def test_gs_settle_block_decodes_past_the_interpolation_reach(monkeypatch):
+    # the [24,16] code at t = 5 takes s = 76, 1.6e11 cell-ops: no word of it
+    # can be interpolated.  A codeword hit by e <= 2 errors is the only
+    # codeword within 5 (e + 5 < d = 9), listed without interpolation when
+    # some member is error-free: for every error position and pair of
+    # positions, every single error and more than three quarters of the
+    # pairs are settled, where the family alone settles fewer than a third
+    code = settle_code("24-16")
+    assert code._gs_plan(5).cell_ops > 10**11
+    monkeypatch.setattr(GrsCode, "_gs_interpolate", refuse_interpolation)
+    rnd = random.Random(5)
+    cw = code.encode([rnd.randrange(31) for _ in range(code.k)])
+    for w in (0, 1, 2):
+        settled = by_family = 0
+        patterns = list(itertools.combinations(range(code.n), w))
+        for pos in patterns:
+            word = corrupt(rnd, code.field, cw, pos)
+            by_family += settles(code, word, 5)
+            try:
+                assert code.gs_list_decode(word, 5) == [cw]
+                settled += 1
+            except Interpolated:
+                pass
+        assert settled == len(patterns) if w < 2 else 4 * settled > 3 * len(patterns)
+        assert by_family == len(patterns) if w < 2 else 3 * by_family < len(patterns)
+
+
+@pytest.mark.parametrize("q, n, k", [(16, 15, 5), (64, 40, 9), (31, 30, 7), (3001, 60, 12)])
+def test_stacked_projections_match_kept_inverses(q, n, k):
+    # the stacked elimination gives G[:, R']^-1 G for each member, equal to
+    # the product of the kept inverse and G, on codes with locator 0 and
+    # seeded multipliers; the stack is read-only
+    field, rnd = Field(q), random.Random(q * n)
+    locators = [0] + rnd.sample(range(1, q), n - 1)
+    rnd.shuffle(locators)
+    code = GrsCode(field, locators, [rnd.randrange(1, q) for _ in range(n)], k)
+    members = np.array([sorted(rnd.sample(range(n), k)) for _ in range(50)])
+    got = code._projections(members)
+    assert got.shape == (50, k, n) and not got.flags.writeable
+    gen = code.generator_matrix()
+    for member, proj in zip(members, got):
+        want = linalg.matmul(code._agree_inverse(member)[1], gen, field)
+        assert np.array_equal(proj, want)
+        assert np.array_equal(proj[:, member], np.eye(k, dtype=np.int64))
+
+
+def test_settle_block_is_built_once_per_code(monkeypatch):
+    # every plan of the [42,8] code that does not cover shares one settle
+    # block, members and projections, built by one stacked elimination,
+    # read-only; a covering plan builds its own
+    code = settle_code("42-8")
+    calls = []
+    project = GrsCode._projections
+    monkeypatch.setattr(GrsCode, "_projections", lambda *a: calls.append(a) or project(*a))
+    plans = [code._gs_plan(t) for t in range(16, 25)]
+    assert len(calls) == 1
+    assert all(p.members is plans[0].members and p.projections is plans[0].projections
+               for p in plans)
+    assert not plans[0].members.flags.writeable and not plans[0].projections.flags.writeable
+    assert code._gs_plan(3).covers and len(calls) == 2
+
+
+def test_gs_settle_members_follow_the_family():
+    # every code over GF(16) with n <= 12 locators (locator 0 absent, and
+    # last) and k >= 2, every reachable t, and the settle codes: the members
+    # are distinct sorted k-sets that begin with the unchanged family; the
+    # settle-only ones follow a family that does not cover t, within
+    # COVER_MAX_CELLS cells in all
+    codes = [settle_code(name) for name in ("21-8", "42-8", "24-16")]
+    for n in range(3, 13):
+        for locators in (tuple(range(1, n + 1)), tuple(range(1, n)) + (0,)):
+            codes += [GrsCode(Field(16), locators, [1] * n, k) for k in range(2, n)]
+    settled = 0
+    for code in codes:
+        n, k = code.n, code.k
+        for t in range(gs_max_radius(n, k) + 1):
+            plan = code._gs_plan(t)
+            members = [tuple(m) for m in plan.members.tolist()]
+            assert members[: len(plan.family)] == list(plan.family)
+            assert len(set(members)) == len(members) == len(plan.family) + plan.settle_only
+            assert all(list(m) == sorted(set(m)) and set(m) <= set(range(n)) for m in members)
+            assert all(len(m) == k for m in members)
+            if plan.settle_only:
+                settled += 1
+                assert not plan.covers and len(members) * k * n <= grs.COVER_MAX_CELLS
+            else:
+                assert plan.covers or (len(plan.family) + 1) * k * n > grs.COVER_MAX_CELLS
+    assert settled > 20
+
+
+def test_gs_settle_members_do_not_hang_on_the_hash_seed():
+    # the settle-only sets come from a fixed rule: two processes with
+    # different hash seeds build the same members
+    script = (
+        "from test_grs import settle_code\n"
+        "print([settle_code(n)._gs_plan(t).members.tolist()"
+        " for n, t in (('21-8', 8), ('42-8', 20), ('24-16', 3))])"
+    )
+    tests_dir = str(pathlib.Path(__file__).resolve().parent)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            cwd=tests_dir, timeout=120,
+            env={**os.environ, "PYTHONHASHSEED": seed,
+                 "PYTHONPATH": os.pathsep.join([src, tests_dir])},
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0] == outs[1] and outs[0].startswith("[[[")
+
+
+def test_lrc15_covering_plans_keep_their_members(tb_15_6):
+    # the plans of the [15,6,3,3] list decode all cover: the [5,3] local
+    # codes at t = 1 and the [10,3] shortened codes at t = 0..5 keep their
+    # members, the family alone: t + 1 disjoint k-sets along the plan's
+    # order, the block family at t = 1 of [5,3] and the equal-parts family
+    # past them
+    codes = [(local, [1]) for local in tb_15_6.local_codes] + [
+        (tb_15_6.supercode.shorten(rs), range(6)) for rs in tb_15_6.repair_sets
+    ]
+    for code, radii in codes:
+        start = code._gs_plan(0)
+        order = np.concatenate((start.inside, start.outside)).tolist()
+        for t in radii:
+            plan = code._gs_plan(t)
+            k = code.k
+            assert plan.covers and plan.settle_only == 0
+            assert plan.members.tolist() == [list(m) for m in plan.family]
+            if (t + 1) * k <= code.n:
+                want = tuple(tuple(sorted(order[i * k : (i + 1) * k])) for i in range(t + 1))
+            elif code.n == 5:
+                blocks = [complement(code, range(s, s + 2)) for s in (0, 2)]
+                want = tuple(dict.fromkeys([tuple(sorted(plan.inside.tolist()))] + [
+                    tuple(b) for b in blocks]))
+            else:
+                want = equal_parts(order, k, t)
+            assert plan.family == want
+
+
 @pytest.mark.parametrize(
     "q, locators, k, radii",
     [(8, tuple(range(1, 8)), 0, range(8)), (8, tuple(range(1, 8)), 1, range(7)),
@@ -1226,7 +1419,7 @@ def test_shorten_is_kept_per_locator_set(gf16):
     assert list(short._gs_plans) == [4]
     for plan in short._gs_plans.values():
         for name in ("init", "row_wdegs", "xpows", "xinv"):
-            assert not getattr(plan, name).flags.writeable
+            assert not getattr(plan.koetter, name).flags.writeable
 
 
 def test_agree_on_keeps_one_inverse_per_position_set(gf16, grs_membership, monkeypatch):
@@ -1242,16 +1435,20 @@ def test_agree_on_keeps_one_inverse_per_position_set(gf16, grs_membership, monke
         for word in seeded_words(code, t, 4, seed=t):
             code.gs_list_decode(word, t)
     # two GS plans share one family, R and the complements of the blocks
-    # 0..6 and 7..13, and one kept inverse per member, each built once
+    # 0..6 and 7..13, and one settle block, whose projections come from the
+    # stacked elimination, not from kept inverses
     family = (tuple(range(8)), tuple(range(7, 15)), tuple(range(7)) + (14,))
     assert [plan.family for plan in code._gs_plans.values()] == [family] * 2
-    assert tuple(code._agree_inv) == family and len(inverses) == 3
+    assert not code._agree_inv and not inverses
     word = np.array(next(seeded_words(code, 6, 1, seed=5)))
     for pos in ([4, 0, 9], [], list(range(15))[::2]):
         msg, cw = code._agree_on(word, pos)
         assert len(msg) == len(pos) and all(cw[i] == word[i] for i in pos)
         assert tuple(cw.tolist()) == encode_oracle(code, msg.tolist())
         assert grs_membership(code)(cw)
+    # one inverse per position set, built once whatever the order
+    code._agree_on(word, [9, 4, 0])
+    assert len(code._agree_inv) == len(inverses) == 3
     assert all(not inv.flags.writeable for inv in code._agree_inv.values())
     assert (0, 4, 9) in code._agree_inv
     with pytest.raises(ValueError, match="at most k = 8 positions fix a codeword, got 9"):

@@ -117,6 +117,36 @@ def test_planted_pair_beyond_johnson_is_listed(tb_63_16, seed):
     assert unique_decode_probabilistic(code, word, cfg) in (None, c1, c2)
 
 
+def test_low_weight_words_decode_without_interpolation(tb_63_16, monkeypatch):
+    # codewords hit by w <= 10 errors spread over the three repair sets, at
+    # most 4 in each: every local [21, 8] decode at t_l = 8 and every
+    # shortened [42, 8] decode at t_g - chi is settled by an error-free
+    # member of its plan, so nothing interpolates and the sent codeword is
+    # listed
+    code = tb_63_16
+    cfg = DecodeConfig(t_l=8, t_g=24)
+
+    def guarded(self, *args):
+        raise AssertionError(f"a [{self.n}, {self.k}] decode interpolated")
+
+    monkeypatch.setattr(GrsCode, "_gs_interpolate", guarded)
+    for w in range(11):
+        rng = np.random.default_rng([63, w])
+        cw = code.encode(rng.integers(0, 64, size=code.k).tolist())
+        word = list(cw)
+        for j, rs in enumerate(code.repair_sets):
+            for i in rng.choice(rs, size=(w + 2 - j) // 3, replace=False):
+                word[i] = code.field.add(word[i], int(rng.integers(1, 64)))
+        assert sum(a != b for a, b in zip(cw, word)) == w
+        out = list_decode_lrc(code, word, cfg)
+        assert cw in out.codewords
+        assert out.local_gs_paths == {"settled": 3, "covered": 0, "interpolated": 0}
+        assert out.shortened_gs_paths == {
+            "settled": out.shortened_decodes, "covered": 0, "interpolated": 0
+        }
+        assert unique_decode_probabilistic(code, word, cfg) == cw
+
+
 def test_list_size_within_bounds(tb_15_6):
     shape = CodeShape(15, 6, 3, 3)
     basic, improved = list_size_bounds(shape, t_l=1)
@@ -263,6 +293,12 @@ def test_stats_populated(tb_15_6):
     out = list_decode_lrc(tb_15_6, cw, CFG)
     assert out.local_list_sizes == [1, 1, 1]
     assert out.shortened_decodes >= 1
+    # every GS decode is counted once, by its path: the repair sets of a
+    # codeword are settled by R, and so are the shortened words
+    assert out.local_gs_paths == {"settled": 3, "covered": 0, "interpolated": 0}
+    assert out.shortened_gs_paths == {
+        "settled": out.shortened_decodes, "covered": 0, "interpolated": 0
+    }
 
 
 # (q, n, k, r, rho) of the Table-2 rows that list-decode in milliseconds, with
