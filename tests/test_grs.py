@@ -974,10 +974,11 @@ def test_gs_equal_parts_lists_match_interpolation(n, k, t, members, monkeypatch)
 # -- settle-only members: the plans that do not cover t ------------------------------
 
 def settle_code(name):
-    """The GRS codes of the LRC list decoder whose plans do not cover their
-    radius: the local [21,8] code and the [42,8] code shortened at repair
-    set 0 of the (63,16,8,14) Tamo-Barg code over GF(64), and the [24,16]
-    code shortened at repair set 0 of the (30,16,4,3) one over GF(31)."""
+    """GRS codes whose plans do not cover their radius: the local [21,8]
+    code and the [42,8] code shortened at repair set 0 of the
+    (63,16,8,14) Tamo-Barg code over GF(64), which the lrc63_list
+    benchmark decodes, and the [24,16] code shortened at repair set 0 of
+    the (30,16,4,3) one over GF(31)."""
     q, n, k, r, rho = {"21-8": (64, 63, 16, 8, 14), "42-8": (64, 63, 16, 8, 14),
                        "24-16": (31, 30, 16, 4, 3)}[name]
     lrc = construct_tamo_barg(Field(q), n, k, r, rho)
