@@ -245,7 +245,7 @@ class Field:
         # read as uint64 a negative symbol is at least 2^63, so one maximum
         # tests both ends
         wide = arr.view(np.uint64)
-        if arr.size and wide.max() >= self.q:
+        if arr.size and np.maximum.reduce(wide, axis=None) >= self.q:
             pos = tuple(np.argwhere(wide >= self.q)[0].tolist())
             where = pos[0] if len(pos) == 1 else pos
             raise ValueError(f"symbol {raw[pos]:#x} at position {where} is not in GF({self.q})")

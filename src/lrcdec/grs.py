@@ -53,7 +53,8 @@ only the pivot's support.  The Roth-Ruckenstein recursion then finds
 the y-roots of Q, one (ly + 1, wdeg + 1) array, as the rows of one
 array, each substitution Q(x, x y + gamma) one matrix product, and each
 level's roots from one Horner pass over the whole field.  Shortening at
-positions S is the same re-encoding, on S (``_agree_on``, by a
+positions S is the same re-encoding, on S (``_shorten``: one product
+with G_m[:, S]^-1 G_m, G_m the first |S| rows of G, the inverse by a
 ``linalg.rref``), into the code with multipliers nu v_S(alpha).
 """
 
@@ -135,6 +136,7 @@ class GrsCode:
         self._alpha = field.check_symbols(locators, len(locators), "locators").copy()
         self._nu = field.check_symbols(multipliers, len(locators), "multipliers").copy()
         self.locators, self.multipliers = tuple(self._alpha.tolist()), tuple(self._nu.tolist())
+        self.n = len(self.locators)
         _integer("k", k)
         if len(set(self.locators)) != self.n:
             raise ValueError("locators must be pairwise distinct")
@@ -147,13 +149,9 @@ class GrsCode:
         self._generator = _vec_mul(self._nu, powers(self._alpha, k, field), field)
         self._generator.flags.writeable = False
         self._gs_plans: dict[int, GsPlan] = {}
-        self._shortened: dict[tuple[int, ...], GrsCode] = {}
+        self._shortened: dict[tuple[int, ...], tuple] = {}  # see _shorten
         self._agree_inv: dict[tuple[int, ...], np.ndarray] = {}
         self._settle: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def n(self) -> int:
-        return len(self.locators)
 
     @property
     def d(self) -> int:
@@ -240,17 +238,15 @@ class GrsCode:
 
     # -- list decoding ---------------------------------------------------------
 
-    def gs_list_decode(self, word, t: int, paths: dict | None = None) -> list[tuple[int, ...]]:
+    def gs_list_decode(self, word, t: int, paths: dict | None = None, near=None) -> list[tuple]:
         """All codewords within Hamming distance t of word.
 
         Complete for every t up to gs_max_radius(n, k); ValueError beyond
         it and below 0, and for a word Field.check_symbols refuses (not
         integers, not n symbols in one axis, a symbol outside the field),
-        checked here, once.  One path for every plan: one gather of the
-        word on all members R' of the plan (GsPlan.members: its family,
-        then any settle-only sets), one product with the stacked
-        projections P_R' = G[:, R']^-1 G (GsPlan.projections) gives every
-        c_R', and one count their distances e' (see the module docstring).
+        checked here, once.  One path for every plan: every member R' of
+        the plan (GsPlan.members: its family, then any settle-only sets)
+        gives c_R' at distance e' (_gs_near, see the module docstring).
         A member with e' + t < d settles the list; else, if the family
         covers t (GsPlan.covers), the list is the members' c_R' within t.
         Otherwise Koetter interpolation of a bivariate Q(x, y)
@@ -259,27 +255,44 @@ class GrsCode:
         and _gs_interpolate), then Roth-Ruckenstein root finding of its
         y-roots f'(x) of degree < k, then the map back: f = f' + f_R
         encodes to f' G + c_R, one product, then a distance filter.
-        paths, if given, is a dict whose count of the path taken,
-        "settled", "covered" or "interpolated", goes up by one.
+        near, if given, is this word's column of _gs_near at t, so a caller
+        with many words takes all their c_R' in one product; word and t,
+        checked for _gs_near, are not checked again.  paths, if given, is a
+        dict whose count of the path taken, "settled", "covered" or
+        "interpolated", goes up by one.
         """
         F = self.field
-        word = F.check_symbols(word, self.n)
-        check_radius("t", t, self.n, self.k)
-        plan = self._gs_plan(t)
-        # every member's c_R' in one product: the word on R' times P_R'
-        words = matmul(word[plan.members][:, None], plan.projections, F)[:, 0]
-        dist = np.count_nonzero(words != word, axis=1)
-        settled = np.flatnonzero(dist + t < self.d)
-        path = "settled" if settled.size else "covered" if plan.covers else "interpolated"
+        if near is None:
+            word = F.check_symbols(word, self.n)
+            check_radius("t", t, self.n, self.k)
+            cands, dists = self._gs_near(word[None], t)
+            near = cands[:, 0], dists[:, 0]
+        plan, (words, dist) = self._gs_plan(t), near
+        settles = dist < self.d - t
+        first = settles.argmax()
+        path = "settled" if settles[first] else "covered" if plan.covers else "interpolated"
         if paths is not None:
             paths[path] += 1
-        if settled.size:
-            return [tuple(words[settled[0]].tolist())] if dist[settled[0]] <= t else []
+        if settles[first]:
+            return [tuple(words[first].tolist())] if dist[first] <= t else []
         if not plan.covers:
             q = self._gs_interpolate(plan, sub(word, words[0], F))
             words = add(matmul(_rr_roots(q, self.k, F), self._generator, F), words[0], F)
             dist = np.count_nonzero(words != word, axis=1)
         return sorted(set(map(tuple, words[dist <= t].tolist())))
+
+    def _gs_near(self, words: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """(cands, dists): cands[:, i] the c_R' of every member of the plan
+        for t, row i of words (checked int64 symbols) on R' times P_R', and
+        dists[:, i] their distances to it.  One product, (members, rows, k)
+        @ (members, k, n), per batch of rows within COVER_MAX_CELLS cells:
+        measured, past that a product costs up to twice as much per cell."""
+        F, plan = self.field, self._gs_plan(t)
+        step = max(1, COVER_MAX_CELLS // (plan.projections.size or 1))
+        at, proj = words[:, plan.members].swapaxes(0, 1), plan.projections
+        parts = [matmul(at[:, i : i + step], proj, F) for i in range(0, len(words), step)]
+        cands = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        return cands, (cands != words).sum(axis=2)
 
     def _gs_plan(self, t: int) -> "GsPlan":
         """The code's GS plan for radius t, built on first use."""
@@ -291,10 +304,10 @@ class GrsCode:
         """Interpolate the word re-encoded on R: returns Q.
 
         residual is word - c_R, c_R the codeword that agrees with the word
-        on R (_agree_on on the plan's inside), so it is 0 on R; plan is
-        this code's plan for the radius t, with its s and ly.  R is the
-        first k positions, except that a locator 0 is always taken in (see
-        GsPlan), so every point outside R has x0 != 0.  Q has least
+        on R (the first member's c_R', see gs_list_decode), so it is 0 on
+        R; plan is this code's plan for the radius t, with its s and ly.
+        R is the first k positions, except that a locator 0 is always
+        taken in (see GsPlan), so every point outside R has x0 != 0.  Q has least
         (1, k-1)-weighted degree and multiplicity s at every point
         (alpha_i, residual_i / nu_i), by Koetter's iterative interpolation
         on the plan.  The residual is 0 on R, where multiplicity s means
@@ -377,56 +390,59 @@ class GrsCode:
     # -- shortening --------------------------------------------------------------
 
     def shorten(self, positions) -> "GrsCode":
-        """Code realizing the shortening at the positions S.
+        """Code realizing the shortening at the positions S (_shorten)."""
+        return self._shorten(positions)[0]
 
-        Every message is f_S + v_S g, v_S = prod over S of (x - alpha), so
-        the result is the [n - |S|, k - |S|, d] code of the g on the other
-        locators, with multipliers nu v_S(alpha).  It is kept in a dict on
-        this code, one per position set, so a shortened code and its GS
-        plans are built once; the LRC list decoder asks for one per
-        combination of repair sets it visits, which bounds the dict.
-        ValueError for positions _agree_on rejects.
-        """
-        pos = tuple(sorted(int(i) for i in positions))
-        if pos not in self._shortened:
+    def _shorten(self, positions) -> tuple:
+        """(code, pos, rest, proj), kept per position set S: messages are
+        f_S + v_S g, v_S = prod over S of (x - alpha), so code is the
+        [n - |S|, k - |S|, d] code of the g on rest, the positions outside
+        S, with multipliers nu v_S(alpha); a word on pos, S sorted, times
+        proj is c_S.  ValueError for positions _agree_inverse rejects."""
+        key = tuple(sorted(map(int, positions)))
+        kept = self._shortened.get(key)
+        if kept is None:
             # v_S = x^m - f, f of degree < m agreeing with x^m on S: re-encode
-            # nu x^m; _agree_on checks the positions, so only valid ones are kept
-            F, m = self.field, len(pos)
+            # nu x^m; _agree_inverse checks the positions, so only valid ones are kept
+            F, m = self.field, len(key)
+            pos, inv = self._agree_inverse(key)
+            proj = matmul(inv, self._generator[:m], F)
             xm = _vec_mul(self._nu, powers(self._alpha, m + 1, F)[m], F)
-            nu = sub(xm, self._agree_on(xm, pos)[1], F)
-            rest = self._rest(pos)
-            self._shortened[pos] = GrsCode(F, self._alpha[rest], nu[rest], self.k - m)
-        return self._shortened[pos]
+            nu = sub(xm, matmul(xm[pos][None], proj, F)[0], F)
+            rest = np.delete(np.arange(self.n), pos)
+            proj.flags.writeable = rest.flags.writeable = False
+            code = GrsCode(F, self._alpha[rest], nu[rest], self.k - m)
+            kept = self._shortened[key] = code, pos, rest, proj
+        return kept
 
     def shorten_received(self, word, positions):
         """Map a word to the code shortened at the positions S, taking its
         symbols there as correct: returns (shortened code, word - c_S off S
         as a tuple, c_S), c_S the codeword that agrees with the word on S
-        (_agree_on).  unshorten maps a shortened codeword back.  ValueError
-        for a word Field.check_symbols refuses (not integers, not n
-        symbols in one axis, a symbol outside the field) and for positions
-        _agree_on rejects."""
+        (_shorten).  unshorten maps shortened codewords back.
+        ValueError for a word Field.check_symbols refuses (not integers,
+        not n symbols in one axis, a symbol outside the field) and for
+        positions _agree_inverse rejects."""
         word = self.field.check_symbols(word, self.n)
-        pos = tuple(positions)
-        code, rest = self.shorten(pos), self._rest(pos)
-        _, c_s = self._agree_on(word, pos)
-        short_word = sub(word[rest], c_s[rest], self.field)
-        return code, tuple(short_word.tolist()), c_s
+        code, pos, rest, proj = self._shorten(positions)
+        c_s = matmul(word[pos][None], proj, self.field)[0]
+        return code, tuple(sub(word[rest], c_s[rest], self.field).tolist()), c_s
 
-    def unshorten(self, positions, c_s, short_cw) -> np.ndarray:
-        """c_S plus a codeword of the code shortened at the positions S, with
-        zeros put in at S: the full-length codeword it stands for; c_S is
-        taken as shorten_received returned it.  ValueError for a shortened
-        codeword that Field.check_symbols refuses as n - |S| symbols of
-        the field."""
-        full, rest = np.array(c_s), self._rest(positions)
-        short_cw = self.field.check_symbols(short_cw, rest.size, "shortened codeword", "n - |S|")
-        full[rest] = add(full[rest], short_cw, self.field)
-        return full
-
-    def _rest(self, positions) -> np.ndarray:
-        """The positions of this code outside the given ones."""
-        return np.delete(np.arange(self.n), list(positions))
+    def unshorten(self, positions, c_s, short_cws) -> np.ndarray:
+        """c_S plus codewords of the code shortened at the positions S, with
+        zeros put in at S: the full-length codewords they stand for, one
+        per row of short_cws (one shortened codeword, or a sequence of
+        them); c_S is taken as shorten_received returned it.  ValueError
+        for shortened codewords that Field.check_symbols refuses, or not
+        n - |S| symbols each."""
+        rest = self._shorten(positions)[2]
+        cws = np.asarray(short_cws)
+        rows = cws.ndim == 2 and cws.shape[1] == rest.size
+        need = None if rows else rest.size
+        cws = self.field.check_symbols(cws, need, "shortened codeword", "n - |S|")
+        full = np.asarray(c_s)[None].repeat(len(cws) if rows else 1, axis=0)
+        full[:, rest] = add(full[:, rest], cws, self.field)
+        return full if rows else full[0]
 
 
 class GsPlan:

@@ -90,16 +90,19 @@ def _local_stage(code: LrcCode, received, cfg: DecodeConfig, result: DecodingLis
     the GS paths in result.  Returns (word, lists, order): the word as a
     checked int64 array, lists[j] the (distance, local codeword) entries
     of repair set j, nearest first, and order the sets with a nonempty
-    list, by list size, then index."""
+    list, by list size, then index.  One product (GrsCode._gs_near) gives
+    the c_R' of every set of one local code (LrcCode.local_groups); each
+    set's gs_list_decode takes its column, and interpolates from it."""
     word = code.field.check_symbols(received, code.n)
     _validate_cfg(code, cfg)
-    symbols, lists = word.tolist(), []
-    for local, idx in zip(code.local_codes, code.repair_sets):
-        w = [symbols[i] for i in idx]
-        lists.append(sorted(
-            (sum(a != b for a, b in zip(cw, w)), cw)
-            for cw in local.gs_list_decode(w, cfg.t_l, result.local_gs_paths)
-        ))
+    lists = [None] * code.shape.mu
+    for local, sets, positions in code.local_groups:
+        words = word[positions]
+        cands, dists = local._gs_near(words, cfg.t_l)
+        for j, w, near in zip(sets, words, zip(cands.swapaxes(0, 1), dists.T)):
+            found = local.gs_list_decode(w, cfg.t_l, result.local_gs_paths, near)
+            symbols = w.tolist()
+            lists[j] = sorted((sum(a != b for a, b in zip(cw, symbols)), cw) for cw in found)
     result.local_list_sizes = [len(l) for l in lists]
     order = sorted((j for j in range(code.shape.mu) if lists[j]), key=lambda j: (len(lists[j]), j))
     return word, lists, order
@@ -139,7 +142,7 @@ def _shortening_size(code: LrcCode, cfg: DecodeConfig) -> int:
     return max(0, code.shape.mu - cfg.t_g // (cfg.t_l + 1))
 
 
-def _decode_shortened(code: LrcCode, received, chosen_sets, picks, cfg, result):
+def _decode_shortened(code: LrcCode, received, chosen_sets, picks, cfg, result, known=()):
     """Clean the chosen repair sets to their picked local codewords,
     shorten the supercode there, decode, and map the candidates back.
 
@@ -151,27 +154,27 @@ def _decode_shortened(code: LrcCode, received, chosen_sets, picks, cfg, result):
     hold more positions than the supercode dimension k, the supercode is
     shortened at the first k of them, which leaves the zero code; the
     final distance and membership filter checks the other cleaned
-    positions.
+    positions.  A candidate in known, as an earlier decode of the same
+    word listed it, needs no membership test.
     """
     chi = sum(d for d, _ in picks)
     if chi > cfg.t_g:
         return []
+    sup, at = code.supercode, code._sets[list(chosen_sets)].ravel()
     cleaned = np.array(received)
-    for j, (_, cw) in zip(chosen_sets, picks):
-        cleaned[list(code.repair_sets[j])] = cw
-    sup = code.supercode
-    pos = [i for j in chosen_sets for i in code.repair_sets[j]][: sup.k]
+    cleaned[at] = [s for _, cw in picks for s in cw]
     result.shortened_decodes += 1
     if result.shortened_decodes > cfg.budget:
         raise BudgetExceeded(result, cfg.budget)
+    pos = at[: sup.k].tolist()
     short, short_w, c_s = sup.shorten_received(cleaned, pos)
-    found = []
-    for cand in short.gs_list_decode(short_w, cfg.t_g - chi, result.shortened_gs_paths):
-        full_cw = sup.unshorten(pos, c_s, cand)
-        dist = np.count_nonzero(full_cw != received)
-        if dist <= cfg.t_g and code.is_codeword(full_cw):
-            found.append(tuple(full_cw.tolist()))
-    return found
+    cands = short.gs_list_decode(short_w, cfg.t_g - chi, result.shortened_gs_paths)
+    if not cands:
+        return []
+    full = sup.unshorten(pos, c_s, cands)
+    full = full[(full != received).sum(axis=1) <= cfg.t_g]
+    cws = map(tuple, full.tolist())
+    return [cw for cw, row in zip(cws, full) if cw in known or code.is_codeword(row)]
 
 
 def list_decode_lrc(code: LrcCode, received, cfg: DecodeConfig) -> DecodingList:
@@ -188,7 +191,7 @@ def list_decode_lrc(code: LrcCode, received, cfg: DecodeConfig) -> DecodingList:
     for combo in itertools.combinations(order, _shortening_size(code, cfg)):
         for picks in itertools.product(*(lists[j] for j in combo)):
             result.combinations_explored += 1
-            found.update(_decode_shortened(code, word, combo, picks, cfg, result))
+            found.update(_decode_shortened(code, word, combo, picks, cfg, result, found))
     result.codewords = sorted(found)
     return result
 
@@ -257,7 +260,10 @@ def success_prob_grs(shape: CodeShape, q: int, t_l: int, bar_t_g: int) -> Fracti
     `unique_decode_probabilistic` returns the sent codeword.  1 - P is
     dominated by the local term mu * pe_tilde(n_l, rho, q, t_l); the
     global term is orders of magnitude smaller on the Table-1 shapes.
+    ValueError unless bar_t_g >= t_l + 1 (a repair set is shortened away).
     """
+    if bar_t_g < t_l + 1:
+        raise ValueError(f"bar_t_g = {bar_t_g} is below the limit t_l + 1 = {t_l + 1}, t_l = {t_l}")
     local = 1 - pe_tilde(shape.n_l, shape.rho, q, t_l)
     n_short = (bar_t_g // (t_l + 1)) * shape.n_l
     glob = 1 - pe_tilde(n_short, shape.d, q, bar_t_g)

@@ -16,6 +16,7 @@ by _below_johnson, one test in integers, and is exact by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -74,7 +75,7 @@ def _num_repair_sets(n: int, r: int, rho: int) -> int:
 def _integer(name: str, *values) -> None:
     """ValueError naming the first value that is not an integer; a bool is not."""
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
             raise ValueError(f"{name} = {v!r} is not an integer")
 
 
@@ -209,6 +210,7 @@ def _lrc_errors(shape: CodeShape, q=None, xi: int = 0) -> int:
     )
 
 
+@functools.cache
 def refined_error_count(shape: CodeShape, t_l: int, q=None) -> int:
     """Largest t with t^2 + theta * floor(t/(t_l+1)) * n_l * (d - 2t) > 0.
 

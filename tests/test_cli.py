@@ -160,6 +160,33 @@ def test_gen_code_roundtrip(tmp_path, capsys):
     assert local["interpolated"] == short["interpolated"] == 0
 
 
+def test_decode_stats_are_pinned(tmp_path, capsys):
+    # one fixed word at distance 5 from two codewords on the 15-symbol
+    # descriptor: set 0 has an empty local list, one set is covered, and
+    # the two shortened decodes are covered.  The local stage decodes the
+    # sets together, which must not change what the counters count
+    path, recv = tmp_path / "tb.json", tmp_path / "recv.hex"
+    path.write_text(json.dumps(construct_tamo_barg(Field(16), 15, 6, 3, 3).to_json()))
+    recv.write_text(" ".join(f"{x:x}" for x in [2, 7, 6, 2, 1, 1, 7, 10, 2, 2, 3, 15, 0, 5, 0]))
+    code, out, _ = run_cli(
+        capsys, "decode", "--code", str(path), "--received", str(recv), "--tl", "1", "--tg", "5",
+    )
+    assert code == 0
+    res = json.loads(out)
+    assert res["list"] == [
+        [2, 3, 10, 2, 1, 1, 7, 10, 2, 15, 9, 15, 1, 5, 0],
+        [13, 7, 6, 10, 5, 1, 7, 10, 2, 15, 3, 11, 0, 5, 0],
+    ]
+    assert res["stats"] == {
+        "local_list_sizes": [0, 1, 1],
+        "combinations_explored": 2,
+        "shortened_decodes": 2,
+        "complete": True,
+        "local_gs_paths": {"settled": 2, "covered": 1, "interpolated": 0},
+        "shortened_gs_paths": {"settled": 0, "covered": 2, "interpolated": 0},
+    }
+
+
 def test_gen_code_invalid_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "gen-code", "tamo-barg", "--q", "16", "--n", "15", "--k", "5",

@@ -1235,6 +1235,27 @@ def test_grs_entries_refuse_words_of_the_wrong_shape(gf16, entry, word, message)
         call()
 
 
+def test_shorten_received_reads_positions_once_and_unshorten_maps_rows(gf16):
+    # positions may be a one-shot iterable, in any order; unshorten maps a
+    # stack of shortened codewords back as it maps each one
+    code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 5)
+    rng = np.random.default_rng(5)
+    word = rng.integers(0, 16, size=15)
+    short, sw, c_s = code.shorten_received(word, (i for i in (4, 0, 2)))
+    want_short, want_sw, want_c_s = code.shorten_received(word, [0, 2, 4])
+    assert short is want_short and sw == want_sw and c_s.tolist() == want_c_s.tolist()
+    cws = [short.encode(rng.integers(0, 16, size=2).tolist()) for _ in range(3)]
+    rows = code.unshorten([0, 2, 4], c_s, cws)
+    assert rows.shape == (3, 15)
+    for row, cw in zip(rows.tolist(), cws):
+        assert row == code.unshorten((i for i in (2, 4, 0)), c_s, cw).tolist()
+        assert code.encode(code._agree_on(np.array(row), range(5))[0]) == tuple(row)
+    with pytest.raises(ValueError, match=r"shortened codeword has shape \(2, 11\), need n - \|S\| = 12"):
+        code.unshorten([0, 2, 4], c_s, [[0] * 11] * 2)
+    with pytest.raises(ValueError, match=r"symbol 0x10 at position \(1, 3\) is not in GF\(16\)"):
+        code.unshorten([0, 2, 4], c_s, [[0] * 12, [0, 0, 0, 16] + [0] * 8])
+
+
 @pytest.mark.parametrize("positions", [[0, 0, 1], [0, 12], [-1, 2]])
 def test_agree_on_and_shorten_reject_repeated_or_outside_positions(gf16, positions):
     # a repeated position used to give a c that disagrees with the word

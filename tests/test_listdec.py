@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -21,6 +22,7 @@ from lrcdec.grs import gs_parameters
 from lrcdec.listdec import (
     DecodingList,
     _decode_shortened,
+    _local_stage,
     _shortening_size,
     _validate_cfg,
     default_t_g,
@@ -248,29 +250,36 @@ def test_decoders_build_no_code_shape(tb_15_6, monkeypatch):
 
 
 def test_agree_on_checks_no_symbols(tb_15_6, monkeypatch):
-    # the word's symbols are checked at the public entries; _agree_on, run
-    # per family member and per shortening, takes them checked
-    inside, agreed, checks = [False], [], []
-    agree_on, check_symbols = GrsCode._agree_on, Field.check_symbols
+    # a word's symbols are checked at the public entry it comes in by; the
+    # inner steps, _agree_on, _shorten per position set and _gs_near per
+    # batch of GS decodes, take them checked
+    depth, calls, checks = [0], [], []
+    check_symbols = Field.check_symbols
 
-    def counted_agree_on(self, word, positions):
-        agreed.append(positions)
-        inside[0] = True
-        try:
-            return agree_on(self, word, positions)
-        finally:
-            inside[0] = False
+    def counted(name, step):
+        def wrapped(self, *args):
+            calls.append(name)
+            depth[0] += 1
+            try:
+                return step(self, *args)
+            finally:
+                depth[0] -= 1
 
-    def counted_check(self, word, *args):
-        checks.append(inside[0])
-        return check_symbols(self, word, *args)
+        return wrapped
 
-    monkeypatch.setattr(GrsCode, "_agree_on", counted_agree_on)
+    def counted_check(self, word, n=None, name="received word", *args):
+        if name == "received word":  # not the locators of a new shortened code
+            checks.append(depth[0])
+        return check_symbols(self, word, n, name, *args)
+
+    for name in ("_agree_on", "_shorten", "_gs_near"):
+        monkeypatch.setattr(GrsCode, name, counted(name, getattr(GrsCode, name)))
     monkeypatch.setattr(Field, "check_symbols", counted_check)
     rng = np.random.default_rng(7)
     cw = tb_15_6.encode(rng.integers(0, 16, size=6).tolist())
     assert cw in list_decode_lrc(tb_15_6, corrupt(rng, tb_15_6.field, cw, 5), CFG).codewords
-    assert agreed and checks and not any(checks)
+    assert tb_15_6.supercode._agree_on(np.array(cw), [0, 1])[1][:2].tolist() == list(cw[:2])
+    assert set(calls) == {"_agree_on", "_shorten", "_gs_near"} and checks and not any(checks)
 
 
 def test_global_only_path(tb_15_6):
@@ -288,6 +297,22 @@ def test_global_only_path(tb_15_6):
         assert unique_decode_probabilistic(tb_15_6, w, cfg) == cw
 
 
+def test_global_decode_drops_supercode_words_outside_the_lrc(tb_15_6):
+    # with no repair set shortened away the supercode decode lists supercode
+    # codewords; those with a coefficient at a degree outside the support
+    # (here x^3 and x^4) are not in the LRC, and the parity test drops them
+    cfg, sup = DecodeConfig(t_l=0, t_g=4), tb_15_6.supercode
+    for i in range(10):
+        rng = np.random.default_rng([34, i])
+        coeffs = rng.integers(0, 16, size=8).tolist()
+        coeffs[3] = int(rng.integers(1, 16))
+        c = sup.encode(coeffs)
+        w = corrupt(rng, tb_15_6.field, c, i % 5)
+        assert sup.gs_list_decode(w, 4) == [c] and not tb_15_6.is_codeword(c)
+        assert list_decode_lrc(tb_15_6, w, cfg).codewords == []
+        assert unique_decode_probabilistic(tb_15_6, w, cfg) is None
+
+
 def test_stats_populated(tb_15_6):
     cw = tb_15_6.encode([0, 1, 2, 3, 4, 5])
     out = list_decode_lrc(tb_15_6, cw, CFG)
@@ -299,6 +324,76 @@ def test_stats_populated(tb_15_6):
     assert out.shortened_gs_paths == {
         "settled": out.shortened_decodes, "covered": 0, "interpolated": 0
     }
+
+
+def test_known_codewords_skip_the_membership_test(tb_15_6, monkeypatch):
+    # each of the three shortened decodes of a codeword lists it again; the
+    # list decoder passes what it found so far, so only the first is tested
+    cw, tested = tb_15_6.encode([0, 1, 2, 3, 4, 5]), []
+    is_codeword = LrcCode.is_codeword
+    monkeypatch.setattr(LrcCode, "is_codeword", lambda self, w: tested.append(w) or is_codeword(self, w))
+    out = list_decode_lrc(tb_15_6, cw, CFG)
+    assert out.codewords == [cw] and out.shortened_decodes == 3
+    assert [tuple(w.tolist()) for w in tested] == [cw]
+    # the unique decoder has no earlier list, so its one decode tests it
+    assert unique_decode_probabilistic(tb_15_6, cw, CFG) == cw and len(tested) == 2
+
+
+def own_local_codes(code):
+    """Each repair set's own GrsCode, from that set's locators and multipliers."""
+    sup = code.supercode
+    return [
+        GrsCode(code.field, [sup.locators[i] for i in idx], [sup.multipliers[i] for i in idx], code.r)
+        for idx in code.repair_sets
+    ]
+
+
+def mixed_15_6():
+    """(15,6,3,3) over GF(16) with the supercode multiplier at position 1
+    changed: repair set 0 spans a local code of its own, sets 1 and 2 share
+    one."""
+    obj = construct_tamo_barg(Field(16), 15, 6, 3, 3).to_json()
+    obj["multipliers"][1] = 7
+    return LrcCode.from_json(obj)
+
+
+# (code, t_l, t_g, distinct local codes)
+DIFFERENTIAL_CODES = {
+    "15-6": (lambda: construct_tamo_barg(Field(16), 15, 6, 3, 3), 1, 5, 1),
+    "63-16": (lambda: construct_tamo_barg(Field(64), 63, 16, 8, 14), 8, 24, 1),
+    "30-16": (lambda: construct_tamo_barg(Field(31), 30, 16, 4, 3), 1, 5, 1),
+    "15-6-mixed": (mixed_15_6, 1, 5, 2),
+}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_CODES)
+def test_grouped_local_stage_matches_own_local_codes(name):
+    # the local stage decodes the sets of one local code together; decoding
+    # each set with its own GrsCode must give the same lists, and a copy of
+    # the code that keeps one group per set the same decoder outputs
+    make, t_l, t_g, distinct = DIFFERENTIAL_CODES[name]
+    code, cfg = make(), DecodeConfig(t_l, t_g)
+    own = own_local_codes(code)
+    assert len({id(c) for c in code.local_codes}) == distinct
+    ungrouped = copy.copy(code)
+    ungrouped.local_codes = tuple(own)
+    ungrouped.local_groups = tuple((c, [j], code._sets[[j]]) for j, c in enumerate(own))
+    rng = np.random.default_rng([31, code.n, distinct])
+    for weight in range(t_g + 1):
+        cw = code.encode(rng.integers(0, code.field.q, size=code.k).tolist())
+        word = np.array(corrupt(rng, code.field, cw, weight))
+        result = DecodingList()
+        lists = _local_stage(code, word, cfg, result)[1]
+        assert sum(result.local_gs_paths.values()) == code.shape.mu
+        for j, (local, idx) in enumerate(zip(own, code.repair_sets)):
+            w = word[list(idx)]
+            want = [(int((np.array(c) != w).sum()), c) for c in local.gs_list_decode(w, t_l)]
+            assert lists[j] == sorted(want), (name, weight, j)
+        got = list_decode_lrc(code, word, cfg)
+        assert cw in got.codewords
+        assert got == list_decode_lrc(ungrouped, word, cfg), (name, weight)
+        unique = unique_decode_probabilistic(code, word, cfg)
+        assert unique == unique_decode_probabilistic(ungrouped, word, cfg), (name, weight)
 
 
 # (q, n, k, r, rho) of the Table-2 rows that list-decode in milliseconds, with
@@ -581,6 +676,17 @@ def test_general_matches_grs_instantiation():
     f = bar // (t_l + 1)
     lhs = (1 - p_loc) ** f * (1 - p_loc) ** (shape.mu - f) * (1 - p_glob)
     assert lhs == success_prob_grs(shape, q, t_l, bar)
+
+
+def test_success_prob_grs_needs_a_shortened_repair_set():
+    # floor(bar_t_g / (t_l + 1)) = 0 shortens no repair set away; the error
+    # names the arguments, not the internal shortened length 0
+    shape = CodeShape(15, 6, 3, 3)
+    for t_l, bar in ((2, 2), (1, 1), (1, 0), (0, 0)):
+        message = rf"^bar_t_g = {bar} is below the limit t_l \+ 1 = {t_l + 1}, t_l = {t_l}$"
+        with pytest.raises(ValueError, match=message):
+            success_prob_grs(shape, 16, t_l, bar)
+    assert isinstance(success_prob_grs(shape, 16, 2, 3), Fraction)  # at the limit it evaluates
 
 
 def test_success_prob_grs_increases_with_q():

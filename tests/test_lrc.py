@@ -3,10 +3,19 @@ import random
 import numpy as np
 import pytest
 
-from lrcdec import Field, PmdsCode, construct_tamo_barg, optimal_distance, verify_pmds
+from lrcdec import (
+    DecodeConfig,
+    Field,
+    PmdsCode,
+    construct_tamo_barg,
+    list_decode_lrc,
+    optimal_distance,
+    verify_pmds,
+)
 from lrcdec.galois import lagrange_interpolate
 from lrcdec.lrc import LrcCode
 from lrcdec.radii import CodeShape
+from test_listdec import tamo_barg_configs
 
 
 def test_optimal_distance_values():
@@ -242,6 +251,49 @@ def test_validation_reports_local_dimension(tb_15_6):
     obj["degrees"] = [0, 5, 10, 1, 6, 11]
     with pytest.raises(ValueError, match=r"^local code 0 has dimension 2, expected 3$"):
         LrcCode.from_json(obj)
+
+
+def test_validation_names_the_failing_repair_set(tb_15_6):
+    # swapping a position between repair sets 1 and 2 breaks both; the
+    # smaller j is named, though set 1 now spans a local code of its own
+    obj = tb_15_6.to_json()
+    rs = [list(s) for s in tb_15_6.repair_sets]
+    rs[1][0], rs[2][0] = rs[2][0], rs[1][0]
+    obj["repair_sets"] = rs
+    with pytest.raises(ValueError, match="^restriction to repair set 1 leaves the local code$"):
+        LrcCode.from_json(obj)
+
+
+# every Table-2 row but the GF(3001) one, the [63, 49] code, and every
+# shape over GF(8) and GF(16)
+SHARING_ROWS = [(31, 30, 16, 4, 3), (31, 30, 15, 3, 3), (64, 63, 16, 8, 14),
+                (64, 63, 40, 5, 3), (64, 63, 49, 49, 15)] + sorted(
+    {config[:5] for config in tamo_barg_configs((8, 16))})
+
+
+def test_tamo_barg_repair_sets_share_one_local_code():
+    # f(beta_j x) ranges over the polynomials of degree < r as f does, so
+    # every coset's local code is the same [n_l, r] RS code
+    assert len(SHARING_ROWS) == 5 + 48
+    for q, n, k, r, rho in SHARING_ROWS:
+        code = construct_tamo_barg(Field(q), n, k, r, rho)
+        assert len(code.local_codes) == code.shape.mu
+        assert len({id(c) for c in code.local_codes}) == 1, (q, n, k, r, rho)
+        (local, sets, positions), = code.local_groups
+        assert sets == list(range(code.shape.mu))
+        assert positions.tolist() == [list(s) for s in code.repair_sets]
+
+
+def test_one_local_plan_and_settle_block_per_code():
+    code = construct_tamo_barg(Field(64), 63, 16, 8, 14)
+    rng = np.random.default_rng(16)
+    cw = np.array(code.encode(rng.integers(0, 64, size=16).tolist()))
+    word = cw.copy()
+    word[rng.choice(63, size=20, replace=False)] ^= rng.integers(1, 64, size=20)
+    assert tuple(cw.tolist()) in list_decode_lrc(code, word, DecodeConfig(8, 24)).codewords
+    plans = {id(p) for c in code.local_codes for p in c._gs_plans.values()}
+    blocks = {id(c._settle[1]) for c in code.local_codes if c._settle is not None}
+    assert len(plans) == len(blocks) == 1
 
 
 def _member_by_interpolation(code, word):

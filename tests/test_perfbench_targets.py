@@ -37,3 +37,37 @@ def test_field_mul_is_countable():
     from lrcdec.galois import Field
 
     assert callable(vars(Field)["mul"])
+
+
+def test_list_decoder_runs_the_wrapped_steps(monkeypatch):
+    # the traced run learns what list_decode_lrc does only through the
+    # functions TARGETS wraps: one local gs_list_decode per repair set, one
+    # shorten_received and one shortened gs_list_decode per shortened
+    # decode, and the membership tests
+    from lrcdec import DecodeConfig, Field, construct_tamo_barg, list_decode_lrc
+    from lrcdec.grs import GrsCode
+    from lrcdec.lrc import LrcCode
+
+    calls = []
+
+    def counted(cls, attr, tag):
+        fn = vars(cls)[attr]
+
+        def wrapper(self, *args, **kwargs):
+            calls.append(tag(self))
+            return fn(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, wrapper)
+
+    counted(GrsCode, "gs_list_decode", lambda code: "local" if code.n == 5 else "short")
+    counted(GrsCode, "shorten_received", lambda code: "shorten")
+    counted(LrcCode, "is_codeword", lambda code: "member")
+    code = construct_tamo_barg(Field(16), 15, 6, 3, 3)
+    word = list(code.encode([3, 1, 4, 1, 5, 9]))
+    word[0] ^= 1
+    word[7] ^= 2
+    out = list_decode_lrc(code, word, DecodeConfig(t_l=1, t_g=5))
+    assert out.shortened_decodes >= 2
+    assert calls.count("local") == 3
+    assert calls.count("short") == calls.count("shorten") == out.shortened_decodes
+    assert calls.count("member") >= 1
