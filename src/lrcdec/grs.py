@@ -70,7 +70,7 @@ import numpy as np
 from ._kernels import _vec_inv, _vec_mul, add, add_reduce, add_reduceat, matmul, powers, scale, sub
 from .galois import Field
 from .linalg import rref
-from .radii import _integer
+from .radii import _integer, _positions
 
 
 GS_MAX_MULTIPLICITY = 255
@@ -193,10 +193,10 @@ class GrsCode:
         """(pos, inv): the positions sorted, and the inverse of the
         generator's first m = len(pos) <= k rows at those columns, kept
         read-only on this code, one per position set.  ValueError for more
-        than k positions, a repeated position or one outside range(n)."""
-        pos = sorted(int(i) for i in positions)
-        m = len(pos)
-        inv = self._agree_inv.get(tuple(pos))
+        than k positions, or one repeated, outside range(n) or not an integer."""
+        key = _positions(positions)
+        pos, m = list(key), len(key)
+        inv = self._agree_inv.get(key)
         if inv is None:
             # only valid position sets are ever kept, so a hit needs no check
             if m > self.k:
@@ -205,7 +205,7 @@ class GrsCode:
                 raise ValueError(f"need pairwise distinct positions in range({self.n}), got {pos}")
             # [G_m,pos | I] reduces to [I | G_m,pos^-1]
             aug = np.concatenate((self._generator[:m, pos], np.eye(m, dtype=np.int64)), axis=1)
-            inv = self._agree_inv[tuple(pos)] = rref(aug, self.field)[0][:, m:]
+            inv = self._agree_inv[key] = rref(aug, self.field)[0][:, m:]
             inv.flags.writeable = False
         return pos, inv
 
@@ -399,7 +399,7 @@ class GrsCode:
         [n - |S|, k - |S|, d] code of the g on rest, the positions outside
         S, with multipliers nu v_S(alpha); a word on pos, S sorted, times
         proj is c_S.  ValueError for positions _agree_inverse rejects."""
-        key = tuple(sorted(map(int, positions)))
+        key = _positions(positions)
         kept = self._shortened.get(key)
         if kept is None:
             # v_S = x^m - f, f of degree < m agreeing with x^m on S: re-encode

@@ -18,16 +18,19 @@ if TYPE_CHECKING:
     from .galois import Field
 
 
-def rref(a: np.ndarray, field: Field):
+def rref(a: np.ndarray, field: Field, cols: int | None = None):
     """Reduced row echelon form, pivoting on the first nonzero row per
-    column, so R is canonical.  Returns (R, rank, pivot_cols)."""
+    column, so R is canonical; only the first cols columns (default: all)
+    take pivots, the rest are reduced by them.  Returns (R, rank, pivot_cols)."""
     m = np.array(a, dtype=np.int64)
-    rows, cols = m.shape
+    rows = m.shape[0]
     piv_cols = np.full(rows, -1, dtype=np.int64)
     r = 0
-    for c in range(cols):
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+    for c in range(m.shape[1] if cols is None else cols):
+        if r == rows:
+            break
+        nz = m[r:, c].nonzero()[0]
+        if not nz.size:
             continue
         pr = r + int(nz[0])
         if pr != r:
@@ -35,16 +38,11 @@ def rref(a: np.ndarray, field: Field):
         pv = int(m[r, c])
         if pv != 1:
             m[r, c:] = _vec_mul(m[r, c:], field.inv(pv), field)
-        factors = m[:, c].copy()
+        factors = m[:, c, None].copy()
         factors[r] = 0
-        hit = np.nonzero(factors)[0]
-        if hit.size:
-            prod = _vec_mul(factors[hit, None], m[None, r, c:], field)
-            m[hit, c:] = sub(m[hit, c:], prod, field)
+        m[:, c:] = sub(m[:, c:], _vec_mul(factors, m[None, r, c:], field), field)
         piv_cols[r] = c
         r += 1
-        if r == rows:
-            break
     return m, r, piv_cols[:r]
 
 
@@ -102,15 +100,12 @@ def solve(a: np.ndarray, b: np.ndarray, field: Field):
     When the solution is not unique, free variables are set to zero.
     """
     a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
     ncols = a.shape[1]
-    aug = np.concatenate([a, b], axis=1)
-    red, rk, piv = rref(aug, field)
-    if any(pc >= ncols for pc in piv):
+    red, rk, piv = rref(np.concatenate([a, np.asarray(b, dtype=np.int64)], axis=1), field, ncols)
+    if red[rk:, ncols:].any():
         return None
-    x = np.zeros((ncols, b.shape[1]), dtype=np.int64)
-    for row, pc in enumerate(piv):
-        x[pc, :] = red[row, ncols:]
+    x = np.zeros((ncols, red.shape[1] - ncols), dtype=np.int64)
+    x[piv] = red[:rk, ncols:]
     return x
 
 

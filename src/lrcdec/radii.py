@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -77,6 +78,17 @@ def _integer(name: str, *values) -> None:
     for v in values:
         if type(v) is not int and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
             raise ValueError(f"{name} = {v!r} is not an integer")
+
+
+def _positions(values) -> tuple[int, ...]:
+    """The positions as a sorted tuple of ints; ValueError for one _integer refuses."""
+    values = tuple(values)
+    try:
+        if bool not in map(type, values):
+            return tuple(sorted(map(operator.index, values)))
+    except TypeError:
+        pass
+    _integer("position", *values)  # refuses the bool or non-integer found
 
 
 def _partition(repair_sets, n: int, n_l: int) -> tuple[tuple[int, ...], ...]:

@@ -3,8 +3,10 @@ import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from lrcdec import Field, GrsCode, construct_tamo_barg, grs, linalg
 from lrcdec._kernels import _vec_mul, add, add_reduce, powers, sub
 from lrcdec.grs import _rr_roots, gs_max_radius, gs_parameters
+from lrcdec.interleaved import excess_criterion, is_t1_independent, sk1_sufficient
 
 
 @pytest.fixture(scope="module")
@@ -1271,6 +1274,36 @@ def test_agree_on_and_shorten_reject_repeated_or_outside_positions(gf16, positio
     assert not code._agree_inv and not code._shortened
     f, c = code._agree_on(word, [0, 1])
     assert c[:2].tolist() == [0, 1] and len(f) == 2
+
+
+@pytest.mark.parametrize(
+    "position", [2.7, Fraction(2), True, np.float64(2.0)], ids=["float", "Fraction", "bool", "float64"]
+)
+def test_position_entries_refuse_non_integers(gf16, position):
+    # a float position used to be truncated: shorten([2.7, 0.2]) shortened
+    # at (0, 2) and kept that code; now every entry that reads positions
+    # names the first non-integer, and nothing is kept
+    code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 8)
+    word, c_s = np.zeros(15, dtype=np.int64), np.zeros(15, dtype=np.int64)
+    parity = np.random.default_rng(2).integers(0, 16, size=(3, 6))
+    sets = [[0, 1, 2], [3, 4, 5]]
+    calls = {
+        "shorten": lambda pos: code.shorten(pos),
+        "shorten_received": lambda pos: code.shorten_received(word, pos),
+        "unshorten": lambda pos: code.unshorten(pos, c_s, [0] * 13),
+        "_agree_on": lambda pos: code._agree_on(word, pos),
+        "is_t1_independent": lambda pos: is_t1_independent(gf16, parity, pos),
+        "excess_criterion": lambda pos: excess_criterion(sets, 6, 2, 1, pos),
+        "sk1_sufficient": lambda pos: sk1_sufficient(sets, 2, 1, pos),
+    }
+    message = rf"position = {re.escape(repr(position))} is not an integer"
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=message):
+            call([3, position])
+        assert not code._agree_inv and not code._shortened, name
+    for name, call in calls.items():  # numpy integers are integers
+        call([np.int64(3), 0])
+    assert list(code._shortened) == [(0, 3)] and list(code._agree_inv) == [(0, 3)]
 
 
 @pytest.mark.parametrize("symbol", [16, -1])

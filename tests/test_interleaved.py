@@ -7,6 +7,7 @@ import pytest
 
 from lrcdec import Field, mk_decode, InterleavedWord
 from lrcdec import linalg
+from lrcdec._kernels import add
 from lrcdec.interleaved import (
     excess_criterion,
     is_t1_independent,
@@ -130,6 +131,49 @@ def test_mk_decode_matches_rank_then_solve(pmds_12_4):
     assert mk_decode(F, H, w) is None
 
 
+def _parity_and_codewords(field, rng, n, nk, ell):
+    """A random full-rank nk x n parity check and ell codewords of its code."""
+    while True:
+        H = rng.integers(0, field.q, size=(nk, n), dtype=np.int64)
+        if linalg.rank(H, field) == nk:
+            break
+    basis = linalg.right_nullspace(H, field)
+    return H, linalg.matmul(rng.integers(0, field.q, size=(ell, n - nk)), basis, field)
+
+
+@pytest.mark.parametrize("q", [16, 64, 31])
+def test_mk_decode_matches_rank_then_solve_off_the_benchmark_field(q):
+    # random [10, 5] parity checks over small fields: column dependencies
+    # are common, so supports fail the (t+1)-independence test; bursts of
+    # weight 0..n - k + 1 with ell = 1 and 3 (ell < t: rank-deficient
+    # errors) and 8 (ell >= nk: full-rank syndromes, rank S = nk)
+    F = Field(q)
+    n, nk = 10, 5
+    seen = {"none": 0, "decoded": 0, "full_rank_syndrome": 0, "deficient": 0}
+    for ell in (1, 3, 8):
+        for t in range(nk + 2):
+            for i in range(4):
+                rng = np.random.default_rng([q, ell, t, i])
+                H, cw = _parity_and_codewords(F, rng, n, nk, ell)
+                support = sorted(rng.choice(n, size=t, replace=False).tolist())
+                _, vals = burst(rng, q, ell, support)
+                err = np.zeros_like(cw)
+                err[:, support] = vals
+                w = InterleavedWord(F, add(cw, err, F))
+                want = _mk_decode_rank_then_solve(F, H, w)
+                assert _same_decode(mk_decode(F, H, w), want), (ell, t, i)
+                seen["none" if want is None else "decoded"] += 1
+                rank_s = linalg.rank(linalg.matmul(H, w.matrix.T, F), F)
+                seen["full_rank_syndrome"] += rank_s == nk
+                seen["deficient"] += 0 < rank_s < t
+    assert all(seen.values()), seen
+    # the parallel-columns parity check of the GF(1024) test
+    H = np.array([[1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.int64)
+    w = InterleavedWord(F, np.array([[1, 0, 0, 0], [0, 0, 1, 1]]))
+    assert _mk_decode_rank_then_solve(F, H, w) is None
+    assert mk_decode(F, H, w) is None
+
+
 def test_mk_rejects_symbols_outside_the_field(pmds_12_4):
     rng = np.random.default_rng(2)
     cw = encode_rows(pmds_12_4, rng, 8)
@@ -199,6 +243,34 @@ def test_mk_at_n_minus_k_minus_1_matches_support_class(pmds_12_4):
                 ).any()
             miss += 1
     assert hits > 0 and miss > 0
+
+
+def _t1_independent_full_rref(field, parity, support):
+    """Oracle: is_t1_independent by a full reduction of [H_E | H_rest]."""
+    support = sorted(support)
+    t, n = len(support), parity.shape[1]
+    rest = [j for j in range(n) if j not in support]
+    red, _, piv = linalg.rref(np.concatenate([parity[:, support], parity[:, rest]], axis=1), field)
+    return sum(1 for c in piv if c < t) == t and bool(red[t:, t:].any(axis=0).all())
+
+
+def test_t1_independent_matches_full_rref(pmds_12_4):
+    # every support of at most n - k positions: 3,797 on the [12, 4] code,
+    # whose H_E are of full rank up to t = 7, and 638 on a [10, 5] check
+    # over GF(16) with parallel columns 0 and 1, so H_E can be rank-deficient
+    # with rows to spare below
+    gf16 = Field(16)
+    parity = np.random.default_rng(8).integers(0, 16, size=(5, 10), dtype=np.int64)
+    parity[:, 1] = [gf16.mul(3, int(x)) for x in parity[:, 0]]
+    for field, H, count in [(pmds_12_4.field, pmds_12_4.parity, 3797), (gf16, parity, 638)]:
+        nk, n = H.shape
+        answers = []
+        for t in range(nk + 1):
+            for support in itertools.combinations(range(n), t):
+                got = is_t1_independent(field, H, support)
+                assert got == _t1_independent_full_rref(field, H, support), support
+                answers.append(got)
+        assert len(answers) == count and 0 < sum(answers) < len(answers)
 
 
 def test_t1_independent_extremes(pmds_12_4):

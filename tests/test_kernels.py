@@ -37,12 +37,13 @@ def test_matmul_backends_agree(q, a_shape, b_shape):
         assert acc == got[(*batch, i, j)]
 
 
-def _gauss_jordan(rows, field):
-    """Oracle: (reduced form, rank, pivot columns) by scalar Field arithmetic,
-    pivoting on the first nonzero entry at or below the current row."""
-    m = [list(r) for r in rows]
+def _gauss_jordan(a, field, cols=None):
+    """Oracle: (reduced form, rank, pivot columns) of the matrix a by scalar
+    Field arithmetic, pivoting on the first nonzero entry at or below the
+    current row, in the first cols columns only (default: all)."""
+    m = a.tolist()
     pivots = []
-    for c in range(len(m[0])):
+    for c in range(a.shape[1] if cols is None else cols):
         r = len(pivots)
         pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
@@ -61,7 +62,10 @@ def _gauss_jordan(rows, field):
 @pytest.mark.parametrize("q", [2, 16, 1024, 7, 13])
 def test_rref_matches_scalar_gauss_jordan(q):
     """Seeded matrices: zero columns with repeated rows (wide and tall), full
-    rank (square and wide, rows and columns shuffled), and all zero."""
+    rank (square and wide, rows and columns shuffled), all zero; sparse ones
+    (rows already reduced, a rank-deficient unit block, no rows); and each
+    with pivots limited to its first cols columns.  rref never writes to
+    its argument."""
     field = Field(q)
     rng = np.random.default_rng(q + 7)
     deficient = rng.integers(0, q, size=(8, 16))
@@ -74,14 +78,26 @@ def test_rref_matches_scalar_gauss_jordan(q):
     square = unit[rng.permutation(6)]
     wide = np.concatenate([unit[:5, :5], rng.integers(0, q, size=(5, 4))], axis=1)
     wide = wide[rng.permutation(5)][:, rng.permutation(9)]
+    reduced = np.concatenate([np.eye(4, dtype=np.int64), rng.integers(0, q, size=(4, 3))], axis=1)
+    sparse = np.zeros((7, 9), dtype=np.int64)  # a few scattered entries, rank 3
+    sparse[[1, 1, 4, 6], [2, 7, 5, 0]] = rng.integers(1, q, size=4)
+    sparse[5] = sparse[1]
+    cases = [deficient, tall, square, wide, np.zeros((3, 4), dtype=np.int64), reduced,
+             reduced[:, ::-1], sparse, np.zeros((0, 5), dtype=np.int64)]
     ranks = []
-    for a in [deficient, tall, square, wide, np.zeros((3, 4), dtype=np.int64)]:
-        want, want_rank, want_piv = _gauss_jordan(a.tolist(), field)
-        red, rank, piv = linalg.rref(a, field)
-        assert red.tolist() == want
-        assert rank == want_rank and piv.tolist() == want_piv
-        ranks.append(rank)
-    assert ranks[0] <= 6 and ranks[1] <= 3 and ranks[2:] == [6, 5, 0]
+    for a in cases:
+        before = a.copy()
+        for cols in (None, *range(a.shape[1] + 1)):
+            want, want_rank, want_piv = _gauss_jordan(a, field, cols)
+            red, rank, piv = linalg.rref(a, field, cols)
+            assert red.tolist() == want, cols
+            assert rank == want_rank and piv.tolist() == want_piv, cols
+            assert np.array_equal(a, before)
+        ranks.append(linalg.rref(a, field)[1])
+    assert ranks[0] <= 6 and ranks[1] <= 3 and ranks[2:] == [6, 5, 0, 4, 4, 3, 0]
+    frozen = unit.copy()
+    frozen.flags.writeable = False  # a read-only argument is reduced all the same
+    assert linalg.rref(frozen, field)[1] == 6
 
 
 @pytest.mark.parametrize("q", [2, 16, 1024, 7, 13])
