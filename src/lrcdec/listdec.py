@@ -237,6 +237,13 @@ def pe_tilde(n: int, d: int, q: int, t: int) -> Fraction:
     return Fraction(acc, (q - 1) ** (d - 1))
 
 
+def _check_probabilities(**probs: float) -> None:
+    """ValueError naming the first of probs outside [0, 1] (nan included)."""
+    for name, p in probs.items():
+        if not 0 <= p <= 1:
+            raise ValueError(f"{name} = {p} must be in [0, 1]")
+
+
 def success_prob_general(
     mu: int, t_g: int, t_l: int, p_e: float, p_local_unique: float, p_global_unique: float
 ) -> float:
@@ -245,10 +252,15 @@ def success_prob_general(
     (1 - p_e)^floor(t_g/(t_l+1)) * p_local_unique^(mu - floor(t_g/(t_l+1)))
     * p_global_unique, where p_e bounds the per-repair-set miscorrection
     probability and the others are single-decoder uniqueness
-    probabilities.
+    probabilities.  A bound p_e may exceed 1, as pe_tilde does, so the
+    factor 1 - p_e is clamped at 0 and the result lies in [0, 1].
+    ValueError for p_e < 0 or a uniqueness probability outside [0, 1].
     """
+    if not p_e >= 0:
+        raise ValueError(f"p_e = {p_e} must be at least 0")
+    _check_probabilities(p_local_unique=p_local_unique, p_global_unique=p_global_unique)
     f = t_g // (t_l + 1)
-    return (1 - p_e) ** f * p_local_unique ** (mu - f) * p_global_unique
+    return max(1 - p_e, 0.0) ** f * p_local_unique ** (mu - f) * p_global_unique
 
 
 def success_prob_grs(shape: CodeShape, q: int, t_l: int, bar_t_g: int) -> Fraction:
@@ -260,13 +272,16 @@ def success_prob_grs(shape: CodeShape, q: int, t_l: int, bar_t_g: int) -> Fracti
     `unique_decode_probabilistic` returns the sent codeword.  1 - P is
     dominated by the local term mu * pe_tilde(n_l, rho, q, t_l); the
     global term is orders of magnitude smaller on the Table-1 shapes.
-    ValueError unless bar_t_g >= t_l + 1 (a repair set is shortened away).
+    pe_tilde can exceed 1, and an even power of a negative factor would
+    read as a probability, so each factor 1 - pe is clamped at 0: P = 0
+    says the bound is vacuous there.  ValueError unless bar_t_g >= t_l + 1
+    (a repair set is shortened away).
     """
     if bar_t_g < t_l + 1:
         raise ValueError(f"bar_t_g = {bar_t_g} is below the limit t_l + 1 = {t_l + 1}, t_l = {t_l}")
-    local = 1 - pe_tilde(shape.n_l, shape.rho, q, t_l)
+    local = max(1 - pe_tilde(shape.n_l, shape.rho, q, t_l), Fraction(0))
     n_short = (bar_t_g // (t_l + 1)) * shape.n_l
-    glob = 1 - pe_tilde(n_short, shape.d, q, bar_t_g)
+    glob = max(1 - pe_tilde(n_short, shape.d, q, bar_t_g), Fraction(0))
     return local**shape.mu * glob
 
 
@@ -282,9 +297,11 @@ def interleaved_success_prob(
     """Success bound with interleaved component decoders.
 
     The miscorrection factor is evaluated over the interleaved symbol
-    alphabet q^ell; the unique-decoding-success probabilities of the
-    component decoders are supplied by the caller.
+    alphabet q^ell and clamped at 0, as in success_prob_grs; the
+    unique-decoding-success probabilities of the component decoders are
+    supplied by the caller, and ValueError names one outside [0, 1].
     """
+    _check_probabilities(pr_uds_local=pr_uds_local, pr_uds_global=pr_uds_global)
     f = t_g // (t_l + 1)
-    mis = 1 - pe_tilde(shape.n_l, shape.rho, q**ell, t_l)
+    mis = max(1 - pe_tilde(shape.n_l, shape.rho, q**ell, t_l), Fraction(0))
     return float(mis) ** f * pr_uds_local ** (shape.mu - f) * pr_uds_global

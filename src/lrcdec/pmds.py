@@ -13,8 +13,8 @@ Yekhanin 2014).  There are s_mu_size(n, k, r, rho, k) such subsets, and
 verify_pmds ranks each k x k minor once, in stacked batches.
 
 The shape rules live in radii: random_pmds and PmdsCode.from_json check
-their shape with CodeShape, the counts take mu from _num_repair_sets
-(they allow rho = 1), and _partition checks the repair sets of a
+their shape with CodeShape, the counts theirs with _count_args (it allows
+rho = 1 and k > mu r), and _partition checks the repair sets of a
 descriptor or of verify_pmds.
 """
 
@@ -31,7 +31,7 @@ import numpy as np
 from . import linalg
 from .galois import Field
 from .grs import GrsCode
-from .radii import CodeShape, _num_repair_sets, _partition, optimal_distance
+from .radii import CodeShape, _integer, _num_repair_sets, _partition, optimal_distance
 
 
 @dataclass
@@ -213,10 +213,28 @@ def _power(poly: Sequence[int], m: int, deg: int) -> list[int]:
     return out
 
 
+def _count_args(n, k, r, rho, t=0) -> tuple[int, int, int, int, int, int]:
+    """The arguments as ints (numpy integers overflow in the counts) and mu;
+    ValueError naming the first that is not an integer or leaves its range."""
+    for name, v in zip(("n", "k", "r", "rho", "t"), (n, k, r, rho, t)):
+        _integer(name, v)
+    n, k, r, rho, t = map(int, (n, k, r, rho, t))
+    for name, v in (("dimension k", k), ("error weight t", t)):
+        if not 0 <= v <= n:
+            raise ValueError(f"{name} = {v} must be in [0, n = {n}]")
+    if r < 0:
+        raise ValueError(f"locality r = {r} must be at least 0")
+    mu = _num_repair_sets(n, r, rho)
+    if rho < 1:
+        raise ValueError(f"rho = {rho} must be at least 1")
+    return n, k, r, rho, t, mu
+
+
 def s_mu_size(n: int, k: int, r: int, rho: int, size: int) -> int:
     """Number of cardinality-`size` subsets meeting every repair set in <= r
     positions: [x^size] A(x)^mu with A(x) = sum_{w<=r} C(n_l, w) x^w."""
-    mu = _num_repair_sets(n, r, rho)
+    n, k, r, rho, _, mu = _count_args(n, k, r, rho)
+    _integer("size", size)
     if size < 0:
         return 0
     return _power([math.comb(r + rho - 1, w) for w in range(r + 1)], mu, size)[size]
@@ -233,7 +251,13 @@ def complement_count_closed_form(n: int, k: int, r: int) -> int:
 
 
 def rank_full_fraction(q: int, ell: int, t: int) -> Fraction:
-    """Fraction of ell x t matrices over GF(q) with full column rank t."""
+    """Fraction of ell x t matrices over GF(q) with full column rank t;
+    ValueError for a non-integer, q < 2, ell < 0 or t < 0."""
+    for name, v, low in (("field size q", q, 2), ("ell", ell, 0), ("t", t, 0)):
+        _integer(name, v)
+        if v < low:
+            raise ValueError(f"{name} = {v} must be at least {low}")
+    q, ell, t = int(q), int(ell), int(t)
     if t > ell:
         return Fraction(0)
     num = 1
@@ -259,7 +283,9 @@ def sk1_bound(n: int, k: int, r: int, rho: int) -> float:
 def union_bound_failure(n: int, k: int, r: int, rho: int) -> Fraction:
     """Union bound on the failure fraction at weight n-k-1: the relative
     number of (k+1)-sets overloading at least one repair set."""
-    mu = _num_repair_sets(n, r, rho)
+    n, k, r, rho, _, mu = _count_args(n, k, r, rho)
+    if k == n:
+        raise ValueError(f"dimension k = {k} must be in [0, n - 1 = {n - 1}]")
     n_l = r + rho - 1
     bad = 0
     for j in range(r + 1, n_l + 1):
@@ -305,34 +331,33 @@ def failure_prob_exact(n: int, k: int, r: int, rho: int, t: int) -> Fraction:
       good = sum_j C(mu, j) (sum_{s < theta} [z^s] G^j [y^(c+s)] B^(mu-j)
                              + [r j = k] [z^theta] G^j),
 
-    and the result is 1 - good / C(n, t).  This is the complement of
-    the failure count sum_j C(mu, j) sum_{s >= theta} [z^s] G^j
-    [x^(tau-rj-s)] A^(mu-j) minus the beta = 0 supports, A = x^r B(1/x),
-    but needs only coefficients up to z^theta and y^(r mu - k - 1).
+    and the result is 1 - good / C(n, t).  [z^s] G^j = 0 for s < j and
+    [y^(c+s)] B^(mu-j) = 0 unless 0 <= c + s <= r (mu - j), so s runs over
+    [lo, hi), lo = max(j, -c), hi = min(theta, r (mu - j) - c + 1).  Only a
+    live j costs powers, cut at the window's top: lo < hi or r j = k.
     """
-    if not 0 <= t <= n:
-        raise ValueError(f"error weight t = {t} must be in [0, n = {n}]")
-    if r < 0:
-        raise ValueError(f"locality r = {r} must be at least 0")
-    mu = _num_repair_sets(n, r, rho)
+    n, k, r, rho, t, mu = _count_args(n, k, r, rho, t)
     n_l = r + rho - 1
     theta = n - k - t
     c = r * mu - (n - t)
     deficit = [math.comb(n_l, r - d) for d in range(r + 1)]
     excess = [0] + [math.comb(n_l, w) for w in range(r + 1, n_l + 1)]
     good = 0
-    for j in range(min(mu, theta) + 1):  # G^j starts at z^j
-        g = _power(excess, j, theta)
-        b = _power(deficit, mu - j, r * mu - k - 1)
-        part = sum(g[s] * b[c + s] for s in range(max(0, -c), theta))
-        if r * j == k:
-            part += g[theta]
-        good += math.comb(mu, j) * part
+    for j in range(min(mu, theta) + 1):
+        lo, hi = max(j, -c), min(theta, r * (mu - j) - c + 1)
+        edge = r * j == k
+        if lo < hi or edge:
+            g = _power(excess, j, theta if edge else hi - 1)
+            b = _power(deficit, mu - j, c + hi - 1) if lo < hi else ()
+            part = sum(g[s] * b[c + s] for s in range(lo, hi))
+            good += math.comb(mu, j) * (part + (g[theta] if edge else 0))
     total = math.comb(n, t)
     return Fraction(total - good, total)
 
 
 def mk_success_prob(n: int, k: int, r: int, rho: int, t: int, q: int, ell: int) -> Fraction:
     """Success probability of the support-locating decoder on a uniform
-    weight-t burst with uniform values: (good supports) x (full rank)."""
-    return (1 - failure_prob_exact(n, k, r, rho, t)) * rank_full_fraction(q, ell, t)
+    weight-t burst with uniform values: (good supports) x (full rank).
+    ValueError, before any count, for arguments either factor refuses."""
+    _count_args(n, k, r, rho, t)
+    return rank_full_fraction(q, ell, t) * (1 - failure_prob_exact(n, k, r, rho, t))

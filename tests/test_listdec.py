@@ -668,14 +668,54 @@ def test_success_prob_general_trivial():
 
 
 def test_general_matches_grs_instantiation():
+    # at q = 16 the global factor 1 - p_glob = -0.185 is clamped at 0; at
+    # q = 32 every factor is positive and the product is the plain one
     shape = CodeShape(15, 6, 3, 3)
-    q, t_l, bar = 16, 1, 5
-    p_loc = pe_tilde(shape.n_l, shape.rho, q, t_l)
-    n_short = (bar // (t_l + 1)) * shape.n_l
-    p_glob = pe_tilde(n_short, shape.d, q, bar)
-    f = bar // (t_l + 1)
-    lhs = (1 - p_loc) ** f * (1 - p_loc) ** (shape.mu - f) * (1 - p_glob)
-    assert lhs == success_prob_grs(shape, q, t_l, bar)
+    t_l, bar = 1, 5
+    for q in (16, 32):
+        p_loc = pe_tilde(shape.n_l, shape.rho, q, t_l)
+        n_short = (bar // (t_l + 1)) * shape.n_l
+        p_glob = pe_tilde(n_short, shape.d, q, bar)
+        f = bar // (t_l + 1)
+        lhs = (1 - p_loc) ** f * (1 - p_loc) ** (shape.mu - f) * max(1 - p_glob, 0)
+        assert lhs == success_prob_grs(shape, q, t_l, bar)
+        assert float(lhs) == pytest.approx(success_prob_general(
+            shape.mu, bar, t_l, float(p_loc), float(1 - p_loc), float(max(1 - p_glob, 0))
+        ))
+
+
+@pytest.mark.parametrize(
+    "shape, t_l, bar, unclamped",
+    [(CodeShape(4, 2, 2, 3), 2, 3, 344.05), (CodeShape(4, 1, 1, 2), 1, 2, 1.0515),
+     (CodeShape(15, 6, 3, 3), 1, 5, -0.05362)],
+)
+def test_success_bounds_clamp_negative_factors(shape, t_l, bar, unclamped):
+    # each factor 1 - pe_tilde is clamped at 0, so a negative factor, even
+    # under an even power, gives 0 and not a value outside [0, 1]
+    local = 1 - pe_tilde(shape.n_l, shape.rho, 16, t_l)
+    glob = 1 - pe_tilde((bar // (t_l + 1)) * shape.n_l, shape.d, 16, bar)
+    assert float(local**shape.mu * glob) == pytest.approx(unclamped, rel=1e-3)
+    assert success_prob_grs(shape, 16, t_l, bar) == 0
+    assert success_prob_general(shape.mu, bar, t_l, 1.5, 1.0, 1.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: success_prob_general(3, 5, 1, -0.1, 1.0, 1.0), r"^p_e = -0\.1 must be at least 0$"),
+        (lambda: success_prob_general(3, 5, 1, 0.1, 1.1, 1.0),
+         r"^p_local_unique = 1\.1 must be in \[0, 1\]$"),
+        (lambda: success_prob_general(3, 5, 1, 0.1, 1.0, math.nan),
+         r"^p_global_unique = nan must be in \[0, 1\]$"),
+        (lambda: interleaved_success_prob(CodeShape(15, 6, 3, 3), 1, 16, 1, 5, -0.5, 1.0),
+         r"^pr_uds_local = -0\.5 must be in \[0, 1\]$"),
+        (lambda: interleaved_success_prob(CodeShape(15, 6, 3, 3), 1, 16, 1, 5, 1.0, 2.0),
+         r"^pr_uds_global = 2\.0 must be in \[0, 1\]$"),
+    ],
+)
+def test_success_bounds_refuse_probabilities_outside_unit_interval(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_success_prob_grs_needs_a_shortened_repair_set():
@@ -700,14 +740,18 @@ def test_interleaved_success_prob():
     # all component probabilities 1: only the miscorrection factor remains
     only_first = interleaved_success_prob(shape, 2, 16, 1, 5, 1.0, 1.0)
     assert only_first == pytest.approx(float((1 - pe_tilde(5, 3, 16**2, 1)) ** 2))
+    # t_l = 2: 1 - pe_tilde(5, 3, 16, 2) = -9.34 is clamped at 0, not squared
+    assert interleaved_success_prob(shape, 1, 16, 2, 6, 1.0, 1.0) == 0.0
     # exponent bookkeeping: factors account for all mu repair sets
     f = 5 // 2
     assert f + (shape.mu - f) == shape.mu
 
 
 def test_interleaved_matches_single_degree_form():
+    # q = 32: at q = 16 the global uniqueness factor 1 - pe_tilde is -0.185,
+    # not a probability, and interleaved_success_prob refuses it
     shape = CodeShape(15, 6, 3, 3)
-    q, t_l, t_g = 16, 1, 5
+    q, t_l, t_g = 32, 1, 5
     p_loc_unique = float(1 - pe_tilde(shape.n_l, shape.rho, q, t_l))
     p_glob = float(1 - pe_tilde((t_g // (t_l + 1)) * shape.n_l, shape.d, q, t_g))
     got = interleaved_success_prob(shape, 1, q, t_l, t_g, p_loc_unique, p_glob)

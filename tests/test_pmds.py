@@ -446,6 +446,45 @@ def test_pmds_counts_reject_bad_shapes(func, args, message):
         func(*args)
 
 
+@pytest.mark.parametrize(
+    "func, args, message",
+    [
+        (failure_prob_exact, (30, 40, 3, 3, 5), r"^dimension k = 40 must be in \[0, n = 30\]$"),
+        (failure_prob_exact, (30, -5, 3, 3, 5), r"^dimension k = -5 must be in \[0, n = 30\]$"),
+        (failure_prob_exact, (30, 10, 3, 3, 5.0), r"^t = 5\.0 is not an integer$"),
+        (failure_prob_exact, (30, 10, 3, True, 5), r"^rho = True is not an integer$"),
+        (failure_prob_exact, (30, 10, 3, 0, 5), r"^rho = 0 must be at least 1$"),
+        (s_mu_size, (15, 8, 4, 2, 2.5), r"^size = 2\.5 is not an integer$"),
+        (s_mu_size, (15, 16, 4, 2, 5), r"^dimension k = 16 must be in \[0, n = 15\]$"),
+        (union_bound_failure, (15, 15, 4, 2), r"^dimension k = 15 must be in \[0, n - 1 = 14\]$"),
+        (union_bound_failure, (15.0, 8, 4, 2), r"^n = 15\.0 is not an integer$"),
+        (rank_full_fraction, (0, 3, 2), r"^field size q = 0 must be at least 2$"),
+        (rank_full_fraction, (2, 3, -1), r"^t = -1 must be at least 0$"),
+        (rank_full_fraction, (2, -1, 0), r"^ell = -1 must be at least 0$"),
+        (rank_full_fraction, (2.0, 3, 1), r"^field size q = 2\.0 is not an integer$"),
+        (mk_success_prob, (15, 8, 4, 2, 6, 16, -1), r"^ell = -1 must be at least 0$"),
+        (mk_success_prob, (15, 8, 4, 2, 6, 1, 8), r"^field size q = 1 must be at least 2$"),
+        (mk_success_prob, (15, 8, 4, 2, 16, 16, 8), r"^error weight t = 16 must be in \[0, n = 15\]$"),
+    ],
+)
+def test_pmds_counts_reject_bad_arguments(monkeypatch, func, args, message):
+    # refused before any generating-function power is built
+    def no_power(*a):
+        raise AssertionError("_power called before the arguments were checked")
+
+    monkeypatch.setattr(pmds, "_power", no_power)
+    with pytest.raises(ValueError, match=message):
+        func(*args)
+
+
+def test_pmds_counts_take_numpy_integers():
+    # numpy integers are read as ints, not left to overflow in the counts
+    args = (300, 240, 12, 4, 30)
+    assert failure_prob_exact(*map(np.int64, args)) == failure_prob_exact(*args)
+    assert s_mu_size(*map(np.int64, (300, 240, 12, 4, 200))) == s_mu_size(300, 240, 12, 4, 200)
+    assert rank_full_fraction(*map(np.int64, (2**13, 8, 6))) == rank_full_fraction(2**13, 8, 6)
+
+
 def test_s_mu_size_out_of_range_sizes():
     assert s_mu_size(15, 8, 4, 2, -1) == 0
     assert s_mu_size(15, 8, 4, 2, 16) == 0
@@ -492,6 +531,63 @@ def test_failure_prob_matches_kept_count_enumeration():
                     bad, math.comb(n, t)
                 ), (n, k, r, rho, t)
     assert seen == {"rho=1", "k<r", "k>mu*r"}
+
+
+def _every_j(n, k, r, rho, t):
+    """failure_prob_exact as it was before its [lo, hi) window: every j in
+    [0, min(mu, theta)] builds G^j to z^theta and B^(mu-j) to y^(r mu - k - 1)."""
+    mu = n // (r + rho - 1)
+    n_l = r + rho - 1
+    theta = n - k - t
+    c = r * mu - (n - t)
+    deficit = [math.comb(n_l, r - d) for d in range(r + 1)]
+    excess = [0] + [math.comb(n_l, w) for w in range(r + 1, n_l + 1)]
+    good = 0
+    for j in range(min(mu, theta) + 1):
+        g = pmds._power(excess, j, theta)
+        b = pmds._power(deficit, mu - j, r * mu - k - 1)
+        part = sum(g[s] * b[c + s] for s in range(max(0, -c), theta))
+        if r * j == k:
+            part += g[theta]
+        good += math.comb(mu, j) * part
+    total = math.comb(n, t)
+    return Fraction(total - good, total)
+
+
+def test_failure_prob_matches_every_j_loop():
+    # the benchmark's shapes at every t, W3's shape at a few, and seeded
+    # small shapes that reach each edge of the window
+    cases = [(*shape, t) for shape in ((45, 16, 8, 8), (70, 24, 8, 3), (196, 156, 26, 3),
+                                       (300, 240, 12, 4)) for t in range(shape[0] + 1)]
+    cases += [(1023, 900, 30, 4, t) for t in (0, 36, 60, 100, 122, 123, 124)]
+    rng = random.Random(34)
+    seen = set()
+    for _ in range(60):
+        r, rho = rng.randint(0, 5), rng.randint(1, 5)
+        while r + rho - 1 < 1:
+            rho += 1
+        n_l, mu = r + rho - 1, rng.randint(1, 5)
+        n = mu * n_l
+        for k in {rng.randint(0, n), r * mu, 0}:
+            hits = {"r mu = k": r * mu == k, "c < 0": r * mu < n, "rho = 1": rho == 1,
+                    "r = 0": r == 0, "k = 0": k == 0, "k > mu r": k > mu * r}
+            seen |= {case for case, hit in hits.items() if hit}
+            cases += [(n, k, r, rho, t) for t in range(n + 1)]
+    assert seen == {"r mu = k", "c < 0", "rho = 1", "r = 0", "k = 0", "k > mu r"}
+    for case in cases:
+        assert failure_prob_exact(*case) == _every_j(*case), case
+
+
+def test_failure_prob_powers_only_live_terms(monkeypatch):
+    # on (300, 240, 12, 4), r mu = k leaves every inner window empty; only
+    # the edge term [z^theta] G^20 (j = mu) remains, and only for theta >= 20
+    calls = []
+    real = pmds._power
+    monkeypatch.setattr(pmds, "_power", lambda *a: calls.append(a[1]) or real(*a))
+    for t in range(301):
+        calls.clear()
+        failure_prob_exact(300, 240, 12, 4, t)
+        assert calls == ([20] if t <= 40 else []), t
 
 
 def test_failure_prob_w3_digest():
