@@ -6,56 +6,19 @@ arrays.  A codeword is one field matrix product (``_kernels.matmul``) of
 the message coefficients with the generator, and the list decoder
 encodes all its candidates in one such product.  Guruswami-Sudan list
 decoding settles, else covers, else interpolates, on the k-position sets
-(GsPlan.members) of the code's plan for radius t: its family
-(GsPlan.family), then, where the family does not cover t, settle-only
-sets.  Every k positions of a GRS code fix a codeword, so a member R'
-gives c_R', the word on R' times P_R' = G[:, R']^-1 G, at distance e'
-from the word.  Settle: if
-e' + t < d, any codeword c within t of the word has d(c, c_R') <= t + e'
-< d, so c = c_R', and the list is [c_R'] if e' <= t, else empty.  Cover:
-if every set of at most t positions misses some member (the family
-covers t), the errors of a codeword c within t miss some R', where c
-agrees with the word, so c = c_R', and the list is the members' c_R'
-within t (information-set decoding, Prange).  t + 1 pairwise disjoint
-k-sets cover t by pigeonhole, and the plan takes them whenever
-(t + 1) k <= n.  Else all k-subsets of each of p parts of sizes n_i
-cover t when sum min(n_i, k - 1) < n - t: an (n - t)-set with fewer than
-k positions in every part holds at most that many, so its error-free
-positions hold a member (a covering design, Gordon-Kuperberg-Patashnik),
-and the plan takes them when the stacked product of all c_R' costs at
-most COVER_MAX_CELLS cells (members k n).  Where the family does not
-cover t, settle-only sets fill that budget: they prove no cover, but a
-word hit by few errors has an error-free one, which settles it
-(information-set decoding again).  They come from a fixed rule, the
-plan's order permuted by i -> (g i + shift) mod n over the units g of
-Z_n and cut into disjoint k-sets (_settle_sets), and neither they nor
-the family they follow depend on t, so a code builds this settle block
-once and every plan of it that does not cover shares it.  All P_R' of a
-plan come from one Gauss-Jordan pass over the stack of copies of G
-(GrsCode._projections), with no pivot search: the leading minors of
-G[:, R'] are nu-scaled Vandermonde determinants.  Interpolate: otherwise
-the word is re-encoded on R, the first member (Koetter-Vardy): the word
-minus c_R is 0 on R, where the multiplicity-s constraints say exactly
-that Q_j is divisible by v^(s-j), v = prod over R of (x - alpha), so
-Koetter's iterative interpolation starts from the rows v^(s-j) y^j and
-runs only over the n - k points outside R, none of them at x = 0; the
-roots f' of Q map back to the candidates f' + f_R.  Interpolation runs
-on a GsPlan, which the code builds once per radius t and keeps: s and ly
-from gs_parameters when the plan is built, and Koetter's arrays, all
-else but the received values, on its first interpolation.  A word is
-checked once, by Field.check_symbols at the public entry it comes in by
-(its type, its length and its symbols), and taken as checked inside.  The
-candidates are the rows of one array whose first columns carry each
-candidate's Hasse discrepancies at the current point and whose other
-columns are exactly the monomials x^dx y^dy of (1, k-1)-weighted
-degree <= wdeg, in weighted-degree order, so a row operation touches
-only the pivot's support.  The Roth-Ruckenstein recursion then finds
-the y-roots of Q, one (ly + 1, wdeg + 1) array, as the rows of one
-array, each substitution Q(x, x y + gamma) one matrix product, and each
-level's roots from one Horner pass over the whole field.  Shortening at
-positions S is the same re-encoding, on S (``_shorten``: one product
-with G_m[:, S]^-1 G_m, G_m the first |S| rows of G, the inverse by a
-``linalg.rref``), into the code with multipliers nu v_S(alpha).
+of the code's plan for radius t: GsPlan states that rule, its families
+and why it is complete.  Re-encoding needs no elimination: the codeword
+that agrees with a word on m <= k positions R' is the word there times
+P_R', whose row i is the nu-scaled Lagrange basis polynomial of R'_i
+(the barycentric form, Berrut-Trefethen), built in the log domain
+(GrsCode._projections).  Interpolation is Koetter's, on the word
+re-encoded on the plan's first member R (_gs_interpolate), and the
+y-roots of Q come from the Roth-Ruckenstein recursion (_rr_roots).
+Shortening at positions S is the same re-encoding, on S, into the code
+with multipliers nu v_S(alpha), v_S = prod over S of (x - alpha)
+(GrsCode._shorten).  A word is checked once, by Field.check_symbols at
+the public entry it comes in by (its type, its length and its symbols),
+and taken as checked inside.
 """
 
 from __future__ import annotations
@@ -69,7 +32,6 @@ import numpy as np
 
 from ._kernels import _vec_inv, _vec_mul, add, add_reduce, add_reduceat, matmul, powers, scale, sub
 from .galois import Field
-from .linalg import rref
 from .radii import _integer, _positions
 
 
@@ -150,7 +112,6 @@ class GrsCode:
         self._generator.flags.writeable = False
         self._gs_plans: dict[int, GsPlan] = {}
         self._shortened: dict[tuple[int, ...], tuple] = {}  # see _shorten
-        self._agree_inv: dict[tuple[int, ...], np.ndarray] = {}
         self._settle: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -189,77 +150,46 @@ class GrsCode:
         """The stored k x n generator (read-only)."""
         return self._generator
 
-    def _agree_inverse(self, positions) -> tuple[list[int], np.ndarray]:
-        """(pos, inv): the positions sorted, and the inverse of the
-        generator's first m = len(pos) <= k rows at those columns, kept
-        read-only on this code, one per position set.  ValueError for more
-        than k positions, or one repeated, outside range(n) or not an integer."""
-        key = _positions(positions)
-        pos, m = list(key), len(key)
-        inv = self._agree_inv.get(key)
-        if inv is None:
-            # only valid position sets are ever kept, so a hit needs no check
-            if m > self.k:
-                raise ValueError(f"at most k = {self.k} positions fix a codeword, got {m}")
-            if len(set(pos)) != m or not all(0 <= i < self.n for i in pos):
-                raise ValueError(f"need pairwise distinct positions in range({self.n}), got {pos}")
-            # [G_m,pos | I] reduces to [I | G_m,pos^-1]
-            aug = np.concatenate((self._generator[:m, pos], np.eye(m, dtype=np.int64)), axis=1)
-            inv = self._agree_inv[key] = rref(aug, self.field)[0][:, m:]
-            inv.flags.writeable = False
-        return pos, inv
-
     def _projections(self, members: np.ndarray) -> np.ndarray:
-        """The stacked P_R' = G[:, R']^-1 G, (members, k, n) and read-only,
-        for the rows R' of members, distinct positions each: one
-        Gauss-Jordan pass over the stack of copies of G, column R'_j
-        cleared by row j in every copy at once, which leaves G[:, R']^-1 G.
-        No pivot is searched for: the leading j x j minor of G[:, R'] is a
-        nu-scaled Vandermonde determinant on distinct locators (0^0 = 1),
-        so the j-th pivot, a ratio of two such minors, is never 0."""
-        F, every = self.field, np.arange(len(members))
-        p = np.repeat(self._generator[None], len(members), axis=0)
-        for j in range(self.k):
-            col = members[:, j]
-            row = _vec_mul(p[:, j], _vec_inv(p[every, j, col], F)[:, None], F)
-            # row j clears itself to 0, then takes the scaled row
-            p = sub(p, _vec_mul(p[every, :, col][:, :, None], row[:, None, :], F), F)
-            p[:, j] = row
+        """The stacked P_R', (members, m, n) and read-only, for the rows R'
+        of members, m <= k distinct positions each: the word on R' times
+        P_R' is the codeword of degree < m that agrees with it there (for
+        m = k, P_R' = G[:, R']^-1 G).  Closed form, with no elimination:
+        P_R'[i, x] = nu_x / nu_R'_i * prod over j != i of
+        (alpha_x - alpha_R'_j) / (alpha_R'_i - alpha_R'_j), the identity on
+        R'.  In the log domain, in every field: gathers of the logs of
+        alpha_x - alpha_R'_j and alpha_R'_i - alpha_R'_j, sums mod q - 1
+        and one exp gather, in O(members m n) memory; the term j = i of
+        the second sum is log 0 = 2q, which is taken back out."""
+        F, logs, (count, m) = self.field, self.field.log_table, members.shape
+        at = self._alpha[members]
+        logd = logs[sub(self._alpha, at[:, :, None], F)]
+        den = logs[sub(at[:, :, None], at[:, None, :], F)].sum(axis=2) - 2 * F.q
+        den += logs[self._nu[members]]
+        num = logd.sum(axis=1) + logs[self._nu]
+        p = F.exp_table[(num[:, None, :] - logd - den[:, :, None]) % (F.q - 1)]
+        p[np.arange(count)[:, None], :, members] = np.eye(m, dtype=np.int64)
         p.flags.writeable = False
         return p
-
-    def _agree_on(self, word: np.ndarray, positions) -> tuple[np.ndarray, np.ndarray]:
-        """(f, c): the message f of degree < m = len(positions) <= k whose
-        codeword c agrees with word there (_agree_inverse); word is an
-        int64 array whose symbols the caller has checked."""
-        pos, inv = self._agree_inverse(positions)
-        msg = matmul(word[pos][None], inv, self.field)
-        return msg[0], matmul(msg, self._generator[: len(pos)], self.field)[0]
 
     # -- list decoding ---------------------------------------------------------
 
     def gs_list_decode(self, word, t: int, paths: dict | None = None, near=None) -> list[tuple]:
-        """All codewords within Hamming distance t of word.
+        """All codewords within Hamming distance t of word, by the rule of
+        the code's plan for t (GsPlan): the first member R' whose c_R' has
+        e' + t < d settles the list; else a plan that covers t lists the
+        members' c_R' within t; else Q interpolates the word re-encoded on
+        R (_gs_interpolate), and each y-root f' of Q maps back to
+        f' G + c_R, one product, then a distance filter.
 
         Complete for every t up to gs_max_radius(n, k); ValueError beyond
         it and below 0, and for a word Field.check_symbols refuses (not
         integers, not n symbols in one axis, a symbol outside the field),
-        checked here, once.  One path for every plan: every member R' of
-        the plan (GsPlan.members: its family, then any settle-only sets)
-        gives c_R' at distance e' (_gs_near, see the module docstring).
-        A member with e' + t < d settles the list; else, if the family
-        covers t (GsPlan.covers), the list is the members' c_R' within t.
-        Otherwise Koetter interpolation of a bivariate Q(x, y)
-        through word - c_R, c_R from the first member R, on the code's plan
-        for t, which holds the smallest sufficient multiplicity (see GsPlan
-        and _gs_interpolate), then Roth-Ruckenstein root finding of its
-        y-roots f'(x) of degree < k, then the map back: f = f' + f_R
-        encodes to f' G + c_R, one product, then a distance filter.
-        near, if given, is this word's column of _gs_near at t, so a caller
-        with many words takes all their c_R' in one product; word and t,
-        checked for _gs_near, are not checked again.  paths, if given, is a
-        dict whose count of the path taken, "settled", "covered" or
-        "interpolated", goes up by one.
+        checked here, once.  near, if given, is this word's column of
+        _gs_near at t, so a caller with many words takes all their c_R' in
+        one product per slice; word and t, checked for _gs_near, are not
+        checked again.  paths, if given, is a dict whose count of the path
+        taken, "settled", "covered" or "interpolated", goes up by one.
         """
         F = self.field
         if near is None:
@@ -282,17 +212,26 @@ class GrsCode:
         return sorted(set(map(tuple, words[dist <= t].tolist())))
 
     def _gs_near(self, words: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """(cands, dists): cands[:, i] the c_R' of every member of the plan
+        """(cands, dists): cands[:, i] the c_R' of the members of the plan
         for t, row i of words (checked int64 symbols) on R' times P_R', and
-        dists[:, i] their distances to it.  One product, (members, rows, k)
-        @ (members, k, n), per batch of rows within COVER_MAX_CELLS cells:
-        measured, past that a product costs up to twice as much per cell."""
+        dists[:, i] their distances to it, slice by slice (GsPlan.stops).
+        A row leaves after the first slice in which a member settles it, so
+        the members past that slice are not multiplied for it: their cands
+        are 0 and their dists n.  A covering plan has one slice."""
         F, plan = self.field, self._gs_plan(t)
-        step = max(1, COVER_MAX_CELLS // (plan.projections.size or 1))
-        at, proj = words[:, plan.members].swapaxes(0, 1), plan.projections
-        parts = [matmul(at[:, i : i + step], proj, F) for i in range(0, len(words), step)]
-        cands = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        return cands, (cands != words).sum(axis=2)
+        at = words[:, plan.members].swapaxes(0, 1)
+        if plan.covers:
+            return _near(at, plan.projections, words, F)
+        cands = np.zeros((len(at), *words.shape), dtype=np.int64)
+        dists = np.full(cands.shape[:2], self.n)
+        live, lo = np.arange(len(words)), 0
+        for hi in plan.stops:
+            c, e = _near(at[lo:hi, live], plan.projections[lo:hi], words[live], F)
+            cands[lo:hi, live], dists[lo:hi, live] = c, e
+            live, lo = live[(e >= self.d - t).all(axis=0)], hi
+            if not live.size:
+                break
+        return cands, dists
 
     def _gs_plan(self, t: int) -> "GsPlan":
         """The code's GS plan for radius t, built on first use."""
@@ -398,20 +337,23 @@ class GrsCode:
         f_S + v_S g, v_S = prod over S of (x - alpha), so code is the
         [n - |S|, k - |S|, d] code of the g on rest, the positions outside
         S, with multipliers nu v_S(alpha); a word on pos, S sorted, times
-        proj is c_S.  ValueError for positions _agree_inverse rejects."""
+        proj = P_S (_projections) is c_S.  ValueError for more than k
+        positions, or one repeated, outside range(n) or not an integer;
+        only valid position sets are kept."""
         key = _positions(positions)
         kept = self._shortened.get(key)
         if kept is None:
-            # v_S = x^m - f, f of degree < m agreeing with x^m on S: re-encode
-            # nu x^m; _agree_inverse checks the positions, so only valid ones are kept
-            F, m = self.field, len(key)
-            pos, inv = self._agree_inverse(key)
-            proj = matmul(inv, self._generator[:m], F)
-            xm = _vec_mul(self._nu, powers(self._alpha, m + 1, F)[m], F)
-            nu = sub(xm, matmul(xm[pos][None], proj, F)[0], F)
+            F, pos, m = self.field, list(key), len(key)
+            if m > self.k:
+                raise ValueError(f"at most k = {self.k} positions fix a codeword, got {m}")
+            if len(set(pos)) != m or not all(0 <= i < self.n for i in pos):
+                raise ValueError(f"need pairwise distinct positions in range({self.n}), got {pos}")
+            proj = self._projections(np.array(pos, dtype=np.int64).reshape(1, m))[0]
             rest = np.delete(np.arange(self.n), pos)
-            proj.flags.writeable = rest.flags.writeable = False
-            code = GrsCode(F, self._alpha[rest], nu[rest], self.k - m)
+            rest.flags.writeable = False
+            logv = F.log_table[sub(self._alpha[rest], self._alpha[pos][:, None], F)].sum(axis=0)
+            nu = F.exp_table[(F.log_table[self._nu[rest]] + logv) % (F.q - 1)]
+            code = GrsCode(F, self._alpha[rest], nu, self.k - m)
             kept = self._shortened[key] = code, pos, rest, proj
         return kept
 
@@ -422,7 +364,7 @@ class GrsCode:
         (_shorten).  unshorten maps shortened codewords back.
         ValueError for a word Field.check_symbols refuses (not integers,
         not n symbols in one axis, a symbol outside the field) and for
-        positions _agree_inverse rejects."""
+        positions _shorten rejects."""
         word = self.field.check_symbols(word, self.n)
         code, pos, rest, proj = self._shorten(positions)
         c_s = matmul(word[pos][None], proj, self.field)[0]
@@ -446,28 +388,34 @@ class GrsCode:
 
 
 class GsPlan:
-    """One code's GS plan at one radius t; every array is read-only.  It
-    holds the k-position sets that gs_list_decode settles or covers on,
-    their projections and, for k >= 2, the multiplicity s and y-degree ly,
-    gs_parameters(n, k, t), worked out here once, so the plan is keyed by
-    t alone; what else Koetter interpolation needs except the received
-    values (koetter, a _KoetterArrays) is built on the plan's first
-    interpolation, as most plans never interpolate.
+    """One code's GS plan at one radius t, and the rule gs_list_decode
+    follows on it; every array is read-only.
 
-    Re-encoding on R, the code's first k positions, except that a
-    locator 0 is moved into R (a stable sort on alpha != 0): inside holds
-    the positions in R, outside the n - k others in code order, and
-    x_inside and x_outside the locators there, none of those outside 0.
-    R is the first member, so the codeword that agrees with the word on R
-    is the first c_R'.
+    The rule.  Every k positions of a GRS code fix a codeword, so a member
+    R' (a k-position set) gives c_R', the word on R' times P_R'
+    (GrsCode._projections), at distance e' from the word.  Settle: if
+    e' + t < d, any codeword c within t of the word has d(c, c_R') <= t +
+    e' < d, so c = c_R', and the list is [c_R'] if e' <= t, else empty.
+    Cover: if every set of at most t positions misses some member
+    (covers), the errors of a codeword c within t miss some R', where c
+    agrees with the word, so c = c_R', and the list is the members' c_R'
+    within t (information-set decoding, Prange).  Interpolate: otherwise
+    Q interpolates the word re-encoded on R, the first member, with
+    multiplicity s and y-degree ly, gs_parameters(n, k, t), worked out
+    here once (for k >= 2), so the plan is keyed by t alone; the rest
+    Koetter needs except the received values (koetter, a _KoetterArrays)
+    is built on the plan's first interpolation, as most plans never
+    interpolate.
 
-    The family of k-position sets that gs_list_decode settles or covers
-    on, each a sorted tuple, R first; covers says that every set of at
-    most t positions misses some member.  When (t + 1) k <= n the members
-    are t + 1 pairwise disjoint k-sets taken along the order that gives
-    R, and they cover t by pigeonhole: at most t positions cannot meet
-    all of them.  That holds for every k <= 1 code (for k = 0 the family
-    is the one empty member), whose plan stops there: there is no
+    R is the code's first k positions, except that a locator 0 is moved
+    into R (a stable sort on alpha != 0): inside holds the positions in
+    R, outside the n - k others in code order, and x_inside and x_outside
+    the locators there, none of those outside 0.
+
+    The family, each member a sorted tuple, R first.  When (t + 1) k <= n
+    it is t + 1 pairwise disjoint k-sets taken along the order that gives
+    R, and they cover t by pigeonhole.  That holds for every k <= 1 code
+    (for k = 0 the one empty member), whose plan stops there: there is no
     interpolation below k = 2.  Otherwise the block family is R and the
     complements of the first two of the ceil(n/(n-k)) blocks of n - k
     consecutive positions, the last block ending at n - 1, so block i
@@ -475,21 +423,28 @@ class GsPlan:
     exactly when no position is common to all members, and never t >= 2:
     the pair {0, n-1} meets R (which holds position 0 for k >= 2), the
     complement of block 0 (which holds n - 1) and that of block 1 (which
-    holds 0).  Where it does not cover, the equal-parts family (see the
-    module docstring) takes its place if members k n <= COVER_MAX_CELLS:
-    order split by np.array_split (larger parts first) into the largest
-    number of parts that covers t, and all k-subsets of each part in
-    itertools.combinations order, so R comes first; one part always
-    covers, as t < d.  There is no knob.
+    holds 0).  Where it does not cover, the equal-parts family takes its
+    place if members k n <= COVER_MAX_CELLS: order split by
+    np.array_split (larger parts first) into the largest number p of
+    parts, of sizes n_i, with sum min(n_i, k - 1) < n - t, that is
+    p = (n - t - 1) // (k - 1) (k >= 2 here), and all k-subsets of
+    each part in itertools.combinations order, so R comes first.  An
+    (n - t)-set with fewer than k positions in every part holds at most
+    that sum, so the error-free positions hold a member (a covering
+    design, Gordon-Kuperberg-Patashnik); one part always covers, as
+    t < d.  There is no knob.
 
-    members is the family as a (members, k) array, followed, where the
-    family does not cover t, by settle_only sets (_settle_sets) up to
-    COVER_MAX_CELLS cells in all.  That family is the block family for
-    every such t, so the code builds these members and their projections
-    once, its settle block, and every plan of it that does not cover
-    shares them.  projections is the stacked P_R' = G[:, R']^-1 G,
-    (members, k, n), so the word on R' times P_R' is c_R', from one
-    stacked elimination (GrsCode._projections).
+    members is the family as a (members, k) array, and projections the
+    stacked P_R', (members, k, n).  Where the family does not cover t,
+    settle_only sets (_settle_sets) follow it up to COVER_MAX_CELLS cells
+    in all: they prove no cover, but a word hit by few errors has an
+    error-free one, which settles it.  That family is the block family
+    for every such t, so the code builds these members and their
+    projections once, its settle block, and every plan of it that does
+    not cover shares them.  stops ends the slices in which _gs_near
+    multiplies the members, so a word settled early skips the rest: the
+    family, then slices that double in size.  A covering plan has one
+    slice, as its list needs every c_R'.
 
     Size and cost: s, ly, the unknowns M, the constraints
     C = (n - k) s(s+1)/2 that Koetter imposes on the points outside R,
@@ -509,13 +464,11 @@ class GsPlan:
         if self.covers:
             family = [order[i * k : (i + 1) * k] for i in range(t + 1)]
         else:
-            family = [inside] + [np.r_[:start, start + n - k : n] for start in (0, min(n - k, k))]
-            self.covers = t == 1 and not set.intersection(*(set(m.tolist()) for m in family))
-            for p in range(n, 0, -1):  # p = 1 covers, as t < d
-                size, big = divmod(n, p)  # big parts of size + 1, then p - big of size
-                if big * min(size + 1, k - 1) + (p - big) * min(size, k - 1) < n - t:
-                    break
-            parts = np.array_split(order, p)
+            blocks = [[*range(start), *range(start + n - k, n)] for start in (0, min(n - k, k))]
+            family = [inside.tolist(), *blocks]
+            self.covers = t == 1 and not set.intersection(*map(set, family))
+            # parts of k - 1 or more positions sum to p (k - 1), smaller ones to n
+            parts = np.array_split(order, (n - t - 1) // (k - 1))
             cells = k * n * sum(math.comb(part.size, k) for part in parts)
             if not self.covers and cells <= COVER_MAX_CELLS:
                 family = [m for part in parts for m in itertools.combinations(part.tolist(), k)]
@@ -533,7 +486,11 @@ class GsPlan:
                 members.flags.writeable = False
                 code._settle = members, code._projections(members)
             self.members, self.projections = code._settle
-        self.settle_only = len(self.members) - len(self.family)
+        count, f = len(self.members), len(self.family)
+        self.settle_only = count - f
+        self.stops = (count,) if self.covers else tuple(
+            sorted({min(f * (2**j - 1), count) for j in range(1, count.bit_length() + 1)})
+        )
         self.x_inside, self.x_outside = code._alpha[inside], code._alpha[outside]
         self.x_inside.flags.writeable = self.x_outside.flags.writeable = False
         if k <= 1:
@@ -638,6 +595,18 @@ class _KoetterArrays:
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
+
+
+def _near(at: np.ndarray, proj: np.ndarray, words: np.ndarray, field: Field):
+    """(cands, dists) of one slice of members: at (members, rows, k), the
+    rows of words on the members, times their proj (members, k, n), and
+    the distances to words.  One product per batch of rows within
+    COVER_MAX_CELLS cells: measured, past that a product costs up to twice
+    as much per cell."""
+    step = max(1, COVER_MAX_CELLS // (proj.size or 1))
+    parts = [matmul(at[:, i : i + step], proj, field) for i in range(0, at.shape[1], step)]
+    cands = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    return cands, (cands != words).sum(axis=2)
 
 
 def _settle_sets(order: np.ndarray, family: tuple, k: int) -> list[tuple[int, ...]]:

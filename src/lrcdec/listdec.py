@@ -90,9 +90,10 @@ def _local_stage(code: LrcCode, received, cfg: DecodeConfig, result: DecodingLis
     the GS paths in result.  Returns (word, lists, order): the word as a
     checked int64 array, lists[j] the (distance, local codeword) entries
     of repair set j, nearest first, and order the sets with a nonempty
-    list, by list size, then index.  One product (GrsCode._gs_near) gives
-    the c_R' of every set of one local code (LrcCode.local_groups); each
-    set's gs_list_decode takes its column, and interpolates from it."""
+    list, by list size, then index.  One _gs_near call (one product per
+    slice of the plan) gives the c_R' of every set of one local code
+    (LrcCode.local_groups); each set's gs_list_decode takes its column,
+    and interpolates from it."""
     word = code.field.check_symbols(received, code.n)
     _validate_cfg(code, cfg)
     lists = [None] * code.shape.mu
@@ -220,13 +221,37 @@ def unique_decode_probabilistic(code: LrcCode, received, cfg: DecodeConfig):
 # success probabilities
 # ---------------------------------------------------------------------------
 
+def _at_least(limit: int, **values) -> None:
+    """ValueError naming the first of values that is not an integer or is below limit."""
+    for name, v in values.items():
+        _integer(name, v)
+        if v < limit:
+            raise ValueError(f"{name} = {v} is below the limit {limit}")
+
+
+def _shortened_sets(mu: int, t_l: int, t_g: int, name: str = "t_g") -> int:
+    """floor(t_g / (t_l + 1)), the repair sets a bound shortens away;
+    ValueError, naming t_g as name, unless t_l and t_g are integers >= 0
+    and that count is at most mu."""
+    _at_least(0, t_l=t_l, **{name: t_g})
+    f = t_g // (t_l + 1)
+    if f > mu:
+        raise ValueError(f"{name} // (t_l + 1) = {f} exceeds mu = {mu}")
+    return f
+
+
 def pe_tilde(n: int, d: int, q: int, t: int) -> Fraction:
     """Miscorrection bound: sum_(s<=t) (q-1)^s C(n,s) / (q-1)^(d-1).
 
     Bounds the probability that a wrong codeword of an [n, ., d] code
     over GF(q) lands within distance t of the received word, for any
     error weight.  Exact rational; values as small as 10^-50 occur.
+    ValueError unless n, d, q and t are integers with n >= 0, d >= 1,
+    q >= 2 and 0 <= t <= n.
     """
+    _at_least(0, n=n, t=t)
+    _at_least(1, d=d)
+    _at_least(2, q=q)
     if t > n:
         raise ValueError(f"radius t = {t} exceeds the length n = {n}")
     acc = 0
@@ -254,12 +279,14 @@ def success_prob_general(
     probability and the others are single-decoder uniqueness
     probabilities.  A bound p_e may exceed 1, as pe_tilde does, so the
     factor 1 - p_e is clamped at 0 and the result lies in [0, 1].
-    ValueError for p_e < 0 or a uniqueness probability outside [0, 1].
+    ValueError for p_e < 0, a uniqueness probability outside [0, 1], mu
+    not an integer >= 0, and t_g or t_l that _shortened_sets refuses.
     """
+    _at_least(0, mu=mu)
+    f = _shortened_sets(mu, t_l, t_g)
     if not p_e >= 0:
         raise ValueError(f"p_e = {p_e} must be at least 0")
     _check_probabilities(p_local_unique=p_local_unique, p_global_unique=p_global_unique)
-    f = t_g // (t_l + 1)
     return max(1 - p_e, 0.0) ** f * p_local_unique ** (mu - f) * p_global_unique
 
 
@@ -275,8 +302,10 @@ def success_prob_grs(shape: CodeShape, q: int, t_l: int, bar_t_g: int) -> Fracti
     pe_tilde can exceed 1, and an even power of a negative factor would
     read as a probability, so each factor 1 - pe is clamped at 0: P = 0
     says the bound is vacuous there.  ValueError unless bar_t_g >= t_l + 1
-    (a repair set is shortened away).
+    (a repair set is shortened away), for t_l or bar_t_g that
+    _shortened_sets refuses and for q that pe_tilde refuses.
     """
+    _shortened_sets(shape.mu, t_l, bar_t_g, "bar_t_g")
     if bar_t_g < t_l + 1:
         raise ValueError(f"bar_t_g = {bar_t_g} is below the limit t_l + 1 = {t_l + 1}, t_l = {t_l}")
     local = max(1 - pe_tilde(shape.n_l, shape.rho, q, t_l), Fraction(0))
@@ -299,9 +328,12 @@ def interleaved_success_prob(
     The miscorrection factor is evaluated over the interleaved symbol
     alphabet q^ell and clamped at 0, as in success_prob_grs; the
     unique-decoding-success probabilities of the component decoders are
-    supplied by the caller, and ValueError names one outside [0, 1].
+    supplied by the caller, and ValueError names one outside [0, 1], and
+    q < 2, ell < 1 or t_l and t_g that _shortened_sets refuses.
     """
+    _at_least(2, q=q)
+    _at_least(1, ell=ell)
+    f = _shortened_sets(shape.mu, t_l, t_g)
     _check_probabilities(pr_uds_local=pr_uds_local, pr_uds_global=pr_uds_global)
-    f = t_g // (t_l + 1)
     mis = max(1 - pe_tilde(shape.n_l, shape.rho, q**ell, t_l), Fraction(0))
     return float(mis) ** f * pr_uds_local ** (shape.mu - f) * pr_uds_global

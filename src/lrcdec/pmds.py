@@ -242,7 +242,9 @@ def s_mu_size(n: int, k: int, r: int, rho: int, size: int) -> int:
 
 def complement_count_closed_form(n: int, k: int, r: int) -> int:
     """Alternating sum counting the (k+1)-subsets that swallow a whole
-    repair set, for local distance 2 (repair sets of size r+1)."""
+    repair set, for local distance 2 (repair sets of size r+1); ValueError
+    for arguments _count_args refuses with rho = 2."""
+    n, k, r, *_ = _count_args(n, k, r, 2)
     total = 0
     for j in range(1, (k + 1) // (r + 1) + 1):
         term = math.comb(n // (r + 1), j) * math.comb(n - j * (r + 1), k + 1 - j * (r + 1))
@@ -270,11 +272,23 @@ def rank_full_fraction(q: int, ell: int, t: int) -> Fraction:
 # bounds
 # ---------------------------------------------------------------------------
 
+def _bound_args(n, k, r, rho) -> tuple[int, int, int, int]:
+    """_count_args, and n >= 1 and rho >= 2, which (k+1)/n and xi need."""
+    n, k, r, rho, *_ = _count_args(n, k, r, rho)
+    if n < 1:
+        raise ValueError(f"length n = {n} must be at least 1")
+    if rho < 2:
+        raise ValueError(f"rho = {rho} must be at least 2")
+    return n, k, r, rho
+
+
 def sk1_bound(n: int, k: int, r: int, rho: int) -> float:
     """Closed-form lower bound on the good-set fraction |S_(k+1)| / C(n, k+1):
 
     1 - n * C(r+rho-1, xi) * ((k+1)/n)^(r+1), xi = min(rho-2, floor((r+rho-1)/2)).
+    ValueError for arguments _bound_args refuses.
     """
+    n, k, r, rho = _bound_args(n, k, r, rho)
     xi = min(rho - 2, (r + rho - 1) // 2)
     val = 1 - Fraction(n) * math.comb(r + rho - 1, xi) * Fraction(k + 1, n) ** (r + 1)
     return float(val)
@@ -299,8 +313,10 @@ def asymptotic_predicates(
     """The two conditions under which the good-set fraction tends to 1:
 
     a rate condition C(r+rho-1, xi)^(-1/(r+1)) > c1 (k+1)/n and a growth
-    condition r+1 >= c2 log2(n) / log2(c1).
+    condition r+1 >= c2 log2(n) / log2(c1).  ValueError for arguments
+    _bound_args refuses and for constants that do not exceed 1.
     """
+    n, k, r, rho = _bound_args(n, k, r, rho)
     if c1 <= 1 or c2 <= 1:
         raise ValueError("constants must exceed 1")
     xi = min(rho - 2, (r + rho - 1) // 2)

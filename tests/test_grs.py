@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lrcdec import Field, GrsCode, construct_tamo_barg, grs, linalg
-from lrcdec._kernels import _vec_mul, add, add_reduce, powers, sub
+from lrcdec._kernels import _vec_mul, add, add_reduce, matmul, powers, sub
 from lrcdec.grs import _rr_roots, gs_max_radius, gs_parameters
 from lrcdec.interleaved import excess_criterion, is_t1_independent, sk1_sufficient
 
@@ -54,6 +54,24 @@ def encode_oracle(code, coeffs):
     """nu_i f(alpha_i) by scalar Horner."""
     F = code.field
     return tuple(F.mul(v, horner(F, coeffs, a)) for a, v in zip(code.locators, code.multipliers))
+
+
+def gauss_jordan_inverse(code, positions):
+    """G_m[:, pos]^-1, G_m the generator's first m = len(pos) rows, by a
+    Gauss-Jordan reduction of [G_m[:, pos] | I] to [I | G_m[:, pos]^-1]."""
+    pos, m = list(positions), len(positions)
+    aug = np.concatenate((code.generator_matrix()[:m, pos], np.eye(m, dtype=np.int64)), axis=1)
+    red, rank, _ = linalg.rref(aug, code.field)
+    assert rank == m
+    return red[:, m:]
+
+
+def agree_on(code, word, positions):
+    """(f, c): the message f of degree < m = len(positions) <= k whose
+    codeword c agrees with word there, through gauss_jordan_inverse."""
+    pos, F = list(positions), code.field
+    f = linalg.matmul(np.asarray(word)[pos][None], gauss_jordan_inverse(code, pos), F)
+    return f[0], linalg.matmul(f, code.generator_matrix()[: len(pos)], F)[0]
 
 
 def reduce_poly(field, coeffs, subset):
@@ -339,7 +357,7 @@ def reencode(code, word, plan):
     """(f_R, word - c_R): the re-encoding on the plan's R that
     gs_list_decode hands to _gs_interpolate."""
     word = np.asarray(word, dtype=np.int64)
-    f_r, c_r = code._agree_on(word, plan.inside)
+    f_r, c_r = agree_on(code, word, plan.inside)
     return f_r, sub(word, c_r, code.field)
 
 
@@ -670,7 +688,7 @@ def settles(code, word, t):
     """Whether some member R' of the plan's family has e' + t < d, e' the
     distance from the word to c_R'."""
     return any(
-        hamming(code._agree_on(np.asarray(word), member)[1].tolist(), word) + t < code.d
+        hamming(agree_on(code, word, member)[1].tolist(), word) + t < code.d
         for member in code._gs_plan(t).family
     )
 
@@ -939,7 +957,7 @@ def planted_pair(rnd, code, t):
     unit = np.zeros(code.n, dtype=np.int64)
     at = rnd.sample(range(code.n), code.k)
     unit[at[-1]] = 1
-    z = code._agree_on(unit, at)[1]
+    z = agree_on(code, unit, at)[1]
     assert np.count_nonzero(z) == code.d
     word = c.copy()
     hit = rnd.sample(np.flatnonzero(z).tolist(), t)
@@ -1020,6 +1038,49 @@ def test_gs_settle_block_lists_match_interpolation(name, radii):
     assert by_settle_only
 
 
+@pytest.mark.parametrize("name, radii", [("21-8", [8]), ("42-8", [16, 20]), ("24-16", [2, 4])])
+def test_staged_settle_matches_all_members(name, radii, monkeypatch):
+    # _gs_near multiplies a plan that does not cover slice by slice and
+    # drops a row after its first settling slice: on seeded words, as one
+    # batch, every member up to that slice has the c_R' and distance of an
+    # all-members product, the members past it are not multiplied (0 and
+    # n), and the lists and paths equal those decoded from the all-members
+    # product.  A codeword settles on member 0, in the first slice alone
+    code = settle_code(name)
+    F, rnd = code.field, random.Random(code.n + code.k)
+    for t in radii:
+        plan = code._gs_plan(t)
+        assert not plan.covers and plan.stops[0] == len(plan.family) and len(plan.stops) > 2
+        words = np.array([
+            corrupt(rnd, F, code.encode([rnd.randrange(F.q) for _ in range(code.k)]),
+                    rnd.sample(range(code.n), w))
+            for w in range(t + 2) for _ in range(2)
+        ] + [planted_pair(rnd, code, t)[0]])
+        every = linalg.matmul(words[:, plan.members].swapaxes(0, 1), plan.projections, F)
+        every_dists = (every != words).sum(axis=2)
+        cands, dists = code._gs_near(words, t)
+        seen = set()
+        for i, word in enumerate(words):
+            settles = every_dists[:, i] < code.d - t
+            stop = next((s for s in plan.stops if settles[:s].any()), len(plan.members))
+            seen.add("none" if not settles.any() else "first" if stop == plan.stops[0] else "later")
+            assert np.array_equal(cands[:stop, i], every[:stop, i])
+            assert np.array_equal(dists[:stop, i], every_dists[:stop, i])
+            assert not cands[stop:, i].any() and (dists[stop:, i] == code.n).all()
+            staged, full = dict.fromkeys(("settled", "covered", "interpolated"), 0), {}
+            full.update(staged)
+            got = code.gs_list_decode(word, t, staged, (cands[:, i], dists[:, i]))
+            assert got == code.gs_list_decode(word, t, full, (every[:, i], every_dists[:, i]))
+            assert staged == full and got == code.gs_list_decode(word, t)
+        # words settled in the first slice, in a later one, and not at all
+        assert seen == {"first", "later", "none"}
+        cw, shapes = code.encode([rnd.randrange(F.q) for _ in range(code.k)]), []
+        monkeypatch.setattr(grs, "matmul", lambda a, b, f: shapes.append(b.shape) or matmul(a, b, f))
+        assert code.gs_list_decode(cw, t) == [cw]
+        assert shapes == [(plan.stops[0], code.k, code.n)]
+        monkeypatch.undo()
+
+
 def test_gs_settle_block_decodes_past_the_interpolation_reach(monkeypatch):
     # the [24,16] code at t = 5 takes s = 76, 1.6e11 cell-ops: no word of it
     # can be interpolated.  A codeword hit by e <= 2 errors is the only
@@ -1047,28 +1108,40 @@ def test_gs_settle_block_decodes_past_the_interpolation_reach(monkeypatch):
         assert by_family == len(patterns) if w < 2 else 3 * by_family < len(patterns)
 
 
-@pytest.mark.parametrize("q, n, k", [(16, 15, 5), (64, 40, 9), (31, 30, 7), (3001, 60, 12)])
+@pytest.mark.parametrize(
+    "q, n, k", [(2, 2, 1), (2, 2, 2), (16, 15, 5), (64, 40, 9), (31, 30, 7), (3001, 60, 12)]
+)
 def test_stacked_projections_match_kept_inverses(q, n, k):
-    # the stacked elimination gives G[:, R']^-1 G for each member, equal to
-    # the product of the kept inverse and G, on codes with locator 0 and
-    # seeded multipliers; the stack is read-only
+    # the closed form gives P_S = G_m[:, S]^-1 G_m, G_m the first m = |S|
+    # rows of G, equal to the Gauss-Jordan inverse times G_m, for seeded S
+    # of every size m <= k (50 of size k), on codes with locator 0 and
+    # seeded multipliers; the stack is read-only.  The code shortened at S
+    # has the multipliers nu v_S(alpha) off S that re-encoding nu x^m on S
+    # by that inverse gives (v_S = x^m - f_S)
     field, rnd = Field(q), random.Random(q * n)
     locators = [0] + rnd.sample(range(1, q), n - 1)
     rnd.shuffle(locators)
     code = GrsCode(field, locators, [rnd.randrange(1, q) for _ in range(n)], k)
-    members = np.array([sorted(rnd.sample(range(n), k)) for _ in range(50)])
-    got = code._projections(members)
-    assert got.shape == (50, k, n) and not got.flags.writeable
-    gen = code.generator_matrix()
-    for member, proj in zip(members, got):
-        want = linalg.matmul(code._agree_inverse(member)[1], gen, field)
-        assert np.array_equal(proj, want)
-        assert np.array_equal(proj[:, member], np.eye(k, dtype=np.int64))
+    alpha, nu = np.array(code.locators), np.array(code.multipliers)
+    for m in range(k + 1):
+        sets = [sorted(rnd.sample(range(n), m)) for _ in range(50 if m == k else 6)]
+        got = code._projections(np.array(sets, dtype=np.int64).reshape(len(sets), m))
+        assert got.shape == (len(sets), m, n) and not got.flags.writeable
+        gen = code.generator_matrix()[:m]
+        xm = _vec_mul(nu, powers(alpha, m + 1, field)[m], field)
+        for pos, proj in zip(sets, got):
+            want = linalg.matmul(gauss_jordan_inverse(code, pos), gen, field)
+            assert np.array_equal(proj, want), (m, pos)
+            assert np.array_equal(proj[:, pos], np.eye(m, dtype=np.int64))
+            v_s = sub(xm, linalg.matmul(xm[pos][None], want, field)[0], field)
+            short, rest = code.shorten(pos), [i for i in range(n) if i not in pos]
+            assert short.multipliers == tuple(v_s[rest].tolist()), (m, pos)
+            assert short.locators == tuple(alpha[rest].tolist()) and short.k == k - m
 
 
 def test_settle_block_is_built_once_per_code(monkeypatch):
     # every plan of the [42,8] code that does not cover shares one settle
-    # block, members and projections, built by one stacked elimination,
+    # block, members and projections, built by one _projections call,
     # read-only; a covering plan builds its own
     code = settle_code("42-8")
     calls = []
@@ -1252,7 +1325,7 @@ def test_shorten_received_reads_positions_once_and_unshorten_maps_rows(gf16):
     assert rows.shape == (3, 15)
     for row, cw in zip(rows.tolist(), cws):
         assert row == code.unshorten((i for i in (2, 4, 0)), c_s, cw).tolist()
-        assert code.encode(code._agree_on(np.array(row), range(5))[0]) == tuple(row)
+        assert code.encode(agree_on(code, row, range(5))[0]) == tuple(row)
     with pytest.raises(ValueError, match=r"shortened codeword has shape \(2, 11\), need n - \|S\| = 12"):
         code.unshorten([0, 2, 4], c_s, [[0] * 11] * 2)
     with pytest.raises(ValueError, match=r"symbol 0x10 at position \(1, 3\) is not in GF\(16\)"):
@@ -1262,18 +1335,17 @@ def test_shorten_received_reads_positions_once_and_unshorten_maps_rows(gf16):
 @pytest.mark.parametrize("positions", [[0, 0, 1], [0, 12], [-1, 2]])
 def test_agree_on_and_shorten_reject_repeated_or_outside_positions(gf16, positions):
     # a repeated position used to give a c that disagrees with the word
-    # there, and position 12 an IndexError; neither is kept
+    # there, and position 12 an IndexError; neither is kept.  The name
+    # keeps the re-encoding entry these checks first guarded
     code = GrsCode(gf16, list(range(1, 11)), [1] * 10, 4)
     word = np.array([0, 1] + [0] * 8)
     message = r"need pairwise distinct positions in range\(10\), got"
-    for call in (code._agree_on, code.shorten_received):
-        with pytest.raises(ValueError, match=message):
-            call(word, positions)
+    with pytest.raises(ValueError, match=message):
+        code.shorten_received(word, positions)
     with pytest.raises(ValueError, match=message):
         code.shorten(positions)
-    assert not code._agree_inv and not code._shortened
-    f, c = code._agree_on(word, [0, 1])
-    assert c[:2].tolist() == [0, 1] and len(f) == 2
+    assert not code._shortened
+    assert code.shorten_received(word, [0, 1])[2][:2].tolist() == [0, 1]
 
 
 @pytest.mark.parametrize(
@@ -1291,7 +1363,6 @@ def test_position_entries_refuse_non_integers(gf16, position):
         "shorten": lambda pos: code.shorten(pos),
         "shorten_received": lambda pos: code.shorten_received(word, pos),
         "unshorten": lambda pos: code.unshorten(pos, c_s, [0] * 13),
-        "_agree_on": lambda pos: code._agree_on(word, pos),
         "is_t1_independent": lambda pos: is_t1_independent(gf16, parity, pos),
         "excess_criterion": lambda pos: excess_criterion(sets, 6, 2, 1, pos),
         "sk1_sufficient": lambda pos: sk1_sufficient(sets, 2, 1, pos),
@@ -1300,10 +1371,10 @@ def test_position_entries_refuse_non_integers(gf16, position):
     for name, call in calls.items():
         with pytest.raises(ValueError, match=message):
             call([3, position])
-        assert not code._agree_inv and not code._shortened, name
+        assert not code._shortened, name
     for name, call in calls.items():  # numpy integers are integers
         call([np.int64(3), 0])
-    assert list(code._shortened) == [(0, 3)] and list(code._agree_inv) == [(0, 3)]
+    assert list(code._shortened) == [(0, 3)]
 
 
 @pytest.mark.parametrize("symbol", [16, -1])
@@ -1477,37 +1548,31 @@ def test_shorten_is_kept_per_locator_set(gf16):
             assert not getattr(plan.koetter, name).flags.writeable
 
 
-def test_agree_on_keeps_one_inverse_per_position_set(gf16, grs_membership, monkeypatch):
+def test_shorten_keeps_one_projection_per_position_set(gf16, grs_membership):
+    # grs eliminates nothing: plans and shortenings re-encode in closed form
+    assert not {"rref", "linalg"} & set(vars(grs))
     code = GrsCode(gf16, list(range(1, 16)), [3] * 15, 8)
-    inverses = []
-
-    def counted_rref(*args):
-        inverses.append(args)
-        return linalg.rref(*args)
-
-    monkeypatch.setattr(grs, "rref", counted_rref)
     for t in (3, 4):
         for word in seeded_words(code, t, 4, seed=t):
             code.gs_list_decode(word, t)
     # two GS plans share one family, R and the complements of the blocks
-    # 0..6 and 7..13, and one settle block, whose projections come from the
-    # stacked elimination, not from kept inverses
+    # 0..6 and 7..13, and one settle block
     family = (tuple(range(8)), tuple(range(7, 15)), tuple(range(7)) + (14,))
     assert [plan.family for plan in code._gs_plans.values()] == [family] * 2
-    assert not code._agree_inv and not inverses
+    assert not code._shortened
     word = np.array(next(seeded_words(code, 6, 1, seed=5)))
     for pos in ([4, 0, 9], [], list(range(15))[::2]):
-        msg, cw = code._agree_on(word, pos)
-        assert len(msg) == len(pos) and all(cw[i] == word[i] for i in pos)
-        assert tuple(cw.tolist()) == encode_oracle(code, msg.tolist())
-        assert grs_membership(code)(cw)
-    # one inverse per position set, built once whatever the order
-    code._agree_on(word, [9, 4, 0])
-    assert len(code._agree_inv) == len(inverses) == 3
-    assert all(not inv.flags.writeable for inv in code._agree_inv.values())
-    assert (0, 4, 9) in code._agree_inv
+        c_s = code.shorten_received(word, pos)[2]
+        msg, cw = agree_on(code, word, sorted(pos))
+        assert c_s.tolist() == cw.tolist() and all(c_s[i] == word[i] for i in pos)
+        assert tuple(c_s.tolist()) == encode_oracle(code, msg.tolist())
+        assert grs_membership(code)(c_s)
+    # one shortening per position set, built once whatever the order
+    code.shorten([9, 4, 0])
+    assert list(code._shortened) == [(0, 4, 9), (), tuple(range(0, 15, 2))]
+    assert all(not proj.flags.writeable for *_, proj in code._shortened.values())
     with pytest.raises(ValueError, match="at most k = 8 positions fix a codeword, got 9"):
-        code._agree_on(word, range(9))
+        code.shorten(range(9))
 
 
 def test_shorten_composes(gf8):

@@ -249,10 +249,10 @@ def test_decoders_build_no_code_shape(tb_15_6, monkeypatch):
     assert len(built) == 1  # the patch does count constructions
 
 
-def test_agree_on_checks_no_symbols(tb_15_6, monkeypatch):
+def test_inner_steps_check_no_symbols(tb_15_6, monkeypatch):
     # a word's symbols are checked at the public entry it comes in by; the
-    # inner steps, _agree_on, _shorten per position set and _gs_near per
-    # batch of GS decodes, take them checked
+    # inner steps, _shorten per position set and _gs_near per batch of GS
+    # decodes, take them checked
     depth, calls, checks = [0], [], []
     check_symbols = Field.check_symbols
 
@@ -272,14 +272,13 @@ def test_agree_on_checks_no_symbols(tb_15_6, monkeypatch):
             checks.append(depth[0])
         return check_symbols(self, word, n, name, *args)
 
-    for name in ("_agree_on", "_shorten", "_gs_near"):
+    for name in ("_shorten", "_gs_near"):
         monkeypatch.setattr(GrsCode, name, counted(name, getattr(GrsCode, name)))
     monkeypatch.setattr(Field, "check_symbols", counted_check)
     rng = np.random.default_rng(7)
     cw = tb_15_6.encode(rng.integers(0, 16, size=6).tolist())
     assert cw in list_decode_lrc(tb_15_6, corrupt(rng, tb_15_6.field, cw, 5), CFG).codewords
-    assert tb_15_6.supercode._agree_on(np.array(cw), [0, 1])[1][:2].tolist() == list(cw[:2])
-    assert set(calls) == {"_agree_on", "_shorten", "_gs_near"} and checks and not any(checks)
+    assert set(calls) == {"_shorten", "_gs_near"} and checks and not any(checks)
 
 
 def test_global_only_path(tb_15_6):
@@ -714,6 +713,33 @@ def test_success_bounds_clamp_negative_factors(shape, t_l, bar, unclamped):
     ],
 )
 def test_success_bounds_refuse_probabilities_outside_unit_interval(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pe_tilde(10, 8, 1, 5), r"^q = 1 is below the limit 2$"),
+        (lambda: pe_tilde(10, 8, 16, -1), r"^t = -1 is below the limit 0$"),
+        (lambda: pe_tilde(10, 8, 16, 1.5), r"^t = 1\.5 is not an integer$"),
+        (lambda: pe_tilde(10, 0, 16, 1), r"^d = 0 is below the limit 1$"),
+        (lambda: success_prob_grs(CodeShape(15, 6, 3, 3), 1, 1, 5), r"^q = 1 is below the limit 2$"),
+        (lambda: success_prob_grs(CodeShape(15, 6, 3, 3), 16, -1, 5),
+         r"^t_l = -1 is below the limit 0$"),
+        (lambda: success_prob_grs(CodeShape(15, 6, 3, 3), 16, 0, 5),
+         r"^bar_t_g // \(t_l \+ 1\) = 5 exceeds mu = 3$"),
+        (lambda: interleaved_success_prob(CodeShape(15, 6, 3, 3), 0, 16, 1, 5, 1.0, 1.0),
+         r"^ell = 0 is below the limit 1$"),
+        (lambda: interleaved_success_prob(CodeShape(15, 6, 3, 3), 1, 16, 1, 2.0, 1.0, 1.0),
+         r"^t_g = 2\.0 is not an integer$"),
+        (lambda: success_prob_general(3, 5, -1, 0.1, 1.0, 1.0), r"^t_l = -1 is below the limit 0$"),
+        (lambda: success_prob_general(1, 5, 1, 0.1, 0.0, 1.0),
+         r"^t_g // \(t_l \+ 1\) = 2 exceeds mu = 1$"),
+    ],
+)
+def test_success_bounds_refuse_bad_arguments(call, message):
+    # each used to divide by zero, raise a TypeError or return 0 for t < 0
     with pytest.raises(ValueError, match=message):
         call()
 

@@ -367,6 +367,27 @@ def test_union_bound_dominates_exact():
         assert exact <= union_bound_failure(n, k, r, rho)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sk1_bound(30, 10, 3, 1), r"^rho = 1 must be at least 2$"),
+        (lambda: sk1_bound(0, 10, 3, 2), r"^dimension k = 10 must be in \[0, n = 0\]$"),
+        (lambda: sk1_bound(0, 0, 3, 2), r"^length n = 0 must be at least 1$"),
+        (lambda: sk1_bound(30, 10.0, 3, 2), r"^k = 10\.0 is not an integer$"),
+        (lambda: asymptotic_predicates(0, 10, 3, 2, 2, 2),
+         r"^dimension k = 10 must be in \[0, n = 0\]$"),
+        (lambda: asymptotic_predicates(30, 10, 3, 1, 2, 2), r"^rho = 1 must be at least 2$"),
+        (lambda: complement_count_closed_form(15, 8, -1), r"^locality r = -1 must be at least 0$"),
+        (lambda: complement_count_closed_form(15, 8, 3),
+         r"^repair-set size n_l = r \+ rho - 1 = 4 must divide n = 15$"),
+    ],
+)
+def test_bound_helpers_refuse_bad_arguments(call, message):
+    # each used to raise math.comb's unnamed error or divide by zero
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_asymptotic_predicates():
     rate, growth = asymptotic_predicates(196, 156, 26, 3, c1=1.05, c2=1.1)
     assert isinstance(rate, bool) and isinstance(growth, bool)
