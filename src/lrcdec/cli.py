@@ -39,6 +39,7 @@ from .lrc import LrcCode, construct_tamo_barg
 from .pmds import PmdsCode, failure_prob_exact, random_pmds, union_bound_failure
 from .radii import (
     CodeShape,
+    _in_range,
     compute_report,
     normalized_radius,
 )
@@ -168,8 +169,8 @@ def cmd_radii(args) -> int:
         q = vals[4] if len(vals) == 5 else None
         try:
             shape = CodeShape(*vals[:4])
-            if q is not None and q < 2:
-                raise ValueError(f"q = {q} must be at least 2 (or None/inf)")
+            if q is not None:
+                _in_range("q", q, 2)
             rows.append(_report_row(shape, RADII_COLUMNS, q))
         except ValueError as exc:
             rows.append(list(vals[:4]) + [q, "", f"error: {exc}"] + [""] * 6)
@@ -220,8 +221,7 @@ def cmd_pmds_prob(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    if args.grid < 1:
-        raise ValueError(f"--grid = {args.grid} is below the limit 1")
+    _in_range("--grid", args.grid, 1)
     header = ["beta", "d_over_n", "tau_over_n"]
     rows = []
     for beta in args.beta:
@@ -338,14 +338,12 @@ def _mk_trial(code: PmdsCode, ell: int, rng, w: int):
 
 
 def cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials = {args.trials} is below the limit 1")
+    _in_range("--trials", args.trials, 1)
     weights = None
     if args.weights:
         weights = [_number(w, "--weights") for w in args.weights.split(",")]
     if args.kind == "mk":
-        if args.ell < 1:
-            raise ValueError(f"--ell = {args.ell} is below the limit 1")
+        _in_range("--ell", args.ell, 1)
         code = _load(args.code, PmdsCode)
         if weights is None:
             weights = list(range(0, code.n - code.k))
@@ -360,8 +358,7 @@ def cmd_simulate(args) -> int:
         cfg = DecodeConfig(t_l=t_l, t_g=t_g, budget=args.budget)
         trial = functools.partial(_lrc_trial, code, args.kind, cfg)
     for w in weights:
-        if not 0 <= w <= code.n:
-            raise ValueError(f"--weights value {w} is outside the range 0..n = 0..{code.n}")
+        _in_range("--weights value", w, 0, code.n, "n = {}")
     per_weight = _simulate(trial, weights, args.trials, args.seed, args.kind != "mk")
     out = {"kind": args.kind, "seed": args.seed, "trials": args.trials,
            "per_weight": per_weight}

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import linalg
 from ._kernels import powers
+from .radii import _in_range
 
 _MAX_ORDER = 1 << 20
 
@@ -123,8 +124,7 @@ class Field:
     """
 
     def __init__(self, q: int, modulus: int | None = None):
-        if q < 2 or q > _MAX_ORDER:
-            raise ValueError(f"field order must be in [2, 2^20], got {q}")
+        _in_range("q", q, 2, _MAX_ORDER, "2^20 = {}")
         p, m = _factor_prime_power(q)
         if p != 2 and m > 1:
             raise ValueError(

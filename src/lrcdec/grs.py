@@ -32,13 +32,15 @@ import numpy as np
 
 from ._kernels import _vec_inv, _vec_mul, add, add_reduce, add_reduceat, matmul, powers, scale, sub
 from .galois import Field
-from .radii import _integer, _positions
+from .radii import _in_range, _positions
 
 
 GS_MAX_MULTIPLICITY = 255
 # the most cells (members k n) of a cover's stacked product: measured, a cover
 # of that size still decodes far faster than the cheapest interpolation
 COVER_MAX_CELLS = 2**14
+# gs_max_radius(n, k) as radii._in_range names it; args: role ("local " or ""), n, k
+RADIUS_LIMIT = "{}, the radius of the {}[{}, {}] GRS decode"
 
 
 def gs_parameters(n: int, k: int, t: int) -> tuple[int, int] | None:
@@ -71,18 +73,6 @@ def gs_max_radius(n: int, k: int) -> int:
     return t
 
 
-def check_radius(name: str, t: int, n: int, k: int, role: str = ""):
-    """ValueError unless t is an integer and 0 <= t <= gs_max_radius(n, k),
-    naming the radius (name = t) and the decode it is for (role, then [n, k])."""
-    _integer(name, t)
-    if t < 0:
-        raise ValueError(f"{name} = {t} is below the limit 0")
-    reach = gs_max_radius(n, k)
-    if t > reach:
-        decode = f"{role} [{n}, {k}]".lstrip()
-        raise ValueError(f"{name} = {t} exceeds the radius {reach} of the {decode} GRS decode")
-
-
 class GrsCode:
     """[n, k] generalized Reed-Solomon code.
 
@@ -90,7 +80,7 @@ class GrsCode:
     message polynomials f of degree < k, given by their coefficients,
     lowest degree first.  Locators (pairwise distinct) and multipliers
     (nonzero) are n symbols of the field each (Field.check_symbols), and k
-    is an integer; minimum distance is n - k + 1.  Dimension 0 (the zero
+    is an integer in [0, n]; minimum distance is n - k + 1.  Dimension 0 (the zero
     code) is allowed as the degenerate endpoint of shortening.
     """
 
@@ -99,13 +89,11 @@ class GrsCode:
         self._nu = field.check_symbols(multipliers, len(locators), "multipliers").copy()
         self.locators, self.multipliers = tuple(self._alpha.tolist()), tuple(self._nu.tolist())
         self.n = len(self.locators)
-        _integer("k", k)
+        _in_range("k", k, 0, self.n, "n = {}")
         if len(set(self.locators)) != self.n:
             raise ValueError("locators must be pairwise distinct")
         if not self._nu.all():
             raise ValueError("multipliers must be nonzero")
-        if not 0 <= k <= self.n:
-            raise ValueError(f"need 0 <= k <= n, got k = {k}, n = {self.n}")
         self.field, self.k = field, k
         self._nu_inv = _vec_inv(self._nu, field)
         self._generator = _vec_mul(self._nu, powers(self._alpha, k, field), field)
@@ -135,9 +123,12 @@ class GrsCode:
     def encode(self, coeffs) -> tuple[int, ...]:
         """Codeword of the message polynomial with these coefficients, lowest
         degree first; a shorter sequence is zero-padded.  ValueError for a
-        degree of k or more and for a symbol outside the field."""
-        c = np.zeros(max(self.k, len(coeffs)), dtype=np.int64)
-        c[: len(coeffs)] = self.field.check_symbols(coeffs, name="message")
+        degree of k or more and for a message Field.check_symbols refuses
+        (not integers, not one axis of symbols, a symbol outside the field)."""
+        raw = np.asarray(coeffs)
+        msg = self.field.check_symbols(raw, raw.size, "message", "one axis of size")
+        c = np.zeros(max(self.k, msg.size), dtype=np.int64)
+        c[: msg.size] = msg
         if c[self.k :].any():
             raise ValueError(f"message degree {np.flatnonzero(c)[-1]} >= k = {self.k}")
         return tuple(matmul(c[None, : self.k], self._generator, self.field)[0].tolist())
@@ -194,7 +185,7 @@ class GrsCode:
         F = self.field
         if near is None:
             word = F.check_symbols(word, self.n)
-            check_radius("t", t, self.n, self.k)
+            _in_range("t", t, 0, gs_max_radius(self.n, self.k), RADIUS_LIMIT, "", self.n, self.k)
             cands, dists = self._gs_near(word[None], t)
             near = cands[:, 0], dists[:, 0]
         plan, (words, dist) = self._gs_plan(t), near
@@ -217,18 +208,23 @@ class GrsCode:
         dists[:, i] their distances to it, slice by slice (GsPlan.stops).
         A row leaves after the first slice in which a member settles it, so
         the members past that slice are not multiplied for it: their cands
-        are 0 and their dists n.  A covering plan has one slice."""
+        are 0 and their dists n.  A covering plan has one slice.  When the
+        first slice decides every row, its own arrays are returned, with
+        only that slice's members."""
         F, plan = self.field, self._gs_plan(t)
-        at = words[:, plan.members].swapaxes(0, 1)
-        if plan.covers:
-            return _near(at, plan.projections, words, F)
-        cands = np.zeros((len(at), *words.shape), dtype=np.int64)
-        dists = np.full(cands.shape[:2], self.n)
-        live, lo = np.arange(len(words)), 0
+        count, live, lo, cands = len(plan.members), slice(None), 0, None
         for hi in plan.stops:
-            c, e = _near(at[lo:hi, live], plan.projections[lo:hi], words[live], F)
+            at = words[live][:, plan.members[lo:hi]].swapaxes(0, 1)
+            c, e = _near(at, plan.projections[lo:hi], words[live], F)
+            left = (e >= self.d - t).all(axis=0)
+            if cands is None:
+                if hi == count or not left.any():
+                    return c, e
+                cands = np.zeros((count, *words.shape), dtype=np.int64)
+                dists = np.full(cands.shape[:2], self.n)
+                live = np.arange(len(words))
             cands[lo:hi, live], dists[lo:hi, live] = c, e
-            live, lo = live[(e >= self.d - t).all(axis=0)], hi
+            live, lo = live[left], hi
             if not live.size:
                 break
         return cands, dists

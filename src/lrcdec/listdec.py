@@ -17,9 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grs import check_radius
+from .grs import RADIUS_LIMIT, gs_max_radius
 from .lrc import LrcCode
-from .radii import CodeShape, _integer, refined_error_count
+from .radii import CodeShape, _below, _exceeds, _in_range, refined_error_count
 
 __all__ = [
     "DecodeConfig",
@@ -110,25 +110,23 @@ def _local_stage(code: LrcCode, received, cfg: DecodeConfig, result: DecodingLis
 
 
 def _validate_cfg(code: LrcCode, cfg: DecodeConfig):
-    _integer("budget", cfg.budget)
-    if cfg.budget < 1:
-        raise ValueError(f"budget = {cfg.budget} is below the limit 1")
-    local = code.local_codes[0]
-    check_radius("t_l", cfg.t_l, local.n, local.k, "local")
+    _in_range("budget", cfg.budget, 1)
+    local, sup = code.local_codes[0], code.supercode
+    reach = gs_max_radius(local.n, local.k)
+    _in_range("t_l", cfg.t_l, 0, reach, RADIUS_LIMIT, "local ", local.n, local.k)
     bar = refined_error_count(code.shape, cfg.t_l, None)
-    if cfg.t_g > bar:
-        raise ValueError(f"t_g = {cfg.t_g} exceeds the refined error count {bar}")
-    cut = min(_shortening_size(code, cfg) * code.shape.n_l, code.supercode.k)
+    _in_range("t_g", cfg.t_g, 0, bar, "{}, the refined error count for t_l = {}", cfg.t_l)
+    cut = min(_shortening_size(code, cfg) * code.shape.n_l, sup.k)
+    n, k = sup.n - cut, sup.k - cut
     # every radius up to gs_max_radius is reachable, so t_g covers t_g - chi
-    check_radius("t_g", cfg.t_g, code.n - cut, code.supercode.k - cut, "shortened")
+    _in_range("t_g", cfg.t_g, None, gs_max_radius(n, k), RADIUS_LIMIT, "shortened ", n, k)
 
 
 def default_t_g(code: LrcCode, t_l: int) -> int:
     """The largest t_g at or below the refined error count that the
     decoders accept with this t_l, or 0 if none is; ValueError if the
     local decode does not reach t_l."""
-    local = code.local_codes[0]
-    check_radius("t_l", t_l, local.n, local.k, "local")
+    _validate_cfg(code, DecodeConfig(t_l, 0))  # t_g = 0 passes once t_l does
     for t_g in range(refined_error_count(code.shape, t_l, None), 0, -1):
         try:
             _validate_cfg(code, DecodeConfig(t_l, t_g))
@@ -221,23 +219,13 @@ def unique_decode_probabilistic(code: LrcCode, received, cfg: DecodeConfig):
 # success probabilities
 # ---------------------------------------------------------------------------
 
-def _at_least(limit: int, **values) -> None:
-    """ValueError naming the first of values that is not an integer or is below limit."""
-    for name, v in values.items():
-        _integer(name, v)
-        if v < limit:
-            raise ValueError(f"{name} = {v} is below the limit {limit}")
-
-
 def _shortened_sets(mu: int, t_l: int, t_g: int, name: str = "t_g") -> int:
     """floor(t_g / (t_l + 1)), the repair sets a bound shortens away;
     ValueError, naming t_g as name, unless t_l and t_g are integers >= 0
     and that count is at most mu."""
-    _at_least(0, t_l=t_l, **{name: t_g})
-    f = t_g // (t_l + 1)
-    if f > mu:
-        raise ValueError(f"{name} // (t_l + 1) = {f} exceeds mu = {mu}")
-    return f
+    t_l = _in_range("t_l", t_l, 0)
+    f = _in_range(name, t_g, 0) // (t_l + 1)
+    return _in_range(f"{name} // (t_l + 1)", f, None, mu, "mu = {}")
 
 
 def pe_tilde(n: int, d: int, q: int, t: int) -> Fraction:
@@ -249,11 +237,10 @@ def pe_tilde(n: int, d: int, q: int, t: int) -> Fraction:
     ValueError unless n, d, q and t are integers with n >= 0, d >= 1,
     q >= 2 and 0 <= t <= n.
     """
-    _at_least(0, n=n, t=t)
-    _at_least(1, d=d)
-    _at_least(2, q=q)
-    if t > n:
-        raise ValueError(f"radius t = {t} exceeds the length n = {n}")
+    _in_range("n", n, 0)
+    _in_range("d", d, 1)
+    _in_range("q", q, 2)
+    _in_range("t", t, 0, n, "n = {}")
     acc = 0
     pw = 1
     for s in range(t + 1):
@@ -265,8 +252,10 @@ def pe_tilde(n: int, d: int, q: int, t: int) -> Fraction:
 def _check_probabilities(**probs: float) -> None:
     """ValueError naming the first of probs outside [0, 1] (nan included)."""
     for name, p in probs.items():
-        if not 0 <= p <= 1:
-            raise ValueError(f"{name} = {p} must be in [0, 1]")
+        if not p >= 0:
+            raise _below(name, p, 0)
+        if p > 1:
+            raise _exceeds(name, p, 1)
 
 
 def success_prob_general(
@@ -282,10 +271,9 @@ def success_prob_general(
     ValueError for p_e < 0, a uniqueness probability outside [0, 1], mu
     not an integer >= 0, and t_g or t_l that _shortened_sets refuses.
     """
-    _at_least(0, mu=mu)
-    f = _shortened_sets(mu, t_l, t_g)
+    f = _shortened_sets(_in_range("mu", mu, 0), t_l, t_g)
     if not p_e >= 0:
-        raise ValueError(f"p_e = {p_e} must be at least 0")
+        raise _below("p_e", p_e, 0)
     _check_probabilities(p_local_unique=p_local_unique, p_global_unique=p_global_unique)
     return max(1 - p_e, 0.0) ** f * p_local_unique ** (mu - f) * p_global_unique
 
@@ -296,7 +284,9 @@ def success_prob_grs(shape: CodeShape, q: int, t_l: int, bar_t_g: int) -> Fracti
     (1 - pe(n_l, rho, q, t_l))^mu * (1 - pe(floor(bar_t_g/(t_l+1)) n_l, d, q, bar_t_g)).
 
     The value P is a lower bound on the probability that
-    `unique_decode_probabilistic` returns the sent codeword.  1 - P is
+    `unique_decode_probabilistic`, run at t_g = bar_t_g, returns the sent
+    codeword hit by bar_t_g errors: positions a uniform bar_t_g-subset,
+    values uniform nonzero symbols, independent of the codeword.  1 - P is
     dominated by the local term mu * pe_tilde(n_l, rho, q, t_l); the
     global term is orders of magnitude smaller on the Table-1 shapes.
     pe_tilde can exceed 1, and an even power of a negative factor would
@@ -306,8 +296,7 @@ def success_prob_grs(shape: CodeShape, q: int, t_l: int, bar_t_g: int) -> Fracti
     _shortened_sets refuses and for q that pe_tilde refuses.
     """
     _shortened_sets(shape.mu, t_l, bar_t_g, "bar_t_g")
-    if bar_t_g < t_l + 1:
-        raise ValueError(f"bar_t_g = {bar_t_g} is below the limit t_l + 1 = {t_l + 1}, t_l = {t_l}")
+    _in_range("bar_t_g", bar_t_g, t_l + 1, None, "t_l + 1 = {}")
     local = max(1 - pe_tilde(shape.n_l, shape.rho, q, t_l), Fraction(0))
     n_short = (bar_t_g // (t_l + 1)) * shape.n_l
     glob = max(1 - pe_tilde(n_short, shape.d, q, bar_t_g), Fraction(0))
@@ -331,8 +320,8 @@ def interleaved_success_prob(
     supplied by the caller, and ValueError names one outside [0, 1], and
     q < 2, ell < 1 or t_l and t_g that _shortened_sets refuses.
     """
-    _at_least(2, q=q)
-    _at_least(1, ell=ell)
+    _in_range("q", q, 2)
+    _in_range("ell", ell, 1)
     f = _shortened_sets(shape.mu, t_l, t_g)
     _check_probabilities(pr_uds_local=pr_uds_local, pr_uds_global=pr_uds_global)
     mis = max(1 - pe_tilde(shape.n_l, shape.rho, q**ell, t_l), Fraction(0))

@@ -13,9 +13,9 @@ Yekhanin 2014).  There are s_mu_size(n, k, r, rho, k) such subsets, and
 verify_pmds ranks each k x k minor once, in stacked batches.
 
 The shape rules live in radii: random_pmds and PmdsCode.from_json check
-their shape with CodeShape, the counts theirs with _count_args (it allows
-rho = 1 and k > mu r), and _partition checks the repair sets of a
-descriptor or of verify_pmds.
+their shape with CodeShape, the counts theirs with _repair_shape and the
+range gate _in_range (they allow rho = 1 and k > mu r), and _partition
+checks the repair sets of a descriptor or of verify_pmds.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from . import linalg
 from .galois import Field
 from .grs import GrsCode
-from .radii import CodeShape, _integer, _num_repair_sets, _partition, optimal_distance
+from .radii import CodeShape, _below, _in_range, _partition, _repair_shape, optimal_distance
 
 
 @dataclass
@@ -158,14 +158,13 @@ def random_pmds(q: int, n: int, k: int, r: int, rho: int, seed: int) -> PmdsCode
 
     Draws the k x (mu*r) mixing matrix uniformly until the exhaustive
     verification passes.  Deterministic in the seed.  Raises ValueError
-    after _MAX_TRIES draws (try a larger field), and for a shape that
-    CodeShape refuses; its d >= 1 holds only when k <= mu * r.
+    after _MAX_TRIES draws (try a larger field), for q < n_l, and for a
+    shape that CodeShape refuses; its d >= 1 holds only when k <= mu * r.
     """
     shape = CodeShape(n, k, r, rho)
     mu, n_l = shape.mu, shape.n_l
     field = Field(q)
-    if n_l > q:
-        raise ValueError(f"field with q = {q} is too small for local length {n_l}")
+    _in_range("q", q, n_l, None, "n_l = r + rho - 1 = {}")
     local = GrsCode(field, list(range(n_l)), [1] * n_l, r)
     g_loc = local.generator_matrix()
     block = np.zeros((mu * r, n), dtype=np.int64)
@@ -213,28 +212,13 @@ def _power(poly: Sequence[int], m: int, deg: int) -> list[int]:
     return out
 
 
-def _count_args(n, k, r, rho, t=0) -> tuple[int, int, int, int, int, int]:
-    """The arguments as ints (numpy integers overflow in the counts) and mu;
-    ValueError naming the first that is not an integer or leaves its range."""
-    for name, v in zip(("n", "k", "r", "rho", "t"), (n, k, r, rho, t)):
-        _integer(name, v)
-    n, k, r, rho, t = map(int, (n, k, r, rho, t))
-    for name, v in (("dimension k", k), ("error weight t", t)):
-        if not 0 <= v <= n:
-            raise ValueError(f"{name} = {v} must be in [0, n = {n}]")
-    if r < 0:
-        raise ValueError(f"locality r = {r} must be at least 0")
-    mu = _num_repair_sets(n, r, rho)
-    if rho < 1:
-        raise ValueError(f"rho = {rho} must be at least 1")
-    return n, k, r, rho, t, mu
-
-
 def s_mu_size(n: int, k: int, r: int, rho: int, size: int) -> int:
     """Number of cardinality-`size` subsets meeting every repair set in <= r
-    positions: [x^size] A(x)^mu with A(x) = sum_{w<=r} C(n_l, w) x^w."""
-    n, k, r, rho, _, mu = _count_args(n, k, r, rho)
-    _integer("size", size)
+    positions: [x^size] A(x)^mu with A(x) = sum_{w<=r} C(n_l, w) x^w.
+    ValueError for k outside [0, n] and n, r, rho that _repair_shape refuses."""
+    _in_range("k", k, 0, n, "n = {}")
+    n, r, rho, mu = _repair_shape(n, r, rho)
+    size = _in_range("size", size)
     if size < 0:
         return 0
     return _power([math.comb(r + rho - 1, w) for w in range(r + 1)], mu, size)[size]
@@ -243,8 +227,9 @@ def s_mu_size(n: int, k: int, r: int, rho: int, size: int) -> int:
 def complement_count_closed_form(n: int, k: int, r: int) -> int:
     """Alternating sum counting the (k+1)-subsets that swallow a whole
     repair set, for local distance 2 (repair sets of size r+1); ValueError
-    for arguments _count_args refuses with rho = 2."""
-    n, k, r, *_ = _count_args(n, k, r, 2)
+    for k outside [0, n] and n, r that _repair_shape refuses with rho = 2."""
+    k = _in_range("k", k, 0, n, "n = {}")
+    n, r, *_ = _repair_shape(n, r, 2)
     total = 0
     for j in range(1, (k + 1) // (r + 1) + 1):
         term = math.comb(n // (r + 1), j) * math.comb(n - j * (r + 1), k + 1 - j * (r + 1))
@@ -255,11 +240,7 @@ def complement_count_closed_form(n: int, k: int, r: int) -> int:
 def rank_full_fraction(q: int, ell: int, t: int) -> Fraction:
     """Fraction of ell x t matrices over GF(q) with full column rank t;
     ValueError for a non-integer, q < 2, ell < 0 or t < 0."""
-    for name, v, low in (("field size q", q, 2), ("ell", ell, 0), ("t", t, 0)):
-        _integer(name, v)
-        if v < low:
-            raise ValueError(f"{name} = {v} must be at least {low}")
-    q, ell, t = int(q), int(ell), int(t)
+    q, ell, t = _in_range("q", q, 2), _in_range("ell", ell, 0), _in_range("t", t, 0)
     if t > ell:
         return Fraction(0)
     num = 1
@@ -272,23 +253,17 @@ def rank_full_fraction(q: int, ell: int, t: int) -> Fraction:
 # bounds
 # ---------------------------------------------------------------------------
 
-def _bound_args(n, k, r, rho) -> tuple[int, int, int, int]:
-    """_count_args, and n >= 1 and rho >= 2, which (k+1)/n and xi need."""
-    n, k, r, rho, *_ = _count_args(n, k, r, rho)
-    if n < 1:
-        raise ValueError(f"length n = {n} must be at least 1")
-    if rho < 2:
-        raise ValueError(f"rho = {rho} must be at least 2")
-    return n, k, r, rho
-
-
 def sk1_bound(n: int, k: int, r: int, rho: int) -> float:
     """Closed-form lower bound on the good-set fraction |S_(k+1)| / C(n, k+1):
 
     1 - n * C(r+rho-1, xi) * ((k+1)/n)^(r+1), xi = min(rho-2, floor((r+rho-1)/2)).
-    ValueError for arguments _bound_args refuses.
+    ValueError for k outside [0, n], n, r, rho that _repair_shape refuses,
+    and n < 1 or rho < 2, which (k+1)/n and xi need.
     """
-    n, k, r, rho = _bound_args(n, k, r, rho)
+    k = _in_range("k", k, 0, n, "n = {}")
+    n, r, rho, _ = _repair_shape(n, r, rho)
+    _in_range("n", n, 1)
+    _in_range("rho", rho, 2)
     xi = min(rho - 2, (r + rho - 1) // 2)
     val = 1 - Fraction(n) * math.comb(r + rho - 1, xi) * Fraction(k + 1, n) ** (r + 1)
     return float(val)
@@ -296,10 +271,10 @@ def sk1_bound(n: int, k: int, r: int, rho: int) -> float:
 
 def union_bound_failure(n: int, k: int, r: int, rho: int) -> Fraction:
     """Union bound on the failure fraction at weight n-k-1: the relative
-    number of (k+1)-sets overloading at least one repair set."""
-    n, k, r, rho, _, mu = _count_args(n, k, r, rho)
-    if k == n:
-        raise ValueError(f"dimension k = {k} must be in [0, n - 1 = {n - 1}]")
+    number of (k+1)-sets overloading at least one repair set; ValueError for
+    k outside [0, n - 1] and n, r, rho that _repair_shape refuses."""
+    k = _in_range("k", k, 0, n - 1, "n - 1 = {}")
+    n, r, rho, mu = _repair_shape(n, r, rho)
     n_l = r + rho - 1
     bad = 0
     for j in range(r + 1, n_l + 1):
@@ -314,11 +289,15 @@ def asymptotic_predicates(
 
     a rate condition C(r+rho-1, xi)^(-1/(r+1)) > c1 (k+1)/n and a growth
     condition r+1 >= c2 log2(n) / log2(c1).  ValueError for arguments
-    _bound_args refuses and for constants that do not exceed 1.
+    sk1_bound refuses and for constants that do not exceed 1.
     """
-    n, k, r, rho = _bound_args(n, k, r, rho)
-    if c1 <= 1 or c2 <= 1:
-        raise ValueError("constants must exceed 1")
+    k = _in_range("k", k, 0, n, "n = {}")
+    n, r, rho, _ = _repair_shape(n, r, rho)
+    _in_range("n", n, 1)
+    _in_range("rho", rho, 2)
+    for name, c in (("c1", c1), ("c2", c2)):
+        if c <= 1:
+            raise _below(name, c, 1, strict=True)
     xi = min(rho - 2, (r + rho - 1) // 2)
     cond_rate = math.comb(r + rho - 1, xi) ** (-1.0 / (r + 1)) > c1 * (k + 1) / n
     cond_growth = r + 1 >= c2 * math.log2(n) / math.log2(c1)
@@ -351,8 +330,10 @@ def failure_prob_exact(n: int, k: int, r: int, rho: int, t: int) -> Fraction:
     [y^(c+s)] B^(mu-j) = 0 unless 0 <= c + s <= r (mu - j), so s runs over
     [lo, hi), lo = max(j, -c), hi = min(theta, r (mu - j) - c + 1).  Only a
     live j costs powers, cut at the window's top: lo < hi or r j = k.
+    ValueError for k or t outside [0, n] and n, r, rho that _repair_shape refuses.
     """
-    n, k, r, rho, t, mu = _count_args(n, k, r, rho, t)
+    k, t = _in_range("k", k, 0, n, "n = {}"), _in_range("t", t, 0, n, "n = {}")
+    n, r, rho, mu = _repair_shape(n, r, rho)
     n_l = r + rho - 1
     theta = n - k - t
     c = r * mu - (n - t)
@@ -374,6 +355,7 @@ def failure_prob_exact(n: int, k: int, r: int, rho: int, t: int) -> Fraction:
 def mk_success_prob(n: int, k: int, r: int, rho: int, t: int, q: int, ell: int) -> Fraction:
     """Success probability of the support-locating decoder on a uniform
     weight-t burst with uniform values: (good supports) x (full rank).
-    ValueError, before any count, for arguments either factor refuses."""
-    _count_args(n, k, r, rho, t)
+    ValueError, before any generating-function power, for arguments either
+    factor refuses (t against n first: it bounds the full-rank product)."""
+    _in_range("t", t, 0, n, "n = {}")
     return rank_full_fraction(q, ell, t) * (1 - failure_prob_exact(n, k, r, rho, t))

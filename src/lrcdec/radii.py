@@ -2,9 +2,11 @@
 
 This module owns the shape of an LRC: CodeShape (n, k, r, rho) derives
 the repair-set size n_l = r + rho - 1, the number of repair sets
-mu = n / n_l and the optimal distance d, and _num_repair_sets and
+mu = n / n_l and the optimal distance d, and _repair_shape and
 _partition are the one check of n_l | n and of a repair-set partition
-that the code modules call.  It imports nothing else from the package.
+that the code modules call.  _in_range is the one range gate of an
+integer argument, and _below and _exceeds word every refusal of a value
+past its limit.  It imports nothing else from the package.
 
 The number of correctable errors at a real radius tau is the largest
 integer t < tau.  ``q=None`` selects the alphabet-independent case
@@ -20,6 +22,7 @@ import functools
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -52,25 +55,29 @@ def _theta(q) -> tuple[int, int]:
     if q is None or q == math.inf:
         return 1, 1
     if q < 2:
-        raise ValueError("field size must be at least 2")
+        raise _below("q", q, 2)
     return q - 1, q
 
 
 def optimal_distance(n: int, k: int, r: int, rho: int) -> int:
     """Singleton-like distance bound for an [n, k] code with (r, rho) locality."""
-    if r > k or rho < 2:
-        raise ValueError("need r <= k and rho >= 2")
+    _in_range("r", r, None, k, "k = {}")
+    _in_range("rho", rho, 2)
     return n - k + 1 - (math.ceil(k / r) - 1) * (rho - 1)
 
 
-def _num_repair_sets(n: int, r: int, rho: int) -> int:
-    """mu = n / n_l for repair sets of size n_l = r + rho - 1."""
-    n_l = r + rho - 1
-    if n_l < 1:
-        raise ValueError(f"repair-set size n_l = r + rho - 1 = {n_l} must be at least 1")
+def _repair_shape(n: int, r: int, rho: int) -> tuple[int, int, int, int]:
+    """(n, r, rho, mu) as ints (numpy integers overflow in the counts), mu =
+    n / n_l for repair sets of size n_l = r + rho - 1; ValueError unless n,
+    r and rho are integers, r >= 0, n_l >= 1, n_l divides n and rho >= 1."""
+    _integer("n", n)
+    _integer("rho", rho)
+    n, r, rho = int(n), _in_range("r", r, 0), int(rho)
+    n_l = _in_range("n_l = r + rho - 1", r + rho - 1, 1)
     if n % n_l:
         raise ValueError(f"repair-set size n_l = r + rho - 1 = {n_l} must divide n = {n}")
-    return n // n_l
+    _in_range("rho", rho, 1)
+    return n, r, rho, n // n_l
 
 
 def _integer(name: str, *values) -> None:
@@ -78,6 +85,33 @@ def _integer(name: str, *values) -> None:
     for v in values:
         if type(v) is not int and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
             raise ValueError(f"{name} = {v!r} is not an integer")
+
+
+def _below(name: str, value, limit, strict: bool = False) -> ValueError:
+    """The refusal of name = value under its lower limit (the limit's value
+    or its text), or, strict, at or under a limit it has to stay above."""
+    return ValueError(f"{name} = {value} is {'at or ' * strict}below the limit {limit}")
+
+
+def _exceeds(name: str, value, limit) -> ValueError:
+    """The refusal of name = value over its upper limit (its value or text)."""
+    return ValueError(f"{name} = {value} exceeds the limit {limit}")
+
+
+def _in_range(name: str, value, low=None, high=None, of: str = "{}", *args) -> int:
+    """The range gate of every integer argument: value as an int if it is an
+    integer (_integer) in [low, high], None for no limit; else ValueError
+    naming it and the limit it leaves (_below, _exceeds), which reads
+    of.format(limit, *args), formatted on refusal only.  of names high, or
+    low where high is None: "n = {}" reads "the limit n = 15"."""
+    if type(value) is not int:
+        _integer(name, value)
+        value = int(value)
+    if low is not None and value < low:
+        raise _below(name, value, (of if high is None else "{}").format(low, *args))
+    if high is not None and value > high:
+        raise _exceeds(name, value, of.format(high, *args))
+    return value
 
 
 def _positions(values) -> tuple[int, ...]:
@@ -115,18 +149,13 @@ class CodeShape:
     d: int = field(init=False)  # the optimal LRC distance
 
     def __post_init__(self):
-        for name in ("n", "k", "r", "rho"):
-            _integer(name, getattr(self, name))
-        if self.k > self.n:
-            raise ValueError(f"k = {self.k} exceeds n = {self.n}")
-        if not 1 <= self.r <= self.k:
-            raise ValueError(f"r = {self.r} must lie in [1, k = {self.k}]")
-        if self.rho < 2:
-            raise ValueError(f"rho = {self.rho} must be at least 2")
-        _num_repair_sets(self.n, self.r, self.rho)
+        _integer("n", self.n)
+        _in_range("k", self.k, None, self.n, "n = {}")
+        _in_range("r", self.r, 1, self.k, "k = {}")
+        _in_range("rho", self.rho, 2)
+        _repair_shape(self.n, self.r, self.rho)
         object.__setattr__(self, "d", optimal_distance(self.n, self.k, self.r, self.rho))
-        if self.d < 1:
-            raise ValueError(f"d = {self.d} must be at least 1")
+        _in_range("d", self.d, 1)
 
     @property
     def n_l(self) -> int:
@@ -142,12 +171,12 @@ class CodeShape:
 # ---------------------------------------------------------------------------
 
 def johnson_radius(n: int, d: int, q=None) -> float:
-    """theta*n*(1 - sqrt(1 - d/(n*theta))); requires d <= n*theta."""
+    """theta*n*(1 - sqrt(1 - d/(n*theta))); requires 0 <= d <= n*theta."""
     num, den = _theta(q)
     if d < 0:
-        raise ValueError("distance must be nonnegative")
+        raise _below("d", d, 0)
     if d * den > n * num:
-        raise ValueError(f"d = {d} exceeds n*theta = {n * num / den:g}")
+        raise _exceeds("d", d, f"n*theta = {n * num / den:g}")
     thf = num / den
     return thf * n * (1.0 - math.sqrt(1.0 - d / (n * thf)))
 
@@ -268,11 +297,13 @@ def normalized_radius(beta: float, delta: float, q=None) -> float:
     Singleton crossing).
     """
     th = float(Fraction(*_theta(q)))
-    if not 1 <= beta < math.inf:
-        raise ValueError(f"beta = {beta:g} must be finite and at least 1")
+    if not beta >= 1:  # nan included
+        raise _below("beta", f"{beta:g}", 1)
+    if beta == math.inf:
+        raise _exceeds("beta", beta, f"{sys.float_info.max:g}")
     x = beta * delta / th
     if x > 1 + 1e-12:
-        raise ValueError(f"beta*delta/theta = {x:g} is past the domain boundary 1")
+        raise _exceeds("beta*delta/theta", f"{x:g}", 1)
     x = min(x, 1.0)
     return th / beta * (1.0 - math.sqrt(1.0 - x))
 
@@ -329,8 +360,7 @@ def list_size_bounds(
 
 def irs_radius(n: int, d: int, ell: int) -> float:
     """Maximal burst radius of interleaved RS decoders, n(1 - ((n-d)/n)^(ell/(ell+1)))."""
-    if ell < 1:
-        raise ValueError("interleaving degree must be at least 1")
+    _in_range("ell", ell, 1)
     return n * (1.0 - ((n - d) / n) ** (ell / (ell + 1.0)))
 
 
@@ -352,6 +382,7 @@ def interleaved_error_count(shape: CodeShape, ell: int) -> int:
     Exact integer arithmetic; ceil(sigma) comes from the rational
     operating point sigma = mu - d/rho.
     """
+    _in_range("ell", ell, 1)
     scl = math.ceil(sigma_exact(shape))
     nn = shape.n - scl * shape.n_l
     d = shape.d
@@ -368,12 +399,14 @@ def interleaved_error_count(shape: CodeShape, ell: int) -> int:
 def h_decreasing(d: int, ell: int, q, n_values: Sequence[int], tol: float = 1e-12) -> bool:
     """Check that theta*n*(1 - (1 - d/(n theta))^(ell/(ell+1))) never increases.
 
-    All n in n_values must satisfy n >= d / theta.
+    All n in n_values must satisfy n >= d / theta, and ell must be an
+    integer >= 1.
     """
+    _in_range("ell", ell, 1)
     th = float(Fraction(*_theta(q)))
     ns = sorted(n_values)
     if ns and ns[0] < d / th:
-        raise ValueError(f"grid starts below d/theta = {d / th:g}")
+        raise _below("n", ns[0], f"d/theta = {d / th:g}")
 
     def h(n):
         return th * n * (1.0 - (1.0 - d / (n * th)) ** (ell / (ell + 1.0)))
@@ -389,20 +422,19 @@ def h_decreasing(d: int, ell: int, q, n_values: Sequence[int], tol: float = 1e-1
 def generalized_weight(n: int, k: int, r: int, i: int) -> int:
     """i-th generalized Hamming weight bound of an (r, 2)-locality code.
 
-    Attained with equality by distance-optimal codes.
+    Attained with equality by distance-optimal codes.  Requires an integer
+    i in [1, k].
     """
-    if not 1 <= i <= k:
-        raise ValueError(f"need 1 <= i <= k, got i = {i}")
+    _in_range("i", i, 1, k, "k = {}")
     return n - k - math.ceil((k - i + 1) / r) + i + 1
 
 
 def erasure_list_size(n: int, k: int, r: int, q: int, t: int) -> int:
     """Smallest worst-case list size when recovering t erasures.
 
-    q^j for the least j with d_(j+1) > t; requires t < n.
+    q^j for the least j with d_(j+1) > t; requires an integer t in [0, n).
     """
-    if not 0 <= t < n:
-        raise ValueError("erasure count must be in [0, n)")
+    _in_range("t", t, 0, n - 1, "n - 1 = {}")
     for j in range(k):
         if generalized_weight(n, k, r, j + 1) > t:
             return q**j

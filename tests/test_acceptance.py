@@ -64,8 +64,11 @@ def tb():
 
 @pytest.fixture(scope="module")
 def tb_codebook(tb):
-    """All 16^6 codewords as a uint8 matrix (chunk-encoded with a local
-    multiplication table, independent of the decoder path)."""
+    """All 16^6 codewords, column-major: row j of the (15, 16^6) uint8
+    matrix holds coordinate j of every codeword, message m = sum_i m_i 16^i
+    at column m.  Encoded with a local multiplication table, independent of
+    the decoder path: coordinate j is the XOR over i of m_i g_ij, one
+    broadcast over the digits m_5, ..., m_0 (axis 5 - i holds m_i)."""
     mul = np.zeros((16, 16), dtype=np.uint8)
     for a in range(16):
         for b in range(16):
@@ -74,22 +77,26 @@ def tb_codebook(tb):
         [tb.encode([1 if i == j else 0 for i in range(6)]) for j in range(6)],
         dtype=np.uint8,
     )
-    total = 16**6
-    book = np.zeros((total, 15), dtype=np.uint8)
-    chunk = 1 << 21
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        msgs = np.empty((idx.size, 6), dtype=np.uint8)
-        v = idx.copy()
+    book = np.zeros((15, 16**6), dtype=np.uint8)
+    for j in range(15):
+        col = np.zeros((1,) * 6, dtype=np.uint8)
         for i in range(6):
-            msgs[:, i] = v & 15
-            v >>= 4
-        for j in range(15):
-            acc = np.zeros(idx.size, dtype=np.uint8)
-            for i in range(6):
-                acc ^= mul[msgs[:, i], gen[i, j]]
-            book[start : start + idx.size, j] = acc
+            col = col ^ mul[:, gen[i, j]].reshape([16 if a == 5 - i else 1 for a in range(6)])
+        book[j] = col.ravel()
     return book
+
+
+def sphere(book, word, radius):
+    """The codewords of the column-major book within radius of word, in
+    message order: a scan that adds one coordinate's mismatches at a time
+    and drops a codeword once it passes radius."""
+    rows, miss = None, np.zeros(book.shape[1], dtype=np.uint8)
+    for j, s in enumerate(word):
+        miss += (book[j] if rows is None else book[j, rows]) != s
+        if j >= radius:
+            keep = np.flatnonzero(miss <= radius)
+            rows, miss = keep if rows is None else rows[keep], miss[keep]
+    return book[:, rows].T
 
 
 def corrupt(rng, field, word, weight):
@@ -282,12 +289,7 @@ def test_criterion_7_list_decoder_end_to_end(tb, tb_codebook):
             cw = tb.encode(rng.integers(0, 16, size=6).tolist())
             w = corrupt(rng, GF16, cw, 5)
             got = list_decode_lrc(tb, w, cfg).codewords
-            arr = np.asarray(w, dtype=np.uint8)
-            dist = (tb_codebook != arr).sum(axis=1)
-            sphere = sorted(
-                tuple(int(x) for x in tb_codebook[j]) for j in np.nonzero(dist <= 5)[0]
-            )
-            assert got == sphere, i
+            assert got == sorted(map(tuple, sphere(tb_codebook, w, 5).tolist())), i
     report("criterion 7: 6000 containment trials + 20 exhaustive-sphere equalities", tm, limit=300.0)
 
 

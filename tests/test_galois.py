@@ -156,6 +156,16 @@ def test_error_poly_interpolation_hits_error_values(gf16):
     assert [_horner(gf16, f, a) for a in locs] == e
 
 
+@pytest.mark.parametrize(
+    "q, message",
+    [(1, r"q = 1 is below the limit 2"), (2**20 + 1, r"q = 1048577 exceeds the limit 2\^20 = 1048576"),
+     (4.0, r"q = 4\.0 is not an integer")],
+)
+def test_field_order_outside_its_range_names_the_limit(q, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Field(q)
+
+
 def test_odd_extension_field_arithmetic():
     """Odd-characteristic extension fields have no arithmetic: Field(q) refuses them."""
     for q in (9, 25, 27):

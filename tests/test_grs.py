@@ -103,11 +103,28 @@ def test_invalid_parameters(gf8):
         GrsCode(gf8, [1, 2, 3], [1, 1, 1], 4)  # k > n
 
 
+def test_dimension_outside_zero_to_n_names_the_limit(gf8):
+    with pytest.raises(ValueError, match=r"^k = 4 exceeds the limit n = 3$"):
+        GrsCode(gf8, [1, 2, 3], [1, 1, 1], 4)
+    with pytest.raises(ValueError, match=r"^k = -1 is below the limit 0$"):
+        GrsCode(gf8, [1, 2, 3], [1, 1, 1], -1)
+
+
 # -- encoding -------------------------------------------------------------------
 
 def test_encode_zero_and_one(code_7_3, gf8):
     assert code_7_3.encode([0, 0, 0]) == (0,) * 7
     assert code_7_3.encode([1]) == (1,) * 7
+
+
+def test_encode_refuses_a_message_that_is_not_one_axis(gf8):
+    # [[1]] used to encode on a k = 1 code, [[1, 2]] to raise numpy's
+    # broadcast error and 5 a TypeError, none naming the message
+    code = GrsCode(gf8, range(1, 8), [1] * 7, 1)
+    for message, has in (([[1]], r"shape \(1, 1\)"), ([[1, 2]], r"shape \(1, 2\)"), (5, r"shape \(\)")):
+        with pytest.raises(ValueError, match=rf"^message has {has}, need one axis of size = \d$"):
+            code.encode(message)
+    assert code.encode([5]) == code.encode(np.array([5])) == (5,) * 7
 
 
 def test_encode_degree_too_large(code_7_3, gf8):
@@ -1078,6 +1095,20 @@ def test_staged_settle_matches_all_members(name, radii, monkeypatch):
         monkeypatch.setattr(grs, "matmul", lambda a, b, f: shapes.append(b.shape) or matmul(a, b, f))
         assert code.gs_list_decode(cw, t) == [cw]
         assert shapes == [(plan.stops[0], code.k, code.n)]
+        # a batch of codewords, all settled in the first slice, gets that
+        # slice's own arrays, and so does every batch at a covering plan,
+        # which has one slice
+        brnd = random.Random(code.n * t)
+        batch = np.array([code.encode([brnd.randrange(F.q) for _ in range(code.k)])
+                          for _ in range(3)])
+        cover = code._gs_plan(code.n // code.k - 1)
+        assert cover.covers and cover.stops == (len(cover.members),)
+        for p in (plan, cover):
+            shapes.clear()
+            cands, dists = code._gs_near(batch, p.t)
+            assert shapes == [(p.stops[0], code.k, code.n)]
+            assert cands.shape == (p.stops[0], 3, code.n) and dists.shape == (p.stops[0], 3)
+            assert np.array_equal(cands[0], batch) and not dists[0].any()
         monkeypatch.undo()
 
 
@@ -1794,7 +1825,7 @@ def test_gs_parameters_error_names_shape():
     assert gs_parameters(120, 30, 61) is None
     assert gs_parameters(120, 30, 60) == (15, 31)
     with pytest.raises(
-        ValueError, match=r"t = 61 exceeds the radius 60 of the \[120, 30\] GRS decode"
+        ValueError, match=r"^t = 61 exceeds the limit 60, the radius of the \[120, 30\] GRS decode$"
     ):
         code.gs_list_decode((0,) * 120, 61)
 

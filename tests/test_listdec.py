@@ -16,6 +16,7 @@ from lrcdec import (
     construct_tamo_barg,
     linalg,
     list_decode_lrc,
+    listdec,
     unique_decode_probabilistic,
 )
 from lrcdec.grs import gs_parameters
@@ -231,6 +232,35 @@ def test_budget_exceeded_carries_partial(tb_15_6):
     for decode in (list_decode_lrc, unique_decode_probabilistic):
         with pytest.raises(ValueError, match=r"budget = 0 is below the limit 1"):
             decode(tb_15_6, w, DecodeConfig(t_l=1, t_g=5, budget=0))
+
+
+def test_unique_decoder_cleans_to_the_nearest_local_entry(monkeypatch):
+    # the unique decoder cleans each chosen repair set to the nearest entry
+    # of its local list, lists[j][0].  On the [15, 3] code with r = 1 and
+    # rho = 3 at (t_l, t_g) = (2, 8) it shortens 3 of the 5 repair sets, and
+    # a local [3, 1] decode at radius 2 often lists more than one entry, so
+    # a pick other than the nearest one shows on seeded weight-t_g words
+    code = construct_tamo_barg(Field(16), 15, 3, 1, 3)
+    cfg = DecodeConfig(t_l=2, t_g=8)
+    assert _shortening_size(code, cfg) == 3
+    stages, calls = [], []
+    monkeypatch.setattr(listdec, "_local_stage", lambda *a: stages.append(_local_stage(*a)) or stages[-1])
+    monkeypatch.setattr(listdec, "_decode_shortened", lambda *a: calls.append(a[2:4]) or _decode_shortened(*a))
+    rng = np.random.default_rng(36)
+    several = 0
+    for _ in range(20):
+        stages.clear()
+        calls.clear()
+        cw = code.encode(rng.integers(0, 16, size=3).tolist())
+        unique_decode_probabilistic(code, corrupt(rng, code.field, cw, cfg.t_g), cfg)
+        (_, lists, order), = stages
+        if len(order) < 3:
+            assert calls == []
+            continue
+        (chosen, picks), = calls
+        assert list(picks) == [lists[j][0] for j in chosen]
+        several += any(len(lists[j]) > 1 for j in chosen)
+    assert several >= 10
 
 
 def test_decoders_build_no_code_shape(tb_15_6, monkeypatch):
@@ -507,7 +537,7 @@ def test_refined_radius_within_shortened_gs_radius_seeded_scan():
     for q, n, k, r, rho, t_l, t_g in sample:
         code = construct_tamo_barg(Field(q), n, k, r, rho)
         _validate_cfg(code, DecodeConfig(t_l, t_g))
-        with pytest.raises(ValueError, match=rf"t_g = {t_g + 1} exceeds the refined"):
+        with pytest.raises(ValueError, match=rf"^t_g = {t_g + 1} exceeds the limit {t_g}, the refined error count for t_l = {t_l}$"):
             _validate_cfg(code, DecodeConfig(t_l, t_g + 1))
 
 
@@ -518,10 +548,10 @@ def test_validation_rejects_radius_past_shortened_decode(tb_15_6):
     obj["supercode_k"] = 12
     wide = LrcCode.from_json(obj)
     with pytest.raises(
-        ValueError, match=r"t_g = 5 exceeds the radius 2 of the shortened \[10, 7\] GRS decode"
+        ValueError, match=r"^t_g = 5 exceeds the limit 2, the radius of the shortened \[10, 7\] GRS decode$"
     ):
         list_decode_lrc(wide, (0,) * 15, CFG)
-    with pytest.raises(ValueError, match=r"t_g = 5 exceeds the radius 2"):
+    with pytest.raises(ValueError, match=r"t_g = 5 exceeds the limit 2, the radius"):
         unique_decode_probabilistic(wide, (0,) * 15, CFG)
     assert list_decode_lrc(wide, (0,) * 15, DecodeConfig(t_l=1, t_g=2)).codewords == [(0,) * 15]
 
@@ -549,7 +579,7 @@ def tb_63_49():
 def test_validation_rejects_radius_no_multiplicity_reaches(tb_63_49, t_l, t_g, name, role):
     assert refined_error_count(tb_63_49.shape, t_l, None) == t_g
     cfg = DecodeConfig(t_l, t_g)
-    msg = rf"{name} = 8 exceeds the radius 7 of the {role} \[63, 49\] GRS decode"
+    msg = rf"^{name} = 8 exceeds the limit 7, the radius of the {role} \[63, 49\] GRS decode$"
     with pytest.raises(ValueError, match=msg):
         list_decode_lrc(tb_63_49, (0,) * 63, cfg)
     with pytest.raises(ValueError, match=msg):
@@ -701,15 +731,23 @@ def test_success_bounds_clamp_negative_factors(shape, t_l, bar, unclamped):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: success_prob_general(3, 5, 1, -0.1, 1.0, 1.0), r"^p_e = -0\.1 must be at least 0$"),
+        (lambda: success_prob_general(3, 5, 1, -0.1, 1.0, 1.0), r"^p_e = -0\.1 is below the limit 0$"),
         (lambda: success_prob_general(3, 5, 1, 0.1, 1.1, 1.0),
-         r"^p_local_unique = 1\.1 must be in \[0, 1\]$"),
+         r"^p_local_unique = 1\.1 exceeds the limit 1$"),
         (lambda: success_prob_general(3, 5, 1, 0.1, 1.0, math.nan),
-         r"^p_global_unique = nan must be in \[0, 1\]$"),
+         r"^p_global_unique = nan is below the limit 0$"),
         (lambda: interleaved_success_prob(CodeShape(15, 6, 3, 3), 1, 16, 1, 5, -0.5, 1.0),
-         r"^pr_uds_local = -0\.5 must be in \[0, 1\]$"),
+         r"^pr_uds_local = -0\.5 is below the limit 0$"),
         (lambda: interleaved_success_prob(CodeShape(15, 6, 3, 3), 1, 16, 1, 5, 1.0, 2.0),
-         r"^pr_uds_global = 2\.0 must be in \[0, 1\]$"),
+         r"^pr_uds_global = 2\.0 exceeds the limit 1$"),
+    ],
+    # fixed ids keep each case's name stable across rewordings of its message
+    ids=[
+        r"<lambda>-^p_e = -0\.1 must be at least 0$",
+        r"<lambda>-^p_local_unique = 1\.1 must be in \[0, 1\]$",
+        r"<lambda>-^p_global_unique = nan must be in \[0, 1\]$",
+        r"<lambda>-^pr_uds_local = -0\.5 must be in \[0, 1\]$",
+        r"<lambda>-^pr_uds_global = 2\.0 must be in \[0, 1\]$",
     ],
 )
 def test_success_bounds_refuse_probabilities_outside_unit_interval(call, message):
@@ -728,14 +766,28 @@ def test_success_bounds_refuse_probabilities_outside_unit_interval(call, message
         (lambda: success_prob_grs(CodeShape(15, 6, 3, 3), 16, -1, 5),
          r"^t_l = -1 is below the limit 0$"),
         (lambda: success_prob_grs(CodeShape(15, 6, 3, 3), 16, 0, 5),
-         r"^bar_t_g // \(t_l \+ 1\) = 5 exceeds mu = 3$"),
+         r"^bar_t_g // \(t_l \+ 1\) = 5 exceeds the limit mu = 3$"),
         (lambda: interleaved_success_prob(CodeShape(15, 6, 3, 3), 0, 16, 1, 5, 1.0, 1.0),
          r"^ell = 0 is below the limit 1$"),
         (lambda: interleaved_success_prob(CodeShape(15, 6, 3, 3), 1, 16, 1, 2.0, 1.0, 1.0),
          r"^t_g = 2\.0 is not an integer$"),
         (lambda: success_prob_general(3, 5, -1, 0.1, 1.0, 1.0), r"^t_l = -1 is below the limit 0$"),
         (lambda: success_prob_general(1, 5, 1, 0.1, 0.0, 1.0),
-         r"^t_g // \(t_l \+ 1\) = 2 exceeds mu = 1$"),
+         r"^t_g // \(t_l \+ 1\) = 2 exceeds the limit mu = 1$"),
+    ],
+    # fixed ids keep each case's name stable across rewordings of its message
+    ids=[
+        "<lambda>-^q = 1 is below the limit 2$0",
+        "<lambda>-^t = -1 is below the limit 0$",
+        r"<lambda>-^t = 1\.5 is not an integer$",
+        "<lambda>-^d = 0 is below the limit 1$",
+        "<lambda>-^q = 1 is below the limit 2$1",
+        "<lambda>-^t_l = -1 is below the limit 0$0",
+        r"<lambda>-^bar_t_g // \(t_l \+ 1\) = 5 exceeds mu = 3$",
+        "<lambda>-^ell = 0 is below the limit 1$",
+        r"<lambda>-^t_g = 2\.0 is not an integer$",
+        "<lambda>-^t_l = -1 is below the limit 0$1",
+        r"<lambda>-^t_g // \(t_l \+ 1\) = 2 exceeds mu = 1$",
     ],
 )
 def test_success_bounds_refuse_bad_arguments(call, message):
@@ -749,7 +801,7 @@ def test_success_prob_grs_needs_a_shortened_repair_set():
     # names the arguments, not the internal shortened length 0
     shape = CodeShape(15, 6, 3, 3)
     for t_l, bar in ((2, 2), (1, 1), (1, 0), (0, 0)):
-        message = rf"^bar_t_g = {bar} is below the limit t_l \+ 1 = {t_l + 1}, t_l = {t_l}$"
+        message = rf"^bar_t_g = {bar} is below the limit t_l \+ 1 = {t_l + 1}$"
         with pytest.raises(ValueError, match=message):
             success_prob_grs(shape, 16, t_l, bar)
     assert isinstance(success_prob_grs(shape, 16, 2, 3), Fraction)  # at the limit it evaluates

@@ -75,16 +75,22 @@ def test_random_pmds_deterministic():
 
 
 def test_random_pmds_tiny_field_fails():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^q = 2 is below the limit n_l = r \+ rho - 1 = 3$"):
         random_pmds(2, 12, 4, 2, 2, seed=0)
 
 
 @pytest.mark.parametrize(
     "args, message",
     [
-        ((16, 12, 4, 2, 1), r"rho = 1 must be at least 2"),
-        ((1024, 12, 0, 2, 2), r"r = 2 must lie in \[1, k = 0\]"),
-        ((1024, 12, 9, 2, 2), r"d = 0 must be at least 1"),  # k > mu * r = 8
+        ((16, 12, 4, 2, 1), r"^rho = 1 is below the limit 2$"),
+        ((1024, 12, 0, 2, 2), r"^r = 2 exceeds the limit k = 0$"),
+        ((1024, 12, 9, 2, 2), r"^d = 0 is below the limit 1$"),  # k > mu * r = 8
+    ],
+    # fixed ids keep each case's name stable across rewordings of its message
+    ids=[
+        "args0-rho = 1 must be at least 2",
+        r"args1-r = 2 must lie in \[1, k = 0\]",
+        "args2-d = 0 must be at least 1",
     ],
 )
 def test_random_pmds_refuses_shapes_before_drawing(args, message):
@@ -195,8 +201,8 @@ def _zero_row(rows, i):
          r"partition range\(12\) into sets of size r \+ rho - 1 = 3"),
         # r + rho - 1 = 3 still matches the repair sets, so only the shape
         # check refuses these
-        (lambda obj: obj.update(r=5, rho=-1), r"r = 5 must lie in \[1, k = 4\]"),
-        (lambda obj: obj.update(r=3, rho=1), r"rho = 1 must be at least 2"),
+        (lambda obj: obj.update(r=5, rho=-1), r"^r = 5 exceeds the limit k = 4$"),
+        (lambda obj: obj.update(r=3, rho=1), r"^rho = 1 is below the limit 2$"),
     ],
     ids=["generator-rows", "parity-rows", "parity-zero", "parity-rank-7", "overlap", "size-6",
          "r-5-rho-minus-1", "r-3-rho-1"],
@@ -370,16 +376,27 @@ def test_union_bound_dominates_exact():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: sk1_bound(30, 10, 3, 1), r"^rho = 1 must be at least 2$"),
-        (lambda: sk1_bound(0, 10, 3, 2), r"^dimension k = 10 must be in \[0, n = 0\]$"),
-        (lambda: sk1_bound(0, 0, 3, 2), r"^length n = 0 must be at least 1$"),
+        (lambda: sk1_bound(30, 10, 3, 1), r"^rho = 1 is below the limit 2$"),
+        (lambda: sk1_bound(0, 10, 3, 2), r"^k = 10 exceeds the limit n = 0$"),
+        (lambda: sk1_bound(0, 0, 3, 2), r"^n = 0 is below the limit 1$"),
         (lambda: sk1_bound(30, 10.0, 3, 2), r"^k = 10\.0 is not an integer$"),
         (lambda: asymptotic_predicates(0, 10, 3, 2, 2, 2),
-         r"^dimension k = 10 must be in \[0, n = 0\]$"),
-        (lambda: asymptotic_predicates(30, 10, 3, 1, 2, 2), r"^rho = 1 must be at least 2$"),
-        (lambda: complement_count_closed_form(15, 8, -1), r"^locality r = -1 must be at least 0$"),
+         r"^k = 10 exceeds the limit n = 0$"),
+        (lambda: asymptotic_predicates(30, 10, 3, 1, 2, 2), r"^rho = 1 is below the limit 2$"),
+        (lambda: complement_count_closed_form(15, 8, -1), r"^r = -1 is below the limit 0$"),
         (lambda: complement_count_closed_form(15, 8, 3),
          r"^repair-set size n_l = r \+ rho - 1 = 4 must divide n = 15$"),
+    ],
+    # fixed ids keep each case's name stable across rewordings of its message
+    ids=[
+        "<lambda>-^rho = 1 must be at least 2$0",
+        r"<lambda>-^dimension k = 10 must be in \[0, n = 0\]$0",
+        "<lambda>-^length n = 0 must be at least 1$",
+        r"<lambda>-^k = 10\.0 is not an integer$",
+        r"<lambda>-^dimension k = 10 must be in \[0, n = 0\]$1",
+        "<lambda>-^rho = 1 must be at least 2$1",
+        "<lambda>-^locality r = -1 must be at least 0$",
+        r"<lambda>-^repair-set size n_l = r \+ rho - 1 = 4 must divide n = 15$",
     ],
 )
 def test_bound_helpers_refuse_bad_arguments(call, message):
@@ -394,8 +411,10 @@ def test_asymptotic_predicates():
     # low-rate code with large locality satisfies both for c1 = 2:
     # C(10,1)^(-1/9) = 0.774 > 2*25/70 and r+1 = 9 >= 1.4*log2(70)
     assert asymptotic_predicates(70, 24, 8, 3, c1=2.0, c2=1.4) == (True, True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^c1 = 1\.0 is at or below the limit 1$"):
         asymptotic_predicates(70, 24, 8, 3, c1=1.0, c2=2.0)
+    with pytest.raises(ValueError, match=r"^c2 = 0\.5 is at or below the limit 1$"):
+        asymptotic_predicates(70, 24, 8, 3, c1=2.0, c2=0.5)
 
 
 # -- exact failure probability -------------------------------------------------------
@@ -453,13 +472,23 @@ def test_memoization_order_independent():
 @pytest.mark.parametrize(
     "func, args, message",
     [
-        (failure_prob_exact, (30, 10, 3, 2, 31), r"error weight t = 31 must be in \[0, n = 30\]"),
-        (failure_prob_exact, (30, 10, 3, 2, -1), r"error weight t = -1 must be in \[0, n = 30\]"),
+        (failure_prob_exact, (30, 10, 3, 2, 31), r"^t = 31 exceeds the limit n = 30$"),
+        (failure_prob_exact, (30, 10, 3, 2, -1), r"^t = -1 is below the limit 0$"),
         (failure_prob_exact, (30, 10, 3, 2, 5), r"n_l = r \+ rho - 1 = 4 must divide n = 30"),
-        (failure_prob_exact, (30, 10, 1, 0, 5), r"n_l = r \+ rho - 1 = 0 must be at least 1"),
-        (failure_prob_exact, (30, 10, -1, 3, 5), r"locality r = -1 must be at least 0"),
+        (failure_prob_exact, (30, 10, 1, 0, 5), r"^n_l = r \+ rho - 1 = 0 is below the limit 1$"),
+        (failure_prob_exact, (30, 10, -1, 3, 5), r"^r = -1 is below the limit 0$"),
         (s_mu_size, (30, 10, 3, 2, 5), r"n_l = r \+ rho - 1 = 4 must divide n = 30"),
         (union_bound_failure, (10, 4, 2, 2), r"n_l = r \+ rho - 1 = 3 must divide n = 10"),
+    ],
+    # fixed ids keep each case's name stable across rewordings of its message
+    ids=[
+        r"failure_prob_exact-args0-error weight t = 31 must be in \[0, n = 30\]",
+        r"failure_prob_exact-args1-error weight t = -1 must be in \[0, n = 30\]",
+        r"failure_prob_exact-args2-n_l = r \+ rho - 1 = 4 must divide n = 30",
+        r"failure_prob_exact-args3-n_l = r \+ rho - 1 = 0 must be at least 1",
+        "failure_prob_exact-args4-locality r = -1 must be at least 0",
+        r"s_mu_size-args5-n_l = r \+ rho - 1 = 4 must divide n = 30",
+        r"union_bound_failure-args6-n_l = r \+ rho - 1 = 3 must divide n = 10",
     ],
 )
 def test_pmds_counts_reject_bad_shapes(func, args, message):
@@ -470,22 +499,41 @@ def test_pmds_counts_reject_bad_shapes(func, args, message):
 @pytest.mark.parametrize(
     "func, args, message",
     [
-        (failure_prob_exact, (30, 40, 3, 3, 5), r"^dimension k = 40 must be in \[0, n = 30\]$"),
-        (failure_prob_exact, (30, -5, 3, 3, 5), r"^dimension k = -5 must be in \[0, n = 30\]$"),
+        (failure_prob_exact, (30, 40, 3, 3, 5), r"^k = 40 exceeds the limit n = 30$"),
+        (failure_prob_exact, (30, -5, 3, 3, 5), r"^k = -5 is below the limit 0$"),
         (failure_prob_exact, (30, 10, 3, 3, 5.0), r"^t = 5\.0 is not an integer$"),
         (failure_prob_exact, (30, 10, 3, True, 5), r"^rho = True is not an integer$"),
-        (failure_prob_exact, (30, 10, 3, 0, 5), r"^rho = 0 must be at least 1$"),
+        (failure_prob_exact, (30, 10, 3, 0, 5), r"^rho = 0 is below the limit 1$"),
         (s_mu_size, (15, 8, 4, 2, 2.5), r"^size = 2\.5 is not an integer$"),
-        (s_mu_size, (15, 16, 4, 2, 5), r"^dimension k = 16 must be in \[0, n = 15\]$"),
-        (union_bound_failure, (15, 15, 4, 2), r"^dimension k = 15 must be in \[0, n - 1 = 14\]$"),
+        (s_mu_size, (15, 16, 4, 2, 5), r"^k = 16 exceeds the limit n = 15$"),
+        (union_bound_failure, (15, 15, 4, 2), r"^k = 15 exceeds the limit n - 1 = 14$"),
         (union_bound_failure, (15.0, 8, 4, 2), r"^n = 15\.0 is not an integer$"),
-        (rank_full_fraction, (0, 3, 2), r"^field size q = 0 must be at least 2$"),
-        (rank_full_fraction, (2, 3, -1), r"^t = -1 must be at least 0$"),
-        (rank_full_fraction, (2, -1, 0), r"^ell = -1 must be at least 0$"),
-        (rank_full_fraction, (2.0, 3, 1), r"^field size q = 2\.0 is not an integer$"),
-        (mk_success_prob, (15, 8, 4, 2, 6, 16, -1), r"^ell = -1 must be at least 0$"),
-        (mk_success_prob, (15, 8, 4, 2, 6, 1, 8), r"^field size q = 1 must be at least 2$"),
-        (mk_success_prob, (15, 8, 4, 2, 16, 16, 8), r"^error weight t = 16 must be in \[0, n = 15\]$"),
+        (rank_full_fraction, (0, 3, 2), r"^q = 0 is below the limit 2$"),
+        (rank_full_fraction, (2, 3, -1), r"^t = -1 is below the limit 0$"),
+        (rank_full_fraction, (2, -1, 0), r"^ell = -1 is below the limit 0$"),
+        (rank_full_fraction, (2.0, 3, 1), r"^q = 2\.0 is not an integer$"),
+        (mk_success_prob, (15, 8, 4, 2, 6, 16, -1), r"^ell = -1 is below the limit 0$"),
+        (mk_success_prob, (15, 8, 4, 2, 6, 1, 8), r"^q = 1 is below the limit 2$"),
+        (mk_success_prob, (15, 8, 4, 2, 16, 16, 8), r"^t = 16 exceeds the limit n = 15$"),
+    ],
+    # fixed ids keep each case's name stable across rewordings of its message
+    ids=[
+        r"failure_prob_exact-args0-^dimension k = 40 must be in \[0, n = 30\]$",
+        r"failure_prob_exact-args1-^dimension k = -5 must be in \[0, n = 30\]$",
+        r"failure_prob_exact-args2-^t = 5\.0 is not an integer$",
+        "failure_prob_exact-args3-^rho = True is not an integer$",
+        "failure_prob_exact-args4-^rho = 0 must be at least 1$",
+        r"s_mu_size-args5-^size = 2\.5 is not an integer$",
+        r"s_mu_size-args6-^dimension k = 16 must be in \[0, n = 15\]$",
+        r"union_bound_failure-args7-^dimension k = 15 must be in \[0, n - 1 = 14\]$",
+        r"union_bound_failure-args8-^n = 15\.0 is not an integer$",
+        "rank_full_fraction-args9-^field size q = 0 must be at least 2$",
+        "rank_full_fraction-args10-^t = -1 must be at least 0$",
+        "rank_full_fraction-args11-^ell = -1 must be at least 0$",
+        r"rank_full_fraction-args12-^field size q = 2\.0 is not an integer$",
+        "mk_success_prob-args13-^ell = -1 must be at least 0$",
+        "mk_success_prob-args14-^field size q = 1 must be at least 2$",
+        r"mk_success_prob-args15-^error weight t = 16 must be in \[0, n = 15\]$",
     ],
 )
 def test_pmds_counts_reject_bad_arguments(monkeypatch, func, args, message):

@@ -25,6 +25,7 @@ from lrcdec.radii import (
     list_size_bounds,
     lrc_list_radius,
     normalized_radius,
+    optimal_distance,
     refined_error_count,
     sigma_exact,
 )
@@ -300,9 +301,9 @@ def test_gain_criteria():
     assert gain_criteria(boundary)[0] is False
     # binary alphabet: the local radius needs rho = 3 <= 5/2, the global
     # one d = 6 <= 8/2
-    with pytest.raises(ValueError, match=r"d = 3 exceeds n\*theta = 2.5"):
+    with pytest.raises(ValueError, match=r"^d = 3 exceeds the limit n\*theta = 2\.5$"):
         gain_criteria(SHAPE_15, q=2)
-    with pytest.raises(ValueError, match=r"d = 6 exceeds n\*theta = 4"):
+    with pytest.raises(ValueError, match=r"^d = 6 exceeds the limit n\*theta = 4$"):
         gain_criteria(CodeShape(8, 3, 3, 2), q=2)
 
 
@@ -349,8 +350,9 @@ def test_normalized_radius():
     assert normalized_radius(2, 0.5) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         normalized_radius(2, 0.6)
-    for beta in (0.5, math.nan, math.inf):
-        with pytest.raises(ValueError, match=f"beta = {beta:g} must be finite and at least 1"):
+    for beta, message in ((0.5, "is below the limit 1"), (math.nan, "is below the limit 1"),
+                          (math.inf, r"exceeds the limit 1\.79769e\+308")):
+        with pytest.raises(ValueError, match=f"^beta = {beta:g} {message}$"):
             normalized_radius(beta, 0.0)
 
 
@@ -395,6 +397,40 @@ def test_h_monotone_cases():
     assert h_decreasing(9, 1, 1024, range(10, 101))
     with pytest.raises(ValueError):
         h_decreasing(35, 1, None, range(30, 100))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # each of these named neither the value nor the limit
+        (lambda: johnson_radius(10, 4, 1), r"q = 1 is below the limit 2"),
+        (lambda: optimal_distance(15, 6, 7, 3), r"r = 7 exceeds the limit k = 6"),
+        (lambda: optimal_distance(15, 6, 3, 1), r"rho = 1 is below the limit 2"),
+        (lambda: johnson_radius(10, -1), r"d = -1 is below the limit 0"),
+        (lambda: irs_radius(15, 8, 0), r"ell = 0 is below the limit 1"),
+        (lambda: erasure_list_size(15, 8, 4, 16, 15), r"t = 15 exceeds the limit n - 1 = 14"),
+        (lambda: erasure_list_size(15, 8, 4, 16, -1), r"t = -1 is below the limit 0"),
+        (lambda: generalized_weight(15, 8, 4, 0), r"i = 0 is below the limit 1"),
+        (lambda: generalized_weight(15, 8, 4, 9), r"i = 9 exceeds the limit k = 8"),
+        (lambda: h_decreasing(35, 1, None, range(30, 100)), r"n = 30 is below the limit d/theta = 35"),
+        # ell < 1 used to give 0 and True here, while interleaved_lrc_radius refused it
+        (lambda: interleaved_error_count(SHAPE_15, 0), r"ell = 0 is below the limit 1"),
+        (lambda: interleaved_error_count(SHAPE_15, -1), r"ell = -1 is below the limit 1"),
+        (lambda: h_decreasing(3, 0, 16, [10, 11]), r"ell = 0 is below the limit 1"),
+        # non-integer counts used to be evaluated
+        (lambda: irs_radius(10, 3, 1.5), r"ell = 1\.5 is not an integer"),
+        (lambda: interleaved_lrc_radius(SHAPE_15, 1.5), r"ell = 1\.5 is not an integer"),
+        (lambda: interleaved_error_count(SHAPE_15, 2.0), r"ell = 2\.0 is not an integer"),
+        (lambda: h_decreasing(3, 1.5, 16, [10, 11]), r"ell = 1\.5 is not an integer"),
+        (lambda: generalized_weight(15, 8, 4, 1.5), r"i = 1\.5 is not an integer"),
+        (lambda: erasure_list_size(15, 8, 4, 16, 2.5), r"t = 2\.5 is not an integer"),
+        (lambda: optimal_distance(15, 6, 1.5, 3), r"r = 1\.5 is not an integer"),
+        (lambda: optimal_distance(15, 6, 3, 2.5), r"rho = 2\.5 is not an integer"),
+    ],
+)
+def test_range_refusals_name_the_parameter_value_and_limit(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_generalized_weights():
