@@ -124,7 +124,7 @@ class Field:
     """
 
     def __init__(self, q: int, modulus: int | None = None):
-        _in_range("q", q, 2, _MAX_ORDER, "2^20 = {}")
+        q = _in_range("q", q, 2, _MAX_ORDER, "2^20 = {}")
         p, m = _factor_prime_power(q)
         if p != 2 and m > 1:
             raise ValueError(

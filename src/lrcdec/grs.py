@@ -16,9 +16,9 @@ re-encoded on the plan's first member R (_gs_interpolate), and the
 y-roots of Q come from the Roth-Ruckenstein recursion (_rr_roots).
 Shortening at positions S is the same re-encoding, on S, into the code
 with multipliers nu v_S(alpha), v_S = prod over S of (x - alpha)
-(GrsCode._shorten).  A word is checked once, by Field.check_symbols at
-the public entry it comes in by (its type, its length and its symbols),
-and taken as checked inside.
+(GrsCode._shorten), S through radii._positions.  A word is checked
+once, by Field.check_symbols at the public entry it comes in by (its
+type, its length and its symbols), and taken as checked inside.
 """
 
 from __future__ import annotations
@@ -333,17 +333,12 @@ class GrsCode:
         f_S + v_S g, v_S = prod over S of (x - alpha), so code is the
         [n - |S|, k - |S|, d] code of the g on rest, the positions outside
         S, with multipliers nu v_S(alpha); a word on pos, S sorted, times
-        proj = P_S (_projections) is c_S.  ValueError for more than k
-        positions, or one repeated, outside range(n) or not an integer;
-        only valid position sets are kept."""
-        key = _positions(positions)
+        proj = P_S (_projections) is c_S.  ValueError for positions that
+        _positions refuses and more than k of them; none of those is kept."""
+        key = _positions(positions, self.n)
         kept = self._shortened.get(key)
         if kept is None:
-            F, pos, m = self.field, list(key), len(key)
-            if m > self.k:
-                raise ValueError(f"at most k = {self.k} positions fix a codeword, got {m}")
-            if len(set(pos)) != m or not all(0 <= i < self.n for i in pos):
-                raise ValueError(f"need pairwise distinct positions in range({self.n}), got {pos}")
+            F, pos, m = self.field, list(key), _in_range("|S|", len(key), None, self.k, "k = {}")
             proj = self._projections(np.array(pos, dtype=np.int64).reshape(1, m))[0]
             rest = np.delete(np.arange(self.n), pos)
             rest.flags.writeable = False

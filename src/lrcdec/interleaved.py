@@ -7,6 +7,7 @@ left kernel of S, which annihilates the error too, so the zero columns of
 T2 H mark the support E.  As T2 H_E = 0, the t x t block T1 H_E is invertible
 iff H_E has full column rank; T1 H_E X = R_S then gives the error.  It
 succeeds whenever E is (t+1)-independent and the error has full column rank.
+The support classifiers below take E through radii._positions.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ def mk_decode(field: Field, parity: np.ndarray, received: InterleavedWord):
 def is_t1_independent(field: Field, parity: np.ndarray, support) -> bool:
     """True iff appending any column outside the support raises the rank to
     t+1: [H_E | H_rest], reduced on H_E, has t pivots and no zero column below."""
-    support = list(_positions(support))
     H = field.check_symbols(parity, name="parity")
+    support = list(_positions(support, H.shape[1]))
     t = len(support)
     rest = [j for j in range(H.shape[1]) if j not in support]
     red, rank, _ = linalg.rref(H[:, support + rest], field, t)
@@ -88,7 +89,7 @@ def excess_criterion(repair_sets: Sequence[Sequence[int]], n: int, k: int, r: in
     summed, must stay within n - k - t (minus one when some repair set
     retains between 1 and r error-free positions).
     """
-    e = set(_positions(support))
+    e = set(_positions(support, n))
     t = len(e)
     ts = [sum(1 for i in rs if i not in e) for rs in repair_sets]
     overall = sum(max(0, ti - r) for ti in ts)
@@ -100,7 +101,7 @@ def excess_criterion(repair_sets: Sequence[Sequence[int]], n: int, k: int, r: in
 def sk1_sufficient(repair_sets: Sequence[Sequence[int]], k: int, r: int, support) -> bool:
     """Sufficient condition: the complement contains a set of size k+1
     meeting every repair set in at most r positions (greedy count)."""
-    e = set(_positions(support))
+    e = set(_positions(support, sum(map(len, repair_sets))))
     total = sum(min(sum(1 for i in rs if i not in e), r) for rs in repair_sets)
     return total >= k + 1
 

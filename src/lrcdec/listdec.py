@@ -314,15 +314,14 @@ def interleaved_success_prob(
 ) -> float:
     """Success bound with interleaved component decoders.
 
-    The miscorrection factor is evaluated over the interleaved symbol
-    alphabet q^ell and clamped at 0, as in success_prob_grs; the
-    unique-decoding-success probabilities of the component decoders are
-    supplied by the caller, and ValueError names one outside [0, 1], and
-    q < 2, ell < 1 or t_l and t_g that _shortened_sets refuses.
+    success_prob_general with p_e = pe_tilde over the interleaved symbol
+    alphabet q^ell, as a float; the unique-decoding-success probabilities
+    of the component decoders are supplied by the caller.  ValueError for
+    q < 2, ell < 1, a probability outside [0, 1] and t_l < 0, in that
+    order, and for what success_prob_general refuses.
     """
     _in_range("q", q, 2)
     _in_range("ell", ell, 1)
-    f = _shortened_sets(shape.mu, t_l, t_g)
     _check_probabilities(pr_uds_local=pr_uds_local, pr_uds_global=pr_uds_global)
-    mis = max(1 - pe_tilde(shape.n_l, shape.rho, q**ell, t_l), Fraction(0))
-    return float(mis) ** f * pr_uds_local ** (shape.mu - f) * pr_uds_global
+    p_e = float(pe_tilde(shape.n_l, shape.rho, q**ell, _in_range("t_l", t_l, 0)))
+    return success_prob_general(shape.mu, t_g, t_l, p_e, pr_uds_local, pr_uds_global)

@@ -18,7 +18,8 @@ GrsCode shared by the sets whose local generators stacked keep rank r
 (all of them on a Tamo-Barg code); ``local_groups`` lists the groups.
 
 The shape (n, k, r, rho) is ``shape``, a radii.CodeShape built once per
-code: it owns n_l, mu and d, and radii._partition checks the repair sets.
+code: it owns n_l, mu and d, radii._partition checks the repair sets
+and radii._positions the degrees, in range(supercode_k).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import linalg
 from ._kernels import _vec_mul, powers
 from .galois import Field
 from .grs import GrsCode
-from .radii import CodeShape, _integer, _partition
+from .radii import CodeShape, _in_range, _partition, _positions
 
 
 class LrcCode:
@@ -52,13 +53,8 @@ class LrcCode:
         self.k, self.r, self.rho, self.d = k, r, rho, self.shape.d
         self.repair_sets = _partition(repair_sets, supercode.n, self.shape.n_l)
         self.degrees = tuple(degrees)  # message layout order
-        _integer("degree", *self.degrees)
-        if len(set(self.degrees)) != len(self.degrees):
-            raise ValueError("degree support must not repeat")
-        if len(self.degrees) != k:
-            raise ValueError("degree support size must equal k")
-        if max(self.degrees) >= supercode.k:
-            raise ValueError("degree support exceeds the supercode dimension")
+        _positions(self.degrees, supercode.k, "degree", "supercode_k - 1 = {}")
+        _in_range("len(degrees)", len(self.degrees), k, k, "k = {}")
         self.generator = supercode.generator_matrix()[list(self.degrees)]
         self.generator.flags.writeable = False
         self._sets = np.array(self.repair_sets)

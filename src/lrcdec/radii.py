@@ -6,7 +6,8 @@ mu = n / n_l and the optimal distance d, and _repair_shape and
 _partition are the one check of n_l | n and of a repair-set partition
 that the code modules call.  _in_range is the one range gate of an
 integer argument, and _below and _exceeds word every refusal of a value
-past its limit.  It imports nothing else from the package.
+past its limit.  _positions is the one gate of a position set, each
+caller passing its own n.  It imports nothing else from the package.
 
 The number of correctable errors at a real radius tau is the largest
 integer t < tau.  ``q=None`` selects the alphabet-independent case
@@ -70,9 +71,7 @@ def _repair_shape(n: int, r: int, rho: int) -> tuple[int, int, int, int]:
     """(n, r, rho, mu) as ints (numpy integers overflow in the counts), mu =
     n / n_l for repair sets of size n_l = r + rho - 1; ValueError unless n,
     r and rho are integers, r >= 0, n_l >= 1, n_l divides n and rho >= 1."""
-    _integer("n", n)
-    _integer("rho", rho)
-    n, r, rho = int(n), _in_range("r", r, 0), int(rho)
+    n, rho, r = _in_range("n", n), _in_range("rho", rho), _in_range("r", r, 0)
     n_l = _in_range("n_l = r + rho - 1", r + rho - 1, 1)
     if n % n_l:
         raise ValueError(f"repair-set size n_l = r + rho - 1 = {n_l} must divide n = {n}")
@@ -114,15 +113,24 @@ def _in_range(name: str, value, low=None, high=None, of: str = "{}", *args) -> i
     return value
 
 
-def _positions(values) -> tuple[int, ...]:
-    """The positions as a sorted tuple of ints; ValueError for one _integer refuses."""
+def _positions(values, n: int, name: str = "position", of: str = "n - 1 = {}") -> tuple[int, ...]:
+    """The gate of every position set: values as a sorted tuple of distinct
+    ints in range(n); else ValueError naming the first entry that is not an
+    integer (_integer), else the first outside [0, n - 1] (_in_range, of
+    naming n - 1), else the smallest that repeats."""
     values = tuple(values)
     try:
-        if bool not in map(type, values):
-            return tuple(sorted(map(operator.index, values)))
-    except TypeError:
+        key = tuple(sorted(set(map(operator.index, values))))
+        if len(key) == len(values) and bool not in map(type, values):
+            if not key or (key[0] >= 0 and key[-1] < n):
+                return key
+    except TypeError:  # not an integer
         pass
-    _integer("position", *values)  # refuses the bool or non-integer found
+    _integer(name, *values)
+    for v in values:
+        _in_range(name, v, 0, n - 1, of)
+    key = sorted(map(int, values))
+    raise ValueError(f"{name} = {next(a for a, b in zip(key, key[1:]) if a == b)} repeats")
 
 
 def _partition(repair_sets, n: int, n_l: int) -> tuple[tuple[int, ...], ...]:

@@ -599,11 +599,14 @@ def _floats(obj, key):
          r"locators holds float64 values, need int64 symbols of GF\(16\)"),
         ("lrc-list", lambda obj: dict(obj, k=6.0), r"k = 6\.0 is not an integer"),
         ("lrc-list", lambda obj: _floats(obj, "degrees"), r"degree = 0\.0 is not an integer"),
+        # degree -1 loaded and read the supercode's last generator row
+        ("lrc-list", lambda obj: dict(obj, degrees=obj["degrees"][:-1] + [-1]),
+         r"degree = -1 is below the limit 0"),
         ("mk", lambda obj: _floats(obj, "generator"),
          r"generator holds float64 values, need int64 symbols of GF\(1024\)"),
         ("mk", lambda obj: dict(obj, k=4.0), r"k = 4\.0 is not an integer"),
     ],
-    ids=["locator-1.25", "k-6.0", "float-degrees", "float-generator", "pmds-k-4.0"],
+    ids=["locator-1.25", "k-6.0", "float-degrees", "degree-minus-1", "float-generator", "pmds-k-4.0"],
 )
 def test_descriptor_with_non_integer_entries_exits_2(tmp_path, capsys, kind, edit, message):
     path = _gen_code(tmp_path, capsys, "random-pmds" if kind == "mk" else "tamo-barg")

@@ -166,6 +166,12 @@ def test_field_order_outside_its_range_names_the_limit(q, message):
         Field(q)
 
 
+def test_field_order_may_be_a_numpy_integer():
+    # Field(np.int64(16)) used to raise AttributeError on q.bit_length()
+    field = Field(np.int64(16))
+    assert field == Field(16) and type(field.q) is int
+
+
 def test_odd_extension_field_arithmetic():
     """Odd-characteristic extension fields have no arithmetic: Field(q) refuses them."""
     for q in (9, 25, 27):

@@ -1363,20 +1363,43 @@ def test_shorten_received_reads_positions_once_and_unshorten_maps_rows(gf16):
         code.unshorten([0, 2, 4], c_s, [[0] * 12, [0, 0, 0, 16] + [0] * 8])
 
 
-@pytest.mark.parametrize("positions", [[0, 0, 1], [0, 12], [-1, 2]])
-def test_agree_on_and_shorten_reject_repeated_or_outside_positions(gf16, positions):
+@pytest.mark.parametrize(
+    "positions, message",
+    [([0, 0, 1], r"^position = 0 repeats$"),
+     ([0, 12], r"^position = 12 exceeds the limit n - 1 = 9$"),
+     ([-1, 2], r"^position = -1 is below the limit 0$")],
+    ids=["positions0", "positions1", "positions2"],
+)
+def test_agree_on_and_shorten_reject_repeated_or_outside_positions(gf16, positions, message):
     # a repeated position used to give a c that disagrees with the word
     # there, and position 12 an IndexError; neither is kept.  The name
     # keeps the re-encoding entry these checks first guarded
     code = GrsCode(gf16, list(range(1, 11)), [1] * 10, 4)
     word = np.array([0, 1] + [0] * 8)
-    message = r"need pairwise distinct positions in range\(10\), got"
     with pytest.raises(ValueError, match=message):
         code.shorten_received(word, positions)
     with pytest.raises(ValueError, match=message):
         code.shorten(positions)
     assert not code._shortened
     assert code.shorten_received(word, [0, 1])[2][:2].tolist() == [0, 1]
+
+
+def _position_entries(field):
+    """A [15, 8] code and every entry that reads positions, by name, each
+    with the n its positions lie below: 15 for the shortening entries, 6
+    for the support classifiers (the parity's columns, the sets' positions)."""
+    code = GrsCode(field, list(range(1, 16)), [1] * 15, 8)
+    word, c_s = np.zeros(15, dtype=np.int64), np.zeros(15, dtype=np.int64)
+    parity = np.random.default_rng(2).integers(0, 16, size=(3, 6))
+    sets = [[0, 1, 2], [3, 4, 5]]
+    return code, {
+        "shorten": (lambda pos: code.shorten(pos), 15),
+        "shorten_received": (lambda pos: code.shorten_received(word, pos), 15),
+        "unshorten": (lambda pos: code.unshorten(pos, c_s, [0] * 13), 15),
+        "is_t1_independent": (lambda pos: is_t1_independent(field, parity, pos), 6),
+        "excess_criterion": (lambda pos: excess_criterion(sets, 6, 2, 1, pos), 6),
+        "sk1_sufficient": (lambda pos: sk1_sufficient(sets, 2, 1, pos), 6),
+    }
 
 
 @pytest.mark.parametrize(
@@ -1386,26 +1409,37 @@ def test_position_entries_refuse_non_integers(gf16, position):
     # a float position used to be truncated: shorten([2.7, 0.2]) shortened
     # at (0, 2) and kept that code; now every entry that reads positions
     # names the first non-integer, and nothing is kept
-    code = GrsCode(gf16, list(range(1, 16)), [1] * 15, 8)
-    word, c_s = np.zeros(15, dtype=np.int64), np.zeros(15, dtype=np.int64)
-    parity = np.random.default_rng(2).integers(0, 16, size=(3, 6))
-    sets = [[0, 1, 2], [3, 4, 5]]
-    calls = {
-        "shorten": lambda pos: code.shorten(pos),
-        "shorten_received": lambda pos: code.shorten_received(word, pos),
-        "unshorten": lambda pos: code.unshorten(pos, c_s, [0] * 13),
-        "is_t1_independent": lambda pos: is_t1_independent(gf16, parity, pos),
-        "excess_criterion": lambda pos: excess_criterion(sets, 6, 2, 1, pos),
-        "sk1_sufficient": lambda pos: sk1_sufficient(sets, 2, 1, pos),
-    }
+    code, calls = _position_entries(gf16)
     message = rf"position = {re.escape(repr(position))} is not an integer"
-    for name, call in calls.items():
+    for name, (call, _) in calls.items():
         with pytest.raises(ValueError, match=message):
             call([3, position])
         assert not code._shortened, name
-    for name, call in calls.items():  # numpy integers are integers
+    for name, (call, _) in calls.items():  # numpy integers are integers
         call([np.int64(3), 0])
     assert list(code._shortened) == [(0, 3)]
+
+
+@pytest.mark.parametrize("case", ["negative", "numpy-negative", "repeat", "n", "far-past-n"])
+def test_position_entries_refuse_positions_outside_range_or_repeated(gf16, case):
+    # is_t1_independent used to read -1 as the last column and raise an
+    # IndexError at n, and the pmds criteria answered for all of these; now
+    # each entry refuses the position by name, value and limit, nothing is kept
+    code, calls = _position_entries(gf16)
+    for name, (call, n) in calls.items():
+        positions, message = {
+            "negative": ([3, -1], "position = -1 is below the limit 0"),
+            "numpy-negative": ([3, np.int64(-2)], "position = -2 is below the limit 0"),
+            "repeat": ([3, 0, 3], "position = 3 repeats"),
+            "n": ([0, n], f"position = {n} exceeds the limit n - 1 = {n - 1}"),
+            "far-past-n": ([99, 1], f"position = 99 exceeds the limit n - 1 = {n - 1}"),
+        }[case]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(positions)
+        assert not code._shortened, name
+    for name, (call, n) in calls.items():  # both limits are positions
+        call([n - 1, 0])
+    assert list(code._shortened) == [(0, 14)]
 
 
 @pytest.mark.parametrize("symbol", [16, -1])
@@ -1565,7 +1599,7 @@ def test_shorten_is_kept_per_locator_set(gf16):
     short = code.shorten(range(5))
     assert code.shorten(reversed(range(5))) is short
     assert code.shorten(range(1, 6)) is not short
-    with pytest.raises(ValueError, match="pairwise distinct"):
+    with pytest.raises(ValueError, match="^position = 1 repeats$"):
         code.shorten((1, 1))
     fresh = GrsCode(gf16, list(range(6, 16)), shortened_multipliers(code, code.locators[:5]), 3)
     assert fresh == short
@@ -1602,7 +1636,7 @@ def test_shorten_keeps_one_projection_per_position_set(gf16, grs_membership):
     code.shorten([9, 4, 0])
     assert list(code._shortened) == [(0, 4, 9), (), tuple(range(0, 15, 2))]
     assert all(not proj.flags.writeable for *_, proj in code._shortened.values())
-    with pytest.raises(ValueError, match="at most k = 8 positions fix a codeword, got 9"):
+    with pytest.raises(ValueError, match=r"^\|S\| = 9 exceeds the limit k = 8$"):
         code.shorten(range(9))
 
 

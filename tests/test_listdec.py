@@ -610,6 +610,39 @@ def test_unique_success_rate_meets_bound(tb_15_6):
     assert rate >= bound - sigma3
 
 
+def _largest_tail_count(trials: int, p: Fraction, alpha: Fraction) -> int:
+    """The largest f with P(X >= f) >= alpha for X ~ Binomial(trials, p), exact."""
+    tail = Fraction(0)
+    for f in range(trials, -1, -1):
+        tail += math.comb(trials, f) * p**f * (1 - p) ** (trials - f)
+        if tail >= alpha:
+            return f
+
+
+@pytest.mark.parametrize(
+    "q, n, k, r, rho, t_l, t_g, bound",
+    [(31, 10, 2, 2, 4, 2, 6, 0.331), (61, 12, 3, 3, 4, 2, 7, 0.434)],
+)
+def test_unique_failures_within_the_bound_at_alpha(q, n, k, r, rho, t_l, t_g, bound):
+    # the error model of success_prob_grs: t_g errors at a uniform position
+    # set with uniform nonzero values.  P lies well inside (0, 1), so the
+    # failure count is checked against the exact binomial tail under 1 - P
+    # at alpha = 1e-6, and some word must have a local list of two or more
+    code = construct_tamo_barg(Field(q), n, k, r, rho)
+    cfg = DecodeConfig(t_l, t_g)
+    p_ok = success_prob_grs(code.shape, q, t_l, t_g)
+    assert float(p_ok) == pytest.approx(bound, abs=5e-4)
+    trials, failures, several = 400, 0, 0
+    for i in range(trials):
+        rng = np.random.default_rng([37, n, i])
+        cw = code.encode(rng.integers(0, q, size=k).tolist())
+        w = corrupt(rng, code.field, cw, t_g)
+        failures += unique_decode_probabilistic(code, w, cfg) != cw
+        several += max(list_decode_lrc(code, w, cfg).local_list_sizes) >= 2
+    assert failures <= _largest_tail_count(trials, 1 - p_ok, Fraction(1, 10**6))
+    assert several > 0
+
+
 def test_unique_consistent_with_list(tb_15_6):
     # when the unique decoder returns the transmitted word, the list contains it
     for i in range(60):
@@ -823,6 +856,14 @@ def test_interleaved_success_prob():
     # exponent bookkeeping: factors account for all mu repair sets
     f = 5 // 2
     assert f + (shape.mu - f) == shape.mu
+
+
+@pytest.mark.parametrize("t_l, message", [(-1, r"t_l = -1 is below the limit 0"),
+                                          (1.5, r"t_l = 1\.5 is not an integer")])
+def test_interleaved_success_prob_names_t_l(t_l, message):
+    # pe_tilde, which takes t_l as its t, is formed only from a checked t_l
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        interleaved_success_prob(CodeShape(15, 6, 3, 3), 1, 16, t_l, 5, 1.0, 1.0)
 
 
 def test_interleaved_matches_single_degree_form():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,26 @@ def test_descriptor_integer_fields_must_be_integers(tb_15_6, key, value, message
     obj[key] = value if value is not None else np.array(obj[key], dtype=float).tolist()
     with pytest.raises(ValueError, match=rf"^{message} is not an integer$"):
         LrcCode.from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "degrees, message",
+    [([0, 5, 1, 6, 2, -1], "degree = -1 is below the limit 0"),
+     ([0, 5, 1, 6, 2, 8], "degree = 8 exceeds the limit supercode_k - 1 = 7"),
+     ([0, 5, 1, 6, 2, 0], "degree = 0 repeats"),
+     ([0, 5, 1, 6, 2], "len(degrees) = 5 is below the limit 6"),
+     ([0, 5, 1, 6, 2, 7, 3], "len(degrees) = 7 exceeds the limit k = 6")],
+    ids=["negative", "supercode_k", "repeat", "k-1", "k+1"],
+)
+def test_degree_support_is_k_distinct_degrees_below_supercode_k(tb_15_6, degrees, message):
+    # degree -1 used to load and read the supercode's last generator row;
+    # the other refusals named neither the value nor the limit
+    obj = tb_15_6.to_json()
+    assert obj["degrees"] == [0, 5, 1, 6, 2, 7] and obj["supercode_k"] == 8
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LrcCode.from_json(dict(obj, degrees=degrees))
+    # the degrees stay in message layout order, not sorted
+    assert LrcCode.from_json(obj).degrees == (0, 5, 1, 6, 2, 7)
 
 
 def test_a_bool_shape_value_is_not_an_integer():
