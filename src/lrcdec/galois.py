@@ -113,8 +113,8 @@ class Field:
     q : int
         Field order, a power of 2 or a prime.
     modulus : int, optional
-        Bit-encoded monic irreducible of degree m over GF(2).  Defaults
-        to the smallest such polynomial.
+        Bit-encoded monic irreducible of degree m over GF(2), an integer
+        in [2^m, 2^(m+1) - 1].  Defaults to the smallest such polynomial.
 
     The log/antilog tables are one int64 pair, ``exp_table``/``log_table``,
     which the scalar methods and the numpy kernels both read.
@@ -136,8 +136,8 @@ class Field:
         if modulus is None:
             modulus = default_modulus(p, m)
         if m > 1:
-            if modulus.bit_length() - 1 != m:
-                raise ValueError("modulus must be monic of degree m")
+            # monic of degree m: bit m set, no higher bit
+            modulus = _in_range("modulus", modulus, 1 << m, (2 << m) - 1, "2^(m+1) - 1 = {}")
             if not _is_irreducible(modulus):
                 raise ValueError(f"modulus {modulus} is reducible over GF(2)")
         self.modulus = modulus

@@ -36,8 +36,9 @@ from .radii import _in_range, _positions
 
 
 GS_MAX_MULTIPLICITY = 255
-# the most cells (members k n) of a cover's stacked product: measured, a cover
-# of that size still decodes far faster than the cheapest interpolation
+# the most cells (members k n) of a plan's member block, read once by GsPlan:
+# measured, a cover of that size still decodes far faster than the cheapest
+# interpolation
 COVER_MAX_CELLS = 2**14
 # gs_max_radius(n, k) as radii._in_range names it; args: role ("local " or ""), n, k
 RADIUS_LIMIT = "{}, the radius of the {}[{}, {}] GRS decode"
@@ -205,17 +206,19 @@ class GrsCode:
     def _gs_near(self, words: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
         """(cands, dists): cands[:, i] the c_R' of the members of the plan
         for t, row i of words (checked int64 symbols) on R' times P_R', and
-        dists[:, i] their distances to it, slice by slice (GsPlan.stops).
-        A row leaves after the first slice in which a member settles it, so
-        the members past that slice are not multiplied for it: their cands
-        are 0 and their dists n.  A covering plan has one slice.  When the
-        first slice decides every row, its own arrays are returned, with
-        only that slice's members."""
+        dists[:, i] their distances to it, slice by slice (GsPlan.stops),
+        one product per slice over every live row: rows x members x k x n
+        cells.  A row leaves after the first slice in which a member
+        settles it, so the members past that slice are not multiplied for
+        it: their cands are 0 and their dists n.  A covering plan has one
+        slice.  When the first slice decides every row, its own arrays are
+        returned, with only that slice's members."""
         F, plan = self.field, self._gs_plan(t)
         count, live, lo, cands = len(plan.members), slice(None), 0, None
         for hi in plan.stops:
             at = words[live][:, plan.members[lo:hi]].swapaxes(0, 1)
-            c, e = _near(at, plan.projections[lo:hi], words[live], F)
+            c = matmul(at, plan.projections[lo:hi], F)
+            e = (c != words[live]).sum(axis=2)
             left = (e >= self.d - t).all(axis=0)
             if cands is None:
                 if hi == count or not left.any():
@@ -458,10 +461,11 @@ class GsPlan:
             blocks = [[*range(start), *range(start + n - k, n)] for start in (0, min(n - k, k))]
             family = [inside.tolist(), *blocks]
             self.covers = t == 1 and not set.intersection(*map(set, family))
+            # the most members within COVER_MAX_CELLS cells (k >= 2 here)
+            budget = COVER_MAX_CELLS // (k * n)
             # parts of k - 1 or more positions sum to p (k - 1), smaller ones to n
             parts = np.array_split(order, (n - t - 1) // (k - 1))
-            cells = k * n * sum(math.comb(part.size, k) for part in parts)
-            if not self.covers and cells <= COVER_MAX_CELLS:
+            if not self.covers and sum(math.comb(part.size, k) for part in parts) <= budget:
                 family = [m for part in parts for m in itertools.combinations(part.tolist(), k)]
                 self.covers = True
         self.family = tuple(dict.fromkeys(tuple(sorted(map(int, m))) for m in family))
@@ -473,7 +477,8 @@ class GsPlan:
             # a plan that does not cover t takes the block family, whatever t
             # is, so one settle block serves every such plan of the code
             if code._settle is None:
-                members = np.array([*self.family, *_settle_sets(order, self.family, k)])
+                settle = _settle_sets(order, self.family, k, budget - len(self.family))
+                members = np.array([*self.family, *settle])
                 members.flags.writeable = False
                 code._settle = members, code._projections(members)
             self.members, self.projections = code._settle
@@ -588,28 +593,14 @@ class _KoetterArrays:
                 arr.flags.writeable = False
 
 
-def _near(at: np.ndarray, proj: np.ndarray, words: np.ndarray, field: Field):
-    """(cands, dists) of one slice of members: at (members, rows, k), the
-    rows of words on the members, times their proj (members, k, n), and
-    the distances to words.  One product per batch of rows within
-    COVER_MAX_CELLS cells: measured, past that a product costs up to twice
-    as much per cell."""
-    step = max(1, COVER_MAX_CELLS // (proj.size or 1))
-    parts = [matmul(at[:, i : i + step], proj, field) for i in range(0, at.shape[1], step)]
-    cands = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    return cands, (cands != words).sum(axis=2)
-
-
-def _settle_sets(order: np.ndarray, family: tuple, k: int) -> list[tuple[int, ...]]:
-    """The settle-only k-sets that follow a family that does not cover its
-    t, as many as keep the members within COVER_MAX_CELLS cells (members
-    k n): order permuted by i -> (g i + shift) mod n, for shift = 0, 1, ...
+def _settle_sets(order: np.ndarray, family: tuple, k: int, room: int) -> list[tuple[int, ...]]:
+    """At most room settle-only k-sets to follow a family that does not
+    cover its t: order permuted by i -> (g i + shift) mod n, for shift = 0, 1, ...
     and within each shift every unit g of Z_n in increasing order, each
     permutation cut into floor(n/k) disjoint k-sets, each sorted; a set
     already taken is skipped.  A fixed rule, with no search: a code gives
     the same sets in every process."""
     n = order.size
-    room = COVER_MAX_CELLS // (k * n) - len(family)
     taken, sets = set(family), []
     units = np.array([g for g in range(1, n) if math.gcd(g, n) == 1])
     for shift in range(n):

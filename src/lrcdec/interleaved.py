@@ -7,7 +7,9 @@ left kernel of S, which annihilates the error too, so the zero columns of
 T2 H mark the support E.  As T2 H_E = 0, the t x t block T1 H_E is invertible
 iff H_E has full column rank; T1 H_E X = R_S then gives the error.  It
 succeeds whenever E is (t+1)-independent and the error has full column rank.
-The support classifiers below take E through radii._positions.
+The support classifiers below take E through radii._positions, and the
+combinatorial ones their repair sets through radii._partition and k and r
+through radii._in_range.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .galois import Field
-from .radii import _positions
+from .radii import _in_range, _partition, _positions
 
 
 @dataclass(frozen=True)
@@ -82,13 +84,26 @@ def is_t1_independent(field: Field, parity: np.ndarray, support) -> bool:
     return rank == t and bool(red[t:, t:].any(axis=0).all())
 
 
+def _support_shape(repair_sets, n: int, k: int, r: int):
+    """(repair sets, k, r) of a support classifier: the sets as tuples if
+    they partition range(n) into equal sets (_partition), k in [0, n] and
+    r in [0, n_l] as ints (_in_range); else ValueError."""
+    n_l = n // max(len(repair_sets), 1)
+    sets = _partition(repair_sets, n, n_l)
+    return sets, _in_range("k", k, 0, n, "n = {}"), _in_range("r", r, 0, n_l, "n_l = {}")
+
+
 def excess_criterion(repair_sets: Sequence[Sequence[int]], n: int, k: int, r: int, support) -> bool:
     """Combinatorial (t+1)-independence test for PMDS codes.
 
     Counts the error-free positions per repair set; the excess over r,
     summed, must stay within n - k - t (minus one when some repair set
-    retains between 1 and r error-free positions).
+    retains between 1 and r error-free positions).  ValueError for an n
+    that is not an integer >= 0, and for repair sets, k or r that
+    _support_shape refuses.
     """
+    n = _in_range("n", n, 0)
+    repair_sets, k, r = _support_shape(repair_sets, n, k, r)
     e = set(_positions(support, n))
     t = len(e)
     ts = [sum(1 for i in rs if i not in e) for rs in repair_sets]
@@ -100,8 +115,12 @@ def excess_criterion(repair_sets: Sequence[Sequence[int]], n: int, k: int, r: in
 
 def sk1_sufficient(repair_sets: Sequence[Sequence[int]], k: int, r: int, support) -> bool:
     """Sufficient condition: the complement contains a set of size k+1
-    meeting every repair set in at most r positions (greedy count)."""
-    e = set(_positions(support, sum(map(len, repair_sets))))
+    meeting every repair set in at most r positions (greedy count).
+    ValueError for repair sets, k or r that _support_shape refuses, n the
+    number of positions the sets hold."""
+    n = sum(map(len, repair_sets))
+    repair_sets, k, r = _support_shape(repair_sets, n, k, r)
+    e = set(_positions(support, n))
     total = sum(min(sum(1 for i in rs if i not in e), r) for rs in repair_sets)
     return total >= k + 1
 

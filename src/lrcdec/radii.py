@@ -52,11 +52,11 @@ __all__ = [
 
 
 def _theta(q) -> tuple[int, int]:
-    """theta = 1 - 1/q as (q - 1, q), and as (1, 1) for q = None or inf."""
+    """theta = 1 - 1/q as (q - 1, q) for an integer q >= 2 (_in_range), and
+    as (1, 1) for q = None or inf."""
     if q is None or q == math.inf:
         return 1, 1
-    if q < 2:
-        raise _below("q", q, 2)
+    q = _in_range("q", q, 2)
     return q - 1, q
 
 
@@ -179,10 +179,10 @@ class CodeShape:
 # ---------------------------------------------------------------------------
 
 def johnson_radius(n: int, d: int, q=None) -> float:
-    """theta*n*(1 - sqrt(1 - d/(n*theta))); requires 0 <= d <= n*theta."""
+    """theta*n*(1 - sqrt(1 - d/(n*theta))); requires integers n >= 1 and
+    0 <= d <= n*theta."""
     num, den = _theta(q)
-    if d < 0:
-        raise _below("d", d, 0)
+    n, d = _in_range("n", n, 1), _in_range("d", d, 0)
     if d * den > n * num:
         raise _exceeds("d", d, f"n*theta = {n * num / den:g}")
     thf = num / den
@@ -215,9 +215,11 @@ def johnson_list_bound(n: int, d: int, q, t: int) -> Fraction | None:
     """List-size bound theta*d*n / (t^2 - theta*n*(2t - d)) at integer radius t.
 
     Returns None when the denominator is not strictly positive (the bound
-    carries no information at or beyond the Johnson radius).
+    carries no information at or beyond the Johnson radius).  Requires
+    integers n >= 1, d >= 0 and t >= 0.
     """
     num, den = _theta(q)
+    n, d, t = _in_range("n", n, 1), _in_range("d", d, 0), _in_range("t", t, 0)
     denom = den * t * t - num * n * (2 * t - d)
     if denom <= 0:
         return None
@@ -301,14 +303,16 @@ def normalized_radius(beta: float, delta: float, q=None) -> float:
     """Normalized radius (1/beta)*theta*(1 - sqrt(1 - beta*delta/theta)).
 
     beta is the ratio of normalized local to global distance; delta = d/n.
-    Valid for a finite beta >= 1 while beta * delta <= theta (up to the
-    Singleton crossing).
+    Valid for a finite beta >= 1 and delta >= 0 while beta * delta <= theta
+    (up to the Singleton crossing).
     """
     th = float(Fraction(*_theta(q)))
     if not beta >= 1:  # nan included
         raise _below("beta", f"{beta:g}", 1)
     if beta == math.inf:
         raise _exceeds("beta", beta, f"{sys.float_info.max:g}")
+    if not delta >= 0:  # nan included
+        raise _below("delta", f"{delta:g}", 0)
     x = beta * delta / th
     if x > 1 + 1e-12:
         raise _exceeds("beta*delta/theta", f"{x:g}", 1)
@@ -329,11 +333,11 @@ def list_size_bounds(
     Improved: the global factor may be evaluated at radius
     tau_g - xi*(rho - tau_Jl) for the worst xi <= ceil(sigma), which is
     never larger.  Returns None where a component bound is unbounded.
+    A given t_l is an integer >= 0.
     """
     scl = math.ceil(sigma_exact(shape))
     johnson_radius(shape.n_l, shape.rho, q)  # ValueError when rho > n_l * theta
-    if t_l is None:
-        t_l = johnson_errors(shape.n_l, shape.rho, q)
+    t_l = johnson_errors(shape.n_l, shape.rho, q) if t_l is None else _in_range("t_l", t_l, 0)
     if scl == 0:
         t_j = johnson_errors(shape.n, shape.d, q)
         lb = johnson_list_bound(shape.n, shape.d, q, t_j)
@@ -367,8 +371,11 @@ def list_size_bounds(
 # ---------------------------------------------------------------------------
 
 def irs_radius(n: int, d: int, ell: int) -> float:
-    """Maximal burst radius of interleaved RS decoders, n(1 - ((n-d)/n)^(ell/(ell+1)))."""
+    """Maximal burst radius of interleaved RS decoders, n(1 - ((n-d)/n)^(ell/(ell+1))),
+    for integers ell >= 1, n >= 1 and d in [0, n]."""
     _in_range("ell", ell, 1)
+    n = _in_range("n", n, 1)
+    d = _in_range("d", d, 0, n, "n = {}")
     return n * (1.0 - ((n - d) / n) ** (ell / (ell + 1.0)))
 
 

@@ -602,11 +602,16 @@ def _floats(obj, key):
         # degree -1 loaded and read the supercode's last generator row
         ("lrc-list", lambda obj: dict(obj, degrees=obj["degrees"][:-1] + [-1]),
          r"degree = -1 is below the limit 0"),
+        # a modulus of -19 passed as monic of degree 4, and the
+        # irreducibility test never returned
+        ("decode", lambda obj: dict(obj, field=dict(obj["field"], modulus=-19)),
+         r"modulus = -19 is below the limit 16"),
         ("mk", lambda obj: _floats(obj, "generator"),
          r"generator holds float64 values, need int64 symbols of GF\(1024\)"),
         ("mk", lambda obj: dict(obj, k=4.0), r"k = 4\.0 is not an integer"),
     ],
-    ids=["locator-1.25", "k-6.0", "float-degrees", "degree-minus-1", "float-generator", "pmds-k-4.0"],
+    ids=["locator-1.25", "k-6.0", "float-degrees", "degree-minus-1", "modulus-minus-19",
+         "float-generator", "pmds-k-4.0"],
 )
 def test_descriptor_with_non_integer_entries_exits_2(tmp_path, capsys, kind, edit, message):
     path = _gen_code(tmp_path, capsys, "random-pmds" if kind == "mk" else "tamo-barg")

@@ -77,6 +77,28 @@ def test_reducible_modulus_rejected():
             Field(q, modulus=modulus)
 
 
+@pytest.mark.parametrize(
+    "modulus, message",
+    [
+        # -19 has bit_length 5, so it passed as monic of degree 4, and the
+        # irreducibility test never returned: b >>= 1 stays at -1
+        (-19, r"modulus = -19 is below the limit 16"),
+        (19.0, r"modulus = 19\.0 is not an integer"),
+        (3, r"modulus = 3 is below the limit 16"),
+        (40, r"modulus = 40 exceeds the limit 2\^\(m\+1\) - 1 = 31"),
+    ],
+    ids=["minus-19", "float-19", "degree-1", "degree-5"],
+)
+def test_modulus_outside_degree_m_names_the_limit(modulus, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Field(16, modulus)
+
+
+def test_modulus_may_be_a_numpy_integer():
+    field = Field(16, np.int64(19))
+    assert field == Field(16, 19) and type(field.modulus) is int
+
+
 def test_division_by_zero():
     f = Field(16)
     with pytest.raises(ZeroDivisionError):

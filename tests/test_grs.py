@@ -1112,6 +1112,22 @@ def test_staged_settle_matches_all_members(name, radii, monkeypatch):
         monkeypatch.undo()
 
 
+def test_gs_near_takes_one_product_per_slice_over_every_live_row(monkeypatch):
+    # the rows of a slice are not split, however many cells the product
+    # holds: 40 random words at t = 8 on the [21, 8] settle block, none of
+    # them settled, go through every slice in one product each, and the
+    # last slice holds 40 x 35 x 8 x 21 cells
+    code = settle_code("21-8")
+    plan, rng = code._gs_plan(8), np.random.default_rng(8)
+    words = rng.integers(0, code.field.q, size=(40, code.n))
+    shapes = []
+    monkeypatch.setattr(grs, "matmul", lambda a, b, f: shapes.append(a.shape) or matmul(a, b, f))
+    cands, dists = code._gs_near(words, 8)
+    assert (dists >= code.d - 8).all()
+    sizes = np.diff((0, *plan.stops)).tolist()
+    assert shapes == [(size, len(words), code.k) for size in sizes] and sizes[-1] == 35
+
+
 def test_gs_settle_block_decodes_past_the_interpolation_reach(monkeypatch):
     # the [24,16] code at t = 5 takes s = 76, 1.6e11 cell-ops: no word of it
     # can be interpolated.  A codeword hit by e <= 2 errors is the only

@@ -16,6 +16,9 @@ from lrcdec.interleaved import (
 from lrcdec.pmds import failure_prob_exact, rank_full_fraction
 
 
+SETS = [[0, 1, 2], [3, 4, 5]]  # two repair sets of size 3 on 6 positions
+
+
 def encode_rows(code, rng, ell):
     msg = rng.integers(0, code.field.q, size=(ell, code.k), dtype=np.int64)
     return linalg.matmul(msg, code.generator, code.field)
@@ -325,6 +328,39 @@ def test_sk1_sufficient_cases(pmds_12_4):
         support = tuple(sorted(rng.choice(code.n, size=t, replace=False).tolist()))
         if sk1_sufficient(code.repair_sets, code.k, code.r, support):
             assert is_t1_independent(code.field, code.parity, support)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # not a partition: the excess was counted on the sets as given
+        (lambda: excess_criterion([[0, 1], [1, 2]], 12, 4, 2, [0, 1]),
+         r"repair sets must partition range\(12\) into sets of size r \+ rho - 1 = 6"),
+        (lambda: excess_criterion([[0, 1, 2], [3, 4]], 5, 2, 1, [0]),
+         r"repair sets must partition range\(5\) into sets of size r \+ rho - 1 = 2"),
+        (lambda: excess_criterion(SETS, 6, 4.5, 1, [0, 1]), r"k = 4\.5 is not an integer"),
+        (lambda: excess_criterion(SETS, 6, 7, 1, [0, 1]), r"k = 7 exceeds the limit n = 6"),
+        (lambda: excess_criterion(SETS, 6, 2, -2, [0, 1]), r"r = -2 is below the limit 0"),
+        (lambda: excess_criterion(SETS, 6, 2, 4, [0, 1]), r"r = 4 exceeds the limit n_l = 3"),
+        (lambda: excess_criterion(SETS, 6.0, 2, 1, [0, 1]), r"n = 6\.0 is not an integer"),
+        (lambda: sk1_sufficient(SETS, -4, 2, [0, 1]), r"k = -4 is below the limit 0"),
+        (lambda: sk1_sufficient(SETS, 2, 1.5, [0, 1]), r"r = 1\.5 is not an integer"),
+        (lambda: sk1_sufficient([[0, 1], [1, 2]], 2, 1, [0]),
+         r"repair sets must partition range\(4\) into sets of size r \+ rho - 1 = 2"),
+    ],
+    ids=["excess-overlap", "excess-unequal", "excess-k-4.5", "excess-k-over-n", "excess-r-minus-2",
+         "excess-r-over-n_l", "excess-n-6.0", "sk1-k-minus-4", "sk1-r-1.5", "sk1-overlap"],
+)
+def test_support_classifiers_refuse_a_bad_shape_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_support_classifiers_read_their_shape_at_the_limits():
+    # k = 0 and k = n, r = 0 and r = n_l are shapes, and numpy sizes are read
+    assert excess_criterion(SETS, 6, 0, 0, [0])
+    assert not excess_criterion(SETS, np.int64(6), 6, 3, [0])
+    assert sk1_sufficient(SETS, np.int64(0), 3, []) and not sk1_sufficient(SETS, 6, 0, [])
 
 
 def test_extension_field_roundtrip():

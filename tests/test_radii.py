@@ -426,11 +426,42 @@ def test_h_monotone_cases():
         (lambda: erasure_list_size(15, 8, 4, 16, 2.5), r"t = 2\.5 is not an integer"),
         (lambda: optimal_distance(15, 6, 1.5, 3), r"r = 1\.5 is not an integer"),
         (lambda: optimal_distance(15, 6, 3, 2.5), r"rho = 2\.5 is not an integer"),
+        # q = 2.5 and nan passed _theta's q < 2 test
+        (lambda: johnson_errors(10, 3, 2.5), r"q = 2\.5 is not an integer"),
+        (lambda: gain_criteria(SHAPE_15, math.nan), r"q = nan is not an integer"),
+        (lambda: lrc_list_radius(SHAPE_15, math.nan), r"q = nan is not an integer"),
+        (lambda: refined_error_count(SHAPE_15, 1, math.nan), r"q = nan is not an integer"),
+        (lambda: johnson_list_bound(10, 3, 2.5, 2), r"q = 2\.5 is not an integer"),
+        # the sizes of the Johnson functions were not read at all
+        (lambda: johnson_radius(0, 0), r"n = 0 is below the limit 1"),
+        (lambda: johnson_radius(10.5, 3), r"n = 10\.5 is not an integer"),
+        (lambda: johnson_radius(10, 3.5), r"d = 3\.5 is not an integer"),
+        (lambda: johnson_errors(0, 0), r"n = 0 is below the limit 1"),
+        (lambda: johnson_list_bound(-10, 3, None, 2), r"n = -10 is below the limit 1"),
+        (lambda: johnson_list_bound(10, -3, None, 2), r"d = -3 is below the limit 0"),
+        (lambda: johnson_list_bound(10, 3, None, -2), r"t = -2 is below the limit 0"),
+        (lambda: johnson_list_bound(10, 3, None, 3.5), r"t = 3\.5 is not an integer"),
+        (lambda: list_size_bounds(SHAPE_15, t_l=-1), r"t_l = -1 is below the limit 0"),
+        # delta < 0 and nan gave a radius
+        (lambda: normalized_radius(2.0, -0.5), r"delta = -0\.5 is below the limit 0"),
+        (lambda: normalized_radius(2.0, math.nan), r"delta = nan is below the limit 0"),
+        # a complex radius, a ZeroDivisionError and a negative radius
+        (lambda: irs_radius(10, 12, 2), r"d = 12 exceeds the limit n = 10"),
+        (lambda: irs_radius(0, 0, 2), r"n = 0 is below the limit 1"),
+        (lambda: irs_radius(10, -3, 2), r"d = -3 is below the limit 0"),
+        (lambda: irs_radius(10.0, 3, 2), r"n = 10\.0 is not an integer"),
     ],
 )
 def test_range_refusals_name_the_parameter_value_and_limit(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+def test_radius_sizes_at_their_limits_are_read():
+    assert johnson_radius(1, 0) == 0.0 and johnson_radius(10, 0, math.inf) == 0.0
+    assert johnson_list_bound(10, 0, None, 0) is None
+    assert irs_radius(10, 0, 2) == 0.0 and irs_radius(10, 10, 2) == 10.0
+    assert normalized_radius(2.0, 0.0) == 0.0
 
 
 def test_generalized_weights():
