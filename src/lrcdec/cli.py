@@ -228,15 +228,11 @@ def cmd_curves(args) -> int:
         # delta = 0 lies in every valid beta's domain, and refuses the others
         rows.append([beta, 0.0, normalized_radius(beta, 0.0)])
         last = 1.0 / beta
-        for i in range(1, args.grid + 1):
-            delta = i / args.grid
-            if delta > last:
-                break
-            rows.append([beta, delta, normalized_radius(beta, delta)])
-        else:
-            continue
-        if rows[-1][1] != last:
-            rows.append([beta, last, normalized_radius(beta, last)])
+        # the multiples of 1/grid up to 1/beta, then 1/beta itself
+        deltas = [i / args.grid for i in range(1, args.grid + 1) if i / args.grid <= last]
+        if deltas[-1:] != [last]:
+            deltas.append(last)
+        rows += [[beta, delta, normalized_radius(beta, delta)] for delta in deltas]
     _emit_rows(args, header, rows)
     return 0
 

@@ -275,7 +275,7 @@ def success_prob_general(
     if not p_e >= 0:
         raise _below("p_e", p_e, 0)
     _check_probabilities(p_local_unique=p_local_unique, p_global_unique=p_global_unique)
-    return max(1 - p_e, 0.0) ** f * p_local_unique ** (mu - f) * p_global_unique
+    return max(1 - p_e, 0) ** f * p_local_unique ** (mu - f) * p_global_unique
 
 
 def success_prob_grs(shape: CodeShape, q: int, t_l: int, bar_t_g: int) -> Fraction:
@@ -297,10 +297,10 @@ def success_prob_grs(shape: CodeShape, q: int, t_l: int, bar_t_g: int) -> Fracti
     """
     _shortened_sets(shape.mu, t_l, bar_t_g, "bar_t_g")
     _in_range("bar_t_g", bar_t_g, t_l + 1, None, "t_l + 1 = {}")
-    local = max(1 - pe_tilde(shape.n_l, shape.rho, q, t_l), Fraction(0))
-    n_short = (bar_t_g // (t_l + 1)) * shape.n_l
-    glob = max(1 - pe_tilde(n_short, shape.d, q, bar_t_g), Fraction(0))
-    return local**shape.mu * glob
+    pe_l = pe_tilde(shape.n_l, shape.rho, q, t_l)
+    pe_g = pe_tilde((bar_t_g // (t_l + 1)) * shape.n_l, shape.d, q, bar_t_g)
+    p = success_prob_general(shape.mu, bar_t_g, t_l, pe_l, max(1 - pe_l, 0), max(1 - pe_g, 0))
+    return Fraction(p)
 
 
 def interleaved_success_prob(

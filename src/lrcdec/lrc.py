@@ -167,16 +167,10 @@ def construct_tamo_barg(field: Field, n: int, k: int, r: int, rho: int) -> LrcCo
         raise ValueError(f"n = {n} must divide q - 1 = {field.q - 1}")
 
     n_l, mu = shape.n_l, shape.mu
-    g = field.generator()
-    gn = field.pow(g, (field.q - 1) // n)  # order n
-    h = field.pow(gn, mu)  # order n_l
-    locators = []
-    for j in range(mu):
-        rep = field.pow(gn, j)
-        beta = rep
-        for _ in range(n_l):
-            locators.append(beta)
-            beta = field.mul(beta, h)
+    # point i of coset j is g^(e (j + mu i)), e = (q - 1)/n: g^e has order
+    # n and g^(e mu) order n_l, and exp_table[x] is g^x
+    j, i = np.ogrid[:mu, :n_l]
+    locators = field.exp_table[(field.q - 1) // n * (j + mu * i)].ravel()
     repair_sets = [list(range(j * n_l, (j + 1) * n_l)) for j in range(mu)]
     degrees = [i + j * n_l for i in range(r) for j in range(k // r)]
     k_sup = max(degrees) + 1

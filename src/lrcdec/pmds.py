@@ -253,6 +253,16 @@ def rank_full_fraction(q: int, ell: int, t: int) -> Fraction:
 # bounds
 # ---------------------------------------------------------------------------
 
+def _xi_shape(n: int, k: int, r: int, rho: int) -> tuple[int, int, int, int]:
+    """(n, k, r, C(r+rho-1, xi)) as ints, after sk1_bound's checks in order."""
+    k = _in_range("k", k, 0, n, "n = {}")
+    n, r, rho, _ = _repair_shape(n, r, rho)
+    _in_range("n", n, 1)
+    _in_range("rho", rho, 2)
+    xi = min(rho - 2, (r + rho - 1) // 2)
+    return n, k, r, math.comb(r + rho - 1, xi)
+
+
 def sk1_bound(n: int, k: int, r: int, rho: int) -> float:
     """Closed-form lower bound on the good-set fraction |S_(k+1)| / C(n, k+1):
 
@@ -260,13 +270,8 @@ def sk1_bound(n: int, k: int, r: int, rho: int) -> float:
     ValueError for k outside [0, n], n, r, rho that _repair_shape refuses,
     and n < 1 or rho < 2, which (k+1)/n and xi need.
     """
-    k = _in_range("k", k, 0, n, "n = {}")
-    n, r, rho, _ = _repair_shape(n, r, rho)
-    _in_range("n", n, 1)
-    _in_range("rho", rho, 2)
-    xi = min(rho - 2, (r + rho - 1) // 2)
-    val = 1 - Fraction(n) * math.comb(r + rho - 1, xi) * Fraction(k + 1, n) ** (r + 1)
-    return float(val)
+    n, k, r, choose = _xi_shape(n, k, r, rho)
+    return float(1 - Fraction(n) * choose * Fraction(k + 1, n) ** (r + 1))
 
 
 def union_bound_failure(n: int, k: int, r: int, rho: int) -> Fraction:
@@ -291,15 +296,11 @@ def asymptotic_predicates(
     condition r+1 >= c2 log2(n) / log2(c1).  ValueError for arguments
     sk1_bound refuses and for constants that do not exceed 1.
     """
-    k = _in_range("k", k, 0, n, "n = {}")
-    n, r, rho, _ = _repair_shape(n, r, rho)
-    _in_range("n", n, 1)
-    _in_range("rho", rho, 2)
+    n, k, r, choose = _xi_shape(n, k, r, rho)
     for name, c in (("c1", c1), ("c2", c2)):
         if c <= 1:
             raise _below(name, c, 1, strict=True)
-    xi = min(rho - 2, (r + rho - 1) // 2)
-    cond_rate = math.comb(r + rho - 1, xi) ** (-1.0 / (r + 1)) > c1 * (k + 1) / n
+    cond_rate = choose ** (-1.0 / (r + 1)) > c1 * (k + 1) / n
     cond_growth = r + 1 >= c2 * math.log2(n) / math.log2(c1)
     return cond_rate, cond_growth
 

@@ -216,10 +216,11 @@ def johnson_list_bound(n: int, d: int, q, t: int) -> Fraction | None:
 
     Returns None when the denominator is not strictly positive (the bound
     carries no information at or beyond the Johnson radius).  Requires
-    integers n >= 1, d >= 0 and t >= 0.
+    integers n >= 1, 0 <= d <= n and t >= 0; d may exceed n*theta, the
+    Plotkin range.
     """
     num, den = _theta(q)
-    n, d, t = _in_range("n", n, 1), _in_range("d", d, 0), _in_range("t", t, 0)
+    n, d, t = _in_range("n", n, 1), _in_range("d", d, 0, n, "n = {}"), _in_range("t", t, 0)
     denom = den * t * t - num * n * (2 * t - d)
     if denom <= 0:
         return None
@@ -267,10 +268,11 @@ def refined_error_count(shape: CodeShape, t_l: int, q=None) -> int:
 
     Starts from the closed-form error count.  If it holds there, scans up
     to the last success before the first failure, capped at n; otherwise
-    scans down to the first success, or 0 when no t >= 1 holds.
+    scans down to the first success, or 0 when no t >= 1 holds.  t_l is
+    an integer >= 0.
     """
     num, den = _theta(q)
-    n_l, d = shape.n_l, shape.d
+    n_l, d, t_l = shape.n_l, shape.d, _in_range("t_l", t_l, 0)
 
     def holds(t: int) -> bool:
         # theta = num / den, multiplied through by den > 0: integers only
@@ -405,19 +407,19 @@ def interleaved_error_count(shape: CodeShape, ell: int) -> int:
         return 0
     if nn <= d:
         return nn - 1
-    t = 0
-    while t + 1 < nn and (nn - (t + 1)) ** (ell + 1) > nn * (nn - d) ** ell:
-        t += 1
-    return t
+    return _largest_below(  # the test holds exactly when t < irs_radius(N, d, ell)
+        irs_radius(nn, d, ell), lambda t: (nn - t) ** (ell + 1) > nn * (nn - d) ** ell
+    )
 
 
 def h_decreasing(d: int, ell: int, q, n_values: Sequence[int], tol: float = 1e-12) -> bool:
     """Check that theta*n*(1 - (1 - d/(n theta))^(ell/(ell+1))) never increases.
 
-    All n in n_values must satisfy n >= d / theta, and ell must be an
-    integer >= 1.
+    All n in n_values must satisfy n >= d / theta, d must be an integer
+    >= 0 and ell an integer >= 1.
     """
     _in_range("ell", ell, 1)
+    d = _in_range("d", d, 0)
     th = float(Fraction(*_theta(q)))
     ns = sorted(n_values)
     if ns and ns[0] < d / th:

@@ -1,6 +1,8 @@
-"""Every module-level import of the package has a use in its module."""
+"""Every module-level import of the package has a use in its module, and
+every module-level private function a reader in the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,35 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_module_imports_a_name_it_does_not_use(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _reads(tree) -> Counter:
+    """How often each name is read in tree, as a Name or an Attribute."""
+    return Counter(getattr(node, "id", None) or getattr(node, "attr", None)
+                   for node in ast.walk(tree))
+
+
+def _uncalled_private_functions(sources: dict[str, str]) -> list[str]:
+    """The module-level `def _name` of sources (module name -> text) that no
+    module reads, as a Name or an Attribute, outside that definition."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    everywhere = sum(map(_reads, trees.values()), Counter())
+    return [f"{module}.{fdef.name}" for module, tree in trees.items() for fdef in tree.body
+            if isinstance(fdef, ast.FunctionDef) and fdef.name.startswith("_")
+            and not fdef.name.startswith("__")
+            and everywhere[fdef.name] == _reads(fdef)[fdef.name]]
+
+
+def test_the_check_sees_an_uncalled_private_function():
+    sources = {
+        "a": "def _used(): pass\ndef _self(): return _self()\ndef _dead(): pass\n"
+             "def f(x=_used): return x\n",
+        "b": "from a import _dead as dead\ndef _via_attribute(): pass\n"
+             "@dataclass\nclass C:\n    y: list = field(default_factory=_via_attribute)\n"
+             "def _by_attr(): pass\ng = a._by_attr\n",
+    }
+    assert _uncalled_private_functions(sources) == ["a._self", "a._dead"]
+
+
+def test_every_private_function_has_a_caller():
+    assert _uncalled_private_functions({p.stem: p.read_text() for p in MODULES}) == []

@@ -729,6 +729,27 @@ def test_success_prob_general_trivial():
     assert success_prob_general(3, 5, 1, 0.0, 0.9, 0.8) == pytest.approx(0.9 * 0.8)
 
 
+def test_success_prob_grs_is_the_clamped_product():
+    # the oracle is the product as stated: (1 - pe_l)^mu (1 - pe_g), each
+    # factor clamped at 0; rows where P = 0 are included
+    zeros = 0
+    for q in (2, 4, 16, 64, 1024):
+        for shape in (CodeShape(15, 6, 3, 3), CodeShape(4, 2, 2, 3), CodeShape(30, 16, 4, 3),
+                      CodeShape(12, 3, 3, 4), CodeShape(63, 16, 8, 14)):
+            for t_l in range(min(shape.n_l, 3) + 1):
+                for bar in range(t_l + 1, min(shape.n, 3 * (t_l + 1)) + 1):
+                    pe_l = pe_tilde(shape.n_l, shape.rho, q, t_l)
+                    n_short = (bar // (t_l + 1)) * shape.n_l
+                    if bar > n_short or bar // (t_l + 1) > shape.mu:
+                        continue
+                    pe_g = pe_tilde(n_short, shape.d, q, bar)
+                    want = max(1 - pe_l, Fraction(0)) ** shape.mu * max(1 - pe_g, Fraction(0))
+                    got = success_prob_grs(shape, q, t_l, bar)
+                    assert type(got) is Fraction and got == want, (q, shape, t_l, bar)
+                    zeros += want == 0
+    assert zeros > 0
+
+
 def test_general_matches_grs_instantiation():
     # at q = 16 the global factor 1 - p_glob = -0.185 is clamped at 0; at
     # q = 32 every factor is positive and the product is the plain one

@@ -43,6 +43,32 @@ def test_constructor_divisibility_errors(gf16):
         construct_tamo_barg(Field(32), 15, 6, 3, 3)  # n does not divide q-1
 
 
+def _scalar_locators(field, n, k, r, rho):
+    """The Tamo-Barg points by the scalar product loop: coset j of the
+    order-n_l subgroup <h> is g_n^j h^i for i in range(n_l), g_n of order n."""
+    shape = CodeShape(n, k, r, rho)
+    gn = field.pow(field.generator(), (field.q - 1) // n)
+    h = field.pow(gn, shape.mu)
+    locators = []
+    for j in range(shape.mu):
+        beta = field.pow(gn, j)
+        for _ in range(shape.n_l):
+            locators.append(beta)
+            beta = field.mul(beta, h)
+    return tuple(locators)
+
+
+@pytest.mark.parametrize("q, n, k, r, rho", [
+    (16, 15, 6, 3, 3), (64, 63, 16, 8, 14), (31, 30, 16, 4, 3), (61, 60, 8, 4, 3),
+    (13, 12, 4, 2, 2), (1024, 33, 9, 9, 3), (256, 255, 10, 5, 13), (64, 21, 4, 2, 6),
+    (16, 5, 2, 2, 4), (3001, 500, 99, 33, 68),
+])
+def test_tamo_barg_locators_match_the_scalar_power_loop(q, n, k, r, rho):
+    field = Field(q)
+    code = construct_tamo_barg(field, n, k, r, rho)
+    assert code.supercode.locators == _scalar_locators(field, n, k, r, rho)
+
+
 def test_local_restrictions_are_local_codewords(tb_15_6, grs_membership):
     rnd = random.Random(0)
     in_local = [grs_membership(local) for local in tb_15_6.local_codes]

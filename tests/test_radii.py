@@ -450,6 +450,14 @@ def test_h_monotone_cases():
         (lambda: irs_radius(0, 0, 2), r"n = 0 is below the limit 1"),
         (lambda: irs_radius(10, -3, 2), r"d = -3 is below the limit 0"),
         (lambda: irs_radius(10.0, 3, 2), r"n = 10\.0 is not an integer"),
+        # t_l was not read: a ZeroDivisionError, and a count at t_l = 1.5
+        (lambda: refined_error_count(SHAPE_15, -2), r"t_l = -2 is below the limit 0"),
+        (lambda: refined_error_count(SHAPE_15, 1.5), r"t_l = 1\.5 is not an integer"),
+        # a distance past the length gave a bound, and a negative one True
+        (lambda: johnson_list_bound(10, 30, None, 2), r"d = 30 exceeds the limit n = 10"),
+        (lambda: johnson_list_bound(10, 11, 2, 2), r"d = 11 exceeds the limit n = 10"),
+        (lambda: h_decreasing(-4, 1, None, [1, 2]), r"d = -4 is below the limit 0"),
+        (lambda: h_decreasing(2.5, 1, None, [3, 4]), r"d = 2\.5 is not an integer"),
     ],
 )
 def test_range_refusals_name_the_parameter_value_and_limit(call, message):
@@ -478,6 +486,46 @@ def test_erasure_list_size():
         assert erasure_list_size(n, k, k, q, n - k + delta) == q**delta
     # unique recovery while t < d_1
     assert erasure_list_size(15, 8, 4, 16, 6) == 1
+
+
+def _interleaved_scan(shape, ell):
+    """interleaved_error_count by a linear scan from t = 0 up to N - 1."""
+    scl = math.ceil(sigma_exact(shape))
+    nn, d = shape.n - scl * shape.n_l, shape.d
+    if nn <= 0:
+        return 0
+    if nn <= d:
+        return nn - 1
+    t = 0
+    while t + 1 < nn and (nn - (t + 1)) ** (ell + 1) > nn * (nn - d) ** ell:
+        t += 1
+    return t
+
+
+def test_interleaved_error_count_matches_the_linear_scan():
+    # 600 seeded random valid shapes with n <= 259, at ell in {1, 2, 3, 8}
+    rnd = random.Random(39)
+    checked = 0
+    while checked < 600:
+        n = rnd.randrange(2, 260)
+        n_l = rnd.choice([m for m in range(2, n + 1) if n % m == 0])
+        rho = rnd.randrange(2, n_l + 1)
+        r = n_l - rho + 1
+        try:
+            shape = CodeShape(n, rnd.randrange(r, n + 1), r, rho)
+        except ValueError:
+            continue
+        for ell in (1, 2, 3, 8):
+            assert interleaved_error_count(shape, ell) == _interleaved_scan(shape, ell), (shape, ell)
+        checked += 1
+
+
+def test_johnson_list_bound_reads_d_up_to_n():
+    # d in (n*theta, n] is the Plotkin range: the bound holds, with a
+    # positive denominator at every t
+    assert johnson_list_bound(10, 10, None, 2) == Fraction(25, 16)
+    assert johnson_list_bound(10, 9, 2, 2) == Fraction(45, 29)
+    assert h_decreasing(0, 1, None, [1, 2])
 
 
 def test_report_table_row():
