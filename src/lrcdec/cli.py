@@ -346,8 +346,7 @@ def cmd_simulate(args) -> int:
         trial = functools.partial(_mk_trial, code, args.ell)
     else:
         code = _load(args.code, LrcCode)
-        local = code.local_codes[0]
-        t_l = args.tl if args.tl is not None else gs_max_radius(local.n, local.k)
+        t_l = args.tl if args.tl is not None else gs_max_radius(code.shape.n_l, code.r)
         t_g = args.tg if args.tg is not None else default_t_g(code, t_l)
         if weights is None:
             weights = list(range(0, t_g + 1))

@@ -1,7 +1,7 @@
 """Generalized Reed-Solomon codes.
 
-Every code builds its k x n generator once (row i is nu * alpha^i) and
-keeps it read-only; messages, words and candidate lists are int64
+Every code builds its k x n generator once (row i is nu * alpha^i), the
+read-only ``generator``; messages, words and candidate lists are int64
 arrays.  A codeword is one field matrix product (``_kernels.matmul``) of
 the message coefficients with the generator, and the list decoder
 encodes all its candidates in one such product.  Guruswami-Sudan list
@@ -97,8 +97,8 @@ class GrsCode:
             raise ValueError("multipliers must be nonzero")
         self.field, self.k = field, k
         self._nu_inv = _vec_inv(self._nu, field)
-        self._generator = _vec_mul(self._nu, powers(self._alpha, k, field), field)
-        self._generator.flags.writeable = False
+        self.generator = _vec_mul(self._nu, powers(self._alpha, k, field), field)
+        self.generator.flags.writeable = False
         self._gs_plans: dict[int, GsPlan] = {}
         self._shortened: dict[tuple[int, ...], tuple] = {}  # see _shorten
         self._settle: tuple[np.ndarray, np.ndarray] | None = None
@@ -132,15 +132,11 @@ class GrsCode:
         c[: msg.size] = msg
         if c[self.k :].any():
             raise ValueError(f"message degree {np.flatnonzero(c)[-1]} >= k = {self.k}")
-        return tuple(matmul(c[None, : self.k], self._generator, self.field)[0].tolist())
+        return tuple(matmul(c[None, : self.k], self.generator, self.field)[0].tolist())
 
     def _normalize(self, word) -> np.ndarray:
         """Divide out the column multipliers: values of the message polynomial."""
         return _vec_mul(np.asarray(word), self._nu_inv, self.field)
-
-    def generator_matrix(self) -> np.ndarray:
-        """The stored k x n generator (read-only)."""
-        return self._generator
 
     def _projections(self, members: np.ndarray) -> np.ndarray:
         """The stacked P_R', (members, m, n) and read-only, for the rows R'
@@ -199,7 +195,7 @@ class GrsCode:
             return [tuple(words[first].tolist())] if dist[first] <= t else []
         if not plan.covers:
             q = self._gs_interpolate(plan, sub(word, words[0], F))
-            words = add(matmul(_rr_roots(q, self.k, F), self._generator, F), words[0], F)
+            words = add(matmul(_rr_roots(q, self.k, F), self.generator, F), words[0], F)
             dist = np.count_nonzero(words != word, axis=1)
         return sorted(set(map(tuple, words[dist <= t].tolist())))
 
@@ -353,16 +349,16 @@ class GrsCode:
 
     def shorten_received(self, word, positions):
         """Map a word to the code shortened at the positions S, taking its
-        symbols there as correct: returns (shortened code, word - c_S off S
-        as a tuple, c_S), c_S the codeword that agrees with the word on S
-        (_shorten).  unshorten maps shortened codewords back.
+        symbols there as correct: returns (shortened code, word - c_S off S,
+        c_S), both int64 arrays, c_S the codeword that agrees with the word
+        on S (_shorten).  unshorten maps shortened codewords back.
         ValueError for a word Field.check_symbols refuses (not integers,
         not n symbols in one axis, a symbol outside the field) and for
         positions _shorten rejects."""
         word = self.field.check_symbols(word, self.n)
         code, pos, rest, proj = self._shorten(positions)
         c_s = matmul(word[pos][None], proj, self.field)[0]
-        return code, tuple(sub(word[rest], c_s[rest], self.field).tolist()), c_s
+        return code, sub(word[rest], c_s[rest], self.field), c_s
 
     def unshorten(self, positions, c_s, short_cws) -> np.ndarray:
         """c_S plus codewords of the code shortened at the positions S, with

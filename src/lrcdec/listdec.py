@@ -111,12 +111,11 @@ def _local_stage(code: LrcCode, received, cfg: DecodeConfig, result: DecodingLis
 
 def _validate_cfg(code: LrcCode, cfg: DecodeConfig):
     _in_range("budget", cfg.budget, 1)
-    local, sup = code.local_codes[0], code.supercode
-    reach = gs_max_radius(local.n, local.k)
-    _in_range("t_l", cfg.t_l, 0, reach, RADIUS_LIMIT, "local ", local.n, local.k)
+    n_l, r, sup = code.shape.n_l, code.r, code.supercode
+    _in_range("t_l", cfg.t_l, 0, gs_max_radius(n_l, r), RADIUS_LIMIT, "local ", n_l, r)
     bar = refined_error_count(code.shape, cfg.t_l, None)
     _in_range("t_g", cfg.t_g, 0, bar, "{}, the refined error count for t_l = {}", cfg.t_l)
-    cut = min(_shortening_size(code, cfg) * code.shape.n_l, sup.k)
+    cut = min(_shortening_size(code, cfg) * n_l, sup.k)
     n, k = sup.n - cut, sup.k - cut
     # every radius up to gs_max_radius is reachable, so t_g covers t_g - chi
     _in_range("t_g", cfg.t_g, None, gs_max_radius(n, k), RADIUS_LIMIT, "shortened ", n, k)

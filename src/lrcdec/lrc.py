@@ -13,9 +13,10 @@ Membership is a zero syndrome under the parity-check matrix ``parity``
 (a basis of the generator's right null space), and the locality is
 checked by two stacked rank tests over the repair sets: each restricted
 generator has rank r and spans the local [r + rho - 1, r] GRS code on
-the set's locators and multipliers.  ``local_codes[j]`` is that code, one
-GrsCode shared by the sets whose local generators stacked keep rank r
-(all of them on a Tamo-Barg code); ``local_groups`` lists the groups.
+the set's locators and multipliers.  One GrsCode is that code for each
+group of sets whose local generators stacked keep rank r (all the sets
+of a Tamo-Barg code); ``local_groups`` lists the groups, each as (that
+GrsCode, its set indices, the (sets, n_l) array of their positions).
 
 The shape (n, k, r, rho) is ``shape``, a radii.CodeShape built once per
 code: it owns n_l, mu and d, radii._partition checks the repair sets
@@ -55,11 +56,11 @@ class LrcCode:
         self.degrees = tuple(degrees)  # message layout order
         _positions(self.degrees, supercode.k, "degree", "supercode_k - 1 = {}")
         _in_range("len(degrees)", len(self.degrees), k, k, "k = {}")
-        self.generator = supercode.generator_matrix()[list(self.degrees)]
+        self.generator = supercode.generator[list(self.degrees)]
         self.generator.flags.writeable = False
         self._sets = np.array(self.repair_sets)
         self._sets.flags.writeable = False
-        self._group_local_codes(self._check_local_structure())
+        self.local_groups = self._check_local_structure()
         self.parity = linalg.right_nullspace(self.generator, self.field)
 
     @property
@@ -72,44 +73,37 @@ class LrcCode:
             f" GF({self.field.q}), d={self.d})"
         )
 
-    def _group_local_codes(self, gens: np.ndarray):
-        """Set local_codes and local_groups from gens, the sets' own local
-        generators: each round builds the first ungrouped set's GrsCode and
-        gives it to every set that one stacked rank finds sharing it."""
-        F, r, sup = self.field, self.r, self.supercode
-        codes, groups, todo = [None] * self.shape.mu, [], np.arange(self.shape.mu)
-        while todo.size:
-            first = np.broadcast_to(gens[todo[0]], gens[todo].shape)
-            hit = linalg.rank(np.concatenate([first, gens[todo]], axis=1), F) == r
-            same, todo, idx = todo[hit], todo[~hit], self._sets[todo[0]]
-            local = GrsCode(F, sup._alpha[idx], sup._nu[idx], r)
-            groups.append((local, same.tolist(), self._sets[same]))
-            for j in same.tolist():
-                codes[j] = local
-        self.local_codes, self.local_groups = tuple(codes), tuple(groups)
-
-    def _check_local_structure(self) -> np.ndarray:
+    def _check_local_structure(self) -> tuple:
         """Each restriction must be the [n_l, r, rho] GRS code on its locators.
 
         The restricted generator must have rank r, and stacking the set's
         own local generator gens[j] under it must leave the rank at r.
         Both tests run as one stacked rank over the mu repair sets; the
-        smallest failing j is reported, the local-code test first.  Returns
-        gens, (mu, r, n_l): row i of gens[j] is nu alpha^i on set j.
+        smallest failing j is reported, the local-code test first.  gens is
+        (mu, r, n_l): row i of gens[j] is nu alpha^i on set j.
+
+        Then returns local_groups, from gens, the sets' own local
+        generators: each round builds the first ungrouped set's GrsCode and
+        gives it to every set that one stacked rank finds sharing it.
         """
-        F, sets, sup = self.field, self._sets, self.supercode
-        gens = _vec_mul(sup._nu[sets], powers(sup._alpha, self.r, F)[:, sets], F).swapaxes(0, 1)
+        F, r, sets, sup = self.field, self.r, self._sets, self.supercode
+        gens = _vec_mul(sup._nu[sets], powers(sup._alpha, r, F)[:, sets], F).swapaxes(0, 1)
         blocks = np.moveaxis(self.generator[:, sets], 1, 0)
         joint = linalg.rank(np.concatenate([blocks, gens], axis=1), F)
         ranks = linalg.rank(blocks, F)
         for j in range(self.shape.mu):
-            if joint[j] != self.r:
+            if joint[j] != r:
                 raise ValueError(f"restriction to repair set {j} leaves the local code")
-            if ranks[j] != self.r:
-                raise ValueError(
-                    f"local code {j} has dimension {ranks[j]}, expected {self.r}"
-                )
-        return gens
+            if ranks[j] != r:
+                raise ValueError(f"local code {j} has dimension {ranks[j]}, expected {r}")
+        groups, todo = [], np.arange(self.shape.mu)
+        while todo.size:
+            first = np.broadcast_to(gens[todo[0]], gens[todo].shape)
+            hit = linalg.rank(np.concatenate([first, gens[todo]], axis=1), F) == r
+            same, todo, idx = todo[hit], todo[~hit], sets[todo[0]]
+            local = GrsCode(F, sup._alpha[idx], sup._nu[idx], r)
+            groups.append((local, same.tolist(), sets[same]))
+        return tuple(groups)
 
     # -- encoding ----------------------------------------------------------------
 

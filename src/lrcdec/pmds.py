@@ -46,7 +46,6 @@ class PmdsCode:
     k: int
     r: int
     rho: int
-    verified: bool = False
 
     @property
     def d(self) -> int:
@@ -61,7 +60,6 @@ class PmdsCode:
             "parity": self.parity.tolist(),
             "repair_sets": [list(s) for s in self.repair_sets],
             "n": self.n, "k": self.k, "r": self.r, "rho": self.rho,
-            "verified": self.verified,
         }
 
     @classmethod
@@ -69,7 +67,8 @@ class PmdsCode:
         """The code of a descriptor; ValueError for a generator or parity
         that Field.check_symbols refuses or of the wrong shape, a parity
         that does not annihilate the generator or has rank below n - k, and
-        a shape or repair sets that CodeShape or _partition rejects."""
+        a shape or repair sets that CodeShape or _partition rejects.  The
+        PMDS property is not checked here: verify_pmds checks it."""
         field = Field.from_json(obj["field"])
         gen = field.check_symbols(obj["generator"], name="generator")
         parity = field.check_symbols(obj["parity"], name="parity")
@@ -85,7 +84,7 @@ class PmdsCode:
         if (rk := linalg.rank(parity, field)) != n - k:
             raise ValueError(f"the parity-check matrix has rank {rk}, need n - k = {n - k}")
         sets = _partition(obj["repair_sets"], n, shape.n_l)
-        return cls(field, gen, parity, sets, n, k, r, rho, verified=obj.get("verified", False))
+        return cls(field, gen, parity, sets, n, k, r, rho)
 
 
 def _information_sets(repair_sets, k: int, r: int):
@@ -165,8 +164,7 @@ def random_pmds(q: int, n: int, k: int, r: int, rho: int, seed: int) -> PmdsCode
     mu, n_l = shape.mu, shape.n_l
     field = Field(q)
     _in_range("q", q, n_l, None, "n_l = r + rho - 1 = {}")
-    local = GrsCode(field, list(range(n_l)), [1] * n_l, r)
-    g_loc = local.generator_matrix()
+    g_loc = GrsCode(field, list(range(n_l)), [1] * n_l, r).generator
     block = np.zeros((mu * r, n), dtype=np.int64)
     for i in range(mu):
         block[i * r : (i + 1) * r, i * n_l : (i + 1) * n_l] = g_loc
@@ -179,9 +177,7 @@ def random_pmds(q: int, n: int, k: int, r: int, rho: int, seed: int) -> PmdsCode
         gen = linalg.matmul(mix, block, field)
         if verify_pmds(field, gen, repair_sets, r, rho):
             parity = linalg.right_nullspace(gen, field)
-            return PmdsCode(
-                field, gen, parity, repair_sets, n, k, r, rho, verified=True
-            )
+            return PmdsCode(field, gen, parity, repair_sets, n, k, r, rho)
     raise ValueError(
         f"no PMDS instance found in {_MAX_TRIES} tries; use a larger field than {q}"
     )

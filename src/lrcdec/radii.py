@@ -215,14 +215,16 @@ def johnson_list_bound(n: int, d: int, q, t: int) -> Fraction | None:
     """List-size bound theta*d*n / (t^2 - theta*n*(2t - d)) at integer radius t.
 
     Returns None when the denominator is not strictly positive (the bound
-    carries no information at or beyond the Johnson radius).  Requires
-    integers n >= 1, 0 <= d <= n and t >= 0; d may exceed n*theta, the
-    Plotkin range.
+    carries no information at or beyond the Johnson radius) and when
+    t > theta*n: the denominator is positive again above its upper root
+    theta*n + sqrt(theta*n(theta*n - d)), but the Johnson argument needs
+    t <= theta*n.  Requires integers n >= 1, 0 <= d <= n and t >= 0; d
+    may exceed n*theta, the Plotkin range.
     """
     num, den = _theta(q)
     n, d, t = _in_range("n", n, 1), _in_range("d", d, 0, n, "n = {}"), _in_range("t", t, 0)
     denom = den * t * t - num * n * (2 * t - d)
-    if denom <= 0:
+    if denom <= 0 or t * den > num * n:
         return None
     return Fraction(num * d * n, denom)
 
@@ -264,12 +266,15 @@ def _lrc_errors(shape: CodeShape, q=None, xi: int = 0) -> int:
 
 @functools.cache
 def refined_error_count(shape: CodeShape, t_l: int, q=None) -> int:
-    """Largest t with t^2 + theta * floor(t/(t_l+1)) * n_l * (d - 2t) > 0.
+    """Last t of the run of t with t^2 + theta * floor(t/(t_l+1)) * n_l * (d - 2t) > 0
+    that contains, or lies nearest below, the closed-form error count.
 
-    Starts from the closed-form error count.  If it holds there, scans up
-    to the last success before the first failure, capped at n; otherwise
-    scans down to the first success, or 0 when no t >= 1 holds.  t_l is
-    an integer >= 0.
+    Not the largest such t, as the inequality is not monotone in t:
+    CodeShape(6, 3, 1, 2) at t_l = 1 gives 1, yet t = 3 holds and t = 2
+    does not.  Starts from the closed-form error count.  If it holds
+    there, scans up to the last success before the first failure, capped
+    at n; otherwise scans down to the first success, or 0 when no t >= 1
+    holds.  t_l is an integer >= 0.
     """
     num, den = _theta(q)
     n_l, d, t_l = shape.n_l, shape.d, _in_range("t_l", t_l, 0)

@@ -20,7 +20,7 @@ def grs_membership():
     zero syndrome under a parity check built once, when it is called."""
 
     def membership(code):
-        parity = linalg.right_nullspace(code.generator_matrix(), code.field)
+        parity = linalg.right_nullspace(code.generator, code.field)
 
         def is_codeword(word):
             if len(word) != code.n:

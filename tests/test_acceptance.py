@@ -19,6 +19,7 @@ from lrcdec import (
     list_decode_lrc,
     mk_decode,
     random_pmds,
+    verify_pmds,
 )
 from lrcdec import linalg
 from lrcdec.interleaved import InterleavedWord, excess_criterion
@@ -259,8 +260,8 @@ def test_criterion_6_dp_equals_oracle():
     with Timer() as tm:
         for (n, k, r, rho) in shapes:
             code = random_pmds(2**10, n, k, r, rho, seed=1)  # shape is realizable
-            assert code.verified
             rs = code.repair_sets
+            assert verify_pmds(code.field, code.generator, rs, r, rho)
             for t in range(n + 1):
                 bad = sum(
                     1

@@ -1,5 +1,6 @@
-"""Every module-level import of the package has a use in its module, and
-every module-level private function a reader in the package."""
+"""Every module-level import of the package and of its tests has a use in
+its module, and every module-level private function a reader in the
+package."""
 
 import ast
 from collections import Counter
@@ -10,6 +11,7 @@ import pytest
 import lrcdec
 
 MODULES = sorted(Path(lrcdec.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -46,7 +48,9 @@ def test_the_check_sees_an_unused_import():
     assert _unused_imports(source) == ["os", "G"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize(
+    "path", MODULES + TESTS, ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TESTS]
+)
 def test_no_module_imports_a_name_it_does_not_use(path):
     assert _unused_imports(path.read_text()) == []
 

@@ -53,7 +53,7 @@ def test_zero_error_list_is_exact(tb_15_6):
     assert out.codewords == [cw]
     assert out.complete
     unique = unique_decode_probabilistic(tb_15_6, cw, CFG)
-    local = tb_15_6.local_codes[0].gs_list_decode([cw[i] for i in tb_15_6.repair_sets[0]], 1)
+    local = tb_15_6.local_groups[0][0].gs_list_decode([cw[i] for i in tb_15_6.repair_sets[0]], 1)
     assert all(type(s) is int for w in [cw, unique] + out.codewords + local for s in w)
 
 
@@ -403,9 +403,8 @@ def test_grouped_local_stage_matches_own_local_codes(name):
     make, t_l, t_g, distinct = DIFFERENTIAL_CODES[name]
     code, cfg = make(), DecodeConfig(t_l, t_g)
     own = own_local_codes(code)
-    assert len({id(c) for c in code.local_codes}) == distinct
+    assert len(code.local_groups) == distinct
     ungrouped = copy.copy(code)
-    ungrouped.local_codes = tuple(own)
     ungrouped.local_groups = tuple((c, [j], code._sets[[j]]) for j, c in enumerate(own))
     rng = np.random.default_rng([31, code.n, distinct])
     for weight in range(t_g + 1):
@@ -504,7 +503,7 @@ def test_zero_dimension_shortening_decodes_zero_word(q, n, k, r, rho, t_l, t_g):
     # clean the first s_short repair sets to the zero local codeword
     zero, picks = (0,) * n, [(0, (0,) * code.shape.n_l)] * s_short
     assert _decode_shortened(code, zero, range(s_short), picks, cfg, DecodingList()) == [zero]
-    local = code.local_codes[0]
+    local = code.local_groups[0][0]
     if local.k == 1 or gs_parameters(local.n, local.k, t_l)[0] <= 12:
         # (the local [15, 9] decode at t_l = 4 needs s = 33: tens of seconds)
         assert zero in list_decode_lrc(code, zero, cfg).codewords

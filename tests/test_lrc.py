@@ -71,7 +71,7 @@ def test_tamo_barg_locators_match_the_scalar_power_loop(q, n, k, r, rho):
 
 def test_local_restrictions_are_local_codewords(tb_15_6, grs_membership):
     rnd = random.Random(0)
-    in_local = [grs_membership(local) for local in tb_15_6.local_codes]
+    in_local = {j: grs_membership(local) for local, sets, _ in tb_15_6.local_groups for j in sets}
     for _ in range(100):
         msg = [rnd.randrange(16) for _ in range(6)]
         cw = tb_15_6.encode(msg)
@@ -89,7 +89,7 @@ def test_restriction_partition_recovers_word(tb_15_6):
 
 
 def test_generator_rows_of_supercode(tb_15_6):
-    sup = tb_15_6.supercode.generator_matrix()
+    sup = tb_15_6.supercode.generator
     assert (tb_15_6.generator == sup[list(tb_15_6.degrees)]).all()
     assert not tb_15_6.generator.flags.writeable
 
@@ -112,7 +112,7 @@ def test_membership_rejects_supercode_non_members(tb_15_6, gf16, grs_membership)
 
 def test_local_distance_exhaustive(tb_15_6):
     # one repair set, all 16^3 local codewords: minimum nonzero weight is rho = 3
-    local = tb_15_6.local_codes[0]
+    local = tb_15_6.local_groups[0][0]
     weights = set()
     for a in range(16):
         for b in range(16):
@@ -324,9 +324,8 @@ def test_tamo_barg_repair_sets_share_one_local_code():
     assert len(SHARING_ROWS) == 5 + 48
     for q, n, k, r, rho in SHARING_ROWS:
         code = construct_tamo_barg(Field(q), n, k, r, rho)
-        assert len(code.local_codes) == code.shape.mu
-        assert len({id(c) for c in code.local_codes}) == 1, (q, n, k, r, rho)
         (local, sets, positions), = code.local_groups
+        assert (local.n, local.k) == (code.shape.n_l, code.r)
         assert sets == list(range(code.shape.mu))
         assert positions.tolist() == [list(s) for s in code.repair_sets]
 
@@ -338,8 +337,9 @@ def test_one_local_plan_and_settle_block_per_code():
     word = cw.copy()
     word[rng.choice(63, size=20, replace=False)] ^= rng.integers(1, 64, size=20)
     assert tuple(cw.tolist()) in list_decode_lrc(code, word, DecodeConfig(8, 24)).codewords
-    plans = {id(p) for c in code.local_codes for p in c._gs_plans.values()}
-    blocks = {id(c._settle[1]) for c in code.local_codes if c._settle is not None}
+    codes = [local for local, _, _ in code.local_groups]
+    plans = {id(p) for c in codes for p in c._gs_plans.values()}
+    blocks = {id(c._settle[1]) for c in codes if c._settle is not None}
     assert len(plans) == len(blocks) == 1
 
 

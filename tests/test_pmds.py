@@ -30,7 +30,7 @@ from lrcdec.pmds import (
 def test_mds_code_is_pmds_with_one_repair_set():
     f = Field(16)
     code = GrsCode(f, list(range(7)), [1] * 7, 3)
-    g = code.generator_matrix()
+    g = code.generator
     # one repair set, locality r = k = 3, rho = d = 5
     assert verify_pmds(f, g, [tuple(range(7))], 3, 5)
 
@@ -47,7 +47,7 @@ def test_repeated_column_fails():
 
 def test_random_pmds_double_checked(pmds_12_4):
     code = pmds_12_4
-    assert code.verified
+    assert verify_pmds(code.field, code.generator, code.repair_sets, code.r, code.rho)
     # independently re-verify one random puncturing by minimum distance
     rnd = random.Random(0)
     removed = [rnd.choice(rs) for rs in code.repair_sets]
@@ -133,7 +133,7 @@ def _mixing_draw(field, n, k, r, rho, rng):
     """A random k x (mu r) mixing of block-diagonal [n_l, r] GRS generators,
     as random_pmds draws it."""
     n_l = r + rho - 1
-    g_loc = GrsCode(field, list(range(n_l)), [1] * n_l, r).generator_matrix()
+    g_loc = GrsCode(field, list(range(n_l)), [1] * n_l, r).generator
     block = np.zeros((n // n_l * r, n), dtype=np.int64)
     for i in range(n // n_l):
         block[i * r : (i + 1) * r, i * n_l : (i + 1) * n_l] = g_loc
@@ -183,6 +183,14 @@ def test_verify_one_repair_set_is_whole_code_mds():
             assert verify_pmds(field, g, [tuple(range(6))], 3, 4) == want
             seen[want] += 1
     assert seen[True] and seen[False]
+
+
+def test_descriptor_carries_no_verified_flag(pmds_12_4):
+    # the PMDS property is verify_pmds's to check, not a descriptor's to state
+    obj = pmds_12_4.to_json()
+    assert "verified" not in obj
+    loaded = pmds.PmdsCode.from_json({**obj, "verified": True})
+    assert loaded.to_json() == obj and not hasattr(loaded, "verified")
 
 
 def _zero_row(rows, i):

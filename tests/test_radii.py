@@ -140,6 +140,12 @@ def test_refined_error_count_examples():
     assert refined_error_count(SHAPE_500, 43) == 175
     # the closed-form start 9 fails: 81 + 4 * 5 * (13 - 18) = -19; 8 holds
     assert refined_error_count(CodeShape(15, 3, 3, 3), 1) == 8
+    # not the largest t that holds, as the inequality is not monotone in t:
+    # the run from the start ends at 1, as t = 2 fails (4 - 4 = 0), yet
+    # t = 3 holds (9 - 8 > 0)
+    shape = CodeShape(6, 3, 1, 2)
+    assert refined_error_count(shape, 1) == 1
+    assert [_refined_holds(shape, 1, None, t) for t in (1, 2, 3)] == [True, False, True]
 
 
 def _refined_holds(shape, t_l, q, t):
@@ -526,6 +532,18 @@ def test_johnson_list_bound_reads_d_up_to_n():
     assert johnson_list_bound(10, 10, None, 2) == Fraction(25, 16)
     assert johnson_list_bound(10, 9, 2, 2) == Fraction(45, 29)
     assert h_decreasing(0, 1, None, [1, 2])
+
+
+def test_johnson_list_bound_stops_at_theta_n():
+    # the denominator t^2 - theta n (2t - d) is positive again above its
+    # upper root, but the Johnson argument needs t <= theta n: every binary
+    # word lies within 10 of any centre of length 10
+    assert johnson_list_bound(10, 1, 2, 10) is None
+    assert johnson_list_bound(6, 5, 2, 4) is None
+    # t = theta n itself keeps its value, in the Plotkin range too
+    assert johnson_list_bound(10, 6, 2, 5) == 6
+    # list_size_bounds of CodeShape(12,6,4,3) at q = 2 took (6, 5, 2, 4)
+    assert list_size_bounds(CodeShape(12, 6, 4, 3), q=2) == (None, None)
 
 
 def test_report_table_row():
